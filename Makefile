@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: all lint ruff mypy invariants test obs-smoke shard-smoke perf-smoke pipeline-smoke lint-bench span-smoke fleet-smoke wa-smoke bench-diff
+.PHONY: all lint ruff mypy invariants test obs-smoke shard-smoke perf-smoke pipeline-smoke lint-bench span-smoke fleet-smoke wa-smoke bench-diff ledger
 
 all: lint test
 
@@ -82,3 +82,13 @@ wa-smoke:
 # wall-clock figures are informational
 bench-diff:
 	$(PYTHON) benchmarks/bench_diff.py
+
+# the performance ledger (BENCHMARK.json; benchmarks/ledger/README.md) at
+# self-test sizes: all four workloads checked against their oracles, then
+# the ledger's own self-test; emits BENCH_ledger.json.  Figures at --quick
+# sizes are a smoke, not a measurement — compare commits with full runs in
+# alternating pairs, as the README prescribes
+ledger:
+	mkdir -p bench-out
+	$(PYTHON) benchmarks/ledger/run.py --quick --out-dir bench-out
+	$(PYTHON) -m pytest benchmarks/ledger -q

@@ -25,7 +25,9 @@ completed out of order before the crash.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core import checkpoint as ckpt
@@ -186,6 +188,9 @@ class BlockStore:
         self._ckpt_history: List[int] = []
         self._objects_since_ckpt = 0
         self._header_cache: Dict[int, ObjectHeader] = {}
+        #: seq -> data offset at which each header extent starts (objects
+        #: are immutable, so built once; see fetch_with_prefetch)
+        self._extent_starts: Dict[int, List[int]] = {}
         self.obs = obs if obs is not None else Registry()
         self.stats = StoreStats(self.obs)
         self._object_bytes = self.obs.histogram(
@@ -473,17 +478,24 @@ class BlockStore:
         over the single fetched blob; callers assemble or copy as needed.
         """
         header = self.header_of(seq)
+        starts = self._extent_starts.get(seq)
+        if starts is None:
+            starts = [0, *accumulate(e.length for e in header.extents)]
+            self._extent_starts[seq] = starts
         window = max(self.config.prefetch_bytes, length)
         start = max(0, offset - (window - length) // 2)
         end = min(header.data_len, start + window)
         blob = memoryview(self.fetch(seq, start, end - start))
         pieces: List[Tuple[int, memoryview]] = []
-        data_off = 0
-        for ext in header.extents:
-            ext_start, ext_end = data_off, data_off + ext.length
+        extents = header.extents
+        # only the header extents the window overlaps, not all of them
+        for index in range(bisect_right(starts, start) - 1, len(extents)):
+            ext_start, ext_end = starts[index], starts[index + 1]
+            if ext_start >= end:
+                break
             lo, hi = max(ext_start, start), min(ext_end, end)
             if lo < hi:
-                vlba = ext.lba + (lo - ext_start)
+                vlba = extents[index].lba + (lo - ext_start)
                 # only return ranges the map still assigns to this object
                 # at these offsets: prefetched neighbours may have been
                 # overwritten by newer objects and must not be surfaced.
@@ -494,7 +506,6 @@ class BlockStore:
                         continue
                     rel = live.offset - start
                     pieces.append((live.lba, blob[rel : rel + live.length]))
-            data_off = ext_end
         if request_lba is not None:
             # de-duplicated aliases point at data the header attributes to
             # a *different* vLBA; the header translation above cannot find
@@ -560,6 +571,7 @@ class BlockStore:
             raise SnapshotInUseError("refusing to delete clone-base object")
         self.store.delete(object_name(self.name, seq))
         self._header_cache.pop(seq, None)
+        self._extent_starts.pop(seq, None)
         self.stats.objects_deleted += 1
 
     # ------------------------------------------------------------------

@@ -4,8 +4,15 @@ The paper's prototype re-uses the write-cache implementation for the read
 cache with static partitioning and FIFO replacement; this module follows
 that design: the cache region is a byte ring, insertions append at a ring
 pointer, and whatever the pointer overwrites is evicted.  Extents inserted
-come from backend range-reads, so a single insertion often carries
+come from backend range-reads, so a single fetch often carries a burst of
 prefetched data written *temporally* adjacent to the missed block (§3.2).
+
+Replacement costs what it reclaims, not what the cache holds: a FIFO
+*insertion log* — one ``(virt, length, lba)`` record per insert, oldest
+first — names what lives at the bytes the pointer is about to overwrite,
+so eviction pops records off its head instead of searching the map.
+:meth:`invalidate` never touches the log; records are allowed to go stale
+and eviction drops only map pieces that still point into the evicted bytes.
 
 Correctness rules:
 
@@ -18,7 +25,8 @@ Correctness rules:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from collections import deque
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from repro.core import checkpoint as ckpt
 from repro.core.config import BLOCK
@@ -59,7 +67,11 @@ class ReadCache:
         self.data_size = (total - self.slot_size) // BLOCK * BLOCK
 
         self.map = ExtentMap()  # vLBA -> (RC_TARGET, absolute image offset)
+        #: FIFO insertion log, oldest first: (ring virt, length, lba) of
+        #: every insert whose bytes the ring pointer has not yet overwritten
+        self._log: Deque[Tuple[int, int, int]] = deque()
         self._ring_virt = 0
+        self._lap_evicted = 0  # bytes evicted since the ring last wrapped
         self.obs = obs if obs is not None else Registry()
         bind_metrics(self)
         self._occupancy = self.obs.gauge("rc.occupancy_bytes")
@@ -83,54 +95,97 @@ class ReadCache:
 
     def insert(self, lba: int, data: bytes, span=NULL_SPAN) -> None:
         """Add backend data to the cache, evicting FIFO as needed."""
-        length = len(data)
-        if length == 0:
-            return
-        footprint = align_up(length)
-        if footprint > self.data_size:
-            return  # larger than the whole cache: do not cache
-        stage = span.begin("rc_insert")
-        virt = self._reserve(footprint)
-        phys = self._phys(virt)
-        self._evict_range(phys, footprint)
-        self.image.write(phys, data)
-        self.map.update(lba, length, RC_TARGET, phys)
-        self.inserted_bytes += length
-        self._occupancy.set(min(self._ring_virt, self.data_size))
-        stage.end(bytes=length)
+        self.insert_burst(((lba, data),), span=span)
+
+    def insert_burst(self, pieces: Sequence[Tuple[int, bytes]], span=NULL_SPAN) -> None:
+        """Add the ``(lba, data)`` pieces of one backend fetch, in order.
+
+        Each piece lands where a lone :meth:`insert` would put it and
+        evicts what a lone insert would evict (a later piece may overwrite
+        an LBA an earlier one cached, so the FIFO head advances piece by
+        piece); the counters, the occupancy gauge and the span stage are
+        settled once per burst.
+        """
+        stage = span.begin("rc_insert", ranges=len(pieces))
+        size = self.data_size
+        log = self._log
+        virt = self._ring_virt
+        inserted = evicted = 0
+        for lba, data in pieces:
+            length = len(data)
+            footprint = align_up(length)
+            if length == 0 or footprint > size:
+                continue  # larger than the whole cache: do not cache
+            pos = virt % size
+            if pos + footprint > size:
+                # no room before the ring end: skip the wrap slack (the
+                # horizon below evicts what lived there)
+                virt += size - pos
+                pos = 0
+            if pos == 0 and virt:
+                self._end_lap()
+            # everything older than one ring behind the new pointer goes
+            horizon = virt + footprint - size
+            while log and log[0][0] < horizon:
+                evicted += self._evict_head(horizon)
+            phys = self.data_offset + pos
+            self.image.write(phys, data)
+            self.map.update(lba, length, RC_TARGET, phys)
+            log.append((virt, length, lba))
+            inserted += length
+            virt += footprint
+        self._ring_virt = virt
+        if inserted:
+            self.inserted_bytes += inserted
+        if evicted:
+            self.evicted_bytes += evicted
+        self._occupancy.set(min(virt, size))
+        stage.end(bytes=inserted)
 
     def invalidate(self, lba: int, length: int) -> None:
-        """Drop cached data for a written range (write-after-read hazard)."""
+        """Drop cached data for a written range (write-after-read hazard).
+
+        The insertion log is left alone (this runs on every write): the
+        record goes stale and :meth:`_evict_head` skips it.
+        """
         self.map.remove(lba, length)
 
     # ------------------------------------------------------------------
-    def _reserve(self, footprint: int) -> int:
-        virt = self._ring_virt
-        room = self.data_size - (virt % self.data_size)
-        if room < footprint:
-            # evict the wrap slack too, then start at the boundary
-            self._evict_range(self._phys(virt), room)
-            virt += room
-        self._ring_virt = virt + footprint
-        return virt
+    def _evict_head(self, horizon: int) -> int:
+        """Evict the oldest log record's bytes below ring position
+        ``horizon``; returns the bytes dropped from the map.
 
-    def _evict_range(self, phys: int, length: int) -> None:
-        """Remove map entries whose data lives in [phys, phys+length)."""
-        end = phys + length
-        stale = [
-            ext for ext in list(self.map) if not (ext.offset + ext.length <= phys or ext.offset >= end)
-        ]
+        A record the pointer only partly overwrites is shrunk, not popped,
+        so its surviving tail stays readable.  The record may be stale —
+        its LBAs invalidated, or re-inserted elsewhere since — so only map
+        pieces that still point into these very bytes are evicted: the one
+        carve unmaps the record's LBAs (nearly always all its own), and a
+        piece that lives elsewhere is mapped straight back, which re-joins
+        it with the neighbours it was cut from.
+        """
+        virt, length, lba = self._log[0]
+        cut = horizon - virt
+        if cut >= length:
+            cut = length
+            self._log.popleft()
+        else:
+            self._log[0] = (horizon, length - cut, lba + cut)
+        phys = self._phys(virt)
         dropped = 0
-        for ext in stale:
-            # clip precisely: only the overlapping part is evicted
-            lo = max(ext.offset, phys)
-            hi = min(ext.offset + ext.length, end)
-            lba_lo = ext.lba + (lo - ext.offset)
-            self.map.remove(lba_lo, hi - lo)
-            dropped += hi - lo
-        if dropped:
-            self.evicted_bytes += dropped
-            self.obs.trace.emit("cache_evict", bytes=dropped)
+        for ext in self.map.remove(lba, cut):
+            if ext.offset == phys + (ext.lba - lba):
+                dropped += ext.length
+            else:
+                self.map.update(ext.lba, ext.length, RC_TARGET, ext.offset)
+        self._lap_evicted += dropped
+        return dropped
+
+    def _end_lap(self) -> None:
+        """The ring pointer wrapped: one ``cache_evict`` for the whole lap
+        (an event per insert would retain ~2 KB per read in the trace)."""
+        if self._lap_evicted:
+            self.obs.trace.emit("cache_evict", bytes=self._lap_evicted)
+        self._lap_evicted = 0
 
     # ------------------------------------------------------------------
     # persistence (clean shutdown only; see module docstring)
@@ -159,14 +214,42 @@ class ReadCache:
         except (CorruptRecordError, KeyError, ValueError):
             return False
         self._ring_virt = meta["ring"]
+        self._lap_evicted = 0
         self.map = ExtentMap()
         for lba, length, offset in entries:
             self.map.update(lba, length, RC_TARGET, offset)
+        self._rebuild_log()
         return True
+
+    def _rebuild_log(self) -> None:
+        """Re-derive the insertion log from the map, in ring age order.
+
+        The save holds no log (the wire format predates it); the ring
+        pointer dates every byte instead: offsets below it were written
+        this lap, offsets at or above it one lap ago.  An extent the map
+        coalesced across the pointer is split there.
+        """
+        size = self.data_size
+        pointer = self._ring_virt % size
+        lap_start = self._ring_virt - pointer
+        records = []
+        for ext in self.map:
+            rel = ext.offset - self.data_offset
+            young = min(max(pointer - rel, 0), ext.length)  # bytes below the pointer
+            if young:
+                records.append((lap_start + rel, young, ext.lba))
+            if young < ext.length:
+                records.append(
+                    (lap_start - size + rel + young, ext.length - young, ext.lba + young)
+                )
+        records.sort()
+        self._log = deque(records)
 
     def clear(self) -> None:
         self.map.clear()
+        self._log.clear()
         self._ring_virt = 0
+        self._lap_evicted = 0
 
     @property
     def hit_rate(self) -> float:

@@ -9,6 +9,7 @@ bookkeeping bug even if reads still happen to return correct data.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import List
@@ -34,6 +35,7 @@ def check_volume_invariants(vol: LSVDVolume) -> InvariantReport:
     _check_object_accounting(vol, report)
     _check_write_cache_geometry(vol, report)
     _check_map_bounds(vol, report)
+    _check_read_cache_log(vol, report)
     return report
 
 
@@ -107,3 +109,46 @@ def _check_map_bounds(vol: LSVDVolume, report: InvariantReport) -> None:
     for ext in vol.bs.omap.map:
         if ext.lba + ext.length > vol.size:
             report.add(f"object map entry beyond volume end: {ext.lba}")
+
+
+def _check_read_cache_log(vol: LSVDVolume, report: InvariantReport) -> None:
+    """The FIFO insertion log must cover the read-cache map (log ⊇ map).
+
+    Eviction finds what the ring pointer overwrites through the log alone,
+    so a mapped byte no record names would outlive its data and be served
+    stale.  Records may be stale, never missing.  A map extent may span
+    several records (the map coalesces neighbours the log keeps apart).
+    """
+    rc = vol.rc
+    prev_end = rc._ring_virt - rc.data_size
+    by_phys = []
+    for virt, length, lba in rc._log:
+        if virt < prev_end or length <= 0:
+            report.add(
+                f"read-cache log record at virt {virt} overlaps its "
+                f"predecessor or lies more than one ring behind the pointer"
+            )
+        prev_end = virt + length
+        by_phys.append((rc._phys(virt), length, lba))
+    if prev_end > rc._ring_virt:
+        report.add(f"read-cache log runs past the ring pointer {rc._ring_virt}")
+    by_phys.sort()
+    starts = [phys for phys, _length, _lba in by_phys]
+    for ext in rc.map:
+        cursor, end = ext.offset, ext.offset + ext.length
+        while cursor < end:
+            index = bisect_right(starts, cursor) - 1
+            if index < 0:
+                break
+            phys, length, lba = by_phys[index]
+            # the record must map these bytes to the same address the map does
+            if cursor >= phys + length or lba + (cursor - phys) != ext.lba + (
+                cursor - ext.offset
+            ):
+                break
+            cursor = phys + length
+        if cursor < end:
+            report.add(
+                f"read-cache map entry at lba {ext.lba} is not covered by "
+                f"the insertion log at cache offset {cursor}"
+            )

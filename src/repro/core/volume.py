@@ -311,19 +311,14 @@ class LSVDVolume:
                     request_lba=piece.lba,
                 )
                 stage.end(bytes=sum(len(d) for _v, d in fetched))
-                # one stage for the whole prefetch insert burst: a span
-                # per inserted range (dozens under temporal prefetch)
-                # would out-cost the stages being measured
-                insert_stage = span.begin("rc_insert", ranges=len(fetched))
                 for vlba, data in fetched:
-                    self._insert_read_cache(vlba, data)
                     lo = max(vlba, gap_lba)
                     hi = min(vlba + len(data), gap_lba + gap_len)
                     if lo < hi:
                         out[lo - offset : hi - offset] = data[
                             lo - vlba : hi - vlba
                         ]
-                insert_stage.end()
+                self._insert_read_cache(fetched, span=span)
                 covered.fill(piece.lba, piece.length)
         span.end()
         return bytes(out)
@@ -601,12 +596,16 @@ class LSVDVolume:
             return pieces[0][2]
         return None
 
-    def _insert_read_cache(self, lba: int, data: bytes, span=NULL_SPAN) -> None:
-        """Insert backend data, clipped against newer write-cache data."""
-        cursor = 0
-        for start, length, ext in _clip_against(self.wc.map, lba, len(data)):
-            if ext is None:
-                self.rc.insert(start, data[start - lba : start - lba + length], span=span)  # lint: disable=LSVD009 -- ReadCache.insert (cache API), not a list shuffle
+    def _insert_read_cache(self, fetched, span=NULL_SPAN) -> None:
+        """Insert one fetch's ``(lba, data)`` pieces as a single burst,
+        clipped against newer write-cache data."""
+        wc_map = self.wc.map
+        pieces = []
+        for lba, data in fetched:
+            for start, length, ext in wc_map.lookup_with_gaps(lba, len(data)):
+                if ext is None:
+                    pieces.append((start, data[start - lba : start - lba + length]))
+        self.rc.insert_burst(pieces, span=span)
 
     def _check_io(self, offset: int, length: int) -> None:
         if offset % SECTOR or length % SECTOR:
@@ -623,11 +622,6 @@ class LSVDVolume:
     @property
     def write_amplification(self) -> float:
         return self.bs.stats.write_amplification
-
-
-def _clip_against(extent_map, lba: int, length: int):
-    """Yield (start, length, extent-or-None) covering the range."""
-    return extent_map.lookup_with_gaps(lba, length)
 
 
 class _Coverage:

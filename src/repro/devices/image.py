@@ -12,8 +12,16 @@ bcache's lack of ordering can be exercised for real.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Deque, Optional, Tuple
+
+#: bytes of un-flushed writes the device buffers before the oldest ones
+#: drain to media on their own — the order of a real SSD's DRAM buffer.
+#: "Any subset may have persisted" already allows this; without it a
+#: flush-free read workload (every read-cache insert is a device write)
+#: retains every buffer it ever wrote.
+PENDING_BOUND = 64 << 20
 
 
 @dataclass
@@ -40,7 +48,8 @@ class DiskImage:
         self.name = name
         self._data = bytearray(size)  # newest content (cache view)
         self._durable = bytearray(size)  # content guaranteed after crash
-        self._pending: List[tuple] = []  # (offset, bytes) not yet durable
+        self._pending: Deque[Tuple[int, bytes]] = deque()  # not yet durable
+        self.pending_bytes = 0
         self.writes = 0
         self.reads = 0
         self.flushes = 0
@@ -53,6 +62,11 @@ class DiskImage:
         self._check_range(offset, len(data))
         self._data[offset : offset + len(data)] = data
         self._pending.append((offset, bytes(data)))
+        self.pending_bytes += len(data)
+        while self.pending_bytes > PENDING_BOUND:
+            old_offset, old = self._pending.popleft()
+            self._durable[old_offset : old_offset + len(old)] = old
+            self.pending_bytes -= len(old)
         self.writes += 1
         self.bytes_written += len(data)
 
@@ -66,12 +80,16 @@ class DiskImage:
         """Commit barrier: all buffered writes become durable."""
         for offset, data in self._pending:
             self._durable[offset : offset + len(data)] = data
-        self._pending.clear()
+        self._drop_pending()
         self.flushes += 1
 
     @property
     def pending_writes(self) -> int:
         return len(self._pending)
+
+    def _drop_pending(self) -> None:
+        self._pending.clear()
+        self.pending_bytes = 0
 
     # -- failure injection ---------------------------------------------
     def crash(
@@ -110,7 +128,7 @@ class DiskImage:
                 torn = TornWrite(off, len(data), keep)
         for off, data in survivors:
             self._durable[off : off + len(data)] = data
-        self._pending.clear()
+        self._drop_pending()
         self._data = bytearray(self._durable)
         return torn
 
@@ -118,7 +136,7 @@ class DiskImage:
         """Catastrophic device loss: all content gone (cache death, §4.4)."""
         self._data = bytearray(self.size)
         self._durable = bytearray(self.size)
-        self._pending.clear()
+        self._drop_pending()
 
     # -- helpers ---------------------------------------------------------
     def _check_range(self, offset: int, length: int) -> None:

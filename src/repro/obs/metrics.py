@@ -284,16 +284,29 @@ class metric_field:
     The owning instance must carry an ``obs`` Registry.  Reads return the
     counter's value, ``+=`` and plain assignment write through — existing
     ``stats.rounds += 1`` call sites keep working unchanged.
+
+    The metric is resolved once per (instance, registry) and remembered in
+    the instance's ``__dict__``; rebinding ``obj.obs`` to another registry
+    (compared by identity — an empty Registry is falsy) resolves afresh.
     """
 
     kind = "counter"
 
     def __init__(self, metric_name: str):
         self.metric_name = metric_name
+        self._slot = f"_metric:{metric_name}"
 
-    def metric(self, obj: object) -> Counter:
-        registry: Registry = getattr(obj, "obs")
+    def _resolve(self, registry: Registry) -> Union[Counter, Gauge]:
         return registry.counter(self.metric_name)
+
+    def metric(self, obj: object) -> Union[Counter, Gauge]:
+        registry: Registry = getattr(obj, "obs")
+        cached = obj.__dict__.get(self._slot)
+        if cached is not None and cached[0] is registry:
+            return cached[1]
+        metric = self._resolve(registry)
+        obj.__dict__[self._slot] = (registry, metric)
+        return metric
 
     def __get__(self, obj: Optional[object], objtype: object = None) -> int:
         if obj is None:
@@ -310,8 +323,7 @@ class gauge_field(metric_field):
 
     kind = "gauge"
 
-    def metric(self, obj: object) -> Gauge:  # type: ignore[override]
-        registry: Registry = getattr(obj, "obs")
+    def _resolve(self, registry: Registry) -> Union[Counter, Gauge]:
         return registry.gauge(self.metric_name)
 
 

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from repro.core.read_cache import ReadCache
 from repro.devices import HDD, SSD, DiskImage, HDDSpec, NetworkLink, SSDSpec
+from repro.devices.image import PENDING_BOUND
 from repro.sim import Simulator
 
 
@@ -241,6 +243,33 @@ def test_image_crash_can_tear_final_write():
             break
     else:
         pytest.fail("no torn write observed over 40 seeds")
+
+
+def test_pending_writes_are_bounded_without_a_flush():
+    """Flush-free reads (every read-cache insert is a device write) must
+    not retain every buffer: past the bound the oldest writes drain to
+    media, and a crash still lands on durable + a subset of pending."""
+    piece = 16 * 1024
+    img = DiskImage(8 << 20, name="rc-ssd")
+    rc = ReadCache(img, 0, img.size, map_slot_size=128 * 1024)
+    for i in range(10_000):
+        rc.insert(i * piece, bytes([i % 251 + 1]) * piece)
+        assert img.pending_bytes <= PENDING_BOUND
+    assert img.flushes == 0
+    assert img.pending_bytes > PENDING_BOUND - piece  # the bound, not a flush
+    assert img.pending_bytes == sum(len(d) for _o, d in img._pending)
+
+    # per piece-sized slot: what the crash may legitimately leave there
+    allowed = {}
+    for off in range(rc.data_offset, rc.data_offset + rc.data_size, piece):
+        allowed[off] = {bytes(img._durable[off : off + piece])}
+    for off, data in img._pending:
+        allowed[off].add(data)
+    assert any(len(states) > 2 for states in allowed.values())
+    img.crash(rng=random.Random(5), survive_probability=0.5, allow_torn=False)
+    assert img.pending_writes == img.pending_bytes == 0
+    for off, states in allowed.items():
+        assert img.read(off, piece) in states
 
 
 def test_image_lose_clears_everything():

@@ -172,6 +172,37 @@ class TestMetricFields:
         b.hits += 1
         assert a.hits == b.hits == 2
 
+    def test_metric_is_resolved_once_per_instance(self, monkeypatch):
+        obs = Registry()
+        holder = self.Holder(obs)
+        lookups = []
+        honest = Registry._register
+
+        def counting(registry, name, kind, factory):
+            lookups.append(name)
+            return honest(registry, name, kind, factory)
+
+        monkeypatch.setattr(Registry, "_register", counting)
+        for _ in range(100):
+            holder.hits += 1
+            holder.level = holder.level + 1
+        assert lookups == []  # bind_metrics resolved both; nothing since
+        assert (obs.value("t.hits"), obs.value("t.level")) == (100, 100)
+
+    def test_rebinding_obs_resolves_in_the_new_registry(self):
+        first, second = Registry(), Registry()
+        holder = self.Holder(first)
+        holder.hits += 1
+        assert not second  # an empty Registry is falsy: identity decides
+        holder.obs = second
+        holder.hits += 5
+        holder.level = 7
+        assert (first.value("t.hits"), second.value("t.hits")) == (1, 5)
+        assert second.value("t.level") == 7
+        holder.obs = first  # and back: no stale metric from either side
+        holder.hits += 1
+        assert (first.value("t.hits"), second.value("t.hits")) == (2, 5)
+
 
 # ---------------------------------------------------------------------------
 # trace

@@ -1,9 +1,16 @@
 """Tests for the FIFO read cache (§3.1)."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.read_cache import ReadCache
+from repro.core.extent_map import ExtentMap
+from repro.core.log import align_up
+from repro.core.read_cache import RC_TARGET, ReadCache
+from repro.core.validate import InvariantReport, _check_read_cache_log
 from repro.devices.image import DiskImage
+from repro.obs import Registry
 
 MiB = 1 << 20
 
@@ -122,3 +129,307 @@ def test_eviction_precise_clipping():
     # the first 8K of entry A was evicted; the tail may survive
     for lba, length, _data in pieces:
         assert lba >= 8192
+
+
+# ---------------------------------------------------------------------------
+# FIFO insertion log: differential, scaling and burst tests
+# ---------------------------------------------------------------------------
+KiB = 1 << 10
+RING = 64 * KiB
+SLOT = 64 * KiB
+
+
+class ScanModel:
+    """The cache as it was before the insertion log: eviction scans the
+    whole map for entries living in the bytes about to be overwritten.
+    Kept here only as the reference the log-based cache is compared with."""
+
+    def __init__(self, data_offset: int, data_size: int):
+        self.data_offset, self.data_size = data_offset, data_size
+        self.map = ExtentMap()
+        self.ring = 0
+        self.evicted = self.inserted = 0
+        self.bytes = bytearray(data_offset + data_size)
+
+    def _phys(self, virt):
+        return self.data_offset + virt % self.data_size
+
+    def insert(self, lba, data):
+        length = len(data)
+        footprint = align_up(length)
+        if length == 0 or footprint > self.data_size:
+            return
+        virt = self.ring
+        room = self.data_size - virt % self.data_size
+        if room < footprint:
+            self._evict_range(self._phys(virt), room)  # the wrap slack
+            virt += room
+        self.ring = virt + footprint
+        phys = self._phys(virt)
+        self._evict_range(phys, footprint)
+        self.bytes[phys : phys + length] = data
+        self.map.update(lba, length, RC_TARGET, phys)
+        self.inserted += length
+
+    def _evict_range(self, phys, length):
+        end = phys + length
+        for ext in [e for e in self.map if e.offset < end and e.offset + e.length > phys]:
+            lo, hi = max(ext.offset, phys), min(ext.offset + ext.length, end)
+            self.map.remove(ext.lba + (lo - ext.offset), hi - lo)
+            self.evicted += hi - lo
+
+    def invalidate(self, lba, length):
+        self.map.remove(lba, length)
+
+    def read(self, lba, length):
+        return [
+            (e.lba, e.length, bytes(self.bytes[e.offset : e.offset + e.length]))
+            for e in self.map.lookup(lba, length)
+        ]
+
+    def reload(self):
+        rows = [(e.lba, e.length, e.offset) for e in self.map]
+        self.map = ExtentMap()
+        for lba, length, offset in rows:
+            self.map.update(lba, length, RC_TARGET, offset)
+
+
+def small_cache(obs=None):
+    img = DiskImage(SLOT + RING, name="rc-ssd")
+    return ReadCache(img, 0, img.size, map_slot_size=SLOT, obs=obs)
+
+
+def run_differential(ops):
+    """Apply ``ops`` to the real cache and the scan model, comparing the
+    map, the counters and every read after each step."""
+    rc = small_cache()
+    assert rc.data_size == RING
+    model = ScanModel(rc.data_offset, rc.data_size)
+    for step, op in enumerate(ops):
+        kind = op[0]
+        if kind == "insert":
+            rc.insert(op[1], op[2])
+            model.insert(op[1], op[2])
+        elif kind == "burst":
+            rc.insert_burst(op[1])
+            for lba, data in op[1]:
+                model.insert(lba, data)
+        elif kind == "invalidate":
+            rc.invalidate(op[1], op[2])
+            model.invalidate(op[1], op[2])
+        elif kind == "read":
+            assert rc.read(op[1], op[2]) == model.read(op[1], op[2]), step
+        elif kind == "reload":  # clean shutdown + warm start, same wire format
+            rc.save_map()
+            warm = ReadCache(rc.image, 0, rc.image.size, map_slot_size=SLOT, obs=rc.obs)
+            assert warm.load_map()
+            rc = warm
+            model.reload()
+        assert list(rc.map) == list(model.map), (step, op[:1])
+        assert rc.evicted_bytes == model.evicted, (step, op[:1])
+        assert rc.inserted_bytes == model.inserted
+        assert rc._ring_virt == model.ring
+        report = InvariantReport()
+        _check_read_cache_log(SimpleNamespace(rc=rc), report)
+        assert report.ok, (step, report.violations)
+    return rc
+
+
+def payload(rng, length):
+    return bytes([rng.randrange(1, 256)]) * length
+
+
+def test_differential_random_steps_against_the_scan_model():
+    rng = random.Random(12)
+    lengths = [100, 512, 1000, 4 * KiB, 4 * KiB, 8 * KiB, 12 * KiB, 20 * KiB, 5000]
+    span = 96 * KiB  # LBA space 1.5x the ring: hits, re-inserts and evictions
+
+    def piece():
+        length = rng.choice(lengths)
+        if rng.random() < 0.02:
+            length = RING + 4 * KiB  # oversized: must be skipped
+        lba = rng.randrange(0, span, 512)
+        return lba, payload(rng, length)
+
+    ops = []
+    for _ in range(6000):
+        roll = rng.random()
+        if roll < 0.35:
+            ops.append(("insert", *piece()))
+        elif roll < 0.55:
+            ops.append(("burst", [piece() for _ in range(rng.randrange(0, 6))]))
+        elif roll < 0.75:
+            ops.append(("invalidate", rng.randrange(0, span, 512), rng.choice([512, 4 * KiB, 16 * KiB])))
+        elif roll < 0.97:
+            ops.append(("read", rng.randrange(0, span, 512), rng.choice([512, 4 * KiB, 32 * KiB])))
+        else:
+            ops.append(("reload",))
+    rc = run_differential(ops)
+    assert rc._ring_virt > 50 * RING  # the ring wrapped many times
+    assert rc.evicted_bytes > 0
+
+
+def test_differential_wrap_slack_is_evicted():
+    a, b, c = (bytes([n]) * 24 * KiB for n in (1, 2, 3))
+    d = bytes([4]) * 20 * KiB
+    # ring 64K: a@0, b@24K, then 16K of room < 24K: c wraps to 0 over a,
+    # and d's sweep must also pass the 16K of slack nobody wrote to
+    ops = [("insert", 0, a), ("insert", 1 << 20, b), ("insert", 2 << 20, c),
+           ("read", 0, 24 * KiB), ("insert", 3 << 20, d), ("read", 1 << 20, 24 * KiB)]
+    rc = run_differential(ops)
+    assert rc.read(0, 4 * KiB) == []
+    assert [p[:2] for p in rc.read(1 << 20, 24 * KiB)] == [((1 << 20) + 20 * KiB, 4 * KiB)]
+
+
+def test_differential_partly_overwritten_head_record_is_shrunk():
+    big = bytes([7]) * RING
+    ops = [("insert", 0, big), ("insert", 1 << 20, b"n" * 4 * KiB), ("read", 0, RING),
+           ("insert", 2 << 20, b"m" * 1000), ("read", 0, RING)]
+    rc = run_differential(ops)
+    # 8K of the 64K record are gone, the other 56K still readable
+    assert [(p[0], p[1]) for p in rc.read(0, RING)] == [(8 * KiB, 56 * KiB)]
+    assert rc._log[0] == (8 * KiB, 56 * KiB, 8 * KiB)
+
+
+def test_differential_stale_record_never_drops_a_reinserted_lba():
+    fill = bytes([9]) * (RING - 8 * KiB)
+    ops = [
+        ("insert", 0, b"old" * 1365 + b"o"),  # record 1: lba 0 @ ring 0
+        ("invalidate", 0, 4 * KiB),            # record 1 is now stale
+        ("insert", 0, b"new!" * 1024),         # lba 0 again @ ring 4K
+        ("insert", 1 << 20, fill),             # ring full
+        ("insert", 2 << 20, b"x" * 4 * KiB),   # overwrites ring 0: stale record goes
+        ("read", 0, 4 * KiB),
+    ]
+    rc = run_differential(ops)
+    assert rc.read(0, 4 * KiB) == [(0, 4 * KiB, b"new!" * 1024)]
+    assert rc.evicted_bytes == 0
+    rc.insert(3 << 20, b"y" * 4 * KiB)  # now the live copy's bytes are overwritten
+    assert rc.read(0, 4 * KiB) == []
+    assert rc.evicted_bytes == 4 * KiB
+
+
+def test_differential_same_lba_same_ring_offset_one_lap_later():
+    """A re-insert landing on the very offset of its stale predecessor."""
+    ops = [("insert", 0, b"a" * 4 * KiB), ("insert", 1 << 20, bytes([5]) * (RING - 4 * KiB)),
+           ("insert", 0, b"b" * 4 * KiB), ("read", 0, 4 * KiB)]
+    rc = run_differential(ops)
+    assert rc.read(0, 4 * KiB) == [(0, 4 * KiB, b"b" * 4 * KiB)]
+    assert rc.evicted_bytes == 4 * KiB
+
+
+def test_differential_unaligned_lengths_and_oversized_skip():
+    ops = [("insert", 512, b"q" * 1000), ("insert", 8 * KiB, b"r" * 5000),
+           ("insert", 0, b"z" * (RING + 1)), ("read", 0, 16 * KiB),
+           ("burst", [(1 << 20, b"s" * 100), (2 << 20, b"t" * (2 * RING)), (3 << 20, b"u" * 4097)]),
+           ("reload",), ("insert", 4 << 20, bytes([3]) * (RING - 4 * KiB)), ("read", 0, 16 * KiB)]
+    rc = run_differential(ops)
+    # 24K placed, then 40K of room < 60K: the last insert starts the next lap
+    assert rc._ring_virt == RING + RING - 4 * KiB
+
+
+def test_differential_reload_splits_an_extent_coalesced_across_the_pointer():
+    ops = [
+        ("insert", 100 * KiB, b"x" * 4 * KiB),              # ring 0
+        ("insert", 4 * KiB, b"y" * 8 * KiB),                # ring 4K: lba 4K-12K
+        ("insert", 1 << 20, bytes([2]) * (RING - 12 * KiB)),  # ring full
+        ("insert", 0, b"w" * 4 * KiB),  # next lap, ring 0: lba 0-4K joins lba 4K-12K
+        ("reload",),                    # one 12K extent, a lap boundary inside it
+        ("insert", 2 << 20, b"v" * 4 * KiB),  # overwrites ring 4K: lba 4K-8K only
+        ("read", 0, 12 * KiB),
+    ]
+    rc = run_differential(ops)
+    assert [(p[0], p[1]) for p in rc.read(0, 12 * KiB)] == [(0, 4 * KiB), (8 * KiB, 4 * KiB)]
+
+
+class NullImage:
+    """Stands in for the SSD where only the map work is under test."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def write(self, offset, data):
+        pass
+
+
+def test_insert_cost_does_not_grow_with_the_map(monkeypatch):
+    """No clock: eviction may not iterate the map at all, and the extents
+    an insert visits are the same at 1k and at 50k cached extents."""
+
+    def visits_per_insert(extents):
+        rc = ReadCache(NullImage(SLOT + extents * 4 * KiB), 0, map_slot_size=SLOT)
+        for i in range(extents):  # one lap: fills the ring, evicts nothing
+            rc.insert(i * 8 * KiB, b"\0" * 4 * KiB)
+        assert len(rc.map) == extents and rc.evicted_bytes == 0
+        visited = []
+        honest_carve = ExtentMap._carve
+
+        def carve(self, lba, length):
+            out = honest_carve(self, lba, length)
+            visited.append(len(out))
+            return out
+
+        def no_iteration(self):
+            raise AssertionError("eviction iterated the whole extent map")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ExtentMap, "_carve", carve)
+            patch.setattr(ExtentMap, "__iter__", no_iteration)
+            for i in range(200):  # second lap: every insert evicts one record
+                rc.insert((extents + i) * 8 * KiB, b"\0" * 4 * KiB)
+            rc.insert_burst([((extents + 200 + i) * 8 * KiB, b"\0" * 4 * KiB) for i in range(50)])
+        assert rc.evicted_bytes == 250 * 4 * KiB and len(rc.map) == extents
+        return visited
+
+    small, large = visits_per_insert(1_000), visits_per_insert(50_000)
+    assert small == large
+    # per insert: one carve that evicts one extent, one (empty) for the update
+    assert (len(small), sum(small)) == (2 * 250, 250)
+
+
+def test_burst_equals_the_same_pieces_one_by_one():
+    rng = random.Random(4)
+    lengths = [100, 1000, 4 * KiB, 8 * KiB, 12 * KiB, 5000, RING + 512]
+    one, many = small_cache(obs=Registry()), small_cache(obs=Registry())
+    for _ in range(400):
+        burst = [
+            (rng.randrange(0, 96 * KiB, 512), payload(rng, rng.choice(lengths)))
+            for _ in range(rng.randrange(0, 12))  # up to ~1.5 rings per burst
+        ]
+        for lba, data in burst:
+            one.insert(lba, data)
+        many.insert_burst(burst)
+        if rng.random() < 0.3:
+            lba = rng.randrange(0, 96 * KiB, 512)
+            one.invalidate(lba, 8 * KiB)
+            many.invalidate(lba, 8 * KiB)
+        assert list(many.map) == list(one.map)
+        assert many._ring_virt == one._ring_virt
+        assert many._log == one._log
+        for name in ("rc.inserted_bytes", "rc.evicted_bytes", "rc.occupancy_bytes"):
+            assert many.obs.value(name) == one.obs.value(name), name
+    assert many.image.read(0, many.image.size) == one.image.read(0, one.image.size)
+    assert many.evicted_bytes > 10 * RING
+    # the per-lap trace does not depend on how inserts were grouped either
+    assert many.obs.trace.to_jsonl() == one.obs.trace.to_jsonl()
+
+
+def test_cache_evict_is_traced_once_per_ring_lap():
+    rc = small_cache(obs=Registry())
+    for i in range(16 * 5 + 3):  # 16 x 4 KiB per lap: five full laps and a bit
+        rc.insert(i * 4 * KiB, bytes([i % 255 + 1]) * 4 * KiB)
+    events = rc.obs.trace.events("cache_evict")
+    # lap 0 evicts nothing; laps 1-4 each evicted one ring's worth
+    assert [dict(e.fields)["bytes"] for e in events] == [RING] * 4
+    assert rc.evicted_bytes == 4 * RING + 3 * 4 * KiB
+
+
+def test_clear_empties_the_log_too():
+    rc = small_cache()
+    for i in range(20):
+        rc.insert(i * 4 * KiB, b"c" * 4 * KiB)
+    rc.clear()
+    assert len(rc._log) == 0 and rc._ring_virt == 0
+    rc.insert(0, b"d" * 4 * KiB)
+    assert rc.read(0, 4 * KiB) == [(0, 4 * KiB, b"d" * 4 * KiB)]
+    assert list(rc._log) == [(0, 4 * KiB, 0)]
