@@ -5,6 +5,11 @@ service slots plus a per-operation service-time model supplied by the
 subclass.  Completion events fire after (queue wait + service time +
 pipeline latency); sustained throughput is ``channels / service_time``.
 
+An operation in flight is a :class:`_DeviceOp` record advanced by event
+callbacks — path grant, controller transfer, service time, completion —
+not a generator process: backend device ops are most of the events of a
+timed run, and a record costs four of them where a process cost seven.
+
 Every device keeps :class:`DeviceStats` — the same counters the paper
 collects from ``/proc/diskstats`` (ops, sectors, busy time) to compute
 backend utilisation in §4.5.
@@ -15,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.sim.engine import Event, Simulator
-from repro.sim.resources import Resource
+from repro.sim.engine import Event, Simulator, Timeout
+from repro.sim.resources import Resource, TokenBucket
 
 READ = "read"
 WRITE = "write"
@@ -46,12 +51,10 @@ class DeviceStats:
         elif kind in (WRITE, LOGWRITE):
             self.writes += 1
             self.written_bytes += nbytes
-            bucket = 1
-            while bucket * 2 <= max(nbytes, 1):
-                bucket *= 2
-            self.write_size_bytes[bucket] = (
-                self.write_size_bytes.get(bucket, 0) + nbytes
-            )
+            # largest power of two <= nbytes (zero-byte writes land in 1)
+            bucket = 1 << (max(nbytes, 1).bit_length() - 1)
+            sizes = self.write_size_bytes
+            sizes[bucket] = sizes.get(bucket, 0) + nbytes
         elif kind == FLUSH:
             self.flushes += 1
         self.busy_time += service
@@ -71,8 +74,86 @@ class DeviceStats:
         return min(1.0, self.busy_time / elapsed)
 
 
+class _DeviceOp:
+    """One operation in flight on a :class:`QueuedDevice`.
+
+    ``submit`` queues it on its path; each callback below runs when the
+    event the previous stage left behind fires, in the order a process
+    body would have run them.  The path unit is released exactly once:
+    when the service time has passed, or when pricing the op raised.
+    """
+
+    __slots__ = (
+        "device", "kind", "offset", "nbytes", "done", "path",
+        "service", "latency", "remaining", "started",
+    )
+
+    def __init__(self, device: "QueuedDevice", kind: str, offset: int, nbytes: int):
+        self.device = device
+        self.kind = kind
+        self.offset = offset
+        self.nbytes = nbytes
+        self.done = Event(device.sim)
+        self.path = device._path_for(kind)
+        self.path.request().callbacks.append(self._granted)  # type: ignore[union-attr]
+
+    def _granted(self, _grant: Event) -> None:
+        device = self.device
+        kind = self.kind
+        nbytes = self.nbytes
+        try:
+            # latency first: it may depend on state service_time() advances
+            self.latency = device._latency(kind, self.offset)
+            self.service = service = device.service_time(kind, self.offset, nbytes)
+            device.stats.record(kind, nbytes, service)
+        except BaseException as exc:
+            self.path.release()
+            if device.sim.strict or not isinstance(exc, Exception):
+                raise
+            self.done.fail(exc)
+            return
+        self.started = device.sim.now
+        # shared controller: mixed R/W cannot exceed its bandwidth
+        self.remaining = (
+            nbytes if device.controller is not None and kind != FLUSH else 0
+        )
+        self._transfer(_grant)
+
+    def _transfer(self, _previous: Event) -> None:
+        device = self.device
+        remaining = self.remaining
+        if remaining > 0:
+            take = min(remaining, device.CONTROLLER_CHUNK)
+            self.remaining = remaining - take
+            chunk = device.controller.consume(take)  # type: ignore[union-attr]
+            chunk.callbacks.append(self._transfer)  # type: ignore[union-attr]
+            return
+        elapsed = device.sim.now - self.started
+        if elapsed < self.service:
+            rest = Timeout(device.sim, self.service - elapsed)
+            rest.callbacks.append(self._served)  # type: ignore[union-attr]
+        else:
+            # the controller transfer covered the service time (or both
+            # are zero): nothing to wait for, no event
+            self._served(_previous)
+
+    def _served(self, _previous: Event) -> None:
+        # release before scheduling the completion: the next waiter's
+        # grant is queued, but its timeouts are only created when that
+        # grant is dispatched — after this op's completion is on the heap
+        self.path.release()
+        if self.latency:
+            self.done.succeed_after(self.latency)
+        else:
+            self.done.succeed()
+
+
 class QueuedDevice:
     """Base class: FIFO service channels + a service-time model."""
+
+    #: controller transfers are granted in chunks so one huge op cannot
+    #: head-of-line block small ones (the device interleaves internally)
+    CONTROLLER_CHUNK = 32 * 1024
 
     def __init__(
         self,
@@ -85,18 +166,26 @@ class QueuedDevice:
         self.name = name
         self.channels = Resource(sim, capacity=channels)
         self.pipeline_latency = pipeline_latency
+        #: bandwidth every op's bytes also pass through (None: no such cap)
+        self.controller: Optional[TokenBucket] = None
         self.stats = DeviceStats()
 
-    # -- subclass hook ------------------------------------------------------
+    # -- subclass hooks -----------------------------------------------------
     def service_time(self, kind: str, offset: int, nbytes: int) -> float:
         raise NotImplementedError
+
+    def _path_for(self, kind: str) -> Resource:
+        """The service slots an op of ``kind`` queues on."""
+        return self.channels
+
+    def _latency(self, kind: str, offset: int) -> float:
+        """Completion latency after service; asked before ``service_time``."""
+        return self.pipeline_latency
 
     # -- public API -----------------------------------------------------
     def submit(self, kind: str, offset: int = 0, nbytes: int = 0) -> Event:
         """Issue an operation; the returned event fires on completion."""
-        done = self.sim.event()
-        self.sim.process(self._serve(kind, offset, nbytes, done), name=self.name)
-        return done
+        return _DeviceOp(self, kind, offset, nbytes).done
 
     def read(self, offset: int, nbytes: int) -> Event:
         return self.submit(READ, offset, nbytes)
@@ -111,17 +200,3 @@ class QueuedDevice:
         return self.stats.utilization(
             elapsed if elapsed is not None else self.sim.now
         )
-
-    # -- internals ------------------------------------------------------
-    def _serve(self, kind: str, offset: int, nbytes: int, done: Event):
-        req = self.channels.request()
-        yield req
-        try:
-            service = self.service_time(kind, offset, nbytes)
-            self.stats.record(kind, nbytes, service)
-            yield self.sim.timeout(service)
-        finally:
-            self.channels.release()
-        if self.pipeline_latency:
-            yield self.sim.timeout(self.pipeline_latency)
-        done.succeed()

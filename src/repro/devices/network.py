@@ -37,14 +37,12 @@ class NetworkLink:
         return self._transfer(self._rx, nbytes)
 
     def _transfer(self, bucket: TokenBucket, nbytes: int) -> Event:
-        done = self.sim.event()
-
-        def run():
-            yield bucket.consume(nbytes)
-            yield self.sim.timeout(self.latency)
-            done.succeed()
-
-        self.sim.process(run(), name=self.name)
+        done = Event(self.sim)
+        latency = self.latency
+        # bandwidth slot, then propagation: two events, no process
+        bucket.consume(nbytes).callbacks.append(  # type: ignore[union-attr]
+            lambda _slot: done.succeed_after(latency)
+        )
         return done
 
     @property

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from repro.devices.base import FLUSH, LOGWRITE, READ, WRITE, QueuedDevice
 from repro.sim.engine import Simulator
+from repro.sim.resources import Resource, TokenBucket
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,19 @@ class SSD(QueuedDevice):
         self.spec = spec
         self._next_seq_offset = {READ: None, WRITE: None}
         # independent read/write paths; FLUSH shares the write path
-        from repro.sim.resources import Resource, TokenBucket
-
         self._paths = {
             READ: Resource(sim, capacity=spec.channels),
             WRITE: Resource(sim, capacity=spec.channels),
         }
-        self._controller = TokenBucket(sim, spec.total_bw)
+        self.controller = TokenBucket(sim, spec.total_bw)
+
+    def _path_for(self, kind: str) -> Resource:
+        return self._paths[READ if kind == READ else WRITE]
+
+    def _latency(self, kind: str, offset: int) -> float:
+        if kind == WRITE and self._next_seq_offset[WRITE] != offset:
+            return self.pipeline_latency + self.spec.rand_write_latency
+        return self.pipeline_latency
 
     def service_time(self, kind: str, offset: int, nbytes: int) -> float:
         if kind == FLUSH:
@@ -119,35 +126,3 @@ class SSD(QueuedDevice):
         if sequential:
             return transfer
         return max(transfer, 1.0 / iops)
-
-    #: controller transfers are granted in chunks so one huge op cannot
-    #: head-of-line block small ones (the device interleaves internally)
-    CONTROLLER_CHUNK = 32 * 1024
-
-    def _serve(self, kind: str, offset: int, nbytes: int, done):
-        path = self._paths[READ if kind == READ else WRITE]
-        req = path.request()
-        yield req
-        try:
-            sequential_before = self._next_seq_offset.get(kind) == offset
-            service = self.service_time(kind, offset, nbytes)
-            self.stats.record(kind, nbytes, service)
-            started = self.sim.now
-            if nbytes and kind != FLUSH:
-                # shared controller: mixed R/W cannot exceed total_bw
-                remaining = nbytes
-                while remaining > 0:
-                    take = min(remaining, self.CONTROLLER_CHUNK)
-                    yield self._controller.consume(take)
-                    remaining -= take
-            elapsed = self.sim.now - started
-            if elapsed < service:
-                yield self.sim.timeout(service - elapsed)
-        finally:
-            path.release()
-        latency = self.pipeline_latency
-        if kind == WRITE and not sequential_before:
-            latency += self.spec.rand_write_latency
-        if latency:
-            yield self.sim.timeout(latency)
-        done.succeed()

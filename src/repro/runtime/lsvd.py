@@ -201,6 +201,9 @@ class LSVDRuntime:
 
         self._seq = 0
         self._rng_state = 12345
+        # per-op process names, built once rather than per submit
+        self._write_name = f"{name}-w"
+        self._read_name = f"{name}-r"
 
     # ------------------------------------------------------------------
     # block device interface
@@ -208,17 +211,14 @@ class LSVDRuntime:
     def submit(self, op: IOOp) -> Event:
         done = self.sim.event()
         if op.kind == WRITE:
-            span = self.obs.spans.root("write", bytes=op.length)
-            self._tag_tenant(span)
-            self.sim.process(self._write(op, done, span), name=f"{self.name}-w")
+            span = self._root_span("write", bytes=op.length)
+            self.sim.process(self._write(op, done, span), name=self._write_name)
         elif op.kind == READ:
-            span = self.obs.spans.root("read", bytes=op.length)
-            self._tag_tenant(span)
-            self.sim.process(self._read(op, done, span), name=f"{self.name}-r")
+            span = self._root_span("read", bytes=op.length)
+            self.sim.process(self._read(op, done, span), name=self._read_name)
         elif op.kind == FLUSH:
             self.barrier_requests += 1
-            span = self.obs.spans.root("barrier")
-            self._tag_tenant(span)
+            span = self._root_span("barrier")
             if self.params.group_commit:
                 qwait = span.begin("barrier_queue", kind="queue")
                 self._barrier_q.put((done, span, qwait))
@@ -231,9 +231,11 @@ class LSVDRuntime:
         return done
 
     # ------------------------------------------------------------------
-    def _tag_tenant(self, span) -> None:
+    def _root_span(self, name: str, **attrs):
+        """Root span of one client op, tagged with the owning tenant."""
         if self.tenant is not None:
-            span.annotate(tenant=self.tenant)
+            attrs["tenant"] = self.tenant
+        return self.obs.spans.root(name, **attrs)
 
     def _admission(self, op: IOOp, span):
         """QoS admission: serve the tenant's token-bucket delay before
@@ -252,12 +254,13 @@ class LSVDRuntime:
         yield from self._admission(op, span)
         # serial baseline only: a barrier is an ordering point that gates
         # new writes (group commit never sets _barrier_active)
-        gate_wait = span.begin("barrier_gate", kind="queue")
-        while self._barrier_active:
-            gate = self.sim.event()
-            self._gate_waiters.append(gate)
-            yield gate
-        gate_wait.end()
+        if self._barrier_active:
+            gate_wait = span.begin("barrier_gate", kind="queue")
+            while self._barrier_active:
+                gate = self.sim.event()
+                self._gate_waiters.append(gate)
+                yield gate
+            gate_wait.end()
         self._inflight.add(done)
         self._inflight_writes += 1
         try:
@@ -265,9 +268,15 @@ class LSVDRuntime:
             yield from self.machine.cpu_work(self.params.write_cpu)
             stage.end()
             footprint = align_up(op.length) + self.params.log_header_bytes
-            stage = span.begin("space_wait", kind="queue")
-            yield from self._wait_for_space(footprint)
-            stage.end()
+            if self.dirty_bytes + footprint > self.write_cache_capacity:
+                # cache log full: stall until destage frees room
+                self.destage_space_stalls += 1
+                stage = span.begin("space_wait", kind="queue")
+                while self.dirty_bytes + footprint > self.write_cache_capacity:
+                    waiter = self.sim.event()
+                    self._space_waiters.append(waiter)
+                    yield waiter
+                stage.end()
             self.dirty_bytes += footprint
             stage = span.begin("wc_append", bytes=footprint)
             yield self.machine.ssd.write(self._log_head, footprint)
@@ -570,14 +579,6 @@ class LSVDRuntime:
     # ------------------------------------------------------------------
     # cache-space accounting
     # ------------------------------------------------------------------
-    def _wait_for_space(self, needed: int):
-        if self.dirty_bytes + needed > self.write_cache_capacity:
-            self.destage_space_stalls += 1
-        while self.dirty_bytes + needed > self.write_cache_capacity:
-            waiter = self.sim.event()
-            self._space_waiters.append(waiter)
-            yield waiter
-
     def _release_space(self, nbytes: int) -> None:
         self.dirty_bytes = max(0, self.dirty_bytes - nbytes)
         while self._space_waiters:

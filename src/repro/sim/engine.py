@@ -21,7 +21,12 @@ Example
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Generator, Iterable, Optional
+from collections import deque
+from typing import Any, Callable, Deque, Generator, Iterable, Optional
+
+#: value of an event nobody has triggered yet (``None`` is a legal value)
+_PENDING: Any = object()
+_FOREVER = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -48,62 +53,80 @@ class Event:
     remain, the way a program exits when only daemon threads are left.
     """
 
-    __slots__ = (
-        "sim", "callbacks", "_value", "_ok", "_triggered", "_processed",
-        "background",
-    )
+    # pending = ``_value is _PENDING``; processed = ``callbacks is None``
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "background")
 
     def __init__(self, sim: "Simulator", background: bool = False):
         self.sim = sim
         self.callbacks: Optional[list] = []
-        self._value: Any = None
+        self._value: Any = _PENDING
         self._ok: bool = True
-        self._triggered = False
-        self._processed = False
         self.background = background
 
     # -- state inspection -------------------------------------------------
     @property
     def triggered(self) -> bool:
-        return self._triggered
+        return self._value is not _PENDING
 
     @property
     def processed(self) -> bool:
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
-        if not self._triggered:
+        if self._value is _PENDING:
             raise SimulationError("event value not yet available")
         return self._ok
 
     @property
     def value(self) -> Any:
-        if not self._triggered:
+        if self._value is _PENDING:
             raise SimulationError("event value not yet available")
         return self._value
 
     # -- triggering -------------------------------------------------------
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with an optional value."""
-        if self._triggered:
+        if self._value is not _PENDING:
             raise SimulationError("event already triggered")
-        self._triggered = True
-        self._ok = True
         self._value = value
-        self.sim._queue_event(self)
+        sim = self.sim
+        sim._queue.append(self)
+        if self.background:
+            sim._background += 1
+        return self
+
+    def succeed_after(self, delay: float, value: Any = None) -> "Event":
+        """Trigger now, run the callbacks ``delay`` seconds from now.
+
+        What a process that yields ``sim.timeout(delay)`` and then calls
+        ``succeed`` achieves, in one heap entry instead of two events:
+        the event takes the timeout's place in the heap.
+        """
+        if self._value is not _PENDING:
+            raise SimulationError("event already triggered")
+        if delay < 0:
+            raise ValueError(f"negative delay {delay!r}")
+        self._value = value
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1  # lint: disable=LSVD002 -- event-heap tiebreaker, not a log seq
+        heapq.heappush(sim._heap, (sim.now + delay, seq, self))
+        if self.background:
+            sim._background += 1
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception to raise in waiters."""
-        if self._triggered:
+        if self._value is not _PENDING:
             raise SimulationError("event already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() needs an exception instance")
-        self._triggered = True
         self._ok = False
         self._value = exception
-        self.sim._queue_event(self)
+        sim = self.sim
+        sim._queue.append(self)
+        if self.background:
+            sim._background += 1
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -115,9 +138,12 @@ class Event:
             self.callbacks.append(fn)
 
     def _process(self) -> None:
-        self._processed = True
-        callbacks, self.callbacks = self.callbacks, None
-        for fn in callbacks or ():
+        # every dispatched event goes through exactly one call of this
+        # function: benchmarks/ledger counts its profile calls as
+        # ``sim.events_per_op``
+        callbacks = self.callbacks
+        self.callbacks = None
+        for fn in callbacks:  # type: ignore[union-attr]
             fn(self)
 
 
@@ -135,12 +161,18 @@ class Timeout(Event):
     ):
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
-        super().__init__(sim, background=background)
-        self.delay = delay
-        self._triggered = True
-        self._ok = True
+        # one per device-op stage: built flat, without the
+        # Event.__init__ / succeed_after call chain
+        self.sim = sim
+        self.callbacks = []
         self._value = value
-        sim._schedule_at(sim.now + delay, self)
+        self._ok = True
+        self.background = background
+        self.delay = delay
+        sim._seq = seq = sim._seq + 1  # lint: disable=LSVD002 -- event-heap tiebreaker, not a log seq
+        heapq.heappush(sim._heap, (sim.now + delay, seq, self))
+        if background:
+            sim._background += 1
 
 
 class Process(Event):
@@ -159,42 +191,40 @@ class Process(Event):
         self.name = name or getattr(gen, "__name__", "process")
         boot = Event(sim)
         self._waiting_on: Optional[Event] = boot
-        boot.add_callback(self._resume)
+        boot.callbacks.append(self._resume)  # type: ignore[union-attr]
         boot.succeed()
 
     @property
     def is_alive(self) -> bool:
-        return not self._triggered
+        return self._value is _PENDING
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
         if not self.is_alive:
             return
         poke = Event(self.sim)
-        poke.add_callback(lambda ev: self._throw(Interrupt(cause)))
-        poke.succeed()
+        poke.callbacks.append(self._interrupted)  # type: ignore[union-attr]
+        poke.fail(Interrupt(cause))
 
     # -- internal ----------------------------------------------------------
+    def _interrupted(self, poke: Event) -> None:
+        if self._value is _PENDING:
+            # abandon whatever the process was waiting on: that event's
+            # wake-up, when it comes, is stale
+            self._waiting_on = poke
+            self._resume(poke)
+
     def _resume(self, event: Event) -> None:
         if event is not self._waiting_on:
             # Stale wake-up: the process was interrupted while waiting on
             # this event and has already moved on.
             return
         self._waiting_on = None
-        if event._ok:
-            self._step(lambda: self.gen.send(event._value))
-        else:
-            self._step(lambda: self.gen.throw(event._value))
-
-    def _throw(self, exc: BaseException) -> None:
-        if not self.is_alive:
-            return
-        self._waiting_on = None
-        self._step(lambda: self.gen.throw(exc))
-
-    def _step(self, advance: Callable[[], Any]) -> None:
         try:
-            target = advance()
+            if event._ok:
+                target = self.gen.send(event._value)
+            else:
+                target = self.gen.throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
@@ -211,7 +241,11 @@ class Process(Event):
                 f"process {self.name!r} yielded {target!r}, expected an Event"
             )
         self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:
+            self._resume(target)  # already processed: continue at once
+        else:
+            callbacks.append(self._resume)
 
 
 class _Condition(Event):
@@ -239,7 +273,7 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self._triggered:
+        if self._value is not _PENDING:
             return
         if not event._ok:
             self.fail(event._value)
@@ -255,7 +289,7 @@ class AnyOf(_Condition):
     __slots__ = ()
 
     def _check(self, event: Event) -> None:
-        if self._triggered:
+        if self._value is not _PENDING:
             return
         if event._ok:
             self.succeed((event, event._value))
@@ -264,7 +298,15 @@ class AnyOf(_Condition):
 
 
 class Simulator:
-    """Event loop with a monotonically advancing virtual clock."""
+    """Event loop with a monotonically advancing virtual clock.
+
+    Ordering contract (tests/test_sim_engine.py pins each clause):
+    events triggered at one instant run in trigger order (the same-time
+    queue is FIFO); events scheduled for one later instant run in the
+    order they were scheduled (the heap breaks ties by a sequence
+    number); the same-time queue is drained before the heap is looked
+    at, so everything caused at ``now`` happens before the clock moves.
+    """
 
     def __init__(self, strict: bool = False):
         #: current simulation time in seconds
@@ -273,8 +315,8 @@ class Simulator:
         self.strict = strict
         self._heap: list = []  # (time, seq, event)
         self._seq = 0
-        self._queue: list = []  # events triggered at `now`, FIFO
-        self._foreground = 0  # scheduled non-background events
+        self._queue: Deque[Event] = deque()  # events triggered at `now`, FIFO
+        self._background = 0  # scheduled background (daemon) events
 
     # -- event factories ---------------------------------------------------
     def event(self) -> Event:
@@ -283,10 +325,10 @@ class Simulator:
     def timeout(
         self, delay: float, value: Any = None, background: bool = False
     ) -> Timeout:
-        return Timeout(self, delay, value, background=background)
+        return Timeout(self, delay, value, background)
 
     def process(self, gen: Generator, name: str = "") -> Process:
-        return Process(self, gen, name=name)
+        return Process(self, gen, name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -294,61 +336,53 @@ class Simulator:
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    # -- scheduling --------------------------------------------------------
-    def _schedule_at(self, when: float, event: Event) -> None:
-        self._seq += 1  # lint: disable=LSVD002 -- event-heap tiebreaker, not a log seq
-        heapq.heappush(self._heap, (when, self._seq, event))
-        if not event.background:
-            self._foreground += 1
-
-    def _queue_event(self, event: Event) -> None:
-        self._queue.append(event)
-        if not event.background:
-            self._foreground += 1
-
     # -- execution ---------------------------------------------------------
+    def _dispatch(self, until: float, once: bool, daemons: bool) -> bool:
+        """The one dispatch loop: process events up to ``until``.
+
+        ``once`` stops after one event; ``daemons=False`` stops when only
+        background events are left.  Returns True if it stopped on either
+        of those, False when nothing was left to run at or before
+        ``until``.  Delays are never negative, so the heap top is never
+        earlier than ``now``.
+        """
+        queue = self._queue
+        heap = self._heap
+        popleft = queue.popleft
+        heappop = heapq.heappop
+        while daemons or len(queue) + len(heap) > self._background:
+            if queue:
+                event = popleft()
+            elif heap and heap[0][0] <= until:
+                self.now, _seq, event = heappop(heap)
+            else:
+                return False
+            if event.background:
+                self._background -= 1
+            event._process()
+            if once:
+                break
+        return True
+
     def step(self) -> bool:
         """Process one event; return False when nothing remains."""
-        if self._queue:
-            event = self._queue.pop(0)
-            if not event.background:
-                self._foreground -= 1
-            event._process()
-            return True
-        if not self._heap:
-            return False
-        when, _seq, event = heapq.heappop(self._heap)
-        if when < self.now:
-            raise SimulationError("time went backwards")
-        self.now = when
-        if not event.background:
-            self._foreground -= 1
-        event._process()
-        return True
+        return self._dispatch(until=_FOREVER, once=True, daemons=True)
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the event queue drains or ``until`` seconds pass.
 
         With no ``until``, the run ends once only *background* (daemon)
         events remain — periodic pollers never hold the simulation open.
+        A bounded run dispatches nothing scheduled after ``until`` and
+        leaves ``now == until``.
         """
         if until is None:
-            while self._foreground > 0 and self.step():
-                pass
-            return
-        while True:
-            if self._queue:
-                event = self._queue.pop(0)
-                if not event.background:
-                    self._foreground -= 1
-                event._process()
-                continue
-            if not self._heap or self._heap[0][0] > until:
-                break
-            self.step()
-        self.now = max(self.now, until)
+            self._dispatch(until=_FOREVER, once=False, daemons=False)
+        else:
+            self._dispatch(until=until, once=False, daemons=True)
+            self.now = max(self.now, until)
 
-    def run_until_event(self, event: Event, limit: float = float("inf")) -> Any:
+    def run_until_event(self, event: Event, limit: float = _FOREVER) -> Any:
         """Run until ``event`` is processed; return its value.
 
         Raises the event's exception if it failed, or

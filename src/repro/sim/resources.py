@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Event, Simulator, Timeout
 
 
 class Resource:
@@ -40,7 +40,7 @@ class Resource:
 
     def request(self) -> Event:
         """Return an event that fires when a unit is granted."""
-        ev = self.sim.event()
+        ev = Event(self.sim)
         if self.in_use < self.capacity:
             self._grant(ev)
         else:
@@ -96,7 +96,7 @@ class Store:
             self._items.append(item)
 
     def get(self) -> Event:
-        ev = self.sim.event()
+        ev = Event(self.sim)
         if self._items:
             ev.succeed(self._items.popleft())
         else:
@@ -137,11 +137,13 @@ class TokenBucket:
         self.total_bytes = 0
 
     def consume(self, nbytes: int) -> Event:
-        start = max(self.sim.now, self._free_at)
+        sim = self.sim
+        now = sim.now
+        start = max(now, self._free_at)
         duration = nbytes / self.rate
         self._free_at = start + duration
         self.total_bytes += nbytes
-        return self.sim.timeout(self._free_at - self.sim.now)
+        return Timeout(sim, self._free_at - now)
 
     def busy_until(self) -> float:
         return self._free_at

@@ -1,6 +1,9 @@
 """Tests for per-tenant QoS: token buckets, throttles, admission in the
 timed runtime, and noisy-neighbour isolation on shared hardware."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.cluster import StorageCluster
@@ -215,3 +218,57 @@ def test_noisy_neighbour_isolation():
     p99_unthrottled = run(None)
     p99_capped = run(QoSLimits(iops=100.0, burst_ops=1))
     assert p99_capped < p99_unthrottled / 4, (p99_capped, p99_unthrottled)
+
+
+# -- what a run retains ----------------------------------------------------------
+
+#: bytes the stack kept per client write (span trees in the analyzer and
+#: flight-recorder windows, mostly) before never-waiting queue stages
+#: stopped being allocated: this very measurement on the parent commit,
+#: CPython 3.11.  A timed run is bounded by the clock, so a faster
+#: simulator retains proportionally more of these per run.
+RETAINED_PER_WRITE_BEFORE = 1194
+
+
+def retained_bytes_per_write(writes_per_disk=1500, iodepth=4):
+    sim, fleet = make_fleet_rig()
+    for index in range(2):
+        fleet.add_vdisk(
+            f"vd{index}", tenant=f"t{index}", volume_size=8 * MiB, cache_size=64 * MiB
+        )
+    completed = [0]
+
+    def client(device, stream, budget):
+        for _ in range(budget):
+            yield device.submit(next(stream))
+            completed[0] += 1
+
+    def run_clients(budget):
+        clients = []
+        for seed, device in enumerate(fleet.vdisks()):
+            stream = FioJob(
+                rw="randwrite", bs=4096, iodepth=iodepth, size=8 * MiB, seed=seed
+            ).ops()
+            clients += [
+                sim.process(client(device, stream, budget // iodepth))
+                for _ in range(iodepth)
+            ]
+        sim.run_until_event(sim.all_of(clients))
+
+    run_clients(200)  # lazy set-up (metrics, page map, first objects) done
+    warm = completed[0]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_clients(writes_per_disk)
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return (after - before) / (completed[0] - warm)
+
+
+def test_retained_memory_per_client_write_is_bounded():
+    retained = retained_bytes_per_write()
+    assert 0 < retained <= 0.92 * RETAINED_PER_WRITE_BEFORE, retained
