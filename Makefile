@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: all lint ruff mypy invariants test obs-smoke shard-smoke perf-smoke pipeline-smoke lint-bench span-smoke fleet-smoke wa-smoke bench-diff ledger
+.PHONY: all lint ruff mypy invariants test obs-smoke shard-smoke perf-smoke pipeline-smoke lint-bench span-smoke fleet-smoke wa-smoke bench-diff ledger ablation-prefetch
 
 all: lint test
 
@@ -92,3 +92,10 @@ ledger:
 	mkdir -p bench-out
 	$(PYTHON) benchmarks/ledger/run.py --quick --out-dir bench-out
 	$(PYTHON) -m pytest benchmarks/ledger -q
+
+# the read-ahead both-regimes gate (DESIGN.md "Read-ahead controller"):
+# off / constant / adaptive window x temporal / spatial / uniform reads;
+# fails unless adaptive keeps the temporal-recall GET saving exactly, costs
+# no GET on address-order scans and moves <= 1/4 the bytes on uniform reads
+ablation-prefetch:
+	$(PYTHON) -m pytest benchmarks/test_ablation_prefetch.py -q

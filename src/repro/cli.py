@@ -178,6 +178,18 @@ def _stats_headline(snapshot: dict) -> str:
         f"destage queue depth:  {int(scalar('destage.queue_depth'))}",
         f"barrier group size:   {group}",
     ]
+    if "rc.readahead_window_bytes" in snapshot:  # older dumps predate it
+        used = scalar("rc.prefetch_used_bytes")
+        wasted = scalar("rc.prefetch_wasted_bytes")
+        verdicts = used + wasted
+        efficiency = f"{used / verdicts:.3f}" if verdicts else "n/a"
+        window = int(scalar("rc.readahead_window_bytes"))  # 0: no miss yet
+        lines.insert(2, (
+            f"read-ahead:           "
+            f"window {f'{window // 1024} KiB' if window else 'n/a'}, "
+            f"used {used / MiB:.2f} MiB, wasted {wasted / MiB:.2f} MiB, "
+            f"efficiency {efficiency}"
+        ))
     # per-class GC/WA section (temperature-aware placement); older dumps
     # predate the placement layer and simply have no store.class_* keys
     class_names = [

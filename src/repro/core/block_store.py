@@ -465,11 +465,14 @@ class BlockStore:
         return self.store.get_range(name, header.header_size + offset, length)
 
     def fetch_with_prefetch(
-        self, seq: int, offset: int, length: int, request_lba: Optional[int] = None
+        self, seq: int, offset: int, length: int,
+        request_lba: Optional[int] = None, window: Optional[int] = None,
     ) -> List[Tuple[int, memoryview]]:
         """Fetch a mapped extent plus temporally adjacent data (§3.2).
 
-        Reads a window of up to ``config.prefetch_bytes`` around the
+        Reads a window of up to ``window`` bytes (default
+        ``config.prefetch_bytes``, the paper's constant; the volume passes
+        what :meth:`ReadCache.readahead_window` sized) around the
         requested data-range of the object and translates every byte that
         falls inside the window back to its vLBA using the object header.
         Because objects hold data in write order, this prefetches by
@@ -482,7 +485,7 @@ class BlockStore:
         if starts is None:
             starts = [0, *accumulate(e.length for e in header.extents)]
             self._extent_starts[seq] = starts
-        window = max(self.config.prefetch_bytes, length)
+        window = max(window or self.config.prefetch_bytes, length)
         start = max(0, offset - (window - length) // 2)
         end = min(header.data_len, start + window)
         blob = memoryview(self.fetch(seq, start, end - start))

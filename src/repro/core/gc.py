@@ -32,8 +32,9 @@ round's selection can run while the current round's relocation writes are
 still in flight; :meth:`materialize` revalidates a selection against the
 live map and performs the reads; :meth:`execute` writes relocation
 objects and updates the map; and the volume performs the deferred victim
-deletion once the covering checkpoint has settled.  :meth:`plan` composes
-select + materialize for the unpipelined callers.
+deletion once the covering checkpoint has settled.  :meth:`plan` is
+select + gather for the unpipelined callers: its selection is fresh, so it
+skips materialize's revalidation.
 """
 
 from __future__ import annotations
@@ -195,14 +196,20 @@ class GarbageCollector:
         victims = [s for s in selection.victims if s in self.store.omap.objects]
         if not victims:
             return None
-        stage = span.begin("gc_materialize")
-        plan = GCPlan(victims=victims, pieces=[])
         raw: List[Tuple[int, int, int]] = []
         for seq in victims:
             self._ensure_extents(seq)
             for lba, length, _off in self.store.omap.live_extents_of(seq):
                 raw.append((lba, length, seq))
         raw.sort()
+        return self._gather(victims, raw, span)
+
+    def _gather(
+        self, victims: List[int], raw: List[Tuple[int, int, int]], span=NULL_SPAN
+    ) -> GCPlan:
+        """Read the live ``raw`` ranges (current as of this call) into a plan."""
+        stage = span.begin("gc_materialize")
+        plan = GCPlan(victims=victims, pieces=[])
         raw = self._plug_holes(raw, plan)
         for lba, length, src_seq in raw:
             data = self._read_live(lba, length, src_seq, plan)
@@ -215,7 +222,9 @@ class GarbageCollector:
         selection = self.select(span=span)
         if selection is None:
             return None
-        return self.materialize(selection, span=span)
+        # nothing ran since select(): its ranges are the live extents, so
+        # materialize()'s revalidating walk would only repeat them
+        return self._gather(selection.victims, selection.ranges, span)
 
     def _ensure_extents(self, seq: int) -> None:
         info = self.store.omap.objects[seq]

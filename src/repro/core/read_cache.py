@@ -21,6 +21,13 @@ Correctness rules:
 * the map is persisted only on clean shutdown; after a crash the cache
   starts cold (loss never affects correctness — the data is always also in
   the backend).
+
+Read-ahead is sized by what it delivers (DESIGN.md, "Read-ahead
+controller"): one flag per ring block marks data that was fetched but not
+asked for and has not been read since.  A hit that clears a flag is a
+*used* verdict, the ring pointer overwriting one a *wasted* verdict, and
+:meth:`readahead_window` halves or doubles the next fetch's span on the
+used share of each :data:`READAHEAD_EPOCH` verdicts.
 """
 
 from __future__ import annotations
@@ -34,10 +41,21 @@ from repro.core.errors import CorruptRecordError
 from repro.core.extent_map import ExtentMap
 from repro.core.log import align_up
 from repro.devices.image import DiskImage
-from repro.obs import NULL_SPAN, Registry, bind_metrics, metric_field
+from repro.obs import NULL_SPAN, Registry, bind_metrics, gauge_field, metric_field
 
 #: target identifier used in the read-cache extent map
 RC_TARGET = "rc"
+
+#: prefetched-block verdicts (used + wasted) per window decision
+READAHEAD_EPOCH = 256
+#: halve the window when fewer than 1 in this many prefetched blocks was used
+READAHEAD_NARROW_BELOW = 4
+#: double it when at least 1 in this many was; the 25-50 % band between the
+#: two is wider than the change one 2x step makes, so the window settles
+READAHEAD_WIDEN_FROM = 2
+#: while narrowed, every Nth backend fetch still spans the widest window, so
+#: a return to temporal locality produces used verdicts to widen on
+READAHEAD_PROBE = 16
 
 
 class ReadCache:
@@ -48,6 +66,9 @@ class ReadCache:
     misses = metric_field("rc.misses")
     inserted_bytes = metric_field("rc.inserted_bytes")
     evicted_bytes = metric_field("rc.evicted_bytes")
+    prefetch_used_bytes = metric_field("rc.prefetch_used_bytes")
+    prefetch_wasted_bytes = metric_field("rc.prefetch_wasted_bytes")
+    readahead_window_bytes = gauge_field("rc.readahead_window_bytes")
 
     def __init__(
         self,
@@ -72,9 +93,16 @@ class ReadCache:
         self._log: Deque[Tuple[int, int, int]] = deque()
         self._ring_virt = 0
         self._lap_evicted = 0  # bytes evicted since the ring last wrapped
+        #: per ring block: holds read-ahead nobody has read yet
+        self._prefetched = bytearray(self.data_size // BLOCK)
+        self._window = 0  # read-ahead span in bytes; 0 = no miss sized yet
+        self._used = self._wasted = 0  # this epoch's verdicts, in blocks
+        self._narrow_fetches = 0  # backend fetches sized while narrowed (probe clock)
         self.obs = obs if obs is not None else Registry()
         bind_metrics(self)
         self._occupancy = self.obs.gauge("rc.occupancy_bytes")
+        #: ``prefetch_used_bytes`` for the hit path (a descriptor += costs ~1 us)
+        self._used_counter = ReadCache.prefetch_used_bytes.metric(self)
 
     # ------------------------------------------------------------------
     def _phys(self, virt: int) -> int:
@@ -84,8 +112,19 @@ class ReadCache:
         """Cached pieces of [lba, lba+length): (lba, length, data)."""
         stage = span.begin("rc_lookup")
         out = []
+        flags = self._prefetched
+        used = 0
         for ext in self.map.lookup(lba, length):
             out.append((ext.lba, ext.length, self.image.read(ext.offset, ext.length)))
+            rel = ext.offset - self.data_offset
+            first, last = rel // BLOCK, (rel + ext.length + BLOCK - 1) // BLOCK
+            paid = flags.count(1, first, last)
+            if paid:  # read-ahead that was read: one verdict per block, once
+                flags[first:last] = bytes(last - first)
+                used += paid
+        if used:
+            self._used += used
+            self._used_counter.inc(used * BLOCK)
         if out:
             self.hits += 1
         else:
@@ -93,11 +132,49 @@ class ReadCache:
         stage.end(hit=bool(out))
         return out
 
+    def readahead_window(self, request: int, limit: int) -> int:
+        """Bytes the backend fetch for a ``request``-byte miss should span.
+
+        ``limit`` is the widest window (``LSVDConfig.prefetch_bytes``, the
+        paper's constant); the answer stays there while read-ahead keeps
+        being read, and shrinks towards the bare request while it is
+        evicted unread.  Integer arithmetic on the cache's own verdict
+        counts only: same reads, same windows.
+        """
+        window = min(self._window or limit, limit)
+        verdicts = self._used + self._wasted
+        if verdicts >= READAHEAD_EPOCH:
+            used = self._used
+            self._used = self._wasted = 0
+            resized = window
+            if used * READAHEAD_NARROW_BELOW < verdicts:
+                resized = max(window // 2, min(BLOCK, limit))
+            elif used * READAHEAD_WIDEN_FROM >= verdicts:
+                resized = min(window * 2, limit)
+            if resized != window:
+                self.obs.trace.emit(
+                    "readahead_resize", window=resized, previous=window,
+                    used_blocks=used, verdict_blocks=verdicts,
+                )
+                window = resized
+        if window != self._window:
+            self._window = self.readahead_window_bytes = window
+        if window < limit:
+            self._narrow_fetches += 1
+            if self._narrow_fetches % READAHEAD_PROBE == 0:
+                window = limit
+        return max(window, request)
+
     def insert(self, lba: int, data: bytes, span=NULL_SPAN) -> None:
         """Add backend data to the cache, evicting FIFO as needed."""
         self.insert_burst(((lba, data),), span=span)
 
-    def insert_burst(self, pieces: Sequence[Tuple[int, bytes]], span=NULL_SPAN) -> None:
+    def insert_burst(
+        self,
+        pieces: Sequence[Tuple[int, bytes]],
+        span=NULL_SPAN,
+        demand: Tuple[int, int] = (0, 1 << 63),
+    ) -> None:
         """Add the ``(lba, data)`` pieces of one backend fetch, in order.
 
         Each piece lands where a lone :meth:`insert` would put it and
@@ -105,12 +182,18 @@ class ReadCache:
         an LBA an earlier one cached, so the FIFO head advances piece by
         piece); the counters, the occupancy gauge and the span stage are
         settled once per burst.
+
+        ``demand`` is the ``(lba, length)`` the reader asked for; every
+        block outside it is read-ahead and is flagged until someone reads
+        it.  By default the whole burst counts as asked for.
         """
         stage = span.begin("rc_insert", ranges=len(pieces))
         size = self.data_size
         log = self._log
+        flags = self._prefetched
         virt = self._ring_virt
-        inserted = evicted = 0
+        want_lba, want_len = demand
+        inserted = evicted = wasted = 0
         for lba, data in pieces:
             length = len(data)
             footprint = align_up(length)
@@ -120,6 +203,9 @@ class ReadCache:
             if pos + footprint > size:
                 # no room before the ring end: skip the wrap slack (the
                 # horizon below evicts what lived there)
+                slack = pos // BLOCK
+                wasted += flags.count(1, slack)
+                flags[slack:] = bytes(len(flags) - slack)
                 virt += size - pos
                 pos = 0
             if pos == 0 and virt:
@@ -132,6 +218,17 @@ class ReadCache:
             self.image.write(phys, data)
             self.map.update(lba, length, RC_TARGET, phys)
             log.append((virt, length, lba))
+            # the overwritten blocks' unread read-ahead was wasted; of the
+            # new blocks, those the demanded range does not touch are flagged
+            first, last = pos // BLOCK, (pos + footprint) // BLOCK
+            wasted += flags.count(1, first, last)
+            lo = max(want_lba - lba, 0)
+            hi = min(want_lba + want_len - lba, length)
+            if lo < hi:
+                lo, hi = first + lo // BLOCK, first + align_up(hi) // BLOCK
+            else:
+                lo = hi = first
+            flags[first:last] = b"\1" * (lo - first) + bytes(hi - lo) + b"\1" * (last - hi)
             inserted += length
             virt += footprint
         self._ring_virt = virt
@@ -139,6 +236,9 @@ class ReadCache:
             self.inserted_bytes += inserted
         if evicted:
             self.evicted_bytes += evicted
+        if wasted:
+            self._wasted += wasted
+            self.prefetch_wasted_bytes += wasted * BLOCK
         self._occupancy.set(min(virt, size))
         stage.end(bytes=inserted)
 
@@ -190,22 +290,27 @@ class ReadCache:
     # ------------------------------------------------------------------
     # persistence (clean shutdown only; see module docstring)
     # ------------------------------------------------------------------
-    def save_map(self) -> None:
+    def save_map(self, stamp: Sequence[int] = (0, 0)) -> None:
+        """Persist the map under ``stamp``, the ``(epoch, checkpoint seq)``
+        of the write cache's clean-shutdown checkpoint it belongs to."""
         sections = {
-            "meta": ckpt.pack_json({"ring": self._ring_virt}),
+            "meta": ckpt.pack_json({"ring": self._ring_virt, "stamp": list(stamp)}),
             "map": ckpt.pack_rows(
                 "<QQQ", [(e.lba, e.length, e.offset) for e in self.map]
             ),
         }
         blob = ckpt.encode_sections(sections)
         if len(blob) > self.slot_size:
-            # degrade gracefully: an oversized map simply is not persisted
-            return
+            # degrade gracefully: an oversized map is not persisted, and
+            # the slot is erased so an earlier shutdown's map cannot pass
+            # for this one's
+            blob = bytes(BLOCK)
         self.image.write(self.region_offset, blob)
         self.image.flush()
 
-    def load_map(self) -> bool:
-        """Try to warm the map from a clean-shutdown save; False if cold."""
+    def load_map(self, stamp: Sequence[int] = (0, 0)) -> bool:
+        """Try to warm the map from the clean-shutdown save made under
+        ``stamp``; False (and cold) if there is none."""
         blob = self.image.read(self.region_offset, self.slot_size)
         try:
             sections = ckpt.decode_sections(blob)
@@ -213,8 +318,11 @@ class ReadCache:
             entries = ckpt.unpack_rows("<QQQ", sections["map"])
         except (CorruptRecordError, KeyError, ValueError):
             return False
+        if meta.get("stamp") != list(stamp):
+            return False  # another shutdown's map
         self._ring_virt = meta["ring"]
         self._lap_evicted = 0
+        self._prefetched = bytearray(len(self._prefetched))  # nothing pending
         self.map = ExtentMap()
         for lba, length, offset in entries:
             self.map.update(lba, length, RC_TARGET, offset)
@@ -250,6 +358,7 @@ class ReadCache:
         self._log.clear()
         self._ring_virt = 0
         self._lap_evicted = 0
+        self._prefetched = bytearray(len(self._prefetched))
 
     @property
     def hit_rate(self) -> float:

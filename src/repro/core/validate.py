@@ -14,6 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.core.config import BLOCK
 from repro.core.volume import LSVDVolume
 
 
@@ -120,6 +121,15 @@ def _check_read_cache_log(vol: LSVDVolume, report: InvariantReport) -> None:
     several records (the map coalesces neighbours the log keeps apart).
     """
     rc = vol.rc
+    # read-ahead bookkeeping rides on the same ring: one flag per block,
+    # none ahead of a pointer still on its first lap, window within bounds
+    flags, limit = rc._prefetched, vol.config.prefetch_bytes
+    if len(flags) != rc.data_size // BLOCK:
+        report.add(f"read-ahead flag array holds {len(flags)} blocks")
+    if rc._ring_virt < rc.data_size and any(flags[rc._ring_virt // BLOCK :]):
+        report.add("read-ahead flag set on a ring block never written")
+    if rc._window and not min(BLOCK, limit) <= rc._window <= limit:
+        report.add(f"read-ahead window {rc._window} outside [{BLOCK}, {limit}]")
     prev_end = rc._ring_virt - rc.data_size
     by_phys = []
     for virt, length, lba in rc._log:

@@ -159,18 +159,21 @@ class LSVDVolume:
             wc.format()
             wc.resume_after(state.last_record_seq)
             wc.checkpoint()
-            obs.trace.emit("recovery_complete", replayed=0, cache_lost=True)
+            obs.trace.emit("recovery_complete", replayed=0, cache_lost=True, read_cache_warm=False)
             return vol
         wc.recover()
         # The cache may have rolled back records that were already
         # destaged: a fresh write must never reuse one of their sequence
         # numbers, or the backend's high-water mark would release it as
         # "already destaged" and lose it.  Jump past the backend's mark.
-        if wc.next_seq <= state.last_record_seq:
+        backend_ahead = wc.next_seq <= state.last_record_seq
+        if backend_ahead:
             wc.resume_after(state.last_record_seq)
             wc.checkpoint()
-        if wc._clean:
-            rc.load_map()
+        # the lazily persisted read-cache map (§3.1) is current only if it
+        # was saved by the very clean shutdown the write cache resumed from
+        # and the backend has taken no write through another cache since
+        warm = bool(wc.resumed_clean and not backend_ahead and rc.load_map(wc.resumed_clean))
         # rewind & replay: push cache records the backend has not seen
         replayed = 0
         span = obs.spans.root("recover")
@@ -188,7 +191,9 @@ class LSVDVolume:
         span.end(replayed=replayed)
         # anything at or below the backend high-water mark is already safe
         wc.release_through(state.last_record_seq)
-        obs.trace.emit("recovery_complete", replayed=replayed, cache_lost=False)
+        obs.trace.emit(
+            "recovery_complete", replayed=replayed, cache_lost=False, read_cache_warm=warm
+        )
         return vol
 
     @classmethod
@@ -309,6 +314,7 @@ class LSVDVolume:
                 fetched = self.bs.fetch_with_prefetch(
                     piece.target, piece.offset, piece.length,
                     request_lba=piece.lba,
+                    window=self.rc.readahead_window(piece.length, self.config.prefetch_bytes),
                 )
                 stage.end(bytes=sum(len(d) for _v, d in fetched))
                 for vlba, data in fetched:
@@ -318,7 +324,7 @@ class LSVDVolume:
                         out[lo - offset : hi - offset] = data[
                             lo - vlba : hi - vlba
                         ]
-                self._insert_read_cache(fetched, span=span)
+                self._insert_read_cache(fetched, (piece.lba, piece.length), span=span)
                 covered.fill(piece.lba, piece.length)
         span.end()
         return bytes(out)
@@ -422,8 +428,7 @@ class LSVDVolume:
             self.flush()
             if not self._pending:
                 self._write_checkpoint()
-            self.rc.save_map()
-            self.wc.close()
+            self.rc.save_map(self.wc.close())
 
     # ------------------------------------------------------------------
     # snapshots
@@ -596,16 +601,17 @@ class LSVDVolume:
             return pieces[0][2]
         return None
 
-    def _insert_read_cache(self, fetched, span=NULL_SPAN) -> None:
+    def _insert_read_cache(self, fetched, demand, span=NULL_SPAN) -> None:
         """Insert one fetch's ``(lba, data)`` pieces as a single burst,
-        clipped against newer write-cache data."""
+        clipped against newer write-cache data; everything outside the
+        ``demand`` ``(lba, length)`` is read-ahead."""
         wc_map = self.wc.map
         pieces = []
         for lba, data in fetched:
             for start, length, ext in wc_map.lookup_with_gaps(lba, len(data)):
                 if ext is None:
                     pieces.append((start, data[start - lba : start - lba + length]))
-        self.rc.insert_burst(pieces, span=span)
+        self.rc.insert_burst(pieces, span=span, demand=demand)
 
     def _check_io(self, offset: int, length: int) -> None:
         if offset % SECTOR or length % SECTOR:

@@ -103,6 +103,9 @@ class WriteCache:
         self._ckpt_seq = 0
         self._ckpt_head = 0  # head position captured by the last checkpoint
         self._clean = False
+        #: (epoch, checkpoint seq) of the clean-shutdown checkpoint the
+        #: last :meth:`recover` resumed from; None after a crash
+        self.resumed_clean: Optional[Tuple[int, int]] = None
         self.obs = obs if obs is not None else Registry()
         bind_metrics(self)
         self._occupancy = self.obs.gauge("wc.occupancy_bytes")
@@ -345,10 +348,15 @@ class WriteCache:
         self.image.flush()
         self._ckpt_head = self.head_virt
 
-    def close(self) -> None:
-        """Clean shutdown: mark clean and checkpoint (enables warm maps)."""
+    def close(self) -> Tuple[int, int]:
+        """Clean shutdown: mark clean and checkpoint (enables warm maps).
+
+        Returns that checkpoint's ``(epoch, checkpoint seq)``, the stamp
+        :meth:`recover` reports in :attr:`resumed_clean`.
+        """
         self._clean = True
         self.checkpoint()
+        return self.epoch, self._ckpt_seq
 
     def recover(self) -> dict:
         """Rebuild state after restart/crash; returns the extra sections.
@@ -376,7 +384,6 @@ class WriteCache:
         self.tail_virt = best["tail"]
         self.next_seq = best["next_seq"]
         self.epoch = best.get("epoch", 0)
-        self._clean = bool(best.get("clean"))
         self.map = ExtentMap()
         for lba, length, offset in ckpt.unpack_rows("<QQQ", best_sections["map"]):
             self.map.update(lba, length, WC_TARGET, offset)
@@ -386,6 +393,9 @@ class WriteCache:
         ]
         self._replay_from_head()
         self._rebuild_map()
+        # a clean-shutdown checkpoint with nothing appended after it
+        clean = bool(best.get("clean")) and self.head_virt == best["head"]
+        self.resumed_clean = (self.epoch, self._ckpt_seq) if clean else None
         self._clean = False
         # start a new recovery generation and persist it before accepting
         # writes: replay after a future crash must be able to tell this

@@ -27,6 +27,7 @@ EVENT_TYPES: FrozenSet[str] = frozenset(
         "write_commit",     # volume sealed+committed a data batch
         "gc_round",         # collector finished relocating one round
         "cache_evict",      # read cache evicted bytes (FIFO ring wrap)
+        "readahead_resize",  # read cache halved/doubled its prefetch window
         "backend_put",      # block store PUT an object (data/gc/ckpt)
         "checkpoint",       # KIND_CHECKPOINT object written
         "crash",            # a crash was injected / simulated

@@ -258,6 +258,48 @@ def test_stats_gc_per_class_live_and_from_dump(tmp_path, capsys):
     assert len(dump_lines) == len(class_lines) >= 1
 
 
+def test_stats_headline_readahead_line():
+    """window / used / wasted / efficiency, straight from a snapshot dict
+    (the --from-dump contract); dumps that predate the controller and
+    caches that took no miss degrade, not crash."""
+    from repro.cli import _stats_headline
+
+    snapshot = {
+        "rc.hits": 30, "rc.misses": 10,
+        "rc.readahead_window_bytes": 16 * 1024,
+        "rc.prefetch_used_bytes": 1 << 20,
+        "rc.prefetch_wasted_bytes": 3 << 20,
+    }
+    out = _stats_headline(snapshot).splitlines()
+    assert out[1] == "read cache hit rate:  0.750"
+    assert out[2] == (
+        "read-ahead:           window 16 KiB, used 1.00 MiB, "
+        "wasted 3.00 MiB, efficiency 0.250"
+    )
+    idle = _stats_headline(dict.fromkeys(snapshot, 0))
+    assert "read-ahead:           window n/a, used 0.00 MiB, wasted 0.00 MiB, efficiency n/a" in idle
+    assert "read-ahead" not in _stats_headline({"rc.hits": 3, "rc.misses": 1})
+
+
+def test_stats_readahead_live_and_from_dump(tmp_path, capsys):
+    root = str(tmp_path)
+    run(capsys, root, "create", "vol", "--size", "16M")
+    rc, out, _ = run(capsys, root, "stats", "vol", "--exercise", "600")
+    assert rc == 0
+    # the three registry metrics are in the table, the line in the headline
+    for name in ("rc.readahead_window_bytes", "rc.prefetch_used_bytes", "rc.prefetch_wasted_bytes"):
+        assert name in out
+    [live] = [line for line in out.splitlines() if line.startswith("read-ahead:")]
+    # the exercise re-reads what it wrote in write order: read-ahead pays
+    assert "window 128 KiB" in live and "used 0.00 MiB" not in live
+    out_file = tmp_path / "m.json"
+    run(capsys, root, "stats", "vol", "--exercise", "600", "--format", "json", "--out", str(out_file))
+    rc, out, _ = run(capsys, root, "stats", "--from-dump", str(out_file))
+    assert rc == 0
+    [dumped] = [line for line in out.splitlines() if line.startswith("read-ahead:")]
+    assert "window 128 KiB" in dumped and "efficiency n/a" not in dumped
+
+
 def test_fleet_create_status_delete(tmp_path, capsys):
     root = str(tmp_path / "bucket")
     rc, out, _ = run(

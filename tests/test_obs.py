@@ -326,7 +326,7 @@ class TestStackWiring:
         replays = obs2.trace.events("recovery_replay")
         [complete] = obs2.trace.events("recovery_complete")
         done = dict(complete.fields)
-        assert done["cache_lost"] is False
+        assert done["cache_lost"] is False and done["read_cache_warm"] is False
         assert done["replayed"] == len(replays) > 0
 
     def test_cache_lost_mount_traces_zero_replay(self):
@@ -338,7 +338,9 @@ class TestStackWiring:
             store, "vd", DiskImage(4 * MiB), small_config(), cache_lost=True, obs=obs2
         )
         [complete] = obs2.trace.events("recovery_complete")
-        assert dict(complete.fields) == {"cache_lost": True, "replayed": 0}
+        assert dict(complete.fields) == {
+            "cache_lost": True, "replayed": 0, "read_cache_warm": False,
+        }
 
     def test_unsettled_store_crash_emits_trace_event(self):
         obs = Registry()

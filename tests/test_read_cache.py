@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core import read_cache
+from repro.core.config import LSVDConfig
 from repro.core.extent_map import ExtentMap
 from repro.core.log import align_up
 from repro.core.read_cache import RC_TARGET, ReadCache
@@ -230,7 +232,7 @@ def run_differential(ops):
         assert rc.inserted_bytes == model.inserted
         assert rc._ring_virt == model.ring
         report = InvariantReport()
-        _check_read_cache_log(SimpleNamespace(rc=rc), report)
+        _check_read_cache_log(SimpleNamespace(rc=rc, config=LSVDConfig()), report)
         assert report.ok, (step, report.violations)
     return rc
 
@@ -433,3 +435,164 @@ def test_clear_empties_the_log_too():
     rc.insert(0, b"d" * 4 * KiB)
     assert rc.read(0, 4 * KiB) == [(0, 4 * KiB, b"d" * 4 * KiB)]
     assert list(rc._log) == [(0, 4 * KiB, 0)]
+
+
+# ---------------------------------------------------------------------------
+# persistence: a save belongs to one clean shutdown
+# ---------------------------------------------------------------------------
+def test_load_map_rejects_another_shutdowns_stamp():
+    rc = make_cache()
+    rc.insert(0, b"warm" * 1024)
+    rc.save_map(stamp=(7, 3))
+    fresh = ReadCache(rc.image, 0, rc.image.size, map_slot_size=rc.slot_size)
+    assert not fresh.load_map(stamp=(7, 4)) and len(fresh.map) == 0
+    assert not fresh.load_map()  # an unstamped load does not match either
+    assert fresh.load_map(stamp=(7, 3)) and len(fresh.map) == 1
+
+
+def test_declined_save_erases_the_previous_map():
+    rc = make_cache(size=8 * MiB, slot=4 * KiB)  # slot holds ~165 rows
+    rc.insert(0, b"a" * 4 * KiB)
+    rc.save_map()
+    for i in range(400):  # 400 disjoint extents: too many rows for the slot
+        rc.insert((2 * i + 10) * 4 * KiB, b"b" * 4 * KiB)
+    rc.save_map()
+    fresh = ReadCache(rc.image, 0, rc.image.size, map_slot_size=rc.slot_size)
+    assert not fresh.load_map() and len(fresh.map) == 0
+
+
+def test_loaded_blocks_start_with_clear_readahead_flags():
+    rc = small_cache()
+    rc.insert_burst([(0, b"p" * 32 * KiB)], demand=(0, 4 * KiB))
+    assert sum(rc._prefetched) == 7
+    rc.save_map()
+    warm = ReadCache(rc.image, 0, rc.image.size, map_slot_size=SLOT)
+    warm._prefetched[3] = 1
+    assert warm.load_map() and sum(warm._prefetched) == 0
+    rc.clear()
+    assert sum(rc._prefetched) == 0
+
+
+# ---------------------------------------------------------------------------
+# read-ahead controller: flags, verdicts, window
+# ---------------------------------------------------------------------------
+WIDEST = 128 * KiB
+
+
+def test_burst_flags_everything_outside_the_demanded_range():
+    rc = small_cache()
+    # one 20 KiB piece around a demanded 4 KiB, one piece clear of it, and
+    # a sub-block demand that still takes its whole block
+    rc.insert_burst(
+        [(16 * KiB, b"a" * 20 * KiB), (1 << 20, b"b" * 8 * KiB)], demand=(24 * KiB, 4 * KiB)
+    )
+    assert list(rc._prefetched[:7]) == [1, 1, 0, 1, 1, 1, 1]
+    rc.insert_burst([(2 << 20, b"c" * 8 * KiB)], demand=((2 << 20) + 4 * KiB + 512, 512))
+    assert list(rc._prefetched[7:9]) == [1, 0]
+    rc.insert(3 << 20, b"d" * 8 * KiB)  # no demand given: all asked for
+    assert list(rc._prefetched[9:11]) == [0, 0]
+    assert (rc._used, rc._wasted) == (0, 0)
+
+
+def test_each_prefetched_block_gets_one_verdict():
+    rc = small_cache(obs=Registry())
+    rc.insert_burst([(0, b"a" * RING)], demand=(0, 4 * KiB))  # 15 flagged
+    rc.read(4 * KiB, 8 * KiB)
+    rc.read(4 * KiB, 12 * KiB)  # only the third block is news
+    assert (rc._used, rc._wasted, rc.prefetch_used_bytes) == (3, 0, 12 * KiB)
+    rc.invalidate(16 * KiB, 4 * KiB)  # written over before anyone read it
+    rc.insert_burst([(1 << 20, b"b" * 24 * KiB)], demand=(1 << 20, 24 * KiB))
+    # the pointer passed ring blocks 0-5: two were still flagged
+    assert (rc._used, rc._wasted, rc.prefetch_wasted_bytes) == (3, 2, 8 * KiB)
+    assert sum(rc._prefetched) == 10
+    rc.read(24 * KiB, 40 * KiB)
+    assert (rc._used, rc._wasted, sum(rc._prefetched)) == (13, 2, 0)
+
+
+def test_wrap_slack_flags_are_wasted_verdicts():
+    rc = small_cache()
+    # lap 0: blocks 0-9 and 10-15, the first block of each asked for
+    rc.insert_burst([(0, b"a" * 40 * KiB)], demand=(0, 4 * KiB))
+    rc.insert_burst([(1 << 20, b"b" * 24 * KiB)], demand=(1 << 20, 4 * KiB))
+    assert (rc._wasted, sum(rc._prefetched)) == (0, 14)
+    # lap 1 overwrites blocks 0-5, five of them still flagged
+    rc.insert_burst([(2 << 20, b"c" * 24 * KiB)], demand=(2 << 20, 24 * KiB))
+    assert rc._ring_virt == RING + 24 * KiB
+    assert (rc._wasted, sum(rc._prefetched)) == (5, 9)
+    # 40 KiB of room < 48 KiB: blocks 6-15 are skipped as wrap slack (nine
+    # flagged), and the piece lands on blocks 0-11 of lap 2
+    rc.insert_burst([(3 << 20, b"d" * 48 * KiB)], demand=(3 << 20, 48 * KiB))
+    assert rc._ring_virt == 2 * RING + 48 * KiB
+    assert (rc._wasted, sum(rc._prefetched)) == (14, 0)
+
+
+def lap(rc, lba, used):
+    """One 16-block ring lap of pure read-ahead, ``used`` blocks of it read
+    before the next lap overwrites the rest (16 verdicts, ``used`` of them
+    good), then one miss.  Returns the window the controller settled on
+    (what it *answers* is that or, on a probe fetch, the widest)."""
+    rc.insert_burst([(lba, b"r" * RING)], demand=(lba + RING, 4 * KiB))
+    if used:
+        rc.read(lba, used * 4 * KiB)
+    answer = rc.readahead_window(4 * KiB, WIDEST)
+    assert answer in (rc._window, WIDEST)
+    return rc._window
+
+
+def windows_at(used_of_16, start=WIDEST, laps=400):
+    rc = small_cache(obs=Registry())
+    rc._window = start
+    return rc, [lap(rc, i * RING, used_of_16) for i in range(laps)]
+
+
+def resizes(rc):
+    return [
+        (dict(e.fields)["previous"], dict(e.fields)["window"])
+        for e in rc.obs.trace.events("readahead_resize")
+    ]
+
+
+def test_window_holds_inside_the_band():
+    for used in (5, 7):  # 31 % and 44 % used: between 25 % and 50 %
+        for start in (WIDEST, 16 * KiB, 4 * KiB):
+            rc, seen = windows_at(used, start)
+            assert set(seen) == {start}
+            assert resizes(rc) == []
+
+
+def test_window_only_narrows_below_the_band_and_stops_at_one_block():
+    rc, seen = windows_at(3)  # 19 % used
+    assert seen == sorted(seen, reverse=True) and seen[-1] == 4 * KiB
+    steps = [128 * KiB, 64 * KiB, 32 * KiB, 16 * KiB, 8 * KiB, 4 * KiB]
+    assert resizes(rc) == list(zip(steps, steps[1:]))  # one event per change
+    assert rc.obs.value("rc.readahead_window_bytes") == 4 * KiB
+
+
+def test_window_only_widens_from_half_used_and_stops_at_the_limit():
+    rc, seen = windows_at(8, start=4 * KiB)  # exactly 50 % used
+    assert seen == sorted(seen) and seen[-1] == WIDEST
+    steps = [4 * KiB, 8 * KiB, 16 * KiB, 32 * KiB, 64 * KiB, 128 * KiB]
+    assert resizes(rc) == list(zip(steps, steps[1:]))
+    assert rc.obs.value("rc.readahead_window_bytes") == WIDEST
+    # just under a quarter / just under a half sit on the hold side
+    assert set(windows_at(4, 32 * KiB)[1]) == {32 * KiB}  # 25 %: holds
+
+
+def test_window_never_answers_less_than_the_request_or_more_than_the_limit():
+    rc, _seen = windows_at(0, laps=200)
+    assert rc._window == 4 * KiB
+    assert rc.readahead_window(24 * KiB, WIDEST) in (24 * KiB, WIDEST)
+    assert rc.readahead_window(256 * KiB, WIDEST) == 256 * KiB
+    # a limit below one block (read-ahead configured off) is its own floor
+    tiny = small_cache()
+    assert tiny.readahead_window(512, 512) == 512
+    assert tiny.readahead_window(4 * KiB, 512) == 4 * KiB
+
+
+def test_narrowed_window_probes_at_full_width_every_nth_fetch():
+    rc, _seen = windows_at(0, laps=200)
+    answers = [rc.readahead_window(4 * KiB, WIDEST) for _ in range(64)]
+    assert answers.count(WIDEST) == 64 // read_cache.READAHEAD_PROBE
+    assert set(answers) == {4 * KiB, WIDEST}
+    gaps = [i for i, w in enumerate(answers) if w == WIDEST]
+    assert {b - a for a, b in zip(gaps, gaps[1:])} == {read_cache.READAHEAD_PROBE}

@@ -145,3 +145,91 @@ def test_clone_of_recovered_volume():
     clone = LSVDVolume.clone(store, "vd", "c", DiskImage(2 * MiB), cfg)
     for i in range(32):
         assert clone.read(i * 4096, 4096) == bytes([i + 1]) * 4096
+
+
+# ---------------------------------------------------------------------------
+# the lazily persisted read-cache map (§3.1): warm only after a clean close
+# ---------------------------------------------------------------------------
+def gets(store):
+    return store.stats.gets + store.stats.range_gets
+
+
+def cached_volume():
+    """A closed volume whose read cache holds block 0 (and neighbours)."""
+    store, image, cfg, vol = make_volume()
+    for i in range(64):
+        vol.write(i * 4096, bytes([i + 1]) * 4096)
+    vol.drain()
+    vol.wc.release_through(vol.wc.next_seq)
+    assert vol.read(0, 4096) == b"\x01" * 4096 and len(vol.rc.map) > 0
+    return store, image, cfg, vol
+
+
+def recovery_event(vol):
+    [event] = vol.obs.trace.events("recovery_complete")
+    return dict(event.fields)
+
+
+def test_clean_close_then_open_serves_cached_blocks_without_the_backend():
+    store, image, cfg, vol = cached_volume()
+    vol.close()
+    warm = LSVDVolume.open(store, "vd", image, cfg)
+    assert recovery_event(warm)["read_cache_warm"] is True
+    before = gets(store)
+    assert warm.read(0, 4096) == b"\x01" * 4096
+    assert gets(store) == before and warm.rc.hits == 1
+    assert not any(warm.rc._prefetched)  # loaded blocks carry no verdict debt
+
+
+def test_crash_then_open_starts_the_read_cache_cold():
+    store, image, cfg, vol = cached_volume()
+    vol.close()
+    again = LSVDVolume.open(store, "vd", image, cfg)  # warm, then crashes
+    again.write(0, b"n" * 4096)
+    again.flush()
+    image.crash(rng=random.Random(5))
+    cold = LSVDVolume.open(store, "vd", image, cfg)
+    assert recovery_event(cold)["read_cache_warm"] is False
+    assert len(cold.rc.map) == 0
+    assert cold.read(0, 4096) == b"n" * 4096
+
+
+def test_declined_save_does_not_resurrect_the_previous_shutdowns_map():
+    store, image, cfg, vol = cached_volume()
+    vol.close()  # shutdown 1 saves a map holding block 0
+    again = LSVDVolume.open(store, "vd", image, cfg)
+    again.write(0, b"n" * 4096)  # block 0 leaves the read cache
+    again.drain()
+    again.rc.slot_size = 4096  # shutdown 2's map will not fit its slot
+    for i in range(0, 1024, 2):
+        again.rc.insert(8 * MiB + i * 4096, b"f" * 4096)
+    again.close()
+    cold = LSVDVolume.open(store, "vd", image, cfg)
+    assert recovery_event(cold)["read_cache_warm"] is False
+    assert len(cold.rc.map) == 0
+    assert cold.read(0, 4096) == b"n" * 4096
+
+
+def test_map_saved_under_an_older_clean_shutdown_is_not_loaded():
+    """The stamp alone rejects a stale slot, erased or not."""
+    store, image, cfg, vol = cached_volume()
+    vol.close()
+    again = LSVDVolume.open(store, "vd", image, cfg)
+    again.write(0, b"n" * 4096)
+    again.drain()
+    again.rc.save_map = lambda stamp: None  # shutdown 2 saves nothing at all
+    again.close()
+    cold = LSVDVolume.open(store, "vd", image, cfg)
+    assert recovery_event(cold)["read_cache_warm"] is False
+    assert cold.read(0, 4096) == b"n" * 4096
+
+
+def test_read_cache_stays_cold_when_the_backend_moved_on_through_another_cache():
+    store, image, cfg, vol = cached_volume()
+    vol.close()
+    elsewhere = LSVDVolume.open(store, "vd", DiskImage(2 * MiB), cfg, cache_lost=True)
+    elsewhere.write(0, b"e" * 4096)
+    elsewhere.close()
+    back = LSVDVolume.open(store, "vd", image, cfg)  # the first cache again
+    assert recovery_event(back)["read_cache_warm"] is False
+    assert back.read(0, 4096) == b"e" * 4096
