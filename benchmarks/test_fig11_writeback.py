@@ -30,7 +30,7 @@ def run_lsvd():
     client_done = world.sim.now
     # poll in fine steps until the backend has absorbed everything
     while (
-        world.device.dirty_bytes > 0 or world.device.pagemap._batch
+        world.device.dirty_bytes > 0 or world.device.pagemap.pending_pages
     ) and world.sim.now < client_done + 600:
         world.sim.run(until=world.sim.now + 0.25)
     synced = world.sim.now

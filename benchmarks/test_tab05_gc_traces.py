@@ -119,8 +119,11 @@ def test_tab05_gc_simulation(once):
     merge_ratio = {n: results[n]["merge"].merge_ratio for n in ORDER}
     extents = {n: results[n]["merge"].extent_count for n in ORDER}
 
-    # WAF is modest everywhere, as in the paper (worst case 1.97)
-    assert all(w < 2.1 for w in nm_waf.values())
+    # WAF is modest everywhere, as in the paper (worst case 1.97).  The
+    # no-merge bound is set from the run with PR 18's accounting fix (an
+    # unmerged batch's duplicate copies are garbage on arrival, not live:
+    # worst case w59 at 2.29); the old 2.1 was calibrated against the bug
+    assert all(w <= 2.35 for w in nm_waf.values())
     assert all(w < 2.1 for w in m_waf.values())
     # the low-speed diffuse traces have the highest WAF; hot-sweep near 1
     assert min(nm_waf[n] for n in ("w66", "w59", "w07")) > max(

@@ -37,6 +37,8 @@ def measure():
         "read_miss": one_op_latency(miss_world, IOOp("read", 4096, 4096)),
         "barrier": one_op_latency(write_world, IOOp("flush")),
         "params": params,
+        # the per-request RGW latency the backend model actually charges
+        "s3_latency": miss_world.backend.request_latency,
     }
 
 
@@ -51,12 +53,12 @@ def test_tab06_overhead_breakdown(once):
     )
     table.add("write (4K)", us(m["write"]), f"NVMe log write + CPU ({us(params.write_cpu)}us)")
     table.add("read hit (4K)", us(m["read_hit"]), f"NVMe read + CPU ({us(params.read_hit_cpu)}us)")
-    table.add("read miss (4K)", us(m["read_miss"]), f"S3 range GET ({us(params.s3_latency)}us)")
+    table.add("read miss (4K)", us(m["read_miss"]), f"S3 range GET ({us(m['s3_latency'])}us)")
     table.add("commit barrier", us(m["barrier"]), "single device flush")
     table.show()
 
     # the read miss is dominated by the S3 request (paper: 5920 of ~6200us)
-    assert m["read_miss"] > 0.8 * params.s3_latency
+    assert m["read_miss"] > 0.8 * m["s3_latency"]
     assert m["read_miss"] > 5e-3
     # hits and writes are 1-2 orders of magnitude cheaper
     assert m["write"] < m["read_miss"] / 20

@@ -12,7 +12,7 @@ import random
 
 from repro.core import LSVDConfig, LSVDVolume
 from repro.core.dedup import dedupe_volume
-from repro.core.shared_cache import SharedObjectCache, attach_shared_cache
+from repro.core.shared_cache import SharedObjectCache
 from repro.devices.image import DiskImage
 from repro.objstore import InMemoryObjectStore
 
@@ -49,7 +49,7 @@ def main() -> None:
     clones = []
     for n in range(4):
         clone = LSVDVolume.clone(store, "golden", f"vm{n}", DiskImage(2 * MiB), cfg)
-        attach_shared_cache(clone, shared)
+        shared.attach(clone)
         clones.append(clone)
 
     gets0 = store.stats.range_gets + store.stats.gets

@@ -293,31 +293,20 @@ class BlockStore:
         separation pays for the crash-ordering guarantee).
         """
         out: List[SealedBatch] = []
-        while True:
-            open_batches = [b for b in self.batches.values() if not b.is_empty]
-            if not open_batches:
-                return out
-            open_batches.sort(
-                key=lambda b: (
-                    b.first_record_seq if b.first_record_seq else float("inf"),
-                    b.temp,
-                )
-            )
-            batch = open_batches[0]
+        while (batch := self._oldest_open_batch()) is not None:
             reason = "size" if batch is trigger else "group"
             out.append(self._seal_batch(batch, reason=reason, span=span))
+        return out
 
-    def seal(self, reason: str = "size", span=NULL_SPAN) -> Optional[SealedBatch]:
-        """Seal the fullest open batch (even partial); None when all empty.
-
-        Callers that must flush *every* class stream (drain, close,
-        backpressure sweeps) use :meth:`seal_all` instead.
-        """
+    def _oldest_open_batch(self) -> Optional[WriteBatch]:
+        """The non-empty class batch to seal next: oldest buffered record
+        first, record-free batches last (hottest first)."""
         open_batches = [b for b in self.batches.values() if not b.is_empty]
         if not open_batches:
             return None
-        fullest = max(open_batches, key=lambda b: (b.buffered_bytes, -b.temp))
-        return self._seal_batch(fullest, reason=reason, span=span)
+        return min(
+            open_batches, key=lambda b: (b.first_record_seq or float("inf"), b.temp)
+        )
 
     def seal_all(self, reason: str = "size", span=NULL_SPAN) -> Iterator[SealedBatch]:
         """Seal every non-empty class batch, oldest buffered records first.
@@ -333,17 +322,8 @@ class BlockStore:
         *later* sequence number than still-uncommitted batches — recovery
         would then start replay past them and lose their writes.
         """
-        while True:
-            open_batches = [b for b in self.batches.values() if not b.is_empty]
-            if not open_batches:
-                return
-            open_batches.sort(
-                key=lambda b: (
-                    b.first_record_seq if b.first_record_seq else float("inf"),
-                    b.temp,
-                )
-            )
-            yield self._seal_batch(open_batches[0], reason=reason, span=span)
+        while (batch := self._oldest_open_batch()) is not None:
+            yield self._seal_batch(batch, reason=reason, span=span)
 
     def commit(self, sealed: SealedBatch, span=NULL_SPAN):
         """PUT the sealed object and update the map/accounting.
@@ -364,16 +344,9 @@ class BlockStore:
         else:
             result = self.store.put(name, sealed.payload)
         stage.end()
-        self.omap.add_object(
+        self.omap.apply_object(
             sealed.seq, sealed.kind, sealed.data_len, sealed.extents, temp=sealed.temp
         )
-        offset = 0
-        for ext in sealed.extents:
-            if sealed.kind == KIND_GC:
-                self.omap.apply_gc_extent(sealed.seq, ext.lba, ext.length, offset, ext.src_seq)
-            else:
-                self.omap.apply_extent(sealed.seq, ext.lba, ext.length, offset)
-            offset += ext.length
         self.stats.objects_put += 1
         if sealed.kind == KIND_DATA and self.sealed_uncommitted > 0:
             self.sealed_uncommitted -= 1
@@ -561,13 +534,6 @@ class BlockStore:
     def detach_shared(self, reader) -> None:
         if self._shared_reader is reader:
             self._shared_reader = None
-
-    def object_data(self, seq: int) -> bytes:
-        """Whole-object read (GC bulk path)."""
-        name = self.name_for_seq(seq)
-        header, data = decode_object(self.store.get(name))
-        self._header_cache[seq] = header
-        return data
 
     def delete_object(self, seq: int) -> None:
         if seq < self.first_own_seq:
@@ -807,7 +773,7 @@ class BlockStore:
         last_record_seq = self.last_record_seq_destaged
         seq = ckpt_seq + 1
         while seq in present:
-            header = self._read_full_header(seq)
+            header = self.header_of(seq)
             last_record_seq = max(last_record_seq, header.last_record_seq)
             self._replay_object(header)
             last = seq
@@ -877,9 +843,6 @@ class BlockStore:
         except (NoSuchKeyError, CorruptRecordError):
             return -1
 
-    def _read_full_header(self, seq: int) -> ObjectHeader:
-        return self.header_of(seq)
-
     def _load_checkpoint(self, seq: int) -> None:
         name = self.name_for_seq(seq)
         header, payload = decode_object(self.store.get(name))
@@ -920,18 +883,9 @@ class BlockStore:
             return
         if header.seq in self.omap.objects:
             return  # already reflected in the checkpoint we loaded
-        self.omap.add_object(
+        self.omap.apply_object(
             header.seq, header.kind, header.data_len, header.extents, temp=header.temp
         )
-        offset = 0
-        for ext in header.extents:
-            if header.kind == KIND_GC:
-                self.omap.apply_gc_extent(
-                    header.seq, ext.lba, ext.length, offset, ext.src_seq
-                )
-            else:
-                self.omap.apply_extent(header.seq, ext.lba, ext.length, offset)
-            offset += ext.length
 
     # ------------------------------------------------------------------
     # clone creation (§3.6, Figure 5)

@@ -45,8 +45,6 @@ class LSVDConfig:
     #: read prefetch: fetch this many bytes around a missed extent and
     #: insert everything into the read cache (temporal locality, §3.2).
     prefetch_bytes: int = 128 * KiB
-    #: read-cache insertions are rounded to this granularity.
-    read_cache_align: int = BLOCK
     #: data placement: ``"sepbit"`` segregates destage and GC-relocation
     #: writes into hot/warm/cold object streams by inferred invalidation
     #: time; ``"legacy"`` keeps the single-stream baseline.

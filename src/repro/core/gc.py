@@ -21,50 +21,26 @@ Two refinements the paper evaluates are implemented here:
   write cache is copied from SSD instead of being fetched from the
   backend (§3.5 / §6.3);
 * **hole plugging** — when two live pieces are separated by a small
-  mapped gap (<= ``defrag_hole_bytes``), the gap is copied too, merging
-  the pieces into one extent and shrinking the map (§4.6 cut w01's map
-  size by >2x for ~zero extra write amplification).
+  fully mapped gap (<= ``defrag_hole_bytes``), the gap is copied too,
+  merging the pieces into one extent and shrinking the map (§4.6 cut
+  w01's map size by >2x for ~zero extra write amplification).
 
-The collector is *phased* so the timed runtime can charge I/O latencies
-between phases and so rounds can be pipelined: :meth:`select` picks the
-victims and schedules their reads (cheap, no data movement), so the next
-round's selection can run while the current round's relocation writes are
-still in flight; :meth:`materialize` revalidates a selection against the
-live map and performs the reads; :meth:`execute` writes relocation
-objects and updates the map; and the volume performs the deferred victim
-deletion once the covering checkpoint has settled.  :meth:`plan` is
-select + gather for the unpipelined callers: its selection is fresh, so it
-skips materialize's revalidation.
+One round is :meth:`plan` (:meth:`select` the victims and what to copy out
+of them, then read it), :meth:`execute` (write the relocation objects and
+update the map), and :meth:`delete_victims`, which the volume calls once
+the covering checkpoint has settled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.batch import seal_gc_batch
 from repro.core.block_store import BlockStore
 from repro.core.config import LSVDConfig
-from repro.core.placement import plan_relocation, select_victims
+from repro.core.placement import plan_relocation, relocation_runs, select_victims
 from repro.obs import NULL_SPAN, Registry, bind_metrics, metric_field
-
-
-@dataclass
-class GCSelection:
-    """Phase-one output: victims chosen and the reads scheduled for them.
-
-    Holds no data, so it is cheap to produce ahead of time; the read
-    schedule reflects the map *at selection time* and is re-derived when
-    the selection is materialised (see :meth:`GarbageCollector.materialize`).
-    """
-
-    victims: List[int]
-    # (vLBA, length, src_seq) in ascending vLBA order, as of selection
-    ranges: List[Tuple[int, int, int]]
-
-    @property
-    def scheduled_bytes(self) -> int:
-        return sum(length for _l, length, _s in self.ranges)
 
 
 @dataclass
@@ -76,7 +52,7 @@ class GCPlan:
     pieces: List[Tuple[int, int, int, bytes]]
     bytes_read_backend: int = 0
     bytes_read_cache: int = 0
-    holes_plugged: int = 0
+    holes_plugged: int = 0  # bytes of mapped gaps copied along (§4.6)
 
     @property
     def live_bytes(self) -> int:
@@ -93,7 +69,6 @@ class GCStats:
     bytes_read_cache = metric_field("gc.bytes_read_cache")
     holes_plugged = metric_field("gc.holes_plugged")
     deletes_deferred = metric_field("gc.deletes_deferred")
-    preplanned_rounds = metric_field("gc.preplanned_rounds")
     # relocation bytes split by the class the survivor was *re*-assigned
     # to (classes as defined by core.placement: hot/warm/cold)
     class_hot_relocated = metric_field("gc.class_hot.bytes_relocated")
@@ -147,113 +122,60 @@ class GarbageCollector:
 
     # ------------------------------------------------------------------
     def select(
-        self, exclude: Sequence[int] = (), span=NULL_SPAN
-    ) -> Optional[GCSelection]:
-        """Phase one: pick victims (greedy) and schedule their reads.
+        self, span=NULL_SPAN
+    ) -> Optional[Tuple[List[int], List[Tuple[int, int, int]], int]]:
+        """Pick one round's victims and list what to copy out of them.
 
-        The expensive part of planning — the candidate utilisation
-        scan/sort and the per-victim live-extent walk — with no data
-        movement, so the *next* round can be selected while the current
-        round's relocation writes are still in flight (pipelined GC).
-        ``exclude`` masks objects already being cleaned by that round.
+        The candidate scan/sort and the per-victim live-extent walk; no
+        data moves.  Returns ``(victims, runs, plugged_bytes)`` — the runs
+        as :func:`~repro.core.placement.relocation_runs` lists them — or
+        None when no object is worth cleaning.
         """
         stage = span.begin("gc_select")
-        skip = frozenset(exclude)
-        candidates = self.store.omap.cleaning_candidates(
-            max_seq=self.store.next_seq
-        )
+        omap = self.store.omap
         victims = select_victims(
             [
                 (c.seq, c.live_bytes, c.data_bytes)
-                for c in candidates
-                if c.seq not in skip
+                for c in omap.cleaning_candidates(max_seq=self.store.next_seq)
             ],
             policy=self.config.gc_policy,
             window=self.config.gc_window,
             high_watermark=self.config.gc_high_watermark,
         )
-        if not victims:
-            stage.end(victims=0)
-            return None
-        ranges: List[Tuple[int, int, int]] = []  # (lba, length, src_seq)
-        for seq in victims:
-            self._ensure_extents(seq)
-            for lba, length, _off in self.store.omap.live_extents_of(seq):
-                ranges.append((lba, length, seq))
-        ranges.sort()
+
+        def live_runs(seq: int) -> List[Tuple[int, int, int]]:
+            info = omap.objects[seq]
+            if not info.extents:
+                # header extents were not retained across a restart; the
+                # paper's optimisation — fetch just the header (§3.5)
+                info.extents = self.store.header_of(seq).extents
+            return omap.live_extents_of(seq)
+
+        runs, plugged = relocation_runs(
+            victims,
+            live_runs,
+            lambda lba, length: (
+                (ext.lba, ext.length, ext.target) for ext in omap.lookup(lba, length)
+            ),
+            self.config.defrag_hole_bytes,
+        )
         stage.end(victims=len(victims))
-        return GCSelection(victims=victims, ranges=ranges)
+        return (victims, runs, plugged) if victims else None
 
-    def materialize(self, selection: GCSelection, span=NULL_SPAN) -> Optional[GCPlan]:
-        """Phase two: turn a (possibly stale) selection into a read plan.
-
-        A pre-planned selection may be a whole relocation round old, so
-        everything is revalidated against the current map: victims that
-        vanished are dropped and live extents are *re-derived* — blindly
-        relocating selection-time ranges could resurrect data that was
-        overwritten in between.
-        """
-        victims = [s for s in selection.victims if s in self.store.omap.objects]
-        if not victims:
+    def plan(self, span=NULL_SPAN) -> Optional[GCPlan]:
+        """Select victims and read their live data."""
+        selected = self.select(span=span)
+        if selected is None:
             return None
-        raw: List[Tuple[int, int, int]] = []
-        for seq in victims:
-            self._ensure_extents(seq)
-            for lba, length, _off in self.store.omap.live_extents_of(seq):
-                raw.append((lba, length, seq))
-        raw.sort()
-        return self._gather(victims, raw, span)
-
-    def _gather(
-        self, victims: List[int], raw: List[Tuple[int, int, int]], span=NULL_SPAN
-    ) -> GCPlan:
-        """Read the live ``raw`` ranges (current as of this call) into a plan."""
+        victims, runs, plugged = selected
         stage = span.begin("gc_materialize")
-        plan = GCPlan(victims=victims, pieces=[])
-        raw = self._plug_holes(raw, plan)
-        for lba, length, src_seq in raw:
-            data = self._read_live(lba, length, src_seq, plan)
-            plan.pieces.append((lba, length, src_seq, data))
+        plan = GCPlan(victims=victims, pieces=[], holes_plugged=plugged)
+        for lba, length, src_seq in runs:
+            plan.pieces.append((lba, length, src_seq, self._read_live(lba, length, plan)))
         stage.end(bytes=plan.live_bytes)
         return plan
 
-    def plan(self, span=NULL_SPAN) -> Optional[GCPlan]:
-        """Select victims and gather their live data (both phases)."""
-        selection = self.select(span=span)
-        if selection is None:
-            return None
-        # nothing ran since select(): its ranges are the live extents, so
-        # materialize()'s revalidating walk would only repeat them
-        return self._gather(selection.victims, selection.ranges, span)
-
-    def _ensure_extents(self, seq: int) -> None:
-        info = self.store.omap.objects[seq]
-        if not info.extents:
-            # header extents were not retained across a restart; the
-            # paper's optimisation — fetch just the header (§3.5)
-            info.extents = self.store.header_of(seq).extents
-
-    def _plug_holes(
-        self, pieces: List[Tuple[int, int, int]], plan: GCPlan
-    ) -> List[Tuple[int, int, int]]:
-        """Insert small mapped gaps between live pieces (§4.6 defrag)."""
-        limit = self.config.defrag_hole_bytes
-        if limit <= 0 or len(pieces) < 2:
-            return pieces
-        out: List[Tuple[int, int, int]] = [pieces[0]]
-        for lba, length, src in pieces[1:]:
-            prev_lba, prev_len, _prev_src = out[-1]
-            gap_start = prev_lba + prev_len
-            gap = lba - gap_start
-            if 0 < gap <= limit:
-                for ext in self.store.omap.lookup(gap_start, gap):
-                    out.append((ext.lba, ext.length, ext.target))
-                    plan.holes_plugged += 1
-            out.append((lba, length, src))
-        out.sort()
-        return out
-
-    def _read_live(self, lba: int, length: int, src_seq: int, plan: GCPlan) -> bytes:
+    def _read_live(self, lba: int, length: int, plan: GCPlan) -> bytes:
         """Fetch live data, preferring the local cache (§3.5).
 
         Per-piece accounting goes on the *plan*; the cumulative stats are

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.extent_map import Extent, ExtentMap
-from repro.core.log import ObjectExtent
+from repro.core.log import KIND_GC, ObjectExtent
 
 
 @dataclass
@@ -68,6 +68,26 @@ class ObjectMap:
         return info
 
     # -- map updates ---------------------------------------------------
+    def apply_object(
+        self,
+        seq: int,
+        kind: int,
+        data_bytes: int,
+        extents: List[ObjectExtent],
+        temp: int = 0,
+    ) -> None:
+        """Track a new stream object and apply its extents in data order —
+        the one map update commit and crash replay share.  A ``KIND_GC``
+        object's extents apply conditionally (:meth:`apply_gc_extent`)."""
+        self.add_object(seq, kind, data_bytes, extents, temp=temp)
+        offset = 0
+        for ext in extents:
+            if kind == KIND_GC:
+                self.apply_gc_extent(seq, ext.lba, ext.length, offset, ext.src_seq)
+            else:
+                self.apply_extent(seq, ext.lba, ext.length, offset)
+            offset += ext.length
+
     def apply_extent(self, seq: int, lba: int, length: int, offset: int) -> None:
         """Point [lba, lba+length) at object ``seq`` data offset ``offset``."""
         displaced = self.map.update(lba, length, seq, offset)

@@ -29,7 +29,7 @@ classifier construction outside this module are flagged.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.config import BLOCK, LSVDConfig
 
@@ -98,10 +98,11 @@ class PlacementPolicy:
 class SingleClassPolicy(PlacementPolicy):
     """The pre-placement baseline: every write lands in one stream.
 
-    Selectable via ``LSVDConfig.placement = "legacy"`` (the same
-    keep-the-baseline convention as ``flat_extent_map`` and
-    ``group_commit=False``); the wa_smoke benchmark runs it side by side
-    with SepBIT to gate the write-amplification reduction.
+    Selectable via ``LSVDConfig.placement = "legacy"``.  It stays in the
+    production path because it is the paper's own configuration: with
+    greedy victim selection it is what Table 5 and Figure 15 evaluate,
+    and the wa_smoke benchmark runs it side by side with SepBIT to gate
+    the write-amplification reduction.
     """
 
     num_temps = 1
@@ -256,6 +257,45 @@ def select_victims(
 # ---------------------------------------------------------------------------
 
 
+def relocation_runs(
+    victims: Sequence[int],
+    live_runs: Callable[[int], Iterable[Tuple[int, ...]]],
+    mapped_runs: Callable[[int, int], Iterable[Tuple[int, int, int]]],
+    hole_bytes: int,
+) -> Tuple[List[Tuple[int, int, int]], int]:
+    """One cleaning round's read schedule: what to copy out of ``victims``.
+
+    ``live_runs(victim)`` yields the victim's live runs as tuples that
+    start ``(lba, length)``; the result lists them as ``(lba, length,
+    src)`` in ascending-LBA order.  With ``hole_bytes`` > 0 (§4.6 defragmentation) a gap of at
+    most that many bytes between two consecutive runs is copied too, so
+    the pieces merge into one extent — but only when *all* of it is
+    mapped (``mapped_runs(lba, length)`` yields the ``(lba, length,
+    owner)`` runs currently mapped inside the gap): plugging part of a
+    gap costs the copy and merges nothing.  Returns ``(runs,
+    plugged_bytes)``.
+    """
+    runs = sorted(
+        (run[0], run[1], victim) for victim in victims for run in live_runs(victim)
+    )
+    if hole_bytes <= 0:
+        return runs, 0
+    out: List[Tuple[int, int, int]] = []
+    plugged = 0
+    for run in runs:
+        if out:
+            gap_start = out[-1][0] + out[-1][1]
+            gap = run[0] - gap_start
+            if 0 < gap <= hole_bytes:
+                fill = list(mapped_runs(gap_start, gap))
+                if sum(length for _lba, length, _owner in fill) == gap:
+                    out.extend(fill)
+                    plugged += gap
+        out.append(run)
+    return out, plugged
+
+
+
 def plan_relocation(
     pieces: Iterable[Tuple[int, int, int, object]],
     policy: PlacementPolicy,
@@ -304,5 +344,6 @@ __all__ = [
     "SingleClassPolicy",
     "make_policy",
     "plan_relocation",
+    "relocation_runs",
     "select_victims",
 ]

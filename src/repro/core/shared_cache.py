@@ -361,14 +361,3 @@ class SharedCacheAttachment:
         else:
             bs.cache_header(seq, header)
         return header
-
-
-def attach_shared_cache(
-    volume, shared: SharedObjectCache, tenant: Optional[str] = None
-) -> SharedCacheAttachment:
-    """Wire a volume's backend fetches through a shared cache.
-
-    Compatibility entry point; equivalent to ``shared.attach(volume,
-    tenant)`` and returns the attachment so callers can detach.
-    """
-    return shared.attach(volume, tenant=tenant)

@@ -41,7 +41,7 @@ from repro.core.batch import SealedBatch
 from repro.core.block_store import BlockStore
 from repro.core.config import SECTOR, LSVDConfig
 from repro.core.errors import CacheFullError, LSVDError
-from repro.core.gc import GarbageCollector, GCSelection
+from repro.core.gc import GarbageCollector
 from repro.core.read_cache import ReadCache
 from repro.core.write_cache import WriteCache
 from repro.devices.image import DiskImage
@@ -65,9 +65,6 @@ class _GCRound:
     pending_puts: int = 0
     stage: str = "relocating"  # relocating -> await_ckpt -> done
     ckpt_seq: Optional[int] = None
-    #: whether the *next* round's victim selection was already attempted
-    #: while this round's relocation writes were in flight (pipelined GC)
-    preplanned: bool = False
 
 
 class LSVDVolume:
@@ -107,7 +104,6 @@ class LSVDVolume:
         self._pending: Dict[object, Tuple[str, object]] = {}
         self._batches: List[_BatchEntry] = []
         self._gc_round: Optional[_GCRound] = None
-        self._next_selection: Optional[GCSelection] = None
         self._ckpt_requested = False
 
     # ------------------------------------------------------------------
@@ -526,20 +522,6 @@ class LSVDVolume:
                 self._start_gc_round()
             return
         rnd = self._gc_round
-        if rnd.stage == "relocating" and rnd.pending_puts > 0:
-            # pipelined GC: while this round's relocation PUTs are in
-            # flight, select the next round's victims (the expensive
-            # scan/sort) so the follow-up round starts without a planning
-            # stall; the selection is revalidated when consumed
-            if not rnd.preplanned and not self.gc.reached_target():
-                rnd.preplanned = True
-                pspan = self.obs.spans.root("gc_preplan")
-                self._next_selection = self.gc.select(
-                    exclude=rnd.victims, span=pspan
-                )
-                pspan.end()
-                if self._next_selection is not None:
-                    self.gc.stats.preplanned_rounds += 1
         if rnd.stage == "relocating" and rnd.pending_puts == 0:
             rnd.stage = "await_ckpt"
             if not self._pending and self.bs.sealed_uncommitted == 0:
@@ -550,14 +532,7 @@ class LSVDVolume:
 
     def _start_gc_round(self) -> None:
         span = self.obs.spans.root("gc_round")
-        selection, self._next_selection = self._next_selection, None
-        plan = (
-            self.gc.materialize(selection, span=span)
-            if selection is not None
-            else None
-        )
-        if plan is None:
-            plan = self.gc.plan(span=span)
+        plan = self.gc.plan(span=span)
         if plan is None:
             span.end(started=False)
             return

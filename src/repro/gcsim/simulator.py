@@ -37,6 +37,7 @@ from repro.core.placement import (
     PlacementPolicy,
     make_policy,
     plan_relocation,
+    relocation_runs,
     select_victims,
 )
 
@@ -85,6 +86,7 @@ class GCSimulator:
         gc_window: int = 8,
         policy: Optional[PlacementPolicy] = None,
         gc_policy: str = "greedy",
+        listener=None,
     ):
         if volume_size % PAGE:
             raise ValueError("volume_size must be page aligned")
@@ -99,6 +101,12 @@ class GCSimulator:
         #: the single-stream legacy behaviour
         self.policy = policy if policy is not None else make_policy("legacy")
         self.gc_policy = gc_policy
+        #: optional observer of the backend I/O the algorithm implies (the
+        #: timed runtime charges it to simulated devices): told
+        #: ``on_object(nbytes, gc, temp)`` for every object stored and,
+        #: around each cleaning round, ``on_gc_read(nbytes)`` before the
+        #: round's relocation objects and ``on_gc_delete(count)`` after
+        self.listener = listener
 
         self.page_obj = np.full(self.n_pages, -1, dtype=np.int64)
         self.page_off = np.zeros(self.n_pages, dtype=np.int64)
@@ -199,29 +207,46 @@ class GCSimulator:
     def _store_object(self, pages: np.ndarray, gc: bool, temp: int = 0) -> int:
         obj = self._next_obj
         self._next_obj += 1
-        # displace previous owners
-        prev = self.page_obj[pages]
-        for prev_obj in prev[prev >= 0]:
-            self.obj_live[int(prev_obj)] -= 1
+        # an unmerged batch can hold one page twice: the object stores both
+        # copies but the map keeps one, so the older copy is garbage on
+        # arrival and the previous owner is displaced once, not twice
+        distinct = pages if self.merge or gc else np.unique(pages)
+        prev = self.page_obj[distinct]
+        for owner in prev[prev >= 0].tolist():
+            live = self.obj_live[owner] - 1
+            if live < 0:
+                raise AssertionError(f"object {owner} live pages went negative")
+            self.obj_live[owner] = live
         self.page_obj[pages] = obj
         self.page_off[pages] = np.arange(len(pages), dtype=np.int64)
         self.obj_pages[obj] = pages
         self.obj_size[obj] = len(pages)
-        self.obj_live[obj] = len(pages)
+        self.obj_live[obj] = len(distinct)
         self.obj_temp[obj] = temp
         self.backend_pages += len(pages)
         self.class_pages[temp] = self.class_pages.get(temp, 0) + len(pages)
         if gc:
             self.gc_pages += len(pages)
         self.objects_written += 1
+        if self.listener is not None:
+            self.listener.on_object(len(pages) * PAGE, gc, temp)
         return obj
 
     # ------------------------------------------------------------------
+    @property
+    def pending_pages(self) -> int:
+        """Pages buffered in the open class batches, not yet in an object."""
+        return sum(len(batch) for batch in self._batches.values())
+
+    def occupancy(self) -> Tuple[int, int]:
+        """(live pages, total pages) over the stored objects."""
+        return sum(self.obj_live.values()), sum(self.obj_size.values())
+
     def utilization(self) -> float:
-        total = sum(self.obj_size.values())
+        live, total = self.occupancy()
         if total == 0:
             return 1.0
-        return sum(self.obj_live.values()) / total
+        return live / total
 
     def occupancy_by_class(self) -> Dict[int, Tuple[int, int]]:
         """Per-class (live pages, total pages), mirroring the full stack's
@@ -252,45 +277,51 @@ class GCSimulator:
             self._clean(victims)
 
     def _clean(self, victims: List[int]) -> None:
-        live_pages: List[np.ndarray] = []
-        for victim in victims:
+        def live_runs(victim: int) -> List[Tuple[int, int, int]]:
             pages = self.obj_pages[victim]
-            still = pages[self.page_obj[pages] == victim]
-            if len(still):
-                live_pages.append(np.unique(still))
-        if live_pages:
-            pages = np.unique(np.concatenate(live_pages))
-            pages = self._plug_holes(pages)
-            # survivors re-enter the classifier through the shared
-            # relocation planner; pieces mirror the full stack's map
-            # extents (maximal runs contiguous in address space, object,
-            # and object offset) so the two engines chunk identically
-            for temp, chunk in plan_relocation(
-                self._live_runs(pages), self.policy, self.batch_pages * PAGE
-            ):
-                chunk_pages = np.concatenate(
-                    [
-                        np.arange(lba // PAGE, lba // PAGE + length // PAGE)
-                        for lba, length, _src, _payload in chunk
-                    ]
-                )
-                self._store_object(chunk_pages, gc=True, temp=temp)
+            return self._runs(np.unique(pages[self.page_obj[pages] == victim]))
+
+        def mapped_runs(lba: int, length: int) -> List[Tuple[int, int, int]]:
+            gap = np.arange(lba // PAGE, (lba + length) // PAGE)
+            return self._runs(gap[self.page_obj[gap] >= 0])
+
+        runs, plugged = relocation_runs(
+            victims, live_runs, mapped_runs, self.defrag_hole_pages * PAGE
+        )
+        self.holes_plugged += plugged // PAGE
+        if self.listener is not None:
+            self.listener.on_gc_read(sum(length for _lba, length, _src in runs))
+        # survivors re-enter the classifier through the shared relocation
+        # planner, in the same pieces as the full stack's map extents, so
+        # the two engines chunk identically
+        for temp, chunk in plan_relocation(
+            ((lba, length, src, None) for lba, length, src in runs),
+            self.policy,
+            self.batch_pages * PAGE,
+        ):
+            chunk_pages = np.concatenate(
+                [
+                    np.arange(lba // PAGE, lba // PAGE + length // PAGE)
+                    for lba, length, _src, _payload in chunk
+                ]
+            )
+            self._store_object(chunk_pages, gc=True, temp=temp)
         for victim in victims:
             del self.obj_pages[victim], self.obj_size[victim], self.obj_live[victim]
             self.obj_temp.pop(victim, None)
             self.objects_deleted += 1
+        if self.listener is not None:
+            self.listener.on_gc_delete(len(victims))
 
-    def _live_runs(
-        self, pages: np.ndarray
-    ) -> List[Tuple[int, int, int, None]]:
-        """Group relocated pages into (lba, length, src_obj, None) pieces.
+    def _runs(self, pages: np.ndarray) -> List[Tuple[int, int, int]]:
+        """Group sorted mapped pages into (lba, length, owner) runs.
 
         Runs break wherever the address space, the owning object, or the
         in-object offset breaks — exactly the merge rule of the full
         stack's extent map, so piece boundaries (and therefore relocation
         chunk cuts) agree across the engines.
         """
-        runs: List[Tuple[int, int, int, None]] = []
+        runs: List[Tuple[int, int, int]] = []
         if not len(pages):
             return runs
         start = prev = int(pages[0])
@@ -303,33 +334,14 @@ class GCSimulator:
             )
             if not contiguous:
                 runs.append(
-                    (start * PAGE, (prev - start + 1) * PAGE, int(self.page_obj[start]), None)
+                    (start * PAGE, (prev - start + 1) * PAGE, int(self.page_obj[start]))
                 )
                 start = page
             prev = page
         runs.append(
-            (start * PAGE, (prev - start + 1) * PAGE, int(self.page_obj[start]), None)
+            (start * PAGE, (prev - start + 1) * PAGE, int(self.page_obj[start]))
         )
         return runs
-
-    def _plug_holes(self, pages: np.ndarray) -> np.ndarray:
-        """§4.6 defrag: copy small mapped gaps along with the live data."""
-        limit = self.defrag_hole_pages
-        if limit <= 0 or len(pages) < 2:
-            return pages
-        gaps = []
-        diffs = np.diff(pages)
-        for idx in np.nonzero((diffs > 1) & (diffs <= limit + 1))[0]:
-            candidate = np.arange(pages[idx] + 1, pages[idx + 1])
-            mapped = candidate[self.page_obj[candidate] >= 0]
-            if len(mapped) == len(candidate):  # only plug fully mapped gaps
-                gaps.append(mapped)
-        if not gaps:
-            return pages
-        plug = np.concatenate(gaps)
-        self.holes_plugged += len(plug)
-        # plugged pages are read from their current objects and rewritten
-        return np.unique(np.concatenate([pages, plug]))
 
     # ------------------------------------------------------------------
     def finish(self) -> GCSimReport:

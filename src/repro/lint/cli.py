@@ -18,7 +18,7 @@ import sys
 import textwrap
 from typing import Dict, List, Optional, Type
 
-from repro.lint.config import LintConfig, discover_config
+from repro.lint.config import PACKAGE_MARKER, LintConfig, discover_config
 from repro.lint.framework import Rule, run_lint
 from repro.lint.reporters import render_json, render_text
 from repro.lint.rules import ALL_RULES
@@ -177,6 +177,23 @@ def main(argv: Optional[List[str]] = None) -> int:
             select=tuple(select) if select is not None else config.select,
             ignore=config.ignore + tuple(ignore or ()),
         )
+
+    # allowlists are judged against the package they exempt, whenever the
+    # package directory itself is being checked
+    stale = [
+        entry
+        for path in map(pathlib.Path, args.paths)
+        if path.is_dir() and path.name == PACKAGE_MARKER
+        for entry in config.stale_entries(path)
+    ]
+    if stale:
+        for entry in stale:
+            print(
+                f"repro-lint: stale allowlist entry (matches no file or "
+                f"function): {entry}",
+                file=sys.stderr,
+            )
+        return 1
 
     diagnostics = run_lint(args.paths, config)
     report = render_json(diagnostics) if args.format == "json" else render_text(diagnostics)

@@ -8,18 +8,25 @@ allowlists from ``pyproject.toml``::
     ignore = ["LSVD005"]
     immutability-allow = ["core/new_destager.py"]
     sequence-allow = ["core/new_destager.py"]
-    store-receivers = ["remote_store"]
 
 Module paths are matched as *suffixes* of the path after the ``repro``
 package directory, so ``core/block_store.py`` matches
 ``src/repro/core/block_store.py`` wherever the tree is checked out.
+
+Only what some project actually overrides is a field here: rule selection,
+the per-rule allowlists, and the two vocabularies a fixture extends.  The
+marker, receiver, call and scope lists with a single value anywhere are
+module constants beside the rule that reads them (the three shared by more
+than one rule — ``STORE_RECEIVERS``, ``RECOVERY_DIRS``, ``STATE_MUTATORS``
+— stay in this module).
 """
 
 from __future__ import annotations
 
 import pathlib
-from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Mapping, Optional, Sequence, Set, Tuple
+import re
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 try:  # Python 3.11+
     import tomllib
@@ -39,7 +46,6 @@ DEFAULT_IMMUTABILITY_ALLOW: Tuple[str, ...] = (
     "cluster/layouts.py",
     "objstore/s3.py",
     "objstore/directory.py",
-    "objstore/simulated.py",
     "runtime/backend.py",
     "runtime/lsvd.py",
     "runtime/sharded.py",
@@ -47,7 +53,7 @@ DEFAULT_IMMUTABILITY_ALLOW: Tuple[str, ...] = (
 )
 
 #: receiver names that identify an object-store handle at a call site
-DEFAULT_STORE_RECEIVERS: Tuple[str, ...] = (
+STORE_RECEIVERS: Tuple[str, ...] = (
     "store",
     "object_store",
     "objstore",
@@ -65,31 +71,10 @@ DEFAULT_SEQUENCE_ALLOW: Tuple[str, ...] = (
     "core/write_cache.py",
 )
 
-#: directories whose code must be deterministic (simulated clock +
-#: seeded RNG only) for experiments to be replayable (§4)
-DEFAULT_DETERMINISM_DIRS: Tuple[str, ...] = (
-    "core/",
-    "sim/",
-    "gcsim/",
-    "workloads/",
-    "devices/",
-    "crash/",
-    "obs/",
-    "shard/",
-    "fleet/",
-)
-
 #: modules that may compute shard placement / spell out shard names —
 #: the LSVD008 ownership boundary.  A directory prefix covers the whole
 #: package.
 DEFAULT_SHARD_ALLOW: Tuple[str, ...] = ("shard/",)
-
-#: directories whose stat counters / reporting must go through repro.obs
-DEFAULT_OBS_DIRS: Tuple[str, ...] = (
-    "core/",
-    "runtime/",
-    "fleet/",
-)
 
 #: modules exempt from LSVD007: the user-facing reporting surfaces.  The
 #: CLI and the analysis/lint reporters print by design; they *consume*
@@ -119,15 +104,6 @@ DEFAULT_STAT_MARKERS: Tuple[str, ...] = (
     "count",
 )
 
-#: data-plane modules held to hot-path hygiene (LSVD009): no O(n) list
-#: shuffles or per-extent ``bytes()`` copies outside blessed helpers
-DEFAULT_HOTPATH_MODULES: Tuple[str, ...] = (
-    "core/extent_map.py",
-    "core/volume.py",
-    "core/batch.py",
-    "core/log.py",
-)
-
 #: blessed fast-path helpers: ``module.py::function`` entries exempt one
 #: function (the extent map's bounded-chunk mutators, where the shifted
 #: list is a chunk, not the whole map); a bare module suffix exempts the
@@ -141,28 +117,10 @@ DEFAULT_HOTPATH_BLESSED: Tuple[str, ...] = (
 )
 
 #: directories where exception handlers must not swallow errors
-DEFAULT_RECOVERY_DIRS: Tuple[str, ...] = (
+RECOVERY_DIRS: Tuple[str, ...] = (
     "core/",
     "crash/",
 )
-
-#: call names that count as "recording" an error inside a handler
-DEFAULT_ERROR_RECORDING: Tuple[str, ...] = (
-    "append",
-    "add_error",
-    "record_error",
-    "warning",
-    "error",
-    "exception",
-    "critical",
-    "fail",
-)
-
-#: identifier substrings marking LBA-denominated values
-DEFAULT_LBA_MARKERS: Tuple[str, ...] = ("lba",)
-
-#: identifier substrings marking byte-denominated values
-DEFAULT_BYTE_MARKERS: Tuple[str, ...] = ("byte", "off")
 
 #: struct constant -> header dataclass pairs that must stay in lock-step,
 #: keyed by module suffix
@@ -170,95 +128,8 @@ DEFAULT_STRUCT_DATACLASS_MAP: Dict[str, Dict[str, str]] = {
     "core/log.py": {"_OBJ_EXT": "ObjectExtent"},
 }
 
-# -- flow rules (LSVD010-LSVD013) -------------------------------------------
-
-#: directories whose PUT handles are settlement-tracked (LSVD010)
-DEFAULT_SETTLEMENT_DIRS: Tuple[str, ...] = (
-    "core/",
-    "shard/",
-    "objstore/",
-    "runtime/",
-    "obs/",
-    "fleet/",
-)
-
-#: method names whose return value is an in-flight-write handle
-DEFAULT_FLOW_PUT_METHODS: Tuple[str, ...] = ("put",)
-
-#: receiver names whose ``.put()`` yields a trackable handle; matched as
-#: the exact name or a ``_``-separated suffix (``dst_shard`` -> ``shard``)
-DEFAULT_FLOW_PUT_RECEIVERS: Tuple[str, ...] = DEFAULT_STORE_RECEIVERS + ("shard",)
-
-#: modules holding completion/ack call sites (LSVD011) — the write path,
-#: its settlement ledger, replication, and the timed destage pipeline
-DEFAULT_DURABILITY_MODULES: Tuple[str, ...] = (
-    "core/volume.py",
-    "core/write_cache.py",
-    "core/block_store.py",
-    "core/replication.py",
-    "runtime/lsvd.py",
-)
-
-#: calls that complete/acknowledge client-visible state: releasing cache
-#: log space, retiring superseded checkpoints, deleting GC victims
-DEFAULT_DURABILITY_ACK_CALLS: Tuple[str, ...] = (
-    "release_through",
-    "retire_old_checkpoints",
-    "_advance_release_frontier",
-    "delete_victims",
-    "_release_space",
-)
-
-#: calls whose completion is durability evidence dominating an ack
-DEFAULT_DURABILITY_EVIDENCE_CALLS: Tuple[str, ...] = (
-    "settle",
-    "settle_put",
-    "settle_all",
-    "flush",
-    "barrier",
-    "recover",
-)
-
-#: calls that count as evidence only when awaited/yielded — in the timed
-#: model ``yield backend.put(...)`` resumes when the PUT settles
-DEFAULT_DURABILITY_YIELD_EVIDENCE: Tuple[str, ...] = (
-    "put",
-    "write",
-    "flush",
-    "barrier",
-)
-
-#: function-name substrings marking recovery/GC code paths (LSVD012)
-DEFAULT_RECOVERY_FUNCTION_MARKERS: Tuple[str, ...] = (
-    "recover",
-    "replay",
-    "restore",
-    "mount",
-    "load",
-    "open",
-    "clean",
-    "gc",
-    "victim",
-)
-
-#: ``self.<attr>`` substrings naming recovery-critical in-memory state
-DEFAULT_RECOVERY_STATE_MARKERS: Tuple[str, ...] = (
-    "map",
-    "omap",
-    "record",
-    "snapshot",
-    "seq",
-    "epoch",
-    "super",
-    "ckpt",
-    "checkpoint",
-    "history",
-    "frontier",
-    "batch",
-)
-
 #: method names that mutate a container attribute in place
-DEFAULT_STATE_MUTATORS: Tuple[str, ...] = (
+STATE_MUTATORS: Tuple[str, ...] = (
     "update",
     "add",
     "add_object",
@@ -271,6 +142,7 @@ DEFAULT_STATE_MUTATORS: Tuple[str, ...] = (
     "extend",
     "clear",
     "insert",
+    "apply_object",
     "apply_extent",
     "apply_gc_extent",
     "restore",
@@ -279,252 +151,12 @@ DEFAULT_STATE_MUTATORS: Tuple[str, ...] = (
     "setdefault",
 )
 
-#: calls that persist state durably (checked against durable receivers)
-DEFAULT_DURABLE_WRITE_CALLS: Tuple[str, ...] = (
-    "put",
-    "write",
-    "flush",
-    "barrier",
-    "write_checkpoint",
-    "write_super",
-    "checkpoint",
-    "delete",
-)
-
-#: receiver names that address durable media (stores, plus the cache
-#: image/device and the layered write-path objects)
-DEFAULT_DURABLE_RECEIVERS: Tuple[str, ...] = DEFAULT_STORE_RECEIVERS + (
-    "image",
-    "device",
-    "bs",
-    "wc",
-)
-
-#: directories the async-cancellation rule (LSVD013) watches
-DEFAULT_ASYNC_DIRS: Tuple[str, ...] = (
-    "core/",
-    "shard/",
-    "objstore/",
-    "runtime/",
-    "fleet/",
-)
-
-#: ``self.<attr>`` substrings naming settlement-coupled state an async
-#: function must not leave dangling across an await point
-DEFAULT_ASYNC_STATE_MARKERS: Tuple[str, ...] = (
-    "map",
-    "pending",
-    "batch",
-    "record",
-    "seq",
-    "head",
-    "frontier",
-    "ledger",
-    "settled",
-    "dirty",
-    "inflight",
-    "in_flight",
-    "copied",
-)
-
-#: calls that settle/register the pending mutation, closing the window
-DEFAULT_ASYNC_SETTLE_CALLS: Tuple[str, ...] = (
-    "settle",
-    "settle_put",
-    "settle_all",
-    "release",
-    "release_through",
-    "barrier",
-    "flush",
-    "commit",
-    "checkpoint",
-    "succeed",
-)
-
-# -- span hygiene (LSVD015) -------------------------------------------------
-
-#: repro-package directories whose span handles are hygiene-tracked;
-#: files outside any ``repro`` package (benchmarks, examples) are always
-#: in scope — span misuse there corrupts the very latency attributions
-#: the benchmarks gate on
-DEFAULT_SPAN_DIRS: Tuple[str, ...] = (
-    "core/",
-    "runtime/",
-    "shard/",
-    "objstore/",
-    "obs/",
-    "crash/",
-    "fleet/",
-)
-
-#: receiver names whose ``.root()`` / ``.begin()`` yields a span handle;
-#: matched as the exact name or a ``_``-separated suffix
-DEFAULT_SPAN_RECEIVERS: Tuple[str, ...] = (
-    "span",
-    "spans",
-    "root",
-    "parent",
-    "child",
-)
-
-#: method names that open a span (the recorder's ``root`` and a span's
-#: ``begin``)
-DEFAULT_SPAN_BEGIN_METHODS: Tuple[str, ...] = ("root", "begin")
-
-# -- barrier coalescing (LSVD014) -------------------------------------------
-
-#: modules whose commit-barrier paths are checked for coalescing safety
-DEFAULT_BARRIER_MODULES: Tuple[str, ...] = (
-    "core/write_cache.py",
-    "core/volume.py",
-    "runtime/lsvd.py",
-    "runtime/bcache.py",
-)
-
-#: function-name substrings marking a commit-barrier / group-commit path
-DEFAULT_BARRIER_FUNCTION_MARKERS: Tuple[str, ...] = (
-    "barrier",
-    "group_commit",
-    "commit_worker",
-)
-
-#: receiver names of the completion events a barrier settles; matched as
-#: the exact name or a ``_``-separated suffix (``first_done`` -> ``done``)
-DEFAULT_BARRIER_SETTLE_RECEIVERS: Tuple[str, ...] = (
-    "done",
-    "waiter",
-    "barrier",
-    "event",
-)
-
-#: calls whose completion is the covering-FLUSH evidence; in a coroutine
-#: the call must be yielded/awaited (a bare ``ssd.flush()`` there returns
-#: an unwaited Event — fire-and-forget, not evidence)
-DEFAULT_BARRIER_EVIDENCE_CALLS: Tuple[str, ...] = ("flush",)
-
-# -- tenant isolation (LSVD016) ---------------------------------------------
-
 #: modules allowed to construct QoS enforcement machinery and hold
 #: cross-tenant rate state: the fleet control plane itself
 DEFAULT_FLEET_ALLOW: Tuple[str, ...] = ("fleet/",)
 
-#: class names whose construction is confined to ``fleet_allow`` —
-#: declaring limits (QoSLimits) is fine anywhere; *enforcing* them is not
-DEFAULT_FLEET_BUCKET_CLASSES: Tuple[str, ...] = (
-    "QoSTokenBucket",
-    "TenantThrottle",
-    "ThrottleSet",
-    "CoreAdmission",
-)
-
-#: ``self.<attr>`` names holding cross-tenant mutable state; touching
-#: them outside the fleet package couples tenants behind the QoS layer
-DEFAULT_FLEET_STATE_MARKERS: Tuple[str, ...] = (
-    "_tenants",
-    "_throttles",
-)
-
-#: modules whose volume I/O entry points must pass admission before
-#: forwarding to a shared resource (the flow half of the rule)
-DEFAULT_FLEET_MODULES: Tuple[str, ...] = (
-    "fleet/",
-    "core/volume.py",
-    "runtime/lsvd.py",
-)
-
-#: function-name substrings marking a volume I/O entry point
-DEFAULT_FLEET_ENTRY_MARKERS: Tuple[str, ...] = (
-    "write",
-    "read",
-    "submit",
-)
-
-#: receiver names that address a shared resource at a forward site
-DEFAULT_FLEET_FORWARD_RECEIVERS: Tuple[str, ...] = (
-    "wc",
-    "ssd",
-    "volume",
-    "vol",
-    "runtime",
-    "device",
-)
-
-#: method names that forward an I/O into the data plane
-DEFAULT_FLEET_FORWARD_METHODS: Tuple[str, ...] = (
-    "append",
-    "write",
-    "writev",
-    "read",
-    "submit",
-)
-
-#: calls that count as admission evidence on a path
-DEFAULT_FLEET_ADMISSION_CALLS: Tuple[str, ...] = (
-    "admit",
-    "admit_io",
-    "_admission",
-    "reserve",
-)
-
-#: identifier substrings marking a QoS handle in a branch test — the
-#: false side of ``self.qos is not None`` (no tenant attached) is a
-#: legitimate admission-free path
-DEFAULT_FLEET_QOS_MARKERS: Tuple[str, ...] = (
-    "qos",
-    "throttle",
-    "admission",
-)
-
-
-# -- placement confinement (LSVD017) ----------------------------------------
-
 #: the one module that owns temperature classification
 DEFAULT_PLACEMENT_ALLOW: Tuple[str, ...] = ("core/placement.py",)
-
-#: concrete policy classes whose construction is confined — everyone
-#: else goes through ``make_policy``
-DEFAULT_PLACEMENT_POLICY_CLASSES: Tuple[str, ...] = (
-    "SepBitPolicy",
-    "SingleClassPolicy",
-)
-
-#: private classifier state; touching it outside the policy forks the
-#: invalidation-time metadata
-DEFAULT_PLACEMENT_STATE_MARKERS: Tuple[str, ...] = (
-    "_page_temp",
-    "_page_last",
-    "_life_sum",
-    "_life_n",
-)
-
-#: class constants arithmetic on which counts as ad-hoc classification
-DEFAULT_PLACEMENT_TEMP_CONSTANTS: Tuple[str, ...] = (
-    "TEMP_HOT",
-    "TEMP_WARM",
-    "TEMP_COLD",
-    "NUM_TEMPS",
-)
-
-#: placement-consuming modules held to the relocation-flow check
-DEFAULT_PLACEMENT_MODULES: Tuple[str, ...] = (
-    "core/block_store.py",
-    "core/gc.py",
-    "gcsim/simulator.py",
-)
-
-#: calls that emit a GC relocation object (``gc=`` keyword, when
-#: present, must be the constant True to count)
-DEFAULT_PLACEMENT_RELOC_CALLS: Tuple[str, ...] = (
-    "seal_gc_batch",
-    "_store_object",
-)
-
-#: calls that count as classifier evidence dominating a relocation write
-DEFAULT_PLACEMENT_CLASSIFIER_CALLS: Tuple[str, ...] = (
-    "plan_relocation",
-    "split_relocation",
-    "on_write",
-)
 
 
 @dataclass(frozen=True)
@@ -534,75 +166,29 @@ class LintConfig:
     select: Optional[Tuple[str, ...]] = None
     ignore: Tuple[str, ...] = ()
     immutability_allow: Tuple[str, ...] = DEFAULT_IMMUTABILITY_ALLOW
-    store_receivers: Tuple[str, ...] = DEFAULT_STORE_RECEIVERS
     sequence_allow: Tuple[str, ...] = DEFAULT_SEQUENCE_ALLOW
     shard_allow: Tuple[str, ...] = DEFAULT_SHARD_ALLOW
-    determinism_dirs: Tuple[str, ...] = DEFAULT_DETERMINISM_DIRS
-    recovery_dirs: Tuple[str, ...] = DEFAULT_RECOVERY_DIRS
-    error_recording_names: Tuple[str, ...] = DEFAULT_ERROR_RECORDING
-    lba_markers: Tuple[str, ...] = DEFAULT_LBA_MARKERS
-    byte_markers: Tuple[str, ...] = DEFAULT_BYTE_MARKERS
-    obs_dirs: Tuple[str, ...] = DEFAULT_OBS_DIRS
     obs_allow: Tuple[str, ...] = DEFAULT_OBS_ALLOW
     stat_markers: Tuple[str, ...] = DEFAULT_STAT_MARKERS
-    hotpath_modules: Tuple[str, ...] = DEFAULT_HOTPATH_MODULES
     hotpath_blessed: Tuple[str, ...] = DEFAULT_HOTPATH_BLESSED
     struct_dataclass_map: Mapping[str, Mapping[str, str]] = field(
         default_factory=lambda: dict(DEFAULT_STRUCT_DATACLASS_MAP)
     )
     # flow rules (LSVD010-LSVD013)
-    settlement_dirs: Tuple[str, ...] = DEFAULT_SETTLEMENT_DIRS
     settlement_allow: Tuple[str, ...] = ()
-    flow_put_methods: Tuple[str, ...] = DEFAULT_FLOW_PUT_METHODS
-    flow_put_receivers: Tuple[str, ...] = DEFAULT_FLOW_PUT_RECEIVERS
-    durability_modules: Tuple[str, ...] = DEFAULT_DURABILITY_MODULES
     durability_allow: Tuple[str, ...] = ()
-    durability_ack_calls: Tuple[str, ...] = DEFAULT_DURABILITY_ACK_CALLS
-    durability_evidence_calls: Tuple[str, ...] = DEFAULT_DURABILITY_EVIDENCE_CALLS
-    durability_yield_evidence: Tuple[str, ...] = DEFAULT_DURABILITY_YIELD_EVIDENCE
     recovery_order_allow: Tuple[str, ...] = ()
-    recovery_function_markers: Tuple[str, ...] = DEFAULT_RECOVERY_FUNCTION_MARKERS
-    recovery_state_markers: Tuple[str, ...] = DEFAULT_RECOVERY_STATE_MARKERS
-    state_mutators: Tuple[str, ...] = DEFAULT_STATE_MUTATORS
-    durable_write_calls: Tuple[str, ...] = DEFAULT_DURABLE_WRITE_CALLS
-    durable_receivers: Tuple[str, ...] = DEFAULT_DURABLE_RECEIVERS
-    async_dirs: Tuple[str, ...] = DEFAULT_ASYNC_DIRS
     async_allow: Tuple[str, ...] = ()
-    async_state_markers: Tuple[str, ...] = DEFAULT_ASYNC_STATE_MARKERS
-    async_settle_calls: Tuple[str, ...] = DEFAULT_ASYNC_SETTLE_CALLS
     # span hygiene (LSVD015)
-    span_dirs: Tuple[str, ...] = DEFAULT_SPAN_DIRS
     span_allow: Tuple[str, ...] = ()
-    span_receivers: Tuple[str, ...] = DEFAULT_SPAN_RECEIVERS
-    span_begin_methods: Tuple[str, ...] = DEFAULT_SPAN_BEGIN_METHODS
     # barrier coalescing (LSVD014)
-    barrier_modules: Tuple[str, ...] = DEFAULT_BARRIER_MODULES
     barrier_allow: Tuple[str, ...] = ()
-    barrier_function_markers: Tuple[str, ...] = DEFAULT_BARRIER_FUNCTION_MARKERS
-    barrier_settle_receivers: Tuple[str, ...] = DEFAULT_BARRIER_SETTLE_RECEIVERS
-    barrier_evidence_calls: Tuple[str, ...] = DEFAULT_BARRIER_EVIDENCE_CALLS
     # tenant isolation (LSVD016)
     fleet_allow: Tuple[str, ...] = DEFAULT_FLEET_ALLOW
     fleet_admission_allow: Tuple[str, ...] = ()
-    fleet_bucket_classes: Tuple[str, ...] = DEFAULT_FLEET_BUCKET_CLASSES
-    fleet_state_markers: Tuple[str, ...] = DEFAULT_FLEET_STATE_MARKERS
-    fleet_modules: Tuple[str, ...] = DEFAULT_FLEET_MODULES
-    fleet_entry_markers: Tuple[str, ...] = DEFAULT_FLEET_ENTRY_MARKERS
-    fleet_forward_receivers: Tuple[str, ...] = DEFAULT_FLEET_FORWARD_RECEIVERS
-    fleet_forward_methods: Tuple[str, ...] = DEFAULT_FLEET_FORWARD_METHODS
-    fleet_admission_calls: Tuple[str, ...] = DEFAULT_FLEET_ADMISSION_CALLS
-    fleet_qos_markers: Tuple[str, ...] = DEFAULT_FLEET_QOS_MARKERS
     # placement confinement (LSVD017)
     placement_allow: Tuple[str, ...] = DEFAULT_PLACEMENT_ALLOW
     placement_flow_allow: Tuple[str, ...] = ()
-    placement_policy_classes: Tuple[str, ...] = DEFAULT_PLACEMENT_POLICY_CLASSES
-    placement_state_markers: Tuple[str, ...] = DEFAULT_PLACEMENT_STATE_MARKERS
-    placement_temp_constants: Tuple[str, ...] = DEFAULT_PLACEMENT_TEMP_CONSTANTS
-    placement_modules: Tuple[str, ...] = DEFAULT_PLACEMENT_MODULES
-    placement_reloc_calls: Tuple[str, ...] = DEFAULT_PLACEMENT_RELOC_CALLS
-    placement_classifier_calls: Tuple[str, ...] = (
-        DEFAULT_PLACEMENT_CLASSIFIER_CALLS
-    )
 
     # -- code filtering --------------------------------------------------
     def code_enabled(self, code: str) -> bool:
@@ -661,7 +247,12 @@ class LintConfig:
     # -- pyproject integration ------------------------------------------
     @classmethod
     def from_pyproject(cls, pyproject: pathlib.Path) -> "LintConfig":
-        """Defaults merged with the ``[tool.repro-lint]`` table, if any."""
+        """Defaults merged with the ``[tool.repro-lint]`` table, if any.
+
+        A field's key is its name with dashes (``hotpath_blessed`` keeps
+        its historical ``hotpath-allow``).  ``select`` replaces the
+        default; every other list extends it.
+        """
         base = cls()
         if tomllib is None or not pyproject.is_file():
             return base
@@ -670,74 +261,50 @@ class LintConfig:
         table = data.get("tool", {}).get("repro-lint", {})
         if not isinstance(table, dict):
             return base
+        updates: Dict[str, Tuple[str, ...]] = {}
+        for spec in fields(cls):
+            key = "hotpath-allow" if spec.name == "hotpath_blessed" else spec.name.replace("_", "-")
+            extra = table.get(key)
+            if spec.name == "struct_dataclass_map" or not isinstance(extra, list):
+                continue
+            items = tuple(str(item) for item in extra)
+            updates[spec.name] = items if spec.name == "select" else getattr(base, spec.name) + items
+        return replace(base, **updates)
 
-        def _extend(current: Tuple[str, ...], key: str) -> Tuple[str, ...]:
-            extra = table.get(key, [])
-            if not isinstance(extra, list):
-                return current
-            return current + tuple(str(item) for item in extra)
+    # -- self-check -------------------------------------------------------
+    def stale_entries(self, package_dir: pathlib.Path) -> List[str]:
+        """Allowlist entries that match nothing under ``package_dir``.
 
-        select = table.get("select")
-        return replace(
-            base,
-            select=tuple(str(c) for c in select) if isinstance(select, list) else None,
-            ignore=_extend(base.ignore, "ignore"),
-            immutability_allow=_extend(base.immutability_allow, "immutability-allow"),
-            store_receivers=_extend(base.store_receivers, "store-receivers"),
-            sequence_allow=_extend(base.sequence_allow, "sequence-allow"),
-            shard_allow=_extend(base.shard_allow, "shard-allow"),
-            obs_allow=_extend(base.obs_allow, "obs-allow"),
-            stat_markers=_extend(base.stat_markers, "stat-markers"),
-            hotpath_blessed=_extend(base.hotpath_blessed, "hotpath-allow"),
-            settlement_allow=_extend(base.settlement_allow, "settlement-allow"),
-            flow_put_receivers=_extend(
-                base.flow_put_receivers, "flow-put-receivers"
-            ),
-            durability_allow=_extend(base.durability_allow, "durability-allow"),
-            durability_ack_calls=_extend(
-                base.durability_ack_calls, "durability-ack-calls"
-            ),
-            durability_evidence_calls=_extend(
-                base.durability_evidence_calls, "durability-evidence-calls"
-            ),
-            recovery_order_allow=_extend(
-                base.recovery_order_allow, "recovery-order-allow"
-            ),
-            recovery_state_markers=_extend(
-                base.recovery_state_markers, "recovery-state-markers"
-            ),
-            async_allow=_extend(base.async_allow, "async-allow"),
-            async_state_markers=_extend(
-                base.async_state_markers, "async-state-markers"
-            ),
-            async_settle_calls=_extend(
-                base.async_settle_calls, "async-settle-calls"
-            ),
-            span_allow=_extend(base.span_allow, "span-allow"),
-            span_receivers=_extend(base.span_receivers, "span-receivers"),
-            barrier_modules=_extend(base.barrier_modules, "barrier-modules"),
-            barrier_allow=_extend(base.barrier_allow, "barrier-allow"),
-            barrier_settle_receivers=_extend(
-                base.barrier_settle_receivers, "barrier-settle-receivers"
-            ),
-            fleet_allow=_extend(base.fleet_allow, "fleet-allow"),
-            fleet_admission_allow=_extend(
-                base.fleet_admission_allow, "fleet-admission-allow"
-            ),
-            fleet_bucket_classes=_extend(
-                base.fleet_bucket_classes, "fleet-bucket-classes"
-            ),
-            fleet_state_markers=_extend(
-                base.fleet_state_markers, "fleet-state-markers"
-            ),
-            fleet_forward_receivers=_extend(
-                base.fleet_forward_receivers, "fleet-forward-receivers"
-            ),
-            placement_allow=_extend(base.placement_allow, "placement-allow"),
-            placement_flow_allow=_extend(
-                base.placement_flow_allow, "placement-flow-allow"
-            ),
-        )
+        An entry names a module suffix (``core/log.py``), a directory
+        prefix (``shard/``) or one function (``core/log.py::decode``).
+        One that matches no file — or no ``def`` of that name in it —
+        exempts nothing, and usually means the code it excused was moved
+        or deleted without the exemption being reviewed again.  Returns
+        ``"<field>: <entry>"`` strings.
+        """
+        paths = [str(path) for path in package_dir.rglob("*.py")]
+        stale: List[str] = []
+        for spec in fields(self):
+            if not spec.name.endswith(("_allow", "_blessed", "_map")):
+                continue
+            for entry in getattr(self, spec.name):
+                module, _sep, func = entry.partition("::")
+                hits = [
+                    path
+                    for path in paths
+                    if self.module_allowed(path, [module])
+                    or self.module_in_dirs(path, [module])
+                ]
+                if func:
+                    define = re.compile(rf"^\s*(?:async\s+)?def {re.escape(func)}\(", re.M)
+                    hits = [
+                        path
+                        for path in hits
+                        if define.search(pathlib.Path(path).read_text("utf-8"))
+                    ]
+                if not hits:
+                    stale.append(f"{spec.name}: {entry}")
+        return stale
 
 
 def discover_config(start: pathlib.Path) -> LintConfig:

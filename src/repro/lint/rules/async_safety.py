@@ -18,9 +18,9 @@ straddle an await by design are blessed via ``async-allow``.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator, Set
+from typing import Iterable, Iterator, Set, Tuple
 
-from repro.lint.config import LintConfig
+from repro.lint.config import STATE_MUTATORS, LintConfig
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.flow.cfg import Node, build_cfg, iter_functions
 from repro.lint.flow.dataflow import solve
@@ -34,13 +34,54 @@ from repro.lint.flow.typestate import (
 )
 from repro.lint.framework import ModuleContext, Rule
 
+#: directories the async-cancellation rule (LSVD013) watches
+ASYNC_DIRS: Tuple[str, ...] = (
+    "core/",
+    "shard/",
+    "objstore/",
+    "runtime/",
+    "fleet/",
+)
 
-def _mutated_attr(node: Node, config: LintConfig) -> str:
+#: ``self.<attr>`` substrings naming settlement-coupled state an async
+#: function must not leave dangling across an await point
+ASYNC_STATE_MARKERS: Tuple[str, ...] = (
+    "map",
+    "pending",
+    "batch",
+    "record",
+    "seq",
+    "head",
+    "frontier",
+    "ledger",
+    "settled",
+    "dirty",
+    "inflight",
+    "in_flight",
+    "copied",
+)
+
+#: calls that settle/register the pending mutation, closing the window
+ASYNC_SETTLE_CALLS: Tuple[str, ...] = (
+    "settle",
+    "settle_put",
+    "settle_all",
+    "release",
+    "release_through",
+    "barrier",
+    "flush",
+    "commit",
+    "checkpoint",
+    "succeed",
+)
+
+
+def _mutated_attr(node: Node) -> str:
     """The settlement-coupled ``self.<attr>`` this node mutates, or ''."""
 
     def state_attr(expr: ast.expr) -> str:
         attr = attr_on_self(expr)
-        if attr is not None and matches_marker(attr, config.async_state_markers):
+        if attr is not None and matches_marker(attr, ASYNC_STATE_MARKERS):
             return attr
         return ""
 
@@ -61,7 +102,7 @@ def _mutated_attr(node: Node, config: LintConfig) -> str:
         call = stmt.value
         if (
             isinstance(call.func, ast.Attribute)
-            and call.func.attr in config.state_mutators
+            and call.func.attr in STATE_MUTATORS
         ):
             attr = state_attr(call.func.value)
             if attr:
@@ -69,9 +110,9 @@ def _mutated_attr(node: Node, config: LintConfig) -> str:
     return ""
 
 
-def _is_registration(node: Node, config: LintConfig) -> bool:
+def _is_registration(node: Node) -> bool:
     """Settlement or ledger registration closes the critical window."""
-    if calls_named(node.parts, config.async_settle_calls):
+    if calls_named(node.parts, ASYNC_SETTLE_CALLS):
         return True
     stmt = node.stmt
     if isinstance(stmt, ast.Assign):
@@ -88,19 +129,16 @@ def _is_registration(node: Node, config: LintConfig) -> bool:
 class _WindowAnalysis(TypestateAnalysis):
     """Forward facts: mutations not yet settled/registered."""
 
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
-
     def gens(self, node: Node) -> Iterable[Pending]:
-        if _is_registration(node, self.config):
+        if _is_registration(node):
             return ()
-        attr = _mutated_attr(node, self.config)
+        attr = _mutated_attr(node)
         if not attr:
             return ()
         return (Pending(key=attr, origin=node.index, line=node.line),)
 
     def kills(self, node: Node, fact: PendingSet) -> Set[str]:
-        if _is_registration(node, self.config):
+        if _is_registration(node):
             return {p.key for p in fact}
         return set()
 
@@ -135,7 +173,7 @@ class AsyncCancellationRule(Rule):
     )
 
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
-        if not config.module_in_dirs(ctx.path, config.async_dirs):
+        if not config.module_in_dirs(ctx.path, ASYNC_DIRS):
             return
         allowed, whole = config.scoped_allow(ctx.path, config.async_allow)
         if whole:
@@ -149,7 +187,7 @@ class AsyncCancellationRule(Rule):
             suspenders = [n for n in cfg.stmt_nodes() if n.suspends]
             if not suspenders:
                 continue
-            solution = solve(cfg, _WindowAnalysis(config))
+            solution = solve(cfg, _WindowAnalysis())
             for node in suspenders:
                 pending = solution.before.get(node.index, frozenset())
                 if not pending:

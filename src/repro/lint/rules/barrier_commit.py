@@ -17,13 +17,42 @@ acknowledged before its covering flush completed.
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Sequence, Set
+from typing import FrozenSet, Iterator, Sequence, Set, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.flow.cfg import CFG, Edge, Node, iter_function_cfgs, walk_in_scope
 from repro.lint.flow.dataflow import BACKWARD, FlowAnalysis, solve
 from repro.lint.framework import ModuleContext, Rule
+
+#: modules whose commit-barrier paths are checked for coalescing safety
+BARRIER_MODULES: Tuple[str, ...] = (
+    "core/write_cache.py",
+    "core/volume.py",
+    "runtime/lsvd.py",
+    "runtime/bcache.py",
+)
+
+#: function-name substrings marking a commit-barrier / group-commit path
+BARRIER_FUNCTION_MARKERS: Tuple[str, ...] = (
+    "barrier",
+    "group_commit",
+    "commit_worker",
+)
+
+#: receiver names of the completion events a barrier settles; matched as
+#: the exact name or a ``_``-separated suffix (``first_done`` -> ``done``)
+BARRIER_SETTLE_RECEIVERS: Tuple[str, ...] = (
+    "done",
+    "waiter",
+    "barrier",
+    "event",
+)
+
+#: calls whose completion is the covering-FLUSH evidence; in a coroutine
+#: the call must be yielded/awaited (a bare ``ssd.flush()`` there returns
+#: an unwaited Event — fire-and-forget, not evidence)
+BARRIER_EVIDENCE_CALLS: Tuple[str, ...] = ("flush",)
 
 SettleSet = FrozenSet[int]
 
@@ -37,7 +66,7 @@ def _receiver_matches(name: str, receivers: Sequence[str]) -> bool:
     return False
 
 
-def _settles_barrier(node: Node, config: LintConfig) -> bool:
+def _settles_barrier(node: Node) -> bool:
     """Does this node settle a barrier completion event?
 
     Only ``<name>.succeed()`` where the receiver is a plain name matching
@@ -53,7 +82,7 @@ def _settles_barrier(node: Node, config: LintConfig) -> bool:
                 and sub.func.attr == "succeed"
                 and isinstance(sub.func.value, ast.Name)
                 and _receiver_matches(
-                    sub.func.value.id, config.barrier_settle_receivers
+                    sub.func.value.id, BARRIER_SETTLE_RECEIVERS
                 )
             ):
                 return True
@@ -70,7 +99,7 @@ def _function_is_coroutine(func: ast.AST) -> bool:
     return False
 
 
-def _is_flush_evidence(node: Node, config: LintConfig, coroutine: bool) -> bool:
+def _is_flush_evidence(node: Node, coroutine: bool) -> bool:
     """Covering-FLUSH evidence: a (yielded, when in a coroutine) flush call."""
     if not coroutine:
         for part in node.parts:
@@ -78,7 +107,7 @@ def _is_flush_evidence(node: Node, config: LintConfig, coroutine: bool) -> bool:
                 if (
                     isinstance(sub, ast.Call)
                     and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in config.barrier_evidence_calls
+                    and sub.func.attr in BARRIER_EVIDENCE_CALLS
                 ):
                     return True
         return False
@@ -92,7 +121,7 @@ def _is_flush_evidence(node: Node, config: LintConfig, coroutine: bool) -> bool:
                     if (
                         isinstance(inner, ast.Call)
                         and isinstance(inner.func, ast.Attribute)
-                        and inner.func.attr in config.barrier_evidence_calls
+                        and inner.func.attr in BARRIER_EVIDENCE_CALLS
                     ):
                         return True
     return False
@@ -103,10 +132,7 @@ class _SettleReachability(FlowAnalysis[SettleSet]):
 
     direction = BACKWARD
 
-    def __init__(
-        self, config: LintConfig, settle_nodes: Set[int], coroutine: bool
-    ) -> None:
-        self.config = config
+    def __init__(self, settle_nodes: Set[int], coroutine: bool) -> None:
         self.settle_nodes = settle_nodes
         self.coroutine = coroutine
 
@@ -120,7 +146,7 @@ class _SettleReachability(FlowAnalysis[SettleSet]):
         return a | b
 
     def transfer(self, node: Node, fact: SettleSet) -> SettleSet:
-        if _is_flush_evidence(node, self.config, self.coroutine):
+        if _is_flush_evidence(node, self.coroutine):
             # every path through this node is dominated by a flush
             return frozenset()
         if node.index in self.settle_nodes:
@@ -164,7 +190,7 @@ class BarrierCoalescingRule(Rule):
     )
 
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
-        if not config.module_allowed(ctx.path, config.barrier_modules):
+        if not config.module_allowed(ctx.path, BARRIER_MODULES):
             return
         allowed, whole = config.scoped_allow(ctx.path, config.barrier_allow)
         if whole:
@@ -174,19 +200,19 @@ class BarrierCoalescingRule(Rule):
                 continue
             if not any(
                 marker in func.name
-                for marker in config.barrier_function_markers
+                for marker in BARRIER_FUNCTION_MARKERS
             ):
                 continue
             settle_nodes = {
                 node.index
                 for node in cfg.stmt_nodes()
-                if _settles_barrier(node, config)
+                if _settles_barrier(node)
             }
             if not settle_nodes:
                 continue
             coroutine = _function_is_coroutine(func)
             solution = solve(
-                cfg, _SettleReachability(config, settle_nodes, coroutine)
+                cfg, _SettleReachability(settle_nodes, coroutine)
             )
             unguarded = solution.before.get(cfg.entry.index, frozenset())
             for index in sorted(unguarded):

@@ -12,11 +12,25 @@ instances are allowed.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.framework import ModuleContext, Rule
+
+#: directories whose code must be deterministic (simulated clock +
+#: seeded RNG only) for experiments to be replayable (§4)
+DETERMINISM_DIRS: Tuple[str, ...] = (
+    "core/",
+    "sim/",
+    "gcsim/",
+    "workloads/",
+    "devices/",
+    "crash/",
+    "obs/",
+    "shard/",
+    "fleet/",
+)
 
 #: call origins that read the wall clock
 WALL_CLOCK_CALLS = frozenset(
@@ -64,7 +78,7 @@ class DeterminismRule(Rule):
     )
 
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
-        if not config.module_in_dirs(ctx.path, config.determinism_dirs):
+        if not config.module_in_dirs(ctx.path, DETERMINISM_DIRS):
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):

@@ -18,7 +18,7 @@ evidence — and are skipped.
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Set
+from typing import FrozenSet, Iterator, Set, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
@@ -27,11 +27,50 @@ from repro.lint.flow.dataflow import BACKWARD, FlowAnalysis, solve
 from repro.lint.flow.typestate import call_name, calls_named
 from repro.lint.framework import ModuleContext, Rule
 
+#: modules holding completion/ack call sites (LSVD011) — the write path,
+#: its settlement ledger, replication, and the timed destage pipeline
+DURABILITY_MODULES: Tuple[str, ...] = (
+    "core/volume.py",
+    "core/write_cache.py",
+    "core/block_store.py",
+    "core/replication.py",
+    "runtime/lsvd.py",
+)
+
+#: calls that complete/acknowledge client-visible state: releasing cache
+#: log space, retiring superseded checkpoints, deleting GC victims
+DURABILITY_ACK_CALLS: Tuple[str, ...] = (
+    "release_through",
+    "retire_old_checkpoints",
+    "_advance_release_frontier",
+    "delete_victims",
+    "_release_space",
+)
+
+#: calls whose completion is durability evidence dominating an ack
+DURABILITY_EVIDENCE_CALLS: Tuple[str, ...] = (
+    "settle",
+    "settle_put",
+    "settle_all",
+    "flush",
+    "barrier",
+    "recover",
+)
+
+#: calls that count as evidence only when awaited/yielded — in the timed
+#: model ``yield backend.put(...)`` resumes when the PUT settles
+DURABILITY_YIELD_EVIDENCE: Tuple[str, ...] = (
+    "put",
+    "write",
+    "flush",
+    "barrier",
+)
+
 AckSet = FrozenSet[int]
 
 
-def _is_evidence_node(node: Node, config: LintConfig) -> bool:
-    if calls_named(node.parts, config.durability_evidence_calls):
+def _is_evidence_node(node: Node) -> bool:
+    if calls_named(node.parts, DURABILITY_EVIDENCE_CALLS):
         return True
     stmt = node.stmt
     # `self.<x>.settled = True` marks settlement directly
@@ -51,7 +90,7 @@ def _is_evidence_node(node: Node, config: LintConfig) -> bool:
                     if (
                         isinstance(inner, ast.Call)
                         and call_name(inner)
-                        in config.durability_yield_evidence
+                        in DURABILITY_YIELD_EVIDENCE
                     ):
                         return True
     return False
@@ -94,8 +133,7 @@ class _AckReachability(FlowAnalysis[AckSet]):
 
     direction = BACKWARD
 
-    def __init__(self, config: LintConfig, ack_nodes: Set[int]) -> None:
-        self.config = config
+    def __init__(self, ack_nodes: Set[int]) -> None:
         self.ack_nodes = ack_nodes
 
     def boundary(self, cfg: CFG, node: Node) -> AckSet:
@@ -108,7 +146,7 @@ class _AckReachability(FlowAnalysis[AckSet]):
         return a | b
 
     def transfer(self, node: Node, fact: AckSet) -> AckSet:
-        if _is_evidence_node(node, self.config):
+        if _is_evidence_node(node):
             # every path through this node is dominated by evidence
             return frozenset()
         if node.index in self.ack_nodes:
@@ -150,7 +188,7 @@ class DurabilityOrderingRule(Rule):
     )
 
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
-        if not config.module_allowed(ctx.path, config.durability_modules):
+        if not config.module_allowed(ctx.path, DURABILITY_MODULES):
             return
         allowed, whole = config.scoped_allow(ctx.path, config.durability_allow)
         if whole:
@@ -161,15 +199,15 @@ class DurabilityOrderingRule(Rule):
             ack_nodes = {
                 node.index
                 for node in cfg.stmt_nodes()
-                if calls_named(node.parts, config.durability_ack_calls)
+                if calls_named(node.parts, DURABILITY_ACK_CALLS)
             }
             if not ack_nodes:
                 continue
-            solution = solve(cfg, _AckReachability(config, ack_nodes))
+            solution = solve(cfg, _AckReachability(ack_nodes))
             unguarded = solution.before.get(cfg.entry.index, frozenset())
             for index in sorted(unguarded):
                 node = cfg.nodes[index]
-                calls = calls_named(node.parts, config.durability_ack_calls)
+                calls = calls_named(node.parts, DURABILITY_ACK_CALLS)
                 what = call_name(calls[0]) if calls else "ack"
                 yield self.diag(
                     ctx,

@@ -32,6 +32,15 @@ from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.framework import ModuleContext, Rule
 
+#: data-plane modules held to hot-path hygiene (LSVD009): no O(n) list
+#: shuffles or per-extent ``bytes()`` copies outside blessed helpers
+HOTPATH_MODULES: Tuple[str, ...] = (
+    "core/extent_map.py",
+    "core/volume.py",
+    "core/batch.py",
+    "core/log.py",
+)
+
 
 def _blessed_functions(
     ctx: ModuleContext, config: LintConfig
@@ -84,7 +93,7 @@ class HotPathRule(Rule):
     )
 
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
-        if not config.module_allowed(ctx.path, config.hotpath_modules):
+        if not config.module_allowed(ctx.path, HOTPATH_MODULES):
             return
         blessed, whole_module = _blessed_functions(ctx, config)
         if whole_module:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.config import LintConfig
+from repro.lint.config import STORE_RECEIVERS, LintConfig
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.framework import ModuleContext, Rule
 
@@ -63,7 +63,7 @@ class ImmutabilityRule(Rule):
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
         if config.module_allowed(ctx.path, config.immutability_allow):
             return
-        receivers = frozenset(config.store_receivers)
+        receivers = frozenset(STORE_RECEIVERS)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue

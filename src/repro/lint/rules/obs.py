@@ -21,11 +21,18 @@ accounting that happens to match a stat-ish name takes a line-scoped
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Set
+from typing import Iterator, Set, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.framework import ModuleContext, Rule
+
+#: directories whose stat counters / reporting must go through repro.obs
+OBS_DIRS: Tuple[str, ...] = (
+    "core/",
+    "runtime/",
+    "fleet/",
+)
 
 #: class-level declaration factories that mark an attribute as obs-backed
 OBS_FIELD_FACTORIES = frozenset({"metric_field", "gauge_field"})
@@ -98,7 +105,7 @@ class ObservabilityRule(Rule):
     )
 
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
-        if not config.module_in_dirs(ctx.path, config.obs_dirs):
+        if not config.module_in_dirs(ctx.path, OBS_DIRS):
             return
         if config.module_allowed(ctx.path, config.obs_allow):
             return

@@ -33,7 +33,7 @@ Two checks, one syntactic and one flow-sensitive:
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Set
+from typing import FrozenSet, Iterator, Set, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
@@ -41,6 +41,51 @@ from repro.lint.flow.cfg import CFG, Edge, Node, iter_function_cfgs
 from repro.lint.flow.dataflow import BACKWARD, FlowAnalysis, solve
 from repro.lint.flow.typestate import call_name, calls_named
 from repro.lint.framework import ModuleContext, Rule
+
+#: concrete policy classes whose construction is confined — everyone
+#: else goes through ``make_policy``
+PLACEMENT_POLICY_CLASSES: Tuple[str, ...] = (
+    "SepBitPolicy",
+    "SingleClassPolicy",
+)
+
+#: private classifier state; touching it outside the policy forks the
+#: invalidation-time metadata
+PLACEMENT_STATE_MARKERS: Tuple[str, ...] = (
+    "_page_temp",
+    "_page_last",
+    "_life_sum",
+    "_life_n",
+)
+
+#: class constants arithmetic on which counts as ad-hoc classification
+PLACEMENT_TEMP_CONSTANTS: Tuple[str, ...] = (
+    "TEMP_HOT",
+    "TEMP_WARM",
+    "TEMP_COLD",
+    "NUM_TEMPS",
+)
+
+#: placement-consuming modules held to the relocation-flow check
+PLACEMENT_MODULES: Tuple[str, ...] = (
+    "core/block_store.py",
+    "core/gc.py",
+    "gcsim/simulator.py",
+)
+
+#: calls that emit a GC relocation object (``gc=`` keyword, when
+#: present, must be the constant True to count)
+PLACEMENT_RELOC_CALLS: Tuple[str, ...] = (
+    "seal_gc_batch",
+    "_store_object",
+)
+
+#: calls that count as classifier evidence dominating a relocation write
+PLACEMENT_CLASSIFIER_CALLS: Tuple[str, ...] = (
+    "plan_relocation",
+    "split_relocation",
+    "on_write",
+)
 
 RelocSet = FrozenSet[int]
 
@@ -70,14 +115,14 @@ def _temp_operand(node: ast.BinOp, constants: FrozenSet[str]) -> str:
     return ""
 
 
-def _is_reloc_call(call: ast.Call, config: LintConfig) -> bool:
+def _is_reloc_call(call: ast.Call) -> bool:
     """True for calls that emit a GC relocation object.
 
     A call carrying an explicit ``gc=`` keyword counts only when it is
     the constant ``True`` — ``_store_object(..., gc=False)`` is the
     destage path, which classifies at ``on_write`` time instead.
     """
-    if call_name(call) not in config.placement_reloc_calls:
+    if call_name(call) not in PLACEMENT_RELOC_CALLS:
         return False
     for kw in call.keywords:
         if kw.arg == "gc":
@@ -90,8 +135,7 @@ class _RelocReachability(FlowAnalysis[RelocSet]):
 
     direction = BACKWARD
 
-    def __init__(self, config: LintConfig, reloc_nodes: Set[int]) -> None:
-        self.config = config
+    def __init__(self, reloc_nodes: Set[int]) -> None:
         self.reloc_nodes = reloc_nodes
 
     def boundary(self, cfg: CFG, node: Node) -> RelocSet:
@@ -104,7 +148,7 @@ class _RelocReachability(FlowAnalysis[RelocSet]):
         return a | b
 
     def transfer(self, node: Node, fact: RelocSet) -> RelocSet:
-        if calls_named(node.parts, self.config.placement_classifier_calls):
+        if calls_named(node.parts, PLACEMENT_CLASSIFIER_CALLS):
             return frozenset()
         if node.index in self.reloc_nodes:
             return fact | frozenset((node.index,))
@@ -148,17 +192,15 @@ class PlacementConfinementRule(Rule):
 
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
         if not config.module_allowed(ctx.path, config.placement_allow):
-            yield from self._check_confinement(ctx, config)
-        if config.module_allowed(ctx.path, config.placement_modules):
+            yield from self._check_confinement(ctx)
+        if config.module_allowed(ctx.path, PLACEMENT_MODULES):
             yield from self._check_relocation_flow(ctx, config)
 
     # -- confinement (syntactic) ----------------------------------------
-    def _check_confinement(
-        self, ctx: ModuleContext, config: LintConfig
-    ) -> Iterator[Diagnostic]:
-        classes = frozenset(config.placement_policy_classes)
-        markers = frozenset(config.placement_state_markers)
-        constants = frozenset(config.placement_temp_constants)
+    def _check_confinement(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
+        classes = frozenset(PLACEMENT_POLICY_CLASSES)
+        markers = frozenset(PLACEMENT_STATE_MARKERS)
+        constants = frozenset(PLACEMENT_TEMP_CONSTANTS)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 name = _constructed_class(node)
@@ -214,20 +256,20 @@ class PlacementConfinementRule(Rule):
                 node.index
                 for node in cfg.stmt_nodes()
                 if any(
-                    _is_reloc_call(call, config)
-                    for call in calls_named(node.parts, config.placement_reloc_calls)
+                    _is_reloc_call(call)
+                    for call in calls_named(node.parts, PLACEMENT_RELOC_CALLS)
                 )
             }
             if not reloc_nodes:
                 continue
-            solution = solve(cfg, _RelocReachability(config, reloc_nodes))
+            solution = solve(cfg, _RelocReachability(reloc_nodes))
             unguarded = solution.before.get(cfg.entry.index, frozenset())
             for index in sorted(unguarded):
                 node = cfg.nodes[index]
                 calls = [
                     call
-                    for call in calls_named(node.parts, config.placement_reloc_calls)
-                    if _is_reloc_call(call, config)
+                    for call in calls_named(node.parts, PLACEMENT_RELOC_CALLS)
+                    if _is_reloc_call(call)
                 ]
                 what = f"{call_name(calls[0])}()" if calls else "relocation write"
                 yield self.diag(

@@ -12,11 +12,23 @@ the specific LSVD error types (``CorruptRecordError``,
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List
+from typing import Iterator, List, Tuple
 
-from repro.lint.config import LintConfig
+from repro.lint.config import RECOVERY_DIRS, LintConfig
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.framework import ModuleContext, Rule
+
+#: call names that count as "recording" an error inside a handler
+ERROR_RECORDING: Tuple[str, ...] = (
+    "append",
+    "add_error",
+    "record_error",
+    "warning",
+    "error",
+    "exception",
+    "critical",
+    "fail",
+)
 
 _BROAD_NAMES = frozenset({"Exception", "BaseException"})
 
@@ -59,9 +71,9 @@ class RecoveryHandlerRule(Rule):
     )
 
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
-        if not config.module_in_dirs(ctx.path, config.recovery_dirs):
+        if not config.module_in_dirs(ctx.path, RECOVERY_DIRS):
             return
-        recording = frozenset(config.error_recording_names)
+        recording = frozenset(ERROR_RECORDING)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue

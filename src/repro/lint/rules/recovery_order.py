@@ -18,7 +18,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.config import LintConfig
+from repro.lint.config import RECOVERY_DIRS, STATE_MUTATORS, STORE_RECEIVERS, LintConfig
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.flow.cfg import walk_in_scope
 from repro.lint.flow.typestate import (
@@ -29,6 +29,56 @@ from repro.lint.flow.typestate import (
     receiver_tail,
 )
 from repro.lint.framework import ModuleContext, Rule
+
+#: function-name substrings marking recovery/GC code paths (LSVD012)
+RECOVERY_FUNCTION_MARKERS: Tuple[str, ...] = (
+    "recover",
+    "replay",
+    "restore",
+    "mount",
+    "load",
+    "open",
+    "clean",
+    "gc",
+    "victim",
+)
+
+#: ``self.<attr>`` substrings naming recovery-critical in-memory state
+RECOVERY_STATE_MARKERS: Tuple[str, ...] = (
+    "map",
+    "omap",
+    "record",
+    "snapshot",
+    "seq",
+    "epoch",
+    "super",
+    "ckpt",
+    "checkpoint",
+    "history",
+    "frontier",
+    "batch",
+)
+
+#: calls that persist state durably (checked against durable receivers)
+DURABLE_WRITE_CALLS: Tuple[str, ...] = (
+    "put",
+    "write",
+    "flush",
+    "barrier",
+    "write_checkpoint",
+    "write_super",
+    "checkpoint",
+    "delete",
+)
+
+#: receiver names that address durable media (stores, plus the cache
+#: image/device and the layered write-path objects)
+DURABLE_RECEIVERS: Tuple[str, ...] = STORE_RECEIVERS + (
+    "image",
+    "device",
+    "bs",
+    "wc",
+)
 
 _NESTED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -48,14 +98,12 @@ def _flatten(stmts: Sequence[ast.stmt]) -> List[ast.stmt]:
     return flat
 
 
-def _mutated_state_attr(
-    stmt: ast.stmt, config: LintConfig
-) -> Optional[str]:
+def _mutated_state_attr(stmt: ast.stmt) -> Optional[str]:
     """The ``self.<attr>`` recovery-state name this statement mutates."""
 
     def state_attr(expr: ast.expr) -> Optional[str]:
         attr = attr_on_self(expr)
-        if attr is not None and matches_marker(attr, config.recovery_state_markers):
+        if attr is not None and matches_marker(attr, RECOVERY_STATE_MARKERS):
             return attr
         return None
 
@@ -73,7 +121,7 @@ def _mutated_state_attr(
         call = stmt.value
         if (
             isinstance(call.func, ast.Attribute)
-            and call.func.attr in config.state_mutators
+            and call.func.attr in STATE_MUTATORS
         ):
             attr = state_attr(call.func.value)
             if attr is not None:
@@ -81,12 +129,12 @@ def _mutated_state_attr(
     return None
 
 
-def _durable_write(stmt: ast.stmt, config: LintConfig) -> Optional[ast.Call]:
+def _durable_write(stmt: ast.stmt) -> Optional[ast.Call]:
     for sub in walk_in_scope(stmt):
         if (
             isinstance(sub, ast.Call)
-            and call_name(sub) in config.durable_write_calls
-            and receiver_matches(receiver_tail(sub), config.durable_receivers)
+            and call_name(sub) in DURABLE_WRITE_CALLS
+            and receiver_matches(receiver_tail(sub), DURABLE_RECEIVERS)
         ):
             return sub
     return None
@@ -100,9 +148,7 @@ def _reraises(handler: ast.excepthandler) -> bool:
     )
 
 
-def _restores(
-    handler: ast.excepthandler, attrs: Set[str], config: LintConfig
-) -> bool:
+def _restores(handler: ast.excepthandler, attrs: Set[str]) -> bool:
     """True when the handler writes one of the mutated attributes back
     (or calls a ``restore``-shaped helper)."""
     for stmt in handler.body:
@@ -153,7 +199,7 @@ class RecoveryMutationOrderRule(Rule):
     )
 
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
-        if not config.module_in_dirs(ctx.path, config.recovery_dirs):
+        if not config.module_in_dirs(ctx.path, RECOVERY_DIRS):
             return
         allowed, whole = config.scoped_allow(
             ctx.path, config.recovery_order_allow
@@ -163,10 +209,10 @@ class RecoveryMutationOrderRule(Rule):
         for func in self._functions(ctx.tree):
             if func.name in allowed:
                 continue
-            if not matches_marker(func.name, config.recovery_function_markers):
+            if not matches_marker(func.name, RECOVERY_FUNCTION_MARKERS):
                 continue
             for trynode in self._trys(func):
-                yield from self._check_try(ctx, config, trynode)
+                yield from self._check_try(ctx, trynode)
 
     def _functions(
         self, tree: ast.AST
@@ -181,9 +227,7 @@ class RecoveryMutationOrderRule(Rule):
                 if isinstance(sub, ast.Try):
                     yield sub
 
-    def _check_try(
-        self, ctx: ModuleContext, config: LintConfig, trynode: ast.Try
-    ) -> Iterator[Diagnostic]:
+    def _check_try(self, ctx: ModuleContext, trynode: ast.Try) -> Iterator[Diagnostic]:
         if not trynode.handlers:
             return  # failures propagate; callers see the torn state signal
         flat = _flatten(trynode.body)
@@ -191,18 +235,18 @@ class RecoveryMutationOrderRule(Rule):
         mutated: Set[str] = set()
         durable_after: Optional[ast.Call] = None
         for stmt in flat:
-            attr = _mutated_state_attr(stmt, config)
+            attr = _mutated_state_attr(stmt)
             if attr is not None:
                 mutated.add(attr)
                 if first_mutation is None:
                     first_mutation = (stmt, attr)
                 continue
             if first_mutation is not None and durable_after is None:
-                durable_after = _durable_write(stmt, config)
+                durable_after = _durable_write(stmt)
         if first_mutation is None or durable_after is None:
             return
         for handler in trynode.handlers:
-            if _reraises(handler) or _restores(handler, mutated, config):
+            if _reraises(handler) or _restores(handler, mutated):
                 continue
             stmt, attr = first_mutation
             yield self.diag(

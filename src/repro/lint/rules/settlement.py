@@ -16,9 +16,9 @@ already signals the caller that the write did not complete.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from repro.lint.config import LintConfig
+from repro.lint.config import STORE_RECEIVERS, LintConfig
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.flow.cfg import CFG, Node, iter_function_cfgs
 from repro.lint.flow.dataflow import solve
@@ -34,17 +34,32 @@ from repro.lint.flow.typestate import (
 )
 from repro.lint.framework import ModuleContext, Rule
 
+#: directories whose PUT handles are settlement-tracked (LSVD010)
+SETTLEMENT_DIRS: Tuple[str, ...] = (
+    "core/",
+    "shard/",
+    "objstore/",
+    "runtime/",
+    "obs/",
+    "fleet/",
+)
 
-def _acquiring_call(
-    expr: Optional[ast.expr], config: LintConfig
-) -> Optional[ast.Call]:
+#: method names whose return value is an in-flight-write handle
+FLOW_PUT_METHODS: Tuple[str, ...] = ("put",)
+
+#: receiver names whose ``.put()`` yields a trackable handle; matched as
+#: the exact name or a ``_``-separated suffix (``dst_shard`` -> ``shard``)
+FLOW_PUT_RECEIVERS: Tuple[str, ...] = STORE_RECEIVERS + ("shard",)
+
+
+def _acquiring_call(expr: Optional[ast.expr]) -> Optional[ast.Call]:
     """The ``<store>.put(...)`` call in ``expr``, unwrapping ``await``."""
     call = unwrap_effect(expr)
     if not isinstance(call, ast.Call):
         return None
-    if call_name(call) not in config.flow_put_methods:
+    if call_name(call) not in FLOW_PUT_METHODS:
         return None
-    if not receiver_matches(receiver_tail(call), config.flow_put_receivers):
+    if not receiver_matches(receiver_tail(call), FLOW_PUT_RECEIVERS):
         return None
     return call
 
@@ -62,15 +77,12 @@ def _single_name_target(stmt: Optional[ast.AST]) -> Optional[str]:
 class _HandleAnalysis(TypestateAnalysis):
     """Forward facts: handles that may still be unsettled here."""
 
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
-
     def gens(self, node: Node) -> Iterable[Pending]:
         stmt = node.stmt
         if not isinstance(stmt, ast.Assign):
             return ()
         var = _single_name_target(stmt)
-        if var is None or _acquiring_call(stmt.value, self.config) is None:
+        if var is None or _acquiring_call(stmt.value) is None:
             return ()
         return (Pending(key=var, origin=node.index, line=node.line),)
 
@@ -116,7 +128,7 @@ class SettlementLeakRule(Rule):
     )
 
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
-        if not config.module_in_dirs(ctx.path, config.settlement_dirs):
+        if not config.module_in_dirs(ctx.path, SETTLEMENT_DIRS):
             return
         allowed, whole = config.scoped_allow(ctx.path, config.settlement_allow)
         if whole:
@@ -126,11 +138,9 @@ class SettlementLeakRule(Rule):
             # settled inner store; its puts ARE the settlement
             if func.name in allowed or "settle" in func.name:
                 continue
-            yield from self._check_function(ctx, config, cfg)
+            yield from self._check_function(ctx, cfg)
 
-    def _check_function(
-        self, ctx: ModuleContext, config: LintConfig, cfg: CFG
-    ) -> Iterator[Diagnostic]:
+    def _check_function(self, ctx: ModuleContext, cfg: CFG) -> Iterator[Diagnostic]:
         interesting = False
         for node in cfg.stmt_nodes():
             stmt = node.stmt
@@ -140,7 +150,7 @@ class SettlementLeakRule(Rule):
             if (
                 isinstance(stmt, ast.Expr)
                 and isinstance(stmt.value, ast.Call)
-                and _acquiring_call(stmt.value, config)
+                and _acquiring_call(stmt.value)
             ):
                 yield self.diag(
                     ctx,
@@ -153,13 +163,13 @@ class SettlementLeakRule(Rule):
                     "forget writes via settlement-allow",
                 )
             elif isinstance(stmt, ast.Assign) and _acquiring_call(
-                stmt.value, config
+                stmt.value
             ):
                 interesting = True
         if not interesting:
             return
 
-        solution = solve(cfg, _HandleAnalysis(config))
+        solution = solve(cfg, _HandleAnalysis())
         reported: Set[int] = set()
 
         def report(

@@ -23,7 +23,7 @@ attributions the benchmark gates check.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
@@ -41,17 +41,43 @@ from repro.lint.flow.typestate import (
 )
 from repro.lint.framework import ModuleContext, Rule
 
+#: repro-package directories whose span handles are hygiene-tracked;
+#: files outside any ``repro`` package (benchmarks, examples) are always
+#: in scope — span misuse there corrupts the very latency attributions
+#: the benchmarks gate on
+SPAN_DIRS: Tuple[str, ...] = (
+    "core/",
+    "runtime/",
+    "shard/",
+    "objstore/",
+    "obs/",
+    "crash/",
+    "fleet/",
+)
 
-def _begin_call(
-    expr: Optional[ast.expr], config: LintConfig
-) -> Optional[ast.Call]:
+#: receiver names whose ``.root()`` / ``.begin()`` yields a span handle;
+#: matched as the exact name or a ``_``-separated suffix
+SPAN_RECEIVERS: Tuple[str, ...] = (
+    "span",
+    "spans",
+    "root",
+    "parent",
+    "child",
+)
+
+#: method names that open a span (the recorder's ``root`` and a span's
+#: ``begin``)
+SPAN_BEGIN_METHODS: Tuple[str, ...] = ("root", "begin")
+
+
+def _begin_call(expr: Optional[ast.expr]) -> Optional[ast.Call]:
     """The ``<span>.begin(...)`` / ``<spans>.root(...)`` call in ``expr``."""
     call = unwrap_effect(expr)
     if not isinstance(call, ast.Call):
         return None
-    if call_name(call) not in config.span_begin_methods:
+    if call_name(call) not in SPAN_BEGIN_METHODS:
         return None
-    if not receiver_matches(receiver_tail(call), config.span_receivers):
+    if not receiver_matches(receiver_tail(call), SPAN_RECEIVERS):
         return None
     return call
 
@@ -69,15 +95,12 @@ def _single_name_target(stmt: Optional[ast.AST]) -> Optional[str]:
 class _SpanAnalysis(TypestateAnalysis):
     """Forward facts: span handles that may still be open here."""
 
-    def __init__(self, config: LintConfig) -> None:
-        self.config = config
-
     def gens(self, node: Node) -> Iterable[Pending]:
         stmt = node.stmt
         if not isinstance(stmt, ast.Assign):
             return ()
         var = _single_name_target(stmt)
-        if var is None or _begin_call(stmt.value, self.config) is None:
+        if var is None or _begin_call(stmt.value) is None:
             return ()
         return (Pending(key=var, origin=node.index, line=node.line),)
 
@@ -128,7 +151,7 @@ class SpanHygieneRule(Rule):
 
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
         key = config.module_key(ctx.path)
-        if "/" in key and not config.module_in_dirs(ctx.path, config.span_dirs):
+        if "/" in key and not config.module_in_dirs(ctx.path, SPAN_DIRS):
             return
         allowed, whole = config.scoped_allow(ctx.path, config.span_allow)
         if whole:
@@ -136,11 +159,9 @@ class SpanHygieneRule(Rule):
         for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
             if func.name in allowed:
                 continue
-            yield from self._check_function(ctx, config, cfg)
+            yield from self._check_function(ctx, cfg)
 
-    def _check_function(
-        self, ctx: ModuleContext, config: LintConfig, cfg: CFG
-    ) -> Iterator[Diagnostic]:
+    def _check_function(self, ctx: ModuleContext, cfg: CFG) -> Iterator[Diagnostic]:
         interesting = False
         for node in cfg.stmt_nodes():
             stmt = node.stmt
@@ -149,7 +170,7 @@ class SpanHygieneRule(Rule):
             if (
                 isinstance(stmt, ast.Expr)
                 and isinstance(stmt.value, ast.Call)
-                and _begin_call(stmt.value, config)
+                and _begin_call(stmt.value)
             ):
                 yield self.diag(
                     ctx,
@@ -161,13 +182,13 @@ class SpanHygieneRule(Rule):
                     "deliberate cases via span-allow",
                 )
             elif isinstance(stmt, ast.Assign) and _begin_call(
-                stmt.value, config
+                stmt.value
             ):
                 interesting = True
         if not interesting:
             return
 
-        solution = solve(cfg, _SpanAnalysis(config))
+        solution = solve(cfg, _SpanAnalysis())
         reported: Set[int] = set()
 
         def report(

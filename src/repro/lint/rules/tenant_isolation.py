@@ -27,7 +27,7 @@ Two checks, one syntactic and one flow-sensitive:
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Sequence, Set
+from typing import FrozenSet, Iterator, Sequence, Set, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
@@ -35,6 +35,73 @@ from repro.lint.flow.cfg import CFG, Edge, Node, iter_function_cfgs, walk_in_sco
 from repro.lint.flow.dataflow import BACKWARD, FlowAnalysis, solve
 from repro.lint.flow.typestate import call_name, calls_named, receiver_tail
 from repro.lint.framework import ModuleContext, Rule
+
+#: class names whose construction is confined to ``fleet_allow`` —
+#: declaring limits (QoSLimits) is fine anywhere; *enforcing* them is not
+FLEET_BUCKET_CLASSES: Tuple[str, ...] = (
+    "QoSTokenBucket",
+    "TenantThrottle",
+    "ThrottleSet",
+    "CoreAdmission",
+)
+
+#: ``self.<attr>`` names holding cross-tenant mutable state; touching
+#: them outside the fleet package couples tenants behind the QoS layer
+FLEET_STATE_MARKERS: Tuple[str, ...] = (
+    "_tenants",
+    "_throttles",
+)
+
+#: modules whose volume I/O entry points must pass admission before
+#: forwarding to a shared resource (the flow half of the rule)
+FLEET_MODULES: Tuple[str, ...] = (
+    "fleet/",
+    "core/volume.py",
+    "runtime/lsvd.py",
+)
+
+#: function-name substrings marking a volume I/O entry point
+FLEET_ENTRY_MARKERS: Tuple[str, ...] = (
+    "write",
+    "read",
+    "submit",
+)
+
+#: receiver names that address a shared resource at a forward site
+FLEET_FORWARD_RECEIVERS: Tuple[str, ...] = (
+    "wc",
+    "ssd",
+    "volume",
+    "vol",
+    "runtime",
+    "device",
+)
+
+#: method names that forward an I/O into the data plane
+FLEET_FORWARD_METHODS: Tuple[str, ...] = (
+    "append",
+    "write",
+    "writev",
+    "read",
+    "submit",
+)
+
+#: calls that count as admission evidence on a path
+FLEET_ADMISSION_CALLS: Tuple[str, ...] = (
+    "admit",
+    "admit_io",
+    "_admission",
+    "reserve",
+)
+
+#: identifier substrings marking a QoS handle in a branch test — the
+#: false side of ``self.qos is not None`` (no tenant attached) is a
+#: legitimate admission-free path
+FLEET_QOS_MARKERS: Tuple[str, ...] = (
+    "qos",
+    "throttle",
+    "admission",
+)
 
 ForwardSet = FrozenSet[int]
 
@@ -60,11 +127,11 @@ def _mentions_qos(expr: ast.expr, markers: Sequence[str]) -> bool:
     return False
 
 
-def _is_admission_node(node: Node, config: LintConfig) -> bool:
-    return bool(calls_named(node.parts, config.fleet_admission_calls))
+def _is_admission_node(node: Node) -> bool:
+    return bool(calls_named(node.parts, FLEET_ADMISSION_CALLS))
 
 
-def _edge_is_no_tenant(edge: Edge, config: LintConfig) -> bool:
+def _edge_is_no_tenant(edge: Edge) -> bool:
     """Branch edges proving no QoS is attached: the true side of
     ``<qos> is None`` or the false side of ``<qos> is not None``."""
     cond = edge.cond
@@ -76,7 +143,7 @@ def _edge_is_no_tenant(edge: Edge, config: LintConfig) -> bool:
             and len(sub.ops) == 1
             and isinstance(sub.comparators[0], ast.Constant)
             and sub.comparators[0].value is None
-            and _mentions_qos(sub.left, config.fleet_qos_markers)
+            and _mentions_qos(sub.left, FLEET_QOS_MARKERS)
         ):
             continue
         if edge.kind == "true" and isinstance(sub.ops[0], ast.Is):
@@ -91,8 +158,7 @@ class _ForwardReachability(FlowAnalysis[ForwardSet]):
 
     direction = BACKWARD
 
-    def __init__(self, config: LintConfig, forward_nodes: Set[int]) -> None:
-        self.config = config
+    def __init__(self, forward_nodes: Set[int]) -> None:
         self.forward_nodes = forward_nodes
 
     def boundary(self, cfg: CFG, node: Node) -> ForwardSet:
@@ -105,14 +171,14 @@ class _ForwardReachability(FlowAnalysis[ForwardSet]):
         return a | b
 
     def transfer(self, node: Node, fact: ForwardSet) -> ForwardSet:
-        if _is_admission_node(node, self.config):
+        if _is_admission_node(node):
             return frozenset()
         if node.index in self.forward_nodes:
             return fact | frozenset((node.index,))
         return fact
 
     def transfer_edge(self, edge: Edge, fact: ForwardSet) -> ForwardSet:
-        if _edge_is_no_tenant(edge, self.config):
+        if _edge_is_no_tenant(edge):
             return frozenset()
         return fact
 
@@ -150,16 +216,14 @@ class TenantIsolationRule(Rule):
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
         in_fleet = config.module_in_dirs(ctx.path, config.fleet_allow)
         if not in_fleet:
-            yield from self._check_confinement(ctx, config)
-        if config.module_in_dirs(ctx.path, config.fleet_modules):
+            yield from self._check_confinement(ctx)
+        if config.module_in_dirs(ctx.path, FLEET_MODULES):
             yield from self._check_admission(ctx, config)
 
     # -- confinement (syntactic) ----------------------------------------
-    def _check_confinement(
-        self, ctx: ModuleContext, config: LintConfig
-    ) -> Iterator[Diagnostic]:
-        classes = frozenset(config.fleet_bucket_classes)
-        markers = frozenset(config.fleet_state_markers)
+    def _check_confinement(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
+        classes = frozenset(FLEET_BUCKET_CLASSES)
+        markers = frozenset(FLEET_STATE_MARKERS)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 name = _constructed_class(node)
@@ -194,12 +258,12 @@ class TenantIsolationRule(Rule):
         allowed, whole = config.scoped_allow(ctx.path, config.fleet_admission_allow)
         if whole:
             return
-        receivers = frozenset(config.fleet_forward_receivers)
+        receivers = frozenset(FLEET_FORWARD_RECEIVERS)
         for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
             name = func.name
             if name in allowed or "admission" in name or "admit" in name:
                 continue
-            if not any(marker in name for marker in config.fleet_entry_markers):
+            if not any(marker in name for marker in FLEET_ENTRY_MARKERS):
                 continue
             forward_nodes = {
                 node.index
@@ -207,20 +271,20 @@ class TenantIsolationRule(Rule):
                 if any(
                     receiver_tail(call) in receivers
                     for call in calls_named(
-                        node.parts, config.fleet_forward_methods
+                        node.parts, FLEET_FORWARD_METHODS
                     )
                 )
             }
             if not forward_nodes:
                 continue
-            solution = solve(cfg, _ForwardReachability(config, forward_nodes))
+            solution = solve(cfg, _ForwardReachability(forward_nodes))
             unguarded = solution.before.get(cfg.entry.index, frozenset())
             for index in sorted(unguarded):
                 node = cfg.nodes[index]
                 calls = [
                     call
                     for call in calls_named(
-                        node.parts, config.fleet_forward_methods
+                        node.parts, FLEET_FORWARD_METHODS
                     )
                     if receiver_tail(call) in receivers
                 ]

@@ -22,6 +22,12 @@ from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.framework import ModuleContext, Rule
 
+#: identifier substrings marking LBA-denominated values
+LBA_MARKERS: Tuple[str, ...] = ("lba",)
+
+#: identifier substrings marking byte-denominated values
+BYTE_MARKERS: Tuple[str, ...] = ("byte", "off")
+
 
 def _family(name: str, markers: Sequence[str]) -> bool:
     lowered = name.lower()
@@ -63,14 +69,13 @@ class UnitConfusionRule(Rule):
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_signature(ctx, config, node)
+                yield from self._check_signature(ctx, node)
             elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
-                yield from self._check_mix(ctx, config, node)
+                yield from self._check_mix(ctx, node)
 
     def _check_signature(
         self,
         ctx: ModuleContext,
-        config: LintConfig,
         node: ast.FunctionDef,
     ) -> Iterator[Diagnostic]:
         args: List[ast.arg] = [
@@ -78,8 +83,8 @@ class UnitConfusionRule(Rule):
             *node.args.args,
             *node.args.kwonlyargs,
         ]
-        lba_args = [a for a in args if _family(a.arg, config.lba_markers)]
-        byte_args = [a for a in args if _family(a.arg, config.byte_markers)]
+        lba_args = [a for a in args if _family(a.arg, LBA_MARKERS)]
+        byte_args = [a for a in args if _family(a.arg, BYTE_MARKERS)]
         if not lba_args or not byte_args:
             return
         missing = [a for a in (*lba_args, *byte_args) if a.annotation is None]
@@ -93,13 +98,8 @@ class UnitConfusionRule(Rule):
                 "enough) so the unit mix is visible to reviewers and mypy",
             )
 
-    def _check_mix(
-        self,
-        ctx: ModuleContext,
-        config: LintConfig,
-        node: ast.BinOp,
-    ) -> Iterator[Diagnostic]:
-        pair = self._mixed_operands(node, config)
+    def _check_mix(self, ctx: ModuleContext, node: ast.BinOp) -> Iterator[Diagnostic]:
+        pair = self._mixed_operands(node)
         if pair is None:
             return
         lba_name, byte_name = pair
@@ -114,18 +114,16 @@ class UnitConfusionRule(Rule):
         )
 
     @staticmethod
-    def _mixed_operands(
-        node: ast.BinOp, config: LintConfig
-    ) -> Optional[Tuple[str, str]]:
+    def _mixed_operands(node: ast.BinOp) -> Optional[Tuple[str, str]]:
         left, right = _operand_name(node.left), _operand_name(node.right)
         for a, b in ((left, right), (right, left)):
             if (
                 a
                 and b
-                and _family(a, config.lba_markers)
-                and not _family(a, config.byte_markers)
-                and _family(b, config.byte_markers)
-                and not _family(b, config.lba_markers)
+                and _family(a, LBA_MARKERS)
+                and not _family(a, BYTE_MARKERS)
+                and _family(b, BYTE_MARKERS)
+                and not _family(b, LBA_MARKERS)
             ):
                 return a, b
         return None

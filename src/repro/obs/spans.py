@@ -1,7 +1,7 @@
 """Causal span trees with critical-path latency attribution.
 
 The pipelined data plane (group commit, per-shard destage queues,
-overlapped GC/recovery) means a single virtual-disk write's latency is
+overlapped recovery) means a single virtual-disk write's latency is
 spread across several queues and service stations.  Aggregate counters
 and histograms (repro.obs.metrics) say *how much* time the system spent
 flushing; they cannot say *which request* waited on that flush.  This

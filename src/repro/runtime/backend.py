@@ -110,14 +110,12 @@ class SimulatedObjectStore:
         self.sim.process(run(), name=f"del:{key}")
         return done
 
-    def list_keys(self, prefix: str = "", overlap: bool = True) -> Event:
+    def list_keys(self, prefix: str = "") -> Event:
         """LIST the durable keys under ``prefix``; value = sorted names.
 
         One request-latency round trip plus the response body crossing
-        the NIC.  ``overlap`` is accepted for interface parity with the
-        sharded backend (a single endpoint has nothing to overlap).
+        the NIC.
         """
-        del overlap  # single endpoint: exactly one LIST either way
         done = self.sim.event()
         self.lists += 1
         started = self.sim.now

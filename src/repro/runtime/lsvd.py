@@ -13,8 +13,6 @@ The data plane is an event-driven multi-queue pipeline:
   commit worker that coalesces everything waiting into one batch, issues
   one device FLUSH, and only then settles every barrier in the group
   (the LSVD014 invariant).  Writers are never gated behind a barrier.
-  ``params.group_commit=False`` restores the serial baseline (each
-  barrier gates all writers and pays its own FLUSH) for comparison.
 * **per-shard destage queues** — destage work is routed to the queue of
   the shard its object key lands on, each queue drained by its own
   workers, so one shard's slow PUT cannot head-of-line-block another's
@@ -41,7 +39,7 @@ from typing import Deque, List, Optional, Tuple
 from repro.core.config import LSVDConfig
 from repro.core.log import align_up
 from repro.core.placement import TEMP_NAMES, make_policy
-from repro.gcsim.simulator import GCSimulator
+from repro.gcsim.simulator import PAGE, GCSimulator
 from repro.obs import Registry, bind_metrics, gauge_field, metric_field
 from repro.runtime.backend import SimulatedObjectStore
 from repro.runtime.machine import ClientMachine
@@ -52,28 +50,6 @@ from repro.workloads.base import FLUSH, READ, WRITE, IOOp
 
 #: bucket edges for the barrier group-size histogram (barriers per FLUSH)
 _GROUP_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
-
-
-class _HookedGCSim(GCSimulator):
-    """Page-map simulator that reports object/GC I/O to the runtime."""
-
-    def __init__(self, runtime: "LSVDRuntime", *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._runtime = runtime
-
-    def _store_object(self, pages, gc: bool, temp: int = 0) -> int:
-        obj = super()._store_object(pages, gc, temp)
-        self._runtime._on_object(len(pages) * 4096, gc, temp)
-        return obj
-
-    def _clean(self, victims) -> None:
-        live = 0
-        for victim in victims:
-            pages = self.obj_pages[victim]
-            live += int((self.page_obj[pages] == victim).sum())
-        self._runtime._on_gc_read(live * 4096)
-        super()._clean(victims)
-        self._runtime._on_gc_delete(len(victims))
 
 
 class LSVDRuntime:
@@ -150,15 +126,16 @@ class LSVDRuntime:
         gc_high = self.config.gc_high_watermark if gc_enabled else 2e-9
         # the page map shares the full stack's placement implementation:
         # the same classifier object type, victim ordering, and relocation
-        # planner (core.placement) drive this timed model
-        self.pagemap = _HookedGCSim(
-            self,
+        # planner (core.placement) drive this timed model; the runtime
+        # listens for the object/GC I/O the algorithm implies
+        self.pagemap = GCSimulator(
             volume_size=volume_size,
             batch_size=self.config.batch_size,
             gc_low=gc_low,
             gc_high=gc_high,
             policy=make_policy(self.config),
             gc_policy=self.config.gc_policy,
+            listener=self,
         )
         self._class_puts = [
             self.obs.counter(f"lsvd.class_{cls}.objects_put") for cls in TEMP_NAMES
@@ -193,12 +170,6 @@ class LSVDRuntime:
         )
         sim.process(self._group_commit_worker(), name=f"{name}-commit")
 
-        # serial-barrier baseline state (params.group_commit=False)
-        self._inflight_writes = 0
-        self._drain_waiters: Deque[Event] = deque()
-        self._barrier_active = False
-        self._gate_waiters: Deque[Event] = deque()
-
         self._seq = 0
         self._rng_state = 12345
         # per-op process names, built once rather than per submit
@@ -219,13 +190,8 @@ class LSVDRuntime:
         elif op.kind == FLUSH:
             self.barrier_requests += 1
             span = self._root_span("barrier")
-            if self.params.group_commit:
-                qwait = span.begin("barrier_queue", kind="queue")
-                self._barrier_q.put((done, span, qwait))
-            else:
-                self.sim.process(
-                    self._serial_barrier(done, span), name=f"{self.name}-f"
-                )
+            qwait = span.begin("barrier_queue", kind="queue")
+            self._barrier_q.put((done, span, qwait))
         else:
             raise ValueError(f"unknown op kind {op.kind!r}")
         return done
@@ -252,17 +218,7 @@ class LSVDRuntime:
 
     def _write(self, op: IOOp, done: Event, span):
         yield from self._admission(op, span)
-        # serial baseline only: a barrier is an ordering point that gates
-        # new writes (group commit never sets _barrier_active)
-        if self._barrier_active:
-            gate_wait = span.begin("barrier_gate", kind="queue")
-            while self._barrier_active:
-                gate = self.sim.event()
-                self._gate_waiters.append(gate)
-                yield gate
-            gate_wait.end()
         self._inflight.add(done)
-        self._inflight_writes += 1
         try:
             stage = span.begin("write_cpu")
             yield from self.machine.cpu_work(self.params.write_cpu)
@@ -288,17 +244,13 @@ class LSVDRuntime:
             done.succeed()
             span.end()
             # feed the batcher (synchronous map/batch state; PUTs are
-            # queued to the destage workers via the _on_object hook);
+            # queued to the destage workers via the on_object hook);
             # the accumulated footprint is released exactly when the
             # covering object's PUT settles
             self._batch_log_bytes += footprint
             self.pagemap.write(op.offset, op.length)
         finally:
             self._inflight.discard(done)
-            self._inflight_writes -= 1
-            if self._inflight_writes == 0:
-                while self._drain_waiters:
-                    self._drain_waiters.popleft().succeed()
 
     def _read(self, op: IOOp, done: Event, span):
         yield from self._admission(op, span)
@@ -356,8 +308,8 @@ class LSVDRuntime:
             for stage in stages:
                 stage.end()
             # quiesce: writes admitted before this FLUSH issues must
-            # reach the cache SSD first (drain-then-flush, matching the
-            # serial path's durability; new writes are never gated)
+            # reach the cache SSD first (drain-then-flush; new writes are
+            # never gated)
             pending = [ev for ev in self._inflight if not ev.triggered]
             stages = [
                 span.begin("barrier_quiesce", kind="queue")
@@ -386,37 +338,11 @@ class LSVDRuntime:
                 done.succeed()
                 span.end(group=len(group))
 
-    def _serial_barrier(self, done: Event, span):
-        """Pre-pipeline baseline: quiesce all writers, one flush each."""
-        self._barrier_active = True
-        try:
-            stage = span.begin("barrier_cpu")
-            yield from self.machine.cpu_work(self.params.barrier_cpu)
-            stage.end()
-            stage = span.begin("barrier_quiesce", kind="queue")
-            if self._inflight_writes:
-                waiter = self.sim.event()
-                self._drain_waiters.append(waiter)
-                yield waiter
-            stage.end()
-            stage = span.begin("device_flush")
-            yield self.machine.ssd.flush()
-            stage.end()
-            self.barrier_flushes += 1
-            self._group_size_h.observe(1)
-            self.obs.trace.emit("barrier_group", size=1)
-            done.succeed()
-            span.end(group=1)
-        finally:
-            self._barrier_active = False
-            while self._gate_waiters:
-                self._gate_waiters.popleft().succeed()
-
     # ------------------------------------------------------------------
     # destage / GC plumbing
     # ------------------------------------------------------------------
-    def _on_object(self, nbytes: int, gc: bool, temp: int = 0) -> None:
-        """Hook: the page map sealed an object of ``nbytes`` in class
+    def on_object(self, nbytes: int, gc: bool, temp: int) -> None:
+        """Page-map listener: an object of ``nbytes`` was sealed in class
         ``temp``; the class tag rides the destage queue item."""
         self._seq += 1  # lint: disable=LSVD002 -- timed model's own object counter
         key = f"{self.name}.{self._seq:08d}"
@@ -428,12 +354,12 @@ class LSVDRuntime:
                 key, ("put", key, self._seq, nbytes, log_bytes, temp)
             )
 
-    def _on_gc_read(self, nbytes: int) -> None:
+    def on_gc_read(self, nbytes: int) -> None:
         if nbytes > 0:
             key = f"{self.name}.{self._seq:08d}"
             self._enqueue_destage(key, ("gcread", key, self._seq, nbytes, 0, 0))
 
-    def _on_gc_delete(self, count: int) -> None:
+    def on_gc_delete(self, count: int) -> None:
         key = f"{self.name}.{self._seq:08d}"
         for _ in range(count):
             self._enqueue_destage(key, ("delete", key, self._seq, 0, 0, 0))
@@ -464,36 +390,30 @@ class LSVDRuntime:
             self.destage_queue_depth -= 1
             self._queue_gauges[index].set(len(queue))
             qwait.end()
-            if kind == "put":
-                # the userspace daemon reads outgoing data from the cache
-                # SSD (§3.7), then PUTs the object
-                # seq only picks a distinct simulated SSD address here; no
-                # real log offsets exist in the timed model
-                stage = root.begin("destage_read", bytes=nbytes)
-                yield self.machine.ssd.read(self._log_head + seq, nbytes)  # lint: disable=LSVD002
-                stage.end()
+            if kind == "put" or kind == "gcput":
+                if kind == "put":
+                    # the userspace daemon reads outgoing data from the
+                    # cache SSD (§3.7), then PUTs the object (relocated
+                    # data arrived through its "gcread" instead); seq only
+                    # picks a distinct simulated SSD address here — no
+                    # real log offsets exist in the timed model
+                    stage = root.begin("destage_read", bytes=nbytes)
+                    yield self.machine.ssd.read(self._log_head + seq, nbytes)  # lint: disable=LSVD002
+                    stage.end()
                 stage = root.begin("destage_cpu")
                 yield from self.machine.cpu_work(self.params.destage_user_cpu)
                 stage.end()
                 stage = root.begin("shard_put", shard=index, bytes=nbytes)
                 yield self.backend.put(key, nbytes)
                 stage.end()
-                self.objects_put += 1
                 self.backend_bytes_put += nbytes
                 self._class_puts[temp].inc()
                 self._class_bytes_put[temp].inc(nbytes)
-                self._release_space(log_bytes)
-            elif kind == "gcput":
-                stage = root.begin("destage_cpu")
-                yield from self.machine.cpu_work(self.params.destage_user_cpu)
-                stage.end()
-                stage = root.begin("shard_put", shard=index, bytes=nbytes)
-                yield self.backend.put(key, nbytes)
-                stage.end()
-                self.gc_objects_put += 1
-                self.backend_bytes_put += nbytes
-                self._class_puts[temp].inc()
-                self._class_bytes_put[temp].inc(nbytes)
+                if kind == "put":
+                    self.objects_put += 1
+                    self._release_space(log_bytes)
+                else:
+                    self.gc_objects_put += 1
             elif kind == "gcread":
                 cached = int(nbytes * self.params.gc_cache_hit)
                 remote = nbytes - cached
@@ -526,42 +446,35 @@ class LSVDRuntime:
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------
-    def recovery_scan(
-        self, max_headers: int = 16, overlap: bool = True
-    ) -> Event:
+    def recovery_scan(self, max_headers: int = 16) -> Event:
         """Timed mount sweep (§3.3): LIST the volume's objects, then read
         the newest ``max_headers`` object headers to rebuild the map tail.
 
-        With ``overlap`` both fans — the per-shard LISTs and the header
-        GETs — are issued concurrently, so the sweep costs ~one round
-        trip of the slowest shard instead of the sum of all of them.
+        Both fans — the per-shard LISTs and the header GETs — are issued
+        concurrently, so the sweep costs ~one round trip of the slowest
+        shard instead of the sum of all of them.
         The event's value reports ``{"objects", "headers", "duration"}``.
         """
         done = self.sim.event()
         self.sim.process(
-            self._recovery_scan(done, max_headers, overlap),
-            name=f"{self.name}-mount",
+            self._recovery_scan(done, max_headers), name=f"{self.name}-mount"
         )
         return done
 
-    def _recovery_scan(self, done: Event, max_headers: int, overlap: bool):
+    def _recovery_scan(self, done: Event, max_headers: int):
         started = self.sim.now
         self.recovery_scans += 1
-        span = self.obs.spans.root("recovery_scan", overlap=overlap)
+        span = self.obs.spans.root("recovery_scan")
         stage = span.begin("recovery_list")
-        names = yield self.backend.list_keys(f"{self.name}.", overlap=overlap)
+        names = yield self.backend.list_keys(f"{self.name}.")
         stage.end(objects=len(names))
         recent = names[-max_headers:] if max_headers > 0 else []
         header = self.params.log_header_bytes
         stage = span.begin("recovery_headers", headers=len(recent))
-        if overlap:
-            if recent:
-                yield self.sim.all_of(
-                    [self.backend.get_range(n, 0, header) for n in recent]
-                )
-        else:
-            for key in recent:
-                yield self.backend.get_range(key, 0, header)
+        if recent:
+            yield self.sim.all_of(
+                [self.backend.get_range(n, 0, header) for n in recent]
+            )
         stage.end()
         span.end()
         duration = self.sim.now - started
@@ -569,7 +482,6 @@ class LSVDRuntime:
             "recovery_scan",
             objects=len(names),
             headers=len(recent),
-            overlap=overlap,
             duration=duration,
         )
         done.succeed(
@@ -604,9 +516,8 @@ class LSVDRuntime:
     # ------------------------------------------------------------------
     def occupancy(self) -> Tuple[int, int]:
         """(live bytes, total backend data bytes) — Figure 15's curves."""
-        live = sum(self.pagemap.obj_live.values()) * 4096
-        total = sum(self.pagemap.obj_size.values()) * 4096
-        return live, total
+        live, total = self.pagemap.occupancy()
+        return live * PAGE, total * PAGE
 
     @property
     def write_amplification(self) -> float:

@@ -23,20 +23,12 @@ class LSVDParams:
     read_hit_cpu: float = 20e-6  # map lookup + 2 boundary crossings
     read_miss_cpu: float = 120e-6  # + context switches + golang overhead
     barrier_cpu: float = 2e-6
-    s3_latency: float = 5.9e-3  # RGW software latency per request (Tab. 6)
     destage_workers: int = 8  # overlapped PUTs
     destage_user_cpu: float = 63e-6  # golang overhead per PUT
     log_header_bytes: int = 4096  # per-record expansion (§3.1)
     #: fraction of GC reads served from the local cache (§3.5); 0 is the
     #: conservative default (all GC reads hit the backend)
     gc_cache_hit: float = 0.0
-    #: group commit: concurrent commit barriers are coalesced by a single
-    #: worker so one device FLUSH settles the whole batch and writers are
-    #: never gated behind an in-flight barrier.  False restores the
-    #: pre-pipeline serial path (every barrier gates all writers, one
-    #: FLUSH each) — kept in-repo as the comparison baseline the
-    #: pipeline-smoke gate measures against.
-    group_commit: bool = True
 
 
 @dataclass(frozen=True)

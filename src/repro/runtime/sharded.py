@@ -83,33 +83,21 @@ class ShardedSimulatedBackend:
         count_shard_op(self.obs, index, self.n_shards, "deletes")
         return self.backends[index].delete(key)
 
-    def list_keys(self, prefix: str = "", overlap: bool = True) -> Event:
+    def list_keys(self, prefix: str = "") -> Event:
         """Scatter-gather LIST across every shard; value = sorted names.
 
-        With ``overlap`` (the recovery fan) the per-shard LISTs are all
-        in flight at once and the merge fires when the slowest shard
-        answers — total latency ~= max over shards.  Without it the
-        sweep degenerates to the sequential per-shard walk the
-        pre-pipeline mount performed (latency ~= sum over shards), kept
-        selectable so the overlap win stays measurable.
+        The per-shard LISTs are all in flight at once and the merge fires
+        when the slowest shard answers — total latency ~= max over
+        shards, not their sum.
         """
         done = self.sim.event()
         for index in range(self.n_shards):
             count_shard_op(self.obs, index, self.n_shards, "lists")
 
         def gather():
-            names: List[str] = []
-            if overlap:
-                events = [b.list_keys(prefix) for b in self.backends]
-                yield self.sim.all_of(events)
-                for ev in events:
-                    names.extend(ev.value)
-            else:
-                for backend in self.backends:
-                    ev = backend.list_keys(prefix)
-                    shard_names = yield ev
-                    names.extend(shard_names)
-            done.succeed(sorted(names))
+            events = [b.list_keys(prefix) for b in self.backends]
+            yield self.sim.all_of(events)
+            done.succeed(sorted(name for ev in events for name in ev.value))
 
         self.sim.process(gather(), name=f"list-fan:{prefix or '*'}")
         return done

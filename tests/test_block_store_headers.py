@@ -29,7 +29,7 @@ def fill_one_object(bs, tag=1):
             for batch in sealed:
                 bs.commit(batch)
             return sealed[-1]
-    sealed = bs.seal()
+    sealed = next(bs.seal_all(), None)
     bs.commit(sealed)
     return sealed
 
@@ -100,7 +100,7 @@ def test_occupancy_excludes_checkpoints_and_base():
 
 def test_seal_empty_batch_returns_none():
     _store, bs = make_store()
-    assert bs.seal() is None
+    assert next(bs.seal_all(), None) is None
 
 
 def test_commit_tracks_merged_bytes():

@@ -93,29 +93,39 @@ def test_gc_fully_dead_object_deleted_without_copies():
 
 
 def test_gc_hole_plugging_merges_extents():
-    store, bs = make_store(defrag_hole_bytes=8192)
-    # live pattern: pages 0,2,4,... (odd pages overwritten later)
-    for i in range(32):
-        write_and_commit(bs, i * 4096, bytes([1]) * 4096)
-    flush(bs)
-    for i in range(1, 32, 2):
-        write_and_commit(bs, i * 4096, bytes([2]) * 4096)
-    flush(bs)
-    for i in range(128, 160):
-        write_and_commit(bs, i * 4096, bytes([3]) * 4096)
-    flush(bs)
+    # one stream, 16-page objects: A = pages 0-11, 40, 43, 60, 61
+    store, bs = make_store(
+        defrag_hole_bytes=8192, placement="legacy", gc_policy="greedy"
+    )
+    for page in [*range(12), 40, 43, 60, 61]:
+        write_and_commit(bs, page * 4096, bytes([1]) * 4096)
+    # B overwrites A's odd pages and maps page 41 — half of the two-page
+    # gap between A's pages 40 and 43 (page 42 stays unmapped)
+    for page in [1, 3, 5, 7, 9, 11, 41, *range(100, 109)]:
+        write_and_commit(bs, page * 4096, bytes([2]) * 4096)
+    assert len(bs.omap.objects) == 2  # A and B
+    extents_before = len(bs.omap.map)
     gc = GarbageCollector(bs, bs.config)
     plan = gc.plan()
-    if plan is not None and plan.pieces:
-        assert plan.holes_plugged >= 0
-        gc.execute(plan)
-        bs.write_checkpoint()
-        gc.delete_victims(plan.victims)
+    assert len(plan.victims) == 1  # A, at 10/16 live
+    # the five one-page gaps between A's even pages are fully mapped (by
+    # B) and are copied along; the half-mapped gap 41-42 is left alone
+    assert plan.holes_plugged == 5 * 4096
+    assert plan.live_bytes == (10 + 5) * 4096
+    assert not any(lba // 4096 in (41, 42) for lba, _n, _s, _d in plan.pieces)
+    gc.execute(plan)
+    bs.write_checkpoint()
+    gc.delete_victims(plan.victims)
+    assert gc.stats.holes_plugged == 5 * 4096
+    # pages 0-10 are now one extent instead of eleven
+    assert extents_before == 17
+    assert len(bs.omap.map) == 7
     # data still correct
     from tests.test_block_store import read_all
 
     assert read_all(bs, 0, 4096) == bytes([1]) * 4096
     assert read_all(bs, 1 * 4096, 4096) == bytes([2]) * 4096
+    assert read_all(bs, 41 * 4096, 2 * 4096) == bytes([2]) * 4096 + bytes(4096)
 
 
 def test_gc_stats_accumulate_over_rounds():

@@ -46,7 +46,58 @@ def test_merge_disabled_counts_nothing():
             sim.write(i * PAGE, PAGE)
     rep = sim.finish()
     assert rep.merged_bytes == 0
-    assert rep.backend_bytes == 256 * PAGE
+    # both copies of every page are stored; the older one is garbage on
+    # arrival, so the cleaner may run — it only adds relocation traffic
+    assert rep.backend_bytes - rep.gc_bytes == 256 * PAGE
+
+
+def test_merge_disabled_displaces_and_counts_distinct_pages():
+    """Three unmerged writes of one page: the second object stores two
+    copies, displaces the first object once, and holds one live page."""
+    sim = GCSimulator(volume_size=1 * MiB, batch_size=2 * PAGE, merge=False, gc_low=1e-9)
+    sim.write(0, PAGE)
+    sim.flush_batch()
+    sim.write(0, PAGE)
+    sim.write(0, PAGE)  # fills the two-page batch: sealed here
+    assert sim.obj_live == {0: 0, 1: 1}
+    assert sim.obj_size == {0: 1, 1: 2}
+    assert sim.occupancy() == (1, 3)
+
+
+class _Recorder:
+    def __init__(self):
+        self.calls = []
+
+    def on_object(self, nbytes, gc, temp):
+        self.calls.append(("object", nbytes, gc))
+
+    def on_gc_read(self, nbytes):
+        self.calls.append(("gc_read", nbytes))
+
+    def on_gc_delete(self, count):
+        self.calls.append(("gc_delete", count))
+
+
+def test_listener_sees_read_then_objects_then_delete():
+    rec = _Recorder()
+    sim = GCSimulator(volume_size=1 * MiB, batch_size=4 * PAGE, listener=rec)
+    for page in (0, 1, 2, 3):  # object 0: four live pages
+        sim.write(page * PAGE, PAGE)
+    assert rec.calls == [("object", 4 * PAGE, False)]
+    assert sim.pending_pages == 0 and sim.occupancy() == (4, 4)
+    for page in (0, 1, 2, 8):  # object 1 kills three of them: 5/8 < 70 %
+        sim.write(page * PAGE, PAGE)
+    # one cleaning round: the victim's live page is read, relocated, then
+    # the victim is deleted — in that order
+    assert rec.calls[1:] == [
+        ("object", 4 * PAGE, False),
+        ("gc_read", 1 * PAGE),
+        ("object", 1 * PAGE, True),
+        ("gc_delete", 1),
+    ]
+    assert sim.occupancy() == (5, 5)
+    sim.write(9 * PAGE, PAGE)
+    assert sim.pending_pages == 1
 
 
 def test_merge_never_crosses_batches():

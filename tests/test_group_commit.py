@@ -12,7 +12,6 @@ from repro.cluster import StorageCluster
 from repro.core import LSVDConfig
 from repro.devices.ssd import SSD, SSDSpec
 from repro.runtime import ClientMachine, LSVDRuntime, SimulatedObjectStore
-from repro.runtime.params import LSVDParams
 from repro.runtime.sharded import make_sharded_backend
 from repro.sim import Simulator
 from repro.workloads.base import FLUSH, WRITE, IOOp
@@ -27,7 +26,7 @@ def ssd_cluster(sim, servers=4, per=8):
     )
 
 
-def lsvd_world(params=None, n_shards=0, cache=4 * GiB, volume=1 * GiB):
+def lsvd_world(n_shards=0, cache=4 * GiB, volume=1 * GiB):
     sim = Simulator()
     machine = ClientMachine(sim)
     if n_shards:
@@ -37,8 +36,7 @@ def lsvd_world(params=None, n_shards=0, cache=4 * GiB, volume=1 * GiB):
     else:
         backend = SimulatedObjectStore(sim, ssd_cluster(sim), machine.network)
     dev = LSVDRuntime(
-        sim, machine, backend, volume, cache, LSVDConfig(),
-        params=params, name="vd",
+        sim, machine, backend, volume, cache, LSVDConfig(), name="vd"
     )
     return sim, machine, backend, dev
 
@@ -107,27 +105,15 @@ def test_every_settlement_happens_after_its_covering_flush():
     assert cursor == K
 
 
-def test_serial_baseline_pays_one_flush_per_barrier():
-    params = LSVDParams(group_commit=False)
-    sim, m, backend, dev = lsvd_world(params=params)
-    K = 6
-    events = [dev.submit(IOOp(FLUSH)) for _ in range(K)]
-    sim.run()
-    assert all(ev.processed for ev in events)
-    assert m.ssd.stats.flushes == K
-    assert dev.barrier_flushes == K
-    assert all(size == 1 for _ts, size in barrier_groups(dev))
-
-
 def test_barrier_seals_partial_batch_through_public_api():
     sim, m, backend, dev = lsvd_world()
     done = dev.submit(IOOp(WRITE, 0, 64 * 1024))
     sim.run_until_event(done)
-    assert any(dev.pagemap._batches.values())  # partial batch is accumulating
+    assert dev.pagemap.pending_pages > 0  # partial batch is accumulating
     flush = dev.submit(IOOp(FLUSH))
     sim.run_until_event(flush)
     # sealed by the barrier, not stranded
-    assert not any(dev.pagemap._batches.values())
+    assert dev.pagemap.pending_pages == 0
     sim.run(until=sim.now + 5.0)
     assert dev.objects_put >= 1  # ... and destaged to the backend
 
@@ -189,7 +175,7 @@ def test_queue_depth_gauge_rises_and_drains():
 # ---------------------------------------------------------------------------
 
 
-def _recovered_world(overlap):
+def _recovered_world():
     sim, m, backend, dev = lsvd_world(n_shards=4, volume=2 * GiB)
 
     def burst():
@@ -201,22 +187,30 @@ def _recovered_world(overlap):
     sim.run(until=30.0)
     sim.run()  # drain destage so the backend holds the objects
     assert backend.puts > 4
-    scan = dev.recovery_scan(max_headers=8, overlap=overlap)
-    result = sim.run_until_event(scan)
-    return result
+    result = sim.run_until_event(dev.recovery_scan(max_headers=8))
+    return sim, backend, dev, result
 
 
 def test_recovery_scan_finds_the_durable_objects():
-    result = _recovered_world(overlap=True)
+    _sim, _backend, _dev, result = _recovered_world()
     assert result["objects"] > 4
     assert result["headers"] == 8
     assert result["duration"] > 0
 
 
 def test_overlapped_recovery_beats_sequential():
-    fanned = _recovered_world(overlap=True)
-    serial = _recovered_world(overlap=False)
-    assert fanned["objects"] == serial["objects"]
-    # the scatter-gather fan costs ~max over shards, the sequential walk
-    # ~sum over shards — the whole point of overlapping the sweep
-    assert fanned["duration"] < serial["duration"]
+    # the sweep is two scatter-gather fans (per-shard LISTs, then the header
+    # GETs), so it costs about one LIST + one header round trip of the
+    # slowest shard; a sequential walk would pay four LISTs and eight
+    # header GETs back to back — the whole point of overlapping the sweep
+    sim, backend, dev, result = _recovered_world()
+    slowest = 0.0
+    for shard in backend.backends:
+        started = sim.now
+        names = sim.run_until_event(shard.list_keys("vd."))
+        assert names
+        sim.run_until_event(
+            shard.get_range(names[-1], 0, dev.params.log_header_bytes)
+        )
+        slowest = max(slowest, sim.now - started)
+    assert result["duration"] < 2 * slowest

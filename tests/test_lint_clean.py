@@ -39,6 +39,38 @@ def test_cli_json_clean_document(capsys):
     assert doc["diagnostics"] == []
 
 
+def test_no_allowlist_entry_is_stale():
+    """Every allowlist/default entry must still match a file (and, for a
+    ``module::function`` entry, a ``def``) in the package it exempts."""
+    config = LintConfig.from_pyproject(REPO / "pyproject.toml")
+    assert config.stale_entries(SRC) == []
+
+
+def test_stale_allowlist_entry_is_an_error(tmp_path, capsys):
+    from dataclasses import replace
+
+    config = replace(
+        LintConfig.from_pyproject(REPO / "pyproject.toml"),
+        sequence_allow=("core/log.py", "core/gone.py"),
+        durability_allow=("core/volume.py::_finish_gc_round", "core/volume.py::_gone"),
+        shard_allow=("shard/", "elsewhere/"),
+    )
+    assert config.stale_entries(SRC) == [
+        "sequence_allow: core/gone.py",
+        "shard_allow: elsewhere/",
+        "durability_allow: core/volume.py::_gone",
+    ]
+    # the CLI refuses to lint a package with a stale exemption
+    package = tmp_path / "repro"
+    (package / "core").mkdir(parents=True)
+    (package / "core" / "log.py").write_text("x = 1\n")
+    (tmp_path / "pyproject.toml").write_text(
+        '[tool.repro-lint]\nsequence-allow = ["core/gone.py"]\n'
+    )
+    assert lint_main([str(package)]) == 1
+    assert "sequence_allow: core/gone.py" in capsys.readouterr().err
+
+
 def test_every_rule_actually_ran_against_the_tree():
     """Guard against a rule being silently disabled by configuration."""
     config = LintConfig.from_pyproject(REPO / "pyproject.toml")

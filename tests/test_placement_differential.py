@@ -8,16 +8,20 @@ through ``BlockStore`` + ``GarbageCollector`` with identically-configured
 recording policies, and the two engines must agree *exactly* on
 
 * the class assigned to every client write (the ``on_write`` trace),
-* per-class destaged and GC-relocated byte totals, and
-* the final per-class occupancy of the backend.
+* per-class destaged and GC-relocated byte totals,
+* the final per-class occupancy of the backend, and
+* the bytes plugged by §4.6 defragmentation and the final extent count
+  (both engines feed :func:`repro.core.placement.relocation_runs`).
 
 The GC trigger discipline is mirrored (a cleaning check after every
-stored object, rounds until the stop watermark) and the victim window is
-made larger than any candidate pool, so each round cleans the *set* of
-all eligible victims — the one place the engines are allowed to differ
-is object numbering (the simulator interleaves GC object ids into a
-seal group, the store pre-allocates the group's seqs), and a set-sized
-window keeps that numbering out of the comparison.
+stored object, rounds until the stop watermark).  The one place the
+engines are allowed to differ is object numbering (the simulator
+interleaves GC object ids into a seal group, the store pre-allocates the
+group's seqs), which cost-benefit's age term can see under a finite
+victim window — so the SepBIT + cost-benefit pair runs with a window
+larger than any candidate pool (each round cleans the *set* of all
+eligible victims), while the single-stream greedy pair, whose groups are
+one object, is also held to the production ``gc_window = 8``.
 """
 
 import pytest
@@ -39,7 +43,11 @@ BATCH = 16 * KiB
 OPS = 1500
 WINDOW = 1 << 16  # larger than any candidate pool: a round takes the whole set
 
-CASES = [("sepbit", "cost_benefit"), ("legacy", "greedy")]
+CASES = [
+    ("sepbit", "cost_benefit", WINDOW),
+    ("legacy", "greedy", WINDOW),
+    ("legacy", "greedy", 8),
+]
 
 
 def write_stream(distribution: str, seed: int):
@@ -65,13 +73,16 @@ def mirror_gc(gc: GarbageCollector) -> None:
         gc.delete_victims(plan.victims)
 
 
-def run_gcsim(stream, placement: str, gc_policy: str) -> GCSimulator:
+def run_gcsim(
+    stream, placement: str, gc_policy: str, window: int = WINDOW, defrag_pages: int = 0
+) -> GCSimulator:
     sim = GCSimulator(
         VOLUME,
         batch_size=BATCH,
         policy=make_policy(placement, record=True),
         gc_policy=gc_policy,
-        gc_window=WINDOW,
+        gc_window=window,
+        defrag_hole_pages=defrag_pages,
     )
     for offset, length in stream:
         sim.write(offset, length)
@@ -79,12 +90,15 @@ def run_gcsim(stream, placement: str, gc_policy: str) -> GCSimulator:
     return sim
 
 
-def run_full_stack(stream, placement: str, gc_policy: str):
+def run_full_stack(
+    stream, placement: str, gc_policy: str, window: int = WINDOW, defrag_pages: int = 0
+):
     config = LSVDConfig(
         batch_size=BATCH,
         placement=placement,
         gc_policy=gc_policy,
-        gc_window=WINDOW,
+        gc_window=window,
+        defrag_hole_bytes=defrag_pages * 4096,
         checkpoint_interval=1 << 30,  # keep checkpoints out of the stream
     )
     bs = BlockStore.create(InMemoryObjectStore(), "vol", VOLUME, config)
@@ -102,12 +116,15 @@ def run_full_stack(stream, placement: str, gc_policy: str):
     return bs, gc
 
 
-@pytest.mark.parametrize("placement,gc_policy", CASES)
+@pytest.mark.parametrize("defrag_pages", [0, 2])
+@pytest.mark.parametrize("placement,gc_policy,window", CASES)
 @pytest.mark.parametrize("distribution", ["zipfian", "hotspot"])
-def test_engines_agree_on_classes_and_relocation(placement, gc_policy, distribution):
+def test_engines_agree_on_classes_and_relocation(
+    placement, gc_policy, window, distribution, defrag_pages
+):
     stream = write_stream(distribution, seed=7)
-    sim = run_gcsim(stream, placement, gc_policy)
-    bs, gc = run_full_stack(stream, placement, gc_policy)
+    sim = run_gcsim(stream, placement, gc_policy, window, defrag_pages)
+    bs, gc = run_full_stack(stream, placement, gc_policy, window, defrag_pages)
 
     # every client write got the same temperature class, in order
     assert sim.policy.trace == bs.placement.trace
@@ -133,6 +150,11 @@ def test_engines_agree_on_classes_and_relocation(placement, gc_policy, distribut
         if (live, total) != (0, 0)
     }
     assert page == full
+
+    # one hole-plugging rule, one map shape
+    assert (sim.holes_plugged > 0) == (defrag_pages > 0)
+    assert sim.holes_plugged * 4096 == gc.stats.holes_plugged
+    assert sim.extent_count() == len(bs.omap.map)
 
 
 def test_zipfian_stream_actually_exercises_every_class():

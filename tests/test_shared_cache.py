@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import LSVDConfig, LSVDVolume
-from repro.core.shared_cache import SharedObjectCache, attach_shared_cache
+from repro.core.shared_cache import SharedObjectCache
 from repro.devices.image import DiskImage
 from repro.objstore import InMemoryObjectStore
 
@@ -74,7 +74,7 @@ def test_second_clone_hits_what_first_fetched():
     store, clones = make_base_and_clones(2)
     shared = SharedObjectCache(capacity=8 * MiB)
     for clone in clones:
-        attach_shared_cache(clone, shared)
+        shared.attach(clone)
     gets_before = store.stats.range_gets + store.stats.gets
     clones[0].read(100 * 4096, 4096)
     gets_mid = store.stats.range_gets + store.stats.gets
@@ -88,7 +88,7 @@ def test_shared_cache_correctness_across_clones():
     store, clones = make_base_and_clones(3)
     shared = SharedObjectCache(capacity=8 * MiB)
     for clone in clones:
-        attach_shared_cache(clone, shared)
+        shared.attach(clone)
     # divergent writes stay private
     clones[0].write(0, b"A" * 4096)
     clones[1].write(0, b"B" * 4096)
@@ -242,7 +242,7 @@ def test_gc_of_clone_does_not_poison_shared_cache():
     store, clones = make_base_and_clones(2)
     shared = SharedObjectCache(capacity=8 * MiB)
     for clone in clones:
-        attach_shared_cache(clone, shared)
+        shared.attach(clone)
     rng = random.Random(1)
     for i in range(2000):
         clones[0].write(rng.randrange(0, 512) * 4096, bytes([i % 250 + 1]) * 4096)
