@@ -1,7 +1,7 @@
 """Lint wall-clock gate: the flow-sensitive analyzer must stay cheap.
 
 ``make lint-bench`` (CI uploads the artifact) runs the full invariant
-checker — all fourteen rules, including the CFG/dataflow passes — over
+checker — every rule, including the CFG/dataflow passes — over
 every linted tree (``src/repro``, ``benchmarks``, ``examples``) and
 writes ``BENCH_lint.json`` with:
 

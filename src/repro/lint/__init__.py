@@ -8,9 +8,9 @@ can pin down locally:
   layer may mutate the object stream (LSVD001);
 * object / record sequence numbers are allocated in exactly one place
   and are strictly monotone (LSVD002);
-* everything under ``core/``, ``sim/``, ``gcsim/``, ``workloads/`` and
-  ``devices/`` is deterministic — simulated clock and seeded RNG only
-  (LSVD003);
+* everything under the ``DETERMINISM_DIRS`` (``core/``, ``sim/``,
+  ``gcsim/``, ...) is deterministic — simulated clock and seeded RNG
+  only, no OS entropy (LSVD003);
 * recovery code never swallows an exception it cannot classify
   (LSVD004);
 * LBA-denominated and byte-denominated quantities never mix silently

@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description="Check the LSVD tree against its global invariants "
-        "(LSVD001-LSVD013).",
+        f"({ALL_RULES[0].code}-{ALL_RULES[-1].code}).",
     )
     parser.add_argument(
         "paths",

@@ -14,7 +14,9 @@ machinery the LSVD010-LSVD013 rules are built on:
 * :mod:`repro.lint.flow.dataflow` — a small worklist solver running
   forward or backward over a CFG with edge-sensitive transfers;
 * :mod:`repro.lint.flow.typestate` — per-variable gen/kill lattices
-  (acquire / consume / branch-refine) shared by the typestate rules.
+  (acquire / consume / branch-refine) shared by the typestate rules,
+  the backward ``unguarded_sites`` dominance analysis shared by the
+  ordering rules (LSVD011/014/016/017), and the AST vocabulary.
 
 Flow rules are ordinary :class:`repro.lint.framework.Rule` subclasses:
 they plug into the same registry, suppressions, allowlists, and

@@ -225,18 +225,17 @@ def _is_constant_true(expr: ast.expr) -> bool:
     return isinstance(expr, ast.Constant) and bool(expr.value)
 
 
-def _catches_everything(handlers: Sequence[ast.excepthandler]) -> bool:
-    broad = ("Exception", "BaseException")
-    for handler in handlers:
-        if handler.type is None:
-            return True
-        if isinstance(handler.type, ast.Name) and handler.type.id in broad:
-            return True
-        if isinstance(handler.type, ast.Tuple) and any(
-            isinstance(e, ast.Name) and e.id in broad for e in handler.type.elts
-        ):
-            return True
-    return False
+def broad_catch(handler: ast.ExceptHandler) -> bool:
+    """True for ``except:``, ``except Exception`` and ``except BaseException``
+    (bare or inside a tuple) — a clause no exception escapes past."""
+    node = handler.type
+    if node is None:
+        return True
+    names = node.elts if isinstance(node, ast.Tuple) else [node]
+    return any(
+        isinstance(item, ast.Name) and item.id in ("Exception", "BaseException")
+        for item in names
+    )
 
 
 class _Builder:
@@ -437,7 +436,7 @@ class _Builder:
                 hbody = self._seq(handler.body, handler_ctx)
                 self.cfg.add_edge(dispatch, hnode, "handler")
                 self.cfg.add_edge(hnode, hbody, "next")
-            if not _catches_everything(stmt.handlers):
+            if not any(map(broad_catch, stmt.handlers)):
                 self.cfg.add_edge(dispatch, fin_exc(), "raise")
             body_exc: _Thunk = lambda: dispatch  # noqa: E731
         else:

@@ -6,7 +6,10 @@ put into a must-be-resolved state at that node and has not been
 resolved yet".  :class:`TypestateAnalysis` is the forward gen/kill
 skeleton: subclasses say what *acquires* (gen), what *resolves* (kill),
 and which branch edges *refine* (a ``handle is None`` test proves there
-is nothing to settle on the true side).
+is nothing to settle on the true side).  Its backward twin is
+:func:`unguarded_sites`: which *sites* can control reach from function
+entry without first crossing *evidence* — the one dominance question the
+ordering rules (LSVD011/014/016/017) ask, each with its own vocabulary.
 
 The module also collects the small AST predicates every flow rule
 needs — trailing receiver names, awaited-call unwrapping, load-name
@@ -18,10 +21,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.flow.cfg import CFG, Edge, Node, walk_in_scope
-from repro.lint.flow.dataflow import FlowAnalysis
+from repro.lint.flow.dataflow import BACKWARD, FlowAnalysis, solve
 
 PendingSet = FrozenSet["Pending"]
 
@@ -76,6 +79,65 @@ class TypestateAnalysis(FlowAnalysis[PendingSet]):
         return branch_refuted_names(edge.cond, edge.kind)
 
 
+SiteSet = FrozenSet[int]
+
+
+class _Unguarded(FlowAnalysis[SiteSet]):
+    """Backward may-analysis: sites reachable from here with no evidence
+    node or edge between."""
+
+    direction = BACKWARD
+
+    def __init__(
+        self,
+        sites: SiteSet,
+        node_evidence: Callable[[Node], bool],
+        edge_evidence: Callable[[Edge], bool],
+    ) -> None:
+        self.sites = sites
+        self.node_evidence = node_evidence
+        self.edge_evidence = edge_evidence
+
+    def boundary(self, cfg: CFG, node: Node) -> SiteSet:
+        return frozenset()
+
+    def initial(self) -> SiteSet:
+        return frozenset()
+
+    def join(self, a: SiteSet, b: SiteSet) -> SiteSet:
+        return a | b
+
+    def transfer(self, node: Node, fact: SiteSet) -> SiteSet:
+        if self.node_evidence(node):
+            # every path through this node is dominated by evidence
+            return frozenset()
+        if node.index in self.sites:
+            return fact | frozenset((node.index,))
+        return fact
+
+    def transfer_edge(self, edge: Edge, fact: SiteSet) -> SiteSet:
+        return frozenset() if self.edge_evidence(edge) else fact
+
+
+def unguarded_sites(
+    cfg: CFG,
+    is_site: Callable[[Node], bool],
+    node_evidence: Callable[[Node], bool],
+    edge_evidence: Callable[[Edge], bool] = lambda edge: False,
+) -> List[Node]:
+    """Site nodes some path from function entry reaches without crossing
+    an evidence node or an evidence edge, in node order.
+
+    Evidence wins over site-ness on the same node; a function with no
+    site is answered without running the solver.
+    """
+    sites = frozenset(n.index for n in cfg.stmt_nodes() if is_site(n))
+    if not sites:
+        return []
+    solution = solve(cfg, _Unguarded(sites, node_evidence, edge_evidence))
+    return [cfg.nodes[i] for i in sorted(solution.before[cfg.entry.index])]
+
+
 # ---------------------------------------------------------------------------
 # AST vocabulary
 # ---------------------------------------------------------------------------
@@ -92,27 +154,25 @@ def unwrap_effect(expr: Optional[ast.expr]) -> Optional[ast.expr]:
             return expr
 
 
+def tail_name(expr: Optional[ast.AST]) -> str:
+    """Trailing identifier of a name-like expression: ``self.store`` ->
+    ``store``, ``seq`` -> ``seq``; '' for anything else."""
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    if isinstance(expr, ast.Name):
+        return expr.id
+    return ""
+
+
 def call_name(call: ast.Call) -> str:
     """The called name: ``foo`` for ``foo(..)``, ``put`` for ``x.put(..)``."""
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
+    return tail_name(call.func)
 
 
 def receiver_tail(call: ast.Call) -> str:
     """Trailing identifier of the receiver: ``self.dst_shard.put`` -> ``dst_shard``."""
     func = call.func
-    if not isinstance(func, ast.Attribute):
-        return ""
-    value = func.value
-    if isinstance(value, ast.Attribute):
-        return value.attr
-    if isinstance(value, ast.Name):
-        return value.id
-    return ""
+    return tail_name(func.value) if isinstance(func, ast.Attribute) else ""
 
 
 def receiver_matches(tail: str, receivers: Sequence[str]) -> bool:
@@ -136,6 +196,25 @@ def calls_named(parts: Sequence[ast.AST], names: Sequence[str]) -> List[ast.Call
     return [c for c in calls_in(parts) if call_name(c) in names]
 
 
+def node_calls(names: Sequence[str]) -> Callable[[Node], bool]:
+    """Node predicate: the node evaluates a call to one of ``names``."""
+    return lambda node: bool(calls_named(node.parts, names))
+
+
+def suspended_calls(parts: Sequence[ast.AST], names: Sequence[str]) -> List[ast.Call]:
+    """Calls to ``names`` under an ``await``/``yield``: the coroutine
+    resumes only once they complete (``yield dev.flush()``, not a bare
+    ``dev.flush()`` whose Event nobody waits on)."""
+    return [
+        call
+        for part in parts
+        for sub in walk_in_scope(part)
+        if isinstance(sub, (ast.Await, ast.Yield, ast.YieldFrom))
+        and sub.value is not None
+        for call in calls_named([sub.value], names)
+    ]
+
+
 def loads_in(parts: Sequence[ast.AST]) -> Set[str]:
     """Every plain name read anywhere in ``parts``."""
     return {
@@ -148,6 +227,23 @@ def loads_in(parts: Sequence[ast.AST]) -> Set[str]:
 
 def _is_none(expr: ast.expr) -> bool:
     return isinstance(expr, ast.Constant) and expr.value is None
+
+
+def none_side(edge: Edge, about: Callable[[ast.expr], bool]) -> bool:
+    """True when ``edge`` is the ``None`` side of a test on something
+    ``about`` accepts: the true edge of ``<expr> is None`` or the false
+    edge of ``<expr> is not None``, anywhere in the branch condition."""
+    wanted = {"true": ast.Is, "false": ast.IsNot}.get(edge.kind)
+    if edge.cond is None or wanted is None:
+        return False
+    return any(
+        isinstance(sub, ast.Compare)
+        and len(sub.ops) == 1
+        and isinstance(sub.ops[0], wanted)
+        and _is_none(sub.comparators[0])
+        and about(sub.left)
+        for sub in walk_in_scope(edge.cond)
+    )
 
 
 def split_guard(test: ast.expr) -> Tuple[Set[str], List[ast.expr]]:
@@ -264,3 +360,38 @@ def attr_on_self(expr: ast.expr) -> Optional[str]:
 def matches_marker(name: str, markers: Sequence[str]) -> bool:
     lowered = name.lower()
     return any(marker in lowered for marker in markers)
+
+
+def mutated_self_attr(
+    stmt: Optional[ast.AST],
+    markers: Sequence[str],
+    mutators: Sequence[str],
+    bookkeeping: Sequence[str] = (),
+) -> Optional[str]:
+    """The marker-named ``self.<attr>`` this statement mutates, if any:
+    an (aug-)assignment to it, a subscript store into it, or an in-place
+    ``mutators`` call on it.  A subscript store into a container whose
+    name contains a ``bookkeeping`` word does not count — registering in
+    a pending/ledger table *is* the settlement bookkeeping."""
+
+    def state_attr(expr: ast.expr) -> Optional[str]:
+        attr = attr_on_self(expr)
+        if attr is not None and matches_marker(attr, markers):
+            return attr
+        return None
+
+    if isinstance(stmt, (ast.Assign, ast.AugAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        for target in targets:
+            attr = state_attr(target)
+            if attr is not None:
+                return attr
+            if isinstance(target, ast.Subscript):
+                base = state_attr(target.value)
+                if base is not None and not any(w in base for w in bookkeeping):
+                    return base
+    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
+        func = stmt.value.func
+        if isinstance(func, ast.Attribute) and func.attr in mutators:
+            return state_attr(func.value)
+    return None

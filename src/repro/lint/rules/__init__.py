@@ -38,24 +38,3 @@ ALL_RULES = [
     TenantIsolationRule,
     PlacementConfinementRule,
 ]
-
-__all__ = [
-    "ALL_RULES",
-    "AsyncCancellationRule",
-    "BarrierCoalescingRule",
-    "DeterminismRule",
-    "DurabilityOrderingRule",
-    "HotPathRule",
-    "ImmutabilityRule",
-    "ObservabilityRule",
-    "PlacementConfinementRule",
-    "RecoveryHandlerRule",
-    "RecoveryMutationOrderRule",
-    "SequenceHygieneRule",
-    "SettlementLeakRule",
-    "ShardOwnershipRule",
-    "SpanHygieneRule",
-    "StructConsistencyRule",
-    "TenantIsolationRule",
-    "UnitConfusionRule",
-]

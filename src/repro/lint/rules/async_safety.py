@@ -30,7 +30,7 @@ from repro.lint.flow.typestate import (
     TypestateAnalysis,
     attr_on_self,
     calls_named,
-    matches_marker,
+    mutated_self_attr,
 )
 from repro.lint.framework import ModuleContext, Rule
 
@@ -76,38 +76,9 @@ ASYNC_SETTLE_CALLS: Tuple[str, ...] = (
 )
 
 
-def _mutated_attr(node: Node) -> str:
-    """The settlement-coupled ``self.<attr>`` this node mutates, or ''."""
-
-    def state_attr(expr: ast.expr) -> str:
-        attr = attr_on_self(expr)
-        if attr is not None and matches_marker(attr, ASYNC_STATE_MARKERS):
-            return attr
-        return ""
-
-    stmt = node.stmt
-    if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        for target in targets:
-            attr = state_attr(target)
-            if attr:
-                return attr
-            if isinstance(target, ast.Subscript):
-                # registering into a pending/ledger container *is* the
-                # settlement bookkeeping, not a dangling mutation
-                base = state_attr(target.value)
-                if base and "pending" not in base and "ledger" not in base:
-                    return base
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        call = stmt.value
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr in STATE_MUTATORS
-        ):
-            attr = state_attr(call.func.value)
-            if attr:
-                return attr
-    return ""
+#: container-name words marking the settlement bookkeeping itself: a
+#: subscript store into one *registers* a mutation rather than making one
+_BOOKKEEPING = ("pending", "ledger")
 
 
 def _is_registration(node: Node) -> bool:
@@ -119,9 +90,7 @@ def _is_registration(node: Node) -> bool:
         for target in stmt.targets:
             if isinstance(target, ast.Subscript):
                 attr = attr_on_self(target.value)
-                if attr is not None and (
-                    "pending" in attr or "ledger" in attr
-                ):
+                if attr is not None and any(w in attr for w in _BOOKKEEPING):
                     return True
     return False
 
@@ -132,8 +101,10 @@ class _WindowAnalysis(TypestateAnalysis):
     def gens(self, node: Node) -> Iterable[Pending]:
         if _is_registration(node):
             return ()
-        attr = _mutated_attr(node)
-        if not attr:
+        attr = mutated_self_attr(
+            node.stmt, ASYNC_STATE_MARKERS, STATE_MUTATORS, _BOOKKEEPING
+        )
+        if attr is None:
             return ()
         return (Pending(key=attr, origin=node.index, line=node.line),)
 

@@ -17,12 +17,17 @@ acknowledged before its covering flush completed.
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Sequence, Set, Tuple
+from typing import Iterator, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.flow.cfg import CFG, Edge, Node, iter_function_cfgs, walk_in_scope
-from repro.lint.flow.dataflow import BACKWARD, FlowAnalysis, solve
+from repro.lint.flow.cfg import Node, iter_function_cfgs, walk_in_scope
+from repro.lint.flow.typestate import (
+    calls_named,
+    receiver_matches,
+    suspended_calls,
+    unguarded_sites,
+)
 from repro.lint.framework import ModuleContext, Rule
 
 #: modules whose commit-barrier paths are checked for coalescing safety
@@ -54,17 +59,6 @@ BARRIER_SETTLE_RECEIVERS: Tuple[str, ...] = (
 #: an unwaited Event — fire-and-forget, not evidence)
 BARRIER_EVIDENCE_CALLS: Tuple[str, ...] = ("flush",)
 
-SettleSet = FrozenSet[int]
-
-
-def _receiver_matches(name: str, receivers: Sequence[str]) -> bool:
-    """Exact receiver name or a ``_``-separated suffix of it."""
-    stripped = name.lstrip("_")
-    for recv in receivers:
-        if stripped == recv or stripped.endswith("_" + recv):
-            return True
-    return False
-
 
 def _settles_barrier(node: Node) -> bool:
     """Does this node settle a barrier completion event?
@@ -74,19 +68,14 @@ def _settles_barrier(node: Node) -> bool:
     ``self._gate_waiters.popleft().succeed()`` wake *writers*, not
     barrier callers, and are deliberately not settlement sites.
     """
-    for part in node.parts:
-        for sub in walk_in_scope(part):
-            if (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and sub.func.attr == "succeed"
-                and isinstance(sub.func.value, ast.Name)
-                and _receiver_matches(
-                    sub.func.value.id, BARRIER_SETTLE_RECEIVERS
-                )
-            ):
-                return True
-    return False
+    return any(
+        isinstance(call.func, ast.Attribute)
+        and isinstance(call.func.value, ast.Name)
+        and receiver_matches(
+            call.func.value.id.lstrip("_"), BARRIER_SETTLE_RECEIVERS
+        )
+        for call in calls_named(node.parts, ("succeed",))
+    )
 
 
 def _function_is_coroutine(func: ast.AST) -> bool:
@@ -101,60 +90,11 @@ def _function_is_coroutine(func: ast.AST) -> bool:
 
 def _is_flush_evidence(node: Node, coroutine: bool) -> bool:
     """Covering-FLUSH evidence: a (yielded, when in a coroutine) flush call."""
-    if not coroutine:
-        for part in node.parts:
-            for sub in walk_in_scope(part):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in BARRIER_EVIDENCE_CALLS
-                ):
-                    return True
-        return False
-    for part in node.parts:
-        for sub in walk_in_scope(part):
-            if isinstance(sub, (ast.Await, ast.Yield, ast.YieldFrom)):
-                value = sub.value
-                if value is None:
-                    continue
-                for inner in walk_in_scope(value):
-                    if (
-                        isinstance(inner, ast.Call)
-                        and isinstance(inner.func, ast.Attribute)
-                        and inner.func.attr in BARRIER_EVIDENCE_CALLS
-                    ):
-                        return True
-    return False
-
-
-class _SettleReachability(FlowAnalysis[SettleSet]):
-    """Backward: settle sites reachable from here with no FLUSH between."""
-
-    direction = BACKWARD
-
-    def __init__(self, settle_nodes: Set[int], coroutine: bool) -> None:
-        self.settle_nodes = settle_nodes
-        self.coroutine = coroutine
-
-    def boundary(self, cfg: CFG, node: Node) -> SettleSet:
-        return frozenset()
-
-    def initial(self) -> SettleSet:
-        return frozenset()
-
-    def join(self, a: SettleSet, b: SettleSet) -> SettleSet:
-        return a | b
-
-    def transfer(self, node: Node, fact: SettleSet) -> SettleSet:
-        if _is_flush_evidence(node, self.coroutine):
-            # every path through this node is dominated by a flush
-            return frozenset()
-        if node.index in self.settle_nodes:
-            return fact | frozenset((node.index,))
-        return fact
-
-    def transfer_edge(self, edge: Edge, fact: SettleSet) -> SettleSet:
-        return fact
+    find = suspended_calls if coroutine else calls_named
+    return any(
+        isinstance(call.func, ast.Attribute)
+        for call in find(node.parts, BARRIER_EVIDENCE_CALLS)
+    )
 
 
 class BarrierCoalescingRule(Rule):
@@ -198,25 +138,12 @@ class BarrierCoalescingRule(Rule):
         for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
             if func.name in allowed:
                 continue
-            if not any(
-                marker in func.name
-                for marker in BARRIER_FUNCTION_MARKERS
-            ):
-                continue
-            settle_nodes = {
-                node.index
-                for node in cfg.stmt_nodes()
-                if _settles_barrier(node)
-            }
-            if not settle_nodes:
+            if not any(marker in func.name for marker in BARRIER_FUNCTION_MARKERS):
                 continue
             coroutine = _function_is_coroutine(func)
-            solution = solve(
-                cfg, _SettleReachability(settle_nodes, coroutine)
-            )
-            unguarded = solution.before.get(cfg.entry.index, frozenset())
-            for index in sorted(unguarded):
-                node = cfg.nodes[index]
+            for node in unguarded_sites(
+                cfg, _settles_barrier, lambda n: _is_flush_evidence(n, coroutine)
+            ):
                 yield self.diag(
                     ctx,
                     node.stmt or func,

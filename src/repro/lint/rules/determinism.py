@@ -48,6 +48,9 @@ WALL_CLOCK_CALLS = frozenset(
     }
 )
 
+#: call origins that draw from the OS entropy pool (plus all of ``secrets``)
+OS_ENTROPY_CALLS = frozenset({"os.urandom", "uuid.uuid1", "uuid.uuid4"})
+
 #: module-level random.* functions draw from the shared, unseeded global RNG
 RANDOM_MODULE = "random"
 RANDOM_CLASS = "random.Random"
@@ -73,8 +76,9 @@ class DeterminismRule(Rule):
     code = "LSVD003"
     name = "determinism"
     summary = (
-        "wall-clock reads and unseeded randomness are forbidden in core/, "
-        "sim/, gcsim/, workloads/, devices/ and crash/"
+        "wall-clock reads and unseeded randomness are forbidden in "
+        + ", ".join(DETERMINISM_DIRS[:-1])
+        + f" and {DETERMINISM_DIRS[-1]}"
     )
 
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
@@ -98,6 +102,12 @@ class DeterminismRule(Rule):
                 f"wall-clock read {origin}() in deterministic code; experiments "
                 "must be a pure function of (trace, config, seed)",
                 "take the simulated clock (sim.now) or a timestamp parameter instead",
+            )
+        if origin in OS_ENTROPY_CALLS or origin.startswith("secrets."):
+            return (
+                f"{origin}() draws from the OS entropy pool and can never be replayed",
+                "derive the value from a seeded source (random.Random(seed) or an "
+                "id the caller passes in)",
             )
         if origin == SYSTEM_RANDOM:
             return (

@@ -6,25 +6,33 @@ durable.  In this codebase the "acks" are the calls that release cache
 log space, retire superseded checkpoints, advance the release frontier,
 or delete GC victims; the *evidence* that durability happened is a
 settle/flush/barrier/recover call, a branch taken on ``.settled`` state
-or a ``result is None`` settled-synchronously test, or (in the timed
-model) resuming from a yielded/awaited backend PUT.  The rule runs a
-backward may-analysis from each ack site: if an evidence-free path from
-function entry can reach the ack, some caller can release state whose
-durability nobody established.  Functions whose *name* contains
-``settle`` are the settlement callbacks themselves — they are the
-evidence — and are skipped.
+or on a *local handle* being ``None`` (``result = store.put(...)``;
+``if result is None:`` — a settled-synchronous store returned no handle;
+a ``None`` test on anything else, ``self.qos`` say, proves nothing about
+durability), or (in the timed model) resuming from a yielded/awaited
+backend PUT.  The rule runs a backward may-analysis from each ack site:
+if an evidence-free path from function entry can reach the ack, some
+caller can release state whose durability nobody established.  Functions
+whose *name* contains ``settle`` are the settlement callbacks themselves
+— they are the evidence — and are skipped.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Set, Tuple
+from typing import Iterator, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.flow.cfg import CFG, Edge, Node, iter_function_cfgs, walk_in_scope
-from repro.lint.flow.dataflow import BACKWARD, FlowAnalysis, solve
-from repro.lint.flow.typestate import call_name, calls_named
+from repro.lint.flow.cfg import Edge, Node, iter_function_cfgs, walk_in_scope
+from repro.lint.flow.typestate import (
+    call_name,
+    calls_named,
+    node_calls,
+    none_side,
+    suspended_calls,
+    unguarded_sites,
+)
 from repro.lint.framework import ModuleContext, Rule
 
 #: modules holding completion/ack call sites (LSVD011) — the write path,
@@ -66,8 +74,6 @@ DURABILITY_YIELD_EVIDENCE: Tuple[str, ...] = (
     "barrier",
 )
 
-AckSet = FrozenSet[int]
-
 
 def _is_evidence_node(node: Node) -> bool:
     if calls_named(node.parts, DURABILITY_EVIDENCE_CALLS):
@@ -80,83 +86,19 @@ def _is_evidence_node(node: Node) -> bool:
                 return True
     # resuming from a yielded/awaited PUT/write/flush: in the timed
     # model the coroutine continues only once the backend op completed
-    for part in node.parts:
-        for sub in walk_in_scope(part):
-            if isinstance(sub, (ast.Await, ast.Yield, ast.YieldFrom)):
-                value = sub.value
-                if value is None:
-                    continue
-                for inner in walk_in_scope(value):
-                    if (
-                        isinstance(inner, ast.Call)
-                        and call_name(inner)
-                        in DURABILITY_YIELD_EVIDENCE
-                    ):
-                        return True
-    return False
+    return bool(suspended_calls(node.parts, DURABILITY_YIELD_EVIDENCE))
 
 
 def _edge_is_evidence(edge: Edge) -> bool:
     """Branch edges that prove settlement: the true side of a test on
-    ``.settled`` state or on ``<result> is None`` (a settled-synchronous
-    store returned no handle)."""
-    cond = edge.cond
-    if cond is None:
-        return False
-    if edge.kind == "true":
-        for sub in walk_in_scope(cond):
+    ``.settled`` state, or the ``None`` side of a test on a plain local
+    name (``result is None``: a settled-synchronous store returned no
+    handle)."""
+    if edge.kind == "true" and edge.cond is not None:
+        for sub in walk_in_scope(edge.cond):
             if isinstance(sub, ast.Attribute) and "settled" in sub.attr:
                 return True
-            if (
-                isinstance(sub, ast.Compare)
-                and len(sub.ops) == 1
-                and isinstance(sub.ops[0], ast.Is)
-                and isinstance(sub.comparators[0], ast.Constant)
-                and sub.comparators[0].value is None
-            ):
-                return True
-    if edge.kind == "false":
-        for sub in walk_in_scope(cond):
-            if (
-                isinstance(sub, ast.Compare)
-                and len(sub.ops) == 1
-                and isinstance(sub.ops[0], ast.IsNot)
-                and isinstance(sub.comparators[0], ast.Constant)
-                and sub.comparators[0].value is None
-            ):
-                return True
-    return False
-
-
-class _AckReachability(FlowAnalysis[AckSet]):
-    """Backward: ack sites reachable from here with no evidence between."""
-
-    direction = BACKWARD
-
-    def __init__(self, ack_nodes: Set[int]) -> None:
-        self.ack_nodes = ack_nodes
-
-    def boundary(self, cfg: CFG, node: Node) -> AckSet:
-        return frozenset()
-
-    def initial(self) -> AckSet:
-        return frozenset()
-
-    def join(self, a: AckSet, b: AckSet) -> AckSet:
-        return a | b
-
-    def transfer(self, node: Node, fact: AckSet) -> AckSet:
-        if _is_evidence_node(node):
-            # every path through this node is dominated by evidence
-            return frozenset()
-        if node.index in self.ack_nodes:
-            return fact | frozenset((node.index,))
-        return fact
-
-    def transfer_edge(self, edge: Edge, fact: AckSet) -> AckSet:
-        if _edge_is_evidence(edge):
-            return frozenset()
-        return fact
+    return none_side(edge, lambda expr: isinstance(expr, ast.Name))
 
 
 class DurabilityOrderingRule(Rule):
@@ -196,19 +138,10 @@ class DurabilityOrderingRule(Rule):
         for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
             if func.name in allowed or "settle" in func.name:
                 continue
-            ack_nodes = {
-                node.index
-                for node in cfg.stmt_nodes()
-                if calls_named(node.parts, DURABILITY_ACK_CALLS)
-            }
-            if not ack_nodes:
-                continue
-            solution = solve(cfg, _AckReachability(ack_nodes))
-            unguarded = solution.before.get(cfg.entry.index, frozenset())
-            for index in sorted(unguarded):
-                node = cfg.nodes[index]
-                calls = calls_named(node.parts, DURABILITY_ACK_CALLS)
-                what = call_name(calls[0]) if calls else "ack"
+            for node in unguarded_sites(
+                cfg, node_calls(DURABILITY_ACK_CALLS), _is_evidence_node, _edge_is_evidence
+            ):
+                what = call_name(calls_named(node.parts, DURABILITY_ACK_CALLS)[0])
                 yield self.diag(
                     ctx,
                     node.stmt or func,

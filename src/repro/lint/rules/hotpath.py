@@ -42,13 +42,6 @@ HOTPATH_MODULES: Tuple[str, ...] = (
 )
 
 
-def _blessed_functions(
-    ctx: ModuleContext, config: LintConfig
-) -> Tuple[FrozenSet[str], bool]:
-    """(blessed function names for this module, whole-module exemption)."""
-    return config.scoped_allow(ctx.path, config.hotpath_blessed)
-
-
 def _bytes_of_subscript(node: ast.Call) -> bool:
     """True for ``bytes(<subscript>)`` — a per-extent slice copy."""
     return (
@@ -95,7 +88,7 @@ class HotPathRule(Rule):
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
         if not config.module_allowed(ctx.path, HOTPATH_MODULES):
             return
-        blessed, whole_module = _blessed_functions(ctx, config)
+        blessed, whole_module = config.scoped_allow(ctx.path, config.hotpath_blessed)
         if whole_module:
             return
         yield from self._scan(ctx, ctx.tree, enclosing=None, blessed=blessed)

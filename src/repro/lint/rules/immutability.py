@@ -22,19 +22,11 @@ from typing import Iterator
 
 from repro.lint.config import STORE_RECEIVERS, LintConfig
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.flow.typestate import tail_name
 from repro.lint.framework import ModuleContext, Rule
 
 #: mutating ObjectStore methods (reads are unrestricted)
 MUTATING_METHODS = frozenset({"put", "delete", "copy"})
-
-
-def _receiver_name(node: ast.expr) -> str:
-    """Trailing identifier of the receiver: ``self.store`` -> ``store``."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return ""
 
 
 class ImmutabilityRule(Rule):
@@ -70,7 +62,7 @@ class ImmutabilityRule(Rule):
             func = node.func
             if not isinstance(func, ast.Attribute) or func.attr not in MUTATING_METHODS:
                 continue
-            receiver = _receiver_name(func.value)
+            receiver = tail_name(func.value)
             if receiver not in receivers:
                 continue
             yield self.diag(

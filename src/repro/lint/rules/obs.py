@@ -25,6 +25,7 @@ from typing import Iterator, Set, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.flow.typestate import attr_on_self, matches_marker, tail_name
 from repro.lint.framework import ModuleContext, Rule
 
 #: directories whose stat counters / reporting must go through repro.obs
@@ -47,11 +48,7 @@ def _is_obs_factory(ctx: ModuleContext, node: ast.expr) -> bool:
             ".", 1
         )[-1] in OBS_FIELD_FACTORIES
     # unresolved (e.g. defined in-module for a fixture): accept bare names
-    if isinstance(node, ast.Name):
-        return node.id in OBS_FIELD_FACTORIES
-    if isinstance(node, ast.Attribute):
-        return node.attr in OBS_FIELD_FACTORIES
-    return False
+    return tail_name(node) in OBS_FIELD_FACTORIES
 
 
 def _declared_fields(ctx: ModuleContext) -> Set[str]:
@@ -75,11 +72,6 @@ def _declared_fields(ctx: ModuleContext) -> Set[str]:
                 if isinstance(target, ast.Name):
                     declared.add(target.id)
     return declared
-
-
-def _stat_name(name: str, markers) -> bool:
-    lowered = name.lower()
-    return any(marker in lowered for marker in markers)
 
 
 class ObservabilityRule(Rule):
@@ -127,17 +119,10 @@ class ObservabilityRule(Rule):
                 continue
             if not isinstance(node.op, (ast.Add, ast.Sub)):
                 continue
-            target = node.target
-            if not (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
+            attr = attr_on_self(node.target)
+            if attr is None or attr.startswith("_") or attr in declared:
                 continue
-            attr = target.attr
-            if attr.startswith("_") or attr in declared:
-                continue
-            if not _stat_name(attr, config.stat_markers):
+            if not matches_marker(attr, config.stat_markers):
                 continue
             yield self.diag(
                 ctx,

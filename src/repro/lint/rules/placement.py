@@ -33,13 +33,12 @@ Two checks, one syntactic and one flow-sensitive:
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Set, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.flow.cfg import CFG, Edge, Node, iter_function_cfgs
-from repro.lint.flow.dataflow import BACKWARD, FlowAnalysis, solve
-from repro.lint.flow.typestate import call_name, calls_named
+from repro.lint.flow.cfg import Node, iter_function_cfgs
+from repro.lint.flow.typestate import call_name, calls_named, node_calls, unguarded_sites
 from repro.lint.framework import ModuleContext, Rule
 
 #: concrete policy classes whose construction is confined — everyone
@@ -87,30 +86,17 @@ PLACEMENT_CLASSIFIER_CALLS: Tuple[str, ...] = (
     "on_write",
 )
 
-RelocSet = FrozenSet[int]
-
-
-def _constructed_class(call: ast.Call) -> str:
-    """Name of the class a ``Call`` constructs (``placement.X()`` -> X)."""
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
 #: operators that can derive a new class index from a constant;
 #: multiplication/indexing by NUM_TEMPS is table sizing, a read
 _CLASS_DERIVING_OPS = (ast.Add, ast.Sub, ast.Mod)
 
 
-def _temp_operand(node: ast.BinOp, constants: FrozenSet[str]) -> str:
+def _temp_operand(node: ast.BinOp) -> str:
     """The class-constant name an arithmetic expression consumes, if any."""
     if not isinstance(node.op, _CLASS_DERIVING_OPS):
         return ""
     for side in (node.left, node.right):
-        if isinstance(side, ast.Name) and side.id in constants:
+        if isinstance(side, ast.Name) and side.id in PLACEMENT_TEMP_CONSTANTS:
             return side.id
     return ""
 
@@ -130,32 +116,12 @@ def _is_reloc_call(call: ast.Call) -> bool:
     return True
 
 
-class _RelocReachability(FlowAnalysis[RelocSet]):
-    """Backward: relocation writes reachable from here with no classifier."""
-
-    direction = BACKWARD
-
-    def __init__(self, reloc_nodes: Set[int]) -> None:
-        self.reloc_nodes = reloc_nodes
-
-    def boundary(self, cfg: CFG, node: Node) -> RelocSet:
-        return frozenset()
-
-    def initial(self) -> RelocSet:
-        return frozenset()
-
-    def join(self, a: RelocSet, b: RelocSet) -> RelocSet:
-        return a | b
-
-    def transfer(self, node: Node, fact: RelocSet) -> RelocSet:
-        if calls_named(node.parts, PLACEMENT_CLASSIFIER_CALLS):
-            return frozenset()
-        if node.index in self.reloc_nodes:
-            return fact | frozenset((node.index,))
-        return fact
-
-    def transfer_edge(self, edge: Edge, fact: RelocSet) -> RelocSet:
-        return fact
+def _reloc_calls(node: Node) -> List[ast.Call]:
+    return [
+        call
+        for call in calls_named(node.parts, PLACEMENT_RELOC_CALLS)
+        if _is_reloc_call(call)
+    ]
 
 
 class PlacementConfinementRule(Rule):
@@ -198,13 +164,10 @@ class PlacementConfinementRule(Rule):
 
     # -- confinement (syntactic) ----------------------------------------
     def _check_confinement(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
-        classes = frozenset(PLACEMENT_POLICY_CLASSES)
-        markers = frozenset(PLACEMENT_STATE_MARKERS)
-        constants = frozenset(PLACEMENT_TEMP_CONSTANTS)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                name = _constructed_class(node)
-                if name in classes:
+                name = call_name(node)
+                if name in PLACEMENT_POLICY_CLASSES:
                     yield self.diag(
                         ctx,
                         node,
@@ -216,7 +179,7 @@ class PlacementConfinementRule(Rule):
                         "the module to [tool.repro-lint] placement-allow "
                         "with a review",
                     )
-            elif isinstance(node, ast.Attribute) and node.attr in markers:
+            elif isinstance(node, ast.Attribute) and node.attr in PLACEMENT_STATE_MARKERS:
                 yield self.diag(
                     ctx,
                     node,
@@ -229,7 +192,7 @@ class PlacementConfinementRule(Rule):
                     "with a review",
                 )
             elif isinstance(node, ast.BinOp):
-                const = _temp_operand(node, constants)
+                const = _temp_operand(node)
                 if const:
                     yield self.diag(
                         ctx,
@@ -252,30 +215,14 @@ class PlacementConfinementRule(Rule):
         for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
             if func.name in allowed:
                 continue
-            reloc_nodes = {
-                node.index
-                for node in cfg.stmt_nodes()
-                if any(
-                    _is_reloc_call(call)
-                    for call in calls_named(node.parts, PLACEMENT_RELOC_CALLS)
-                )
-            }
-            if not reloc_nodes:
-                continue
-            solution = solve(cfg, _RelocReachability(reloc_nodes))
-            unguarded = solution.before.get(cfg.entry.index, frozenset())
-            for index in sorted(unguarded):
-                node = cfg.nodes[index]
-                calls = [
-                    call
-                    for call in calls_named(node.parts, PLACEMENT_RELOC_CALLS)
-                    if _is_reloc_call(call)
-                ]
-                what = f"{call_name(calls[0])}()" if calls else "relocation write"
+            for node in unguarded_sites(
+                cfg, lambda n: bool(_reloc_calls(n)), node_calls(PLACEMENT_CLASSIFIER_CALLS)
+            ):
                 yield self.diag(
                     ctx,
                     node.stmt or func,
-                    f"{what} is reachable from entry of {func.name}() with "
+                    f"{call_name(_reloc_calls(node)[0])}() is reachable from "
+                    f"entry of {func.name}() with "
                     "no dominating classifier call (plan_relocation/"
                     "split_relocation/on_write) — relocated survivors keep "
                     "a stale temperature class",

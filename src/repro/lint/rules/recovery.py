@@ -12,10 +12,12 @@ the specific LSVD error types (``CorruptRecordError``,
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 from repro.lint.config import RECOVERY_DIRS, LintConfig
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.flow.cfg import broad_catch
+from repro.lint.flow.typestate import call_name
 from repro.lint.framework import ModuleContext, Rule
 
 #: call names that count as "recording" an error inside a handler
@@ -29,20 +31,6 @@ ERROR_RECORDING: Tuple[str, ...] = (
     "critical",
     "fail",
 )
-
-_BROAD_NAMES = frozenset({"Exception", "BaseException"})
-
-
-def _broad_catch(handler: ast.ExceptHandler) -> bool:
-    """True for ``except:``, ``except Exception`` and ``except BaseException``."""
-    node = handler.type
-    if node is None:
-        return True
-    names: List[ast.expr] = list(node.elts) if isinstance(node, ast.Tuple) else [node]
-    for item in names:
-        if isinstance(item, ast.Name) and item.id in _BROAD_NAMES:
-            return True
-    return False
 
 
 class RecoveryHandlerRule(Rule):
@@ -77,7 +65,7 @@ class RecoveryHandlerRule(Rule):
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
-            if not _broad_catch(node):
+            if not broad_catch(node):
                 continue
             if self._reraises(node) or self._records(node, recording):
                 continue
@@ -98,15 +86,7 @@ class RecoveryHandlerRule(Rule):
     @staticmethod
     def _records(handler: ast.ExceptHandler, recording: frozenset) -> bool:
         """A call like ``errors.append(...)`` / ``log.warning(...)`` counts."""
-        for n in ast.walk(handler):
-            if not isinstance(n, ast.Call):
-                continue
-            func = n.func
-            name = ""
-            if isinstance(func, ast.Attribute):
-                name = func.attr
-            elif isinstance(func, ast.Name):
-                name = func.id
-            if name in recording:
-                return True
-        return False
+        return any(
+            isinstance(n, ast.Call) and call_name(n) in recording
+            for n in ast.walk(handler)
+        )

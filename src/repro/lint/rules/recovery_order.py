@@ -25,6 +25,7 @@ from repro.lint.flow.typestate import (
     attr_on_self,
     call_name,
     matches_marker,
+    mutated_self_attr,
     receiver_matches,
     receiver_tail,
 )
@@ -96,37 +97,6 @@ def _flatten(stmts: Sequence[ast.stmt]) -> List[ast.stmt]:
         for handler in getattr(stmt, "handlers", []) or []:
             flat.extend(_flatten(handler.body))
     return flat
-
-
-def _mutated_state_attr(stmt: ast.stmt) -> Optional[str]:
-    """The ``self.<attr>`` recovery-state name this statement mutates."""
-
-    def state_attr(expr: ast.expr) -> Optional[str]:
-        attr = attr_on_self(expr)
-        if attr is not None and matches_marker(attr, RECOVERY_STATE_MARKERS):
-            return attr
-        return None
-
-    if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        for target in targets:
-            attr = state_attr(target)
-            if attr is not None:
-                return attr
-            if isinstance(target, ast.Subscript):
-                attr = state_attr(target.value)
-                if attr is not None:
-                    return attr
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        call = stmt.value
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr in STATE_MUTATORS
-        ):
-            attr = state_attr(call.func.value)
-            if attr is not None:
-                return attr
-    return None
 
 
 def _durable_write(stmt: ast.stmt) -> Optional[ast.Call]:
@@ -235,7 +205,7 @@ class RecoveryMutationOrderRule(Rule):
         mutated: Set[str] = set()
         durable_after: Optional[ast.Call] = None
         for stmt in flat:
-            attr = _mutated_state_attr(stmt)
+            attr = mutated_self_attr(stmt, RECOVERY_STATE_MARKERS, STATE_MUTATORS)
             if attr is not None:
                 mutated.add(attr)
                 if first_mutation is None:

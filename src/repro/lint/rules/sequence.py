@@ -20,6 +20,7 @@ from typing import Iterator, Optional
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.flow.typestate import tail_name
 from repro.lint.framework import ModuleContext, Rule
 
 #: identifier shapes that denote a sequence number: ``seq``, ``_seq``,
@@ -32,11 +33,7 @@ _ARITH_OPS = (ast.Add, ast.Sub, ast.Mult, ast.FloorDiv, ast.Div, ast.Mod)
 
 def _seq_identifier(node: ast.expr) -> Optional[str]:
     """The matched identifier when ``node`` names a sequence value."""
-    name = ""
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
+    name = tail_name(node)
     if name and SEQ_NAME_RE.search(name.lower()):
         return name
     return None

@@ -16,7 +16,7 @@ already signals the caller that the write did not complete.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.lint.config import STORE_RECEIVERS, LintConfig
 from repro.lint.diagnostics import Diagnostic
@@ -52,18 +52,6 @@ FLOW_PUT_METHODS: Tuple[str, ...] = ("put",)
 FLOW_PUT_RECEIVERS: Tuple[str, ...] = STORE_RECEIVERS + ("shard",)
 
 
-def _acquiring_call(expr: Optional[ast.expr]) -> Optional[ast.Call]:
-    """The ``<store>.put(...)`` call in ``expr``, unwrapping ``await``."""
-    call = unwrap_effect(expr)
-    if not isinstance(call, ast.Call):
-        return None
-    if call_name(call) not in FLOW_PUT_METHODS:
-        return None
-    if not receiver_matches(receiver_tail(call), FLOW_PUT_RECEIVERS):
-        return None
-    return call
-
-
 def _single_name_target(stmt: Optional[ast.AST]) -> Optional[str]:
     if (
         isinstance(stmt, ast.Assign)
@@ -74,33 +62,146 @@ def _single_name_target(stmt: Optional[ast.AST]) -> Optional[str]:
     return None
 
 
+def _rebound_names(stmt: Optional[ast.AST]) -> Set[str]:
+    """Plain names this statement rebinds (``x = ...``) or deletes."""
+    var = _single_name_target(stmt)
+    if var is not None:
+        return {var}
+    if isinstance(stmt, ast.Delete):
+        return {t.id for t in stmt.targets if isinstance(t, ast.Name)}
+    return set()
+
+
 class _HandleAnalysis(TypestateAnalysis):
-    """Forward facts: handles that may still be unsettled here."""
+    """Forward facts: handles that may still be unresolved here."""
+
+    def __init__(self, acquires: Callable[[Optional[ast.expr]], bool]) -> None:
+        self.acquires = acquires
 
     def gens(self, node: Node) -> Iterable[Pending]:
         stmt = node.stmt
         if not isinstance(stmt, ast.Assign):
             return ()
         var = _single_name_target(stmt)
-        if var is None or _acquiring_call(stmt.value) is None:
+        if var is None or not self.acquires(stmt.value):
             return ()
         return (Pending(key=var, origin=node.index, line=node.line),)
 
     def kills(self, node: Node, fact: PendingSet) -> Set[str]:
-        killed = set(consuming_loads(node))
-        # rebinding or deleting the name ends the old obligation either
-        # way; the rule reports the overwrite as a leak separately
-        var = _single_name_target(node.stmt)
-        if var is not None:
-            killed.add(var)
-        if isinstance(node.stmt, ast.Delete):
-            killed.update(
-                t.id for t in node.stmt.targets if isinstance(t, ast.Name)
-            )
-        return killed
+        # any consuming load discharges the obligation: `store.settle(h)`
+        # / `stage.end()` reads the handle, and passing it to a callee
+        # (`span=stage`) adopts it — the callee now owns resolving it
+        # — and rebinding or deleting the name ends the old obligation
+        # either way; the rule reports the overwrite as a leak separately
+        return consuming_loads(node) | _rebound_names(node.stmt)
 
 
-class SettlementLeakRule(Rule):
+class HandleLeakRule(Rule):
+    """A handle acquired by ``<receiver>.<method>(...)`` must be consumed
+    on every path that completes normally; only raising paths are excused.
+
+    The forward typestate check LSVD010 (PUT handles) and LSVD015 (span
+    handles) share.  A concrete rule is a vocabulary: the acquiring
+    ``methods`` and the ``receivers`` (exact name or ``_``-separated
+    suffix) they are called on, the ``LintConfig`` allowlist excusing a
+    function (``allow_field``), the package ``dirs`` in scope, and the
+    text for the three ways a handle is lost — ``discarded`` at the call
+    (message, fix-it), leaked ``at_exit`` or ``overwritten`` first (message
+    templates over ``{key!r}``/``{line}`` sharing ``leak_fixit``).
+    """
+
+    methods: Tuple[str, ...]
+    receivers: Tuple[str, ...]
+    allow_field: str
+    dirs: Tuple[str, ...]
+    discarded: Tuple[str, str]
+    at_exit: str
+    overwritten: str
+    leak_fixit: str
+    #: function-name substrings whose acquiring calls are no obligation
+    exempt_words: Tuple[str, ...] = ()
+
+    def in_scope(self, ctx: ModuleContext, config: LintConfig) -> bool:
+        return config.module_in_dirs(ctx.path, self.dirs)
+
+    def acquires(self, expr: Optional[ast.expr]) -> bool:
+        """Is ``expr`` an acquiring call (``await`` unwrapped)?"""
+        call = unwrap_effect(expr)
+        return (
+            isinstance(call, ast.Call)
+            and call_name(call) in self.methods
+            and receiver_matches(receiver_tail(call), self.receivers)
+        )
+
+    def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
+        if not self.in_scope(ctx, config):
+            return
+        allowed, whole = config.scoped_allow(
+            ctx.path, getattr(config, self.allow_field)
+        )
+        if whole:
+            return
+        for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
+            if func.name in allowed or any(w in func.name for w in self.exempt_words):
+                continue
+            yield from self._check_function(ctx, cfg)
+
+    def _check_function(self, ctx: ModuleContext, cfg: CFG) -> Iterator[Diagnostic]:
+        interesting = False
+        for node in cfg.stmt_nodes():
+            stmt = node.stmt
+            # a discarded acquiring call never had a handle to resolve; a
+            # yielded/awaited one is different — suspending on a put *is*
+            # waiting for settlement (the timed destage pipeline's idiom)
+            if (
+                isinstance(stmt, ast.Expr)
+                and isinstance(stmt.value, ast.Call)
+                and self.acquires(stmt.value)
+            ):
+                yield self.diag(ctx, stmt, *self.discarded)
+            elif isinstance(stmt, ast.Assign) and self.acquires(stmt.value):
+                interesting = True
+        if not interesting:
+            return
+
+        solution = solve(cfg, _HandleAnalysis(self.acquires))
+        reported: Set[int] = set()
+
+        def report(
+            pendings: Iterable[Pending], template: str, line: int = 0
+        ) -> Iterator[Diagnostic]:
+            by_origin: Dict[int, Pending] = {}
+            for p in pendings:
+                by_origin.setdefault(p.origin, p)
+            for p in by_origin.values():
+                if p.origin in reported:
+                    continue
+                reported.add(p.origin)
+                yield self.diag(
+                    ctx,
+                    cfg.nodes[p.origin].stmt or cfg.func,
+                    template.format(key=p.key, line=line),
+                    self.leak_fixit,
+                )
+
+        # leaks at normal exit
+        yield from report(
+            solution.before.get(cfg.exit.index, frozenset()), self.at_exit
+        )
+        # leaks by overwrite/delete: the old handle is unrecoverable
+        for node in cfg.stmt_nodes():
+            before = solution.before.get(node.index, frozenset())
+            if not before:
+                continue
+            if _single_name_target(node.stmt) in consuming_loads(node):
+                continue  # `h = wrap(h)` hands the old handle on
+            lost = _rebound_names(node.stmt)
+            doomed = [p for p in before if p.key in lost]
+            if doomed:
+                yield from report(doomed, self.overwritten, node.line)
+
+
+class SettlementLeakRule(HandleLeakRule):
     """Invariant:
         Every in-flight PUT handle acquired from an object store must be
         settled or registered in a settlement ledger on every path that
@@ -127,95 +228,31 @@ class SettlementLeakRule(Rule):
         "normal exit without being settled or registered"
     )
 
-    def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
-        if not config.module_in_dirs(ctx.path, SETTLEMENT_DIRS):
-            return
-        allowed, whole = config.scoped_allow(ctx.path, config.settlement_allow)
-        if whole:
-            return
-        for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
-            # the settlement plumbing itself writes through to the
-            # settled inner store; its puts ARE the settlement
-            if func.name in allowed or "settle" in func.name:
-                continue
-            yield from self._check_function(ctx, cfg)
-
-    def _check_function(self, ctx: ModuleContext, cfg: CFG) -> Iterator[Diagnostic]:
-        interesting = False
-        for node in cfg.stmt_nodes():
-            stmt = node.stmt
-            # a discarded acquiring call never had a handle to settle; a
-            # yielded/awaited put is different — suspending on it *is*
-            # waiting for settlement (the timed destage pipeline's idiom)
-            if (
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Call)
-                and _acquiring_call(stmt.value)
-            ):
-                yield self.diag(
-                    ctx,
-                    stmt,
-                    "PUT handle discarded: the return value of an "
-                    "object-store put is an in-flight write that must be "
-                    "settled or registered",
-                    "bind the handle and settle it (or register it in the "
-                    "settlement ledger); allowlist deliberate fire-and-"
-                    "forget writes via settlement-allow",
-                )
-            elif isinstance(stmt, ast.Assign) and _acquiring_call(
-                stmt.value
-            ):
-                interesting = True
-        if not interesting:
-            return
-
-        solution = solve(cfg, _HandleAnalysis())
-        reported: Set[int] = set()
-
-        def report(
-            pendings: Iterable[Pending], why: str
-        ) -> Iterator[Diagnostic]:
-            by_origin: Dict[int, Pending] = {}
-            for p in pendings:
-                by_origin.setdefault(p.origin, p)
-            for p in by_origin.values():
-                if p.origin in reported:
-                    continue
-                reported.add(p.origin)
-                origin = cfg.nodes[p.origin].stmt or cfg.func
-                yield self.diag(
-                    ctx,
-                    origin,
-                    f"unsettled PUT handle {p.key!r} {why}",
-                    "settle the handle on every non-raising path (guard "
-                    "with `if handle is not None: store.settle(handle)`) "
-                    "or allowlist the function via settlement-allow",
-                )
-
-        # leaks at normal exit
-        exit_fact = solution.before.get(cfg.exit.index, frozenset())
-        yield from report(
-            exit_fact, "may reach a normal exit without being settled"
-        )
-        # leaks by overwrite/delete: the old handle is unrecoverable
-        for node in cfg.stmt_nodes():
-            before = solution.before.get(node.index, frozenset())
-            if not before:
-                continue
-            var = _single_name_target(node.stmt)
-            doomed: List[Pending] = []
-            if var is not None and var not in consuming_loads(node):
-                doomed = [p for p in before if p.key == var]
-            elif isinstance(node.stmt, ast.Delete):
-                dropped = {
-                    t.id
-                    for t in node.stmt.targets
-                    if isinstance(t, ast.Name)
-                }
-                doomed = [p for p in before if p.key in dropped]
-            if doomed:
-                yield from report(
-                    doomed,
-                    f"is overwritten at line {node.line} before being "
-                    "settled",
-                )
+    methods = FLOW_PUT_METHODS
+    receivers = FLOW_PUT_RECEIVERS
+    allow_field = "settlement_allow"
+    dirs = SETTLEMENT_DIRS
+    # the settlement plumbing itself writes through to the settled
+    # inner store; its puts ARE the settlement
+    exempt_words = ("settle",)
+    discarded = (
+        "PUT handle discarded: the return value of an "
+        "object-store put is an in-flight write that must be "
+        "settled or registered",
+        "bind the handle and settle it (or register it in the "
+        "settlement ledger); allowlist deliberate fire-and-"
+        "forget writes via settlement-allow",
+    )
+    at_exit = (
+        "unsettled PUT handle {key!r} may reach a normal exit without "
+        "being settled"
+    )
+    overwritten = (
+        "unsettled PUT handle {key!r} is overwritten at line {line} "
+        "before being settled"
+    )
+    leak_fixit = (
+        "settle the handle on every non-raising path (guard "
+        "with `if handle is not None: store.settle(handle)`) "
+        "or allowlist the function via settlement-allow"
+    )

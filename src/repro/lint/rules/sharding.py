@@ -30,6 +30,7 @@ from typing import Iterator, Optional
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.flow.typestate import tail_name
 from repro.lint.framework import ModuleContext, Rule
 
 #: identifier shapes that denote a shard count: ``n_shards``,
@@ -44,11 +45,7 @@ _TEMPLATE_MARKS = ("shard-{", "shard-%")
 
 def _shard_count_identifier(node: ast.expr) -> Optional[str]:
     """The matched identifier when ``node`` names a shard count."""
-    name = ""
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
+    name = tail_name(node)
     if name and SHARD_COUNT_RE.search(name.lower()):
         return name
     return None

@@ -27,13 +27,20 @@ Two checks, one syntactic and one flow-sensitive:
 from __future__ import annotations
 
 import ast
-from typing import FrozenSet, Iterator, Sequence, Set, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.flow.cfg import CFG, Edge, Node, iter_function_cfgs, walk_in_scope
-from repro.lint.flow.dataflow import BACKWARD, FlowAnalysis, solve
-from repro.lint.flow.typestate import call_name, calls_named, receiver_tail
+from repro.lint.flow.cfg import Edge, Node, iter_function_cfgs, walk_in_scope
+from repro.lint.flow.typestate import (
+    call_name,
+    calls_named,
+    node_calls,
+    none_side,
+    receiver_tail,
+    tail_name,
+    unguarded_sites,
+)
 from repro.lint.framework import ModuleContext, Rule
 
 #: class names whose construction is confined to ``fleet_allow`` —
@@ -103,84 +110,28 @@ FLEET_QOS_MARKERS: Tuple[str, ...] = (
     "admission",
 )
 
-ForwardSet = FrozenSet[int]
+
+def _forward_calls(node: Node) -> List[ast.Call]:
+    """Calls on this node that forward an I/O to a shared resource."""
+    return [
+        call
+        for call in calls_named(node.parts, FLEET_FORWARD_METHODS)
+        if receiver_tail(call) in FLEET_FORWARD_RECEIVERS
+    ]
 
 
-def _constructed_class(call: ast.Call) -> str:
-    """Name of the class a ``Call`` constructs (``fleet.qos.X()`` -> X)."""
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
-def _mentions_qos(expr: ast.expr, markers: Sequence[str]) -> bool:
-    for sub in walk_in_scope(expr):
-        if isinstance(sub, ast.Attribute) and any(
-            m in sub.attr for m in markers
-        ):
-            return True
-        if isinstance(sub, ast.Name) and any(m in sub.id for m in markers):
-            return True
-    return False
-
-
-def _is_admission_node(node: Node) -> bool:
-    return bool(calls_named(node.parts, FLEET_ADMISSION_CALLS))
+def _mentions_qos(expr: ast.expr) -> bool:
+    return any(
+        marker in tail_name(sub)
+        for sub in walk_in_scope(expr)
+        for marker in FLEET_QOS_MARKERS
+    )
 
 
 def _edge_is_no_tenant(edge: Edge) -> bool:
     """Branch edges proving no QoS is attached: the true side of
     ``<qos> is None`` or the false side of ``<qos> is not None``."""
-    cond = edge.cond
-    if cond is None:
-        return False
-    for sub in walk_in_scope(cond):
-        if not (
-            isinstance(sub, ast.Compare)
-            and len(sub.ops) == 1
-            and isinstance(sub.comparators[0], ast.Constant)
-            and sub.comparators[0].value is None
-            and _mentions_qos(sub.left, FLEET_QOS_MARKERS)
-        ):
-            continue
-        if edge.kind == "true" and isinstance(sub.ops[0], ast.Is):
-            return True
-        if edge.kind == "false" and isinstance(sub.ops[0], ast.IsNot):
-            return True
-    return False
-
-
-class _ForwardReachability(FlowAnalysis[ForwardSet]):
-    """Backward: forward sites reachable from here with no admission."""
-
-    direction = BACKWARD
-
-    def __init__(self, forward_nodes: Set[int]) -> None:
-        self.forward_nodes = forward_nodes
-
-    def boundary(self, cfg: CFG, node: Node) -> ForwardSet:
-        return frozenset()
-
-    def initial(self) -> ForwardSet:
-        return frozenset()
-
-    def join(self, a: ForwardSet, b: ForwardSet) -> ForwardSet:
-        return a | b
-
-    def transfer(self, node: Node, fact: ForwardSet) -> ForwardSet:
-        if _is_admission_node(node):
-            return frozenset()
-        if node.index in self.forward_nodes:
-            return fact | frozenset((node.index,))
-        return fact
-
-    def transfer_edge(self, edge: Edge, fact: ForwardSet) -> ForwardSet:
-        if _edge_is_no_tenant(edge):
-            return frozenset()
-        return fact
+    return none_side(edge, _mentions_qos)
 
 
 class TenantIsolationRule(Rule):
@@ -222,12 +173,10 @@ class TenantIsolationRule(Rule):
 
     # -- confinement (syntactic) ----------------------------------------
     def _check_confinement(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
-        classes = frozenset(FLEET_BUCKET_CLASSES)
-        markers = frozenset(FLEET_STATE_MARKERS)
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
-                name = _constructed_class(node)
-                if name in classes:
+                name = call_name(node)
+                if name in FLEET_BUCKET_CLASSES:
                     yield self.diag(
                         ctx,
                         node,
@@ -239,7 +188,7 @@ class TenantIsolationRule(Rule):
                         "add the module to [tool.repro-lint] fleet-allow "
                         "with a review",
                     )
-            elif isinstance(node, ast.Attribute) and node.attr in markers:
+            elif isinstance(node, ast.Attribute) and node.attr in FLEET_STATE_MARKERS:
                 yield self.diag(
                     ctx,
                     node,
@@ -258,45 +207,24 @@ class TenantIsolationRule(Rule):
         allowed, whole = config.scoped_allow(ctx.path, config.fleet_admission_allow)
         if whole:
             return
-        receivers = frozenset(FLEET_FORWARD_RECEIVERS)
         for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
             name = func.name
             if name in allowed or "admission" in name or "admit" in name:
                 continue
             if not any(marker in name for marker in FLEET_ENTRY_MARKERS):
                 continue
-            forward_nodes = {
-                node.index
-                for node in cfg.stmt_nodes()
-                if any(
-                    receiver_tail(call) in receivers
-                    for call in calls_named(
-                        node.parts, FLEET_FORWARD_METHODS
-                    )
-                )
-            }
-            if not forward_nodes:
-                continue
-            solution = solve(cfg, _ForwardReachability(forward_nodes))
-            unguarded = solution.before.get(cfg.entry.index, frozenset())
-            for index in sorted(unguarded):
-                node = cfg.nodes[index]
-                calls = [
-                    call
-                    for call in calls_named(
-                        node.parts, FLEET_FORWARD_METHODS
-                    )
-                    if receiver_tail(call) in receivers
-                ]
-                what = (
-                    f"{receiver_tail(calls[0])}.{call_name(calls[0])}()"
-                    if calls
-                    else "forward"
-                )
+            for node in unguarded_sites(
+                cfg,
+                lambda n: bool(_forward_calls(n)),
+                node_calls(FLEET_ADMISSION_CALLS),
+                _edge_is_no_tenant,
+            ):
+                call = _forward_calls(node)[0]
                 yield self.diag(
                     ctx,
                     node.stmt or func,
-                    f"{what} is reachable from entry of {name}() with no "
+                    f"{receiver_tail(call)}.{call_name(call)}() is reachable "
+                    f"from entry of {name}() with no "
                     "dominating QoS admission (admit/_admission call or a "
                     "no-tenant `qos is None` branch) — a tenant's I/O can "
                     "enter the shared data plane uncharged",

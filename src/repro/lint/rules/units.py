@@ -16,10 +16,11 @@ CRCs (the CRC covers the *object*, not the *addressing*).  Two checks:
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
+from repro.lint.flow.typestate import matches_marker, tail_name
 from repro.lint.framework import ModuleContext, Rule
 
 #: identifier substrings marking LBA-denominated values
@@ -27,19 +28,6 @@ LBA_MARKERS: Tuple[str, ...] = ("lba",)
 
 #: identifier substrings marking byte-denominated values
 BYTE_MARKERS: Tuple[str, ...] = ("byte", "off")
-
-
-def _family(name: str, markers: Sequence[str]) -> bool:
-    lowered = name.lower()
-    return any(marker in lowered for marker in markers)
-
-
-def _operand_name(node: ast.expr) -> str:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return ""
 
 
 class UnitConfusionRule(Rule):
@@ -83,8 +71,8 @@ class UnitConfusionRule(Rule):
             *node.args.args,
             *node.args.kwonlyargs,
         ]
-        lba_args = [a for a in args if _family(a.arg, LBA_MARKERS)]
-        byte_args = [a for a in args if _family(a.arg, BYTE_MARKERS)]
+        lba_args = [a for a in args if matches_marker(a.arg, LBA_MARKERS)]
+        byte_args = [a for a in args if matches_marker(a.arg, BYTE_MARKERS)]
         if not lba_args or not byte_args:
             return
         missing = [a for a in (*lba_args, *byte_args) if a.annotation is None]
@@ -115,15 +103,15 @@ class UnitConfusionRule(Rule):
 
     @staticmethod
     def _mixed_operands(node: ast.BinOp) -> Optional[Tuple[str, str]]:
-        left, right = _operand_name(node.left), _operand_name(node.right)
+        left, right = tail_name(node.left), tail_name(node.right)
         for a, b in ((left, right), (right, left)):
             if (
                 a
                 and b
-                and _family(a, LBA_MARKERS)
-                and not _family(a, BYTE_MARKERS)
-                and _family(b, BYTE_MARKERS)
-                and not _family(b, LBA_MARKERS)
+                and matches_marker(a, LBA_MARKERS)
+                and not matches_marker(a, BYTE_MARKERS)
+                and matches_marker(b, BYTE_MARKERS)
+                and not matches_marker(b, LBA_MARKERS)
             ):
                 return a, b
         return None

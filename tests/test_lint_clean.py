@@ -8,7 +8,7 @@ the exact ``file:line code message`` diagnostics.
 import json
 import pathlib
 
-from repro.lint import LintConfig, run_lint
+from repro.lint import ALL_RULES, LintConfig, run_lint
 from repro.lint.cli import main as lint_main
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -74,19 +74,5 @@ def test_stale_allowlist_entry_is_an_error(tmp_path, capsys):
 def test_every_rule_actually_ran_against_the_tree():
     """Guard against a rule being silently disabled by configuration."""
     config = LintConfig.from_pyproject(REPO / "pyproject.toml")
-    for code in (
-        "LSVD001",
-        "LSVD002",
-        "LSVD003",
-        "LSVD004",
-        "LSVD005",
-        "LSVD006",
-        "LSVD007",
-        "LSVD008",
-        "LSVD009",
-        "LSVD010",
-        "LSVD011",
-        "LSVD012",
-        "LSVD013",
-    ):
+    for code in (rule.code for rule in ALL_RULES):
         assert config.code_enabled(code), f"{code} is disabled in pyproject.toml"

@@ -230,6 +230,39 @@ class TestDurabilityOrdering:
     def test_outside_durability_modules_is_exempt(self):
         assert only(lint_src("analysis/report.py", self.BAD), "LSVD011") == []
 
+    def test_none_test_on_unrelated_state_is_not_evidence(self):
+        # `self.qos is None` says nothing about durability: the ack on
+        # its None side is exactly as unguarded as the bare one
+        src = """
+            def finish(self):
+                if self.qos is None:
+                    self.wc.release_through(5)
+        """
+        diags = only(lint_src("core/volume.py", src), "LSVD011")
+        assert [d.line for d in diags] == [4]
+
+    def test_early_return_on_unrelated_not_none_is_not_evidence(self):
+        src = """
+            def finish(self):
+                if self.qos is not None:
+                    return
+                self.wc.release_through(5)
+        """
+        diags = only(lint_src("core/volume.py", src), "LSVD011")
+        assert [d.line for d in diags] == [5]
+
+    def test_local_handle_is_none_is_evidence(self):
+        # a settled-synchronous store returned no handle: nothing in flight
+        src = """
+            def finish(self, name, data):
+                result = self.store.put(name, data)
+                if result is None:
+                    self.wc.release_through(5)
+                    return
+                self.pending.append(result)
+        """
+        assert only(lint_src("core/volume.py", src), "LSVD011") == []
+
 
 # ---------------------------------------------------------------------------
 # LSVD012 recovery-mutation-ordering
@@ -467,6 +500,13 @@ class TestExplainCli:
     def test_explain_text_mentions_paper_sections(self):
         text = explain_rules(["LSVD011"])
         assert "§3.2" in text
+
+    def test_help_names_the_registered_code_range(self):
+        from repro.lint.cli import build_parser
+
+        text = " ".join(build_parser().format_help().split())
+        assert f"(LSVD001-LSVD{len(ALL_RULES):03d})" in text
+        assert "LSVD013)" not in text  # the range once hard-coded there
 
 
 # ---------------------------------------------------------------------------

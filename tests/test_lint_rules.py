@@ -183,6 +183,45 @@ class TestDeterminism:
         """
         assert codes(lint_src("crash/consistency.py", src)) == ["LSVD003"]
 
+    ENTROPY = """
+        import os, secrets, uuid
+        from uuid import uuid4 as fresh
+        def identity():
+            return os.urandom(16), uuid.uuid1(), fresh(), secrets.token_bytes(8)
+    """
+
+    def test_os_entropy_flagged_in_core(self):
+        diags = lint_src("core/block_store.py", self.ENTROPY)
+        assert codes(diags) == ["LSVD003"] * 4
+        assert [d.message.split("()")[0] for d in diags] == [
+            "os.urandom",
+            "uuid.uuid1",
+            "uuid.uuid4",
+            "secrets.token_bytes",
+        ]
+        assert "never be replayed" in diags[0].message
+        assert "seeded source" in diags[0].fixit
+
+    def test_os_entropy_unrestricted_outside_deterministic_dirs(self):
+        assert lint_src("cli.py", self.ENTROPY) == []
+        assert lint_src("tools/lsvdtool.py", self.ENTROPY) == []
+
+    def test_os_entropy_suppression_comment_silences(self):
+        src = """
+            import os
+            def fresh_epoch():
+                return os.urandom(8)  # lint: disable=LSVD003 -- identity, not replayed
+        """
+        assert lint_src("core/write_cache.py", src) == []
+
+    def test_deterministic_uuid_and_os_calls_stay_legal(self):
+        src = """
+            import os, uuid
+            def stable(name):
+                return uuid.uuid5(uuid.NAMESPACE_DNS, name), os.path.basename(name)
+        """
+        assert lint_src("core/naming.py", src) == []
+
 
 # ---------------------------------------------------------------------------
 # LSVD004 recovery error handling
