@@ -2,25 +2,27 @@
 
 ``make bench-diff`` reads every ``benchmarks/baselines/BENCH_*.json`` and
 diffs it against the same-named file in ``bench-out/`` (produced by the
-smoke targets).  Figures fall into three classes:
+smoke targets).  Every smoke runs on a virtual clock, so every figure is
+deterministic and every figure gates; there are two classes, told apart
+by type, never by name:
 
 * **gates** — boolean figures (``gate_*``, ``monotonic_*``, ...).  A
   baseline ``true`` that came back ``false`` is a hard failure; a new
   ``true`` is an improvement and just noted.
-* **deterministic** — virtual-clock / simulator figures (counts, write
-  amplification, simulated percentiles).  Both stacks run on virtual
-  clocks, so these must match the baseline to ``--tolerance`` (relative,
-  default 1e-6) or the diff fails.
-* **informational** — wall-clock figures (ops/s, MB/s throughput measured
-  with ``perf_counter``, overhead fractions, timing budgets).  Deltas are
-  printed but never gate: CI boxes are too noisy to pin wall time.
+* **numbers** — everything else numeric (counts, write amplification,
+  simulated IOPS / MB/s / percentiles).  Each must match the baseline to
+  ``--tolerance`` (relative, default 1e-6) or the diff fails.
+
+Host-clock cost is the performance ledger's job (benchmarks/ledger/),
+which compares commits by paired runs instead of a committed baseline.
 
 A figure present in the baseline but missing from the fresh run fails the
 diff (schema regressions should be deliberate: rerun the smokes and
 ``--update`` the baselines).  A fresh figure with no baseline is noted
-only.  Baselines exist for the benches whose figures are worth pinning;
-a baseline with no fresh counterpart is skipped with a warning so a
-partial smoke run stays usable locally.
+only.  A pair where either side has no figures at all fails too: a
+misshapen BENCH file must not pass for having nothing to compare.  A
+baseline with no fresh counterpart is skipped with a warning so a partial
+smoke run stays usable locally.
 
 Usage::
 
@@ -34,27 +36,7 @@ import argparse
 import json
 import pathlib
 import shutil
-import sys
 from typing import Dict, List, Tuple
-
-# Substrings that mark a figure as wall-clock (informational).  Everything
-# else numeric is virtual-clock deterministic and gated by --tolerance.
-WALL_CLOCK_MARKERS = (
-    "mbps",
-    "iops",
-    "_ops",
-    "wallclock",
-    "overhead",
-    "speedup",
-    "enabled_s",
-    "disabled_s",
-    "total_s",
-    "budget_s",
-)
-
-
-def is_wall_clock(name: str) -> bool:
-    return any(marker in name for marker in WALL_CLOCK_MARKERS)
 
 
 def load_figures(path: pathlib.Path) -> Dict[str, object]:
@@ -79,6 +61,9 @@ def diff_bench(
     """Return (report lines, failure lines) for one BENCH file pair."""
     lines: List[str] = []
     failures: List[str] = []
+    for side, figures in (("baseline", baseline), ("fresh run", fresh)):
+        if not figures:
+            failures.append(f"{name}: no figures in the {side} -- nothing to gate")
     for key in sorted(set(baseline) | set(fresh)):
         if key not in fresh:
             failures.append(f"{name}: figure '{key}' missing from fresh run")
@@ -100,17 +85,12 @@ def diff_bench(
                 failures.append(f"{name}: figure '{key}' changed {base!r} -> {new!r}")
             continue
         delta = rel_delta(float(base), float(new))
-        if is_wall_clock(key):
-            lines.append(
-                f"  {key:<44} {base:>14.6g} -> {new:<14.6g} {delta:+8.2%}  (wall clock, info only)"
-            )
-            continue
         status = "ok" if abs(delta) <= tolerance else "DRIFTED"
         lines.append(f"  {key:<44} {base:>14.6g} -> {new:<14.6g} {delta:+8.2%}  {status}")
         if abs(delta) > tolerance:
             failures.append(
-                f"{name}: deterministic figure '{key}' drifted "
-                f"{base!r} -> {new!r} ({delta:+.2%} > {tolerance:.0%} tolerance)"
+                f"{name}: figure '{key}' drifted "
+                f"{base!r} -> {new!r} ({delta:+.2%} > {tolerance:g} relative tolerance)"
             )
     return lines, failures
 

@@ -24,14 +24,13 @@ granularity.  Everything is deterministic: same tree, same numbers.
 
 Usage::
 
-    python benchmarks/wa_smoke.py [--out-dir DIR] [--budget SECONDS]
+    python benchmarks/wa_smoke.py [--out-dir DIR]
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from repro.core.placement import TEMP_NAMES, make_policy
@@ -58,9 +57,6 @@ WA_REDUCTION_FLOOR = 0.05
 
 #: ...at the same steady-state utilisation (absolute slack)
 UTILIZATION_SLACK = 0.05
-
-#: wall-clock ceiling; only trips on a superlinear simulator regression
-DEFAULT_BUDGET_S = 120.0
 
 #: the skewed workloads the placement layer exists for
 WORKLOADS = (
@@ -99,9 +95,7 @@ def class_mix(sim: GCSimulator) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="bench-out")
-    parser.add_argument("--budget", type=float, default=DEFAULT_BUDGET_S)
     args = parser.parse_args(argv)
-    t0 = time.perf_counter()
 
     summary = Registry()
     figures: dict = {}
@@ -141,24 +135,14 @@ def main(argv=None) -> int:
     figures["gate_wa_reduction"] = bool(all_reduced)
     figures["gate_equal_utilization"] = bool(all_equal_util)
     gate_ok = all_reduced and all_equal_util
-    total_s = time.perf_counter() - t0
-    figures["budget_s"] = args.budget
-    figures["total_s"] = round(total_s, 3)
     Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     path = write_bench_json("wa", summary, figures=figures, out_dir=args.out_dir)
     print(f"\nWA reduction + equal-utilization gates: {gate_ok}")
-    print(f"wall clock {total_s:.1f}s (budget {args.budget:.0f}s)")
     print(f"wrote {path}")
 
     if not gate_ok:
         print(
             "wa-smoke: FAIL: placement did not cut WA at equal utilization",
-            file=sys.stderr,
-        )
-        return 1
-    if total_s > args.budget:
-        print(
-            f"wa-smoke: FAIL: {total_s:.1f}s exceeds the {args.budget:.0f}s budget",
             file=sys.stderr,
         )
         return 1

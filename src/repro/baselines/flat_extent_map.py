@@ -1,14 +1,14 @@
-"""The seed flat-list extent map, preserved as a benchmark baseline.
+"""The seed flat-list extent map, preserved as a reference model.
 
 This is the original ``repro.core.extent_map.ExtentMap`` implementation:
 parallel sorted lists with per-update ``list.insert``/``del`` — O(n) per
 mutation, quadratic under random-write workloads.  The live map was
 replaced by the chunked B+-tree-style structure (see DESIGN.md "Chunked
-extent map"); this copy exists so ``benchmarks/perf_smoke.py`` can
-measure the speedup *in-repo*, against the very code the rework replaced,
-rather than against a number in a commit message.
+extent map"); this copy stays as the independent implementation that
+``tests/test_extent_map_model.py`` replays every operation against, so
+the chunked map is checked against the very code it replaced.
 
-Do not use this in the data path — it exists to lose benchmarks.
+Do not use this in the data path.
 """
 
 from __future__ import annotations

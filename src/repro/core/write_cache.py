@@ -20,10 +20,11 @@ confirms that a record's data is safely inside a settled backend object
 (:meth:`release_through`), so everything between tail and head is exactly
 the data that crash recovery may need to replay to the backend (§3.3).
 
-Checkpoints alternate between two slots; recovery picks the newest valid
-one (by CRC and sequence), restores the map, then replays records forward
-from the checkpointed head, stopping at the first invalid header — the
-implicit end-of-log detection the paper describes.
+Checkpoints alternate between two slots and hold the record index, not
+the map; recovery picks the newest valid one (by CRC and sequence), replays
+records forward from the checkpointed head, stopping at the first invalid
+header — the implicit end-of-log detection the paper describes — and
+re-derives the map from the records that still decode.
 
 Divergence from the paper: the prototype re-uses this implementation for
 the read cache and persists the read map periodically; here the read-cache
@@ -316,8 +317,13 @@ class WriteCache:
 
         return int.from_bytes(_os.urandom(8), "little") or 1  # lint: disable=LSVD003 -- volume/cache identity must be unique across stores; seeded id source is ROADMAP item 2
 
-    def checkpoint(self, extra_sections: Optional[dict] = None) -> None:
-        """Persist map + record index to the next alternating slot."""
+    def checkpoint(self) -> None:
+        """Persist the record index to the next alternating slot.
+
+        The map is not persisted: :meth:`recover` re-derives it from the
+        records that still decode, which is exact where a saved map could
+        be stale.  Older slots carry a ``"map"`` section; it is ignored.
+        """
         self._ckpt_seq += 1
         sections = {
             "meta": ckpt.pack_json(
@@ -330,15 +336,10 @@ class WriteCache:
                     "clean": bool(self._clean),
                 }
             ),
-            "map": ckpt.pack_rows(
-                "<QQQ", [(e.lba, e.length, e.offset) for e in self.map]
-            ),
             "records": ckpt.pack_rows(
                 "<QQQ", [(r.seq, r.virt, r.size) for r in self.records]
             ),
         }
-        if extra_sections:
-            sections.update(extra_sections)
         blob = ckpt.encode_sections(sections)
         if len(blob) > self.slot_size:
             raise CacheFullError("checkpoint larger than slot")
@@ -358,11 +359,12 @@ class WriteCache:
         self.checkpoint()
         return self.epoch, self._ckpt_seq
 
-    def recover(self) -> dict:
-        """Rebuild state after restart/crash; returns the extra sections.
+    def recover(self) -> None:
+        """Rebuild state after restart/crash.
 
-        Loads the newest valid checkpoint, then rolls the log forward from
-        its head, stopping at the first invalid or out-of-sequence record.
+        Loads the newest valid checkpoint, rolls the log forward from its
+        head, stopping at the first invalid or out-of-sequence record, and
+        rebuilds the map from the records that survive.
         """
         best: Optional[dict] = None
         best_sections: Optional[dict] = None
@@ -384,9 +386,6 @@ class WriteCache:
         self.tail_virt = best["tail"]
         self.next_seq = best["next_seq"]
         self.epoch = best.get("epoch", 0)
-        self.map = ExtentMap()
-        for lba, length, offset in ckpt.unpack_rows("<QQQ", best_sections["map"]):
-            self.map.update(lba, length, WC_TARGET, offset)
         self.records = [
             RecordRef(seq, virt, size)
             for seq, virt, size in ckpt.unpack_rows("<QQQ", best_sections["records"])
@@ -402,15 +401,14 @@ class WriteCache:
         # chain's records apart from any stale pre-crash ones
         self.epoch = self._fresh_epoch()
         self.checkpoint()
-        return best_sections
 
     def _rebuild_map(self) -> None:
         """Re-derive the map purely from decodable live records.
 
-        The checkpointed map and record list may be stale: records
-        released (and physically overwritten) after the checkpoint would
-        otherwise linger as zombies whose map entries point into space a
-        newer record now owns.  Re-applying only records that still decode
+        The checkpointed record list may be stale: records released (and
+        physically overwritten) after the checkpoint would otherwise
+        linger as zombies whose map entries point into space a newer
+        record now owns.  Re-applying only records that still decode
         with the right sequence number, in order, is always exact.
         """
         self.map = ExtentMap()
@@ -444,12 +442,6 @@ class WriteCache:
             if record is None:
                 break
             size = len(encode_record(record))
-            phys = self._phys(virt)
-            data_phys = phys + record.header_size
-            for index, (lba, length) in enumerate(record.extents):
-                self.map.update(
-                    lba, length, WC_TARGET, data_phys + record.data_offset_of(index)
-                )
             self.records.append(RecordRef(record.seq, virt, size))
             virt += size
             expected_seq += 1

@@ -100,15 +100,17 @@ def write_bench_sections_json(
     name: str,
     sections: Dict[str, "tuple[Registry, Dict[str, object]]"],
     out_dir: Union[str, pathlib.Path] = ".",
+    shared_figures: Optional[Dict[str, object]] = None,
 ) -> pathlib.Path:
     """Emit ``BENCH_<name>.json`` from several registries at once.
 
     Figures stay a flat top-level dict (``<section>_<figure>``) so tooling
     that walks ``document["figures"]`` — bench_diff in particular — treats
     sectioned and single-registry BENCH files identically; the per-section
-    registry snapshots land under ``metrics[<section>]``.
+    registry snapshots land under ``metrics[<section>]``.  Figures computed
+    across sections go in ``shared_figures`` and keep their names.
     """
-    figures: Dict[str, object] = {}
+    figures: Dict[str, object] = dict(shared_figures or {})
     metrics: Dict[str, object] = {}
     for section, (registry, section_figures) in sorted(sections.items()):
         metrics[section] = registry.snapshot()

@@ -29,7 +29,7 @@ over the tree's elementary intervals charges every instant of the
 root's lifetime to exactly one stage (the deepest span active at that
 instant, or ``"unattributed"`` when no child covers it), so the
 per-stage components sum to the measured completion latency — the
-invariant ``benchmarks/span_smoke.py`` gates.
+invariant ``benchmarks/obs_smoke.py`` gates.
 
 Completed trees feed two bounded consumers:
 
@@ -76,7 +76,8 @@ AttrValue = object
 #: shared empty-collection sentinels: a fresh span owns no attrs dict
 #: and no children list until it actually needs one, keeping tracked
 #: allocations per span to the instance itself (the cyclic collector's
-#: traversal cost scales with tracked containers — span_smoke gates it)
+#: traversal cost scales with tracked containers — it shows in the
+#: ledger's ``obs.self_us_per_op``)
 _NO_ATTRS: Dict[str, AttrValue] = {}
 _NO_CHILDREN: Tuple["Span", ...] = ()
 
@@ -120,7 +121,7 @@ class Span:
         # clock read and allocation inlined (vs recorder._now() and the
         # Span() constructor frame): begin/end bracket every stage on
         # the data plane, so each saved call is visible in the
-        # span_smoke overhead gate
+        # ledger's obs.self_us_per_op
         if kind is not KIND_SERVICE and kind not in _KINDS:
             raise ValueError(f"unknown span kind {kind!r}")
         recorder = self._recorder
@@ -366,7 +367,7 @@ class CriticalPathAnalyzer:
 
     Holds a bounded window (newest ``capacity`` trees); attribution is
     computed lazily at query time so completion stays cheap on the hot
-    path (the span_smoke overhead gate).  :meth:`decompose` averages the
+    path (the ledger's ``obs.self_us_per_op``).  :meth:`decompose` averages the
     breakdowns of the trees at/above a latency percentile, so the
     reported stage components sum exactly to the reported mean tail
     latency.
@@ -395,12 +396,15 @@ class CriticalPathAnalyzer:
                 out.setdefault(span.name, span.kind)
         return out
 
+    def roots(self, name: Optional[str] = None) -> List[Span]:
+        """The retained trees (oldest first), optionally one root name's."""
+        return [r for r in self._roots if name is None or r.name == name]
+
     def records(self, name: Optional[str] = None) -> List[TreeRecord]:
         return [
             TreeRecord(root.name, root.duration, attribute(root),
                        stage_kinds(root))
-            for root in self._roots
-            if name is None or root.name == name
+            for root in self.roots(name)
         ]
 
     def root_names(self) -> List[str]:
@@ -563,7 +567,7 @@ class SpanRecorder:
     def _complete(self, root: Span) -> None:
         # one call per finished I/O: bounded-window bookkeeping is
         # inlined (no analyzer.add/flight.add calls) — this function is
-        # most of what the span_smoke overhead gate measures
+        # most of what the ledger's obs.self_us_per_op measures
         self.completed += 1
         if self.open_roots > 0:
             self.open_roots -= 1

@@ -88,9 +88,8 @@ def test_model_differential_with_checkpoints_and_replay():
         if (i + 1) % 500 == 0:
             _structural_invariants(m)
             _assert_matches_model(m, model)
-            # the seed baseline must stay behaviourally identical: the
-            # perf-smoke speedup gate is only honest if it races the
-            # same semantics
+            # the seed flat list is the second, independent reference:
+            # the chunked map must stay behaviourally identical to it
             assert flat.entries() == m.entries()
             # checkpoint/restore round-trips at this (multi-chunk) size
             restored = ExtentMap.from_entries(m.entries())

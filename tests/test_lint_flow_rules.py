@@ -802,7 +802,7 @@ class TestSpanHygiene:
         # there corrupt the attributions the benchmark gates check
         runner = LintRunner([cls() for cls in ALL_RULES], LintConfig())
         diags = runner.check_source(
-            "span_smoke.py", textwrap.dedent(self.BAD)
+            "obs_smoke.py", textwrap.dedent(self.BAD)
         )
         assert len(only(diags, "LSVD015")) == 1
 

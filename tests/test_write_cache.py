@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from repro.core import checkpoint as ckpt
+from repro.core.config import BLOCK
 from repro.core.errors import CacheFullError
 from repro.core.write_cache import WriteCache
 from repro.devices.image import DiskImage
@@ -263,6 +265,36 @@ def test_recover_multi_chunk_map_checkpoint_plus_replay():
             bytes([i % 255 + 1]) if i < 300 else bytes([(i - 300 + 7) % 255 + 1])
         ) * 4096
         assert data == expected
+
+
+def test_recover_accepts_a_slot_that_still_carries_a_map_section():
+    """A slot in the older format (meta, map, records) must still mount.
+
+    Recovery re-derives the map from the records that decode, so a saved
+    one is ignored — even a wrong one: the bogus row must not surface.
+    """
+    wc = make_cache()
+    wc.append([(0, b"a" * 4096)])
+    wc.append([(8192, b"b" * 4096)])
+    wc.barrier()
+    wc.checkpoint()
+    offset = wc.region_offset + BLOCK + (wc._ckpt_seq % 2) * wc.slot_size
+    sections = ckpt.decode_sections(wc.image.read(offset, wc.slot_size))
+    assert sorted(sections) == ["meta", "records"]
+    rows = [(e.lba, e.length, e.offset) for e in wc.map] + [(1 << 20, 4096, 0)]
+    old_format = {
+        "meta": sections["meta"],
+        "map": ckpt.pack_rows("<QQQ", rows),
+        "records": sections["records"],
+    }
+    wc.image.write(offset, ckpt.encode_sections(old_format))
+    wc.image.flush()
+    wc.append([(16384, b"c" * 4096)])  # replayed past the old-format slot
+    wc.barrier()
+    fresh = recover_copy(wc)
+    assert [r.seq for r in fresh.records] == [1, 2, 3]
+    assert fresh.map.entries() == wc.map.entries()
+    assert fresh.read(1 << 20, 4096) == []
 
 
 def test_records_after_filters_by_seq():
