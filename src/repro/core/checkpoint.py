@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from itertools import chain
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.errors import CorruptRecordError
@@ -63,9 +64,19 @@ def decode_sections(buf: bytes) -> Dict[str, bytes]:
 
 
 def pack_rows(fmt: str, rows: Iterable[Sequence[int]]) -> bytes:
-    """Pack an iterable of equal-shape integer tuples."""
-    packer = struct.Struct(fmt)
-    return b"".join(packer.pack(*row) for row in rows)
+    """Pack a table of equal-shape integer rows with one ``struct.pack``.
+
+    ``fmt`` is one row (``"<QQQ"``), repeated per row after the byte order;
+    a one-code row becomes one repeat count (``"<30000Q"``), a small format.
+    """
+    table = list(rows)
+    order = fmt[0] if fmt[0] in "@=<>!" else ""
+    codes = fmt[len(order) :]
+    if codes == codes[0] * len(codes):
+        codes = f"{len(codes) * len(table)}{codes[0]}"
+    else:
+        codes *= len(table)
+    return struct.Struct(order + codes).pack(*chain.from_iterable(table))
 
 
 def unpack_rows(fmt: str, blob: bytes) -> List[Tuple[int, ...]]:

@@ -25,14 +25,13 @@ extent shifts ``offset`` so that ``offset + (addr - lba)`` always locates
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Any, Hashable, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Hashable, Iterator, List, NamedTuple, Optional, Tuple
 
 
-@dataclass(frozen=True, slots=True)
-class Extent:
+class Extent(NamedTuple):
     """A mapped run: ``length`` addresses at ``lba`` live at
-    ``target[offset : offset + length]``."""
+    ``target[offset : offset + length]``.  A tuple: fields read in C."""
 
     lba: int
     length: int
@@ -50,6 +49,17 @@ class Extent:
         if start >= stop:
             raise ValueError("slice does not overlap extent")
         return Extent(start, stop - start, self.target, self.offset + (start - self.lba))
+
+
+def _adjacent(a: Optional[Extent], b: Optional[Extent]) -> bool:
+    """``b`` continues ``a`` in address and target space: they are one run."""
+    return (
+        a is not None
+        and b is not None
+        and a.lba + a.length == b.lba
+        and a.target == b.target
+        and a.offset + a.length == b.offset
+    )
 
 
 class ExtentMap:
@@ -91,9 +101,13 @@ class ExtentMap:
             chunk = self._chunks[ci]
             for j in range(ei, len(chunk)):
                 ext = chunk[j]
-                if ext.lba >= end:
+                e_lba, e_len = ext[0], ext[1]
+                if e_lba >= end:
                     return out
-                out.append(ext.slice(lba, length))
+                # extents are immutable: one inside the query is handed out
+                if e_lba < lba or e_lba + e_len > end:
+                    ext = ext.slice(lba, length)
+                out.append(ext)
             ci += 1
             ei = 0
         return out
@@ -133,14 +147,86 @@ class ExtentMap:
         The displaced list (clipped old mappings that this update shadows)
         lets callers maintain per-target live-byte accounting, which drives
         garbage collection.
+
+        One leaf visit: route once, cut the run in one scan, join the
+        neighbours, splice ``[left?, new-or-joined, right?]`` in with one
+        slice assignment.  A run or join past the leaf's edge falls back to
+        carve + insert, decided before anything is mutated.
         """
+        if length <= 0:
+            raise ValueError("length must be positive")
+        new = Extent(lba, length, target, offset)
+        chunks = self._chunks
+        if chunks:
+            ci, i0 = self._start_pos(lba)
+            if i0 == 0 and ci > 0 and (ci == len(chunks) or self._firsts[ci] > lba):
+                ci -= 1  # lba lies past leaf ci-1's tail: splice at its end
+                i0 = len(chunks[ci])
+            chunk = chunks[ci]
+            end = lba + length
+            displaced: List[Extent] = []
+            j, carved, frags = self._cut(chunk, i0, lba, end, displaced)
+            left = frags[0] if frags and frags[0].lba < lba else None
+            right = frags[-1] if frags and frags[-1].lba == end else None
+            # the neighbours the new extent may join: an edge fragment, the
+            # leaf's extent beside the run or, past a leaf edge, the adjacent
+            # leaf's tail or head (then the fallback does the work)
+            prev_edge, next_edge = left is None and i0 == 0, right is None and j == len(chunk)
+            if prev_edge:
+                prev = chunks[ci - 1][-1] if ci else None
+            else:
+                prev = left or chunk[i0 - 1]
+            if next_edge:
+                nxt = chunks[ci + 1][0] if ci + 1 < len(chunks) else None
+            else:
+                nxt = right or chunk[j]
+            crosses = next_edge and nxt is not None and nxt.lba < end  # the run goes on
+            # keep a neighbour only if it joins the new extent (_adjacent,
+            # inlined: this is the write path's hottest function)
+            if prev is not None and not (
+                prev.target == target
+                and prev.lba + prev.length == lba
+                and prev.offset + prev.length == offset
+            ):
+                prev = None
+            if nxt is not None and not (
+                nxt.target == target and nxt.lba == end and offset + length == nxt.offset
+            ):
+                nxt = None
+            if not (crosses or (prev_edge and prev is not None) or (next_edge and nxt is not None)):
+                self._mapped += length - carved
+                r0, r1 = i0, j
+                if prev is not None:  # absorb the left fragment or chunk[i0 - 1]
+                    new = Extent(prev.lba, prev.length + length, target, prev.offset)
+                    r0 -= left is None
+                    left = None
+                if nxt is not None:  # absorb the right fragment or chunk[j]
+                    new = Extent(new.lba, new.length + nxt.length, target, new.offset)
+                    r1 += right is None
+                    right = None
+                run = [new] if left is None else [left, new]
+                if right is not None:
+                    run.append(right)
+                n = len(chunk)
+                self._replace_run(ci, r0, r1, run)
+                if len(chunk) > 2 * self._CHUNK_TARGET:
+                    self._split_chunk(ci)
+                elif len(chunk) < n:  # shrunk: fold it or its left neighbour
+                    self._maybe_fold(ci)
+                    self._maybe_fold(ci - 1)
+                return displaced
         displaced = self._carve(lba, length)
-        self._insert(Extent(lba, length, target, offset))
+        self._insert(new)
         return displaced
 
     def remove(self, lba: int, length: int) -> List[Extent]:
         """Unmap [lba, lba+length); return the displaced pieces (trim)."""
         return self._carve(lba, length)
+
+    def remove_matching(self, lba: int, length: int, target: Hashable, offset: int) -> List[Extent]:
+        """Unmap the pieces of [lba, lba+length) still mapped to
+        ``target[offset:]``, in one pass; pieces mapped elsewhere stay."""
+        return self._carve(lba, length, (target, offset))
 
     def clear(self) -> None:
         self._chunks.clear()
@@ -167,7 +253,8 @@ class ExtentMap:
             return (0, 0)
         lbas = self._lbas[ci]
         ei = bisect_right(lbas, lba) - 1  # >= 0: lbas[0] == _firsts[ci] <= lba
-        if self._chunks[ci][ei].end > lba:
+        pred = self._chunks[ci][ei]
+        if pred.lba + pred.length > lba:
             return (ci, ei)  # predecessor spans past lba
         # predecessor ends at/before lba: start at the next extent
         if ei + 1 < len(lbas):
@@ -175,8 +262,9 @@ class ExtentMap:
         return (ci + 1, 0)
 
     # -- internals -----------------------------------------------------
-    def _carve(self, lba: int, length: int) -> List[Extent]:
-        """Remove every mapping overlapping [lba, lba+length)."""
+    def _carve(self, lba: int, length: int, match=None) -> List[Extent]:
+        """Remove every mapping overlapping [lba, lba+length) — or, given
+        ``match=(target, offset)``, those translating ``lba`` to it only."""
         if length <= 0:
             raise ValueError("length must be positive")
         end = lba + length
@@ -193,38 +281,10 @@ class ExtentMap:
                 continue
             if chunk[ei].lba >= end:
                 break
-            # the overlapping run [ei, j) within this chunk; the clipped
-            # piece is Extent.slice() inlined — this loop is the hottest
-            # code in the write path
-            j = ei
-            left: Optional[Extent] = None
-            right: Optional[Extent] = None
-            carved = 0
-            while j < n:
-                ext = chunk[j]
-                e_lba = ext.lba
-                if e_lba >= end:
-                    break
-                e_end = e_lba + ext.length
-                start = e_lba if e_lba > lba else lba
-                stop = e_end if e_end < end else end
-                displaced.append(
-                    Extent(start, stop - start, ext.target, ext.offset + (start - e_lba))
-                )
-                carved += stop - start
-                if e_lba < lba:
-                    left = Extent(e_lba, lba - e_lba, ext.target, ext.offset)
-                if e_end > end:
-                    right = Extent(
-                        end, e_end - end, ext.target, ext.offset + (end - e_lba)
-                    )
-                j += 1
+            j, carved, frags = self._cut(chunk, ei, lba, end, displaced, match)
             self._mapped -= carved
-            # ext.length == piece.length + frag lengths, so subtracting the
-            # displaced overlap above already accounts for the fragments
-            frags = [f for f in (left, right) if f is not None]
             self._replace_run(ci, ei, j, frags)
-            if j < n or right is not None:
+            if j < n or (frags and frags[-1].end > end):
                 break
             # carve may continue into the next chunk; if this chunk
             # emptied and was removed, the next one now sits at ci
@@ -234,10 +294,42 @@ class ExtentMap:
         # try both pairs around the carve point: a chunk shrunk by
         # ascending-order removals only ever sees its *left* neighbour
         # shrink afterwards, so folding right alone would never fire
-        ci = min(ci, len(self._chunks) - 1)
-        self._maybe_fold(ci)
-        self._maybe_fold(ci - 1)
+        if displaced:
+            ci = min(ci, len(self._chunks) - 1)
+            self._maybe_fold(ci)
+            self._maybe_fold(ci - 1)
         return displaced
+
+    @staticmethod
+    def _cut(
+        chunk: List[Extent], i: int, lba: int, end: int, displaced: List[Extent], match=None
+    ) -> Tuple[int, int, List[Extent]]:
+        """Scan ``chunk``'s run from ``i`` overlapping [lba, end), mutating
+        nothing: append the clipped pieces (Extent.slice() inlined) to
+        ``displaced``; return (index past the run, bytes displaced, what of
+        the run stays mapped, in order)."""
+        n = len(chunk)
+        frags: List[Extent] = []
+        carved = 0
+        while i < n:
+            ext = chunk[i]
+            e_lba, e_len, e_target, e_off = ext
+            if e_lba >= end:
+                break
+            i += 1
+            if match is not None and (e_target != match[0] or e_off + (lba - e_lba) != match[1]):
+                frags.append(ext)  # translated elsewhere: stays whole
+                continue
+            e_end = e_lba + e_len
+            start = e_lba if e_lba > lba else lba
+            stop = e_end if e_end < end else end
+            displaced.append(Extent(start, stop - start, e_target, e_off + (start - e_lba)))
+            carved += stop - start
+            if e_lba < lba:
+                frags.append(Extent(e_lba, lba - e_lba, e_target, e_off))
+            if e_end > end:
+                frags.append(Extent(end, e_end - end, e_target, e_off + (end - e_lba)))
+        return i, carved, frags
 
     def _insert(self, new: Extent) -> None:
         """Insert a (pre-carved, non-overlapping) extent, coalescing with
@@ -276,18 +368,8 @@ class ExtentMap:
             nxt, npos = chunks[ci + 1][0], (ci + 1, 0)
         else:
             nxt = None
-        merge_prev = (
-            prev is not None
-            and prev.lba + prev.length == new.lba
-            and prev.target == new.target
-            and prev.offset + prev.length == new.offset
-        )
-        merge_next = (
-            nxt is not None
-            and new.lba + new.length == nxt.lba
-            and nxt.target == new.target
-            and new.offset + new.length == nxt.offset
-        )
+        merge_prev = _adjacent(prev, new)
+        merge_next = _adjacent(new, nxt)
         if not merge_prev and not merge_next:
             self._leaf_insert(ci, new, ei)
             return
@@ -339,7 +421,7 @@ class ExtentMap:
         """Replace ``chunk[i0:i1]`` with ``frags``; drop the leaf if empty."""
         chunk, lbas = self._chunks[ci], self._lbas[ci]
         chunk[i0:i1] = frags
-        lbas[i0:i1] = [f.lba for f in frags]
+        lbas[i0:i1] = map(attrgetter("lba"), frags)
         self._count += len(frags) - (i1 - i0)
         if not chunk:
             del self._chunks[ci]
@@ -381,9 +463,10 @@ class ExtentMap:
         del self._firsts[ci + 1]
 
     # -- (de)serialisation ------------------------------------------------
-    def entries(self) -> List[Tuple[int, int, Any, int]]:
-        """Plain-tuple dump for checkpointing."""
-        return [(e.lba, e.length, e.target, e.offset) for e in self]
+    def entries(self) -> List[Extent]:
+        """``(lba, length, target, offset)`` rows for checkpointing — the
+        extents themselves, which are tuples."""
+        return [e for chunk in self._chunks for e in chunk]
 
     @classmethod
     def from_entries(cls, entries) -> "ExtentMap":
@@ -402,11 +485,7 @@ class ExtentMap:
                 prev = flat[-1]
                 if ext.lba < prev.end:
                     raise ValueError("entries overlap or are unsorted")
-                if (
-                    prev.end == ext.lba
-                    and prev.target == ext.target
-                    and prev.offset + prev.length == ext.offset
-                ):
+                if _adjacent(prev, ext):
                     flat[-1] = Extent(
                         prev.lba, prev.length + ext.length, prev.target, prev.offset
                     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.config import BLOCK
 from repro.core.errors import CorruptRecordError
@@ -42,6 +42,8 @@ KIND_SUPERBLOCK = 4
 
 _REC_HDR = struct.Struct("<4sHHQQIII")  # magic ver kind seq epoch crc n_ext data_len
 _REC_EXT = struct.Struct("<QI")  # lba, length
+#: bytes of a record's fixed header (what :func:`record_header_seq` reads)
+RECORD_HEADER_BYTES = _REC_HDR.size
 _OBJ_HDR = struct.Struct("<4sHH16sQQIII")  # magic ver kind uuid seq last_rec n_ext data_len crc
 _OBJ_EXT = struct.Struct("<QIQ")  # lba, length, src_seq (0 = fresh data)
 
@@ -99,53 +101,68 @@ class CacheRecord:
 def pack_record(
     seq: int, writes: List[Tuple[int, Buffer]], epoch: int = 0
 ) -> CacheRecord:
-    """Build a cache record from (vLBA, payload) writes.
+    """Build a cache record from (vLBA, payload) writes, laid out by the
+    one codec, :func:`encode_writes`: each payload padded to the 4 KiB block
+    grid — the space expansion for small writes the paper accepts as the
+    price of a pure log (§3.1)."""
+    encoded, _placed = encode_writes(seq, writes, epoch)
+    record = decode_record(encoded)
+    assert record is not None  # a record this codec just encoded decodes
+    return record
 
-    Each payload is padded to the 4 KiB block grid — the space expansion
-    for small writes the paper accepts as the price of a pure log (§3.1).
-    The padded data area is assembled as one pre-sized buffer: the zero
-    fill comes free with the allocation and each payload is copied exactly
-    once, with no per-write ``data + padding`` temporaries.
+
+def encode_writes(
+    seq: int, writes: Sequence[Tuple[int, Buffer]], epoch: int = 0
+) -> Tuple[bytearray, List[Tuple[int, int, int]]]:
+    """Encode (vLBA, payload) writes as one record, in one pass.
+
+    Header, extent table, block-padded payloads and CRC go into one
+    pre-sized bytearray (padding is its zero fill), each payload copied once,
+    the CRC run over views.  Returns the buffer and, per write, ``(vLBA,
+    length, payload offset from the record start)``.
     """
-    extents = [(lba, len(data)) for lba, data in writes]
-    blob = bytearray(sum(align_up(n) for _lba, n in extents))
-    pos = 0
-    for _lba, data in writes:
-        blob[pos : pos + len(data)] = data
+    table_end = _REC_HDR.size + _REC_EXT.size * len(writes)
+    hdr_size = align_up(table_end)
+    placed: List[Tuple[int, int, int]] = []
+    pos = hdr_size
+    for lba, data in writes:
+        placed.append((lba, len(data), pos))
         pos += align_up(len(data))
-    return CacheRecord(seq=seq, extents=extents, data=bytes(blob), epoch=epoch)
+    out = bytearray(pos)
+    for i, ((lba, length, data_off), (_lba, data)) in enumerate(zip(placed, writes)):
+        _REC_EXT.pack_into(out, _REC_HDR.size + i * _REC_EXT.size, lba, length)
+        out[data_off : data_off + length] = data
+    fields = [MAGIC, VERSION, KIND_DATA, seq, epoch, 0, len(writes), pos - hdr_size]
+    _REC_HDR.pack_into(out, 0, *fields)
+    view = memoryview(out)
+    fields[5] = _crc(view[:table_end], view[hdr_size:])
+    view.release()
+    _REC_HDR.pack_into(out, 0, *fields)
+    return out, placed
 
 
 def encode_record(record: CacheRecord) -> bytes:
-    """Serialise a record into one contiguous, block-aligned buffer.
-
-    Header, extent table, alignment padding, and data are laid out in a
-    single pre-sized bytearray (padding is the allocation's zero fill);
-    the CRC is computed over views of that buffer, so encoding performs
-    one data copy total.
-    """
-    n_ext = len(record.extents)
-    hdr_size = align_up(_REC_HDR.size + _REC_EXT.size * n_ext)
-    out = bytearray(hdr_size + len(record.data))
-    _REC_HDR.pack_into(
-        out, 0,
-        MAGIC, VERSION, KIND_DATA, record.seq, record.epoch, 0,
-        n_ext, len(record.data),
-    )
-    pos = _REC_HDR.size
+    """Serialise a record into one contiguous, block-aligned buffer (the
+    one codec: :func:`encode_writes` over the record's payload slices)."""
+    data = memoryview(record.data)
+    writes: List[Tuple[int, Buffer]] = []
+    pos = 0
     for lba, length in record.extents:
-        _REC_EXT.pack_into(out, pos, lba, length)
-        pos += _REC_EXT.size
-    out[hdr_size:] = record.data
-    view = memoryview(out)
-    crc = _crc(view[: _REC_HDR.size], view[_REC_HDR.size : pos], record.data)
-    del view  # release the exported buffer before mutating sizes
-    _REC_HDR.pack_into(
-        out, 0,
-        MAGIC, VERSION, KIND_DATA, record.seq, record.epoch, crc,
-        n_ext, len(record.data),
-    )
-    return bytes(out)
+        writes.append((lba, data[pos : pos + length]))
+        pos += align_up(length)
+    encoded, _placed = encode_writes(record.seq, writes, record.epoch)
+    return bytes(encoded)
+
+
+def record_header_seq(buf: Buffer) -> Optional[int]:
+    """Sequence number in the record header ``buf`` starts with (magic,
+    version and kind checked; no CRC, no payload), or None."""
+    if len(buf) < _REC_HDR.size:
+        return None
+    magic, ver, kind, seq = _REC_HDR.unpack_from(buf)[:4]
+    if magic != MAGIC or ver != VERSION or kind != KIND_DATA:
+        return None
+    return int(seq)
 
 
 def decode_record(buf: Buffer, offset: int = 0) -> Optional[CacheRecord]:
@@ -316,13 +333,16 @@ __all__ = [
     "KIND_SUPERBLOCK",
     "ObjectExtent",
     "ObjectHeader",
+    "RECORD_HEADER_BYTES",
     "align_up",
     "decode_object",
     "decode_object_header",
     "decode_record",
     "encode_object",
     "encode_record",
+    "encode_writes",
     "object_name",
     "pack_record",
     "parse_object_name",
+    "record_header_seq",
 ]

@@ -36,14 +36,16 @@ data for LBAs overwritten after the map was persisted).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Tuple
 
 from repro.core import checkpoint as ckpt
 from repro.core.config import BLOCK
 from repro.core.errors import CacheFullError, CorruptRecordError
 from repro.core.extent_map import ExtentMap
-from repro.core.log import CacheRecord, align_up, decode_record, encode_record, pack_record
+from repro.core.log import (
+    RECORD_HEADER_BYTES, CacheRecord, align_up, decode_record, encode_writes, record_header_seq
+)
 from repro.devices.image import DiskImage
 from repro.obs import NULL_SPAN, Registry, bind_metrics, metric_field
 
@@ -62,6 +64,8 @@ class RecordRef:
     seq: int
     virt: int  # virtual byte offset of the record header
     size: int  # total footprint (header + data)
+    #: (vLBA, length, payload offset from the record start): what release unmaps
+    extents: List[Tuple[int, int, int]] = field(default_factory=list)
 
 
 class WriteCache:
@@ -133,8 +137,8 @@ class WriteCache:
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
-    def append(self, writes: List[Tuple[int, bytes]], span=NULL_SPAN) -> CacheRecord:
-        """Log a group of writes as one record; returns the record.
+    def append(self, writes: List[Tuple[int, bytes]], span=NULL_SPAN) -> RecordRef:
+        """Log a group of writes as one record; returns its index entry.
 
         Raises :class:`CacheFullError` when the log lacks space — the
         caller must destage and :meth:`release_through` first.  A failed
@@ -142,8 +146,7 @@ class WriteCache:
         makes room) opens a fresh one.
         """
         stage = span.begin("wc_append")
-        record = pack_record(self.next_seq, writes, epoch=self.epoch)
-        encoded = encode_record(record)
+        encoded, extents = encode_writes(self.next_seq, writes, self.epoch)
         size = len(encoded)
         if size > self.log_size:
             raise CacheFullError("record larger than the entire cache log")
@@ -161,21 +164,19 @@ class WriteCache:
         self.image.write(phys, encoded)
         # map each extent to its data location on SSD; the stat update is
         # one batched delta after the loop (hot-path hygiene, LSVD009)
-        data_phys = phys + record.header_size
-        data_off = 0
         total = 0
-        for lba, length in record.extents:
-            self.map.update(lba, length, WC_TARGET, data_phys + data_off)
-            data_off += align_up(length)
+        for lba, length, data_off in extents:
+            self.map.update(lba, length, WC_TARGET, phys + data_off)
             total += length
         self.client_bytes += total
-        self.records.append(RecordRef(record.seq, virt, size))
+        ref = RecordRef(self.next_seq, virt, size, extents)
+        self.records.append(ref)
         self.next_seq += 1
         self.bytes_logged += size
         self._occupancy.set(self.used_bytes)
         self._clean = False
-        stage.end(bytes=total, seq=record.seq)
-        return record
+        stage.end(bytes=total, seq=ref.seq)
+        return ref
 
     def _reserve(self, size: int) -> int:
         """Find space for ``size`` contiguous bytes, skipping wrap slack."""
@@ -264,18 +265,15 @@ class WriteCache:
         The check must be exact (vLBA and offset both matching what the
         record wrote): after a log wrap, a stale record's physical range
         may have been reused by a newer record, and blindly dropping by
-        physical range would destroy the newer record's mappings.
+        physical range would destroy the newer record's mappings.  Reuse
+        shows in the fixed-size header; the payload is not read, so a record
+        whose data rotted still drops entries that point into reusable space.
         """
-        raw = self.image.read(self._phys(ref.virt), ref.size)
-        record = decode_record(raw)
-        if record is None or record.seq != ref.seq:
+        phys = self._phys(ref.virt)
+        if record_header_seq(self.image.read(phys, RECORD_HEADER_BYTES)) != ref.seq:
             return  # space already reused: nothing of ours is mapped
-        data_phys = self._phys(ref.virt) + record.header_size
-        for index, (lba, length) in enumerate(record.extents):
-            base = data_phys + record.data_offset_of(index)
-            for piece in self.map.lookup(lba, length):
-                if piece.offset == base + (piece.lba - lba):
-                    self.map.remove(piece.lba, piece.length)
+        for lba, length, data_off in ref.extents:
+            self.map.remove_matching(lba, length, WC_TARGET, phys + data_off)
 
     def records_after(self, record_seq: int) -> Iterator[Tuple[CacheRecord, RecordRef]]:
         """Decode live records with seq > record_seq (crash replay, §3.3).
@@ -418,12 +416,14 @@ class WriteCache:
             record = decode_record(raw)
             if record is None or record.seq != ref.seq:
                 continue  # zombie: destaged before the crash, space reused
-            data_phys = self._phys(ref.virt) + record.header_size
-            for index, (lba, length) in enumerate(record.extents):
-                self.map.update(
-                    lba, length, WC_TARGET, data_phys + record.data_offset_of(index)
-                )
-            verified.append(ref)
+            phys = self._phys(ref.virt)
+            extents = [  # the layout append's encode_writes returned
+                (lba, n, record.header_size + record.data_offset_of(i))
+                for i, (lba, n) in enumerate(record.extents)
+            ]
+            for lba, length, data_off in extents:
+                self.map.update(lba, length, WC_TARGET, phys + data_off)
+            verified.append(RecordRef(ref.seq, ref.virt, ref.size, extents))
         self.records = verified
         self.tail_virt = verified[0].virt if verified else self.head_virt
 
@@ -441,9 +441,8 @@ class WriteCache:
             record, virt = self._try_decode_at(virt, expected_seq)
             if record is None:
                 break
-            size = len(encode_record(record))
-            self.records.append(RecordRef(record.seq, virt, size))
-            virt += size
+            self.records.append(RecordRef(record.seq, virt, record.size))
+            virt += record.size
             expected_seq += 1
             self.head_virt = virt
             self.next_seq = expected_seq

@@ -1,6 +1,8 @@
 """Docs that match the tree: every repo path DESIGN.md, README.md and
-EXPERIMENTS.md name must resolve to a file or directory."""
+EXPERIMENTS.md name must resolve to a file or directory, and every dotted
+``repro.*`` name they put in backticks must import."""
 
+import importlib
 import re
 import subprocess
 from pathlib import Path
@@ -57,3 +59,27 @@ def test_every_repo_path_named_in_the_docs_resolves(doc):
         }
     )
     assert not missing, f"{doc} names paths that do not exist: {missing}"
+
+
+def resolves(dotted):
+    """Import the longest module prefix of ``dotted``, getattr the rest."""
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_every_dotted_repro_name_in_the_docs_resolves(doc):
+    text = (ROOT / doc).read_text(encoding="utf-8")
+    names = set(re.findall(r"`(repro(?:\.\w+)+)", text))
+    missing = sorted(name for name in names if not resolves(name))
+    assert not missing, f"{doc} names objects that do not import: {missing}"

@@ -128,3 +128,110 @@ def test_model_differential_second_seed_heavier_removals():
             _structural_invariants(m)
             _assert_matches_model(m, model)
     _assert_matches_model(m, model)
+
+
+# ---------------------------------------------------------------------------
+# leaf edges: an update splices into one leaf and falls back to carve +
+# insert when its run or a join reaches past that leaf; every op here is
+# replayed on the flat reference and compared exactly
+# ---------------------------------------------------------------------------
+
+
+def _lockstep(m: ExtentMap, flat: FlatExtentMap, op) -> None:
+    kind, lba, length, target, offset = op
+    if kind == "update":
+        got, want = m.update(lba, length, target, offset), flat.update(lba, length, target, offset)
+    elif kind == "remove":
+        got, want = m.remove(lba, length), flat.remove(lba, length)
+    else:  # "release": the conditional remove, against lookup + remove
+        got = m.remove_matching(lba, length, target, offset)
+        want = [
+            p
+            for p in flat.lookup(lba, length)
+            if p.target == target and p.offset == offset + (p.lba - lba)
+        ]
+        for piece in want:
+            flat.remove(piece.lba, piece.length)
+    assert got == want
+    assert m.entries() == flat.entries()
+    assert len(m) == len(flat)
+    assert m.mapped_bytes() == flat.mapped_bytes()
+    _structural_invariants(m)
+
+
+def _edge_maps(leaves: int = 4):
+    """Both maps over ``leaves`` full leaves: extent i at 10*i, 6 long,
+    target i % 2, offset 100*i (gaps of 4, so nothing coalesces)."""
+    rows = [(10 * i, 6, i % 2, 100 * i) for i in range(leaves * ExtentMap._CHUNK_TARGET)]
+    m, flat = ExtentMap.from_entries(rows), FlatExtentMap.from_entries(rows)
+    assert len(m._chunks) == leaves
+    return m, flat
+
+
+def test_updates_at_leaf_edges_match_the_flat_reference():
+    m, flat = _edge_maps()
+    T = m._CHUNK_TARGET
+    e1, e2, e3 = 10 * T, 20 * T, 30 * T  # first lbas of leaves 1, 2, 3
+    # the run spans two leaves: leaf 0's tail and leaf 1's head
+    _lockstep(m, flat, ("update", e1 - 7, 10, "z", 0))
+    _lockstep(m, flat, ("update", e1 - 12, 30, "z", 500))
+    assert m.lookup(e1 - 12, 30) == [(e1 - 12, 30, "z", 500)]
+    # past leaf 1's tail (target 1, offset 100 * (2T - 1)): spliced at
+    # that leaf's end, joining the tail
+    _lockstep(m, flat, ("update", e2 - 4, 4, 1, 100 * (2 * T - 1) + 6))
+    # an exact replacement of leaf 2's head that joins leaf 1's tail
+    _lockstep(m, flat, ("update", e2, 6, 1, 100 * (2 * T - 1) + 10))
+    assert m.lookup(e2 - 10, 16) == [(e2 - 10, 16, 1, 100 * (2 * T - 1))]
+    # fills the gap before leaf 3's head (target 0, offset 100 * 3T), joining it
+    _lockstep(m, flat, ("update", e3 - 4, 4, 0, 100 * 3 * T - 4))
+    assert m.lookup(e3 - 4, 10) == [(e3 - 4, 10, 0, 100 * 3 * T - 4)]
+    # exact same-range replacements: mid-leaf (twice), and a leaf's head
+    _lockstep(m, flat, ("update", 50, 6, "x", 7))
+    _lockstep(m, flat, ("update", 50, 6, "x", 7))
+    head = m._firsts[1]
+    _lockstep(m, flat, ("update", head, m._chunks[1][0].length, "y", 0))
+
+
+def test_an_update_that_shrinks_leaves_folds_them():
+    m, flat = _edge_maps(leaves=5)
+    T = m._CHUNK_TARGET
+    # each update cuts all but a few of one leaf's extents: leaf 1 stays
+    # (it and leaf 2 do not fit in one leaf), then folds with shrunken leaf 2
+    for leaf, leaves in ((1, 5), (2, 4)):
+        lo, hi = m._firsts[leaf], m._chunks[leaf][-1].lba
+        _lockstep(m, flat, ("update", lo + 2, hi - lo - 20, "w", leaf))
+        assert len(m._chunks) == leaves and len(m._chunks[1]) < T // 4
+
+
+def test_conditional_remove_drops_only_pieces_still_mapped_there():
+    m, flat = _edge_maps()
+    T = m._CHUNK_TARGET
+    e1 = 10 * T
+    _lockstep(m, flat, ("update", e1 - 10, 20, "r", 0))  # one extent across the edge
+    _lockstep(m, flat, ("update", e1 - 4, 2, "new", 0))  # a newer write inside it
+    _lockstep(m, flat, ("release", e1 - 10, 20, "r", 0))  # drops both outer pieces
+    assert m.lookup(e1 - 10, 20) == [(e1 - 4, 2, "new", 0)]
+    _lockstep(m, flat, ("release", 0, 6, 0, 1))  # right target, shifted: stays
+    _lockstep(m, flat, ("release", 0, 6, 1, 0))  # right offset, other target: stays
+    _lockstep(m, flat, ("release", 2, 2, 0, 2))  # the middle of extent 0: cut out
+    assert m.lookup(0, 6) == [(0, 2, 0, 0), (4, 2, 0, 4)]
+
+
+def test_seeded_ops_around_leaf_edges_match_the_flat_reference():
+    rng = random.Random(0xED6E)
+    m, flat = _edge_maps(leaves=6)
+    for i in range(3000):
+        edge = rng.choice(m._firsts)
+        lba = max(0, edge + rng.randint(-30, 30))
+        length = rng.randint(1, 40)
+        pieces = m.lookup(lba - 10, 60)
+        if pieces and rng.random() < 0.5:
+            # continue a neighbour's translation: an update may join it, a
+            # release may find pieces still mapped there
+            near = rng.choice(pieces)
+            target, offset = near.target, near.offset + (lba - near.lba)
+        else:
+            target, offset = rng.randrange(3), i * 1000
+        roll = rng.random()
+        kind = "update" if roll < 0.7 else "remove" if roll < 0.8 else "release"
+        _lockstep(m, flat, (kind, lba, length, target, offset))

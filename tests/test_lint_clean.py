@@ -5,10 +5,14 @@ read in the simulator, swallowed recovery exception...) fails here with
 the exact ``file:line code message`` diagnostics.
 """
 
+import contextlib
+import io
 import json
 import pathlib
 
-from repro.lint import ALL_RULES, LintConfig, run_lint
+import pytest
+
+from repro.lint import ALL_RULES, LintConfig, cli
 from repro.lint.cli import main as lint_main
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
@@ -18,22 +22,47 @@ SRC = REPO / "src" / "repro"
 LINTED = [SRC, REPO / "benchmarks", REPO / "examples"]
 
 
-def test_source_tree_is_clean():
-    config = LintConfig.from_pyproject(REPO / "pyproject.toml")
-    diagnostics = run_lint(LINTED, config)
+@pytest.fixture(scope="module")
+def tree_run():
+    """Lint the tree once, through the JSON CLI path: (exit code, JSON
+    document, the config and diagnostics ``run_lint`` saw)."""
+    seen = []
+    run_lint = cli.run_lint
+
+    def spy(paths, config):
+        seen.append((config, run_lint(paths, config)))
+        return seen[-1][1]
+
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(out):
+        patch.setattr(cli, "run_lint", spy)
+        code = lint_main([str(p) for p in LINTED] + ["--format", "json"])
+    assert len(seen) == 1
+    return code, json.loads(out.getvalue()), *seen[0]
+
+
+def test_source_tree_is_clean(tree_run):
+    _code, doc, config, diagnostics = tree_run
+    assert config == LintConfig.from_pyproject(REPO / "pyproject.toml")
     assert diagnostics == [], "LSVD invariant violations:\n" + "\n".join(
         d.render() for d in diagnostics
     )
+    assert [d.as_dict() for d in diagnostics] == doc["diagnostics"]
 
 
-def test_cli_clean_run_exits_zero(capsys):
-    assert lint_main([str(p) for p in LINTED]) == 0
+def test_cli_clean_run_exits_zero(tmp_path, capsys):
+    """The text format's exit code and banner, on a small clean tree."""
+    tree = tmp_path / "pkg"
+    tree.mkdir()
+    (tree / "a.py").write_text("x = 1\n")
+    (tree / "b.py").write_text("def f(y):\n    return y\n")
+    assert lint_main([str(tree), "--no-config"]) == 0
     assert "clean" in capsys.readouterr().out
 
 
-def test_cli_json_clean_document(capsys):
-    assert lint_main([str(p) for p in LINTED] + ["--format", "json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+def test_cli_json_clean_document(tree_run):
+    code, doc, _config, _diagnostics = tree_run
+    assert code == 0
     assert doc["summary"]["clean"] is True
     assert doc["summary"]["total"] == 0
     assert doc["diagnostics"] == []

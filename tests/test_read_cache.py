@@ -355,8 +355,8 @@ class NullImage:
 
 
 def test_insert_cost_does_not_grow_with_the_map(monkeypatch):
-    """No clock: eviction may not iterate the map at all, and the extents
-    an insert visits are the same at 1k and at 50k cached extents."""
+    """No clock: eviction may not iterate the map at all, and an insert
+    routes into the map as often at 1k as at 50k cached extents."""
 
     def visits_per_insert(extents):
         rc = ReadCache(NullImage(SLOT + extents * 4 * KiB), 0, map_slot_size=SLOT)
@@ -364,29 +364,29 @@ def test_insert_cost_does_not_grow_with_the_map(monkeypatch):
             rc.insert(i * 8 * KiB, b"\0" * 4 * KiB)
         assert len(rc.map) == extents and rc.evicted_bytes == 0
         visited = []
-        honest_carve = ExtentMap._carve
+        honest_route = ExtentMap._start_pos
 
-        def carve(self, lba, length):
-            out = honest_carve(self, lba, length)
-            visited.append(len(out))
-            return out
+        def route(self, lba):
+            visited.append(1)
+            return honest_route(self, lba)
 
         def no_iteration(self):
             raise AssertionError("eviction iterated the whole extent map")
 
         with monkeypatch.context() as patch:
-            patch.setattr(ExtentMap, "_carve", carve)
+            patch.setattr(ExtentMap, "_start_pos", route)
             patch.setattr(ExtentMap, "__iter__", no_iteration)
             for i in range(200):  # second lap: every insert evicts one record
                 rc.insert((extents + i) * 8 * KiB, b"\0" * 4 * KiB)
             rc.insert_burst([((extents + 200 + i) * 8 * KiB, b"\0" * 4 * KiB) for i in range(50)])
         assert rc.evicted_bytes == 250 * 4 * KiB and len(rc.map) == extents
-        return visited
+        return len(visited)
 
     small, large = visits_per_insert(1_000), visits_per_insert(50_000)
     assert small == large
-    # per insert: one carve that evicts one extent, one (empty) for the update
-    assert (len(small), sum(small)) == (2 * 250, 250)
+    # every map operation routes once: per insert, the remove that evicts
+    # the ring head's record and the single-pass update of the new one
+    assert small == 2 * 250
 
 
 def test_burst_equals_the_same_pieces_one_by_one():

@@ -4,11 +4,14 @@ import random
 
 import pytest
 
+from repro.core import LSVDConfig, LSVDVolume
 from repro.core import checkpoint as ckpt
 from repro.core.config import BLOCK
 from repro.core.errors import CacheFullError
+from repro.core.log import decode_record, encode_record, pack_record
 from repro.core.write_cache import WriteCache
 from repro.devices.image import DiskImage
+from repro.objstore import InMemoryObjectStore
 
 MiB = 1 << 20
 
@@ -92,6 +95,34 @@ def test_release_keeps_newer_overwrite():
     wc.release_through(r1.seq)
     [(_, _, data)] = wc.read(0, 4096)
     assert data == b"new." * 1024
+
+
+def test_release_skips_a_record_whose_slot_was_reused():
+    wc = make_cache()
+    r1 = wc.append([(0, b"a" * 4096)])
+    wc.append([(8192, b"b" * 4096)])
+    # a record with another sequence number now occupies record 1's slot
+    wc.image.write(wc._phys(r1.virt), encode_record(pack_record(r1.seq + 7, [(0, b"x" * 4096)])))
+    before = wc.map.entries()
+    assert wc.release_through(r1.seq) == r1.size
+    assert wc.map.entries() == before
+
+
+def test_release_drops_entries_of_a_record_whose_payload_rotted():
+    """Deliberate change: the reuse guard reads the fixed-size header only.
+
+    The full CRC decode it replaced took a record with flipped payload
+    bytes for reused space and kept its map entries, which then pointed
+    into log space about to be reused by newer records.
+    """
+    wc = make_cache()
+    r1 = wc.append([(0, b"a" * 4096), (16384, b"c" * 512)])
+    phys = wc._phys(r1.virt)
+    data_at = phys + r1.extents[0][2]
+    wc.image.write(data_at, bytes([wc.image.read(data_at, 1)[0] ^ 0xFF]))
+    assert decode_record(wc.image.read(phys, r1.size)) is None  # CRC fails
+    wc.release_through(r1.seq)
+    assert len(wc.map) == 0
 
 
 def test_cache_full_raises():
@@ -295,6 +326,43 @@ def test_recover_accepts_a_slot_that_still_carries_a_map_section():
     assert [r.seq for r in fresh.records] == [1, 2, 3]
     assert fresh.map.entries() == wc.map.entries()
     assert fresh.read(1 << 20, 4096) == []
+
+
+def test_recovered_record_refs_equal_the_appended_ones():
+    """Checkpointed and replayed records come back with the sizes and the
+    per-extent layout ``append`` gave them (the replay measures a record
+    by its decoded size, not by encoding it again)."""
+    wc = make_cache()
+    wc.append([(0, b"a" * 512)])
+    wc.checkpoint()
+    wc.append([(4096, b"b" * 4096)])
+    wc.append([(0, b"c" * 100), (65536, b"d" * 9000), (8192, b"e" * 4096)])
+    wc.barrier()
+    fresh = recover_copy(wc)
+    assert fresh.records == wc.records
+    assert [len(r.extents) for r in fresh.records] == [1, 1, 3]
+
+
+def test_crash_recover_destage_release_empties_the_map():
+    """The record refs recovery rebuilds carry their extents: once the
+    backend holds their data, releasing them leaves no map entry behind."""
+    store, image = InMemoryObjectStore(), DiskImage(8 * MiB, name="cache")
+    config = LSVDConfig(batch_size=1 * MiB, checkpoint_interval=8)
+    vol = LSVDVolume.create(store, "vd", 8 * MiB, image, config)
+    rng = random.Random(7)
+    oracle = {}
+    for i in range(300):
+        lba = rng.randrange(256) * 4096
+        oracle[lba] = bytes([i % 251 + 1]) * 4096
+        vol.write(lba, oracle[lba])
+    vol.flush()
+    image.crash(rng=rng)
+    vol = LSVDVolume.open(store, "vd", image, config)
+    assert vol.wc.records and len(vol.wc.map) > 0
+    vol.drain()  # destage: every record's data settles in the backend
+    assert vol.wc.records == [] and len(vol.wc.map) == 0
+    for lba, data in oracle.items():
+        assert vol.read(lba, 4096) == data
 
 
 def test_records_after_filters_by_seq():
