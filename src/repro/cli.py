@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import List, Optional
 
 from repro.core import LSVDConfig, LSVDVolume
 from repro.core.errors import LSVDError, VolumeExistsError, VolumeNotFoundError
+from repro.core.ids import IDS
 from repro.core.replication import Replicator
 from repro.core.scrub import Scrubber
 from repro.devices.image import DiskImage
@@ -708,6 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    # a person creates volumes here: ids unique across invocations, not seed 0's
+    IDS.reseed(int.from_bytes(os.urandom(8), "little"))
     try:
         # sharded roots are self-describing (shard-layout.json manifest)
         store = open_directory_store(args.root)

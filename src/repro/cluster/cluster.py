@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.devices.base import QueuedDevice
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 
 
 @dataclass
@@ -64,11 +64,6 @@ class StorageCluster:
         rng = random.Random(int.from_bytes(digest, "big"))
         indices = rng.sample(range(len(self.disks)), count)
         return [self.disks[i] for i in indices]
-
-    def submit(
-        self, device: QueuedDevice, kind: str, offset: int, nbytes: int
-    ) -> Event:
-        return device.submit(kind, offset, nbytes)
 
     # ------------------------------------------------------------------
     # accounting

@@ -18,8 +18,19 @@ These encode the write-amplification story of §2.1 and §4.5:
 from __future__ import annotations
 
 from dataclasses import dataclass
+
 from repro.cluster.cluster import StorageCluster
+from repro.devices.base import QueuedDevice
 from repro.sim.engine import AllOf, Event
+
+
+def _meta_tail(disks: list[QueuedDevice], writes: int, nbytes: int) -> list[Event]:
+    """Metadata log-write ``j`` lands on disk ``j % len(disks)``: each
+    disk's share queues back to back, so it is one ``submit_many``."""
+    return [
+        disk.submit_many("logwrite", 3 * 2**30, nbytes, len(range(i, writes, len(disks))))
+        for i, disk in enumerate(disks[:writes])
+    ]
 
 
 @dataclass
@@ -120,14 +131,12 @@ class ErasureCodedLayout:
         """Object PUT: k data chunks + m parity chunks + metadata tail."""
         disks = cluster.placement(key, self.width)
         chunk = (nbytes + self.k - 1) // self.k
-        events = []
-        for i, disk in enumerate(disks):
-            events.append(disk.submit("write", (i + 1) * 2**30, chunk))
-        for j in range(self.meta_writes_per_object):
-            disk = disks[j % self.width]
-            # bookkeeping writes are journal appends: group-committed,
-            # so they cost transfer time, not seeks
-            events.append(disk.submit("logwrite", 3 * 2**30, self.meta_write_bytes))
+        events = [
+            disk.submit("write", (i + 1) * 2**30, chunk) for i, disk in enumerate(disks)
+        ]
+        # bookkeeping writes are journal appends: group-committed, so they
+        # cost transfer time, not seeks
+        events += _meta_tail(disks, self.meta_writes_per_object, self.meta_write_bytes)
         return AllOf(cluster.sim, events)
 
     def get_range(
@@ -193,9 +202,7 @@ class ReplicatedObjectLayout:
                 events.append(disk.submit("write", offset, take))
                 offset += take
                 remaining -= take
-        for j in range(self.meta_writes_per_object):
-            disk = disks[j % self.copies]
-            events.append(disk.submit("logwrite", 3 * 2**30, self.meta_write_bytes))
+        events += _meta_tail(disks, self.meta_writes_per_object, self.meta_write_bytes)
         return AllOf(cluster.sim, events)
 
     def get_range(

@@ -24,7 +24,6 @@ completed out of order before the crash.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -40,6 +39,7 @@ from repro.core.errors import (
     VolumeExistsError,
     VolumeNotFoundError,
 )
+from repro.core.ids import IDS
 from repro.core.log import (
     KIND_CHECKPOINT,
     KIND_DATA,
@@ -713,7 +713,7 @@ class BlockStore:
     ) -> "BlockStore":
         if store.exists(super_name(name)) or store.list(stream_prefix(name)):
             raise VolumeExistsError(f"volume {name!r} already exists")
-        bs = cls(store, name, uuid or os.urandom(16), size, config, obs=obs)  # lint: disable=LSVD003 -- volume/cache identity must be unique across stores; seeded id source is ROADMAP item 2
+        bs = cls(store, name, uuid or IDS.uuid(), size, config, obs=obs)
         bs.write_checkpoint()  # seq 1: recovery always finds a checkpoint
         return bs
 
@@ -917,7 +917,7 @@ class BlockStore:
         clone = cls(
             store,
             clone_name,
-            os.urandom(16),  # lint: disable=LSVD003 -- volume/cache identity must be unique across stores; seeded id source is ROADMAP item 2
+            IDS.uuid(),
             base.size,
             config,
             base_chain=chain,

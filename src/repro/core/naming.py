@@ -72,12 +72,3 @@ def stream_seqs(names: Iterable[str], volume: str) -> List[int]:
         if seq is not None:
             seqs.append(seq)
     return sorted(seqs)
-
-
-def is_stream_object(name: str) -> bool:
-    """True when ``name`` parses as some volume's stream object."""
-    try:
-        parse_object_name(name)
-    except ValueError:
-        return False
-    return True

@@ -308,10 +308,6 @@ class SharedObjectCache:
             if key in self._chunks:
                 self._chunks.move_to_end(key)
 
-    @property
-    def cached_bytes(self) -> int:
-        return self._bytes
-
     def __len__(self) -> int:
         return len(self._chunks)
 

@@ -43,6 +43,7 @@ from repro.core import checkpoint as ckpt
 from repro.core.config import BLOCK
 from repro.core.errors import CacheFullError, CorruptRecordError
 from repro.core.extent_map import ExtentMap
+from repro.core.ids import IDS
 from repro.core.log import (
     RECORD_HEADER_BYTES, CacheRecord, align_up, decode_record, encode_writes, record_header_seq
 )
@@ -305,15 +306,9 @@ class WriteCache:
             _SUPER_MAGIC, 1, 0, self.log_offset, self.log_size, self.slot_size, uuid_lo
         )
         self.image.write(self.region_offset, super_blob.ljust(BLOCK, b"\x00"))
-        self.epoch = self._fresh_epoch()
+        self.epoch = IDS.epoch()
         self.checkpoint()
         self.image.flush()
-
-    @staticmethod
-    def _fresh_epoch() -> int:
-        import os as _os
-
-        return int.from_bytes(_os.urandom(8), "little") or 1  # lint: disable=LSVD003 -- volume/cache identity must be unique across stores; seeded id source is ROADMAP item 2
 
     def checkpoint(self) -> None:
         """Persist the record index to the next alternating slot.
@@ -397,7 +392,7 @@ class WriteCache:
         # start a new recovery generation and persist it before accepting
         # writes: replay after a future crash must be able to tell this
         # chain's records apart from any stale pre-crash ones
-        self.epoch = self._fresh_epoch()
+        self.epoch = IDS.epoch()
         self.checkpoint()
 
     def _rebuild_map(self) -> None:

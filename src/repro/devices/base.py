@@ -6,9 +6,10 @@ subclass.  Completion events fire after (queue wait + service time +
 pipeline latency); sustained throughput is ``channels / service_time``.
 
 An operation in flight is a :class:`_DeviceOp` record advanced by event
-callbacks — path grant, controller transfer, service time, completion —
-not a generator process: backend device ops are most of the events of a
-timed run, and a record costs four of them where a process cost seven.
+callbacks — path grant, service end, completion — not a generator
+process: backend device ops are most of the events of a timed run, and a
+record costs three of them where a process cost seven (DESIGN.md
+"Simulation engine & device ops"; batches: :meth:`QueuedDevice.submit_many`).
 
 Every device keeps :class:`DeviceStats` — the same counters the paper
 collects from ``/proc/diskstats`` (ops, sectors, busy time) to compute
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.sim.engine import Event, Simulator, Timeout
+from repro.sim.engine import AllOf, Event, Simulator
 from repro.sim.resources import Resource, TokenBucket
 
 READ = "read"
@@ -75,29 +76,34 @@ class DeviceStats:
 
 
 class _DeviceOp:
-    """One operation in flight on a :class:`QueuedDevice`.
+    """``count`` identical operations in flight on a :class:`QueuedDevice`.
 
-    ``submit`` queues it on its path; each callback below runs when the
-    event the previous stage left behind fires, in the order a process
-    body would have run them.  The path unit is released exactly once:
-    when the service time has passed, or when pricing the op raised.
+    ``submit`` queues the record on its path; each callback below runs
+    when the event the previous stage left behind fires, in the order a
+    process body would have run them.  Between ops the path unit passes
+    to the record's next op — where ``release()`` would have handed it,
+    the ops being queued back to back — and goes back to the path exactly
+    once: when the last op's service time has passed, or its pricing raised.
     """
 
     __slots__ = (
-        "device", "kind", "offset", "nbytes", "done", "path",
+        "device", "kind", "offset", "nbytes", "count", "done", "path",
         "service", "latency", "remaining", "started",
     )
 
-    def __init__(self, device: "QueuedDevice", kind: str, offset: int, nbytes: int):
+    def __init__(
+        self, device: "QueuedDevice", kind: str, offset: int, nbytes: int, count: int = 1
+    ):
         self.device = device
         self.kind = kind
         self.offset = offset
         self.nbytes = nbytes
+        self.count = count  # ops not yet served, this one included
         self.done = Event(device.sim)
         self.path = device._path_for(kind)
         self.path.request().callbacks.append(self._granted)  # type: ignore[union-attr]
 
-    def _granted(self, _grant: Event) -> None:
+    def _granted(self, _grant: Optional[Event]) -> None:
         device = self.device
         kind = self.kind
         nbytes = self.nbytes
@@ -107,10 +113,12 @@ class _DeviceOp:
             self.service = service = device.service_time(kind, self.offset, nbytes)
             device.stats.record(kind, nbytes, service)
         except BaseException as exc:
-            self.path.release()
+            # later ops still run, completing into an event nobody waits on
+            done, self.done = self.done, Event(device.sim)
+            self._pass_path(inline=False)
             if device.sim.strict or not isinstance(exc, Exception):
                 raise
-            self.done.fail(exc)
+            done.fail(exc)
             return
         self.started = device.sim.now
         # shared controller: mixed R/W cannot exceed its bandwidth
@@ -119,29 +127,48 @@ class _DeviceOp:
         )
         self._transfer(_grant)
 
-    def _transfer(self, _previous: Event) -> None:
+    def _transfer(self, _previous: Optional[Event]) -> None:
         device = self.device
+        sim = device.sim
         remaining = self.remaining
-        if remaining > 0:
-            take = min(remaining, device.CONTROLLER_CHUNK)
-            self.remaining = remaining - take
-            chunk = device.controller.consume(take)  # type: ignore[union-attr]
-            chunk.callbacks.append(self._transfer)  # type: ignore[union-attr]
+        chunk = device.CONTROLLER_CHUNK
+        if remaining > chunk:
+            self.remaining = remaining - chunk
+            slot = device.controller.consume(chunk)  # type: ignore[union-attr]
+            slot.callbacks.append(self._transfer)  # type: ignore[union-attr]
             return
-        elapsed = device.sim.now - self.started
+        # the last slot and the rest of the service time in one wake, at
+        # the float a slot timeout, then a service timeout, would reach
+        end = now = sim.now
+        if remaining:
+            end = now + (device.controller.reserve(remaining) - now)  # type: ignore[union-attr]
+        elapsed = end - self.started
         if elapsed < self.service:
-            rest = Timeout(device.sim, self.service - elapsed)
-            rest.callbacks.append(self._served)  # type: ignore[union-attr]
-        else:
-            # the controller transfer covered the service time (or both
-            # are zero): nothing to wait for, no event
+            end += self.service - elapsed
+        elif not remaining:
+            # no controller slot and the service time is over (or zero):
+            # nothing to wait for, no event
             self._served(_previous)
+            return
+        sim.call_at(end, self._served)
 
-    def _served(self, _previous: Event) -> None:
-        # release before scheduling the completion: the next waiter's
-        # grant is queued, but its timeouts are only created when that
-        # grant is dispatched — after this op's completion is on the heap
+    def _pass_path(self, inline: bool) -> bool:
+        """Hand the unit to the record's next op — via the grant event
+        ``release()`` would have queued — or back to the path."""
+        if self.count > 1:
+            self.count -= 1
+            self.device.sim.call_next(self._granted, inline)
+            return True
         self.path.release()
+        return False
+
+    def _served(self, _previous: Optional[Event]) -> None:
+        # only the last op completes (no op completes after a later one);
+        # release before scheduling it: the next waiter's grant is queued,
+        # its timeouts made only when that grant is dispatched — after
+        # this op's completion is on the heap
+        if self._pass_path(inline=True):
+            return
         if self.latency:
             self.done.succeed_after(self.latency)
         else:
@@ -186,6 +213,20 @@ class QueuedDevice:
     def submit(self, kind: str, offset: int = 0, nbytes: int = 0) -> Event:
         """Issue an operation; the returned event fires on completion."""
         return _DeviceOp(self, kind, offset, nbytes).done
+
+    def submit_many(self, kind: str, offset: int, nbytes: int, count: int) -> Event:
+        """Issue ``count`` identical ops back to back; the event fires (or
+        fails) where a flat ``AllOf`` over ``count`` submits would decide.
+
+        A one-unit path gets one record (a wider one would serve the ops
+        side by side: ``count`` submits).  Its one completion stands for
+        all: with ``nbytes > 0`` no op completes after a later one on any
+        device here, a repeated offset never being sequential."""
+        if count < 1 or nbytes <= 0:
+            raise ValueError(f"submit_many: count {count}, nbytes {nbytes}")
+        if self._path_for(kind).capacity > 1:
+            return AllOf(self.sim, [self.submit(kind, offset, nbytes) for _ in range(count)])
+        return _DeviceOp(self, kind, offset, nbytes, count).done
 
     def read(self, offset: int, nbytes: int) -> Event:
         return self.submit(READ, offset, nbytes)

@@ -48,7 +48,3 @@ class NetworkLink:
     @property
     def bytes_sent(self) -> int:
         return self._tx.total_bytes
-
-    @property
-    def bytes_received(self) -> int:
-        return self._rx.total_bytes

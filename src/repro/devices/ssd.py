@@ -71,16 +71,6 @@ class SSDSpec:
             pipeline_latency=80e-6,
         )
 
-    @classmethod
-    def ec2_m5d_nvme(cls) -> "SSDSpec":
-        """The AWS m5d.xlarge instance NVMe (§4.9): 230/128 MB/s measured."""
-        return cls(
-            seq_read_bw=230e6,
-            seq_write_bw=128e6,
-            rand_read_iops=60_000.0,
-            rand_write_iops=30_000.0,
-        )
-
 
 class SSD(QueuedDevice):
     """A queued SSD: per-direction channels + shared controller bandwidth."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.core.config import LSVDConfig
-from repro.fleet.qos import QoSLimits, TenantThrottle, ThrottleSet
+from repro.fleet.qos import QoSLimits, ThrottleSet
 from repro.obs import Registry
 from repro.runtime.lsvd import LSVDRuntime
 from repro.runtime.machine import ClientMachine
@@ -51,12 +51,6 @@ class FleetRuntime:
         self._g_vdisks = self.obs.gauge("fleet.vdisks")
 
     # ------------------------------------------------------------------
-    def add_tenant(
-        self, tenant: str, limits: QoSLimits = QoSLimits()
-    ) -> TenantThrottle:
-        """Declare a tenant and its limits (get-or-create)."""
-        return self.throttles.get(tenant, limits)
-
     def add_vdisk(
         self,
         name: str,

@@ -114,6 +114,9 @@ class GCSimulator:
         self.obj_size: Dict[int, int] = {}  # pages at creation
         self.obj_live: Dict[int, int] = {}
         self.obj_temp: Dict[int, int] = {}
+        #: running sums of obj_live / obj_size: every seal asks for them
+        self._live_pages = 0
+        self._total_pages = 0
         self._next_obj = 0
         #: one open batch per temperature class: page numbers in arrival order
         self._batches: Dict[int, List[int]] = {}
@@ -212,7 +215,8 @@ class GCSimulator:
         # arrival and the previous owner is displaced once, not twice
         distinct = pages if self.merge or gc else np.unique(pages)
         prev = self.page_obj[distinct]
-        for owner in prev[prev >= 0].tolist():
+        displaced = prev[prev >= 0].tolist()
+        for owner in displaced:
             live = self.obj_live[owner] - 1
             if live < 0:
                 raise AssertionError(f"object {owner} live pages went negative")
@@ -222,6 +226,8 @@ class GCSimulator:
         self.obj_pages[obj] = pages
         self.obj_size[obj] = len(pages)
         self.obj_live[obj] = len(distinct)
+        self._live_pages += len(distinct) - len(displaced)
+        self._total_pages += len(pages)
         self.obj_temp[obj] = temp
         self.backend_pages += len(pages)
         self.class_pages[temp] = self.class_pages.get(temp, 0) + len(pages)
@@ -240,7 +246,7 @@ class GCSimulator:
 
     def occupancy(self) -> Tuple[int, int]:
         """(live pages, total pages) over the stored objects."""
-        return sum(self.obj_live.values()), sum(self.obj_size.values())
+        return self._live_pages, self._total_pages
 
     def utilization(self) -> float:
         live, total = self.occupancy()
@@ -307,7 +313,9 @@ class GCSimulator:
             )
             self._store_object(chunk_pages, gc=True, temp=temp)
         for victim in victims:
-            del self.obj_pages[victim], self.obj_size[victim], self.obj_live[victim]
+            self._live_pages -= self.obj_live.pop(victim)
+            self._total_pages -= self.obj_size.pop(victim)
+            del self.obj_pages[victim]
             self.obj_temp.pop(victim, None)
             self.objects_deleted += 1
         if self.listener is not None:

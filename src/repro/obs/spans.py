@@ -683,10 +683,6 @@ class SpanRecorder:
 _LAST_RECORDER: Optional[SpanRecorder] = None
 
 
-def last_recorder() -> Optional[SpanRecorder]:
-    return _LAST_RECORDER
-
-
 def dump_last_flight(path: str, reason: str) -> bool:
     """Dump the most recent recorder's bundle; False when there is none
     or it never completed a tree (nothing worth writing)."""

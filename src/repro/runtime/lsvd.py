@@ -111,6 +111,12 @@ class LSVDRuntime:
             obs = getattr(backend, "obs", None)
         self.obs = obs if obs is not None else Registry()
         bind_metrics(self)
+        # the per-op metrics, bound once (a descriptor += costs ~1 us)
+        self._dirty = LSVDRuntime.dirty_bytes.metric(self)
+        self._writes = LSVDRuntime.client_writes.metric(self)
+        self._reads = LSVDRuntime.client_reads.metric(self)
+        self._bytes_written = LSVDRuntime.client_bytes_written.metric(self)
+        self._bytes_read = LSVDRuntime.client_bytes_read.metric(self)
         # span trees read the simulated clock (same contract as the trace)
         self.obs.spans.clock = lambda: self.sim.now
 
@@ -224,23 +230,24 @@ class LSVDRuntime:
             yield from self.machine.cpu_work(self.params.write_cpu)
             stage.end()
             footprint = align_up(op.length) + self.params.log_header_bytes
-            if self.dirty_bytes + footprint > self.write_cache_capacity:
+            dirty = self._dirty
+            if dirty.value + footprint > self.write_cache_capacity:
                 # cache log full: stall until destage frees room
                 self.destage_space_stalls += 1
                 stage = span.begin("space_wait", kind="queue")
-                while self.dirty_bytes + footprint > self.write_cache_capacity:
+                while dirty.value + footprint > self.write_cache_capacity:
                     waiter = self.sim.event()
                     self._space_waiters.append(waiter)
                     yield waiter
                 stage.end()
-            self.dirty_bytes += footprint
+            dirty.inc(footprint)
             stage = span.begin("wc_append", bytes=footprint)
             yield self.machine.ssd.write(self._log_head, footprint)
             stage.end()
             self._log_head += footprint
             self._last_write_at = self.sim.now
-            self.client_writes += 1
-            self.client_bytes_written += op.length
+            self._writes.inc()
+            self._bytes_written.inc(op.length)
             done.succeed()
             span.end()
             # feed the batcher (synchronous map/batch state; PUTs are
@@ -278,8 +285,8 @@ class LSVDRuntime:
             stage = span.begin("rc_insert", bytes=fetch)
             yield self.machine.ssd.write(self._rc_slot(fetch), fetch)
             stage.end()
-        self.client_reads += 1
-        self.client_bytes_read += op.length
+        self._reads.inc()
+        self._bytes_read.inc(op.length)
         done.succeed()
         span.end()
 
@@ -492,7 +499,7 @@ class LSVDRuntime:
     # cache-space accounting
     # ------------------------------------------------------------------
     def _release_space(self, nbytes: int) -> None:
-        self.dirty_bytes = max(0, self.dirty_bytes - nbytes)
+        self._dirty.set(max(0, self._dirty.value - nbytes))
         while self._space_waiters:
             self._space_waiters.popleft().succeed()
 

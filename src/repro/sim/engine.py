@@ -150,7 +150,7 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(
         self,
@@ -161,14 +161,13 @@ class Timeout(Event):
     ):
         if delay < 0:
             raise ValueError(f"negative timeout delay {delay!r}")
-        # one per device-op stage: built flat, without the
+        # one per CPU slice and link transfer: built flat, without the
         # Event.__init__ / succeed_after call chain
         self.sim = sim
         self.callbacks = []
         self._value = value
         self._ok = True
         self.background = background
-        self.delay = delay
         sim._seq = seq = sim._seq + 1  # lint: disable=LSVD002 -- event-heap tiebreaker, not a log seq
         heapq.heappush(sim._heap, (sim.now + delay, seq, self))
         if background:
@@ -333,8 +332,24 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
+    # -- callback scheduling (device-op records) ---------------------------
+    def call_at(self, when: float, fn: Callable[[Event], None]) -> None:
+        """Run ``fn(event)`` at ``when`` (>= now) exactly: no float round
+        trip through a delay."""
+        event = Event(self)
+        event._value = None
+        event.callbacks.append(fn)  # type: ignore[union-attr]
+        self._seq = seq = self._seq + 1  # lint: disable=LSVD002 -- event-heap tiebreaker, not a log seq
+        heapq.heappush(self._heap, (when, seq, event))
+
+    def call_next(self, fn: Callable[[Optional[Event]], None], inline: bool = True) -> None:
+        """Run ``fn`` from an event queued at ``now`` or, ``inline`` with
+        nothing queued, at once — exact as the current event's last act."""
+        if inline and not self._queue:
+            return fn(None)
+        event = Event(self)
+        event.callbacks.append(fn)  # type: ignore[union-attr]
+        event.succeed()
 
     # -- execution ---------------------------------------------------------
     def _dispatch(self, until: float, once: bool, daemons: bool) -> bool:

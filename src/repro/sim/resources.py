@@ -136,14 +136,14 @@ class TokenBucket:
         self._free_at = 0.0
         self.total_bytes = 0
 
-    def consume(self, nbytes: int) -> Event:
-        sim = self.sim
-        now = sim.now
-        start = max(now, self._free_at)
-        duration = nbytes / self.rate
-        self._free_at = start + duration
+    def reserve(self, nbytes: int) -> float:
+        """Book the next transfer slot of ``nbytes``; return when it ends."""
+        start = max(self.sim.now, self._free_at)
+        self._free_at = start + nbytes / self.rate
         self.total_bytes += nbytes
-        return Timeout(sim, self._free_at - now)
-
-    def busy_until(self) -> float:
         return self._free_at
+
+    def consume(self, nbytes: int) -> Event:
+        """:meth:`reserve`, as an event that fires when the slot ends."""
+        sim = self.sim
+        return Timeout(sim, self.reserve(nbytes) - sim.now)

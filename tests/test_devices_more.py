@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ErasureCodedLayout, StorageCluster
 from repro.devices.base import FLUSH, LOGWRITE, READ, WRITE, DeviceStats, QueuedDevice
 from repro.devices.hdd import HDD, HDDSpec
 from repro.devices.ssd import SSD, SSDSpec
@@ -215,7 +216,12 @@ _DEVICES = {
 #: the devices' own setup/latency/service constants so that a submission
 #: lands exactly on another op's stage boundary
 _GAPS = (0.0, 0.0, 0.0, 2e-6, 10e-6, 25e-6, 60e-6, 80e-6, 100e-6, 1e-4, 1.5e-3, 1.0)
-_SIZES = (0, 1, 512, 4096, 4096, 32 * 1024, 32 * 1024 + 1, 100_000, 1 << 20, 4 << 20)
+_CHUNK = QueuedDevice.CONTROLLER_CHUNK
+#: around the controller chunk: one slot (a single wake) vs several
+_SIZES = (
+    0, 1, 512, 4096, 4096, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK,
+    2 * _CHUNK + 1, 100_000, 1 << 20, 4 << 20,
+)
 
 _op = st.tuples(
     st.sampled_from(_GAPS),
@@ -268,6 +274,160 @@ def test_device_ops_match_the_generator_reference(name, schedule):
     assert stats == ref_stats  # dataclass eq: counters, busy_time, histogram
     assert busy == ref_busy and all(in_use == 0 for in_use, _t in busy)
     assert end == ref_end
+
+
+# --------------------------------------------------------------------------
+# differential test: submit_many vs the serial submits it replaced
+# --------------------------------------------------------------------------
+#
+# The reference is ``count`` submits — what the layouts issued before,
+# into one flat AllOf per PUT.  A batch must decide where that AllOf
+# would: at the same float and in the same order against every other
+# completion, failures included, with the same stats, path and controller
+# state; capacity 2 (the per-submit fallback) included.
+
+
+def _when_all(events, callback):
+    """A flat AllOf's verdict on ``events``, seen without its own queue
+    hop: ``callback`` runs inside the dispatch of the first failed event
+    or of the last one."""
+    pending = [len(events)]
+
+    def check(event):
+        if pending[0]:
+            pending[0] = 0 if not event.ok else pending[0] - 1
+            if not pending[0]:
+                callback(event)
+
+    for event in events:
+        event.add_callback(check)
+
+class _InstantDevice(_FixedDevice):
+    """Zero service time: an op is served inside its own grant, so the
+    next op's grant must queue behind whatever that grant's instant
+    already holds."""
+
+    def service_time(self, kind, offset, nbytes):
+        super().service_time(kind, offset, nbytes)  # raises on a bad offset
+        return 0.0
+
+
+_BATCH_DEVICES = {
+    "sata": lambda sim: SSD(sim, SSDSpec.sata_consumer()),
+    "nvme": lambda sim: SSD(sim, SSDSpec.nvme_p3700()),
+    "nvme-2ch": lambda sim: SSD(sim, SSDSpec(channels=2)),
+    "hdd": HDD,
+    "fixed": _FixedDevice,
+    "instant": _InstantDevice,
+}
+
+_batch_op = st.tuples(
+    st.sampled_from(_GAPS),
+    st.sampled_from((READ, WRITE, WRITE, LOGWRITE, LOGWRITE, FLUSH)),
+    # -1 makes the fixed device's pricing raise
+    st.one_of(st.none(), st.just(-1), st.integers(0, 1 << 30)),
+    st.one_of(st.sampled_from(_SIZES[1:]), st.integers(1, 4 << 20)),
+    st.integers(1, 12),
+)
+
+
+def _drive_batches(make, schedule, batched):
+    sim = Simulator()
+    device = make(sim)
+    paths = (device._path_for(WRITE), device._path_for(READ))
+    trace = []
+    next_offset = {}
+
+    def driver():
+        for index, (gap, kind, offset, nbytes, count) in enumerate(schedule):
+            if gap:
+                yield sim.timeout(gap)
+            if offset is None:
+                offset = next_offset.get(kind, 0)
+            next_offset[kind] = offset + nbytes
+
+            def seen(event, index=index):
+                trace.append((index, sim.now, event.ok, [p.in_use for p in paths]))
+
+            if kind == FLUSH:
+                device.flush().add_callback(seen)
+            elif batched:
+                device.submit_many(kind, offset, nbytes, count).add_callback(seen)
+            else:
+                _when_all([device.submit(kind, offset, nbytes) for _ in range(count)], seen)
+
+    sim.process(driver())
+    sim.run()
+    assert len(trace) == len(schedule)
+    controller = device.controller
+    return (
+        trace,
+        device.stats,
+        [(p.in_use, p.busy_time) for p in paths],
+        controller and (controller._free_at, controller.total_bytes),
+        sim.now,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(_BATCH_DEVICES)), st.lists(_batch_op, min_size=1, max_size=16))
+def test_submit_many_matches_serial_submits(name, schedule):
+    make = _BATCH_DEVICES[name]
+    # exact float equality throughout, as in the generator differential
+    assert _drive_batches(make, schedule, True) == _drive_batches(make, schedule, False)
+
+
+def test_submit_many_needs_data_ops():
+    device = SSD(Simulator())
+    with pytest.raises(ValueError):
+        device.submit_many(WRITE, 0, 0, 2)  # a 0-byte write may be sequential
+    with pytest.raises(ValueError):
+        device.submit_many(LOGWRITE, 0, 4096, 0)
+
+
+class _SerialECLayout(ErasureCodedLayout):
+    """The PUT before submit_many: 64 submits, one per device write."""
+
+    def put(self, cluster, key, nbytes):
+        disks = cluster.placement(key, self.width)
+        chunk = (nbytes + self.k - 1) // self.k
+        events = [disk.submit("write", (i + 1) * 2**30, chunk) for i, disk in enumerate(disks)]
+        for j in range(self.meta_writes_per_object):
+            events.append(
+                disks[j % self.width].submit("logwrite", 3 * 2**30, self.meta_write_bytes)
+            )
+        return cluster.sim.all_of(events)
+
+
+@pytest.mark.parametrize(
+    "make_disk",
+    [lambda s, n: SSD(s, SSDSpec.sata_consumer(), name=n), lambda s, n: HDD(s, name=n)],
+    ids=["sata", "hdd"],
+)
+def test_ec_put_matches_the_serial_reference_layout(make_disk):
+    """One 4 MiB PUT is still 64 device writes (Figs 12-14) with the same
+    stats and completion time — overlapping a second PUT and a GET on a
+    small pool, so the batches queue behind other work — but waits on 12
+    children (6 chunk writes, 6 metadata batches) instead of 64."""
+
+    def run(layout):
+        sim = Simulator()
+        cluster = StorageCluster(sim, 2, 4, make_disk)
+        done = [layout.put(cluster, "vd.00000001", 4 << 20)]
+        done.append(layout.get_range(cluster, "vd.00000001", 0, 1 << 20))
+        done.append(layout.put(cluster, "vd.00000002", 1 << 20))
+        finished = []
+        for index, event in enumerate(done):
+            event.add_callback(lambda _e, index=index: finished.append((index, sim.now)))
+        sim.run()
+        return finished, [disk.stats for disk in cluster.disks], cluster.totals(), done
+
+    finished, stats, totals, done = run(ErasureCodedLayout())
+    ref_finished, ref_stats, ref_totals, ref_done = run(_SerialECLayout())
+    assert finished == ref_finished
+    assert stats == ref_stats
+    assert totals == ref_totals and totals.writes == 2 * 64
+    assert len(done[0].events) == 12 and len(ref_done[0].events) == 64
 
 
 @pytest.mark.parametrize("make", _DEVICES["fixed"], ids=["record", "reference"])

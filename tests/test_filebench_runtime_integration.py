@@ -47,7 +47,7 @@ def bcache_stack():
     return sim, dev
 
 
-def throughput(stack_fn, model, duration=0.6):
+def throughput(stack_fn, model, duration=0.2):
     sim, dev = stack_fn()
     result = drive_ops(
         sim, dev, itertools.islice(model.ops(seed=7), 200_000), 16, duration
@@ -78,9 +78,9 @@ def test_varmail_barrier_cost_is_the_differentiator():
         return (op for op in model.ops(seed) if op.kind != "flush")
 
     sim, dev = lsvd_stack()
-    lsvd_nf = drive_ops(sim, dev, itertools.islice(no_flush_ops(7), 200_000), 16, 0.6)
+    lsvd_nf = drive_ops(sim, dev, itertools.islice(no_flush_ops(7), 200_000), 16, 0.2)
     sim, dev = bcache_stack()
-    bc_nf = drive_ops(sim, dev, itertools.islice(no_flush_ops(7), 200_000), 16, 0.6)
+    bc_nf = drive_ops(sim, dev, itertools.islice(no_flush_ops(7), 200_000), 16, 0.2)
     ratio_without_barriers = lsvd_nf.ops / max(bc_nf.ops, 1)
 
     lsvd = throughput(lsvd_stack, varmail(2 * GiB))

@@ -1,8 +1,11 @@
 """Tests for the fast batching + GC trace simulator (Table 5)."""
 
 
+import random
+
 import pytest
 
+from repro.core.placement import make_policy
 from repro.gcsim import GCSimulator
 from repro.workloads import TRACE_PRESETS, CloudPhysicsTrace
 
@@ -207,3 +210,25 @@ def test_table5_merge_ratio_shape():
         return sim.finish().merge_ratio
 
     assert merge_of("w41") > merge_of("w10") + 0.2
+
+
+@pytest.mark.parametrize(
+    "merge, policy, hole_pages",
+    [(True, "sepbit", 0), (False, "legacy", 0), (True, "legacy", 2)],
+)
+def test_running_occupancy_totals_equal_the_dict_sums(merge, policy, hole_pages):
+    """occupancy() keeps running totals; after every step of a seeded
+    write/flush/GC sequence they must equal the sums over every stored
+    object that the page map used to take on each call."""
+    rng = random.Random(11)
+    sim = GCSimulator(
+        volume_size=2 * MiB, batch_size=64 * 1024, merge=merge,
+        policy=make_policy(policy), defrag_hole_pages=hole_pages,
+    )
+    for _ in range(2500):
+        if rng.random() < 0.05:
+            sim.flush_batch()
+        else:
+            sim.write(rng.randrange(512) * PAGE, rng.choice((1, 1, 2, 5)) * PAGE)
+        assert sim.occupancy() == (sum(sim.obj_live.values()), sum(sim.obj_size.values()))
+    assert sim.objects_deleted > 0  # cleaning rounds ran

@@ -88,7 +88,7 @@ def test_run_fio_counts_merged_ops_individually():
     sim = Simulator()
     dev = InstantDevice(sim)
     job = FioJob(rw="write", bs=4096, iodepth=4, size=1 << 20, seed=0)
-    result = run_fio(sim, dev, job, duration=0.5)
+    result = run_fio(sim, dev, job, duration=0.05)
     assert result.ops > 0
     # the device saw merged (large) requests
     assert any(op.length > 4096 for op in dev.seen)
