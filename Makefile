@@ -85,6 +85,8 @@ paper-smoke:
 # the read-ahead both-regimes gate (DESIGN.md "Read-ahead controller"):
 # off / constant / adaptive window x temporal / spatial / uniform reads;
 # fails unless adaptive keeps the temporal-recall GET saving exactly, costs
-# no GET on address-order scans and moves <= 1/4 the bytes on uniform reads
+# no GET on address-order scans and moves <= 1/4 the bytes on uniform reads;
+# emits the nine (GETs, bytes/read) cells as BENCH_prefetch.json for bench-diff
 ablation-prefetch:
+	mkdir -p bench-out
 	$(PYTHON) -m pytest benchmarks/test_ablation_prefetch.py -q

@@ -14,15 +14,20 @@ what earlier read-ahead delivered — and three read patterns:
   paper's §6.3 flags for future "restoring spatial ordering during GC";
 * uniform-random — independent draws over the whole written set: nothing
   to predict, so every prefetched byte is pure cost.
+
+The nine (GETs, bytes per read) cells go to ``bench-out/BENCH_prefetch.json``
+so ``make bench-diff`` holds each of them, not just the four gates below.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.core import LSVDConfig, LSVDVolume
 from repro.devices.image import DiskImage
 from repro.objstore import InMemoryObjectStore
+from repro.obs import Registry, write_bench_json
 
 MiB = 1 << 20
 BLOCK = 4096
@@ -122,6 +127,13 @@ def test_ablation_temporal_prefetch(once):
             ),
         )
     table.show()
+    figures = {}
+    for (arm, pattern), (n_gets, per_read) in measured.items():
+        figures[f"{arm}_{pattern}_gets"] = n_gets
+        figures[f"{arm}_{pattern}_bytes_per_read"] = per_read
+    out = Path("bench-out")
+    out.mkdir(exist_ok=True)
+    write_bench_json("prefetch", Registry(), figures=figures, out_dir=out)
 
     no_pf_temporal = results[(BLOCK, "temporal")]
     pf_temporal = results[(128 * 1024, "temporal")]

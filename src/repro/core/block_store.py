@@ -464,6 +464,7 @@ class BlockStore:
         blob = memoryview(self.fetch(seq, start, end - start))
         pieces: List[Tuple[int, memoryview]] = []
         extents = header.extents
+        live_lookup = self.omap.map.lookup
         # only the header extents the window overlaps, not all of them
         for index in range(bisect_right(starts, start) - 1, len(extents)):
             ext_start, ext_end = starts[index], starts[index + 1]
@@ -475,7 +476,7 @@ class BlockStore:
                 # only return ranges the map still assigns to this object
                 # at these offsets: prefetched neighbours may have been
                 # overwritten by newer objects and must not be surfaced.
-                for live in self.omap.lookup(vlba, hi - lo):
+                for live in live_lookup(vlba, hi - lo):
                     if live.target != seq:
                         continue
                     if live.offset != lo + (live.lba - vlba):

@@ -25,9 +25,11 @@ Correctness rules:
 Read-ahead is sized by what it delivers (DESIGN.md, "Read-ahead
 controller"): one flag per ring block marks data that was fetched but not
 asked for and has not been read since.  A hit that clears a flag is a
-*used* verdict, the ring pointer overwriting one a *wasted* verdict, and
-:meth:`readahead_window` halves or doubles the next fetch's span on the
-used share of each :data:`READAHEAD_EPOCH` verdicts.
+*used* verdict, the ring pointer overwriting one a *wasted* verdict, a
+fetch carrying one again behind its demanded block a *refetch* verdict
+(wasted for the window, flag kept), and :meth:`readahead_window` halves
+or doubles the next fetch's span on the used share of each
+:data:`READAHEAD_EPOCH` verdicts.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from typing import Deque, List, Optional, Sequence, Tuple
 from repro.core import checkpoint as ckpt
 from repro.core.config import BLOCK
 from repro.core.errors import CorruptRecordError
-from repro.core.extent_map import ExtentMap
+from repro.core.extent_map import Extent, ExtentMap
 from repro.core.log import align_up
 from repro.devices.image import DiskImage
 from repro.obs import NULL_SPAN, Registry, bind_metrics, gauge_field, metric_field
@@ -68,6 +70,7 @@ class ReadCache:
     evicted_bytes = metric_field("rc.evicted_bytes")
     prefetch_used_bytes = metric_field("rc.prefetch_used_bytes")
     prefetch_wasted_bytes = metric_field("rc.prefetch_wasted_bytes")
+    prefetch_refetched_bytes = metric_field("rc.prefetch_refetched_bytes")
     readahead_window_bytes = gauge_field("rc.readahead_window_bytes")
 
     def __init__(
@@ -101,8 +104,14 @@ class ReadCache:
         self.obs = obs if obs is not None else Registry()
         bind_metrics(self)
         self._occupancy = self.obs.gauge("rc.occupancy_bytes")
-        #: ``prefetch_used_bytes`` for the hit path (a descriptor += costs ~1 us)
+        #: counters bound once for the hit and insert paths (a descriptor
+        #: += costs ~1 us)
         self._used_counter = ReadCache.prefetch_used_bytes.metric(self)
+        self._hit_counter = ReadCache.hits.metric(self)
+        self._miss_counter = ReadCache.misses.metric(self)
+        self._inserted_counter = ReadCache.inserted_bytes.metric(self)
+        self._evicted_counter = ReadCache.evicted_bytes.metric(self)
+        self._wasted_counter = ReadCache.prefetch_wasted_bytes.metric(self)
 
     # ------------------------------------------------------------------
     def _phys(self, virt: int) -> int:
@@ -125,12 +134,18 @@ class ReadCache:
         if used:
             self._used += used
             self._used_counter.inc(used * BLOCK)
-        if out:
-            self.hits += 1
-        else:
-            self.misses += 1
+        (self._hit_counter if out else self._miss_counter).inc()
         stage.end(hit=bool(out))
         return out
+
+    def peek(self, lba: int, length: int) -> Optional[bytes]:
+        """The bytes of [lba, lba+length) if one cached extent holds them
+        all, else None: a probe (the cleaner's, §3.5), not a client read,
+        so it counts no hit or miss and clears no read-ahead flag."""
+        found = self.map.lookup(lba, length)
+        if len(found) == 1 and found[0].length == length:
+            return self.image.read(found[0].offset, length)
+        return None
 
     def readahead_window(self, request: int, limit: int) -> int:
         """Bytes the backend fetch for a ``request``-byte miss should span.
@@ -174,6 +189,7 @@ class ReadCache:
         pieces: Sequence[Tuple[int, bytes]],
         span=NULL_SPAN,
         demand: Tuple[int, int] = (0, 1 << 63),
+        refetched: Sequence[Extent] = (),
     ) -> None:
         """Add the ``(lba, data)`` pieces of one backend fetch, in order.
 
@@ -186,11 +202,24 @@ class ReadCache:
         ``demand`` is the ``(lba, length)`` the reader asked for; every
         block outside it is read-ahead and is flagged until someone reads
         it.  By default the whole burst counts as asked for.
+
+        ``refetched`` are map extents the fetch carried again but the
+        caller did not re-insert: each still-flagged block under them is
+        one wasted verdict for the window and keeps its flag (DESIGN.md,
+        "Read-ahead controller").
         """
         stage = span.begin("rc_insert", ranges=len(pieces))
         size = self.data_size
         log = self._log
         flags = self._prefetched
+        base = self.data_offset
+        refetches = 0
+        for ext in refetched:
+            rel = ext.offset - base
+            refetches += flags.count(1, rel // BLOCK, (rel + ext.length + BLOCK - 1) // BLOCK)
+        if refetches:
+            self._wasted += refetches
+            self.prefetch_refetched_bytes += refetches * BLOCK
         virt = self._ring_virt
         want_lba, want_len = demand
         inserted = evicted = wasted = 0
@@ -233,12 +262,12 @@ class ReadCache:
             virt += footprint
         self._ring_virt = virt
         if inserted:
-            self.inserted_bytes += inserted
+            self._inserted_counter.inc(inserted)
         if evicted:
-            self.evicted_bytes += evicted
+            self._evicted_counter.inc(evicted)
         if wasted:
             self._wasted += wasted
-            self.prefetch_wasted_bytes += wasted * BLOCK
+            self._wasted_counter.inc(wasted * BLOCK)
         self._occupancy.set(min(virt, size))
         stage.end(bytes=inserted)
 
@@ -258,10 +287,8 @@ class ReadCache:
         A record the pointer only partly overwrites is shrunk, not popped,
         so its surviving tail stays readable.  The record may be stale —
         its LBAs invalidated, or re-inserted elsewhere since — so only map
-        pieces that still point into these very bytes are evicted: the one
-        carve unmaps the record's LBAs (nearly always all its own), and a
-        piece that lives elsewhere is mapped straight back, which re-joins
-        it with the neighbours it was cut from.
+        pieces that still point into these very bytes are unmapped, in one
+        pass; a piece that lives elsewhere is left whole.
         """
         virt, length, lba = self._log[0]
         cut = horizon - virt
@@ -270,13 +297,8 @@ class ReadCache:
             self._log.popleft()
         else:
             self._log[0] = (horizon, length - cut, lba + cut)
-        phys = self._phys(virt)
-        dropped = 0
-        for ext in self.map.remove(lba, cut):
-            if ext.offset == phys + (ext.lba - lba):
-                dropped += ext.length
-            else:
-                self.map.update(ext.lba, ext.length, RC_TARGET, ext.offset)
+        unmapped = self.map.remove_matching(lba, cut, RC_TARGET, self._phys(virt))
+        dropped = sum(ext.length for ext in unmapped)
         self._lap_evicted += dropped
         return dropped
 

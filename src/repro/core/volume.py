@@ -86,9 +86,12 @@ class LSVDVolume:
         #: one registry for the whole stack; the block store owns it and
         #: the caches/collector were constructed against the same object
         self.obs: Registry = block_store.obs
-        self.gc = GarbageCollector(
-            block_store, self.config, cache_reader=self._gc_cache_read
-        )
+        # GC cache-assist (§3.5) probes the read cache only: it is
+        # invalidated on every write, so a full hit equals the mapped
+        # (victim) version.  The write cache may hold *newer* data and must
+        # not be used: relocating it could surface a write without its
+        # predecessors after a crash, breaking prefix consistency.
+        self.gc = GarbageCollector(block_store, self.config, cache_reader=read_cache.peek)
         self.gc_enabled = True
         #: per-tenant admission hook (repro.fleet wires a CoreAdmission
         #: here on attach); None = no QoS, the single-volume default
@@ -290,14 +293,21 @@ class LSVDVolume:
         span = self.obs.spans.root("read", bytes=length)
         if self.qos is not None:
             self.qos.admit("read", length, span=span)
+        # 1: write cache (always the newest data), then 2: the read cache,
+        # whose one gap is the whole request when the write cache has none
+        pieces = self.wc.read(offset, length, span=span)
+        from_wc = bool(pieces)
+        if not from_wc:
+            pieces = self.rc.read(offset, length, span=span)
+        if len(pieces) == 1 and pieces[0][1] == length:
+            span.end()
+            return pieces[0][2]  # one piece is the whole request: no assembly
         out = bytearray(length)
-        # 1: write cache (always the newest data)
         covered = _Coverage(offset, length)
-        for piece_start, piece_len, data in self.wc.read(offset, length, span=span):
+        for piece_start, piece_len, data in pieces:
             out[piece_start - offset : piece_start - offset + piece_len] = data
             covered.fill(piece_start, piece_len)
-        # 2: read cache
-        for gap_lba, gap_len in covered.gaps():
+        for gap_lba, gap_len in covered.gaps() if from_wc else ():
             for piece_start, piece_len, data in self.rc.read(
                 gap_lba, gap_len, span=span
             ):
@@ -562,31 +572,30 @@ class LSVDVolume:
                 "cache log full with PUTs outstanding; destage in progress"
             )
 
-    def _gc_cache_read(self, lba: int, length: int) -> Optional[bytes]:
-        """GC cache-assist: serve only from the read cache (§3.5).
-
-        The read cache is invalidated on every write, so a full hit is
-        guaranteed to equal the currently mapped (victim) version.  The
-        write cache may hold *newer* data than the victim's and must not
-        be used: relocating it could surface a write without its
-        predecessors after a crash, breaking prefix consistency.
-        """
-        pieces = self.rc.read(lba, length)
-        if len(pieces) == 1 and pieces[0][0] == lba and pieces[0][1] == length:
-            return pieces[0][2]
-        return None
-
     def _insert_read_cache(self, fetched, demand, span=NULL_SPAN) -> None:
-        """Insert one fetch's ``(lba, data)`` pieces as a single burst,
-        clipped against newer write-cache data; everything outside the
-        ``demand`` ``(lba, length)`` is read-ahead."""
-        wc_map = self.wc.map
-        pieces = []
+        """Insert one fetch's ``(lba, data)`` pieces as a single burst, only
+        where neither cache holds them: the write cache's data is newer, the
+        read cache's is these very bytes (writes invalidate it).  Everything
+        outside the ``demand`` ``(lba, length)`` is read-ahead; a cached
+        neighbour lying behind the demand in object order goes to the read
+        cache as ``refetched`` (DESIGN.md, "Read-ahead controller")."""
+        wc_lookup = self.wc.map.lookup_with_gaps
+        rc_lookup = self.rc.map.lookup_with_gaps
+        want = demand[0]
+        pieces, behind = [], []
+        ahead = False  # past the fetched piece that holds the demand
         for lba, data in fetched:
-            for start, length, ext in wc_map.lookup_with_gaps(lba, len(data)):
-                if ext is None:
-                    pieces.append((start, data[start - lba : start - lba + length]))
-        self.rc.insert_burst(pieces, span=span, demand=demand)
+            here = lba <= want < lba + len(data)
+            for start, length, cached in rc_lookup(lba, len(data)):
+                if cached is not None:
+                    if not ahead and (start < want or not here):
+                        behind.append(cached)
+                    continue
+                for s, n, newer in wc_lookup(start, length):
+                    if newer is None:
+                        pieces.append((s, data[s - lba : s - lba + n]))
+            ahead = ahead or here
+        self.rc.insert_burst(pieces, span=span, demand=demand, refetched=behind)
 
     def _check_io(self, offset: int, length: int) -> None:
         if offset % SECTOR or length % SECTOR:

@@ -4,6 +4,8 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import read_cache
 from repro.core.config import LSVDConfig
@@ -342,6 +344,70 @@ def test_differential_reload_splits_an_extent_coalesced_across_the_pointer():
     ]
     rc = run_differential(ops)
     assert [(p[0], p[1]) for p in rc.read(0, 12 * KiB)] == [(0, 4 * KiB), (8 * KiB, 4 * KiB)]
+
+
+class CarveEvictCache(ReadCache):
+    """Eviction as it was before ``ExtentMap.remove_matching``: carve the
+    head record's LBAs out of the map, then map back every piece that lives
+    elsewhere.  Kept here only as the reference ``_evict_head`` is compared
+    with."""
+
+    def _evict_head(self, horizon):
+        virt, length, lba = self._log[0]
+        cut = horizon - virt
+        if cut >= length:
+            cut = length
+            self._log.popleft()
+        else:
+            self._log[0] = (horizon, length - cut, lba + cut)
+        phys = self._phys(virt)
+        dropped = 0
+        for ext in self.map.remove(lba, cut):
+            if ext.offset == phys + (ext.lba - lba):
+                dropped += ext.length
+            else:
+                self.map.update(ext.lba, ext.length, RC_TARGET, ext.offset)
+        self._lap_evicted += dropped
+        return dropped
+
+
+SECTORS = st.sampled_from([1, 8, 9, 24, 56, 120])  # 512 B .. 60 KiB pieces
+ring_histories = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("burst"),
+            st.lists(st.tuples(st.integers(0, 255), SECTORS), min_size=1, max_size=5),
+            st.integers(0, 255),
+        ),
+        st.tuples(st.just("invalidate"), st.integers(0, 255), SECTORS),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(history=ring_histories)
+def test_differential_one_pass_eviction_against_carve_and_put_back(history):
+    """Over a 128 KiB LBA span (two rings) of 512 B .. 60 KiB pieces: heads
+    the pointer only partly overwrites, records gone stale by ``invalidate``
+    or by a re-insert elsewhere, and many ring wraps."""
+    img = DiskImage(SLOT + RING, name="rc-ssd")
+    new = ReadCache(img, 0, img.size, map_slot_size=SLOT)
+    ref = CarveEvictCache(DiskImage(SLOT + RING), 0, img.size, map_slot_size=SLOT)
+    for step, op in enumerate(history):
+        if op[0] == "burst":
+            pieces = [(s * 512, bytes([(step + s) % 255 + 1]) * n * 512) for s, n in op[1]]
+            for rc in (new, ref):
+                rc.insert_burst(pieces, demand=(op[2] * 512, 4 * KiB))
+        else:
+            for rc in (new, ref):
+                rc.invalidate(op[1] * 512, op[2] * 512)
+        assert new.map.entries() == ref.map.entries(), step
+        assert new._log == ref._log, step
+        assert new.evicted_bytes == ref.evicted_bytes, step
+        assert new._prefetched == ref._prefetched, step
+    assert new.image.read(0, img.size) == ref.image.read(0, img.size)
 
 
 class NullImage:

@@ -262,20 +262,37 @@ rc_ops = st.lists(
 
 class _FlagTally:
     """Counts, from the arguments alone, the blocks each ``insert_burst``
-    must flag: every block of every cached piece the demand does not touch."""
+    must flag: every block of every cached piece the demand does not touch.
+    Around each burst, the controller's epoch count must move by exactly the
+    verdicts the counters took, a refetch verdict being one per block still
+    flagged under a ``refetched`` extent."""
 
     def __init__(self, rc):
         self.rc, self.flagged, self.inner = rc, 0, rc.insert_burst
         rc.insert_burst = self
 
-    def __call__(self, pieces, span, demand):
+    def __call__(self, pieces, span, demand, refetched=()):
+        rc = self.rc
         lo, hi = demand[0], demand[0] + demand[1]
         for lba, data in pieces:  # ring blocks count from the piece's start
             end = lba + len(data)
             self.flagged += sum(
                 1 for b in range(lba, end, 4096) if min(b + 4096, end) <= lo or b >= hi
             )
-        self.inner(pieces, span=span, demand=demand)
+        refetches = 0
+        for ext in refetched:  # a cached extent, wholly outside the demand
+            assert rc.map.lookup(ext.lba, ext.length) == [ext]
+            assert ext.lba + ext.length <= lo or ext.lba >= hi
+            rel = ext.offset - rc.data_offset
+            refetches += sum(rc._prefetched[rel // 4096 : (rel + ext.length + 4095) // 4096])
+        epoch, wasted, refetched_bytes = (
+            rc._used + rc._wasted, rc.prefetch_wasted_bytes, rc.prefetch_refetched_bytes
+        )
+        self.inner(pieces, span=span, demand=demand, refetched=refetched)
+        assert rc.prefetch_refetched_bytes - refetched_bytes == refetches * 4096
+        assert rc._used + rc._wasted - epoch == (
+            (rc.prefetch_wasted_bytes - wasted) // 4096 + refetches
+        )
 
     def check(self):
         rc = self.rc
