@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: all lint ruff mypy invariants test obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger paper-smoke ablation-prefetch
+.PHONY: all lint ruff mypy invariants test obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger ledger-pairs paper-smoke ablation-prefetch
 
 all: lint test
 
@@ -74,6 +74,37 @@ ledger:
 	mkdir -p bench-out
 	$(PYTHON) benchmarks/ledger/run.py --quick --out-dir bench-out
 	$(PYTHON) -m pytest benchmarks/ledger -q
+
+# two commits compared as benchmarks/ledger/README.md "Comparing two
+# commits" prescribes: BASE and HEAD checked out as sibling worktrees (a
+# run from another location read 2-6 % apart with no line changed), one
+# full-length run each per seed, alternating which side goes first; every
+# run's result line is appended to bench-out/pairs/<workload>.jsonl as
+# {"side", "seed", "result"}; a run that fails or prints no result line
+# stops the loop.  Measures commits: commit the change first.
+#   make ledger-pairs BASE=<rev> WORKLOAD=<name> SEEDS="1 2 3"
+BASE ?= HEAD~1
+WORKLOAD ?= vol-read-miss
+SEEDS ?= 1 2 3 4 5 6 7 8 9 10
+PAIRS := bench-out/pairs
+ledger-pairs:
+	mkdir -p $(PAIRS)
+	-git worktree remove --force $(PAIRS)/base 2>/dev/null
+	-git worktree remove --force $(PAIRS)/head 2>/dev/null
+	git worktree add --detach $(PAIRS)/base $(BASE)
+	git worktree add --detach $(PAIRS)/head HEAD
+	i=0; for seed in $(SEEDS); do \
+	  if [ $$((i % 2)) -eq 0 ]; then order="base head"; else order="head base"; fi; \
+	  for side in $$order; do \
+	    out=$$(cd $(PAIRS)/$$side && $(PYTHON) benchmarks/ledger/run.py \
+	      --workload $(WORKLOAD) --seed $$seed --seconds 10 --out-dir ../out-$$side) || exit 1; \
+	    line=$$(printf '%s\n' "$$out" | grep '^{') || exit 1; \
+	    printf '{"side": "%s", "seed": %s, "result": %s}\n' $$side $$seed "$$line" \
+	      >> $(PAIRS)/$(WORKLOAD).jsonl; \
+	  done; i=$$((i + 1)); \
+	done
+	git worktree remove --force $(PAIRS)/base
+	git worktree remove --force $(PAIRS)/head
 
 # the paper-figure benchmarks sit outside tier-1, so nothing else notices
 # when one stops importing or reaches for a private that was renamed:

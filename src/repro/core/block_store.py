@@ -420,20 +420,26 @@ class BlockStore:
     def lookup_with_gaps(self, lba: int, length: int):
         return self.omap.lookup_with_gaps(lba, length)
 
-    def fetch(self, seq: int, offset: int, length: int) -> bytes:
+    def fetch(
+        self, seq: int, offset: int, length: int, header: Optional[ObjectHeader] = None
+    ) -> bytes:
         """Ranged GET of object data (offset is into the *data* area).
 
         With a shared cache attached (§6.3) the attachment is consulted
         first; misses fall through to :meth:`fetch_direct` and populate
-        the cache for every other attached volume.
+        the cache for every other attached volume.  ``header`` is
+        ``header_of(seq)`` when the caller holds it already.
         """
         if self._shared_reader is not None:
             return self._shared_reader.fetch(self, seq, offset, length)
-        return self.fetch_direct(seq, offset, length)
+        return self.fetch_direct(seq, offset, length, header)
 
-    def fetch_direct(self, seq: int, offset: int, length: int) -> bytes:
+    def fetch_direct(
+        self, seq: int, offset: int, length: int, header: Optional[ObjectHeader] = None
+    ) -> bytes:
         """The uncached ranged GET (shared-cache attachments call this)."""
-        header = self.header_of(seq)
+        if header is None:
+            header = self.header_of(seq)
         name = self.name_for_seq(seq)
         return self.store.get_range(name, header.header_size + offset, length)
 
@@ -452,6 +458,13 @@ class BlockStore:
         *temporal* locality.  Returns (vLBA, data) pieces, the requested
         range guaranteed covered.  The pieces are zero-copy memoryviews
         over the single fetched blob; callers assemble or copy as needed.
+
+        ``request_lba`` is the vLBA of ``[offset, offset + length)``, where
+        the caller's lookup has just found it mapped.  That range comes
+        back from this object at any window whether or not the map still
+        puts it there (a dedup alias sits at an LBA the header does not
+        name), so a caller must pass a piece it found live; a window that
+        is exactly the range returns it with no map lookup.
         """
         header = self.header_of(seq)
         starts = self._extent_starts.get(seq)
@@ -461,7 +474,7 @@ class BlockStore:
         window = max(window or self.config.prefetch_bytes, length)
         start = max(0, offset - (window - length) // 2)
         end = min(header.data_len, start + window)
-        blob = memoryview(self.fetch(seq, start, end - start))
+        blob = memoryview(self.fetch(seq, start, end - start, header))
         pieces: List[Tuple[int, memoryview]] = []
         extents = header.extents
         live_lookup = self.omap.map.lookup
@@ -473,6 +486,8 @@ class BlockStore:
             lo, hi = max(ext_start, start), min(ext_end, end)
             if lo < hi:
                 vlba = extents[index].lba + (lo - ext_start)
+                if end - start == length and (vlba, hi - lo) == (request_lba, length):
+                    return [(request_lba, blob)]  # the window is the caller's own live piece
                 # only return ranges the map still assigns to this object
                 # at these offsets: prefetched neighbours may have been
                 # overwritten by newer objects and must not be surfaced.

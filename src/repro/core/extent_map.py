@@ -25,7 +25,6 @@ extent shifts ``offset`` so that ``offset + (addr - lba)`` always locates
 from __future__ import annotations
 
 from bisect import bisect_right
-from operator import attrgetter
 from typing import Hashable, Iterator, List, NamedTuple, Optional, Tuple
 
 
@@ -48,7 +47,12 @@ class Extent(NamedTuple):
         stop = min(self.end, lba + length)
         if start >= stop:
             raise ValueError("slice does not overlap extent")
-        return Extent(start, stop - start, self.target, self.offset + (start - self.lba))
+        return _new(Extent, (start, stop - start, self.target, self.offset + (start - self.lba)))
+
+
+#: ``_new(Extent, (lba, length, target, offset))`` builds an extent in C,
+#: without the NamedTuple constructor's Python frame (the hot paths' idiom)
+_new = tuple.__new__
 
 
 def _adjacent(a: Optional[Extent], b: Optional[Extent]) -> bool:
@@ -155,7 +159,7 @@ class ExtentMap:
         """
         if length <= 0:
             raise ValueError("length must be positive")
-        new = Extent(lba, length, target, offset)
+        new = _new(Extent, (lba, length, target, offset))
         chunks = self._chunks
         if chunks:
             ci, i0 = self._start_pos(lba)
@@ -197,11 +201,11 @@ class ExtentMap:
                 self._mapped += length - carved
                 r0, r1 = i0, j
                 if prev is not None:  # absorb the left fragment or chunk[i0 - 1]
-                    new = Extent(prev.lba, prev.length + length, target, prev.offset)
+                    new = _new(Extent, (prev.lba, prev.length + length, target, prev.offset))
                     r0 -= left is None
                     left = None
                 if nxt is not None:  # absorb the right fragment or chunk[j]
-                    new = Extent(new.lba, new.length + nxt.length, target, new.offset)
+                    new = _new(Extent, (new.lba, new.length + nxt.length, target, new.offset))
                     r1 += right is None
                     right = None
                 run = [new] if left is None else [left, new]
@@ -223,10 +227,42 @@ class ExtentMap:
         """Unmap [lba, lba+length); return the displaced pieces (trim)."""
         return self._carve(lba, length)
 
-    def remove_matching(self, lba: int, length: int, target: Hashable, offset: int) -> List[Extent]:
+    def remove_matching(self, lba: int, length: int, target: Hashable, offset: int) -> int:
         """Unmap the pieces of [lba, lba+length) still mapped to
-        ``target[offset:]``, in one pass; pieces mapped elsewhere stay."""
-        return self._carve(lba, length, (target, offset))
+        ``target[offset:]``, in one pass; pieces mapped elsewhere stay.
+        Returns the bytes unmapped.
+
+        The common case — one extent holds the whole range as mapped there
+        (a ring record or cache-log extent as it was inserted, or its
+        head) — is one routing step and one :meth:`_replace_run` with the
+        extent's surviving ends; anything else is the general carve from
+        the same position.
+        """
+        chunks = self._chunks
+        if length <= 0:
+            raise ValueError("length must be positive")
+        if not chunks:
+            return 0
+        pos = ci, ei = self._start_pos(lba)
+        if ci < len(chunks):
+            e_lba, e_len, e_target, e_off = chunks[ci][ei]
+            end, e_end = lba + length, e_lba + e_len
+            same = e_target == target and e_off + (lba - e_lba) == offset
+            if same and e_lba <= lba and end <= e_end:
+                frags: List[Extent] = []
+                if e_lba < lba:
+                    frags.append(_new(Extent, (e_lba, lba - e_lba, target, e_off)))
+                if end < e_end:
+                    frags.append(_new(Extent, (end, e_end - end, target, offset + length)))
+                self._mapped -= length
+                self._replace_run(ci, ei, ei + 1, frags)
+                ci = min(ci, len(chunks) - 1)
+                self._maybe_fold(ci)
+                self._maybe_fold(ci - 1)
+                return length
+        mapped = self._mapped
+        self._carve(lba, length, (target, offset), pos)
+        return mapped - self._mapped
 
     def clear(self) -> None:
         self._chunks.clear()
@@ -262,16 +298,17 @@ class ExtentMap:
         return (ci + 1, 0)
 
     # -- internals -----------------------------------------------------
-    def _carve(self, lba: int, length: int, match=None) -> List[Extent]:
+    def _carve(self, lba: int, length: int, match=None, pos=None) -> List[Extent]:
         """Remove every mapping overlapping [lba, lba+length) — or, given
-        ``match=(target, offset)``, those translating ``lba`` to it only."""
+        ``match=(target, offset)``, those translating ``lba`` to it only.
+        ``pos`` is ``_start_pos(lba)`` when the caller already routed."""
         if length <= 0:
             raise ValueError("length must be positive")
         end = lba + length
         displaced: List[Extent] = []
         if not self._chunks:
             return displaced
-        ci, ei = self._start_pos(lba)
+        ci, ei = pos or self._start_pos(lba)
         while ci < len(self._chunks):
             chunk = self._chunks[ci]
             n = len(chunk)
@@ -323,12 +360,12 @@ class ExtentMap:
             e_end = e_lba + e_len
             start = e_lba if e_lba > lba else lba
             stop = e_end if e_end < end else end
-            displaced.append(Extent(start, stop - start, e_target, e_off + (start - e_lba)))
+            displaced.append(_new(Extent, (start, stop - start, e_target, e_off + start - e_lba)))
             carved += stop - start
             if e_lba < lba:
-                frags.append(Extent(e_lba, lba - e_lba, e_target, e_off))
+                frags.append(_new(Extent, (e_lba, lba - e_lba, e_target, e_off)))
             if e_end > end:
-                frags.append(Extent(end, e_end - end, e_target, e_off + (end - e_lba)))
+                frags.append(_new(Extent, (end, e_end - end, e_target, e_off + end - e_lba)))
         return i, carved, frags
 
     def _insert(self, new: Extent) -> None:
@@ -421,7 +458,7 @@ class ExtentMap:
         """Replace ``chunk[i0:i1]`` with ``frags``; drop the leaf if empty."""
         chunk, lbas = self._chunks[ci], self._lbas[ci]
         chunk[i0:i1] = frags
-        lbas[i0:i1] = map(attrgetter("lba"), frags)
+        lbas[i0:i1] = [f[0] for f in frags] if frags else ()
         self._count += len(frags) - (i1 - i0)
         if not chunk:
             del self._chunks[ci]

@@ -180,11 +180,7 @@ class ReadCache:
                 window = limit
         return max(window, request)
 
-    def insert(self, lba: int, data: bytes, span=NULL_SPAN) -> None:
-        """Add backend data to the cache, evicting FIFO as needed."""
-        self.insert_burst(((lba, data),), span=span)
-
-    def insert_burst(
+    def insert(
         self,
         pieces: Sequence[Tuple[int, bytes]],
         span=NULL_SPAN,
@@ -193,11 +189,11 @@ class ReadCache:
     ) -> None:
         """Add the ``(lba, data)`` pieces of one backend fetch, in order.
 
-        Each piece lands where a lone :meth:`insert` would put it and
-        evicts what a lone insert would evict (a later piece may overwrite
-        an LBA an earlier one cached, so the FIFO head advances piece by
-        piece); the counters, the occupancy gauge and the span stage are
-        settled once per burst.
+        Each piece lands where it would land alone and evicts what it
+        would evict alone (a later piece may overwrite an LBA an earlier
+        one cached, so the FIFO head advances piece by piece); the
+        counters, the occupancy gauge and the span stage are settled once
+        per burst.
 
         ``demand`` is the ``(lba, length)`` the reader asked for; every
         block outside it is read-ahead and is flagged until someone reads
@@ -225,7 +221,7 @@ class ReadCache:
         inserted = evicted = wasted = 0
         for lba, data in pieces:
             length = len(data)
-            footprint = align_up(length)
+            footprint = (length + BLOCK - 1) // BLOCK * BLOCK  # align_up(), inlined
             if length == 0 or footprint > size:
                 continue  # larger than the whole cache: do not cache
             pos = virt % size
@@ -254,7 +250,7 @@ class ReadCache:
             lo = max(want_lba - lba, 0)
             hi = min(want_lba + want_len - lba, length)
             if lo < hi:
-                lo, hi = first + lo // BLOCK, first + align_up(hi) // BLOCK
+                lo, hi = first + lo // BLOCK, first + (hi + BLOCK - 1) // BLOCK
             else:
                 lo = hi = first
             flags[first:last] = b"\1" * (lo - first) + bytes(hi - lo) + b"\1" * (last - hi)
@@ -297,8 +293,7 @@ class ReadCache:
             self._log.popleft()
         else:
             self._log[0] = (horizon, length - cut, lba + cut)
-        unmapped = self.map.remove_matching(lba, cut, RC_TARGET, self._phys(virt))
-        dropped = sum(ext.length for ext in unmapped)
+        dropped = self.map.remove_matching(lba, cut, RC_TARGET, self._phys(virt))
         self._lap_evicted += dropped
         return dropped
 

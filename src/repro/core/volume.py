@@ -303,18 +303,22 @@ class LSVDVolume:
             span.end()
             return pieces[0][2]  # one piece is the whole request: no assembly
         out = bytearray(length)
-        covered = _Coverage(offset, length)
-        for piece_start, piece_len, data in pieces:
-            out[piece_start - offset : piece_start - offset + piece_len] = data
-            covered.fill(piece_start, piece_len)
-        for gap_lba, gap_len in covered.gaps() if from_wc else ():
-            for piece_start, piece_len, data in self.rc.read(
-                gap_lba, gap_len, span=span
-            ):
+        gaps: List[Tuple[int, int]] = [(offset, length)]  # a full miss: all backend
+        if pieces:
+            covered = _Coverage(offset, length)
+            for piece_start, piece_len, data in pieces:
                 out[piece_start - offset : piece_start - offset + piece_len] = data
                 covered.fill(piece_start, piece_len)
-        # 3: backend (with temporal prefetch into the read cache)
-        for gap_lba, gap_len in covered.gaps():
+            for gap_lba, gap_len in covered.gaps() if from_wc else ():
+                for piece_start, piece_len, data in self.rc.read(gap_lba, gap_len, span=span):
+                    out[piece_start - offset : piece_start - offset + piece_len] = data
+                    covered.fill(piece_start, piece_len)
+            gaps = covered.gaps()
+        # 3: backend (with temporal prefetch into the read cache); on a full
+        # miss, neither cache holds the first fetch's demand
+        clear = not pieces
+        for gap_lba, gap_len in gaps:
+            gap_end = gap_lba + gap_len
             for piece in self.bs.lookup(gap_lba, gap_len):
                 stage = span.begin("backend_fetch", seq=piece.target)
                 fetched = self.bs.fetch_with_prefetch(
@@ -322,16 +326,16 @@ class LSVDVolume:
                     request_lba=piece.lba,
                     window=self.rc.readahead_window(piece.length, self.config.prefetch_bytes),
                 )
-                stage.end(bytes=sum(len(d) for _v, d in fetched))
+                got = 0
                 for vlba, data in fetched:
+                    got += len(data)
                     lo = max(vlba, gap_lba)
-                    hi = min(vlba + len(data), gap_lba + gap_len)
+                    hi = min(vlba + len(data), gap_end)
                     if lo < hi:
-                        out[lo - offset : hi - offset] = data[
-                            lo - vlba : hi - vlba
-                        ]
-                self._insert_read_cache(fetched, (piece.lba, piece.length), span=span)
-                covered.fill(piece.lba, piece.length)
+                        out[lo - offset : hi - offset] = data[lo - vlba : hi - vlba]
+                stage.end(bytes=got)
+                self._insert_read_cache(fetched, (piece.lba, piece.length), span, clear)
+                clear = False
         span.end()
         return bytes(out)
 
@@ -572,14 +576,19 @@ class LSVDVolume:
                 "cache log full with PUTs outstanding; destage in progress"
             )
 
-    def _insert_read_cache(self, fetched, demand, span=NULL_SPAN) -> None:
+    def _insert_read_cache(self, fetched, demand, span=NULL_SPAN, clear=False) -> None:
         """Insert one fetch's ``(lba, data)`` pieces as a single burst, only
         where neither cache holds them: the write cache's data is newer, the
         read cache's is these very bytes (writes invalidate it).  Everything
         outside the ``demand`` ``(lba, length)`` is read-ahead; a cached
         neighbour lying behind the demand in object order goes to the read
-        cache as ``refetched`` (DESIGN.md, "Read-ahead controller")."""
-        wc_lookup = self.wc.map.lookup_with_gaps
+        cache as ``refetched`` (DESIGN.md, "Read-ahead controller").  With
+        ``clear`` (the read just found neither cache holding the demand), a
+        fetch of exactly the demand — a narrowed window's — needs no scan."""
+        if clear and len(fetched) == 1 and (fetched[0][0], len(fetched[0][1])) == demand:
+            self.rc.insert(fetched, span=span, demand=demand)
+            return
+        wc_lookup = self.wc.map.lookup_with_gaps if len(self.wc.map) else None
         rc_lookup = self.rc.map.lookup_with_gaps
         want = demand[0]
         pieces, behind = [], []
@@ -591,11 +600,14 @@ class LSVDVolume:
                     if not ahead and (start < want or not here):
                         behind.append(cached)
                     continue
+                if wc_lookup is None:  # an empty write cache holds nothing newer
+                    pieces.append((start, data[start - lba : start - lba + length]))
+                    continue
                 for s, n, newer in wc_lookup(start, length):
                     if newer is None:
                         pieces.append((s, data[s - lba : s - lba + n]))
             ahead = ahead or here
-        self.rc.insert_burst(pieces, span=span, demand=demand, refetched=behind)
+        self.rc.insert(pieces, span=span, demand=demand, refetched=behind)
 
     def _check_io(self, offset: int, length: int) -> None:
         if offset % SECTOR or length % SECTOR:

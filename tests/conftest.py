@@ -8,9 +8,11 @@ Directory override: ``REPRO_FLIGHTREC_DIR`` (default ``bench-out``).
 
 import os
 import re
+from bisect import bisect_right
 
 import pytest
 
+from repro.core import extent_map
 from repro.obs.spans import dump_last_flight
 
 
@@ -30,3 +32,25 @@ def pytest_runtest_makereport(item, call):
             dump_last_flight(_bundle_path(item.nodeid), reason=f"pytest: {item.nodeid}")
         except OSError:
             pass  # a failed dump must never mask the real test failure
+
+
+@pytest.fixture
+def count_routings(monkeypatch):
+    """``count_routings(*maps)`` returns a list that grows by one entry per
+    leaf routing into any of ``maps`` from then on — a bisect of an
+    ``ExtentMap``'s top-level leaf index, the step every map visit starts
+    with.  A count, not a clock: cost guards hold the map work per I/O."""
+
+    def start(*maps):
+        indexes = {id(m._firsts) for m in maps}
+        routed = []
+
+        def counting_bisect(a, x, *args):
+            if id(a) in indexes:
+                routed.append(x)
+            return bisect_right(a, x, *args)
+
+        monkeypatch.setattr(extent_map, "bisect_right", counting_bisect)
+        return routed
+
+    return start

@@ -116,6 +116,35 @@ def test_fetch_with_prefetch_covers_request_and_neighbours():
     assert len(pieces) > 1  # prefetched temporally adjacent writes
 
 
+def test_fetch_with_prefetch_returns_the_requested_range_unchecked():
+    """``request_lba`` names the range the caller looked up: it comes back
+    from this object at any window, whether or not the map still puts it
+    there, so a caller must pass a piece it just found live.  The
+    neighbours a wider window carries come back only where the map still
+    assigns them to this object."""
+    store, bs = make_store()
+    fill(bs, n_writes=20, size=4096, stride=8192)
+    [ext] = bs.lookup(5 * 8192, 4096)
+    [neighbour] = bs.lookup(6 * 8192, 4096)
+    assert neighbour.target == ext.target
+    for i, lba in enumerate((ext.lba, neighbour.lba)):  # overwritten after the lookup
+        bs.add_write(lba, b"\xee" * 4096, record_seq=21 + i)
+    for sealed in bs.seal_all():
+        bs.commit(sealed)
+    assert bs.lookup(ext.lba, 4096)[0].target != ext.target
+    old = bytes([6]) * 4096
+    [(lba, data)] = bs.fetch_with_prefetch(
+        ext.target, ext.offset, 4096, request_lba=ext.lba, window=4096
+    )
+    assert (lba, bytes(data)) == (ext.lba, old)
+    pieces = bs.fetch_with_prefetch(
+        ext.target, ext.offset, 4096, request_lba=ext.lba, window=64 * 1024
+    )
+    got = {lba: bytes(data) for lba, data in pieces}
+    assert got[ext.lba] == old and neighbour.lba not in got
+    assert got[4 * 8192] == bytes([5]) * 4096  # a live neighbour still comes back
+
+
 # -- recovery ----------------------------------------------------------------
 
 

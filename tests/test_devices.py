@@ -253,7 +253,7 @@ def test_pending_writes_are_bounded_without_a_flush():
     img = DiskImage(8 << 20, name="rc-ssd")
     rc = ReadCache(img, 0, img.size, map_slot_size=128 * 1024)
     for i in range(10_000):
-        rc.insert(i * piece, bytes([i % 251 + 1]) * piece)
+        rc.insert([(i * piece, bytes([i % 251 + 1]) * piece)])
         assert img.pending_bytes <= PENDING_BOUND
     assert img.flushes == 0
     assert img.pending_bytes > PENDING_BOUND - piece  # the bound, not a flush

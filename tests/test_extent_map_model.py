@@ -145,13 +145,14 @@ def _lockstep(m: ExtentMap, flat: FlatExtentMap, op) -> None:
         got, want = m.remove(lba, length), flat.remove(lba, length)
     else:  # "release": the conditional remove, against lookup + remove
         got = m.remove_matching(lba, length, target, offset)
-        want = [
+        pieces = [
             p
             for p in flat.lookup(lba, length)
             if p.target == target and p.offset == offset + (p.lba - lba)
         ]
-        for piece in want:
+        for piece in pieces:
             flat.remove(piece.lba, piece.length)
+        want = sum(p.length for p in pieces)  # remove_matching returns bytes unmapped
     assert got == want
     assert m.entries() == flat.entries()
     assert len(m) == len(flat)
@@ -235,3 +236,87 @@ def test_seeded_ops_around_leaf_edges_match_the_flat_reference():
         roll = rng.random()
         kind = "update" if roll < 0.7 else "remove" if roll < 0.8 else "release"
         _lockstep(m, flat, (kind, lba, length, target, offset))
+
+
+# ---------------------------------------------------------------------------
+# the read-miss kernel: remove_matching's one-extent fast path beside the
+# general carve, and read-cache-style updates into gaps, each replayed on
+# the flat reference
+# ---------------------------------------------------------------------------
+
+
+class _Carves:
+    """Counts the ``remove_matching`` calls ``m`` served with the general
+    ``_carve`` rather than its one-extent fast path."""
+
+    def __init__(self, m):
+        self.count = 0
+        carve = m._carve
+
+        def counted_carve(lba, length, match=None, pos=None):
+            self.count += match is not None  # remove() and update() carve too
+            return carve(lba, length, match, pos)
+
+        m._carve = counted_carve
+
+
+def test_bursts_and_releases_match_the_flat_reference():
+    rng = random.Random(0xB0057)
+    m, flat = _edge_maps(leaves=6)
+    carves = _Carves(m)
+    releases = 0
+    for i in range(1500):
+        span_end = m.bounds()[1] + 40
+        roll = rng.random()
+        if roll < 0.3:  # a burst: pieces into gaps, joining a neighbour, or overlapping
+            for k in range(rng.randint(1, 12)):
+                base = max(0, rng.choice((rng.choice(m._firsts), rng.randrange(span_end))) - 20)
+                holes = [(s, n) for s, n, e in m.lookup_with_gaps(base, 40) if e is None]
+                if holes and rng.random() < 0.8:  # into a gap, as a read-cache piece lands
+                    s, n = rng.choice(holes)
+                    lba = s + rng.randrange(n)
+                    length = rng.randint(1, s + n - lba)
+                else:
+                    lba, length = base + rng.randrange(40), rng.randint(1, 6)
+                near = m.lookup(max(0, lba - 8), 16) if rng.random() < 0.3 else []
+                if near:  # continue a neighbour's translation: may join it
+                    p = rng.choice(near)
+                    target, offset = p.target, p.offset + (lba - p.lba)
+                    if rng.random() < 0.2:
+                        target = "b"  # ...into another target: may not
+                else:
+                    target, offset = rng.choice(("b", 0)), i * 1000 + k * 40
+                assert m.update(lba, length, target, offset) == flat.update(
+                    lba, length, target, offset
+                )
+            assert m.entries() == flat.entries()
+            assert len(m) == len(flat) and m.mapped_bytes() == flat.mapped_bytes()
+            _structural_invariants(m)
+        elif roll < 0.65 and len(m):  # release one extent, its head or tail, a middle piece
+            leaf = rng.choice(m._chunks)
+            ext = rng.choice(leaf)
+            lo = ext.lba + rng.choice((0, 0, rng.randrange(ext.length)))
+            hi = rng.choice((ext.end, ext.end, rng.randint(lo + 1, ext.end), ext.end + 12))
+            offset = ext.offset + (lo - ext.lba) + (rng.random() < 0.1)  # sometimes a miss
+            _lockstep(m, flat, ("release", lo, hi - lo, ext.target, offset))
+            releases += 1
+        else:
+            kind = "update" if rng.random() < 0.7 else "remove"
+            lba = rng.randrange(span_end)
+            _lockstep(m, flat, (kind, lba, rng.randint(1, 30), rng.randrange(3), i * 1000))
+    # both release paths ran often, and the bursts split leaves
+    assert min(carves.count, releases - carves.count) > releases / 5
+    assert len(m._chunks) > 6
+
+
+def test_releasing_every_extent_whole_empties_and_folds_leaves():
+    m, flat = _edge_maps(leaves=4)
+    carves = _Carves(m)
+    rng = random.Random(5)
+    extents = m.entries()
+    rng.shuffle(extents)
+    for seen, ext in enumerate(extents, 1):
+        _lockstep(m, flat, ("release", *ext))
+        if seen == len(extents) * 7 // 8:
+            assert len(m._chunks) < 4  # leaves shrunk below a quarter folded
+    assert carves.count == 0 and len(m) == 0 and m._chunks == []

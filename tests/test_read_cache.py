@@ -26,7 +26,7 @@ def make_cache(size=2 * MiB, slot=128 * 1024):
 
 def test_insert_and_read_back():
     rc = make_cache()
-    rc.insert(4096, b"R" * 4096)
+    rc.insert([(4096, b"R" * 4096)])
     [(lba, length, data)] = rc.read(4096, 4096)
     assert (lba, length, data) == (4096, 4096, b"R" * 4096)
 
@@ -34,7 +34,7 @@ def test_insert_and_read_back():
 def test_miss_returns_empty_and_counts():
     rc = make_cache()
     assert rc.read(0, 4096) == []
-    rc.insert(0, b"x" * 4096)
+    rc.insert([(0, b"x" * 4096)])
     rc.read(0, 4096)
     assert rc.misses == 1
     assert rc.hits == 1
@@ -43,7 +43,7 @@ def test_miss_returns_empty_and_counts():
 
 def test_partial_hit():
     rc = make_cache()
-    rc.insert(0, b"a" * 4096)
+    rc.insert([(0, b"a" * 4096)])
     pieces = rc.read(0, 8192)
     assert len(pieces) == 1
     assert pieces[0][:2] == (0, 4096)
@@ -51,7 +51,7 @@ def test_partial_hit():
 
 def test_invalidate_removes_range():
     rc = make_cache()
-    rc.insert(0, b"a" * 8192)
+    rc.insert([(0, b"a" * 8192)])
     rc.invalidate(0, 4096)
     pieces = rc.read(0, 8192)
     assert [(p[0], p[1]) for p in pieces] == [(4096, 4096)]
@@ -62,7 +62,7 @@ def test_fifo_eviction_when_full():
     n = 0
     # insert 1 MiB of distinct blocks: early ones must be evicted
     for i in range(256):
-        rc.insert(i * 4096, bytes([i % 251 + 1]) * 4096)
+        rc.insert([(i * 4096, bytes([i % 251 + 1]) * 4096)])
         n += 1
     assert rc.read(0, 4096) == []  # oldest gone
     [(_, _, data)] = rc.read(255 * 4096, 4096)  # newest present
@@ -73,7 +73,7 @@ def test_fifo_eviction_when_full():
 def test_reinsert_after_eviction_works():
     rc = make_cache(size=512 * 1024 + 128 * 1024)
     for i in range(300):
-        rc.insert((i % 40) * 4096, bytes([(i % 250) + 1]) * 4096)
+        rc.insert([((i % 40) * 4096, bytes([(i % 250) + 1]) * 4096)])
     # last writer wins for every lba still cached: i=299 wrote lba 19*4096
     [(_, _, data)] = rc.read(19 * 4096, 4096)
     assert data == bytes([(299 % 250) + 1]) * 4096
@@ -81,20 +81,20 @@ def test_reinsert_after_eviction_works():
 
 def test_oversized_insert_is_skipped():
     rc = make_cache(size=256 * 1024 + 128 * 1024)
-    rc.insert(0, b"z" * (1 << 20))
+    rc.insert([(0, b"z" * (1 << 20))])
     assert rc.read(0, 4096) == []
 
 
 def test_unaligned_length_padded_footprint():
     rc = make_cache()
-    rc.insert(0, b"q" * 1000)
+    rc.insert([(0, b"q" * 1000)])
     [(lba, length, data)] = rc.read(0, 1000)
     assert data == b"q" * 1000
 
 
 def test_save_and_load_map():
     rc = make_cache()
-    rc.insert(0, b"warm" * 1024)
+    rc.insert([(0, b"warm" * 1024)])
     rc.save_map()
     fresh = ReadCache(rc.image, 0, rc.image.size, map_slot_size=rc.slot_size)
     assert fresh.load_map()
@@ -110,7 +110,7 @@ def test_load_map_cold_on_garbage():
 
 def test_clear_empties():
     rc = make_cache()
-    rc.insert(0, b"a" * 4096)
+    rc.insert([(0, b"a" * 4096)])
     rc.clear()
     assert rc.read(0, 4096) == []
 
@@ -124,11 +124,11 @@ def test_region_too_small_rejected():
 def test_eviction_precise_clipping():
     """Evicting a region must clip overlapping entries, not nuke them."""
     rc = make_cache(size=256 * 1024 + 128 * 1024)  # 256K ring
-    rc.insert(0, b"A" * 16384)  # occupies ring [0, 16K)
+    rc.insert([(0, b"A" * 16384)])  # occupies ring [0, 16K)
     # fill the rest of the ring exactly
-    rc.insert(1 << 20, b"B" * (256 * 1024 - 16384))
+    rc.insert([(1 << 20, b"B" * (256 * 1024 - 16384))])
     # next insert wraps and overwrites part of the first entry
-    rc.insert(2 << 20, b"C" * 8192)
+    rc.insert([(2 << 20, b"C" * 8192)])
     pieces = rc.read(0, 16384)
     # the first 8K of entry A was evicted; the tail may survive
     for lba, length, _data in pieces:
@@ -212,10 +212,10 @@ def run_differential(ops):
     for step, op in enumerate(ops):
         kind = op[0]
         if kind == "insert":
-            rc.insert(op[1], op[2])
+            rc.insert([(op[1], op[2])])
             model.insert(op[1], op[2])
         elif kind == "burst":
-            rc.insert_burst(op[1])
+            rc.insert(op[1])
             for lba, data in op[1]:
                 model.insert(lba, data)
         elif kind == "invalidate":
@@ -308,7 +308,7 @@ def test_differential_stale_record_never_drops_a_reinserted_lba():
     rc = run_differential(ops)
     assert rc.read(0, 4 * KiB) == [(0, 4 * KiB, b"new!" * 1024)]
     assert rc.evicted_bytes == 0
-    rc.insert(3 << 20, b"y" * 4 * KiB)  # now the live copy's bytes are overwritten
+    rc.insert([(3 << 20, b"y" * 4 * KiB)])  # now the live copy's bytes are overwritten
     assert rc.read(0, 4 * KiB) == []
     assert rc.evicted_bytes == 4 * KiB
 
@@ -399,7 +399,7 @@ def test_differential_one_pass_eviction_against_carve_and_put_back(history):
         if op[0] == "burst":
             pieces = [(s * 512, bytes([(step + s) % 255 + 1]) * n * 512) for s, n in op[1]]
             for rc in (new, ref):
-                rc.insert_burst(pieces, demand=(op[2] * 512, 4 * KiB))
+                rc.insert(pieces, demand=(op[2] * 512, 4 * KiB))
         else:
             for rc in (new, ref):
                 rc.invalidate(op[1] * 512, op[2] * 512)
@@ -420,38 +420,32 @@ class NullImage:
         pass
 
 
-def test_insert_cost_does_not_grow_with_the_map(monkeypatch):
+def test_insert_cost_does_not_grow_with_the_map(monkeypatch, count_routings):
     """No clock: eviction may not iterate the map at all, and an insert
     routes into the map as often at 1k as at 50k cached extents."""
 
-    def visits_per_insert(extents):
+    def routings_per_insert(extents):
         rc = ReadCache(NullImage(SLOT + extents * 4 * KiB), 0, map_slot_size=SLOT)
         for i in range(extents):  # one lap: fills the ring, evicts nothing
-            rc.insert(i * 8 * KiB, b"\0" * 4 * KiB)
+            rc.insert([(i * 8 * KiB, b"\0" * 4 * KiB)])
         assert len(rc.map) == extents and rc.evicted_bytes == 0
-        visited = []
-        honest_route = ExtentMap._start_pos
-
-        def route(self, lba):
-            visited.append(1)
-            return honest_route(self, lba)
 
         def no_iteration(self):
             raise AssertionError("eviction iterated the whole extent map")
 
         with monkeypatch.context() as patch:
-            patch.setattr(ExtentMap, "_start_pos", route)
             patch.setattr(ExtentMap, "__iter__", no_iteration)
+            routed = count_routings(rc.map)
             for i in range(200):  # second lap: every insert evicts one record
-                rc.insert((extents + i) * 8 * KiB, b"\0" * 4 * KiB)
-            rc.insert_burst([((extents + 200 + i) * 8 * KiB, b"\0" * 4 * KiB) for i in range(50)])
+                rc.insert([((extents + i) * 8 * KiB, b"\0" * 4 * KiB)])
+            rc.insert([((extents + 200 + i) * 8 * KiB, b"\0" * 4 * KiB) for i in range(50)])
         assert rc.evicted_bytes == 250 * 4 * KiB and len(rc.map) == extents
-        return len(visited)
+        return len(routed)
 
-    small, large = visits_per_insert(1_000), visits_per_insert(50_000)
+    small, large = routings_per_insert(1_000), routings_per_insert(50_000)
     assert small == large
-    # every map operation routes once: per insert, the remove that evicts
-    # the ring head's record and the single-pass update of the new one
+    # every map operation routes once: per piece, the remove that evicts the
+    # ring head's record and the single-pass update that maps the piece
     assert small == 2 * 250
 
 
@@ -465,8 +459,8 @@ def test_burst_equals_the_same_pieces_one_by_one():
             for _ in range(rng.randrange(0, 12))  # up to ~1.5 rings per burst
         ]
         for lba, data in burst:
-            one.insert(lba, data)
-        many.insert_burst(burst)
+            one.insert([(lba, data)])
+        many.insert(burst)
         if rng.random() < 0.3:
             lba = rng.randrange(0, 96 * KiB, 512)
             one.invalidate(lba, 8 * KiB)
@@ -485,7 +479,7 @@ def test_burst_equals_the_same_pieces_one_by_one():
 def test_cache_evict_is_traced_once_per_ring_lap():
     rc = small_cache(obs=Registry())
     for i in range(16 * 5 + 3):  # 16 x 4 KiB per lap: five full laps and a bit
-        rc.insert(i * 4 * KiB, bytes([i % 255 + 1]) * 4 * KiB)
+        rc.insert([(i * 4 * KiB, bytes([i % 255 + 1]) * 4 * KiB)])
     events = rc.obs.trace.events("cache_evict")
     # lap 0 evicts nothing; laps 1-4 each evicted one ring's worth
     assert [dict(e.fields)["bytes"] for e in events] == [RING] * 4
@@ -495,10 +489,10 @@ def test_cache_evict_is_traced_once_per_ring_lap():
 def test_clear_empties_the_log_too():
     rc = small_cache()
     for i in range(20):
-        rc.insert(i * 4 * KiB, b"c" * 4 * KiB)
+        rc.insert([(i * 4 * KiB, b"c" * 4 * KiB)])
     rc.clear()
     assert len(rc._log) == 0 and rc._ring_virt == 0
-    rc.insert(0, b"d" * 4 * KiB)
+    rc.insert([(0, b"d" * 4 * KiB)])
     assert rc.read(0, 4 * KiB) == [(0, 4 * KiB, b"d" * 4 * KiB)]
     assert list(rc._log) == [(0, 4 * KiB, 0)]
 
@@ -508,7 +502,7 @@ def test_clear_empties_the_log_too():
 # ---------------------------------------------------------------------------
 def test_load_map_rejects_another_shutdowns_stamp():
     rc = make_cache()
-    rc.insert(0, b"warm" * 1024)
+    rc.insert([(0, b"warm" * 1024)])
     rc.save_map(stamp=(7, 3))
     fresh = ReadCache(rc.image, 0, rc.image.size, map_slot_size=rc.slot_size)
     assert not fresh.load_map(stamp=(7, 4)) and len(fresh.map) == 0
@@ -518,10 +512,10 @@ def test_load_map_rejects_another_shutdowns_stamp():
 
 def test_declined_save_erases_the_previous_map():
     rc = make_cache(size=8 * MiB, slot=4 * KiB)  # slot holds ~165 rows
-    rc.insert(0, b"a" * 4 * KiB)
+    rc.insert([(0, b"a" * 4 * KiB)])
     rc.save_map()
     for i in range(400):  # 400 disjoint extents: too many rows for the slot
-        rc.insert((2 * i + 10) * 4 * KiB, b"b" * 4 * KiB)
+        rc.insert([((2 * i + 10) * 4 * KiB, b"b" * 4 * KiB)])
     rc.save_map()
     fresh = ReadCache(rc.image, 0, rc.image.size, map_slot_size=rc.slot_size)
     assert not fresh.load_map() and len(fresh.map) == 0
@@ -529,7 +523,7 @@ def test_declined_save_erases_the_previous_map():
 
 def test_loaded_blocks_start_with_clear_readahead_flags():
     rc = small_cache()
-    rc.insert_burst([(0, b"p" * 32 * KiB)], demand=(0, 4 * KiB))
+    rc.insert([(0, b"p" * 32 * KiB)], demand=(0, 4 * KiB))
     assert sum(rc._prefetched) == 7
     rc.save_map()
     warm = ReadCache(rc.image, 0, rc.image.size, map_slot_size=SLOT)
@@ -549,25 +543,25 @@ def test_burst_flags_everything_outside_the_demanded_range():
     rc = small_cache()
     # one 20 KiB piece around a demanded 4 KiB, one piece clear of it, and
     # a sub-block demand that still takes its whole block
-    rc.insert_burst(
+    rc.insert(
         [(16 * KiB, b"a" * 20 * KiB), (1 << 20, b"b" * 8 * KiB)], demand=(24 * KiB, 4 * KiB)
     )
     assert list(rc._prefetched[:7]) == [1, 1, 0, 1, 1, 1, 1]
-    rc.insert_burst([(2 << 20, b"c" * 8 * KiB)], demand=((2 << 20) + 4 * KiB + 512, 512))
+    rc.insert([(2 << 20, b"c" * 8 * KiB)], demand=((2 << 20) + 4 * KiB + 512, 512))
     assert list(rc._prefetched[7:9]) == [1, 0]
-    rc.insert(3 << 20, b"d" * 8 * KiB)  # no demand given: all asked for
+    rc.insert([(3 << 20, b"d" * 8 * KiB)])  # no demand given: all asked for
     assert list(rc._prefetched[9:11]) == [0, 0]
     assert (rc._used, rc._wasted) == (0, 0)
 
 
 def test_each_prefetched_block_gets_one_verdict():
     rc = small_cache(obs=Registry())
-    rc.insert_burst([(0, b"a" * RING)], demand=(0, 4 * KiB))  # 15 flagged
+    rc.insert([(0, b"a" * RING)], demand=(0, 4 * KiB))  # 15 flagged
     rc.read(4 * KiB, 8 * KiB)
     rc.read(4 * KiB, 12 * KiB)  # only the third block is news
     assert (rc._used, rc._wasted, rc.prefetch_used_bytes) == (3, 0, 12 * KiB)
     rc.invalidate(16 * KiB, 4 * KiB)  # written over before anyone read it
-    rc.insert_burst([(1 << 20, b"b" * 24 * KiB)], demand=(1 << 20, 24 * KiB))
+    rc.insert([(1 << 20, b"b" * 24 * KiB)], demand=(1 << 20, 24 * KiB))
     # the pointer passed ring blocks 0-5: two were still flagged
     assert (rc._used, rc._wasted, rc.prefetch_wasted_bytes) == (3, 2, 8 * KiB)
     assert sum(rc._prefetched) == 10
@@ -578,16 +572,16 @@ def test_each_prefetched_block_gets_one_verdict():
 def test_wrap_slack_flags_are_wasted_verdicts():
     rc = small_cache()
     # lap 0: blocks 0-9 and 10-15, the first block of each asked for
-    rc.insert_burst([(0, b"a" * 40 * KiB)], demand=(0, 4 * KiB))
-    rc.insert_burst([(1 << 20, b"b" * 24 * KiB)], demand=(1 << 20, 4 * KiB))
+    rc.insert([(0, b"a" * 40 * KiB)], demand=(0, 4 * KiB))
+    rc.insert([(1 << 20, b"b" * 24 * KiB)], demand=(1 << 20, 4 * KiB))
     assert (rc._wasted, sum(rc._prefetched)) == (0, 14)
     # lap 1 overwrites blocks 0-5, five of them still flagged
-    rc.insert_burst([(2 << 20, b"c" * 24 * KiB)], demand=(2 << 20, 24 * KiB))
+    rc.insert([(2 << 20, b"c" * 24 * KiB)], demand=(2 << 20, 24 * KiB))
     assert rc._ring_virt == RING + 24 * KiB
     assert (rc._wasted, sum(rc._prefetched)) == (5, 9)
     # 40 KiB of room < 48 KiB: blocks 6-15 are skipped as wrap slack (nine
     # flagged), and the piece lands on blocks 0-11 of lap 2
-    rc.insert_burst([(3 << 20, b"d" * 48 * KiB)], demand=(3 << 20, 48 * KiB))
+    rc.insert([(3 << 20, b"d" * 48 * KiB)], demand=(3 << 20, 48 * KiB))
     assert rc._ring_virt == 2 * RING + 48 * KiB
     assert (rc._wasted, sum(rc._prefetched)) == (14, 0)
 
@@ -597,7 +591,7 @@ def lap(rc, lba, used):
     before the next lap overwrites the rest (16 verdicts, ``used`` of them
     good), then one miss.  Returns the window the controller settled on
     (what it *answers* is that or, on a probe fetch, the widest)."""
-    rc.insert_burst([(lba, b"r" * RING)], demand=(lba + RING, 4 * KiB))
+    rc.insert([(lba, b"r" * RING)], demand=(lba + RING, 4 * KiB))
     if used:
         rc.read(lba, used * 4 * KiB)
     answer = rc.readahead_window(4 * KiB, WIDEST)

@@ -4,10 +4,11 @@ cleaner's cache probes are not client reads (DESIGN.md, "Read-ahead
 controller")."""
 
 import random
+from itertools import accumulate
 
 import pytest
 
-from repro.core import LSVDConfig, LSVDVolume
+from repro.core import LSVDConfig, LSVDVolume, read_cache
 from repro.core.validate import check_volume_invariants
 from repro.devices.image import DiskImage
 from repro.obs import NULL_SPAN
@@ -23,23 +24,23 @@ def reinsert_everything(vol):
     rest, every neighbour the read cache already holds included.  Kept
     here only as the reference the skipping policy is compared with."""
 
-    def insert(fetched, demand, span=NULL_SPAN):
+    def insert(fetched, demand, span=NULL_SPAN, clear=False):
         pieces = []
         for lba, data in fetched:
             for start, length, ext in vol.wc.map.lookup_with_gaps(lba, len(data)):
                 if ext is None:
                     pieces.append((start, data[start - lba : start - lba + length]))
-        vol.rc.insert_burst(pieces, span=span, demand=demand)
+        vol.rc.insert(pieces, span=span, demand=demand)
 
     vol._insert_read_cache = insert
 
 
 def one_copy_per_lba(vol):
-    """Wrap ``insert_burst``: no piece may land on an LBA the read cache
-    still maps, so no LBA is ever cached at two live ring positions."""
-    rc, inner = vol.rc, vol.rc.insert_burst
+    """Wrap ``ReadCache.insert``: no piece may land on an LBA the read
+    cache still maps, so no LBA is ever cached at two live ring positions."""
+    rc, inner = vol.rc, vol.rc.insert
 
-    def insert_burst(pieces, span=NULL_SPAN, demand=(0, 1 << 63), refetched=()):
+    def insert(pieces, span=NULL_SPAN, demand=(0, 1 << 63), refetched=()):
         taken = set()
         for lba, data in pieces:
             assert rc.map.lookup(lba, len(data)) == [], (lba, len(data))
@@ -48,7 +49,7 @@ def one_copy_per_lba(vol):
             taken |= blocks
         inner(pieces, span=span, demand=demand, refetched=refetched)
 
-    rc.insert_burst = insert_burst
+    rc.insert = insert
 
 
 def run_mix(seed, install):
@@ -163,3 +164,86 @@ def test_every_read_path_returns_bytes():
         data = vol.read(offset, length)
         assert type(data) is bytes and len(data) == length, where
     assert vol.read(7 * 4096, 8192) == b"\xee" * 4096 + bytes([9]) * 4096
+
+
+# ---------------------------------------------------------------------------
+# exact cost guard: map routings per read miss, no clock
+# ---------------------------------------------------------------------------
+def uniform_miss_volume(pages):
+    """``pages`` 4 KiB blocks written once each in a seeded random order, so
+    every object holds scattered LBAs (uniform reads find no temporal
+    locality), then read at random until the read cache's ring has wrapped
+    and every miss evicts: ``vol-read-miss`` in miniature."""
+    store = InMemoryObjectStore()
+    cfg = LSVDConfig(batch_size=128 * 1024, checkpoint_interval=64)
+    vol = LSVDVolume.create(store, "vd", pages * 4096, DiskImage(pages * 1024), cfg)
+    rng = random.Random(pages)
+    for page in rng.sample(range(pages), pages):
+        vol.write(page * 4096, bytes([page % 251 + 1]) * 4096)
+    vol.drain()
+    vol.wc.release_through(vol.wc.next_seq)
+    while vol.rc.evicted_bytes == 0:
+        vol.read(rng.randrange(pages) * 4096, 4096)
+    return vol, rng
+
+
+def traced_miss(vol, rng, count_routings):
+    """Read one uncached block; return (routings, evictions, header extents
+    in the fetch window, pieces fetched, pieces inserted)."""
+    page = rng.randrange(vol.size // 4096)
+    while vol.rc.map.lookup(page * 4096, 4096):
+        page = rng.randrange(vol.size // 4096)
+    [piece] = vol.bs.lookup(page * 4096, 4096)
+    header = vol.bs.header_of(piece.target)
+    seen = {"evictions": 0}
+    evict, fetch, insert = vol.rc._evict_head, vol.bs.fetch_with_prefetch, vol.rc.insert
+
+    def counted_evict(horizon):
+        seen["evictions"] += 1
+        return evict(horizon)
+
+    def counted_fetch(*args, **kwargs):
+        seen["fetched"] = fetched = fetch(*args, **kwargs)
+        seen["window"] = kwargs["window"]
+        return fetched
+
+    def counted_insert(pieces, **kwargs):
+        seen["inserted"] = len(pieces)
+        return insert(pieces, **kwargs)
+
+    vol.rc._evict_head, vol.bs.fetch_with_prefetch = counted_evict, counted_fetch
+    vol.rc.insert = counted_insert
+    routed = count_routings(vol.rc.map, vol.wc.map, vol.bs.omap.map)
+    assert vol.read(page * 4096, 4096) == bytes([page % 251 + 1]) * 4096
+    del vol.rc._evict_head, vol.bs.fetch_with_prefetch, vol.rc.insert
+    # the header extents the fetch window overlaps
+    start = max(0, piece.offset - (seen["window"] - 4096) // 2)
+    end = min(header.data_len, start + seen["window"])
+    ends = accumulate(e.length for e in header.extents)
+    window = sum(
+        1 for e_end, e in zip(ends, header.extents) if e_end - e.length < end and e_end > start
+    )
+    return len(routed), seen["evictions"], window, len(seen["fetched"]), seen["inserted"]
+
+
+def test_a_read_miss_routes_once_per_piece_at_any_map_size(count_routings):
+    """Narrowed, a miss routes three times plus once per eviction: the read
+    cache's lookup, the object map's, and mapping the fetched block — the
+    window is the block the object map just returned and neither cache
+    held it, so the fetch and the insert take no map pass of their own.  A
+    probe's burst routes once per header extent in its 128 KiB window (the
+    liveness pass), per fetched piece (the gap scan) and per inserted piece
+    (its map update).  Both hold at 4x the map size."""
+    for pages in (1024, 4096):
+        vol, rng = uniform_miss_volume(pages)
+        assert len(vol.bs.omap.map) > pages // 2 and len(vol.rc.map) > pages // 16
+        rc = vol.rc
+        rc._window, rc._used, rc._wasted = 4096, 0, 0  # narrowed to one block
+        for _ in range(3):
+            routings, evictions, window, fetched, inserted = traced_miss(vol, rng, count_routings)
+            assert (window, fetched, inserted) == (1, 1, 1)
+            assert routings == 3 + evictions
+        rc._narrow_fetches = read_cache.READAHEAD_PROBE - 1  # the next fetch probes
+        routings, evictions, window, fetched, inserted = traced_miss(vol, rng, count_routings)
+        assert min(window, fetched, inserted) >= 8  # a burst, not one block
+        assert routings == 2 + evictions + window + fetched + inserted

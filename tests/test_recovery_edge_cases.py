@@ -202,7 +202,7 @@ def test_declined_save_does_not_resurrect_the_previous_shutdowns_map():
     again.drain()
     again.rc.slot_size = 4096  # shutdown 2's map will not fit its slot
     for i in range(0, 1024, 2):
-        again.rc.insert(8 * MiB + i * 4096, b"f" * 4096)
+        again.rc.insert([(8 * MiB + i * 4096, b"f" * 4096)])
     again.close()
     cold = LSVDVolume.open(store, "vd", image, cfg)
     assert recovery_event(cold)["read_cache_warm"] is False

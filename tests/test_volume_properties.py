@@ -261,15 +261,15 @@ rc_ops = st.lists(
 
 
 class _FlagTally:
-    """Counts, from the arguments alone, the blocks each ``insert_burst``
+    """Counts, from the arguments alone, the blocks each ``ReadCache.insert``
     must flag: every block of every cached piece the demand does not touch.
     Around each burst, the controller's epoch count must move by exactly the
     verdicts the counters took, a refetch verdict being one per block still
     flagged under a ``refetched`` extent."""
 
     def __init__(self, rc):
-        self.rc, self.flagged, self.inner = rc, 0, rc.insert_burst
-        rc.insert_burst = self
+        self.rc, self.flagged, self.inner = rc, 0, rc.insert
+        rc.insert = self
 
     def __call__(self, pieces, span, demand, refetched=()):
         rc = self.rc
