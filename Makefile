@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: all lint ruff mypy invariants test obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger ledger-pairs paper-smoke ablation-prefetch
+.PHONY: all lint ruff mypy invariants test examples obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger ledger-pairs paper-smoke ablation-prefetch
 
 all: lint test
 
@@ -22,6 +22,16 @@ invariants:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# run every example end to end (CI otherwise only lints them, so one that
+# imports a deleted module would pass); benchmark_tour.py is left out
+# because its three miniature paper experiments take ~27 s; TMPDIR keeps
+# local_backup.py's on-disk volume inside bench-out/
+EXAMPLES := $(filter-out examples/benchmark_tour.py,$(wildcard examples/*.py))
+examples:
+	mkdir -p bench-out/tmp
+	for ex in $(EXAMPLES); do echo "== $$ex"; \
+	  TMPDIR=$(CURDIR)/bench-out/tmp $(PYTHON) $$ex || exit 1; done
 
 # quick observability exercise of both stacks; emits BENCH_obs.json with
 # core/runtime sections (CI uploads it so the perf trajectory is reviewable)

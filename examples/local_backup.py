@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Persist an LSVD volume to real files and inspect it with lsvdtool.
+"""Persist an LSVD volume to real files and inspect it with fsck.
 
 Uses the filesystem-backed object store, so the volume survives across
 process runs and the object stream can be examined with ordinary tools:
 
     python examples/local_backup.py /tmp/lsvd-demo
-    python -m repro.tools.lsvdtool /tmp/lsvd-demo/bucket vol --objects
+    python -m repro.cli /tmp/lsvd-demo/bucket fsck vol --objects
 """
 
 import random
@@ -15,10 +15,9 @@ from pathlib import Path
 
 from repro.core import LSVDConfig, LSVDVolume
 from repro.core.errors import VolumeNotFoundError
-from repro.core.scrub import Scrubber
+from repro.core.scrub import Scrubber, fsck_volume
 from repro.devices.image import DiskImage
 from repro.objstore.directory import DirectoryObjectStore
-from repro.tools import fsck_volume
 
 MiB = 1 << 20
 
@@ -61,7 +60,7 @@ def main() -> None:
           f"{scrubber.stats.bytes_verified / MiB:.1f} MiB verified, "
           f"{len(findings)} problems")
     print(f"\nrun again to keep appending, or inspect with:\n"
-          f"  python -m repro.tools.lsvdtool {bucket} vol --objects")
+          f"  python -m repro.cli {bucket} fsck vol --objects")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ Gives the library the operational surface of a real block-storage tool::
     python -m repro.cli ROOT clone   BASE NEW [--snapshot NAME]
     python -m repro.cli ROOT replicate VOLUME TARGET_ROOT [--shards N]
     python -m repro.cli ROOT shard-status [VOLUME]
-    python -m repro.cli ROOT fsck    VOLUME
+    python -m repro.cli ROOT fsck    VOLUME [--objects]
     python -m repro.cli ROOT scrub   VOLUME
     python -m repro.cli ROOT lint    [PATHS...]
     python -m repro.cli ROOT stats   [VOLUME] [--exercise N] [--format F]
@@ -38,7 +38,7 @@ from repro.core import LSVDConfig, LSVDVolume
 from repro.core.errors import LSVDError, VolumeExistsError, VolumeNotFoundError
 from repro.core.ids import IDS
 from repro.core.replication import Replicator
-from repro.core.scrub import Scrubber
+from repro.core.scrub import Scrubber, fsck_volume
 from repro.devices.image import DiskImage
 from repro.fleet.manager import FleetError
 from repro.objstore.s3 import ObjectStore
@@ -48,7 +48,6 @@ from repro.shard import (
     open_directory_store,
     sharded_directory_store,
 )
-from repro.tools import fsck_volume
 
 MiB = 1 << 20
 DEFAULT_CACHE = 16 * MiB
@@ -366,6 +365,12 @@ def cmd_replicate(store, args) -> int:
 def cmd_fsck(store, args) -> int:
     report = fsck_volume(store, args.volume)
     print(report.summary())
+    if args.objects:
+        for obj in report.objects:
+            flag = "ok " if obj.crc_ok else "BAD"
+            print(f"  [{flag}] seq={obj.seq:>8} kind={obj.kind:<5} "
+                  f"data={obj.data_bytes:>10} extents={obj.extents:>6} "
+                  f"last_rec={obj.last_record_seq}")
     return 0 if report.healthy else 1
 
 
@@ -635,6 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fsck", help="verify the object stream")
     p.add_argument("volume")
+    p.add_argument("--objects", action="store_true", help="per-object detail")
     p.set_defaults(fn=cmd_fsck)
 
     p = sub.add_parser("scrub", help="deep-verify every object's CRC")

@@ -455,16 +455,16 @@ class BlockStore:
         requested data-range of the object and translates every byte that
         falls inside the window back to its vLBA using the object header.
         Because objects hold data in write order, this prefetches by
-        *temporal* locality.  Returns (vLBA, data) pieces, the requested
-        range guaranteed covered.  The pieces are zero-copy memoryviews
-        over the single fetched blob; callers assemble or copy as needed.
+        *temporal* locality.  Returns (vLBA, data) pieces: only ranges the
+        map still assigns to this object at these offsets, so every piece
+        is live.  The pieces are zero-copy memoryviews over the single
+        fetched blob; callers assemble or copy as needed.
 
         ``request_lba`` is the vLBA of ``[offset, offset + length)``, where
-        the caller's lookup has just found it mapped.  That range comes
-        back from this object at any window whether or not the map still
-        puts it there (a dedup alias sits at an LBA the header does not
-        name), so a caller must pass a piece it found live; a window that
-        is exactly the range returns it with no map lookup.
+        the caller's lookup has just found it mapped.  A window that is
+        exactly that range returns it with no map lookup, so a caller must
+        pass a piece it found live; at a wider window the range comes back
+        only where the map still puts it.
         """
         header = self.header_of(seq)
         starts = self._extent_starts.get(seq)
@@ -498,17 +498,6 @@ class BlockStore:
                         continue
                     rel = live.offset - start
                     pieces.append((live.lba, blob[rel : rel + live.length]))
-        if request_lba is not None:
-            # de-duplicated aliases point at data the header attributes to
-            # a *different* vLBA; the header translation above cannot find
-            # them, so guarantee the caller's requested range explicitly
-            covered = any(
-                lba <= request_lba and lba + len(d) >= request_lba + length
-                for lba, d in pieces
-            )
-            if not covered:
-                rel = offset - start
-                pieces.append((request_lba, blob[rel : rel + length]))
         return pieces
 
     def header_of(self, seq: int) -> ObjectHeader:

@@ -218,7 +218,7 @@ class ObjectHeader:
     ``temp`` is the object's temperature class (hot/warm/cold data
     separation); it rides in the high byte of the wire ``kind`` field so
     old objects decode as class 0 and readers that only care about the
-    kind (recovery, ``lsvdtool``) stay oblivious-safe.
+    kind (recovery, fsck) stay oblivious-safe.
     """
 
     kind: int

@@ -5,7 +5,7 @@ One volume's backend state is a set of S3 keys with a tiny grammar
 — where the zero-padded decimal suffix encodes log order so a prefix
 LIST returns the stream sorted — plus a small mutable superblock
 ``{volume}.super``.  Every layer that touches keys (the block store,
-recovery, the replicator, ``lsvdtool``, the shard router) must agree on
+recovery, the replicator, fsck, the shard router) must agree on
 this grammar, so it lives here and nowhere else.
 """
 

@@ -1,8 +1,9 @@
 """LSVD013 — no unsettled state mutation may straddle an await point.
 
-The ROADMAP's pipelined async data plane turns today's synchronous
-write path into coroutines, and coroutines can be *cancelled at any
-await*.  If a function mutates settlement-coupled state (the extent
+No ``async def`` exists in ``repro`` outside ``repro.lint`` today: the
+data plane is synchronous and the simulator runs generator processes.
+The rule guards future code, because coroutines can be *cancelled at
+any await*.  If a function mutates settlement-coupled state (the extent
 map, a pending-handles ledger, dirty-byte accounting) and only later —
 on the far side of an ``await``/``yield`` — settles or registers that
 mutation, cancellation in between leaves the mutation dangling with

@@ -80,6 +80,16 @@ def test_fsck_and_scrub_clean(tmp_path, capsys):
     assert rc == 0 and "scrubbed" in out
 
 
+def test_fsck_lists_objects_and_rejects_a_missing_volume(tmp_path, capsys):
+    root = str(tmp_path)
+    run(capsys, root, "create", "vol")
+    rc, out, _ = run(capsys, root, "fsck", "vol", "--objects")
+    assert rc == 0 and "no errors" in out
+    assert "kind=ckpt" in out
+    rc, _out, err = run(capsys, root, "fsck", "ghost")
+    assert rc == 2 and "error" in err
+
+
 def test_replicate_command(tmp_path, capsys):
     root = str(tmp_path / "a")
     target = str(tmp_path / "b")

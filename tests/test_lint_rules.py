@@ -204,7 +204,7 @@ class TestDeterminism:
 
     def test_os_entropy_unrestricted_outside_deterministic_dirs(self):
         assert lint_src("cli.py", self.ENTROPY) == []
-        assert lint_src("tools/lsvdtool.py", self.ENTROPY) == []
+        assert lint_src("analysis/report.py", self.ENTROPY) == []
 
     def test_os_entropy_suppression_comment_silences(self):
         src = """

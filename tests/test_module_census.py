@@ -1,7 +1,7 @@
 """Every module has a consumer: each module under ``src/repro/`` must be
 imported by another ``src/`` module or a benchmark.  A test file alone
-does not count — a module only tests exercise is dead weight (ROADMAP
-item 11)."""
+does not count — a module only tests exercise is dead weight and is
+deleted, not exempted (ROADMAP item 11)."""
 
 import ast
 from pathlib import Path
@@ -9,7 +9,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
-#: modules with no importer, each with the reason it may stay
+#: the only modules with no importer, each with the reason it may stay
 EXEMPT = {
     # entry point: ``python -m repro.cli``
     "repro.cli",
@@ -19,12 +19,6 @@ EXEMPT = {
     # a comparison baseline kept in repro/baselines/ (ROADMAP conventions):
     # the reference model of tests/test_extent_map_model.py
     "repro.baselines.flat_extent_map",
-    # item 11: adopt (trace_io as item 2's replay format, mrc as a cache
-    # sizing or read-ahead cost model), move to examples/ (dedup is a §6.3
-    # demonstration) or delete — that decision stays with item 11
-    "repro.analysis.mrc",
-    "repro.workloads.trace_io",
-    "repro.core.dedup",
 }
 
 

@@ -1,14 +1,18 @@
-"""Tests for the directory object store and lsvdtool."""
+"""Tests for the directory object store and offline fsck."""
 
 import random
 
 import pytest
 
 from repro.core import LSVDConfig, LSVDVolume
+from repro.core.block_store import BlockStore
+from repro.core.errors import RecoveryError
+from repro.core.log import object_name
+from repro.core.naming import parse_object_name
+from repro.core.scrub import fsck_volume, inspect_object, inspect_stream
 from repro.devices.image import DiskImage
 from repro.objstore import InMemoryObjectStore, NoSuchKeyError
 from repro.objstore.directory import DirectoryObjectStore
-from repro.tools import fsck_volume, inspect_object, inspect_stream
 
 MiB = 1 << 20
 
@@ -72,15 +76,15 @@ def test_volume_on_directory_store(tmp_path):
         assert vol2.read(i * 4096, 4096) == bytes([i + 1]) * 4096
 
 
-# -- lsvdtool -------------------------------------------------------------------
+# -- fsck -----------------------------------------------------------------------
 
 
-def make_volume_with_data(store=None):
+def make_volume_with_data(store=None, n_writes=200):
     store = store if store is not None else InMemoryObjectStore()
     cfg = LSVDConfig(batch_size=64 * 1024, checkpoint_interval=8)
     vol = LSVDVolume.create(store, "vd", 16 * MiB, DiskImage(2 * MiB), cfg)
     rng = random.Random(3)
-    for i in range(200):
+    for i in range(n_writes):
         vol.write(rng.randrange(0, 1024) * 4096, bytes([i % 255 + 1]) * 4096)
     vol.drain()
     return store, cfg, vol
@@ -91,9 +95,8 @@ def test_inspect_stream_healthy_volume():
     report = inspect_stream(store, "vd")
     assert report.healthy
     assert report.checkpoints
-    assert not report.holes
     assert not report.stranded
-    assert report.consistent_prefix_end >= max(report.checkpoints)
+    assert report.prefix_end >= max(report.checkpoints)
     assert "no errors" in report.summary()
 
 
@@ -113,37 +116,47 @@ def test_inspect_object_detects_corruption():
 
 def test_inspect_stream_detects_stranded_objects():
     store, _cfg, vol = make_volume_with_data()
-    report = inspect_stream(store, "vd")
-    end = report.consistent_prefix_end
-    # delete an object in the middle of the replay window to make a hole;
-    # first ensure there is a post-checkpoint window to damage
-    newest_ckpt = max(report.checkpoints)
-    if end > newest_ckpt + 1:
-        from repro.core.log import object_name
+    newest_ckpt = max(inspect_stream(store, "vd").checkpoints)
+    store.delete(object_name("vd", newest_ckpt + 1))  # a hole after the checkpoint
+    damaged = inspect_stream(store, "vd")
+    assert damaged.prefix_end == newest_ckpt
+    assert damaged.stranded
 
-        store.delete(object_name("vd", newest_ckpt + 1))
-        damaged = inspect_stream(store, "vd")
-        assert damaged.consistent_prefix_end == newest_ckpt
-        assert damaged.stranded
+
+def hole_before_newest_checkpoint(hint_newest):
+    """Delete the object after the older of the two checkpoints, and point
+    the superblock hint at the newest checkpoint or at the older one."""
+    store, _cfg, vol = make_volume_with_data(n_writes=600)
+    older, newer = inspect_stream(store, "vd").checkpoints
+    assert (older, newer) == (70, 79)
+    store.delete(object_name("vd", older + 1))
+    vol.bs.last_ckpt_seq = newer if hint_newest else older
+    vol.bs.write_super()
+    return store, older, newer
+
+
+def test_fsck_prefix_is_what_a_stale_hint_mount_recovers():
+    """The hint names the older checkpoint: the mount stops at the hole and
+    deletes everything past it, the newer checkpoint included."""
+    store, older, newer = hole_before_newest_checkpoint(hint_newest=False)
+    report = fsck_volume(store, "vd")
+    _bs, state = BlockStore.open(store, "vd")
+    deleted = [parse_object_name(name)[1] for name in state.stranded_deleted]
+    assert report.prefix_end == state.last_seq == older
+    assert report.stranded == deleted and newer in deleted
+
+
+def test_fsck_reports_a_hole_before_the_newest_checkpoint_unmountable():
+    store, older, _newer = hole_before_newest_checkpoint(hint_newest=True)
+    report = fsck_volume(store, "vd")
+    assert not report.healthy and report.prefix_end is None
+    assert any(e.startswith("unmountable:") and f"object {older + 1}" in e
+               for e in report.errors)
+    with pytest.raises(RecoveryError):
+        BlockStore.open(store, "vd")
 
 
 def test_fsck_checks_checkpoint_payloads():
     store, _cfg, vol = make_volume_with_data()
     report = fsck_volume(store, "vd")
     assert report.healthy
-
-
-def test_lsvdtool_cli(tmp_path, capsys):
-    from repro.tools.lsvdtool import main
-
-    store = DirectoryObjectStore(tmp_path / "s3")
-    cfg = LSVDConfig(batch_size=64 * 1024, checkpoint_interval=8)
-    vol = LSVDVolume.create(store, "vd", 16 * MiB, DiskImage(2 * MiB), cfg)
-    vol.write(0, b"x" * 4096)
-    vol.close()
-    rc = main([str(tmp_path / "s3"), "vd", "--objects"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "no errors" in out
-    assert "kind=ckpt" in out
-    assert main([str(tmp_path / "s3"), "ghost"]) == 2
