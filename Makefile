@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: all lint ruff mypy invariants test examples obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger ledger-pairs paper-smoke ablation-prefetch
+.PHONY: all lint ruff mypy invariants test examples obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger ledger-pairs pairs-report paper-smoke ablation-prefetch
 
 all: lint test
 
@@ -115,6 +115,12 @@ ledger-pairs:
 	done
 	git worktree remove --force $(PAIRS)/base
 	git worktree remove --force $(PAIRS)/head
+
+# re-render every committed claim (benchmarks/pairs/PR-<n>/<workload>.jsonl,
+# the lines ledger-pairs writes): median [q1-q3], wins and the per-seed ==
+# verdict on every exact metric; fails when one differs or a run is not correct
+pairs-report:
+	$(PYTHON) benchmarks/pairs_report.py
 
 # the paper-figure benchmarks sit outside tier-1, so nothing else notices
 # when one stops importing or reaches for a private that was renamed:

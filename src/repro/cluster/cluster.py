@@ -50,20 +50,27 @@ class StorageCluster:
             for d in range(disks_per_server):
                 self.disks.append(disk_factory(sim, f"srv{srv}-disk{d}"))
         self._start_time = sim.now
+        self._placements: Dict[str, List[QueuedDevice]] = {}
 
     # ------------------------------------------------------------------
     def placement(self, key: str, count: int) -> List[QueuedDevice]:
         """Deterministically pick ``count`` distinct devices for ``key``.
 
         Mimics CRUSH/consistent hashing: stable for a key, uniform over
-        the pool.
+        the pool — so each key's list is drawn once (seeding the RNG costs
+        more than a timed request's other bookkeeping) and shared: callers
+        must not mutate it.
         """
         if count > len(self.disks):
             raise ValueError("placement wider than the pool")
-        digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-        rng = random.Random(int.from_bytes(digest, "big"))
-        indices = rng.sample(range(len(self.disks)), count)
-        return [self.disks[i] for i in indices]
+        memo = f"{count}:{key}"
+        disks = self._placements.get(memo)
+        if disks is None:
+            digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
+            rng = random.Random(int.from_bytes(digest, "big"))
+            indices = rng.sample(range(len(self.disks)), count)
+            disks = self._placements[memo] = [self.disks[i] for i in indices]
+        return disks
 
     # ------------------------------------------------------------------
     # accounting

@@ -53,7 +53,7 @@ class DeviceStats:
             self.writes += 1
             self.written_bytes += nbytes
             # largest power of two <= nbytes (zero-byte writes land in 1)
-            bucket = 1 << (max(nbytes, 1).bit_length() - 1)
+            bucket = 1 << ((nbytes if nbytes > 1 else 1).bit_length() - 1)
             sizes = self.write_size_bytes
             sizes[bucket] = sizes.get(bucket, 0) + nbytes
         elif kind == FLUSH:
@@ -101,7 +101,7 @@ class _DeviceOp:
         self.count = count  # ops not yet served, this one included
         self.done = Event(device.sim)
         self.path = device._path_for(kind)
-        self.path.request().callbacks.append(self._granted)  # type: ignore[union-attr]
+        self.path.request().callbacks.append(self._granted)
 
     def _granted(self, _grant: Optional[Event]) -> None:
         device = self.device
@@ -135,7 +135,7 @@ class _DeviceOp:
         if remaining > chunk:
             self.remaining = remaining - chunk
             slot = device.controller.consume(chunk)  # type: ignore[union-attr]
-            slot.callbacks.append(self._transfer)  # type: ignore[union-attr]
+            slot.callbacks.append(self._transfer)
             return
         # the last slot and the rest of the service time in one wake, at
         # the float a slot timeout, then a service timeout, would reach

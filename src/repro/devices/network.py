@@ -40,9 +40,7 @@ class NetworkLink:
         done = Event(self.sim)
         latency = self.latency
         # bandwidth slot, then propagation: two events, no process
-        bucket.consume(nbytes).callbacks.append(  # type: ignore[union-attr]
-            lambda _slot: done.succeed_after(latency)
-        )
+        bucket.consume(nbytes).callbacks.append(lambda _slot: done.succeed_after(latency))
         return done
 
     @property

@@ -115,4 +115,5 @@ class SSD(QueuedDevice):
         transfer = nbytes / bw + self.spec.setup_time
         if sequential:
             return transfer
-        return max(transfer, 1.0 / iops)
+        floor = 1.0 / iops
+        return transfer if transfer >= floor else floor

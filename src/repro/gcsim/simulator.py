@@ -268,12 +268,9 @@ class GCSimulator:
         if self.utilization() >= self.gc_low:
             return
         while self.utilization() < self.gc_high:
+            live = self.obj_live
             victims = select_victims(
-                [
-                    (o, self.obj_live[o], self.obj_size[o])
-                    for o in self.obj_size
-                    if self.obj_size[o] > 0
-                ],
+                [(o, live[o], size) for o, size in self.obj_size.items() if size > 0],
                 policy=self.gc_policy,
                 window=self.gc_window,
                 high_watermark=self.gc_high,

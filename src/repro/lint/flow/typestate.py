@@ -215,6 +215,28 @@ def suspended_calls(parts: Sequence[ast.AST], names: Sequence[str]) -> List[ast.
     ]
 
 
+def completion_callbacks(tree: ast.AST, names: Sequence[str]) -> Set[str]:
+    """Methods whose every ``self.<m>`` in ``tree`` is the argument of
+    ``<call>(..).callbacks.append(..)`` or ``.add_callback(..)`` with
+    ``<call>`` named in ``names``: such a method starts at the call's
+    completion, the callback form of ``yield <call>(..)``."""
+    hung: "dict[int, Optional[str]]" = {}
+    for sub in ast.walk(tree):
+        if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute) and sub.args:
+            event = sub.func.value
+            if sub.func.attr == "append" and tail_name(event) == "callbacks":
+                event = event.value  # type: ignore[attr-defined]
+            elif sub.func.attr != "add_callback":
+                continue
+            if isinstance(event, ast.Call) and call_name(event) in names:
+                hung[id(sub.args[0])] = attr_on_self(sub.args[0])
+    others = {
+        attr_on_self(sub) for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and id(sub) not in hung
+    }
+    return {method for method in hung.values() if method and method not in others}
+
+
 def loads_in(parts: Sequence[ast.AST]) -> Set[str]:
     """Every plain name read anywhere in ``parts``."""
     return {

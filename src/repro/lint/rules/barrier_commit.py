@@ -24,6 +24,7 @@ from repro.lint.diagnostics import Diagnostic
 from repro.lint.flow.cfg import Node, iter_function_cfgs, walk_in_scope
 from repro.lint.flow.typestate import (
     calls_named,
+    completion_callbacks,
     receiver_matches,
     suspended_calls,
     unguarded_sites,
@@ -56,7 +57,9 @@ BARRIER_SETTLE_RECEIVERS: Tuple[str, ...] = (
 
 #: calls whose completion is the covering-FLUSH evidence; in a coroutine
 #: the call must be yielded/awaited (a bare ``ssd.flush()`` there returns
-#: an unwaited Event — fire-and-forget, not evidence)
+#: an unwaited Event — fire-and-forget, not evidence), and a method hung
+#: on nothing but such a call's event (``ssd.flush().callbacks.append(
+#: self._settle_barriers)``) starts covered
 BARRIER_EVIDENCE_CALLS: Tuple[str, ...] = ("flush",)
 
 
@@ -103,7 +106,8 @@ class BarrierCoalescingRule(Rule):
         caller's completion event may be settled (``.succeed()``) only
         after the covering device FLUSH: in a coroutine the flush call
         must be yielded/awaited before the settlement on every path from
-        function entry; in a plain function it must be called.
+        function entry; in a plain function it must be called, or the
+        function must run only as a completion callback of the flush.
 
     Example violation::
 
@@ -135,8 +139,9 @@ class BarrierCoalescingRule(Rule):
         allowed, whole = config.scoped_allow(ctx.path, config.barrier_allow)
         if whole:
             return
+        flushed = completion_callbacks(ctx.tree, BARRIER_EVIDENCE_CALLS)
         for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
-            if func.name in allowed:
+            if func.name in allowed or func.name in flushed:
                 continue
             if not any(marker in func.name for marker in BARRIER_FUNCTION_MARKERS):
                 continue
@@ -156,9 +161,8 @@ class BarrierCoalescingRule(Rule):
                         else ""
                     ),
                     "issue (and in a coroutine: yield) the device flush "
-                    "before settling the batch; callback-settled paths can "
-                    "be allowlisted via barrier-allow "
-                    "(module.py::function)",
+                    "before settling the batch, or settle in a callback "
+                    "hung only on the flush's event",
                 )
 
 

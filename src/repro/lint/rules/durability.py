@@ -10,9 +10,10 @@ or on a *local handle* being ``None`` (``result = store.put(...)``;
 ``if result is None:`` — a settled-synchronous store returned no handle;
 a ``None`` test on anything else, ``self.qos`` say, proves nothing about
 durability), or (in the timed model) resuming from a yielded/awaited
-backend PUT.  The rule runs a backward may-analysis from each ack site:
-if an evidence-free path from function entry can reach the ack, some
-caller can release state whose durability nobody established.  Functions
+backend PUT, or running as a callback hung on one.  The rule runs a
+backward may-analysis from each ack site: if an evidence-free path from
+function entry can reach the ack, some caller can release state whose
+durability nobody established.  Functions
 whose *name* contains ``settle`` are the settlement callbacks themselves
 — they are the evidence — and are skipped.
 """
@@ -28,6 +29,7 @@ from repro.lint.flow.cfg import Edge, Node, iter_function_cfgs, walk_in_scope
 from repro.lint.flow.typestate import (
     call_name,
     calls_named,
+    completion_callbacks,
     node_calls,
     none_side,
     suspended_calls,
@@ -66,7 +68,9 @@ DURABILITY_EVIDENCE_CALLS: Tuple[str, ...] = (
 )
 
 #: calls that count as evidence only when awaited/yielded — in the timed
-#: model ``yield backend.put(...)`` resumes when the PUT settles
+#: model ``yield backend.put(...)`` resumes when the PUT settles — or, for
+#: a method hung on nothing but such a call's event
+#: (``backend.put(..).callbacks.append(self._put_done)``), from its entry
 DURABILITY_YIELD_EVIDENCE: Tuple[str, ...] = (
     "put",
     "write",
@@ -135,8 +139,9 @@ class DurabilityOrderingRule(Rule):
         allowed, whole = config.scoped_allow(ctx.path, config.durability_allow)
         if whole:
             return
+        settled = completion_callbacks(ctx.tree, DURABILITY_YIELD_EVIDENCE)
         for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
-            if func.name in allowed or "settle" in func.name:
+            if func.name in allowed or func.name in settled or "settle" in func.name:
                 continue
             for node in unguarded_sites(
                 cfg, node_calls(DURABILITY_ACK_CALLS), _is_evidence_node, _edge_is_evidence

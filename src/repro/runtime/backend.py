@@ -62,53 +62,19 @@ class SimulatedObjectStore:
 
     def put(self, key: str, nbytes: int) -> Event:
         """PUT of ``nbytes``; the event fires when the object is durable."""
-        done = self.sim.event()
         self.puts += 1
         self.bytes_put += nbytes
-        started = self.sim.now
-
-        def run():
-            yield self.network.send(nbytes)
-            yield self.sim.timeout(self.request_latency)
-            yield self.layout.put(self.cluster, key, nbytes)
-            self._keys[key] = nbytes
-            self._put_latency.observe(self.sim.now - started)
-            done.succeed()
-
-        self.sim.process(run(), name=f"put:{key}")
-        return done
+        return _Request(self, key, 0, nbytes, _PUT).done
 
     def get_range(self, key: str, offset: int, nbytes: int) -> Event:
         """Ranged GET; fires when the data has arrived at the client."""
-        done = self.sim.event()
         self.gets += 1
         self.bytes_got += nbytes
-        started = self.sim.now
-
-        def run():
-            yield self.sim.timeout(self.request_latency)
-            yield self.layout.get_range(self.cluster, key, offset, nbytes)
-            yield self.network.receive(nbytes)
-            self._get_latency.observe(self.sim.now - started)
-            done.succeed()
-
-        self.sim.process(run(), name=f"get:{key}")
-        return done
+        return _Request(self, key, offset, nbytes, _GET).done
 
     def delete(self, key: str) -> Event:
-        done = self.sim.event()
         self.deletes += 1
-        started = self.sim.now
-
-        def run():
-            yield self.sim.timeout(self.request_latency)
-            yield self.layout.delete(self.cluster, key)
-            self._keys.pop(key, None)
-            self._delete_latency.observe(self.sim.now - started)
-            done.succeed()
-
-        self.sim.process(run(), name=f"del:{key}")
-        return done
+        return _Request(self, key, 0, 0, _DELETE).done
 
     def list_keys(self, prefix: str = "") -> Event:
         """LIST the durable keys under ``prefix``; value = sorted names.
@@ -129,3 +95,54 @@ class SimulatedObjectStore:
 
         self.sim.process(run(), name=f"list:{prefix or '*'}")
         return done
+
+
+class _Request:
+    """One PUT, GET or DELETE in flight: its steps run in turn, each from
+    the event the last one returned (a record, not a process: DESIGN.md
+    "Data plane pipeline"), the first from the boot event a process had."""
+
+    __slots__ = ("store", "key", "offset", "nbytes", "done", "started", "steps")
+
+    def __init__(self, store: SimulatedObjectStore, key: str, offset: int, nbytes: int, steps):
+        self.store, self.key, self.offset, self.nbytes = store, key, offset, nbytes
+        self.done = Event(store.sim)
+        self.started = store.sim.now
+        self.steps = iter(steps)
+        store.sim.call_next(self._step, inline=False)
+
+    def _step(self, _event: Optional[Event]) -> None:
+        event = next(self.steps)(self)
+        if event is not None:
+            event.callbacks.append(self._step)
+
+    def _finish(self, latency, durable: Optional[bool] = None) -> None:
+        """Observe the latency and settle: a PUT's key is now ``durable``,
+        a DELETE's no longer is."""
+        if durable:
+            self.store._keys[self.key] = self.nbytes
+        elif durable is not None:
+            self.store._keys.pop(self.key, None)
+        latency.observe(self.store.sim.now - self.started)
+        self.done.succeed()
+
+
+#: each request kind's steps: NIC transfer, the gateway's software latency
+#: and the layout's device I/O, the last one settling the request
+_PUT = (
+    lambda r: r.store.network.send(r.nbytes),
+    lambda r: r.store.sim.timeout(r.store.request_latency),
+    lambda r: r.store.layout.put(r.store.cluster, r.key, r.nbytes),
+    lambda r: r._finish(r.store._put_latency, durable=True),
+)
+_GET = (
+    lambda r: r.store.sim.timeout(r.store.request_latency),
+    lambda r: r.store.layout.get_range(r.store.cluster, r.key, r.offset, r.nbytes),
+    lambda r: r.store.network.receive(r.nbytes),
+    lambda r: r._finish(r.store._get_latency),
+)
+_DELETE = (
+    lambda r: r.store.sim.timeout(r.store.request_latency),
+    lambda r: r.store.layout.delete(r.store.cluster, r.key),
+    lambda r: r._finish(r.store._delete_latency, durable=False),
+)

@@ -7,16 +7,23 @@ passes data through the SSD between kernel and user space, §3.7/§4.7),
 PUTs 8-32 MiB objects through the erasure-coded backend, and frees cache
 space when each PUT settles.
 
-The data plane is an event-driven multi-queue pipeline:
+The data plane is an event-driven multi-queue pipeline of ``__slots__``
+records, not generator processes: each record hangs its next step on the
+event its last step left behind (CPU grant, timeout, device op, queue
+get), in the order a process body would have run them (DESIGN.md "Data
+plane pipeline"):
 
+* **client ops** — one :class:`_ClientOp` per I/O: QoS admission, CPU,
+  cache-log append or read, acknowledge.
 * **group commit** — concurrent commit barriers are queued to a single
-  commit worker that coalesces everything waiting into one batch, issues
-  one device FLUSH, and only then settles every barrier in the group
-  (the LSVD014 invariant).  Writers are never gated behind a barrier.
+  :class:`_Committer` that coalesces everything waiting into one batch,
+  issues one device FLUSH, and only then settles every barrier in the
+  group (the LSVD014 invariant).  Writers are never gated behind a barrier.
 * **per-shard destage queues** — destage work is routed to the queue of
   the shard its object key lands on, each queue drained by its own
-  workers, so one shard's slow PUT cannot head-of-line-block another's
-  (``destage.<i>.queue_depth`` gauges expose the skew).
+  :class:`_Destager` records, so one shard's slow PUT cannot
+  head-of-line-block another's (``destage.<i>.queue_depth`` gauges
+  expose the skew).
 * **overlapped recovery** — :meth:`recovery_scan` fans the per-shard
   LISTs and the header GETs out concurrently (latency ~= the slowest
   shard, not the sum).
@@ -44,12 +51,303 @@ from repro.obs import Registry, bind_metrics, gauge_field, metric_field
 from repro.runtime.backend import SimulatedObjectStore
 from repro.runtime.machine import ClientMachine
 from repro.runtime.params import LSVDParams
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import AllOf, Event, Simulator, Timeout
 from repro.sim.resources import Store
 from repro.workloads.base import FLUSH, READ, WRITE, IOOp
 
 #: bucket edges for the barrier group-size histogram (barriers per FLUSH)
 _GROUP_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
+
+
+class _Stages(list):
+    """Stage spans opened together, one per barrier of a group."""
+
+    def end(self) -> None:
+        for stage in self:
+            stage.end()
+
+
+class _Steps:
+    """Base of the data-plane records: each step hangs the next on the
+    event it leaves behind.  A record starts from the boot event a process
+    had (``call_next(..., inline=False)``: inline, it could run ahead of
+    callbacks still due on its caller's event) and never reads an event's
+    outcome — nothing it waits on fails unless a device's pricing raises,
+    which a strict simulator surfaces.  Continuations are functions, not
+    bound methods: a stored bound method would make the record a cycle."""
+
+    __slots__ = ("rt", "stage", "_then", "_cpu_s")
+    rt: "LSVDRuntime"
+
+    def _wait(self, stage, event: Event, then) -> None:
+        """Once ``event`` has fired: end ``stage``, call ``then(self)``."""
+        self.stage, self._then = stage, then
+        event.callbacks.append(self._waited)
+
+    def _waited(self, _event: Optional[Event]) -> None:
+        self.stage.end()
+        self._then(self)
+
+    def _cpu(self, stage, seconds: float, then) -> None:
+        """``ClientMachine.cpu_work`` as callbacks; then as :meth:`_wait`."""
+        self.stage, self._then, self._cpu_s = stage, then, seconds
+        self.rt.machine.cpu.request().callbacks.append(self._cpu_granted)
+
+    def _cpu_granted(self, _grant: Event) -> None:
+        Timeout(self.rt.sim, self._cpu_s).callbacks.append(self._cpu_served)
+
+    def _cpu_served(self, _slice: Event) -> None:
+        self.rt.machine.cpu.release()
+        self.stage.end()
+        self._then(self)
+
+
+class _ClientOp(_Steps):
+    """One client write or read: QoS admission, CPU, then the cache-log
+    append, or the read-cache read — or, on a miss, a range GET and a
+    read-cache insert (the pass-through SSD of §4.7)."""
+
+    __slots__ = ("op", "done", "span", "footprint")
+
+    def __init__(self, rt: "LSVDRuntime", op: IOOp, done: Event, span):
+        self.rt, self.op, self.done, self.span = rt, op, done, span
+        rt.sim.call_next(self._admit, inline=False)
+
+    def _admit(self, _boot: Event) -> None:
+        """Serve the tenant's token-bucket delay before the I/O touches
+        any shared resource (CPU, SSD, backend)."""
+        qos = self.rt.qos
+        delay = 0.0 if qos is None else qos.admit(self.rt.sim.now, self.op.length)
+        if delay <= 0:
+            self._start()
+        else:
+            qos.wait_started()
+            self._wait(self.span.begin("throttle_wait", kind="queue"),
+                       Timeout(self.rt.sim, delay), _ClientOp._admitted)
+
+    def _admitted(self) -> None:
+        self.rt.qos.wait_finished()
+        self._start()
+
+    def _start(self) -> None:
+        rt, span = self.rt, self.span
+        if self.op.kind == WRITE:
+            rt._inflight.add(self.done)
+            self._cpu(span.begin("write_cpu"), rt.params.write_cpu, _ClientOp._reserve)
+            return
+        hit = rt._chance() < rt.read_hit_rate
+        span.annotate(hit=hit)
+        if hit:
+            self._cpu(span.begin("read_cpu"), rt.params.read_hit_cpu, _ClientOp._lookup)
+        else:
+            self._cpu(span.begin("read_cpu"), rt.params.read_miss_cpu, _ClientOp._fetch)
+
+    def _reserve(self) -> None:
+        rt = self.rt
+        self.footprint = align_up(self.op.length) + rt.params.log_header_bytes
+        if rt._dirty.value + self.footprint <= rt.write_cache_capacity:
+            self._append()
+        else:
+            # cache log full: stall until destage frees room
+            rt.destage_space_stalls += 1
+            self.stage = self.span.begin("space_wait", kind="queue")
+            self._stall(None)
+
+    def _stall(self, _freed: Optional[Event]) -> None:
+        rt = self.rt
+        if rt._dirty.value + self.footprint > rt.write_cache_capacity:
+            waiter = Event(rt.sim)
+            rt._space_waiters.append(waiter)
+            waiter.callbacks.append(self._stall)
+        else:
+            self.stage.end()
+            self._append()
+
+    def _append(self) -> None:
+        rt, footprint = self.rt, self.footprint
+        rt._dirty.inc(footprint)
+        self._wait(self.span.begin("wc_append", bytes=footprint),
+                   rt.machine.ssd.write(rt._log_head, footprint), _ClientOp._appended)
+
+    def _appended(self) -> None:
+        rt, op = self.rt, self.op
+        rt._log_head += self.footprint
+        rt._last_write_at = rt.sim.now
+        rt._writes.inc()
+        rt._bytes_written.inc(op.length)
+        self.done.succeed()
+        self.span.end()
+        # feed the batcher (synchronous map/batch state; PUTs are queued
+        # to the destagers via the on_object hook); the accumulated
+        # footprint is released exactly when the covering object's PUT
+        # settles
+        rt._batch_log_bytes += self.footprint
+        rt.pagemap.write(op.offset, op.length)
+        rt._inflight.discard(self.done)
+
+    def _lookup(self) -> None:
+        rt, op = self.rt, self.op
+        self._wait(self.span.begin("rc_lookup", bytes=op.length),
+                   rt.machine.ssd.read(rt._scatter(op.offset), op.length), _ClientOp._served)
+
+    def _fetch(self) -> None:
+        rt = self.rt
+        fetch = max(self.op.length, rt.config.prefetch_bytes)
+        self._wait(self.span.begin("backend_fetch", bytes=fetch),
+                   rt.backend.get_range(f"{rt.name}.{rt._seq:08d}", 0, fetch), _ClientOp._insert)
+
+    def _insert(self) -> None:
+        rt = self.rt
+        fetch = max(self.op.length, rt.config.prefetch_bytes)
+        self._wait(self.span.begin("rc_insert", bytes=fetch),
+                   rt.machine.ssd.write(rt._rc_slot(fetch), fetch), _ClientOp._served)
+
+    def _served(self) -> None:
+        self.rt._reads.inc()
+        self.rt._bytes_read.inc(self.op.length)
+        self.done.succeed()
+        self.span.end()
+
+
+class _Committer(_Steps):
+    """The group-commit worker: one device FLUSH settles every queued
+    barrier.  Safety (LSVD014): every barrier in the group is settled
+    strictly after the covering FLUSH completes.  Late joiners that arrive
+    while the group is quiescing are folded in — their covered writes
+    finished the SSD log write before the FLUSH issues, so it covers them.
+    """
+
+    __slots__ = ("group",)
+
+    def __init__(self, rt: "LSVDRuntime"):
+        self.rt = rt
+        rt.sim.call_next(self._next, inline=False)
+
+    def _next(self, _event: Optional[Event] = None) -> None:
+        self.rt._barrier_q.get().callbacks.append(self._take)
+
+    def _stages(self, name: str, **attrs) -> _Stages:
+        return _Stages([span.begin(name, **attrs) for _done, span, _q in self.group])
+
+    def _join(self, members: list) -> None:
+        """Fold ``members`` and every queued barrier into the group; a
+        member's queue wait ends here."""
+        members.extend(self.rt._barrier_q.drain())
+        for _done, _span, qwait in members:
+            qwait.end()
+        self.group.extend(members)
+
+    def _take(self, first: Event) -> None:
+        self.group: list = []
+        self._join([first._value])
+        # one CPU charge per group — the commit-path amortisation
+        self._cpu(self._stages("barrier_cpu"), self.rt.params.barrier_cpu, _Committer._quiesce)
+
+    def _quiesce(self) -> None:
+        # writes admitted before this FLUSH issues must reach the cache
+        # SSD first (drain-then-flush; new writes are never gated)
+        pending = [ev for ev in self.rt._inflight if not ev.triggered]
+        stages = self._stages("barrier_quiesce", kind="queue")
+        if pending:
+            self._wait(stages, AllOf(self.rt.sim, pending), _Committer._flush)
+        else:
+            stages.end()
+            self._flush()
+
+    def _flush(self) -> None:
+        self._join([])
+        # a flushed log must not strand a half-built object: seal the
+        # partial batch through the page map's public API so destage
+        # starts catching the backend up (satellite of §3.2)
+        self.rt.pagemap.flush_batch()
+        self.stage = self._stages("device_flush")
+        self.rt.machine.ssd.flush().callbacks.append(self._settle_barriers)
+
+    def _settle_barriers(self, _flush: Event) -> None:
+        rt, group = self.rt, self.group
+        self.stage.end()
+        rt.barrier_flushes += 1
+        rt._group_size_h.observe(len(group))
+        rt.obs.trace.emit("barrier_group", size=len(group))
+        for done, span, _qwait in group:
+            done.succeed()
+            span.end(group=len(group))
+        self._next()
+
+
+class _Destager(_Steps):
+    """One destage worker of a shard's queue: PUT, GC read or DELETE."""
+
+    __slots__ = ("queue", "index", "item", "root")
+
+    def __init__(self, rt: "LSVDRuntime", queue: Store, index: int):
+        self.rt, self.queue, self.index = rt, queue, index
+        rt.sim.call_next(self._next, inline=False)
+
+    def _next(self, _event: Optional[Event] = None) -> None:
+        self.queue.get().callbacks.append(self._take)
+
+    def _take(self, event: Event) -> None:
+        rt = self.rt
+        self.item = kind, key, seq, nbytes, _log, _temp, self.root, qwait = event._value
+        rt._queued.dec()
+        rt._queue_gauges[self.index].set(len(self.queue))
+        qwait.end()
+        if kind == "put":
+            # the userspace daemon reads outgoing data from the cache SSD
+            # (§3.7), then PUTs the object (relocated data arrived through
+            # its "gcread" instead); seq only picks a distinct simulated
+            # SSD address here — no real log offsets exist in the timed model
+            address = rt._log_head + seq  # lint: disable=LSVD002
+            self._wait(self.root.begin("destage_read", bytes=nbytes),
+                       rt.machine.ssd.read(address, nbytes), _Destager._put_cpu)
+        elif kind == "gcput":
+            self._put_cpu()
+        elif kind == "gcread":
+            cached = int(nbytes * rt.params.gc_cache_hit)
+            if cached:
+                self._wait(self.root.begin("gc_cache_read", bytes=cached),
+                           rt.machine.ssd.read(rt._rc_slot(cached), cached), _Destager._fetch)
+            else:
+                self._fetch()
+        else:
+            self._wait(self.root.begin("shard_delete", shard=self.index),
+                       rt.backend.delete(key), _Destager._done)
+
+    def _put_cpu(self) -> None:
+        self._cpu(self.root.begin("destage_cpu"), self.rt.params.destage_user_cpu, _Destager._put)
+
+    def _put(self) -> None:
+        _kind, key, _seq, nbytes, _log, _temp, _root, _q = self.item
+        self.stage = self.root.begin("shard_put", shard=self.index, bytes=nbytes)
+        self.rt.backend.put(key, nbytes).callbacks.append(self._put_done)
+
+    def _put_done(self, _put: Event) -> None:
+        rt = self.rt
+        kind, _key, _seq, nbytes, log_bytes, temp, _root, _q = self.item
+        self.stage.end()
+        rt._bytes_put.inc(nbytes)
+        rt._class_puts[temp].inc()
+        rt._class_bytes_put[temp].inc(nbytes)
+        if kind == "put":
+            rt.objects_put += 1
+            rt._release_space(log_bytes)
+        else:
+            rt.gc_objects_put += 1
+        self._done()
+
+    def _fetch(self) -> None:
+        _kind, key, _seq, nbytes, _log, _temp, _root, _q = self.item
+        remote = nbytes - int(nbytes * self.rt.params.gc_cache_hit)
+        if remote:
+            self._wait(self.root.begin("backend_fetch", bytes=remote),
+                       self.rt.backend.get_range(key, 0, remote), _Destager._done)
+        else:
+            self._done()
+
+    def _done(self) -> None:
+        self.root.end()
+        self._next()
 
 
 class LSVDRuntime:
@@ -101,6 +399,7 @@ class LSVDRuntime:
         #: pipeline
         self.tenant = tenant
         self.qos = qos
+        self._tags = {} if tenant is None else {"tenant": tenant}
         #: share the backend facade's registry so lsvd.* and backend.*
         #: metrics of one stack land in one snapshot
         # explicit None checks: a freshly created Registry is empty and
@@ -117,6 +416,9 @@ class LSVDRuntime:
         self._reads = LSVDRuntime.client_reads.metric(self)
         self._bytes_written = LSVDRuntime.client_bytes_written.metric(self)
         self._bytes_read = LSVDRuntime.client_bytes_read.metric(self)
+        self._queued = LSVDRuntime.destage_queue_depth.metric(self)
+        self._barriers = LSVDRuntime.barrier_requests.metric(self)
+        self._bytes_put = LSVDRuntime.backend_bytes_put.metric(self)
         # span trees read the simulated clock (same contract as the trace)
         self.obs.spans.clock = lambda: self.sim.now
 
@@ -160,10 +462,7 @@ class LSVDRuntime:
         workers = max(self.params.destage_workers, n_queues)
         for index in range(workers):
             queue = index - (index // n_queues) * n_queues  # round-robin spread
-            sim.process(
-                self._destage_worker(self._destage_qs[queue], queue),
-                name=f"{name}-destage{queue}",
-            )
+            _Destager(self, self._destage_qs[queue], queue)
         sim.process(self._idle_flusher(), name=f"{name}-flusher")
         self._last_write_at = 0.0
 
@@ -174,176 +473,27 @@ class LSVDRuntime:
         self._group_size_h = self.obs.histogram(
             "barrier.group_size", buckets=_GROUP_SIZE_BUCKETS
         )
-        sim.process(self._group_commit_worker(), name=f"{name}-commit")
+        _Committer(self)
 
         self._seq = 0
         self._rng_state = 12345
-        # per-op process names, built once rather than per submit
-        self._write_name = f"{name}-w"
-        self._read_name = f"{name}-r"
 
     # ------------------------------------------------------------------
     # block device interface
     # ------------------------------------------------------------------
     def submit(self, op: IOOp) -> Event:
-        done = self.sim.event()
-        if op.kind == WRITE:
-            span = self._root_span("write", bytes=op.length)
-            self.sim.process(self._write(op, done, span), name=self._write_name)
-        elif op.kind == READ:
-            span = self._root_span("read", bytes=op.length)
-            self.sim.process(self._read(op, done, span), name=self._read_name)
-        elif op.kind == FLUSH:
-            self.barrier_requests += 1
-            span = self._root_span("barrier")
+        done = Event(self.sim)
+        kind = op.kind
+        if kind == WRITE or kind == READ:
+            _ClientOp(self, op, done, self.obs.spans.root(kind, bytes=op.length, **self._tags))
+        elif kind == FLUSH:
+            self._barriers.inc()
+            span = self.obs.spans.root("barrier", **self._tags)
             qwait = span.begin("barrier_queue", kind="queue")
             self._barrier_q.put((done, span, qwait))
         else:
             raise ValueError(f"unknown op kind {op.kind!r}")
         return done
-
-    # ------------------------------------------------------------------
-    def _root_span(self, name: str, **attrs):
-        """Root span of one client op, tagged with the owning tenant."""
-        if self.tenant is not None:
-            attrs["tenant"] = self.tenant
-        return self.obs.spans.root(name, **attrs)
-
-    def _admission(self, op: IOOp, span):
-        """QoS admission: serve the tenant's token-bucket delay before
-        the I/O touches any shared resource (CPU, SSD, backend)."""
-        if self.qos is None:
-            return
-        delay = self.qos.admit(self.sim.now, op.length)
-        if delay > 0:
-            stage = span.begin("throttle_wait", kind="queue")
-            self.qos.wait_started()
-            yield self.sim.timeout(delay)
-            self.qos.wait_finished()
-            stage.end()
-
-    def _write(self, op: IOOp, done: Event, span):
-        yield from self._admission(op, span)
-        self._inflight.add(done)
-        try:
-            stage = span.begin("write_cpu")
-            yield from self.machine.cpu_work(self.params.write_cpu)
-            stage.end()
-            footprint = align_up(op.length) + self.params.log_header_bytes
-            dirty = self._dirty
-            if dirty.value + footprint > self.write_cache_capacity:
-                # cache log full: stall until destage frees room
-                self.destage_space_stalls += 1
-                stage = span.begin("space_wait", kind="queue")
-                while dirty.value + footprint > self.write_cache_capacity:
-                    waiter = self.sim.event()
-                    self._space_waiters.append(waiter)
-                    yield waiter
-                stage.end()
-            dirty.inc(footprint)
-            stage = span.begin("wc_append", bytes=footprint)
-            yield self.machine.ssd.write(self._log_head, footprint)
-            stage.end()
-            self._log_head += footprint
-            self._last_write_at = self.sim.now
-            self._writes.inc()
-            self._bytes_written.inc(op.length)
-            done.succeed()
-            span.end()
-            # feed the batcher (synchronous map/batch state; PUTs are
-            # queued to the destage workers via the on_object hook);
-            # the accumulated footprint is released exactly when the
-            # covering object's PUT settles
-            self._batch_log_bytes += footprint
-            self.pagemap.write(op.offset, op.length)
-        finally:
-            self._inflight.discard(done)
-
-    def _read(self, op: IOOp, done: Event, span):
-        yield from self._admission(op, span)
-        hit = self._chance() < self.read_hit_rate
-        span.annotate(hit=hit)
-        if hit:
-            stage = span.begin("read_cpu")
-            yield from self.machine.cpu_work(self.params.read_hit_cpu)
-            stage.end()
-            stage = span.begin("rc_lookup", bytes=op.length)
-            yield self.machine.ssd.read(self._scatter(op.offset), op.length)
-            stage.end()
-        else:
-            stage = span.begin("read_cpu")
-            yield from self.machine.cpu_work(self.params.read_miss_cpu)
-            stage.end()
-            fetch = max(op.length, self.config.prefetch_bytes)
-            stage = span.begin("backend_fetch", bytes=fetch)
-            yield self.backend.get_range(
-                f"{self.name}.{self._seq:08d}", 0, fetch
-            )
-            stage.end()
-            # the prototype stores fetched data in the read cache before
-            # replying (pass-through SSD, §4.7)
-            stage = span.begin("rc_insert", bytes=fetch)
-            yield self.machine.ssd.write(self._rc_slot(fetch), fetch)
-            stage.end()
-        self._reads.inc()
-        self._bytes_read.inc(op.length)
-        done.succeed()
-        span.end()
-
-    # ------------------------------------------------------------------
-    # commit barriers
-    # ------------------------------------------------------------------
-    def _group_commit_worker(self):
-        """Coalesce queued barriers: one device FLUSH settles the group.
-
-        Safety (LSVD014): every barrier in the group is settled strictly
-        after the covering FLUSH event completes.  Late joiners that
-        arrive while the group is quiescing are folded in — their
-        covered writes finished the SSD log write before the FLUSH
-        issues, so the same FLUSH covers them.
-        """
-        while True:
-            first = yield self._barrier_q.get()
-            group = [first]
-            group.extend(self._barrier_q.drain())
-            # each member's queue wait ends when it is folded into a group
-            for _done, _span, qwait in group:
-                qwait.end()
-            # one CPU charge per group — the commit-path amortisation
-            stages = [span.begin("barrier_cpu") for _d, span, _q in group]
-            yield from self.machine.cpu_work(self.params.barrier_cpu)
-            for stage in stages:
-                stage.end()
-            # quiesce: writes admitted before this FLUSH issues must
-            # reach the cache SSD first (drain-then-flush; new writes are
-            # never gated)
-            pending = [ev for ev in self._inflight if not ev.triggered]
-            stages = [
-                span.begin("barrier_quiesce", kind="queue")
-                for _d, span, _q in group
-            ]
-            if pending:
-                yield self.sim.all_of(pending)
-            for stage in stages:
-                stage.end()
-            late = self._barrier_q.drain()
-            for _done, _span, qwait in late:
-                qwait.end()
-            group.extend(late)
-            # a flushed log must not strand a half-built object: seal the
-            # partial batch through the page map's public API so destage
-            # starts catching the backend up (satellite of §3.2)
-            self.pagemap.flush_batch()
-            stages = [span.begin("device_flush") for _d, span, _q in group]
-            yield self.machine.ssd.flush()
-            for stage in stages:
-                stage.end()
-            self.barrier_flushes += 1
-            self._group_size_h.observe(len(group))
-            self.obs.trace.emit("barrier_group", size=len(group))
-            for done, span, _qwait in group:
-                done.succeed()
-                span.end(group=len(group))
 
     # ------------------------------------------------------------------
     # destage / GC plumbing
@@ -388,55 +538,8 @@ class LSVDRuntime:
         root = self.obs.spans.root("destage", op=item[0], shard=index)
         qwait = root.begin("destage_queue", kind="queue")
         self._destage_qs[index].put(item + (root, qwait))
-        self.destage_queue_depth += 1
+        self._queued.inc()
         self._queue_gauges[index].set(len(self._destage_qs[index]))
-
-    def _destage_worker(self, queue: Store, index: int):
-        while True:
-            kind, key, seq, nbytes, log_bytes, temp, root, qwait = yield queue.get()
-            self.destage_queue_depth -= 1
-            self._queue_gauges[index].set(len(queue))
-            qwait.end()
-            if kind == "put" or kind == "gcput":
-                if kind == "put":
-                    # the userspace daemon reads outgoing data from the
-                    # cache SSD (§3.7), then PUTs the object (relocated
-                    # data arrived through its "gcread" instead); seq only
-                    # picks a distinct simulated SSD address here — no
-                    # real log offsets exist in the timed model
-                    stage = root.begin("destage_read", bytes=nbytes)
-                    yield self.machine.ssd.read(self._log_head + seq, nbytes)  # lint: disable=LSVD002
-                    stage.end()
-                stage = root.begin("destage_cpu")
-                yield from self.machine.cpu_work(self.params.destage_user_cpu)
-                stage.end()
-                stage = root.begin("shard_put", shard=index, bytes=nbytes)
-                yield self.backend.put(key, nbytes)
-                stage.end()
-                self.backend_bytes_put += nbytes
-                self._class_puts[temp].inc()
-                self._class_bytes_put[temp].inc(nbytes)
-                if kind == "put":
-                    self.objects_put += 1
-                    self._release_space(log_bytes)
-                else:
-                    self.gc_objects_put += 1
-            elif kind == "gcread":
-                cached = int(nbytes * self.params.gc_cache_hit)
-                remote = nbytes - cached
-                if cached:
-                    stage = root.begin("gc_cache_read", bytes=cached)
-                    yield self.machine.ssd.read(self._rc_slot(cached), cached)
-                    stage.end()
-                if remote:
-                    stage = root.begin("backend_fetch", bytes=remote)
-                    yield self.backend.get_range(key, 0, remote)
-                    stage.end()
-            elif kind == "delete":
-                stage = root.begin("shard_delete", shard=index)
-                yield self.backend.delete(key)
-                stage.end()
-            root.end()
 
     def _idle_flusher(self):
         """Flush partial batches after a quiet period (batch_timeout).

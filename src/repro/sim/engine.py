@@ -54,11 +54,12 @@ class Event:
     """
 
     # pending = ``_value is _PENDING``; processed = ``callbacks is None``
+    # (typed as a list: only ``_process`` sets it to None)
     __slots__ = ("sim", "callbacks", "_value", "_ok", "background")
 
     def __init__(self, sim: "Simulator", background: bool = False):
         self.sim = sim
-        self.callbacks: Optional[list] = []
+        self.callbacks: list = []
         self._value: Any = _PENDING
         self._ok: bool = True
         self.background = background
@@ -142,8 +143,8 @@ class Event:
         # function: benchmarks/ledger counts its profile calls as
         # ``sim.events_per_op``
         callbacks = self.callbacks
-        self.callbacks = None
-        for fn in callbacks:  # type: ignore[union-attr]
+        self.callbacks = None  # type: ignore[assignment]
+        for fn in callbacks:
             fn(self)
 
 
@@ -190,7 +191,7 @@ class Process(Event):
         self.name = name or getattr(gen, "__name__", "process")
         boot = Event(sim)
         self._waiting_on: Optional[Event] = boot
-        boot.callbacks.append(self._resume)  # type: ignore[union-attr]
+        boot.callbacks.append(self._resume)
         boot.succeed()
 
     @property
@@ -202,7 +203,7 @@ class Process(Event):
         if not self.is_alive:
             return
         poke = Event(self.sim)
-        poke.callbacks.append(self._interrupted)  # type: ignore[union-attr]
+        poke.callbacks.append(self._interrupted)
         poke.fail(Interrupt(cause))
 
     # -- internal ----------------------------------------------------------
@@ -338,7 +339,7 @@ class Simulator:
         trip through a delay."""
         event = Event(self)
         event._value = None
-        event.callbacks.append(fn)  # type: ignore[union-attr]
+        event.callbacks.append(fn)
         self._seq = seq = self._seq + 1  # lint: disable=LSVD002 -- event-heap tiebreaker, not a log seq
         heapq.heappush(self._heap, (when, seq, event))
 
@@ -348,7 +349,7 @@ class Simulator:
         if inline and not self._queue:
             return fn(None)
         event = Event(self)
-        event.callbacks.append(fn)  # type: ignore[union-attr]
+        event.callbacks.append(fn)
         event.succeed()
 
     # -- execution ---------------------------------------------------------

@@ -138,7 +138,9 @@ class TokenBucket:
 
     def reserve(self, nbytes: int) -> float:
         """Book the next transfer slot of ``nbytes``; return when it ends."""
-        start = max(self.sim.now, self._free_at)
+        # a conditional, not max(): this runs for every device and link transfer
+        now = self.sim.now
+        start = now if now >= self._free_at else self._free_at
         self._free_at = start + nbytes / self.rate
         self.total_bytes += nbytes
         return self._free_at

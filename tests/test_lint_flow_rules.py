@@ -207,6 +207,31 @@ class TestDurabilityOrdering:
         """
         assert only(lint_src("runtime/lsvd.py", src), "LSVD011") == []
 
+    def test_callback_hung_on_the_put_is_evidence(self):
+        # the record form of `yield backend.put(..)`: the callback runs
+        # only once the PUT has settled
+        src = """
+            class _Destager:
+                def _put(self):
+                    self.rt.backend.put("obj", 4096).callbacks.append(self._put_done)
+
+                def _put_done(self, _put):
+                    self.rt._release_space(4096)
+        """
+        assert only(lint_src("runtime/lsvd.py", src), "LSVD011") == []
+
+    def test_callback_hung_on_another_event_is_flagged(self):
+        src = """
+            class _Destager:
+                def _get(self):
+                    self.rt.backend.get_range("obj", 0, 4096).callbacks.append(self._put_done)
+
+                def _put_done(self, _get):
+                    self.rt._release_space(4096)
+        """
+        diags = only(lint_src("runtime/lsvd.py", src), "LSVD011")
+        assert [d.line for d in diags] == [7]
+
     def test_settlement_callbacks_are_exempt(self):
         src = """
             def settle_put(self, handle):
@@ -591,6 +616,50 @@ class TestBarrierCoalescing:
                         waiter.succeed()
         """
         assert only(lint_src(self.KEY, src), "LSVD014") == []
+
+    def test_settle_callback_hung_on_the_flush_is_clean(self):
+        # the record form of the group commit: the settle step runs as
+        # the completion callback of the covering FLUSH
+        src = """
+            class _Committer:
+                def _flush(self):
+                    self.rt.machine.ssd.flush().callbacks.append(self._settle_barriers)
+
+                def _settle_barriers(self, _flush):
+                    for done, span in self.group:
+                        done.succeed()
+        """
+        assert only(lint_src(self.KEY, src), "LSVD014") == []
+
+    def test_settle_callback_hung_on_a_non_flush_event_is_flagged(self):
+        src = """
+            class _Committer:
+                def _flush(self):
+                    self.rt.machine.ssd.write(0, 4096).callbacks.append(self._settle_barriers)
+
+                def _settle_barriers(self, _write):
+                    for done, span in self.group:
+                        done.succeed()
+        """
+        diags = only(lint_src(self.KEY, src), "LSVD014")
+        assert [d.line for d in diags] == [8]
+
+    def test_settle_callback_also_called_directly_is_flagged(self):
+        # one registration on the flush does not cover a direct call
+        src = """
+            class _Committer:
+                def _flush(self):
+                    self.rt.machine.ssd.flush().add_callback(self._settle_barriers)
+
+                def _quiesce(self):
+                    self._settle_barriers(None)
+
+                def _settle_barriers(self, _flush):
+                    for done, span in self.group:
+                        done.succeed()
+        """
+        diags = only(lint_src(self.KEY, src), "LSVD014")
+        assert [d.line for d in diags] == [11]
 
     def test_plain_function_flush_call_is_clean(self):
         src = """
