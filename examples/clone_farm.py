@@ -5,9 +5,7 @@ A common cloud pattern: one base image, dozens of copy-on-write clones.
 With LSVD a clone is just a new object-name prefix sharing the base's
 object stream — creation is O(1) in data moved, the garbage collector
 never touches shared objects, and deleting every clone leaves the base
-intact with no reference counting.  The clones also share one host-wide
-read cache keyed by immutable object identity (§6.3 "Cache Sharing"),
-so a block one VM has fetched costs the others no backend GET.
+intact with no reference counting.
 
     python examples/clone_farm.py
 """
@@ -15,7 +13,6 @@ so a block one VM has fetched costs the others no backend GET.
 import random
 
 from repro.core import LSVDConfig, LSVDVolume
-from repro.core.shared_cache import SharedObjectCache
 from repro.devices.image import DiskImage
 from repro.objstore import InMemoryObjectStore
 
@@ -64,21 +61,6 @@ def main() -> None:
         # un-diverged blocks still come from the shared base (v1.0 content)
         assert clone.read(1023 * 4096, 4096) == bytes([1023 % 251 + 1]) * 4096
     print("each clone sees its own writes; shared blocks come from the base")
-
-    # --- the clones share one host cache -----------------------------------
-    shared = SharedObjectCache(capacity=4 * MiB)
-    for clone in clones:
-        shared.attach(clone)
-    gets0 = store.stats.range_gets + store.stats.gets
-    for lba in range(64 * 4096, 1024 * 4096, 8 * 4096):
-        clones[0].read(lba, 4096)  # vm0 warms the shared cache
-    warm = store.stats.range_gets + store.stats.gets - gets0
-    for clone in clones[1:]:
-        for lba in range(64 * 4096, 1024 * 4096, 8 * 4096):
-            clone.read(lba, 4096)  # vm1-3 mostly hit it
-    cold = store.stats.range_gets + store.stats.gets - gets0 - warm
-    print(f"vm0's warming reads hit the backend {warm} times; vm1-3 together "
-          f"added {cold} (shared-cache hit rate {shared.stats.hit_rate:.0%})")
 
     # --- churn a clone hard: its GC must never touch base objects ----------
     golden_objects = set(store.list("golden."))

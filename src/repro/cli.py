@@ -210,14 +210,6 @@ def _stats_headline(snapshot: dict) -> str:
                 f"{scalar(f'{prefix}.gc_bytes') / MiB:7.2f} MiB relocated, "
                 f"occupancy {occupancy}"
             )
-    sc_lookups = scalar("sharedcache.hits") + scalar("sharedcache.misses")
-    if sc_lookups:
-        lines.append(
-            f"shared cache:         hit rate "
-            f"{scalar('sharedcache.hits') / sc_lookups:.3f}, "
-            f"{scalar('sharedcache.bytes') / MiB:.2f} MiB cached, "
-            f"{int(scalar('sharedcache.evictions'))} evictions"
-        )
     # per-tenant QoS section (fleet.<tenant>.admitted names the tenants)
     suffix = ".admitted"
     tenants = sorted(
@@ -489,8 +481,7 @@ def cmd_spans(store, args) -> int:
               args.out)
         return 0
     lines = [
-        f"{spans.completed} trees completed, {spans.open_roots} open, "
-        f"{spans.slo_breaches} SLO breaches",
+        f"{spans.completed} trees completed, {spans.open_roots} open",
         "",
         f"slowest {min(args.slowest, spans.completed)} trees "
         "(~ marks queue wait):",
@@ -540,13 +531,7 @@ def cmd_fleet(store, args) -> int:
         raise ValueError(f"fleet {args.action} requires a vdisk name")
     if args.action == "create":
         limits = QoSLimits(iops=args.iops, bytes_per_s=args.bytes_per_s)
-        fleet.create(
-            args.name,
-            args.size,
-            tenant=args.tenant,
-            limits=limits,
-            cache_budget=args.cache_budget,
-        )
+        fleet.create(args.name, args.size, tenant=args.tenant, limits=limits)
         print(f"created {args.name!r} ({args.size / MiB:.0f} MiB, "
               f"tenant {args.tenant!r})")
         return 0
@@ -570,13 +555,12 @@ def cmd_fleet(store, args) -> int:
         print("no vdisks registered")
         return 0
     print(f"{'vdisk':<16} {'tenant':<12} {'size':>10}  "
-          f"{'iops':>8}  {'bytes/s':>10}  {'cache':>10}")
+          f"{'iops':>8}  {'bytes/s':>10}")
     for record in records:
         lim = record.limits
         print(f"{record.name:<16} {record.tenant:<12} "
               f"{record.size / MiB:>6.0f} MiB  "
-              f"{lim.iops:>8.0f}  {lim.bytes_per_s:>10.0f}  "
-              f"{record.cache_budget / MiB:>6.1f} MiB")
+              f"{lim.iops:>8.0f}  {lim.bytes_per_s:>10.0f}")
     return 0
 
 
@@ -699,8 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-tenant IOPS cap (0 = unlimited)")
     p.add_argument("--bytes-per-s", type=parse_size, default=0,
                    help="per-tenant throughput cap (0 = unlimited)")
-    p.add_argument("--cache-budget", type=parse_size, default=0,
-                   help="shared-cache byte budget for the tenant")
     p.set_defaults(fn=cmd_fleet)
 
     p = sub.add_parser("trace", help="dump the structured event trace as JSONL")

@@ -196,8 +196,6 @@ class BlockStore:
         self._object_bytes = self.obs.histogram(
             "store.object_bytes", buckets=DEFAULT_SIZE_BUCKETS
         )
-        #: host-wide shared-cache hookup (§6.3); see attach_shared
-        self._shared_reader = None
 
     # ------------------------------------------------------------------
     # naming / clone chain
@@ -425,23 +423,15 @@ class BlockStore:
     ) -> bytes:
         """Ranged GET of object data (offset is into the *data* area).
 
-        With a shared cache attached (§6.3) the attachment is consulted
-        first; misses fall through to :meth:`fetch_direct` and populate
-        the cache for every other attached volume.  ``header`` is
-        ``header_of(seq)`` when the caller holds it already.
+        ``header`` is ``header_of(seq)`` when the caller holds it already.
         """
-        if self._shared_reader is not None:
-            return self._shared_reader.fetch(self, seq, offset, length)
-        return self.fetch_direct(seq, offset, length, header)
-
-    def fetch_direct(
-        self, seq: int, offset: int, length: int, header: Optional[ObjectHeader] = None
-    ) -> bytes:
-        """The uncached ranged GET (shared-cache attachments call this)."""
         if header is None:
             header = self.header_of(seq)
         name = self.name_for_seq(seq)
         return self.store.get_range(name, header.header_size + offset, length)
+
+    #: the ledger's oracle reads through this name
+    fetch_direct = fetch
 
     def fetch_with_prefetch(
         self, seq: int, offset: int, length: int,
@@ -503,42 +493,12 @@ class BlockStore:
     def header_of(self, seq: int) -> ObjectHeader:
         """Object header, fetched lazily and cached (GC uses this, §3.5)."""
         header = self._header_cache.get(seq)
-        if header is None and self._shared_reader is not None:
-            return self._shared_reader.header_of(self, seq)
-        if header is None:
-            return self.header_of_direct(seq)
-        return header
-
-    def header_of_direct(self, seq: int) -> ObjectHeader:
-        """Decode the header from the backend, bypassing any shared cache."""
-        header = self._header_cache.get(seq)
         if header is None:
             name = self.name_for_seq(seq)
             blob = self.store.get_range(name, 0, 64 * 1024)
             header = decode_object_header(blob)
             self._header_cache[seq] = header
         return header
-
-    def cache_header(self, seq: int, header: ObjectHeader) -> None:
-        """Install a header decoded elsewhere (a shared-cache hit)."""
-        self._header_cache[seq] = header
-
-    # ------------------------------------------------------------------
-    # shared-cache attachment (§6.3)
-    # ------------------------------------------------------------------
-    def attach_shared(self, reader) -> None:
-        """Route ``fetch``/``header_of`` through a shared-cache reader.
-
-        ``reader`` is a :class:`~repro.core.shared_cache.SharedCacheAttachment`
-        (anything with ``fetch(bs, seq, offset, length)`` and
-        ``header_of(bs, seq)``).  One attachment at a time; attaching
-        replaces the previous reader.
-        """
-        self._shared_reader = reader
-
-    def detach_shared(self, reader) -> None:
-        if self._shared_reader is reader:
-            self._shared_reader = None
 
     def delete_object(self, seq: int) -> None:
         if seq < self.first_own_seq:

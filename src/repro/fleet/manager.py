@@ -8,10 +8,6 @@ control plane for the pure stack:
 * a **registry** of virtual disks (create / attach / detach / delete)
   persisted in a single fleet manifest object, so a restarted host knows
   every disk it is responsible for;
-* **shared-resource partitioning** — one host-wide
-  :class:`~repro.core.shared_cache.SharedObjectCache` with per-tenant
-  byte budgets, attached to every volume through the first-class
-  attachment API;
 * **per-tenant QoS** — each attach wires a
   :class:`~repro.fleet.qos.CoreAdmission` onto the volume so every
   write/read charges the tenant's token buckets;
@@ -33,7 +29,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.config import LSVDConfig
 from repro.core.naming import stream_prefix
-from repro.core.shared_cache import SharedCacheAttachment, SharedObjectCache
 from repro.core.volume import LSVDVolume
 from repro.devices.image import DiskImage
 from repro.fleet.qos import CoreAdmission, QoSLimits, ThrottleSet
@@ -43,8 +38,8 @@ from repro.obs import Registry
 #: never collide with any volume's stream-object grammar)
 MANIFEST_KEY = "fleet.manifest"
 
-#: default per-volume local cache size used by attach/recover
-DEFAULT_CACHE_BYTES = 8 * 1024 * 1024
+#: per-volume local cache size used by create/attach/recover
+CACHE_BYTES = 8 * 1024 * 1024
 
 
 class FleetError(Exception):
@@ -59,7 +54,6 @@ class VDiskRecord:
     tenant: str
     size: int
     limits: QoSLimits = field(default_factory=QoSLimits)
-    cache_budget: int = 0  # shared-cache byte budget for the tenant (0 = none)
 
     def to_json(self) -> dict:
         return {
@@ -72,7 +66,6 @@ class VDiskRecord:
                 "burst_ops": self.limits.burst_ops,
                 "burst_bytes": self.limits.burst_bytes,
             },
-            "cache_budget": self.cache_budget,
         }
 
     @classmethod
@@ -88,29 +81,21 @@ class VDiskRecord:
                 burst_ops=float(lim.get("burst_ops", 0.0)),
                 burst_bytes=float(lim.get("burst_bytes", 0.0)),
             ),
-            cache_budget=int(row.get("cache_budget", 0)),
         )
 
 
 class AttachedVDisk:
     """A live attachment: the volume plus its fleet wiring.
 
-    Detaching closes the volume (drain + checkpoint), releases the
-    shared-cache attachment, and returns the slot to the registry; the
-    tenant's throttle stays (throttles are per tenant, not per disk).
+    Detaching closes the volume (drain + checkpoint) and returns the slot
+    to the registry; the tenant's throttle stays (throttles are per
+    tenant, not per disk).
     """
 
-    def __init__(
-        self,
-        manager: "FleetManager",
-        record: VDiskRecord,
-        volume: LSVDVolume,
-        cache_attachment: Optional[SharedCacheAttachment],
-    ):
+    def __init__(self, manager: "FleetManager", record: VDiskRecord, volume: LSVDVolume):
         self.manager = manager
         self.record = record
         self.volume = volume
-        self.cache_attachment = cache_attachment
 
     @property
     def name(self) -> str:
@@ -125,24 +110,18 @@ class AttachedVDisk:
 
 
 class FleetManager:
-    """Registry + shared-resource control plane for one host's fleet."""
+    """Registry + QoS control plane for one host's fleet."""
 
     def __init__(
         self,
         store,
         config: Optional[LSVDConfig] = None,
         obs: Optional[Registry] = None,
-        shared_cache: Optional[SharedObjectCache] = None,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
         clock: Optional[Callable[[], float]] = None,
     ):
         self.store = store
         self.config = config or LSVDConfig()
         self.obs = obs if obs is not None else Registry()
-        self.shared = shared_cache
-        if self.shared is not None:
-            self.shared.bind_obs(self.obs)
-        self.cache_bytes = cache_bytes
         self.throttles = ThrottleSet(self.obs)
         self._clock = clock
         self._vdisks: Dict[str, VDiskRecord] = {}
@@ -199,7 +178,6 @@ class FleetManager:
         size: int,
         tenant: str,
         limits: Optional[QoSLimits] = None,
-        cache_budget: int = 0,
     ) -> VDiskRecord:
         """Create + register a new virtual disk (left detached)."""
         if name in self._vdisks:
@@ -208,7 +186,7 @@ class FleetManager:
             self.store,
             name,
             size,
-            DiskImage(self.cache_bytes, name=f"cache-{name}"),
+            DiskImage(CACHE_BYTES, name=f"cache-{name}"),
             self.config,
             obs=self.obs,
         )
@@ -218,7 +196,6 @@ class FleetManager:
             tenant=tenant,
             size=size,
             limits=limits if limits is not None else QoSLimits(),
-            cache_budget=cache_budget,
         )
         self._vdisks[name] = record
         self._persist_manifest()
@@ -247,7 +224,7 @@ class FleetManager:
         if name in self._attached:
             raise FleetError(f"vdisk {name!r} is already attached")
         if cache_image is None:
-            cache_image = DiskImage(self.cache_bytes, name=f"cache-{name}")
+            cache_image = DiskImage(CACHE_BYTES, name=f"cache-{name}")
             cache_lost = True
         else:
             cache_lost = False
@@ -261,12 +238,7 @@ class FleetManager:
         )
         throttle = self.throttles.get(record.tenant, record.limits)
         volume.qos = CoreAdmission(throttle, clock=self._clock)
-        attachment = None
-        if self.shared is not None:
-            if record.cache_budget > 0:
-                self.shared.set_budget(record.tenant, record.cache_budget)
-            attachment = self.shared.attach(volume, tenant=record.tenant)
-        handle = AttachedVDisk(self, record, volume, attachment)
+        handle = AttachedVDisk(self, record, volume)
         self._attached[name] = handle
         self._g_attached.set(len(self._attached))
         self.obs.trace.emit("fleet_attach", vdisk=name, tenant=record.tenant)
@@ -276,8 +248,6 @@ class FleetManager:
         if self._attached.get(handle.name) is not handle:
             raise FleetError(f"vdisk {handle.name!r} is not attached")
         handle.volume.close()
-        if handle.cache_attachment is not None:
-            handle.cache_attachment.detach()
         del self._attached[handle.name]
         self._g_attached.set(len(self._attached))
         self.obs.trace.emit("fleet_detach", vdisk=handle.name)
@@ -304,16 +274,6 @@ class FleetManager:
         )
         return deleted
 
-    def set_cache_budget(self, tenant: str, nbytes: int) -> None:
-        """Re-partition the shared cache: cap ``tenant`` at ``nbytes``."""
-        if self.shared is None:
-            raise FleetError("fleet has no shared cache")
-        self.shared.set_budget(tenant, nbytes)
-        for record in self._vdisks.values():
-            if record.tenant == tenant:
-                record.cache_budget = max(0, nbytes)
-        self._persist_manifest()
-
     # ------------------------------------------------------------------
     # durability
     # ------------------------------------------------------------------
@@ -335,7 +295,7 @@ class FleetManager:
 
         Mounts each disk in cache-lost mode (local caches do not survive
         the host), forcing full §3.3 backend-prefix recovery, and leaves
-        it attached with its QoS and shared-cache wiring restored.
+        it attached with its QoS wiring restored.
         Returns a per-disk report for the caller to verify against.
         """
         self._m_sweeps.inc()

@@ -11,11 +11,11 @@ machinery the LSVD010-LSVD013 rules are built on:
 * :mod:`repro.lint.flow.cfg` — per-function control-flow graphs over
   the Python AST (branches, loops, try/except/finally, with,
   return/raise/break/continue edges, ``await``/``yield`` points);
-* :mod:`repro.lint.flow.dataflow` — a small worklist solver running
-  forward or backward over a CFG with edge-sensitive transfers;
+* :mod:`repro.lint.flow.dataflow` — a small forward worklist solver
+  over a CFG with edge-sensitive transfers;
 * :mod:`repro.lint.flow.typestate` — per-variable gen/kill lattices
   (acquire / consume / branch-refine) shared by the typestate rules,
-  the backward ``unguarded_sites`` dominance analysis shared by the
+  the ``unguarded_sites`` reachability walk shared by the
   ordering rules (LSVD011/014/016/017), and the AST vocabulary.
 
 Flow rules are ordinary :class:`repro.lint.framework.Rule` subclasses:

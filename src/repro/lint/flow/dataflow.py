@@ -4,14 +4,9 @@ An analysis supplies a join semilattice (``initial`` is the identity of
 ``join``), a per-node ``transfer``, and optionally an edge-sensitive
 ``transfer_edge`` — the hook that lets ``true``/``false`` edges refine
 facts (e.g. "on this branch the handle is known ``None``").  The solver
-iterates to a fixpoint in either direction:
-
-* **forward**: ``before[n]`` is the join over incoming edges of the
-  transferred predecessor facts; ``boundary`` seeds ``entry``.
-* **backward**: ``after[n]`` is the join over outgoing edges of the
-  transferred successor facts; ``boundary`` seeds ``exit`` and
-  ``raise-exit`` (they may seed differently — a leak rule forgives
-  raising paths by giving ``raise-exit`` a different boundary fact).
+iterates forward to a fixpoint: ``before[n]`` is the join over incoming
+edges of the transferred predecessor facts; ``boundary`` seeds
+``entry``.
 
 Facts must be immutable values with structural equality (frozensets of
 small records, in practice); transfers must be pure and monotone, which
@@ -28,17 +23,12 @@ from repro.lint.flow.cfg import CFG, Edge, Node
 
 T = TypeVar("T")
 
-FORWARD = "forward"
-BACKWARD = "backward"
-
 
 class FlowAnalysis(Generic[T]):
     """One dataflow problem; subclass and fill in the lattice."""
 
-    direction: str = FORWARD
-
     def boundary(self, cfg: CFG, node: Node) -> T:
-        """Fact seeded at a boundary node (entry, or exit/raise-exit)."""
+        """Fact seeded at the entry node."""
         raise NotImplementedError
 
     def initial(self) -> T:
@@ -62,9 +52,7 @@ class Solution(Generic[T]):
     """Fixpoint facts per node index.
 
     ``before`` is the fact on the *entry* side of each node in program
-    order and ``after`` on the exit side, for both directions — a
-    backward analysis still reports ``before[n]`` as "what holds when
-    control is about to execute ``n``".
+    order and ``after`` on the exit side.
     """
 
     before: Dict[int, T]
@@ -72,27 +60,15 @@ class Solution(Generic[T]):
 
 
 def solve(cfg: CFG, analysis: FlowAnalysis[T]) -> Solution[T]:
-    if analysis.direction == FORWARD:
-        return _solve_forward(cfg, analysis)
-    if analysis.direction == BACKWARD:
-        return _solve_backward(cfg, analysis)
-    raise ValueError(f"unknown direction {analysis.direction!r}")
-
-
-def _budget(cfg: CFG) -> int:
-    # gen/kill lattices converge in O(nodes * facts); this only guards
-    # against a non-monotone transfer written by a future rule
-    return 64 * len(cfg.nodes) + 1024
-
-
-def _solve_forward(cfg: CFG, analysis: FlowAnalysis[T]) -> Solution[T]:
     before: Dict[int, T] = {n.index: analysis.initial() for n in cfg.nodes}
     after: Dict[int, T] = {}
     before[cfg.entry.index] = analysis.boundary(cfg, cfg.entry)
 
     worklist: Deque[Node] = deque(cfg.nodes)
     queued: Set[int] = {n.index for n in cfg.nodes}
-    steps = _budget(cfg)
+    # gen/kill lattices converge in O(nodes * facts); this only guards
+    # against a non-monotone transfer written by a future rule
+    steps = 64 * len(cfg.nodes) + 1024
     while worklist:
         steps -= 1
         if steps < 0:  # pragma: no cover - guards a buggy transfer
@@ -109,34 +85,4 @@ def _solve_forward(cfg: CFG, analysis: FlowAnalysis[T]) -> Solution[T]:
                 if edge.dst not in queued:
                     queued.add(edge.dst)
                     worklist.append(cfg.nodes[edge.dst])
-    return Solution(before=before, after=after)
-
-
-def _solve_backward(cfg: CFG, analysis: FlowAnalysis[T]) -> Solution[T]:
-    after: Dict[int, T] = {n.index: analysis.initial() for n in cfg.nodes}
-    before: Dict[int, T] = {}
-    boundary_nodes = {cfg.exit.index, cfg.raise_exit.index}
-
-    worklist: Deque[Node] = deque(reversed(cfg.nodes))
-    queued: Set[int] = {n.index for n in cfg.nodes}
-    steps = _budget(cfg)
-    while worklist:
-        steps -= 1
-        if steps < 0:  # pragma: no cover - guards a buggy transfer
-            raise RuntimeError("dataflow solver failed to converge")
-        node = worklist.popleft()
-        queued.discard(node.index)
-        if node.index in boundary_nodes:
-            fact = analysis.boundary(cfg, node)
-        else:
-            fact = analysis.transfer(node, after[node.index])
-        before[node.index] = fact
-        for edge in node.pred:
-            contrib = analysis.transfer_edge(edge, fact)
-            merged = analysis.join(after[edge.src], contrib)
-            if merged != after[edge.src]:
-                after[edge.src] = merged
-                if edge.src not in queued:
-                    queued.add(edge.src)
-                    worklist.append(cfg.nodes[edge.src])
     return Solution(before=before, after=after)

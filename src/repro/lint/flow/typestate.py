@@ -6,8 +6,8 @@ put into a must-be-resolved state at that node and has not been
 resolved yet".  :class:`TypestateAnalysis` is the forward gen/kill
 skeleton: subclasses say what *acquires* (gen), what *resolves* (kill),
 and which branch edges *refine* (a ``handle is None`` test proves there
-is nothing to settle on the true side).  Its backward twin is
-:func:`unguarded_sites`: which *sites* can control reach from function
+is nothing to settle on the true side).  :func:`unguarded_sites` is a
+forward reachability walk: which *sites* can control reach from function
 entry without first crossing *evidence* — the one dominance question the
 ordering rules (LSVD011/014/016/017) ask, each with its own vocabulary.
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.flow.cfg import CFG, Edge, Node, walk_in_scope
-from repro.lint.flow.dataflow import BACKWARD, FlowAnalysis, solve
+from repro.lint.flow.dataflow import FlowAnalysis
 
 PendingSet = FrozenSet["Pending"]
 
@@ -40,8 +40,6 @@ class Pending:
 
 class TypestateAnalysis(FlowAnalysis[PendingSet]):
     """Forward may-analysis: which obligations may still be open here."""
-
-    direction = "forward"
 
     def boundary(self, cfg: CFG, node: Node) -> PendingSet:
         return frozenset()
@@ -79,46 +77,6 @@ class TypestateAnalysis(FlowAnalysis[PendingSet]):
         return branch_refuted_names(edge.cond, edge.kind)
 
 
-SiteSet = FrozenSet[int]
-
-
-class _Unguarded(FlowAnalysis[SiteSet]):
-    """Backward may-analysis: sites reachable from here with no evidence
-    node or edge between."""
-
-    direction = BACKWARD
-
-    def __init__(
-        self,
-        sites: SiteSet,
-        node_evidence: Callable[[Node], bool],
-        edge_evidence: Callable[[Edge], bool],
-    ) -> None:
-        self.sites = sites
-        self.node_evidence = node_evidence
-        self.edge_evidence = edge_evidence
-
-    def boundary(self, cfg: CFG, node: Node) -> SiteSet:
-        return frozenset()
-
-    def initial(self) -> SiteSet:
-        return frozenset()
-
-    def join(self, a: SiteSet, b: SiteSet) -> SiteSet:
-        return a | b
-
-    def transfer(self, node: Node, fact: SiteSet) -> SiteSet:
-        if self.node_evidence(node):
-            # every path through this node is dominated by evidence
-            return frozenset()
-        if node.index in self.sites:
-            return fact | frozenset((node.index,))
-        return fact
-
-    def transfer_edge(self, edge: Edge, fact: SiteSet) -> SiteSet:
-        return frozenset() if self.edge_evidence(edge) else fact
-
-
 def unguarded_sites(
     cfg: CFG,
     is_site: Callable[[Node], bool],
@@ -128,14 +86,27 @@ def unguarded_sites(
     """Site nodes some path from function entry reaches without crossing
     an evidence node or an evidence edge, in node order.
 
-    Evidence wins over site-ness on the same node; a function with no
-    site is answered without running the solver.
+    A depth-first walk from entry that stops at evidence; evidence wins
+    over site-ness on the same node, and a function with no site is
+    answered without walking.
     """
-    sites = frozenset(n.index for n in cfg.stmt_nodes() if is_site(n))
+    sites = {n.index for n in cfg.stmt_nodes() if is_site(n)}
     if not sites:
         return []
-    solution = solve(cfg, _Unguarded(sites, node_evidence, edge_evidence))
-    return [cfg.nodes[i] for i in sorted(solution.before[cfg.entry.index])]
+    found: Set[int] = set()
+    seen = {cfg.entry.index}
+    stack = [cfg.entry]
+    while stack:
+        node = stack.pop()
+        if node_evidence(node):
+            continue
+        if node.index in sites:
+            found.add(node.index)
+        for edge in node.succ:
+            if edge.dst not in seen and not edge_evidence(edge):
+                seen.add(edge.dst)
+                stack.append(cfg.nodes[edge.dst])
+    return [cfg.nodes[i] for i in sorted(found)]
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ commit function, a completion event may be settled (``<event>.succeed()``)
 only on paths dominated by covering-FLUSH evidence.  In a coroutine the
 flush must be *yielded/awaited* — a bare ``ssd.flush()`` there returns an
 Event nobody waits on (fire-and-forget), which is precisely the bug class
-coalescing tends to introduce.  The analysis is a backward may-analysis
-from each settle site, structured like LSVD011: if an evidence-free path
+coalescing tends to introduce.  The analysis is a forward walk from
+entry that stops at evidence, structured like LSVD011: if an evidence-free path
 from function entry can reach the settlement, some barrier can be
 acknowledged before its covering flush completed.
 """

@@ -10,9 +10,9 @@ or on a *local handle* being ``None`` (``result = store.put(...)``;
 ``if result is None:`` — a settled-synchronous store returned no handle;
 a ``None`` test on anything else, ``self.qos`` say, proves nothing about
 durability), or (in the timed model) resuming from a yielded/awaited
-backend PUT, or running as a callback hung on one.  The rule runs a
-backward may-analysis from each ack site: if an evidence-free path from
-function entry can reach the ack, some caller can release state whose
+backend PUT, or running as a callback hung on one.  The rule walks
+forward from function entry, stopping at evidence: if an evidence-free
+path from entry can reach the ack, some caller can release state whose
 durability nobody established.  Functions
 whose *name* contains ``settle`` are the settlement callbacks themselves
 — they are the evidence — and are skipped.

@@ -19,7 +19,7 @@ Two checks, one syntactic and one flow-sensitive:
    by admission evidence on every path from function entry: an
    ``admit``/``_admission`` call, or the no-tenant branch of a
    ``self.qos is None`` test (no QoS attached means nothing to charge).
-   The rule runs the same backward may-analysis as LSVD011: if an
+   The rule runs the same evidence-stopping walk as LSVD011: if an
    evidence-free path reaches the forward site, a tenant's I/O can
    enter the shared data plane without being charged to its buckets.
 """

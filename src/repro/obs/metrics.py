@@ -191,12 +191,12 @@ class Registry:
     if the name is already registered as a different kind).
     """
 
-    def __init__(self, trace: Optional["Trace"] = None):
+    def __init__(self) -> None:
         from repro.obs.spans import SpanRecorder  # local import, avoids a cycle
         from repro.obs.trace import Trace
 
         self._metrics: Dict[str, Metric] = {}
-        self.trace: "Trace" = trace if trace is not None else Trace()
+        self.trace = Trace()
         #: causal span trees (same clock contract as the trace)
         self.spans: SpanRecorder = SpanRecorder()
 

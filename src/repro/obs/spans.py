@@ -37,7 +37,7 @@ Completed trees feed two bounded consumers:
   p50/p99 tail decomposition, stage tables for ``repro spans`` and the
   stage-attribution section of ``repro stats``;
 * :class:`FlightRecorder` — ring buffer of the last N complete trees,
-  dumped as a JSON debug bundle on SLO breach, crash-test failure, or
+  dumped as a JSON debug bundle on crash-test failure or
   ``repro flightrec dump``.
 
 The LSVD015 lint rule (span-hygiene) enforces the handle discipline:
@@ -186,10 +186,6 @@ class Span:
         """Seconds (virtual) from start to stop; 0 while still open."""
         return (self.stop - self.start) if self.stop is not None else 0.0
 
-    @property
-    def enabled(self) -> bool:
-        return True
-
     def walk(self) -> Iterator["Span"]:
         """Depth-first pre-order over the tree rooted here."""
         stack: List["Span"] = [self]
@@ -243,8 +239,8 @@ class Span:
 class _NullSpan:
     """No-op span: ``begin`` returns itself, everything else is free.
 
-    Handed out by a disabled recorder and used as the default for every
-    ``span=`` parameter, so uninstrumented call paths allocate nothing.
+    The default for every ``span=`` parameter, so uninstrumented call
+    paths allocate nothing.
     """
 
     __slots__ = ()
@@ -272,10 +268,6 @@ class _NullSpan:
     @property
     def duration(self) -> float:
         return 0.0
-
-    @property
-    def enabled(self) -> bool:
-        return False
 
     def walk(self) -> Iterator[Span]:
         return iter(())
@@ -488,10 +480,7 @@ class SpanRecorder:
     Mirrors the Trace clock contract: ``clock`` is any zero-arg virtual
     clock (``sim.now``, ``TimedStore.now``); when None, a logical step
     counter stamps each begin/end so pure-logic code still yields
-    well-ordered (if unit-free) trees.  ``enabled=False`` (or
-    ``disable()``) makes :meth:`root` return :data:`NULL_SPAN`, so the
-    whole instrumented path degenerates to attribute lookups on a
-    singleton.
+    well-ordered (if unit-free) trees.
     """
 
     SLOWEST_KEEP = 32
@@ -499,29 +488,14 @@ class SpanRecorder:
     def __init__(
         self,
         clock: Optional[Callable[[], float]] = None,
-        enabled: bool = True,
         flight_capacity: int = 64,
         analyzer_capacity: int = 16384,
-        slo_s: Optional[float] = None,
-        sample_every: int = 1,
     ):
-        if sample_every <= 0:
-            raise ValueError("sample_every must be positive")
         self.clock = clock
-        self.enabled = enabled
-        #: head sampling: trace 1 of every N roots (1 = every request);
-        #: counter-based, so identical runs sample identical requests
-        self.sample_every = sample_every
-        self._sample_tick = 0
         self.flight = FlightRecorder(flight_capacity)
         self.analyzer = CriticalPathAnalyzer(analyzer_capacity)
-        #: completion-latency SLO; breaching trees bump the counter and
-        #: invoke ``on_breach(root)`` (e.g. a debug-bundle dump hook)
-        self.slo_s = slo_s
-        self.on_breach: Optional[Callable[[Span], None]] = None
         self.completed = 0
         self.open_roots = 0
-        self.slo_breaches = 0
         self._step = 0.0
         self._arrival = 0
         # K slowest completed trees, min-heap on (total, -seq) so the
@@ -541,12 +515,6 @@ class SpanRecorder:
     # -- tree lifecycle --------------------------------------------------
     def root(self, name: str, **attrs: AttrValue):
         """Open a root span (one per I/O / GC round / recovery sweep)."""
-        if not self.enabled:
-            return NULL_SPAN
-        if self.sample_every > 1:
-            self._sample_tick += 1
-            if self._sample_tick % self.sample_every:
-                return NULL_SPAN
         if self.clock is not None:
             start = float(self.clock())
         else:
@@ -609,31 +577,19 @@ class SpanRecorder:
                         span._recorder = None
                     if span.children:
                         stack.extend(span.children)
-        if self.slo_s is not None and duration > self.slo_s:
-            self.slo_breaches += 1
-            if self.on_breach is not None:
-                self.on_breach(root)
 
     def slowest(self, k: int = 10) -> List[Span]:
         """The K slowest completed trees, slowest first."""
         ranked = sorted(self._slowest, key=lambda item: (-item[0], item[1]))
         return [root for _, _, root in ranked[:k]]
 
-    def disable(self) -> None:
-        self.enabled = False
-
-    def enable(self) -> None:
-        self.enabled = True
-
     def clear(self) -> None:
         self.flight.clear()
         self.analyzer.clear()
         self.completed = 0
         self.open_roots = 0
-        self.slo_breaches = 0
         self._step = 0.0
         self._arrival = 0
-        self._sample_tick = 0
         self._slowest = []
 
     # -- export ----------------------------------------------------------
@@ -644,7 +600,6 @@ class SpanRecorder:
             "reason": reason,
             "completed": self.completed,
             "open_roots": self.open_roots,
-            "slo_breaches": self.slo_breaches,
             "flight_dropped": self.flight.dropped,
             "stage_totals": {
                 stage: {"trees": count, "seconds": total, "kind": kind}
@@ -666,7 +621,6 @@ class SpanRecorder:
         """Mirror span aggregates into the metrics registry (idempotent:
         absolute sets, so repeated publishes don't double-count)."""
         registry.counter("span.trees", "completed span trees").set(self.completed)
-        registry.counter("span.slo_breaches", "trees over slo_s").set(self.slo_breaches)
         registry.gauge("span.open_roots", "roots begun, not ended").set(self.open_roots)
         registry.counter(
             "span.dropped", "trees evicted from bounded windows"

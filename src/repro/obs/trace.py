@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
 
 #: the event catalogue; emit() rejects unknown types so tooling can rely
-#: on the names (extend per-instance via ``Trace(extra_types=...)``)
+#: on the names
 EVENT_TYPES: FrozenSet[str] = frozenset(
     {
         "write_commit",     # volume sealed+committed a data batch
@@ -76,26 +76,20 @@ class Trace:
         self,
         capacity: Optional[int] = None,
         clock: Optional[Callable[[], float]] = None,
-        enabled: bool = True,
-        extra_types: Iterable[str] = (),
     ):
         if capacity is not None and capacity <= 0:
             raise ValueError("trace capacity must be positive (or None)")
         self.capacity = capacity
         #: virtual-clock source; None = logical step counter
         self.clock = clock
-        self.enabled = enabled
-        self.types: FrozenSet[str] = EVENT_TYPES | frozenset(extra_types)
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self.dropped = 0
         self._step = 0  # logical timestamp source when no clock is wired
 
     # -- emission --------------------------------------------------------
-    def emit(self, etype: str, **fields: FieldValue) -> Optional[TraceEvent]:
-        """Record one event; returns it (or None when disabled)."""
-        if not self.enabled:
-            return None
-        if etype not in self.types:
+    def emit(self, etype: str, **fields: FieldValue) -> TraceEvent:
+        """Record one event; returns it."""
+        if etype not in EVENT_TYPES:
             raise ValueError(f"unknown trace event type {etype!r}")
         if self.clock is not None:
             ts = float(self.clock())

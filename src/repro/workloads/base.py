@@ -24,7 +24,6 @@ class IOOp:
     kind: str  # read | write | flush
     offset: int = 0
     length: int = 0
-    think_time: float = 0.0  # client-side delay before issuing
 
 
 @dataclass

@@ -180,16 +180,12 @@ def test_trace_runs_are_deterministic(tmp_path, capsys):
     assert outputs[0]
 
 
-def test_stats_headline_fleet_and_sharedcache_sections():
-    """The headline renders fleet QoS and shared-cache lines straight
-    from a snapshot dict, so --from-dump works post-mortem."""
+def test_stats_headline_fleet_section():
+    """The headline renders fleet QoS lines straight from a snapshot
+    dict, so --from-dump works post-mortem."""
     from repro.cli import _stats_headline
 
     snapshot = {
-        "sharedcache.hits": 30,
-        "sharedcache.misses": 10,
-        "sharedcache.bytes": 2 * (1 << 20),
-        "sharedcache.evictions": 5,
         "fleet.acme.admitted": 100,
         "fleet.acme.throttled": 7,
         "fleet.acme.bytes_admitted": 1 << 20,
@@ -198,7 +194,6 @@ def test_stats_headline_fleet_and_sharedcache_sections():
         "fleet.bob.throttled": 0,
     }
     out = _stats_headline(snapshot)
-    assert "shared cache:         hit rate 0.750, 2.00 MiB cached, 5 evictions" in out
     assert "tenant acme:  admitted 100, throttled 7, 1.00 MiB, queue 2" in out
     assert "tenant bob:  admitted 3, throttled 0, 0.00 MiB, queue 0" in out
 
@@ -208,7 +203,6 @@ def test_stats_headline_omits_fleet_lines_without_fleet_metrics():
 
     out = _stats_headline({"store.client_bytes": 1024})
     assert "tenant " not in out
-    assert "shared cache:" not in out
     # pre-placement dumps carry no store.class_* keys -> no class section
     assert "gc per class:" not in out
 
@@ -315,9 +309,11 @@ def test_fleet_create_status_delete(tmp_path, capsys):
     rc, out, _ = run(
         capsys, root, "fleet", "create", "vd0",
         "--size", "32M", "--tenant", "acme",
-        "--iops", "500", "--cache-budget", "4M",
+        "--iops", "500",
     )
     assert rc == 0 and "created 'vd0'" in out and "acme" in out
+    with pytest.raises(SystemExit):  # argparse rejects an unknown option
+        main([root, "fleet", "create", "vd1", "--cache-budget", "4M"])
     rc, out, _ = run(capsys, root, "fleet", "status")
     assert rc == 0
     assert "vd0" in out and "acme" in out and "500" in out

@@ -1,5 +1,5 @@
 """Tests for the repro.fleet control plane (§4.5 at host scale):
-registry CRUD + manifest persistence, shared-cache partitioning, and the
+registry CRUD + manifest persistence, per-tenant QoS wiring, and the
 post-crash recovery sweep with per-volume crash consistency."""
 
 import json
@@ -8,7 +8,6 @@ import pytest
 
 from repro.core import LSVDConfig
 from repro.core.naming import stream_prefix
-from repro.core.shared_cache import SharedObjectCache
 from repro.crash import HistoryRecorder, PrefixChecker
 from repro.fleet import (
     MANIFEST_KEY,
@@ -74,10 +73,10 @@ def test_attach_write_read_detach():
     assert handle2.volume.read(0, 4096) == b"A" * 4096
 
 
-def test_manifest_roundtrip_restores_limits_and_budgets():
+def test_manifest_roundtrip_restores_limits():
     store, fleet = make_fleet()
     limits = QoSLimits(iops=500.0, bytes_per_s=8 * MiB, burst_ops=4)
-    fleet.create("vd0", 4 * MiB, tenant="acme", limits=limits, cache_budget=2 * MiB)
+    fleet.create("vd0", 4 * MiB, tenant="acme", limits=limits)
     fleet.create("vd1", 8 * MiB, tenant="bob")
     # a second manager over the same store sees the whole registry
     fleet2 = FleetManager(store, config=small_config())
@@ -85,7 +84,6 @@ def test_manifest_roundtrip_restores_limits_and_budgets():
     assert names == ["vd0", "vd1"]
     r0 = fleet2.record("vd0")
     assert r0.limits == limits
-    assert r0.cache_budget == 2 * MiB
     assert fleet2.record("vd1").limits.unlimited
 
 
@@ -129,37 +127,20 @@ def test_manifest_key_cannot_collide_with_volume_streams():
     assert fleet2.attach("fleet").volume.read(0, 4096) == b"A" * 4096
 
 
-# -- shared cache partitioning -------------------------------------------------
-
-
-def test_attach_wires_shared_cache_and_detach_unwires():
-    shared = SharedObjectCache(capacity=4 * MiB)
-    _, fleet = make_fleet(shared_cache=shared)
+def test_older_manifest_rows_load_and_persist_without_cache_budget():
+    # manifests written before the shared cache was removed carry a
+    # per-row cache_budget; it is ignored on load and dropped on rewrite
+    store, fleet = make_fleet()
     fleet.create("vd0", 4 * MiB, tenant="acme")
-    handle = fleet.attach("vd0")
-    assert handle.cache_attachment is not None
-    assert handle.cache_attachment.tenant == "acme"
-    assert shared.attachments() == [handle.cache_attachment]
-    handle.detach()
-    assert shared.attachments() == []
-
-
-def test_cache_budget_set_on_attach_and_repartition_persists():
-    store, fleet = make_fleet(shared_cache=SharedObjectCache(capacity=4 * MiB))
-    fleet.create("vd0", 4 * MiB, tenant="acme", cache_budget=1 * MiB)
-    fleet.attach("vd0")
-    assert fleet.shared.tenant_budget("acme") == 1 * MiB
-    fleet.set_cache_budget("acme", 2 * MiB)
-    assert fleet.shared.tenant_budget("acme") == 2 * MiB
-    # the new partition survives a restart via the manifest
+    doc = json.loads(store.get(MANIFEST_KEY).decode())
+    doc["vdisks"][0]["cache_budget"] = 2 * MiB
+    store.put(MANIFEST_KEY, json.dumps(doc, sort_keys=True).encode())
     fleet2 = FleetManager(store, config=small_config())
-    assert fleet2.record("vd0").cache_budget == 2 * MiB
-
-
-def test_set_cache_budget_without_shared_cache_raises():
-    _, fleet = make_fleet()
-    with pytest.raises(FleetError):
-        fleet.set_cache_budget("acme", 1 * MiB)
+    fleet2.attach("vd0").volume.write(0, b"A" * 4096)
+    fleet2.checkpoint()
+    rows = json.loads(store.get(MANIFEST_KEY).decode())["vdisks"]
+    assert [row["name"] for row in rows] == ["vd0"]
+    assert "cache_budget" not in rows[0]
 
 
 # -- QoS wiring ----------------------------------------------------------------

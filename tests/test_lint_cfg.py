@@ -20,7 +20,7 @@ from repro.lint.flow.cfg import (
     iter_function_cfgs,
     iter_functions,
 )
-from repro.lint.flow.dataflow import BACKWARD, FORWARD, FlowAnalysis, solve
+from repro.lint.flow.dataflow import FlowAnalysis, solve
 from repro.lint.flow.typestate import (
     mutated_self_attr,
     node_calls,
@@ -201,8 +201,6 @@ class TestAsyncShapes:
 class _Reaching(FlowAnalysis):
     """Toy forward analysis: lines whose `x = ...` may reach here."""
 
-    direction = FORWARD
-
     def boundary(self, cfg, node):
         return frozenset()
 
@@ -223,37 +221,6 @@ class _Reaching(FlowAnalysis):
         return fact
 
 
-class _SinkReach(FlowAnalysis):
-    """Toy backward analysis: sink() nodes reachable without flush()."""
-
-    direction = BACKWARD
-
-    def _calls(self, node, name):
-        return any(
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Name)
-            and sub.func.id == name
-            for part in node.parts
-            for sub in ast.walk(part)
-        )
-
-    def boundary(self, cfg, node):
-        return frozenset()
-
-    def initial(self):
-        return frozenset()
-
-    def join(self, a, b):
-        return a | b
-
-    def transfer(self, node, fact):
-        if self._calls(node, "flush"):
-            return frozenset()
-        if self._calls(node, "sink"):
-            return fact | frozenset((node.index,))
-        return fact
-
-
 class TestSolver:
     def test_forward_facts_merge_at_joins(self):
         src = """
@@ -267,32 +234,6 @@ class TestSolver:
         solution = solve(cfg, _Reaching())
         assert solution.before[node_at(cfg, 6).index] == frozenset((3, 5))
         assert solution.before[node_at(cfg, 5).index] == frozenset((3,))
-
-    def test_backward_finds_the_unguarded_path(self):
-        src = """
-            def f(c):
-                if c:
-                    flush()
-                sink()
-        """
-        cfg = cfg_of(src)
-        solution = solve(cfg, _SinkReach())
-        sink_index = node_at(cfg, 5).index
-        # the else path reaches sink() without a flush
-        assert solution.before[cfg.entry.index] == frozenset((sink_index,))
-
-    def test_backward_clean_when_every_path_is_guarded(self):
-        src = """
-            def f(c):
-                if c:
-                    flush()
-                else:
-                    flush()
-                sink()
-        """
-        cfg = cfg_of(src)
-        solution = solve(cfg, _SinkReach())
-        assert solution.before[cfg.entry.index] == frozenset()
 
 
 # ---------------------------------------------------------------------------

@@ -145,3 +145,40 @@ def test_base_deletion_safety_is_by_convention():
     assert set(store.list("vd.")) == base_objects
     base = LSVDVolume.open(store, "vd", DiskImage(2 * MiB), cfg, cache_lost=True)
     assert base.read(0, 4096) == b"keep" * 1024
+
+
+def make_base_and_clones(n_clones):
+    store, _image, cfg, base = make_volume("base")
+    for i in range(512):
+        base.write(i * 4096, bytes([i % 251 + 1]) * 4096)
+    base.close()
+    clones = [
+        LSVDVolume.clone(store, "base", f"vm{i}", DiskImage(2 * MiB), cfg)
+        for i in range(n_clones)
+    ]
+    return clones
+
+
+def test_sibling_clone_writes_stay_private():
+    clones = make_base_and_clones(3)
+    clones[0].write(0, b"A" * 4096)
+    clones[1].write(0, b"B" * 4096)
+    for clone in clones:
+        clone.drain()
+    assert clones[0].read(0, 4096) == b"A" * 4096
+    assert clones[1].read(0, 4096) == b"B" * 4096
+    assert clones[2].read(0, 4096) == bytes([1]) * 4096
+    # un-diverged base blocks agree everywhere
+    for clone in clones:
+        assert clone.read(200 * 4096, 4096) == bytes([201]) * 4096
+
+
+def test_clone_churn_and_gc_leave_sibling_base_reads_intact():
+    clones = make_base_and_clones(2)
+    rng = random.Random(1)
+    for i in range(2000):
+        clones[0].write(rng.randrange(0, 512) * 4096, bytes([i % 250 + 1]) * 4096)
+    clones[0].drain()
+    assert clones[0].gc.stats.rounds > 0
+    for lba in range(0, 512 * 4096, 64 * 4096):
+        assert clones[1].read(lba, 4096) == bytes([(lba // 4096) % 251 + 1]) * 4096
