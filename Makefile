@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: all lint ruff mypy invariants test examples obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger ledger-pairs pairs-report paper-smoke ablation-prefetch
+.PHONY: all lint ruff mypy invariants test examples obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger ledger-pairs pairs-report paper-smoke ablation-prefetch traffic
 
 all: lint test
 
@@ -137,3 +137,9 @@ paper-smoke:
 ablation-prefetch:
 	mkdir -p bench-out
 	$(PYTHON) -m pytest benchmarks/test_ablation_prefetch.py -q
+
+# the traffic census (DESIGN.md "One path per behaviour"): every production
+# consumer runs under a call-only trace hook, then the src/repro defs no run
+# called are printed by package; ~25 min, so not a CI step
+traffic:
+	$(PYTHON) benchmarks/traffic.py

@@ -12,7 +12,6 @@ Gives the library the operational surface of a real block-storage tool::
     python -m repro.cli ROOT shard-status [VOLUME]
     python -m repro.cli ROOT fsck    VOLUME [--objects]
     python -m repro.cli ROOT scrub   VOLUME
-    python -m repro.cli ROOT lint    [PATHS...]
     python -m repro.cli ROOT stats   [VOLUME] [--exercise N] [--format F]
                                      [--from-dump FILE]
     python -m repro.cli ROOT trace   VOLUME [--exercise N] [--limit N]
@@ -23,7 +22,9 @@ Gives the library the operational surface of a real block-storage tool::
 ephemeral in-memory image (each invocation mounts with ``cache_lost``,
 i.e. from the backend's consistent prefix — exactly the crash-safe path).
 Roots created with ``--shards N`` carry a ``shard-layout.json`` manifest
-and every command transparently scatter-gathers across the shards.
+and every command transparently scatter-gathers across the shards.  The
+static invariant checker is its own command, ``repro-lint`` (or
+``python -m repro.lint``).
 """
 
 from __future__ import annotations
@@ -51,6 +52,9 @@ from repro.shard import (
 
 MiB = 1 << 20
 DEFAULT_CACHE = 16 * MiB
+#: ``import`` writes one piece per cache record: the whole file as one
+#: write fails once it outgrows the write-cache log (~3 MiB of DEFAULT_CACHE)
+IMPORT_PIECE = 1 * MiB
 
 
 def parse_size(text: str) -> int:
@@ -292,18 +296,22 @@ def cmd_info(store, args) -> int:
 
 def cmd_import(store, args) -> int:
     vol = _open(store, args.volume)
+    size = os.path.getsize(args.file)
+    vol._check_io(args.offset, size + (-size) % 512)  # nothing written if it fails
     with open(args.file, "rb") as fh:
-        data = fh.read()
-    pad = (-len(data)) % 512
-    vol.write(args.offset, data + b"\x00" * pad)
+        pos = args.offset
+        while piece := fh.read(IMPORT_PIECE):
+            vol.write(pos, piece + b"\x00" * ((-len(piece)) % 512))
+            pos += len(piece)
     vol.close()
-    print(f"imported {len(data)} bytes at offset {args.offset}")
+    print(f"imported {size} bytes at offset {args.offset}")
     return 0
 
 
 def cmd_export(store, args) -> int:
     vol = _open(store, args.volume)
-    length = args.length if args.length else vol.size - args.offset
+    length = args.length if args.length else max(vol.size - args.offset, 0)
+    vol._check_io(args.offset, length)  # before FILE is created or truncated
     with open(args.file, "wb") as fh:
         pos = args.offset
         remaining = length
@@ -364,18 +372,6 @@ def cmd_fsck(store, args) -> int:
                   f"data={obj.data_bytes:>10} extents={obj.extents:>6} "
                   f"last_rec={obj.last_record_seq}")
     return 0 if report.healthy else 1
-
-
-def cmd_lint(store, args) -> int:
-    """Static invariant gate; also available standalone as ``repro-lint``."""
-    from repro.lint.cli import main as lint_main
-
-    argv = list(args.paths) + ["--format", args.format]
-    if args.rule:
-        argv += ["--rule", args.rule]
-    if args.explain:
-        argv.append("--explain")
-    return lint_main(argv)
 
 
 def cmd_scrub(store, args) -> int:
@@ -495,14 +491,16 @@ def cmd_spans(store, args) -> int:
 
 
 def cmd_flightrec(store, args) -> int:
-    """Flight-recorder debug bundle (ring of last-N complete trees)."""
+    """Flight-recorder debug bundle (the last-N complete trees)."""
+    from repro.obs.spans import FLIGHT_TREES
+
     vol, obs = _open_observed(store, args.volume)
     if args.exercise:
         _exercise(vol, args.exercise)
     vol.close()
     if args.out:
         obs.spans.dump_debug_bundle(args.out, reason="repro flightrec dump")
-        print(f"wrote {args.out} ({len(obs.spans.flight)} trees)")
+        print(f"wrote {args.out} ({min(len(obs.spans.analyzer), FLIGHT_TREES)} trees)")
     else:
         bundle = obs.spans.debug_bundle(reason="repro flightrec dump")
         sys.stdout.write(json.dumps(bundle, sort_keys=True, indent=2) + "\n")
@@ -630,15 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scrub", help="deep-verify every object's CRC")
     p.add_argument("volume")
     p.set_defaults(fn=cmd_scrub)
-
-    p = sub.add_parser("lint", help="check source against LSVD invariants")
-    p.add_argument("paths", nargs="*", default=["src/repro"])
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--rule", default=None, metavar="CODE",
-                   help="restrict the run (or --explain) to one rule")
-    p.add_argument("--explain", action="store_true",
-                   help="print rule invariants/examples/paper sections")
-    p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser("stats", help="mount, optionally exercise, dump metrics")
     p.add_argument("volume", nargs="?", default=None)

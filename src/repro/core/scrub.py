@@ -2,10 +2,10 @@
 
 Object stores corrupt and lose data rarely but not never; a production
 virtual disk periodically re-reads its objects and verifies checksums.
-The :class:`Scrubber` walks a mounted volume's object stream
-incrementally (a few objects per step), decodes each object fully
-(header + data CRC), and cross-checks that every extent the in-memory map
-attributes to the object actually falls inside the object's data.
+The :class:`Scrubber` walks a mounted volume's whole object stream in
+one pass, decodes each object fully (header + data CRC), and
+cross-checks that every extent the in-memory map attributes to the
+object actually falls inside the object's data.
 
 :func:`fsck_volume` is the offline analogue of ``dumpe2fs``/``fsck``:
 because every object is self-describing (§3.3) it needs nothing but the
@@ -74,33 +74,11 @@ class ScrubStats:
 
 
 class Scrubber:
-    """Incremental CRC scrubber for one block store."""
+    """CRC scrubber for one block store."""
 
     def __init__(self, store: BlockStore):
         self.store = store
-        self._cursor = 0
         self.stats = ScrubStats(getattr(store, "obs", None))
-
-    def step(self, max_objects: int = 4) -> List[ScrubFinding]:
-        """Verify up to ``max_objects``; wraps around at the end."""
-        seqs = sorted(
-            seq
-            for seq, info in self.store.omap.objects.items()
-            if not info.in_base
-        )
-        if not seqs:
-            return []
-        window = [s for s in seqs if s > self._cursor][:max_objects]
-        if not window:
-            self._cursor = 0
-            self.stats.passes_completed += 1
-            window = seqs[:max_objects]
-        findings = []
-        for seq in window:
-            findings.extend(self._check_object(seq))
-            self._cursor = seq
-        self.stats.findings.extend(findings)
-        return findings
 
     def full_pass(self) -> List[ScrubFinding]:
         """Scrub every tracked object once."""

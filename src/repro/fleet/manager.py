@@ -169,9 +169,6 @@ class FleetManager:
         except KeyError:
             raise FleetError(f"unknown vdisk {name!r}") from None
 
-    def attached(self, name: str) -> Optional[AttachedVDisk]:
-        return self._attached.get(name)
-
     def create(
         self,
         name: str,
@@ -200,14 +197,6 @@ class FleetManager:
         self._vdisks[name] = record
         self._persist_manifest()
         self.obs.trace.emit("fleet_create", vdisk=name, tenant=tenant, size=size)
-        return record
-
-    def adopt(self, record: VDiskRecord) -> VDiskRecord:
-        """Register an existing backend volume without creating it."""
-        if record.name in self._vdisks:
-            raise FleetError(f"vdisk {record.name!r} already registered")
-        self._vdisks[record.name] = record
-        self._persist_manifest()
         return record
 
     def attach(
@@ -251,12 +240,6 @@ class FleetManager:
         del self._attached[handle.name]
         self._g_attached.set(len(self._attached))
         self.obs.trace.emit("fleet_detach", vdisk=handle.name)
-
-    def detach(self, name: str) -> None:
-        handle = self._attached.get(name)
-        if handle is None:
-            raise FleetError(f"vdisk {name!r} is not attached")
-        handle.detach()
 
     def delete(self, name: str) -> int:
         """Unregister ``name`` and delete its backend objects."""

@@ -174,11 +174,10 @@ class LintConfig:
     struct_dataclass_map: Mapping[str, Mapping[str, str]] = field(
         default_factory=lambda: dict(DEFAULT_STRUCT_DATACLASS_MAP)
     )
-    # flow rules (LSVD010-LSVD013)
+    # flow rules (LSVD010-LSVD012)
     settlement_allow: Tuple[str, ...] = ()
     durability_allow: Tuple[str, ...] = ()
     recovery_order_allow: Tuple[str, ...] = ()
-    async_allow: Tuple[str, ...] = ()
     # span hygiene (LSVD015)
     span_allow: Tuple[str, ...] = ()
     # barrier coalescing (LSVD014)

@@ -6,15 +6,14 @@ record is durable (§3.2), free a victim only after the relocated copy
 and the covering checkpoint settle (§3.5) — are statements about what
 must happen *before* something else *on every path*, including the
 exception paths a refactor quietly adds.  This package supplies the
-machinery the LSVD010-LSVD013 rules are built on:
+machinery the flow rules (LSVD010-012, LSVD014-017) are built on:
 
 * :mod:`repro.lint.flow.cfg` — per-function control-flow graphs over
   the Python AST (branches, loops, try/except/finally, with,
-  return/raise/break/continue edges, ``await``/``yield`` points);
-* :mod:`repro.lint.flow.dataflow` — a small forward worklist solver
-  over a CFG with edge-sensitive transfers;
+  return/raise/break/continue edges);
 * :mod:`repro.lint.flow.typestate` — per-variable gen/kill lattices
-  (acquire / consume / branch-refine) shared by the typestate rules,
+  (acquire / consume / branch-refine) and their forward worklist solver
+  with edge-sensitive transfers, shared by the typestate rules,
   the ``unguarded_sites`` reachability walk shared by the
   ordering rules (LSVD011/014/016/017), and the AST vocabulary.
 
@@ -24,16 +23,13 @@ reporters as the AST rules.
 """
 
 from repro.lint.flow.cfg import CFG, Edge, Node, build_cfg, iter_function_cfgs
-from repro.lint.flow.dataflow import FlowAnalysis, Solution, solve
-from repro.lint.flow.typestate import Pending, TypestateAnalysis
+from repro.lint.flow.typestate import Pending, TypestateAnalysis, solve
 
 __all__ = [
     "CFG",
     "Edge",
-    "FlowAnalysis",
     "Node",
     "Pending",
-    "Solution",
     "TypestateAnalysis",
     "build_cfg",
     "iter_function_cfgs",

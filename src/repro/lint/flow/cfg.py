@@ -102,7 +102,7 @@ class Edge:
 class Node:
     """One CFG node: a statement head, a handler, or a synthetic mark."""
 
-    __slots__ = ("index", "kind", "stmt", "parts", "suspends", "succ", "pred")
+    __slots__ = ("index", "kind", "stmt", "parts", "succ", "pred")
 
     def __init__(
         self,
@@ -110,7 +110,6 @@ class Node:
         kind: str,
         stmt: Optional[ast.AST] = None,
         parts: Sequence[ast.AST] = (),
-        suspends: bool = False,
     ) -> None:
         self.index = index
         self.kind = kind
@@ -119,8 +118,6 @@ class Node:
         #: the AST fragments this node actually evaluates — what
         #: dataflow transfers should walk (never a branch body)
         self.parts: Tuple[ast.AST, ...] = tuple(parts)
-        #: True when evaluating this node crosses an await/yield point
-        self.suspends = suspends
         self.succ: List[Edge] = []
         self.pred: List[Edge] = []
 
@@ -150,9 +147,8 @@ class CFG:
         kind: str,
         stmt: Optional[ast.AST] = None,
         parts: Sequence[ast.AST] = (),
-        suspends: bool = False,
     ) -> Node:
-        node = Node(len(self.nodes), kind, stmt, parts, suspends)
+        node = Node(len(self.nodes), kind, stmt, parts)
         self.nodes.append(node)
         return node
 
@@ -173,12 +169,6 @@ class CFG:
         for node in self.nodes:
             if node.kind in (STMT, HANDLER):
                 yield node
-
-    def node_for(self, stmt: ast.AST) -> Optional[Node]:
-        for node in self.nodes:
-            if node.stmt is stmt:
-                return node
-        return None
 
     def nodes_at_line(self, line: int) -> List[Node]:
         return [n for n in self.nodes if n.line == line]
@@ -336,10 +326,7 @@ class _Builder:
         return node
 
     def _simple(self, stmt: ast.AST, parts: Sequence[ast.AST]) -> Node:
-        suspends = _any_in_scope(
-            parts, (ast.Await, ast.Yield, ast.YieldFrom)
-        )
-        return self.cfg.new_node(STMT, stmt, parts, suspends)
+        return self.cfg.new_node(STMT, stmt, parts)
 
     # -- compound statements ---------------------------------------------
     def _if(self, stmt: ast.If, ctx: _Ctx) -> Node:
@@ -367,8 +354,6 @@ class _Builder:
 
     def _for(self, stmt: Union[ast.For, ast.AsyncFor], ctx: _Ctx) -> Node:
         head = self._simple(stmt, [stmt.target, stmt.iter])
-        if isinstance(stmt, ast.AsyncFor):
-            head.suspends = True
         head_thunk: _Thunk = lambda: head  # noqa: E731 - loop back-edge
         after = self._seq(stmt.orelse, ctx) if stmt.orelse else ctx.nxt()
         body_ctx = replace(ctx, nxt=head_thunk, brk=ctx.nxt, cont=head_thunk)
@@ -380,8 +365,6 @@ class _Builder:
 
     def _with(self, stmt: Union[ast.With, ast.AsyncWith], ctx: _Ctx) -> Node:
         head = self._simple(stmt, list(stmt.items))
-        if isinstance(stmt, ast.AsyncWith):
-            head.suspends = True
         body = self._seq(stmt.body, ctx)
         self.cfg.add_edge(head, body, "next")
         self.cfg.add_edge(head, ctx.exc(), "except")

@@ -1,4 +1,5 @@
-"""Typestate lattices and the AST vocabulary shared by the flow rules.
+"""Typestate lattices, their solver, and the AST vocabulary shared by
+the flow rules.
 
 A *typestate* fact is a frozenset of :class:`Pending` records — "this
 key (a local variable holding a PUT handle, or a mutated attribute) was
@@ -6,10 +7,11 @@ put into a must-be-resolved state at that node and has not been
 resolved yet".  :class:`TypestateAnalysis` is the forward gen/kill
 skeleton: subclasses say what *acquires* (gen), what *resolves* (kill),
 and which branch edges *refine* (a ``handle is None`` test proves there
-is nothing to settle on the true side).  :func:`unguarded_sites` is a
-forward reachability walk: which *sites* can control reach from function
-entry without first crossing *evidence* — the one dominance question the
-ordering rules (LSVD011/014/016/017) ask, each with its own vocabulary.
+is nothing to settle on the true side); :func:`solve` iterates it to a
+fixpoint over a CFG.  :func:`unguarded_sites` is a forward reachability
+walk: which *sites* can control reach from function entry without first
+crossing *evidence* — the one dominance question the ordering rules
+(LSVD011/014/016/017) ask, each with its own vocabulary.
 
 The module also collects the small AST predicates every flow rule
 needs — trailing receiver names, awaited-call unwrapping, load-name
@@ -20,11 +22,11 @@ rules stay about *invariants*, not AST plumbing.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Deque, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.flow.cfg import CFG, Edge, Node, walk_in_scope
-from repro.lint.flow.dataflow import FlowAnalysis
 
 PendingSet = FrozenSet["Pending"]
 
@@ -38,24 +40,17 @@ class Pending:
     line: int
 
 
-class TypestateAnalysis(FlowAnalysis[PendingSet]):
+class TypestateAnalysis:
     """Forward may-analysis: which obligations may still be open here."""
 
-    def boundary(self, cfg: CFG, node: Node) -> PendingSet:
-        return frozenset()
-
-    def initial(self) -> PendingSet:
-        return frozenset()
-
-    def join(self, a: PendingSet, b: PendingSet) -> PendingSet:
-        return a | b
-
     def transfer(self, node: Node, fact: PendingSet) -> PendingSet:
+        """Fact after executing ``node`` given the fact before it."""
         killed = self.kills(node, fact)
         fact = frozenset(p for p in fact if p.key not in killed)
         return fact | frozenset(self.gens(node))
 
     def transfer_edge(self, edge: Edge, fact: PendingSet) -> PendingSet:
+        """Refine a fact crossing one edge."""
         refuted = self.refuted_keys(edge)
         if not refuted:
             return fact
@@ -75,6 +70,33 @@ class TypestateAnalysis(FlowAnalysis[PendingSet]):
         if edge.cond is None:
             return set()
         return branch_refuted_names(edge.cond, edge.kind)
+
+
+def solve(cfg: CFG, analysis: TypestateAnalysis) -> Dict[int, PendingSet]:
+    """The fixpoint fact on the entry side of every node, by index: the
+    union over incoming edges of the edge-refined facts after each
+    predecessor; entry starts empty."""
+    before: Dict[int, PendingSet] = {n.index: frozenset() for n in cfg.nodes}
+    worklist: Deque[Node] = deque(cfg.nodes)
+    queued: Set[int] = {n.index for n in cfg.nodes}
+    # gen/kill lattices converge in O(nodes * facts); this only guards
+    # against a non-monotone transfer written by a future rule
+    steps = 64 * len(cfg.nodes) + 1024
+    while worklist:
+        steps -= 1
+        if steps < 0:  # pragma: no cover - guards a buggy transfer
+            raise RuntimeError("dataflow solver failed to converge")
+        node = worklist.popleft()
+        queued.discard(node.index)
+        out = analysis.transfer(node, before[node.index])
+        for edge in node.succ:
+            merged = before[edge.dst] | analysis.transfer_edge(edge, out)
+            if merged != before[edge.dst]:
+                before[edge.dst] = merged
+                if edge.dst not in queued:
+                    queued.add(edge.dst)
+                    worklist.append(cfg.nodes[edge.dst])
+    return before
 
 
 def unguarded_sites(

@@ -1,6 +1,6 @@
 """Rule registry: one module per rule family."""
 
-from repro.lint.rules.async_safety import AsyncCancellationRule
+from repro.lint.rules.async_safety import AsyncBanRule
 from repro.lint.rules.barrier_commit import BarrierCoalescingRule
 from repro.lint.rules.determinism import DeterminismRule
 from repro.lint.rules.durability import DurabilityOrderingRule
@@ -32,7 +32,7 @@ ALL_RULES = [
     SettlementLeakRule,
     DurabilityOrderingRule,
     RecoveryMutationOrderRule,
-    AsyncCancellationRule,
+    AsyncBanRule,
     BarrierCoalescingRule,
     SpanHygieneRule,
     TenantIsolationRule,

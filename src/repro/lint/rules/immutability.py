@@ -9,8 +9,8 @@ mutation of an object-store handle is restricted to an allowlist of
 modules (the block store, its checkpoint/replication helpers, and the
 object-store implementations themselves).
 
-A call site is matched when a method named ``put`` / ``delete`` /
-``copy`` is invoked on a receiver whose trailing identifier is a known
+A call site is matched when a method named ``put`` / ``delete`` is
+invoked on a receiver whose trailing identifier is a known
 store handle name (``store``, ``objstore``, ``backend``, ``inner``...);
 plain queues (``q.put``) and dicts never match.
 """
@@ -26,14 +26,14 @@ from repro.lint.flow.typestate import tail_name
 from repro.lint.framework import ModuleContext, Rule
 
 #: mutating ObjectStore methods (reads are unrestricted)
-MUTATING_METHODS = frozenset({"put", "delete", "copy"})
+MUTATING_METHODS = frozenset({"put", "delete"})
 
 
 class ImmutabilityRule(Rule):
     """Invariant:
         Backend objects are immutable and written exactly once, in
         sequence order, by the block-store layer; no other module may
-        call ``ObjectStore.put``/``.delete``/``.copy`` directly.
+        call ``ObjectStore.put``/``.delete`` directly.
 
     Example violation::
 
@@ -48,7 +48,7 @@ class ImmutabilityRule(Rule):
     code = "LSVD001"
     name = "immutability-discipline"
     summary = (
-        "ObjectStore.put/.delete/.copy may only be called from the block-store "
+        "ObjectStore.put/.delete may only be called from the block-store "
         "layer; everything else must go through BlockStore/Replicator APIs"
     )
 

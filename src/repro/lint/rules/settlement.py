@@ -21,7 +21,6 @@ from typing import Callable, Dict, Iterable, Iterator, Optional, Set, Tuple
 from repro.lint.config import STORE_RECEIVERS, LintConfig
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.flow.cfg import CFG, Node, iter_function_cfgs
-from repro.lint.flow.dataflow import solve
 from repro.lint.flow.typestate import (
     Pending,
     PendingSet,
@@ -30,6 +29,7 @@ from repro.lint.flow.typestate import (
     consuming_loads,
     receiver_matches,
     receiver_tail,
+    solve,
     unwrap_effect,
 )
 from repro.lint.framework import ModuleContext, Rule
@@ -164,7 +164,7 @@ class HandleLeakRule(Rule):
         if not interesting:
             return
 
-        solution = solve(cfg, _HandleAnalysis(self.acquires))
+        facts = solve(cfg, _HandleAnalysis(self.acquires))
         reported: Set[int] = set()
 
         def report(
@@ -186,11 +186,11 @@ class HandleLeakRule(Rule):
 
         # leaks at normal exit
         yield from report(
-            solution.before.get(cfg.exit.index, frozenset()), self.at_exit
+            facts.get(cfg.exit.index, frozenset()), self.at_exit
         )
         # leaks by overwrite/delete: the old handle is unrecoverable
         for node in cfg.stmt_nodes():
-            before = solution.before.get(node.index, frozenset())
+            before = facts.get(node.index, frozenset())
             if not before:
                 continue
             if _single_name_target(node.stmt) in consuming_loads(node):

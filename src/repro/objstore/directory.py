@@ -107,15 +107,5 @@ class DirectoryObjectStore(ObjectStore):
         except FileNotFoundError:
             raise NoSuchKeyError(name) from None
 
-    def copy(self, src: str, dst: str) -> None:
-        """Server-side copy: bytes never leave the store, only ``copies``
-        is charged (the replication primitive of §4.8)."""
-        try:
-            data = self._path(src).read_bytes()
-        except FileNotFoundError:
-            raise NoSuchKeyError(src) from None
-        self._write_atomic(dst, data)
-        self.stats.copies += 1
-
     def total_bytes(self, prefix: str = "") -> int:
         return sum(self.size(n) for n in self.list(prefix))

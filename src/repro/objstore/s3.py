@@ -27,7 +27,6 @@ class ObjectStoreStats:
     range_gets: int = 0
     deletes: int = 0
     lists: int = 0
-    copies: int = 0
     bytes_put: int = 0
     bytes_got: int = 0
 
@@ -76,10 +75,6 @@ class ObjectStore:
 
     def size(self, name: str) -> int:
         raise NotImplementedError
-
-    def copy(self, src: str, dst: str) -> None:
-        """Server-side copy (the replication primitive of §4.8)."""
-        self.put(dst, self.get(src))
 
 
 class InMemoryObjectStore(ObjectStore):
@@ -134,12 +129,6 @@ class InMemoryObjectStore(ObjectStore):
         except KeyError:
             raise NoSuchKeyError(name) from None
 
-    def copy(self, src: str, dst: str) -> None:
-        if src not in self._objects:
-            raise NoSuchKeyError(src)
-        self._objects[dst] = self._objects[src]
-        self.stats.copies += 1
-
     def total_bytes(self, prefix: str = "") -> int:
         return sum(len(d) for n, d in self._objects.items() if n.startswith(prefix))
 
@@ -165,7 +154,7 @@ class UnsettledObjectStore(ObjectStore):
         #: optional repro.obs Registry; crash() records a trace event in it
         self.obs = obs
         # Share the inner store's counters so wrapping is transparent to
-        # accounting: ``repro stats`` sees PUT/GET/copy traffic whether or
+        # accounting: ``repro stats`` sees PUT/GET traffic whether or
         # not the store was wrapped for fault injection.
         self.stats = getattr(inner, "stats", None) or ObjectStoreStats()
         self._pending: Dict[int, _PendingPut] = {}
@@ -222,13 +211,3 @@ class UnsettledObjectStore(ObjectStore):
 
     def size(self, name: str) -> int:
         return self.inner.size(name)
-
-    def copy(self, src: str, dst: str) -> None:
-        """Server-side copy, delegated to the inner store.
-
-        The base-class fallback (``put(dst, get(src))``) would enqueue an
-        in-flight PUT whose handle nobody holds — the copy would silently
-        vanish at the next :meth:`crash`.  Real server-side copies do not
-        travel through the client, so they settle immediately.
-        """
-        self.inner.copy(src, dst)

@@ -28,7 +28,6 @@ from repro.obs.metrics import (
 from repro.obs.spans import (
     NULL_SPAN,
     CriticalPathAnalyzer,
-    FlightRecorder,
     Span,
     SpanRecorder,
     attribute,
@@ -45,7 +44,6 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_SIZE_BUCKETS",
     "EVENT_TYPES",
-    "FlightRecorder",
     "Gauge",
     "Histogram",
     "NULL_SPAN",

@@ -31,14 +31,12 @@ instant, or ``"unattributed"`` when no child covers it), so the
 per-stage components sum to the measured completion latency — the
 invariant ``benchmarks/obs_smoke.py`` gates.
 
-Completed trees feed two bounded consumers:
-
-* :class:`CriticalPathAnalyzer` — per-tree (total, breakdown) records,
-  p50/p99 tail decomposition, stage tables for ``repro spans`` and the
-  stage-attribution section of ``repro stats``;
-* :class:`FlightRecorder` — ring buffer of the last N complete trees,
-  dumped as a JSON debug bundle on crash-test failure or
-  ``repro flightrec dump``.
+Completed trees feed one bounded window, the
+:class:`CriticalPathAnalyzer`: per-tree (total, breakdown) records,
+p50/p99 tail decomposition, stage tables for ``repro spans`` and the
+stage-attribution section of ``repro stats``.  Its newest
+:data:`FLIGHT_TREES` trees are the flight recorder: the JSON debug
+bundle dumped on crash-test failure or by ``repro flightrec dump``.
 
 The LSVD015 lint rule (span-hygiene) enforces the handle discipline:
 every span begun must be ended or adopted on all normal-exit paths.
@@ -62,6 +60,11 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import Registry
+
+#: completed trees the analyzer window keeps (oldest evicted first)
+ANALYZER_TREES = 16384
+#: newest trees a flight-recorder debug bundle carries
+FLIGHT_TREES = 64
 
 #: attribution key for root time no child span covers
 SELF_STAGE = "unattributed"
@@ -118,8 +121,8 @@ class Span:
     # -- lifecycle -------------------------------------------------------
     def begin(self, name: str, kind: str = KIND_SERVICE, **attrs: AttrValue) -> "Span":
         """Open a child span; the caller must ``end`` (or adopt) it."""
-        # clock read and allocation inlined (vs recorder._now() and the
-        # Span() constructor frame): begin/end bracket every stage on
+        # clock read and allocation inlined (no clock method or Span()
+        # constructor frame): begin/end bracket every stage on
         # the data plane, so each saved call is visible in the
         # ledger's obs.self_us_per_op
         if kind is not KIND_SERVICE and kind not in _KINDS:
@@ -341,8 +344,7 @@ def stage_kinds(root: Span) -> Dict[str, str]:
 
 
 class TreeRecord:
-    """Bounded summary of one completed tree (the Span itself may be
-    long gone from the flight-recorder ring)."""
+    """Bounded summary of one completed tree."""
 
     __slots__ = ("name", "total", "breakdown", "kinds")
 
@@ -357,7 +359,7 @@ class TreeRecord:
 class CriticalPathAnalyzer:
     """Additive queue/service decomposition of completion latency.
 
-    Holds a bounded window (newest ``capacity`` trees); attribution is
+    Holds a bounded window (newest :data:`ANALYZER_TREES` trees); attribution is
     computed lazily at query time so completion stays cheap on the hot
     path (the ledger's ``obs.self_us_per_op``).  :meth:`decompose` averages the
     breakdowns of the trees at/above a latency percentile, so the
@@ -365,28 +367,11 @@ class CriticalPathAnalyzer:
     latency.
     """
 
-    def __init__(self, capacity: int = 16384):
-        if capacity <= 0:
-            raise ValueError("analyzer capacity must be positive")
-        self.capacity = capacity
-        self._roots: Deque[Span] = deque(maxlen=capacity)
-        self.dropped = 0
-
-    def add(self, root: Span) -> None:
-        if len(self._roots) == self.capacity:
-            self.dropped += 1
-        self._roots.append(root)
+    def __init__(self) -> None:
+        self._roots: Deque[Span] = deque(maxlen=ANALYZER_TREES)
 
     def __len__(self) -> int:
         return len(self._roots)
-
-    def kinds(self) -> Dict[str, str]:
-        """Stage name -> queue/service kind over the retained window."""
-        out: Dict[str, str] = {}
-        for root in self._roots:
-            for span in root.walk():
-                out.setdefault(span.name, span.kind)
-        return out
 
     def roots(self, name: Optional[str] = None) -> List[Span]:
         """The retained trees (oldest first), optionally one root name's."""
@@ -445,33 +430,6 @@ class CriticalPathAnalyzer:
 
     def clear(self) -> None:
         self._roots.clear()
-        self.dropped = 0
-
-
-class FlightRecorder:
-    """Ring buffer of the last ``capacity`` complete span trees."""
-
-    def __init__(self, capacity: int = 64):
-        if capacity <= 0:
-            raise ValueError("flight recorder capacity must be positive")
-        self.capacity = capacity
-        self._trees: Deque[Span] = deque(maxlen=capacity)
-        self.dropped = 0
-
-    def add(self, root: Span) -> None:
-        if len(self._trees) == self.capacity:
-            self.dropped += 1
-        self._trees.append(root)
-
-    def trees(self) -> List[Span]:
-        return list(self._trees)
-
-    def __len__(self) -> int:
-        return len(self._trees)
-
-    def clear(self) -> None:
-        self._trees.clear()
-        self.dropped = 0
 
 
 class SpanRecorder:
@@ -485,15 +443,9 @@ class SpanRecorder:
 
     SLOWEST_KEEP = 32
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], float]] = None,
-        flight_capacity: int = 64,
-        analyzer_capacity: int = 16384,
-    ):
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         self.clock = clock
-        self.flight = FlightRecorder(flight_capacity)
-        self.analyzer = CriticalPathAnalyzer(analyzer_capacity)
+        self.analyzer = CriticalPathAnalyzer()
         self.completed = 0
         self.open_roots = 0
         self._step = 0.0
@@ -503,14 +455,6 @@ class SpanRecorder:
         self._slowest: List[Tuple[float, int, Span]] = []
         global _LAST_RECORDER
         _LAST_RECORDER = self
-
-    # -- clock -----------------------------------------------------------
-    def _now(self) -> float:
-        if self.clock is not None:
-            return float(self.clock())
-        step = self._step
-        self._step = step + 1.0
-        return step
 
     # -- tree lifecycle --------------------------------------------------
     def root(self, name: str, **attrs: AttrValue):
@@ -533,22 +477,13 @@ class SpanRecorder:
         return span
 
     def _complete(self, root: Span) -> None:
-        # one call per finished I/O: bounded-window bookkeeping is
-        # inlined (no analyzer.add/flight.add calls) — this function is
-        # most of what the ledger's obs.self_us_per_op measures
+        # one call per finished I/O: the window append is inlined, and
+        # its evictions are counted from ``completed`` at export — this
+        # function is most of what the ledger's obs.self_us_per_op measures
         self.completed += 1
         if self.open_roots > 0:
             self.open_roots -= 1
-        analyzer = self.analyzer
-        roots = analyzer._roots
-        if len(roots) == analyzer.capacity:
-            analyzer.dropped += 1
-        roots.append(root)
-        flight = self.flight
-        trees = flight._trees
-        if len(trees) == flight.capacity:
-            flight.dropped += 1
-        trees.append(root)
+        self.analyzer._roots.append(root)
         duration = root.stop - root.start  # type: ignore[operator]
         slowest = self._slowest
         if len(slowest) < self.SLOWEST_KEEP or duration > slowest[0][0]:
@@ -584,7 +519,6 @@ class SpanRecorder:
         return [root for _, _, root in ranked[:k]]
 
     def clear(self) -> None:
-        self.flight.clear()
         self.analyzer.clear()
         self.completed = 0
         self.open_roots = 0
@@ -594,20 +528,20 @@ class SpanRecorder:
 
     # -- export ----------------------------------------------------------
     def debug_bundle(self, reason: str = "manual") -> Dict[str, object]:
-        """JSON-ready flight-recorder bundle (ring + slowest + stages)."""
+        """JSON-ready flight-recorder bundle (newest trees + slowest + stages)."""
         return {
             "bundle": "flightrec",
             "reason": reason,
             "completed": self.completed,
             "open_roots": self.open_roots,
-            "flight_dropped": self.flight.dropped,
+            "flight_dropped": max(0, self.completed - FLIGHT_TREES),
             "stage_totals": {
                 stage: {"trees": count, "seconds": total, "kind": kind}
                 for stage, (kind, count, total)
                 in self.analyzer.stage_totals().items()
             },
             "slowest": [root.to_dict() for root in self.slowest(self.SLOWEST_KEEP)],
-            "trees": [root.to_dict() for root in self.flight.trees()],
+            "trees": [root.to_dict() for root in self.analyzer.roots()[-FLIGHT_TREES:]],
         }
 
     def dump_debug_bundle(self, path: str, reason: str = "manual") -> str:
@@ -622,9 +556,11 @@ class SpanRecorder:
         absolute sets, so repeated publishes don't double-count)."""
         registry.counter("span.trees", "completed span trees").set(self.completed)
         registry.gauge("span.open_roots", "roots begun, not ended").set(self.open_roots)
+        # evictions from the flight view and from the analyzer window
+        completed = self.completed
         registry.counter(
             "span.dropped", "trees evicted from bounded windows"
-        ).set(self.flight.dropped + self.analyzer.dropped)
+        ).set(max(0, completed - FLIGHT_TREES) + max(0, completed - ANALYZER_TREES))
         for stage, (_kind, _count, total) in self.analyzer.stage_totals().items():
             registry.gauge(
                 f"span.stage.{stage}_s", "attributed seconds (all trees)"

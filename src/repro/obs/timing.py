@@ -71,11 +71,6 @@ class TimedStore(ObjectStore):
         self.inner.delete(name)
         self._delete_latency.observe(self._charge(0))
 
-    def copy(self, src: str, dst: str) -> None:
-        self.inner.copy(src, dst)
-        # server-side copy: one request, no client-side data transfer
-        self._put_latency.observe(self._charge(0))
-
     # -- reads -----------------------------------------------------------
     def get(self, name: str) -> bytes:
         data = self.inner.get(name)

@@ -9,16 +9,12 @@ plain logical step counter in pure-logic code that has no clock at all.
 Never the wall clock: two identical runs must serialise to byte-identical
 JSONL (the trace-determinism golden test), which is also why events carry
 no uuids and JSON is dumped with sorted keys.
-
-For long runs the trace can be bounded (``capacity``): it becomes a ring
-buffer that drops the *oldest* events and counts the drops.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from typing import Callable, Deque, Dict, FrozenSet, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 #: the event catalogue; emit() rejects unknown types so tooling can rely
 #: on the names
@@ -70,20 +66,12 @@ class TraceEvent:
 
 
 class Trace:
-    """Append-only (optionally ring-buffered) stream of typed events."""
+    """Append-only stream of typed events."""
 
-    def __init__(
-        self,
-        capacity: Optional[int] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ):
-        if capacity is not None and capacity <= 0:
-            raise ValueError("trace capacity must be positive (or None)")
-        self.capacity = capacity
+    def __init__(self, clock: Optional[Callable[[], float]] = None):
         #: virtual-clock source; None = logical step counter
         self.clock = clock
-        self._events: Deque[TraceEvent] = deque(maxlen=capacity)
-        self.dropped = 0
+        self._events: List[TraceEvent] = []
         self._step = 0  # logical timestamp source when no clock is wired
 
     # -- emission --------------------------------------------------------
@@ -97,8 +85,6 @@ class Trace:
             ts = float(self._step)
         self._step += 1
         event = TraceEvent(ts, etype, tuple(sorted(fields.items())))
-        if self.capacity is not None and len(self._events) == self.capacity:
-            self.dropped += 1
         self._events.append(event)
         return event
 
@@ -109,7 +95,7 @@ class Trace:
         return [e for e in self._events if e.etype == etype]
 
     def counts(self) -> Dict[str, int]:
-        """Event-type -> occurrence count (over the retained window)."""
+        """Event-type -> occurrence count."""
         out: Dict[str, int] = {}
         for event in self._events:
             out[event.etype] = out.get(event.etype, 0) + 1
@@ -133,5 +119,4 @@ class Trace:
 
     def clear(self) -> None:
         self._events.clear()
-        self.dropped = 0
         self._step = 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.objstore.directory import DirectoryObjectStore
 from repro.objstore.s3 import NoSuchKeyError, ObjectStore, ObjectStoreStats
@@ -151,21 +151,6 @@ class ShardedObjectStore(ObjectStore):
     def size(self, name: str) -> int:
         _index, shard = self._owner(name)
         return shard.size(name)
-
-    def copy(self, src: str, dst: str) -> None:
-        src_index, src_shard = self._owner(src)
-        dst_index, dst_shard = self._owner(dst)
-        if src_index == dst_index:
-            src_shard.copy(src, dst)
-            return
-        # cross-shard: stream through the client.  Settle immediately if
-        # the destination shard is unsettled — a copy is not a client PUT
-        # whose handle anyone tracks.  A non-None handle *is* the proof
-        # the shard has a settle(): guarding on hasattr too would leave
-        # the write in flight forever on such stores.
-        handle = dst_shard.put(dst, src_shard.get(src))
-        if handle is not None:
-            dst_shard.settle(handle)  # type: ignore[attr-defined]
 
     # -- merged views -----------------------------------------------------
     @property

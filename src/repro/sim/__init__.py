@@ -12,9 +12,7 @@ simulator with calibrated device service-time models (see DESIGN.md).
 
 from repro.sim.engine import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -24,9 +22,7 @@ from repro.sim.resources import Resource, Store, TokenBucket
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "Resource",
     "SimulationError",

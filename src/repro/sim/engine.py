@@ -33,14 +33,6 @@ class SimulationError(RuntimeError):
     """Raised for illegal engine operations (double trigger, bad yield)."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence that callbacks (and processes) can wait on.
 
@@ -183,43 +175,18 @@ class Process(Event):
     the exception is thrown into the generator.
     """
 
-    __slots__ = ("gen", "name", "_waiting_on")
+    __slots__ = ("gen", "name")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
         super().__init__(sim)
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         boot = Event(sim)
-        self._waiting_on: Optional[Event] = boot
         boot.callbacks.append(self._resume)
         boot.succeed()
 
-    @property
-    def is_alive(self) -> bool:
-        return self._value is _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if not self.is_alive:
-            return
-        poke = Event(self.sim)
-        poke.callbacks.append(self._interrupted)
-        poke.fail(Interrupt(cause))
-
     # -- internal ----------------------------------------------------------
-    def _interrupted(self, poke: Event) -> None:
-        if self._value is _PENDING:
-            # abandon whatever the process was waiting on: that event's
-            # wake-up, when it comes, is stale
-            self._waiting_on = poke
-            self._resume(poke)
-
     def _resume(self, event: Event) -> None:
-        if event is not self._waiting_on:
-            # Stale wake-up: the process was interrupted while waiting on
-            # this event and has already moved on.
-            return
-        self._waiting_on = None
         try:
             if event._ok:
                 target = self.gen.send(event._value)
@@ -227,9 +194,6 @@ class Process(Event):
                 target = self.gen.throw(event._value)
         except StopIteration as stop:
             self.succeed(stop.value)
-            return
-        except Interrupt as exc:
-            self.fail(exc)
             return
         except BaseException as exc:
             if self.sim.strict:
@@ -240,7 +204,6 @@ class Process(Event):
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}, expected an Event"
             )
-        self._waiting_on = target
         callbacks = target.callbacks
         if callbacks is None:
             self._resume(target)  # already processed: continue at once
@@ -248,8 +211,8 @@ class Process(Event):
             callbacks.append(self._resume)
 
 
-class _Condition(Event):
-    """Base for AllOf/AnyOf composite events."""
+class AllOf(Event):
+    """Fires when every child event has fired; value = list of values."""
 
     __slots__ = ("events", "_pending")
 
@@ -263,15 +226,6 @@ class _Condition(Event):
         for ev in self.events:
             ev.add_callback(self._check)
 
-    def _check(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every child event has fired; value = list of values."""
-
-    __slots__ = ()
-
     def _check(self, event: Event) -> None:
         if self._value is not _PENDING:
             return
@@ -281,20 +235,6 @@ class AllOf(_Condition):
         self._pending -= 1
         if self._pending == 0:
             self.succeed([ev._value for ev in self.events])
-
-
-class AnyOf(_Condition):
-    """Fires when the first child event fires; value = (event, value)."""
-
-    __slots__ = ()
-
-    def _check(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if event._ok:
-            self.succeed((event, event._value))
-        else:
-            self.fail(event._value)
 
 
 class Simulator:
@@ -412,7 +352,3 @@ class Simulator:
         if not event._ok:
             raise event._value
         return event._value
-
-    @property
-    def queue_size(self) -> int:
-        return len(self._heap) + len(self._queue)

@@ -72,10 +72,6 @@ class Resource:
         span = elapsed if elapsed is not None else self.sim.now
         return busy / span if span > 0 else 0.0
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
 
 class Store:
     """Unbounded FIFO queue of items with blocking ``get``.

@@ -1,5 +1,7 @@
 """Tests for the volume-management CLI."""
 
+import random
+
 import pytest
 
 from repro.cli import main, parse_size
@@ -53,6 +55,30 @@ def test_import_export_roundtrip(tmp_path, capsys):
     )
     assert rc == 0
     assert dst.read_bytes() == payload
+
+
+def test_import_larger_than_the_cache_log(tmp_path, capsys):
+    root = str(tmp_path / "bucket")
+    payload = random.Random(7).randbytes(3 << 20)
+    src, dst = tmp_path / "in.bin", tmp_path / "out.bin"
+    src.write_bytes(payload)
+    run(capsys, root, "create", "vol", "--size", "8M")
+    rc, out, err = run(capsys, root, "import", "vol", str(src))
+    assert rc == 0, err
+    rc, _out, _ = run(capsys, root, "export", "vol", str(dst), "--length", "3M")
+    assert rc == 0
+    assert dst.read_bytes() == payload
+
+
+def test_export_past_the_end_fails_and_leaves_the_file(tmp_path, capsys):
+    root = str(tmp_path / "bucket")
+    dst = tmp_path / "out.bin"
+    dst.write_bytes(b"keep me")
+    run(capsys, root, "create", "vol", "--size", "8M")
+    rc, out, err = run(capsys, root, "export", "vol", str(dst), "--offset", "9M")
+    assert rc == 2 and out == ""
+    assert "I/O beyond end of volume" in err
+    assert dst.read_bytes() == b"keep me"
 
 
 def test_snapshot_and_clone(tmp_path, capsys):

@@ -250,7 +250,7 @@ def _drive(make, schedule):
             done = device.submit(kind, offset, nbytes)
             done.add_callback(
                 lambda _e, index=index: trace.append(
-                    (index, sim.now, device._path_for(WRITE).queue_length)
+                    (index, sim.now, len(device._path_for(WRITE)._waiters))
                 )
             )
 
@@ -441,7 +441,7 @@ def test_releasing_op_schedules_its_completion_before_the_next_grant(make):
     for tag in "ABC":
         device.write(0, 4096).add_callback(
             lambda _e, tag=tag: seen.append(
-                (tag, sim.now, device.channels.in_use, device.channels.queue_length)
+                (tag, sim.now, device.channels.in_use, len(device.channels._waiters))
             )
         )
     sim.run()
@@ -465,7 +465,7 @@ def test_failing_service_time_releases_the_path_exactly_once(strict):
         assert isinstance(bad.value, ValueError)
     # the unit came back once: not leaked, not released twice
     assert device.channels.in_use == 0
-    assert device.channels.queue_length == 0
+    assert not device.channels._waiters
     assert device.stats.writes == 1
 
 

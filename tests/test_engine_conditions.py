@@ -1,7 +1,7 @@
 """Additional engine edge cases: composite events, stores, errors."""
 
 
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim import AllOf, Simulator
 from repro.sim.resources import Store
 
 
@@ -23,33 +23,18 @@ def test_all_of_failure_propagates():
     assert caught == ["child failed"]
 
 
-def test_any_of_returns_winning_event():
-    sim = Simulator()
-    fast = sim.timeout(1.0, "fast")
-    slow = sim.timeout(5.0, "slow")
-    results = []
-
-    def proc():
-        event, value = yield AnyOf(sim, [slow, fast])
-        results.append((event is fast, value))
-
-    sim.process(proc())
-    sim.run()
-    assert results == [(True, "fast")]
-
-
 def test_nested_conditions():
     sim = Simulator()
     results = []
 
     def proc():
-        inner = AllOf(sim, [sim.timeout(1), sim.timeout(2)])
-        event, _ = yield AnyOf(sim, [inner, sim.timeout(10)])
-        results.append((event is inner, sim.now))
+        inner = AllOf(sim, [sim.timeout(1, "a"), sim.timeout(2, "b")])
+        values = yield AllOf(sim, [inner, sim.timeout(0.5, "c")])
+        results.append((values, sim.now))
 
     sim.process(proc())
     sim.run()
-    assert results == [(True, 2.0)]
+    assert results == [([["a", "b"], "c"], 2.0)]
 
 
 def test_process_waiting_on_completed_process():
@@ -106,12 +91,3 @@ def test_simultaneous_timeouts_fire_in_creation_order():
         sim.process(proc(tag))
     sim.run()
     assert order == [0, 1, 2, 3, 4]
-
-
-def test_queue_size_reporting():
-    sim = Simulator()
-    sim.timeout(1.0)
-    sim.timeout(2.0)
-    assert sim.queue_size == 2
-    sim.run()
-    assert sim.queue_size == 0

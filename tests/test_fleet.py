@@ -14,7 +14,6 @@ from repro.fleet import (
     FleetError,
     FleetManager,
     QoSLimits,
-    VDiskRecord,
 )
 from repro.obs import Registry
 from repro.objstore import InMemoryObjectStore, UnsettledObjectStore
@@ -54,8 +53,6 @@ def test_duplicate_create_and_unknown_lookups_raise():
         fleet.record("nope")
     with pytest.raises(FleetError):
         fleet.attach("nope")
-    with pytest.raises(FleetError):
-        fleet.detach("vd0")  # registered but not attached
 
 
 def test_attach_write_read_detach():
@@ -67,7 +64,9 @@ def test_attach_write_read_detach():
     with pytest.raises(FleetError):
         fleet.attach("vd0")  # double attach
     handle.detach()
-    assert fleet.attached("vd0") is None
+    assert fleet.obs.value("fleet.attached") == 0
+    with pytest.raises(FleetError):
+        handle.detach()  # no longer attached
     # reattach sees the data back (cache-lost mount, backend prefix)
     handle2 = fleet.attach("vd0")
     assert handle2.volume.read(0, 4096) == b"A" * 4096
@@ -94,23 +93,12 @@ def test_delete_refuses_attached_then_removes_stream():
     handle.volume.write(0, b"A" * 4096)
     with pytest.raises(FleetError):
         fleet.delete("vd0")
-    fleet.detach("vd0")
+    handle.detach()
     assert fleet.delete("vd0") > 0
     assert store.list(stream_prefix("vd0")) == []
     assert fleet.vdisks() == []
     with pytest.raises(FleetError):
         fleet.delete("vd0")
-
-
-def test_adopt_registers_existing_volume():
-    store, fleet = make_fleet()
-    fleet.create("vd0", 4 * MiB, tenant="acme")
-    fleet2 = FleetManager(store, config=small_config())
-    with pytest.raises(FleetError):
-        fleet2.adopt(VDiskRecord(name="vd0", tenant="x", size=4 * MiB))
-    record = VDiskRecord(name="vd9", tenant="acme", size=4 * MiB)
-    assert fleet2.adopt(record) is record
-    assert [r.name for r in fleet2.vdisks()] == ["vd0", "vd9"]
 
 
 def test_manifest_key_cannot_collide_with_volume_streams():
@@ -176,10 +164,10 @@ def test_fleet_metrics_gauges_track_registry():
     _, fleet = make_fleet()
     fleet.create("vd0", 4 * MiB, tenant="a")
     fleet.create("vd1", 4 * MiB, tenant="b")
-    fleet.attach("vd0")
+    handle = fleet.attach("vd0")
     assert fleet.obs.value("fleet.vdisks") == 2
     assert fleet.obs.value("fleet.attached") == 1
-    fleet.detach("vd0")
+    handle.detach()
     assert fleet.obs.value("fleet.attached") == 0
 
 
@@ -202,7 +190,7 @@ def test_recover_sweep_reattaches_every_registered_vdisk():
         entry = report[f"vd{i}"]
         assert entry["tenant"] == f"t{i}"
         assert entry["objects"] > 0
-        assert fleet2.attached(f"vd{i}").volume.read(0, 4096) == bytes([i + 1]) * 4096
+        assert fleet2._attached[f"vd{i}"].volume.read(0, 4096) == bytes([i + 1]) * 4096
     assert obs.value("fleet.recovery_sweeps") == 1
     assert obs.value("fleet.recovered_vdisks") == 3
 
@@ -249,7 +237,7 @@ def test_crash_mid_checkpoint_recovers_fleet_prefix_consistent():
     report = fleet2.recover()
     assert sorted(report) == ["vd0", "vd1", "vd2"]
     for name, rec in sorted(recorders.items()):
-        vol = fleet2.attached(name).volume
+        vol = fleet2._attached[name].volume
         verdict = PrefixChecker(rec).check(vol.read)
         assert verdict.ok_prefix, (name, verdict.problems[:3])
         # the first durable round can never be rolled back

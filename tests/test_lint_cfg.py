@@ -3,7 +3,7 @@ shared analyses the rules instantiate.
 
 The tricky shapes the flow rules depend on: try/finally with return
 (per-continuation finally duplication), break inside an except clause,
-nested async defs (separate CFGs, await-point detection), loop else
+nested async defs (separate CFGs), loop else
 clauses, and handler dispatch that does / does not let exceptions
 escape.
 """
@@ -20,11 +20,13 @@ from repro.lint.flow.cfg import (
     iter_function_cfgs,
     iter_functions,
 )
-from repro.lint.flow.dataflow import FlowAnalysis, solve
 from repro.lint.flow.typestate import (
+    Pending,
+    TypestateAnalysis,
     mutated_self_attr,
     node_calls,
     none_side,
+    solve,
     suspended_calls,
     unguarded_sites,
 )
@@ -178,47 +180,28 @@ class TestAsyncShapes:
     def test_nested_body_is_opaque_to_the_parent(self):
         cfg = cfg_of(self.SRC, "outer")
         assert cfg.nodes_at_line(4) == []  # the await lives in inner only
-        def_node = node_at(cfg, 3)
-        assert not def_node.suspends
-
-    def test_await_points_are_marked(self):
-        cfg = cfg_of(self.SRC, "outer.inner")
-        assert node_at(cfg, 4).suspends
-
-    def test_async_for_and_with_suspend(self):
-        src = """
-            async def g(self):
-                async with self.lock:
-                    async for x in self.items():
-                        yield x
-        """
-        cfg = cfg_of(src)
-        assert node_at(cfg, 3).suspends
-        assert node_at(cfg, 4).suspends
-        assert node_at(cfg, 5).suspends
+        node_at(cfg, 3)  # the nested def is one opaque statement
 
 
-class _Reaching(FlowAnalysis):
+def _assigns_x(node):
+    stmt = node.stmt
+    return (
+        isinstance(stmt, ast.Assign)
+        and isinstance(stmt.targets[0], ast.Name)
+        and stmt.targets[0].id == "x"
+    )
+
+
+class _Reaching(TypestateAnalysis):
     """Toy forward analysis: lines whose `x = ...` may reach here."""
 
-    def boundary(self, cfg, node):
-        return frozenset()
+    def gens(self, node):
+        if _assigns_x(node):
+            return (Pending(key="x", origin=node.index, line=node.line),)
+        return ()
 
-    def initial(self):
-        return frozenset()
-
-    def join(self, a, b):
-        return a | b
-
-    def transfer(self, node, fact):
-        stmt = node.stmt
-        if (
-            isinstance(stmt, ast.Assign)
-            and isinstance(stmt.targets[0], ast.Name)
-            and stmt.targets[0].id == "x"
-        ):
-            return frozenset((node.line,))
-        return fact
+    def kills(self, node, fact):
+        return {"x"} if _assigns_x(node) else set()
 
 
 class TestSolver:
@@ -231,9 +214,9 @@ class TestSolver:
                 use(x)
         """
         cfg = cfg_of(src)
-        solution = solve(cfg, _Reaching())
-        assert solution.before[node_at(cfg, 6).index] == frozenset((3, 5))
-        assert solution.before[node_at(cfg, 5).index] == frozenset((3,))
+        before = solve(cfg, _Reaching())
+        assert {p.line for p in before[node_at(cfg, 6).index]} == {3, 5}
+        assert {p.line for p in before[node_at(cfg, 5).index]} == {3}
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,11 @@ class TestImmutability:
         """
         assert lint_src("analysis/report.py", src) == []
 
-    def test_delete_and_copy_also_flagged(self):
+    def test_delete_also_flagged(self):
         src = """
-            def cleanup(backend):
+            def cleanup(backend, store):
                 backend.delete("k")
-                backend.copy("a", "b")
+                store.delete("j")
         """
         assert codes(lint_src("workloads/fio.py", src)) == ["LSVD001", "LSVD001"]
 

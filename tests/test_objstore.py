@@ -49,15 +49,6 @@ def test_delete_removes():
     assert not s.exists("a")
 
 
-def test_copy_server_side():
-    s = InMemoryObjectStore()
-    s.put("src", b"payload")
-    s.copy("src", "dst")
-    assert s.get("dst") == b"payload"
-    with pytest.raises(NoSuchKeyError):
-        s.copy("missing", "x")
-
-
 def test_put_overwrites():
     s = InMemoryObjectStore()
     s.put("a", b"one")

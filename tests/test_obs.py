@@ -226,14 +226,6 @@ class TestTrace:
         now["t"] = 2.5
         assert t.emit("crash").ts == 2.5
 
-    def test_ring_buffer_drops_oldest_and_counts(self):
-        t = Trace(capacity=2)
-        t.emit("crash", n=1)
-        t.emit("crash", n=2)
-        t.emit("crash", n=3)
-        assert t.dropped == 1
-        assert [dict(e.fields)["n"] for e in t.events()] == [2, 3]
-
     def test_jsonl_is_compact_sorted_and_limitable(self):
         t = Trace()
         t.emit("crash", b=1, a=2)

@@ -57,21 +57,10 @@ def test_scrub_detects_missing_object():
     assert any("missing" in f.problem for f in findings)
 
 
-def test_incremental_steps_cover_everything():
-    store, vol = make_volume()
-    scrubber = Scrubber(vol.bs)
-    total = len([s for s, i in vol.bs.omap.objects.items() if not i.in_base])
-    for _ in range(total * 2):
-        scrubber.step(max_objects=2)
-        if scrubber.stats.passes_completed >= 1:
-            break
-    assert scrubber.stats.passes_completed >= 1
-    assert scrubber.stats.objects_checked >= total
-
-
 def test_scrub_empty_store_is_noop():
     store = InMemoryObjectStore()
     cfg = LSVDConfig(batch_size=64 * 1024)
     vol = LSVDVolume.create(store, "vd", 16 * MiB, DiskImage(2 * MiB), cfg)
     scrubber = Scrubber(vol.bs)
-    assert scrubber.step() == []
+    assert scrubber.full_pass() == []
+    assert scrubber.stats.objects_checked == 0

@@ -140,20 +140,6 @@ def test_merged_stats_and_per_shard_metrics():
     assert store.obs.value("shard.put_imbalance") == 1.0
 
 
-def test_cross_shard_copy_settles_immediately():
-    inners, store, settled = sharded_pair(3)
-    h = store.put(object_name("v", 1), b"payload")
-    store.settle(h)
-    # find a destination owned by a different shard
-    src_shard = store.router.shard_of_seq(1)
-    dst_seq = next(
-        seq for seq in range(2, 10) if store.router.shard_of_seq(seq) != src_shard
-    )
-    store.copy(object_name("v", 1), object_name("v", dst_seq))
-    assert store.in_flight == 0  # a copy is not a trackable client PUT
-    assert settled.get(object_name("v", dst_seq)) == b"payload"
-
-
 def test_sharded_store_rejects_router_mismatch():
     with pytest.raises(ValueError):
         ShardedObjectStore([InMemoryObjectStore()] * 2, ShardRouter(3))

@@ -7,8 +7,6 @@ import pytest
 from repro.devices import SSD, NetworkLink
 from repro.sim import (
     AllOf,
-    AnyOf,
-    Interrupt,
     Resource,
     SimulationError,
     Simulator,
@@ -197,51 +195,6 @@ def test_all_of_empty_fires_immediately():
     assert results == [[]]
 
 
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    results = []
-
-    def proc():
-        event, value = yield AnyOf(sim, [sim.timeout(5, "slow"), sim.timeout(1, "fast")])
-        results.append((sim.now, value))
-
-    sim.process(proc())
-    sim.run()
-    assert results == [(1.0, "fast")]
-
-
-def test_interrupt_is_catchable():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as intr:
-            log.append((sim.now, intr.cause))
-
-    def interrupter(target):
-        yield sim.timeout(2.0)
-        target.interrupt("wake up")
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target))
-    sim.run()
-    assert log == [(2.0, "wake up")]
-
-
-def test_interrupt_dead_process_is_noop():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1.0)
-
-    proc = sim.process(quick())
-    sim.run()
-    proc.interrupt()  # must not raise
-    sim.run()
-
-
 def test_run_until_limits_clock():
     sim = Simulator()
     log = []
@@ -356,33 +309,6 @@ def test_succeed_after_takes_the_timeouts_place_in_the_heap():
     assert done.processed and sim.now == 1.0
 
 
-def test_interrupted_process_ignores_the_stale_wakeup():
-    sim = Simulator()
-    log = []
-    gate = sim.event()
-
-    def sleeper():
-        try:
-            yield gate
-            log.append("woken by gate")
-        except Interrupt:
-            log.append(("interrupted", sim.now))
-        value = yield sim.timeout(5.0, "slept on")
-        log.append((value, sim.now))
-
-    def meddler(target):
-        yield sim.timeout(1.0)
-        target.interrupt()
-        yield sim.timeout(1.0)
-        gate.succeed("too late")  # the process no longer waits on this
-
-    target = sim.process(sleeper())
-    sim.process(meddler(target))
-    sim.run()
-    assert log == [("interrupted", 1.0), ("slept on", 6.0)]
-    assert target.ok
-
-
 def test_run_until_dispatches_nothing_later_and_lands_on_until():
     sim = Simulator()
     fired = []
@@ -391,7 +317,7 @@ def test_run_until_dispatches_nothing_later_and_lands_on_until():
     sim.run(until=2.0)
     assert fired == [1.0, 2.0]  # when == until runs, when > until does not
     assert sim.now == 2.0
-    assert sim.queue_size == 2
+    assert len(sim._heap) == 2
     sim.run(until=2.0 + 5e-13)  # nothing due: the clock still lands on until
     assert fired == [1.0, 2.0] and sim.now == 2.0 + 5e-13
     sim.run(until=1.0)  # an earlier bound never moves the clock back
@@ -406,7 +332,7 @@ def test_background_only_events_do_not_hold_run_open():
     daemon = sim.timeout(1.0, background=True)
     daemon.add_callback(lambda _e: fired.append("daemon"))
     sim.run()
-    assert fired == [] and sim.now == 0.0 and sim.queue_size == 1
+    assert fired == [] and sim.now == 0.0 and len(sim._heap) == 1
     # a foreground event behind it carries the daemon along
     sim.timeout(2.0).add_callback(lambda _e: fired.append("client"))
     sim.run()
@@ -416,8 +342,7 @@ def test_background_only_events_do_not_hold_run_open():
 
 def _busy_sim():
     """A small sim touching every event source: processes, timeouts,
-    resources, conditions, stores, device ops, an interrupt and a
-    failing process."""
+    resources, conditions, stores, device ops and a failing process."""
     sim = Simulator()
     ssd = SSD(sim)
     for block in range(3):
@@ -440,12 +365,12 @@ def _busy_sim():
 
     def waiter(procs):
         yield AllOf(sim, procs)
-        yield AnyOf(sim, [sim.timeout(1.0), sim.timeout(2.0)])
+        yield AllOf(sim, [sim.timeout(1.0), sim.timeout(2.0)])
         raise RuntimeError("ends failed")
 
     procs = [sim.process(worker(n)) for n in (1, 2, 3)]
     sim.process(waiter(procs))
-    sim.process(collector()).interrupt("stop")
+    sim.process(collector())
     return sim
 
 

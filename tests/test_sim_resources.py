@@ -79,7 +79,7 @@ def test_resource_queue_length():
     sim.process(hold(sim, res, 1.0, log, "b"))
     sim.process(hold(sim, res, 1.0, log, "c"))
     sim.run(until=1.0)
-    assert res.queue_length == 2
+    assert len(res._waiters) == 2
 
 
 def test_store_fifo_order():

@@ -1,5 +1,5 @@
 """Unit tests for repro.obs.spans: span trees, exact-additive attribution,
-bounded consumers, hot-path invariants (lazy sentinels, acyclic trees)."""
+the bounded window, hot-path invariants (lazy sentinels, acyclic trees)."""
 
 import gc
 
@@ -7,10 +7,10 @@ import pytest
 
 from repro.obs import (
     NULL_SPAN,
-    CriticalPathAnalyzer,
     Registry,
     SpanRecorder,
 )
+from repro.obs import spans
 from repro.obs.spans import SELF_STAGE, attribute
 
 
@@ -149,7 +149,8 @@ class TestCycleBreak:
         still_open.end()
         assert still_open.stop is not None
 
-    def test_evicted_tree_dies_without_the_cyclic_collector(self):
+    def test_evicted_tree_dies_without_the_cyclic_collector(self, monkeypatch):
+        monkeypatch.setattr(spans, "ANALYZER_TREES", 1)
         died = []
 
         class Canary:
@@ -158,13 +159,13 @@ class TestCycleBreak:
 
         gc.disable()  # refcount reclamation only: a cyclic tree would leak
         try:
-            rec = SpanRecorder(flight_capacity=1, analyzer_capacity=1)
+            rec = SpanRecorder()
             rec.SLOWEST_KEEP = 1
             first = rec.root("write", canary=Canary())
             first.begin("wc_append").end()
             first.end()
             del first
-            # longer tree evicts the first from flight, analyzer, slowest
+            # longer tree evicts the first from the window and slowest
             second = rec.root("write")
             for _ in range(3):
                 second.begin("wc_append").end()
@@ -251,19 +252,23 @@ class TestBoundedConsumers:
         root.end()
         return root
 
-    def test_analyzer_window_evicts_and_counts_drops(self):
-        rec = SpanRecorder(analyzer_capacity=2)
+    def test_analyzer_window_evicts_and_counts_drops(self, monkeypatch):
+        monkeypatch.setattr(spans, "ANALYZER_TREES", 2)
+        obs = Registry()
+        rec = obs.spans
         for _ in range(5):
             self.finish_tree(rec)
         assert len(rec.analyzer) == 2
-        assert rec.analyzer.dropped == 3
         assert rec.completed == 5
+        rec.publish(obs)
+        assert obs.value("span.dropped") == 3
 
     def test_flight_ring_keeps_newest(self):
-        rec = SpanRecorder(flight_capacity=2)
-        trees = [self.finish_tree(rec) for _ in range(4)]
-        assert rec.flight.trees() == trees[-2:]
-        assert rec.flight.dropped == 2
+        rec = SpanRecorder()
+        trees = [self.finish_tree(rec) for _ in range(100)]
+        bundle = rec.debug_bundle()
+        assert bundle["trees"] == [tree.to_dict() for tree in trees[-64:]]
+        assert bundle["flight_dropped"] == 36
 
     def test_slowest_ranked_by_duration(self):
         rec = SpanRecorder()
@@ -288,10 +293,6 @@ class TestBoundedConsumers:
         totals = rec.analyzer.stage_totals()
         kind, count, total = totals["wc_append"]
         assert kind == "service" and count == 2 and total > 0
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            CriticalPathAnalyzer(capacity=0)
 
 
 # ---------------------------------------------------------------------------
