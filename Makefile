@@ -86,35 +86,35 @@ ledger:
 	$(PYTHON) -m pytest benchmarks/ledger -q
 
 # two commits compared as benchmarks/ledger/README.md "Comparing two
-# commits" prescribes: BASE and HEAD checked out as sibling worktrees (a
-# run from another location read 2-6 % apart with no line changed), one
-# full-length run each per seed, alternating which side goes first; every
-# run's result line is appended to bench-out/pairs/<workload>.jsonl as
-# {"side", "seed", "result"}; a run that fails or prints no result line
-# stops the loop.  Measures commits: commit the change first.
-#   make ledger-pairs BASE=<rev> WORKLOAD=<name> SEEDS="1 2 3"
+# commits" prescribes: BASE and HEAD exported as sibling trees (a run from
+# another location read 2-6 % apart with no line changed), one full-length
+# run each per workload and seed, alternating which side goes first; every
+# run's result line is appended to $(OUT)/<workload>.jsonl as {"side",
+# "seed", "result"}; a run that fails or prints no result line stops the
+# loop.  Measures commits: commit the change first.  A claim writes its
+# committed files directly:
+#   make ledger-pairs BASE=<rev> SEEDS="1 2 3" OUT=benchmarks/pairs/PR-<n>
 BASE ?= HEAD~1
-WORKLOAD ?= vol-read-miss
+WORKLOADS ?= vol-write-churn vol-read-miss vol-mixed-hot fleet-fsync
 SEEDS ?= 1 2 3 4 5 6 7 8 9 10
 PAIRS := bench-out/pairs
+OUT ?= $(PAIRS)
 ledger-pairs:
-	mkdir -p $(PAIRS)
-	-git worktree remove --force $(PAIRS)/base 2>/dev/null
-	-git worktree remove --force $(PAIRS)/head 2>/dev/null
-	git worktree add --detach $(PAIRS)/base $(BASE)
-	git worktree add --detach $(PAIRS)/head HEAD
-	i=0; for seed in $(SEEDS); do \
+	rm -rf $(PAIRS)/base $(PAIRS)/head
+	mkdir -p $(PAIRS)/base $(PAIRS)/head $(OUT)
+	git archive $(BASE) | tar -x -C $(PAIRS)/base
+	git archive HEAD | tar -x -C $(PAIRS)/head
+	for wl in $(WORKLOADS); do i=0; for seed in $(SEEDS); do \
 	  if [ $$((i % 2)) -eq 0 ]; then order="base head"; else order="head base"; fi; \
 	  for side in $$order; do \
 	    out=$$(cd $(PAIRS)/$$side && $(PYTHON) benchmarks/ledger/run.py \
-	      --workload $(WORKLOAD) --seed $$seed --seconds 10 --out-dir ../out-$$side) || exit 1; \
+	      --workload $$wl --seed $$seed --seconds 10 --out-dir ../out-$$side) || exit 1; \
 	    line=$$(printf '%s\n' "$$out" | grep '^{') || exit 1; \
 	    printf '{"side": "%s", "seed": %s, "result": %s}\n' $$side $$seed "$$line" \
-	      >> $(PAIRS)/$(WORKLOAD).jsonl; \
+	      >> $(abspath $(OUT))/$$wl.jsonl; \
 	  done; i=$$((i + 1)); \
-	done
-	git worktree remove --force $(PAIRS)/base
-	git worktree remove --force $(PAIRS)/head
+	done; done
+	rm -rf $(PAIRS)/base $(PAIRS)/head
 
 # re-render every committed claim (benchmarks/pairs/PR-<n>/<workload>.jsonl,
 # the lines ledger-pairs writes): median [q1-q3], wins and the per-seed ==

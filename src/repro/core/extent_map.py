@@ -96,21 +96,39 @@ class ExtentMap:
 
         Unmapped gaps are simply absent from the result.
         """
-        if length <= 0 or not self._chunks:
+        chunks = self._chunks
+        if length <= 0 or not chunks:
             return []
         end = lba + length
+        # _start_pos inlined; one extent that covers the query is the answer
+        ci = bisect_right(self._firsts, lba) - 1
+        if ci < 0:
+            ci = ei = 0
+        else:
+            ei = bisect_right(self._lbas[ci], lba) - 1
+            ext = chunks[ci][ei]
+            e_lba, e_len = ext[0], ext[1]
+            if e_lba + e_len <= lba:
+                ei += 1  # the predecessor ends at or before lba
+            elif e_lba + e_len >= end:
+                if e_lba == lba and e_len == length:
+                    return [ext]
+                return [_new(Extent, (lba, length, ext[2], ext[3] + lba - e_lba))]
         out: List[Extent] = []
-        ci, ei = self._start_pos(lba)
-        while ci < len(self._chunks):
-            chunk = self._chunks[ci]
+        while ci < len(chunks):
+            chunk = chunks[ci]
             for j in range(ei, len(chunk)):
                 ext = chunk[j]
                 e_lba, e_len = ext[0], ext[1]
                 if e_lba >= end:
                     return out
-                # extents are immutable: one inside the query is handed out
-                if e_lba < lba or e_lba + e_len > end:
-                    ext = ext.slice(lba, length)
+                # extents are immutable: one inside the query is handed out,
+                # one across an edge is clipped (Extent.slice() inlined)
+                e_end = e_lba + e_len
+                if e_lba < lba or e_end > end:
+                    start = e_lba if e_lba > lba else lba
+                    stop = e_end if e_end < end else end
+                    ext = _new(Extent, (start, stop - start, ext[2], ext[3] + start - e_lba))
                 out.append(ext)
             ci += 1
             ei = 0
@@ -152,14 +170,64 @@ class ExtentMap:
         lets callers maintain per-target live-byte accounting, which drives
         garbage collection.
 
-        One leaf visit: route once, cut the run in one scan, join the
-        neighbours, splice ``[left?, new-or-joined, right?]`` in with one
-        slice assignment.  A run or join past the leaf's edge falls back to
-        carve + insert, decided before anything is mutated.
+        Shape first: route once with the two bisects and decide on the
+        predecessor extent alone.  An exact replacement of one extent of
+        the same range is one slot store, and an insert into a gap is one
+        :meth:`_leaf_insert`, when neither neighbour joins the new extent
+        (the two shapes are nearly every call on the ledger's workloads:
+        DESIGN.md "Chunked extent map").  Anything else is :meth:`_splice`.
         """
         if length <= 0:
             raise ValueError("length must be positive")
         new = _new(Extent, (lba, length, target, offset))
+        chunks = self._chunks
+        if chunks:
+            # j is lba's insertion slot in leaf ci, so chunk[j - 1] is the
+            # predecessor (greatest lba' <= lba) when lba has one
+            ci = bisect_right(self._firsts, lba) - 1
+            before, exact = None, False
+            if ci < 0:  # lba precedes the whole map: a gap at its start
+                ci = j = 0
+            else:
+                j = bisect_right(self._lbas[ci], lba)
+                pred = chunks[ci][j - 1]
+                p_lba, p_len = pred[0], pred[1]
+                exact = p_lba == lba and p_len == length
+                if exact:  # the left neighbour is the one before pred
+                    if j > 1:
+                        before = chunks[ci][j - 2]
+                    elif ci:
+                        before = chunks[ci - 1][-1]
+                elif p_lba + p_len <= lba:  # a gap at lba, pred to its left
+                    before = pred
+                else:
+                    return self._splice(new)  # a partial overlap
+            chunk = chunks[ci]
+            if j < len(chunk):
+                after = chunk[j]
+            else:
+                after = chunks[ci + 1][0] if ci + 1 < len(chunks) else None
+            if (
+                (after is None or after[0] >= lba + length)
+                and not _adjacent(before, new)
+                and not _adjacent(new, after)
+            ):
+                if exact:  # the slot's lba, the count and the bytes stay
+                    chunk[j - 1] = new
+                    return [pred]
+                self._mapped += length
+                self._leaf_insert(ci, new, j)
+                return []
+        return self._splice(new)
+
+    def _splice(self, new: Extent) -> List[Extent]:
+        """:meth:`update`'s general path, one leaf visit: route once, cut
+        the run in one scan, join the neighbours, splice ``[left?,
+        new-or-joined, right?]`` in with one slice assignment.  A run or
+        join past the leaf's edge falls back to carve + insert, decided
+        before anything is mutated.
+        """
+        lba, length, target, offset = new
         chunks = self._chunks
         if chunks:
             ci, i0 = self._start_pos(lba)
@@ -186,7 +254,7 @@ class ExtentMap:
                 nxt = right or chunk[j]
             crosses = next_edge and nxt is not None and nxt.lba < end  # the run goes on
             # keep a neighbour only if it joins the new extent (_adjacent,
-            # inlined: this is the write path's hottest function)
+            # inlined)
             if prev is not None and not (
                 prev.target == target
                 and prev.lba + prev.length == lba
@@ -413,8 +481,8 @@ class ExtentMap:
         # rare path: absorb the mergeable neighbour(s), then re-route —
         # removals can shift or drop leaves, so positions are recomputed
         if merge_prev and merge_next:
-            new = Extent(
-                prev.lba, prev.length + new.length + nxt.length, new.target, prev.offset
+            new = _new(
+                Extent, (prev.lba, prev.length + new.length + nxt.length, new.target, prev.offset)
             )
             if ppos[0] == npos[0]:
                 self._replace_run(ppos[0], ppos[1], npos[1] + 1, [])
@@ -422,10 +490,10 @@ class ExtentMap:
                 self._replace_run(npos[0], npos[1], npos[1] + 1, [])
                 self._replace_run(ppos[0], ppos[1], ppos[1] + 1, [])
         elif merge_prev:
-            new = Extent(prev.lba, prev.length + new.length, new.target, prev.offset)
+            new = _new(Extent, (prev.lba, prev.length + new.length, new.target, prev.offset))
             self._replace_run(ppos[0], ppos[1], ppos[1] + 1, [])
         else:
-            new = Extent(new.lba, new.length + nxt.length, new.target, new.offset)
+            new = _new(Extent, (new.lba, new.length + nxt.length, new.target, new.offset))
             self._replace_run(npos[0], npos[1], npos[1] + 1, [])
         if not chunks:
             chunks.append([new])
@@ -517,14 +585,14 @@ class ExtentMap:
         """
         flat: List[Extent] = []
         for lba, length, target, offset in entries:
-            ext = Extent(lba, length, target, offset)
+            ext = _new(Extent, (lba, length, target, offset))
             if flat:
                 prev = flat[-1]
                 if ext.lba < prev.end:
                     raise ValueError("entries overlap or are unsorted")
                 if _adjacent(prev, ext):
-                    flat[-1] = Extent(
-                        prev.lba, prev.length + ext.length, prev.target, prev.offset
+                    flat[-1] = _new(
+                        Extent, (prev.lba, prev.length + ext.length, prev.target, prev.offset)
                     )
                     continue
             flat.append(ext)

@@ -83,3 +83,52 @@ def test_every_dotted_repro_name_in_the_docs_resolves(doc):
     names = set(re.findall(r"`(repro(?:\.\w+)+)", text))
     missing = sorted(name for name in names if not resolves(name))
     assert not missing, f"{doc} names objects that do not import: {missing}"
+
+
+#: DESIGN.md's line budget per ``## `` section (heading to the next one;
+#: the title and intro before the first are "(preamble)"), set at each
+#: section's size when the budget was introduced.  A section may shrink; one
+#: that would grow past its ceiling moves a measured table out to a cited
+#: file, or argues for the new ceiling here.  Every section needs an entry,
+#: so one added, renamed or lost fails until this table says so.
+DESIGN_CEILINGS = {
+    "(preamble)": 10,
+    "What the paper builds": 28,
+    "Substitutions (paper used → we build → why it preserves behaviour)": 21,
+    "Package inventory": 85,
+    "Experiment index (every table & figure)": 28,
+    "Design choices to ablate (benchmarks/ablations)": 10,
+    "Consistency model (tested by property tests)": 10,
+    "Observability (`repro.obs`)": 46,
+    "Span tracing & critical-path attribution (`repro.obs.spans`)": 60,
+    "Sharding (`repro.shard`)": 54,
+    "Chunked extent map & the data-plane fast path"
+    " (`repro.core.extent_map`, `repro.core.sgio`)": 138,
+    "Read cache: byte ring + FIFO insertion log (`repro.core.read_cache`)": 219,
+    "Simulation engine & device ops (`repro.sim`, `repro.devices.base`)": 98,
+    "Data plane pipeline (`repro.runtime.lsvd`): group commit, per-shard destage,"
+    " overlapped recovery": 99,
+    "Multi-tenant fleet & QoS (`repro.fleet`)": 43,
+    "Temperature-aware placement (`repro.core.placement`)": 105,
+    "Invariants & static checks (`repro.lint`)": 109,
+}
+
+
+def design_section_lines():
+    sections, name = {}, "(preamble)"
+    for line in (ROOT / "DESIGN.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            name = line[3:].strip()
+        sections[name] = sections.get(name, 0) + 1
+    return sections
+
+
+def test_design_sections_stay_within_their_line_budget():
+    sections = design_section_lines()
+    assert sorted(sections) == sorted(DESIGN_CEILINGS), "a DESIGN.md section was added or lost"
+    over = {
+        name: f"{lines} > {DESIGN_CEILINGS[name]}"
+        for name, lines in sections.items()
+        if lines > DESIGN_CEILINGS[name]
+    }
+    assert not over, f"DESIGN.md sections over their line budget: {over}"

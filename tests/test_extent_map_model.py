@@ -10,10 +10,16 @@ crash-replay (restore an old checkpoint, replay the suffix, compare) are
 exercised mid-run at multi-chunk sizes, not just at the end.
 """
 
+import collections
+import itertools
 import random
+from unittest import mock
+
+import pytest
 
 from repro.baselines.flat_extent_map import FlatExtentMap
-from repro.core.extent_map import ExtentMap
+from repro.core import extent_map
+from repro.core.extent_map import Extent, ExtentMap
 
 SPAN = 8192  # address space: small enough to verify exhaustively,
 N_OPS = 6000  # large enough to fragment into many 256-extent leaves
@@ -320,3 +326,169 @@ def test_releasing_every_extent_whole_empties_and_folds_leaves():
         if seen == len(extents) * 7 // 8:
             assert len(m._chunks) < 4  # leaves shrunk below a quarter folded
     assert carves.count == 0 and len(m) == 0 and m._chunks == []
+
+
+# ---------------------------------------------------------------------------
+# update's shape-first fast path (an exact replacement is one slot store, an
+# insert into a gap one _leaf_insert) against its general path alone, op by
+# op: every stream is replayed through update on one map and through
+# _splice, the path every other shape takes, on a twin
+# ---------------------------------------------------------------------------
+
+
+def _gapped_rows(leaves: int):
+    """``leaves`` full leaves of 6-long extents 10 apart from 1000 (room
+    before the first), targets cycling over 0..2: nothing coalesces."""
+    return [(1000 + 10 * i, 6, i % 3, 100 * i) for i in range(leaves * ExtentMap._CHUNK_TARGET)]
+
+
+def _shape_ops(rng: random.Random, m: ExtentMap, n: int):
+    """Yield ``n`` (tag, (lba, length, target, offset)) built against
+    ``m``'s current state: exact rewrites and gap inserts (fresh, or
+    continuing a neighbour so that they join it), the same at a leaf edge,
+    inserts before the first extent, and what keeps the layout moving:
+    ("other") partial overlaps and ("remove") holes punched in an extent."""
+    for i in range(n):
+        fresh = (rng.randrange(3), 10_000_000 + 1000 * i)
+        chunks = m._chunks
+        ci = rng.randrange(len(chunks))
+        chunk = chunks[ci]
+        k = rng.choice((0, len(chunk) - 1, rng.randrange(len(chunk))))  # leaf edges often
+        ext = chunk[k]
+        entries = [e for c in chunks[max(0, ci - 1) : ci + 2] for e in c]
+        at = entries.index(ext)
+        prev = entries[at - 1] if at else None
+        nxt = entries[at + 1] if at + 1 < len(entries) else None
+        roll = rng.random()
+        if roll < 0.3:  # rewrite ext's range exactly
+            lba, length = ext.lba, ext.length
+            edge = k == 0 and ci > 0 or k == len(chunk) - 1 and ci + 1 < len(chunks)
+            tag = "exact-edge" if edge else "exact"
+            target, offset = fresh
+            pick = rng.random()
+            if pick < 0.3 and prev is not None and prev.end == lba:
+                target, offset = prev.target, prev.offset + prev.length
+                tag += "-join"
+            elif pick < 0.6 and nxt is not None and nxt.lba == lba + length:
+                target, offset = nxt.target, nxt.offset - length
+                tag += "-join"
+            yield tag, (lba, length, target, offset)
+        elif roll < 0.65 and nxt is not None and nxt.lba > ext.end:  # the gap after ext
+            lo, hi = ext.end, nxt.lba
+            tag = "gap-edge" if k == len(chunk) - 1 else "gap"
+            target, offset = fresh
+            pick = rng.random()
+            if pick < 0.25:  # continue ext
+                lba, length = lo, rng.randint(1, hi - lo)
+                target, offset = ext.target, ext.offset + ext.length
+                tag += "-join"
+            elif pick < 0.5:  # run into nxt, continuing it
+                lba = rng.randrange(lo, hi)
+                length = hi - lba
+                target, offset = nxt.target, nxt.offset - length
+                tag += "-join"
+            else:
+                lba = rng.randrange(lo, hi)
+                length = rng.randint(1, hi - lba)
+            yield tag, (lba, length, target, offset)
+        elif 0.65 <= roll < 0.8 and chunks[0][0].lba > 0:  # before the first extent
+            first = chunks[0][0]
+            lba = max(0, first.lba - rng.randint(2, 12))
+            length = rng.randint(1, first.lba - lba)
+            target, offset = fresh
+            tag = "first"
+            if rng.random() < 0.3:
+                length = first.lba - lba
+                target, offset = first.target, first.offset - length
+                tag += "-join"
+            yield tag, (lba, length, target, offset)
+        elif roll < 0.9 and ext.length > 2:  # punch a hole: one more extent, a new gap
+            lba = ext.lba + rng.randrange(1, ext.length - 1)
+            yield "remove", (lba, rng.randint(1, ext.end - lba - 1), None, None)
+        else:  # overlaps a neighbour or two partially: the general path
+            lba = max(0, ext.lba + rng.randint(-8, 8))
+            yield "other", (lba, rng.randint(1, 24), *fresh)
+
+
+def _dropping(drop):
+    """``_adjacent`` for one ``update``, with its ``drop``-th join test (0:
+    the left neighbour, 1: the right) answering "no join"; ``None``: none."""
+    calls, real = itertools.count(), extent_map._adjacent
+    return lambda a, b: False if next(calls) == drop else real(a, b)
+
+
+def _run_against_the_general_path(drop=None):
+    """Replay a seeded :func:`_shape_ops` stream over three leaves through
+    ``update`` and, on a twin, through ``_splice`` alone; after every op,
+    ``==`` on the displaced list, ``entries()``, ``len()``,
+    ``mapped_bytes()`` and a lookup near the op; each ``update`` under
+    ``_dropping(drop)``.  Returns how often each tag was seen, how often
+    ``update`` did not reach ``_splice`` ("fast"), and how often it split
+    a leaf doing so."""
+    rows = _gapped_rows(leaves=3)
+    m, ref = ExtentMap.from_entries(rows), ExtentMap.from_entries(rows)
+    rng = random.Random(0x5A9E)
+    seen = collections.Counter()
+    for tag, (lba, length, target, offset) in _shape_ops(rng, ref, 3000):
+        if tag == "remove":
+            assert m.remove(lba, length) == ref.remove(lba, length)
+            continue
+        leaves = len(m._chunks)
+        with mock.patch.object(m, "_splice", wraps=m._splice) as general:
+            with mock.patch.object(extent_map, "_adjacent", _dropping(drop)):
+                got = m.update(lba, length, target, offset)
+        want = ref._splice(extent_map._new(Extent, (lba, length, target, offset)))
+        assert got == want, (tag, lba, length)
+        entries = m.entries()
+        assert entries == ref.entries(), (tag, lba, length)
+        assert len(m) == len(ref) and m.mapped_bytes() == ref.mapped_bytes()
+        _structural_invariants(m)
+        # and lookup, which answers a query one extent covers at once
+        q, n = max(0, lba + rng.randint(-8, 4)), rng.choice((length, rng.randint(1, 24)))
+        assert m.lookup(q, n) == [e.slice(q, n) for e in entries if e.lba < q + n and e.end > q]
+        seen[tag] += 1
+        seen["ops"] += 1
+        seen["fast"] += not general.called
+        seen["fast-split"] += not general.called and len(m._chunks) > leaves
+    return seen
+
+
+def test_update_fast_path_matches_the_general_path():
+    seen = _run_against_the_general_path()
+    for tag in ("exact", "gap", "exact-join", "gap-join", "first", "first-join", "other"):
+        assert seen[tag] >= 20, (tag, seen)
+    # joins with the previous leaf's tail (a leaf head rewritten) and the
+    # next leaf's head (a leaf tail rewritten, a gap after it filled)
+    for tag in ("exact-edge", "exact-edge-join", "gap-edge", "gap-edge-join"):
+        assert seen[tag] >= 5, (tag, seen)
+    assert seen["fast"] > seen["ops"] / 3
+    assert seen["fast-split"] >= 2, seen  # gap inserts split a full leaf
+
+
+@pytest.mark.parametrize("drop", [0, 1], ids=["left-join-dropped", "right-join-dropped"])
+def test_the_stream_fails_when_update_drops_one_join_check(drop):
+    with pytest.raises(AssertionError):
+        _run_against_the_general_path(drop)
+
+
+def test_exact_rewrites_and_gap_inserts_take_no_general_step():
+    """The fast path guard: neither shape, when nothing joins, reaches
+    ``_cut``, ``_replace_run``, ``_carve`` or ``_splice``."""
+    m = ExtentMap.from_entries(_gapped_rows(leaves=4))
+    spies = {
+        name: mock.patch.object(m, name, wraps=getattr(m, name)).start()
+        for name in ("_cut", "_replace_run", "_carve", "_splice")
+    }
+    try:
+        rng = random.Random(11)
+        for i in range(2000):
+            ext = rng.choice(rng.choice(m._chunks))
+            if i % 2:
+                assert m.update(ext.lba, ext.length, ("x", i), 0) == [ext]
+            elif m.lookup(ext.end, 1) == []:  # the address after ext is a gap
+                assert m.update(ext.end, 1, ("y", i), 0) == []
+        assert m.update(0, 10, "before-all", 0) == []
+        assert len(m._chunks) > 4  # the gap inserts split leaves
+    finally:
+        mock.patch.stopall()
+    assert {name: spy.call_count for name, spy in spies.items()} == dict.fromkeys(spies, 0)
