@@ -62,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import Registry
 
 #: completed trees the analyzer window keeps (oldest evicted first)
-ANALYZER_TREES = 16384
+ANALYZER_TREES = 2048
 #: newest trees a flight-recorder debug bundle carries
 FLIGHT_TREES = 64
 
@@ -304,17 +304,18 @@ def attribute(root: Span) -> Dict[str, float]:
         raise ValueError(f"cannot attribute open span {root.name!r}")
     lo0, hi0 = root.start, root.stop
     intervals: List[Tuple[float, float, int, float, str]] = []
-
-    def collect(span: Span, depth: int) -> None:
-        for child in span.children:
-            if child.stop is not None:
-                a = max(child.start, lo0)
-                b = min(child.stop, hi0)
-                if b > a:
-                    intervals.append((a, b, depth, child.start, child.name))
-            collect(child, depth + 1)
-
-    collect(root, 1)
+    # pre-order over the descendants on an explicit stack: a recursive
+    # closure is a function <-> cell cycle, cyclic garbage on every call
+    stack = [(child, 1) for child in reversed(root.children)]
+    while stack:
+        child, depth = stack.pop()
+        if child.stop is not None:
+            a = max(child.start, lo0)
+            b = min(child.stop, hi0)
+            if b > a:
+                intervals.append((a, b, depth, child.start, child.name))
+        if child.children:
+            stack.extend((grand, depth + 1) for grand in reversed(child.children))
     breakdown: Dict[str, float] = {}
     if not intervals:
         if hi0 > lo0:
@@ -492,26 +493,12 @@ class SpanRecorder:
             heapq.heappush(slowest, (duration, -arrival, root))
             if len(slowest) > self.SLOWEST_KEEP:
                 heapq.heappop(slowest)
-        # Retained trees must not point back at the recorder: recorder
-        # -> bounded deque -> span -> recorder is a reference cycle, so
-        # every evicted tree would be cyclic garbage and the cyclic
-        # collector a hot-path cost.  Ended spans never touch the
-        # recorder again (end() bails on stop-is-set before reading
-        # it); rare still-open children keep theirs so a late end()
-        # still stamps the virtual clock.  Trees are root -> stages;
-        # grandchildren are rare enough to take a slow path.
+        # Only the root drops its recorder back-reference.  Its stages
+        # keep theirs (a still-open one needs the clock for a late end()):
+        # recorder -> window -> tree -> recorder is a cycle only while the
+        # tree is retained, and an evicted tree has no path back from the
+        # recorder, so refcounting frees it without the cyclic collector.
         root._recorder = None
-        for child in root.children:
-            if child.stop is not None:
-                child._recorder = None
-            if child.children:
-                stack = list(child.children)
-                while stack:
-                    span = stack.pop()
-                    if span.stop is not None:
-                        span._recorder = None
-                    if span.children:
-                        stack.extend(span.children)
 
     def slowest(self, k: int = 10) -> List[Span]:
         """The K slowest completed trees, slowest first."""
@@ -563,7 +550,7 @@ class SpanRecorder:
         ).set(max(0, completed - FLIGHT_TREES) + max(0, completed - ANALYZER_TREES))
         for stage, (_kind, _count, total) in self.analyzer.stage_totals().items():
             registry.gauge(
-                f"span.stage.{stage}_s", "attributed seconds (all trees)"
+                f"span.stage.{stage}_s", "attributed seconds (analyzer window)"
             ).set(total)
 
 

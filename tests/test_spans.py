@@ -1,7 +1,8 @@
 """Unit tests for repro.obs.spans: span trees, exact-additive attribution,
-the bounded window, hot-path invariants (lazy sentinels, acyclic trees)."""
+the bounded window, hot-path invariants (lazy sentinels, no cyclic garbage)."""
 
 import gc
+import random
 
 import pytest
 
@@ -130,12 +131,12 @@ class TestLazySentinels:
 
 
 # ---------------------------------------------------------------------------
-# completed trees are acyclic (refcount-reclaimable, no gc pressure)
+# evicted trees and attribution leave no cyclic garbage
 # ---------------------------------------------------------------------------
 
 
 class TestCycleBreak:
-    def test_completion_severs_recorder_backrefs(self):
+    def test_completion_severs_only_the_root_backref(self):
         rec = SpanRecorder()
         root = rec.root("read")
         done = root.begin("rc_lookup")
@@ -143,7 +144,8 @@ class TestCycleBreak:
         still_open = root.begin("backend_fetch")
         root.end()
         assert root._recorder is None
-        assert done._recorder is None
+        # ended stages keep theirs: no cycle once the tree leaves the window
+        assert done._recorder is rec
         # a stage that outlives its root keeps the clock for a late end
         assert still_open._recorder is rec
         still_open.end()
@@ -157,20 +159,36 @@ class TestCycleBreak:
             def __del__(self):
                 died.append(True)
 
+        gc.collect()
         gc.disable()  # refcount reclamation only: a cyclic tree would leak
         try:
             rec = SpanRecorder()
             rec.SLOWEST_KEEP = 1
             first = rec.root("write", canary=Canary())
-            first.begin("wc_append").end()
+            stage = first.begin("batch_seal")
+            stage.begin("backend_put").end()
+            stage.end()
             first.end()
-            del first
+            # the evicted tree's ended stages still point at the recorder
+            assert stage._recorder is rec
+            assert stage.children[0]._recorder is rec
+            del first, stage
             # longer tree evicts the first from the window and slowest
             second = rec.root("write")
             for _ in range(3):
                 second.begin("wc_append").end()
             second.end()
             assert died, "evicted tree must be refcount-reclaimable"
+            # the recorder this one replaced as _LAST_RECORDER is cyclic
+            gc.collect()
+            for _ in range(200):
+                tree = rec.root("write")
+                stage = tree.begin("wc_append")
+                stage.begin("device_flush").end()
+                stage.end()
+                tree.end()
+            del tree, stage
+            assert gc.collect() == 0, "evicted trees left cyclic garbage"
         finally:
             gc.enable()
 
@@ -238,6 +256,90 @@ class TestAttribution:
             attribute(root)
         root.end()
 
+    def test_explicit_stack_walk_matches_the_recursive_reference(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            root = random_tree(rng)
+            got, want = attribute(root), reference_attribute(root)
+            assert list(got.items()) == list(want.items())
+
+    def test_attribute_leaves_no_cyclic_garbage(self):
+        rng = random.Random(11)
+        roots = [random_tree(rng) for _ in range(20)]
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                for root in roots:
+                    attribute(root)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+def reference_attribute(root):
+    """The recursive-closure ``attribute`` the explicit stack replaced;
+    kept as the reference model (same output, dict order included)."""
+    lo0, hi0 = root.start, root.stop
+    intervals = []
+
+    def collect(span, depth):
+        for child in span.children:
+            if child.stop is not None:
+                a = max(child.start, lo0)
+                b = min(child.stop, hi0)
+                if b > a:
+                    intervals.append((a, b, depth, child.start, child.name))
+            collect(child, depth + 1)
+
+    collect(root, 1)
+    breakdown = {}
+    if not intervals:
+        if hi0 > lo0:
+            breakdown[SELF_STAGE] = hi0 - lo0
+        return breakdown
+    bounds = sorted({lo0, hi0, *(i[0] for i in intervals), *(i[1] for i in intervals)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi <= lo:
+            continue
+        best = None
+        for a, b, depth, started, name in intervals:
+            if a <= lo and hi <= b:
+                key = (depth, started, name)
+                if best is None or key > best:
+                    best = key
+        stage = best[2] if best is not None else SELF_STAGE
+        breakdown[stage] = breakdown.get(stage, 0.0) + (hi - lo)
+    return breakdown
+
+
+STAGES = ("wc_append", "batch_seal", "backend_put", "device_flush", "space_wait")
+
+
+def random_tree(rng):
+    """A completed root with nested, overlapping, zero-length, open and
+    root-outliving stages on a hand-advanced clock."""
+    clock = ManualClock()
+    rec = SpanRecorder(clock=clock)
+    root = rec.root("write")
+    open_spans = [root]
+    for _ in range(rng.randrange(0, 12)):
+        clock.t += rng.choice((0.0, 0.5, 1.0, rng.random()))
+        action = rng.random()
+        if action < 0.55 or len(open_spans) == 1:
+            parent = rng.choice(open_spans)
+            open_spans.append(parent.begin(rng.choice(STAGES)))
+        elif action < 0.9:
+            open_spans.pop(rng.randrange(1, len(open_spans))).end()
+        # else: leave everything open this step
+    clock.t += rng.random()
+    root.end()
+    for span in open_spans[1:]:
+        if rng.random() < 0.5:  # ends after its root: clamped
+            clock.t += rng.random()
+            span.end()
+    return root
+
 
 # ---------------------------------------------------------------------------
 # bounded consumers
@@ -285,6 +387,22 @@ class TestBoundedConsumers:
         decomp = rec.analyzer.decompose(99, name="write")
         assert decomp["count"] == 3 and decomp["tail_count"] == 1
         assert sum(decomp["stages"].values()) == pytest.approx(decomp["latency_s"])
+
+    def test_full_window_leaves_ten_write_trees_beyond_p99(self):
+        # fleet-fsync's completed-tree mix: fsync every 4 writes plus the
+        # destage roots, writes ~64 % of the window
+        rng = random.Random(5)
+        clock = ManualClock()
+        rec = SpanRecorder(clock=clock)
+        mix = ["write"] * 16 + ["barrier"] * 4 + ["destage"] * 5
+        for i in range(spans.ANALYZER_TREES + len(mix)):
+            root = rec.root(mix[i % len(mix)])
+            clock.t += rng.random()
+            root.begin("wc_append").end()
+            clock.t += rng.random()
+            root.end()
+        assert len(rec.analyzer) == spans.ANALYZER_TREES
+        assert rec.analyzer.decompose(99, "write")["tail_count"] >= 10
 
     def test_stage_totals_report_kind_and_tree_count(self):
         rec = SpanRecorder()
