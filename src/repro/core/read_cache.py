@@ -72,6 +72,7 @@ class ReadCache:
     prefetch_wasted_bytes = metric_field("rc.prefetch_wasted_bytes")
     prefetch_refetched_bytes = metric_field("rc.prefetch_refetched_bytes")
     readahead_window_bytes = gauge_field("rc.readahead_window_bytes")
+    occupancy_bytes = gauge_field("rc.occupancy_bytes")
 
     def __init__(
         self,
@@ -103,15 +104,6 @@ class ReadCache:
         self._narrow_fetches = 0  # backend fetches sized while narrowed (probe clock)
         self.obs = obs if obs is not None else Registry()
         bind_metrics(self)
-        self._occupancy = self.obs.gauge("rc.occupancy_bytes")
-        #: counters bound once for the hit and insert paths (a descriptor
-        #: += costs ~1 us)
-        self._used_counter = ReadCache.prefetch_used_bytes.metric(self)
-        self._hit_counter = ReadCache.hits.metric(self)
-        self._miss_counter = ReadCache.misses.metric(self)
-        self._inserted_counter = ReadCache.inserted_bytes.metric(self)
-        self._evicted_counter = ReadCache.evicted_bytes.metric(self)
-        self._wasted_counter = ReadCache.prefetch_wasted_bytes.metric(self)
 
     # ------------------------------------------------------------------
     def _phys(self, virt: int) -> int:
@@ -133,8 +125,11 @@ class ReadCache:
                 used += paid
         if used:
             self._used += used
-            self._used_counter.inc(used * BLOCK)
-        (self._hit_counter if out else self._miss_counter).inc()
+            self.prefetch_used_bytes += used * BLOCK
+        if out:
+            self.hits += 1
+        else:
+            self.misses += 1
         stage.end(hit=bool(out))
         return out
 
@@ -258,13 +253,13 @@ class ReadCache:
             virt += footprint
         self._ring_virt = virt
         if inserted:
-            self._inserted_counter.inc(inserted)
+            self.inserted_bytes += inserted
         if evicted:
-            self._evicted_counter.inc(evicted)
+            self.evicted_bytes += evicted
         if wasted:
             self._wasted += wasted
-            self._wasted_counter.inc(wasted * BLOCK)
-        self._occupancy.set(min(virt, size))
+            self.prefetch_wasted_bytes += wasted * BLOCK
+        self.occupancy_bytes = min(virt, size)
         stage.end(bytes=inserted)
 
     def invalidate(self, lba: int, length: int) -> None:

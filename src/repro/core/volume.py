@@ -45,7 +45,7 @@ from repro.core.gc import GarbageCollector
 from repro.core.read_cache import ReadCache
 from repro.core.write_cache import WriteCache
 from repro.devices.image import DiskImage
-from repro.obs import NULL_SPAN, Registry
+from repro.obs import NULL_SPAN, Registry, bind_metrics, metric_field
 
 
 @dataclass
@@ -69,6 +69,15 @@ class _GCRound:
 
 class LSVDVolume:
     """A log-structured virtual disk."""
+
+    # statistics (registry-backed; see repro.obs)
+    writes = metric_field("volume.writes")
+    reads = metric_field("volume.reads")
+    bytes_written = metric_field("volume.bytes_written")
+    bytes_read = metric_field("volume.bytes_read")
+    flushes = metric_field("volume.flushes")
+    batch_commits = metric_field("volume.batch_commits")
+    checkpoints = metric_field("volume.checkpoints")
 
     def __init__(
         self,
@@ -96,13 +105,7 @@ class LSVDVolume:
         #: per-tenant admission hook (repro.fleet wires a CoreAdmission
         #: here on attach); None = no QoS, the single-volume default
         self.qos = None
-        self._m_writes = self.obs.counter("volume.writes")
-        self._m_reads = self.obs.counter("volume.reads")
-        self._m_bytes_written = self.obs.counter("volume.bytes_written")
-        self._m_bytes_read = self.obs.counter("volume.bytes_read")
-        self._m_flushes = self.obs.counter("volume.flushes")
-        self._m_batch_commits = self.obs.counter("volume.batch_commits")
-        self._m_checkpoints = self.obs.counter("volume.checkpoints")
+        bind_metrics(self)
         # settlement ledger
         self._pending: Dict[object, Tuple[str, object]] = {}
         self._batches: List[_BatchEntry] = []
@@ -268,8 +271,8 @@ class LSVDVolume:
             raise LSVDError("volume is read-only")
         if not data:
             return
-        self._m_writes.inc()
-        self._m_bytes_written.inc(len(data))
+        self.writes += 1
+        self.bytes_written += len(data)
         span = self.obs.spans.root("write", bytes=len(data))
         if self.qos is not None:
             self.qos.admit("write", len(data), span=span)
@@ -288,8 +291,8 @@ class LSVDVolume:
         self._check_io(offset, length)
         if length == 0:
             return b""
-        self._m_reads.inc()
-        self._m_bytes_read.inc(length)
+        self.reads += 1
+        self.bytes_read += length
         span = self.obs.spans.root("read", bytes=length)
         if self.qos is not None:
             self.qos.admit("read", length, span=span)
@@ -354,8 +357,8 @@ class LSVDVolume:
         if not writes:
             return
         total = sum(len(d) for _o, d in writes)
-        self._m_writes.inc()
-        self._m_bytes_written.inc(total)
+        self.writes += 1
+        self.bytes_written += total
         span = self.obs.spans.root("writev", bytes=total, extents=len(writes))
         if self.qos is not None:
             self.qos.admit("write", total, span=span)
@@ -389,7 +392,7 @@ class LSVDVolume:
 
     def flush(self) -> None:
         """Commit barrier: one flush of the cache SSD (§3.2)."""
-        self._m_flushes.inc()
+        self.flushes += 1
         span = self.obs.spans.root("flush")
         self.wc.barrier(span=span)
         span.end()
@@ -482,7 +485,7 @@ class LSVDVolume:
     def _commit_data(self, sealed: SealedBatch, span=NULL_SPAN) -> None:
         entry = _BatchEntry(sealed.seq, sealed.last_record_seq)
         self._batches.append(entry)
-        self._m_batch_commits.inc()
+        self.batch_commits += 1
         self.obs.trace.emit(
             "write_commit",
             seq=sealed.seq,
@@ -514,7 +517,7 @@ class LSVDVolume:
             self._write_checkpoint(span=span)
 
     def _write_checkpoint(self, span=NULL_SPAN) -> int:
-        self._m_checkpoints.inc()
+        self.checkpoints += 1
         seq, result = self.bs.write_checkpoint(span=span)
         if result is None:
             self.bs.retire_old_checkpoints()

@@ -48,7 +48,7 @@ from repro.core.log import (
     RECORD_HEADER_BYTES, CacheRecord, align_up, decode_record, encode_writes, record_header_seq
 )
 from repro.devices.image import DiskImage
-from repro.obs import NULL_SPAN, Registry, bind_metrics, metric_field
+from repro.obs import NULL_SPAN, Registry, bind_metrics, gauge_field, metric_field
 
 _SUPER = struct.Struct("<4sHHQQQQ")  # magic ver flags log_off log_size slot_size uuid_lo
 _SUPER_MAGIC = b"LSWC"
@@ -78,6 +78,7 @@ class WriteCache:
     barriers = metric_field("wc.barriers")
     barriers_coalesced = metric_field("wc.barriers_coalesced")
     device_flushes = metric_field("wc.device_flushes")
+    occupancy_bytes = gauge_field("wc.occupancy_bytes")
 
     def __init__(
         self,
@@ -114,7 +115,6 @@ class WriteCache:
         self.resumed_clean: Optional[Tuple[int, int]] = None
         self.obs = obs if obs is not None else Registry()
         bind_metrics(self)
-        self._occupancy = self.obs.gauge("wc.occupancy_bytes")
 
     # ------------------------------------------------------------------
     # geometry helpers
@@ -174,7 +174,7 @@ class WriteCache:
         self.records.append(ref)
         self.next_seq += 1
         self.bytes_logged += size
-        self._occupancy.set(self.used_bytes)
+        self.occupancy_bytes = self.used_bytes
         self._clean = False
         stage.end(bytes=total, seq=ref.seq)
         return ref
@@ -256,7 +256,7 @@ class WriteCache:
             else:
                 self.tail_virt = self.head_virt
         if freed:
-            self._occupancy.set(self.used_bytes)
+            self.occupancy_bytes = self.used_bytes
         return freed
 
     def _drop_map_entries(self, ref: RecordRef) -> None:

@@ -185,7 +185,7 @@ class FleetManager:
             size,
             DiskImage(CACHE_BYTES, name=f"cache-{name}"),
             self.config,
-            obs=self.obs,
+            obs=Registry(),  # one registry per volume instance
         )
         volume.close()
         record = VDiskRecord(
@@ -223,7 +223,7 @@ class FleetManager:
             cache_image,
             self.config,
             cache_lost=cache_lost,
-            obs=self.obs,
+            obs=Registry(),  # one registry per volume instance
         )
         throttle = self.throttles.get(record.tenant, record.limits)
         volume.qos = CoreAdmission(throttle, clock=self._clock)

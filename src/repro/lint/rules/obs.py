@@ -4,11 +4,13 @@ The paper's whole evaluation is counter-derived (write amplification,
 GC relocation volume, cache hit ratios, latency percentiles); scattering
 those counters across ad-hoc instance attributes made them impossible to
 snapshot, reset, or export coherently.  Inside the instrumented layers
-(``core/``, ``runtime/``) two patterns are therefore flagged:
+(``core/``, ``runtime/``, ``fleet/``) three patterns are therefore flagged:
 
 * a public ``self.<stat-name> += ...`` increment whose attribute is not
-  declared at class level as a ``repro.obs`` ``metric_field`` /
-  ``gauge_field`` shim — the counter would live outside the registry;
+  a declared field (a class-level ``repro.obs`` ``metric_field`` /
+  ``gauge_field``) — the counter would live outside the registry;
+* a class that declares fields but whose ``__init__`` never calls
+  ``bind_metrics(self)`` — ``+=`` on an unbound field raises;
 * a bare ``print(...)`` call — reporting belongs to the CLI/analysis
   layers, which render registry snapshots.
 
@@ -51,27 +53,35 @@ def _is_obs_factory(ctx: ModuleContext, node: ast.expr) -> bool:
     return tail_name(node) in OBS_FIELD_FACTORIES
 
 
-def _declared_fields(ctx: ModuleContext) -> Set[str]:
-    """Attribute names declared as metric_field/gauge_field in any class."""
+def _class_fields(ctx: ModuleContext, node: ast.ClassDef) -> Set[str]:
+    """Attribute names ``node`` declares as metric_field/gauge_field."""
     declared: Set[str] = set()
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.ClassDef):
+    for stmt in node.body:
+        targets: list = []
+        value = None
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+            targets, value = [stmt.target], stmt.value
+        if not isinstance(value, ast.Call):
             continue
-        for stmt in node.body:
-            targets: list = []
-            value = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if not isinstance(value, ast.Call):
-                continue
-            if not _is_obs_factory(ctx, value.func):
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    declared.add(target.id)
+        if not _is_obs_factory(ctx, value.func):
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                declared.add(target.id)
     return declared
+
+
+def _binds_self(node: ast.ClassDef) -> bool:
+    """True when the class's own ``__init__`` calls ``bind_metrics(self)``."""
+    return any(
+        isinstance(call, ast.Call) and tail_name(call.func) == "bind_metrics"
+        and [getattr(arg, "id", None) for arg in call.args] == ["self"]
+        for stmt in node.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+        for call in ast.walk(stmt)
+    )
 
 
 class ObservabilityRule(Rule):
@@ -101,7 +111,18 @@ class ObservabilityRule(Rule):
             return
         if config.module_allowed(ctx.path, config.obs_allow):
             return
-        declared = _declared_fields(ctx)
+        declared: Set[str] = set()
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = _class_fields(ctx, node)
+            declared |= fields
+            if fields and not _binds_self(node):
+                yield self.diag(
+                    ctx, node, f"class '{node.name}' declares metric fields but its "
+                    "__init__ never calls bind_metrics(self), so += on one raises",
+                    "call bind_metrics(self) in __init__ once self.obs is set",
+                )
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 if isinstance(node.func, ast.Name) and node.func.id == "print":
@@ -131,5 +152,5 @@ class ObservabilityRule(Rule):
                 "registry; it cannot be snapshotted, reset, or exported "
                 "with the rest of the stack's metrics",
                 f"declare `{attr} = metric_field(\"<layer>.{attr}\")` (or "
-                "gauge_field) at class level, backed by the shared Registry",
+                "gauge_field) at class level and bind_metrics(self) in __init__",
             )

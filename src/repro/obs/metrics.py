@@ -16,14 +16,15 @@ nothing in this module reads a wall clock or draws randomness; histogram
 bucket bounds are fixed at construction, so identical runs produce
 byte-identical snapshots.
 
-Back-compat shims
------------------
-:class:`metric_field` / :class:`gauge_field` are class-level descriptors
-that expose a registry metric as a plain attribute, preserving the
-pre-existing ``stats.bytes_relocated`` reads and ``self.hits += 1``
-writes while the actual value lives in the owner's ``obs`` registry.
-The LSVD007 lint rule recognises these declarations and exempts their
-increments from the "ad-hoc stat counter" check.
+Declared fields: metrics by pull
+--------------------------------
+:class:`metric_field` / :class:`gauge_field` are plain class-level
+declarations.  :func:`bind_metrics` zeroes each as an instance attribute
+(``self.hits += 1`` is one store) and registers ``(instance, attribute)``
+as a source that ``value``/``get``/``snapshot``/``reset`` sum.  Holders of
+one name on one registry are summed, so a registry observes one volume
+instance's lifetime.  Never write ``obj.__dict__``: on CPython 3.11 that
+takes every later attribute load off the inline-values fast path.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ DEFAULT_SIZE_BUCKETS: Tuple[float, ...] = tuple(float(512 << i) for i in range(2
 
 
 class Counter:
-    """A monotonically *intended* integer counter (set() exists only so
-    checkpoint restore and legacy shims can assign absolute values)."""
+    """A monotonically *intended* integer counter (set() exists for
+    report-time copies that assign absolute values)."""
 
     kind = "counter"
     __slots__ = ("name", "help", "value")
@@ -196,6 +197,8 @@ class Registry:
         from repro.obs.trace import Trace
 
         self._metrics: Dict[str, Metric] = {}
+        #: metric name -> the (holder, attribute) pairs whose sum it reads
+        self._sources: Dict[str, List[Tuple[object, str]]] = {}
         self.trace = Trace()
         #: causal span trees (same clock contract as the trace)
         self.spans: SpanRecorder = SpanRecorder()
@@ -235,19 +238,27 @@ class Registry:
         return metric
 
     # -- inspection ------------------------------------------------------
+    def _pull(self, metric: Metric) -> Metric:
+        """Refresh a sourced counter/gauge from its holders' attributes."""
+        sources = self._sources.get(metric.name)
+        if sources:
+            metric.value = sum(getattr(holder, attr) for holder, attr in sources)
+        return metric
+
     def get(self, name: str) -> Optional[Metric]:
-        return self._metrics.get(name)
+        metric = self._metrics.get(name)
+        return None if metric is None else self._pull(metric)
 
     def value(self, name: str, default: float = 0) -> float:
         """Scalar value of a counter/gauge (``default`` when absent)."""
         metric = self._metrics.get(name)
         if metric is None or isinstance(metric, Histogram):
             return default
-        return metric.value
+        return self._pull(metric).value
 
     def metrics(self) -> List[Metric]:
         """All registered metrics, sorted by name (deterministic order)."""
-        return [self._metrics[name] for name in sorted(self._metrics)]
+        return [self._pull(self._metrics[name]) for name in sorted(self._metrics)]
 
     def names(self) -> List[str]:
         return sorted(self._metrics)
@@ -269,72 +280,53 @@ class Registry:
     def reset(self) -> None:
         """Zero every metric, clear the trace and spans; names stay
         registered."""
-        for metric in self.metrics():
+        for sources in self._sources.values():
+            for holder, attr in sources:
+                setattr(holder, attr, 0)
+        for metric in self._metrics.values():
             metric.reset()
         self.trace.clear()
         self.spans.clear()
 
 
 # ---------------------------------------------------------------------------
-# back-compat attribute shims
+# declared fields
 # ---------------------------------------------------------------------------
 class metric_field:
-    """Class-level descriptor exposing a registry Counter as an attribute.
+    """Class-level declaration of a per-instance counter attribute.
 
-    The owning instance must carry an ``obs`` Registry.  Reads return the
-    counter's value, ``+=`` and plain assignment write through — existing
-    ``stats.rounds += 1`` call sites keep working unchanged.
-
-    The metric is resolved once per (instance, registry) and remembered in
-    the instance's ``__dict__``; rebinding ``obj.obs`` to another registry
-    (compared by identity — an empty Registry is falsy) resolves afresh.
+    After :func:`bind_metrics` the instance attribute is a plain int;
+    the class attribute stays this declaration, so ``+=`` on an unbound
+    instance raises ``TypeError``.
     """
 
     kind = "counter"
+    __slots__ = ("metric_name",)
 
     def __init__(self, metric_name: str):
         self.metric_name = metric_name
-        self._slot = f"_metric:{metric_name}"
-
-    def _resolve(self, registry: Registry) -> Union[Counter, Gauge]:
-        return registry.counter(self.metric_name)
-
-    def metric(self, obj: object) -> Union[Counter, Gauge]:
-        registry: Registry = getattr(obj, "obs")
-        cached = obj.__dict__.get(self._slot)
-        if cached is not None and cached[0] is registry:
-            return cached[1]
-        metric = self._resolve(registry)
-        obj.__dict__[self._slot] = (registry, metric)
-        return metric
-
-    def __get__(self, obj: Optional[object], objtype: object = None) -> int:
-        if obj is None:
-            return self  # type: ignore[return-value]
-        return int(self.metric(obj).value)
-
-    def __set__(self, obj: object, value: int) -> None:
-        self.metric(obj).set(value)
 
 
 class gauge_field(metric_field):
-    """Like :class:`metric_field`, but backed by a Gauge (levels, not
+    """Like :class:`metric_field`, but read as a Gauge (levels, not
     cumulative counts — e.g. ``dirty_bytes``)."""
 
     kind = "gauge"
-
-    def _resolve(self, registry: Registry) -> Union[Counter, Gauge]:
-        return registry.gauge(self.metric_name)
+    __slots__ = ()
 
 
 def bind_metrics(obj: object) -> None:
-    """Eagerly register every ``metric_field`` of ``obj``'s class.
+    """Zero every declared field of ``obj`` and register it as a source.
 
-    Called from stats-holder constructors so the registry lists all the
-    class's metrics (at zero) even before the first increment — snapshots
-    then have a stable shape across runs that exercise different paths.
+    Called from each holder's constructor once ``obj.obs`` is set, so
+    the registry lists all the class's metrics (at zero) before the
+    first increment and snapshots have a stable shape across runs.
     """
-    for name in dir(type(obj)):
-        attr = getattr(type(obj), name, None)
-        if isinstance(attr, metric_field):
-            attr.metric(obj)
+    registry: Registry = getattr(obj, "obs")
+    cls = type(obj)
+    for attr in dir(cls):
+        field = getattr(cls, attr, None)
+        if isinstance(field, metric_field):
+            setattr(obj, attr, 0)
+            getattr(registry, field.kind)(field.metric_name)  # counter()/gauge()
+            registry._sources.setdefault(field.metric_name, []).append((obj, attr))

@@ -145,7 +145,7 @@ class _ClientOp(_Steps):
     def _reserve(self) -> None:
         rt = self.rt
         self.footprint = align_up(self.op.length) + rt.params.log_header_bytes
-        if rt._dirty.value + self.footprint <= rt.write_cache_capacity:
+        if rt.dirty_bytes + self.footprint <= rt.write_cache_capacity:
             self._append()
         else:
             # cache log full: stall until destage frees room
@@ -155,7 +155,7 @@ class _ClientOp(_Steps):
 
     def _stall(self, _freed: Optional[Event]) -> None:
         rt = self.rt
-        if rt._dirty.value + self.footprint > rt.write_cache_capacity:
+        if rt.dirty_bytes + self.footprint > rt.write_cache_capacity:
             waiter = Event(rt.sim)
             rt._space_waiters.append(waiter)
             waiter.callbacks.append(self._stall)
@@ -165,7 +165,7 @@ class _ClientOp(_Steps):
 
     def _append(self) -> None:
         rt, footprint = self.rt, self.footprint
-        rt._dirty.inc(footprint)
+        rt.dirty_bytes += footprint
         self._wait(self.span.begin("wc_append", bytes=footprint),
                    rt.machine.ssd.write(rt._log_head, footprint), _ClientOp._appended)
 
@@ -173,8 +173,8 @@ class _ClientOp(_Steps):
         rt, op = self.rt, self.op
         rt._log_head += self.footprint
         rt._last_write_at = rt.sim.now
-        rt._writes.inc()
-        rt._bytes_written.inc(op.length)
+        rt.client_writes += 1
+        rt.client_bytes_written += op.length
         self.done.succeed()
         self.span.end()
         # feed the batcher (synchronous map/batch state; PUTs are queued
@@ -203,8 +203,8 @@ class _ClientOp(_Steps):
                    rt.machine.ssd.write(rt._rc_slot(fetch), fetch), _ClientOp._served)
 
     def _served(self) -> None:
-        self.rt._reads.inc()
-        self.rt._bytes_read.inc(self.op.length)
+        self.rt.client_reads += 1
+        self.rt.client_bytes_read += self.op.length
         self.done.succeed()
         self.span.end()
 
@@ -290,7 +290,7 @@ class _Destager(_Steps):
     def _take(self, event: Event) -> None:
         rt = self.rt
         self.item = kind, key, seq, nbytes, _log, _temp, self.root, qwait = event._value
-        rt._queued.dec()
+        rt.destage_queue_depth -= 1
         rt._queue_gauges[self.index].set(len(self.queue))
         qwait.end()
         if kind == "put":
@@ -326,7 +326,7 @@ class _Destager(_Steps):
         rt = self.rt
         kind, _key, _seq, nbytes, log_bytes, temp, _root, _q = self.item
         self.stage.end()
-        rt._bytes_put.inc(nbytes)
+        rt.backend_bytes_put += nbytes
         rt._class_puts[temp].inc()
         rt._class_bytes_put[temp].inc(nbytes)
         if kind == "put":
@@ -401,24 +401,12 @@ class LSVDRuntime:
         self.qos = qos
         self._tags = {} if tenant is None else {"tenant": tenant}
         #: share the backend facade's registry so lsvd.* and backend.*
-        #: metrics of one stack land in one snapshot
-        # explicit None checks: a freshly created Registry is empty and
-        # therefore falsy, and `or` would silently discard it — binding
-        # this stack's lsvd.* metrics (including the dirty_bytes gauge
-        # that space accounting reads) to the shared backend registry
+        #: metrics of one stack land in one snapshot (``is None``, not
+        #: ``or``: an empty Registry is falsy)
         if obs is None:
             obs = getattr(backend, "obs", None)
         self.obs = obs if obs is not None else Registry()
         bind_metrics(self)
-        # the per-op metrics, bound once (a descriptor += costs ~1 us)
-        self._dirty = LSVDRuntime.dirty_bytes.metric(self)
-        self._writes = LSVDRuntime.client_writes.metric(self)
-        self._reads = LSVDRuntime.client_reads.metric(self)
-        self._bytes_written = LSVDRuntime.client_bytes_written.metric(self)
-        self._bytes_read = LSVDRuntime.client_bytes_read.metric(self)
-        self._queued = LSVDRuntime.destage_queue_depth.metric(self)
-        self._barriers = LSVDRuntime.barrier_requests.metric(self)
-        self._bytes_put = LSVDRuntime.backend_bytes_put.metric(self)
         # span trees read the simulated clock (same contract as the trace)
         self.obs.spans.clock = lambda: self.sim.now
 
@@ -487,7 +475,7 @@ class LSVDRuntime:
         if kind == WRITE or kind == READ:
             _ClientOp(self, op, done, self.obs.spans.root(kind, bytes=op.length, **self._tags))
         elif kind == FLUSH:
-            self._barriers.inc()
+            self.barrier_requests += 1
             span = self.obs.spans.root("barrier", **self._tags)
             qwait = span.begin("barrier_queue", kind="queue")
             self._barrier_q.put((done, span, qwait))
@@ -538,7 +526,7 @@ class LSVDRuntime:
         root = self.obs.spans.root("destage", op=item[0], shard=index)
         qwait = root.begin("destage_queue", kind="queue")
         self._destage_qs[index].put(item + (root, qwait))
-        self._queued.inc()
+        self.destage_queue_depth += 1
         self._queue_gauges[index].set(len(self._destage_qs[index]))
 
     def _idle_flusher(self):
@@ -602,7 +590,7 @@ class LSVDRuntime:
     # cache-space accounting
     # ------------------------------------------------------------------
     def _release_space(self, nbytes: int) -> None:
-        self._dirty.set(max(0, self._dirty.value - nbytes))
+        self.dirty_bytes = max(0, self.dirty_bytes - nbytes)
         while self._space_waiters:
             self._space_waiters.popleft().succeed()
 

@@ -6,10 +6,10 @@ over its own backend cluster, so PUTs routed to different shards queue on
 shard count until the client NIC (shared, as on a real host) saturates.
 The paper's single-backend stack (§4) is the ``n_shards=1`` special case.
 
-All shards share one :class:`~repro.obs.Registry`, so the ``backend.*``
-metric family (counts, byte totals, latency histograms) automatically
-aggregates across shards, while the ``shard.*`` family added here keeps
-the per-shard breakdown.
+:func:`make_sharded_backend` puts every shard on one
+:class:`~repro.obs.Registry`, so the ``backend.*`` metric family (counts,
+byte totals, latency histograms) aggregates across shards, while the
+``shard.*`` family added here keeps the per-shard breakdown.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Callable, List, Optional, Sequence
 
 from repro.cluster.cluster import StorageCluster
 from repro.devices.network import NetworkLink
-from repro.obs import Registry, metric_field
+from repro.obs import Registry
 from repro.runtime.backend import SimulatedObjectStore
 from repro.shard.router import ShardRouter
 from repro.shard.store import count_shard_op
@@ -33,14 +33,14 @@ class ShardedSimulatedBackend:
     same ``put``/``get_range``/``delete`` signatures, same Event results.
     """
 
-    # aggregate counters — the shards share this registry, so these read
-    # the sum over all shards with no extra bookkeeping
-    puts = metric_field("backend.puts")
-    gets = metric_field("backend.gets")
-    deletes = metric_field("backend.deletes")
-    lists = metric_field("backend.lists")
-    bytes_put = metric_field("backend.bytes_put")
-    bytes_got = metric_field("backend.bytes_got")
+    # aggregate counters: read-only sums over the shards, whichever
+    # registries those report to
+    puts = property(lambda self: sum(b.puts for b in self.backends))
+    gets = property(lambda self: sum(b.gets for b in self.backends))
+    deletes = property(lambda self: sum(b.deletes for b in self.backends))
+    lists = property(lambda self: sum(b.lists for b in self.backends))
+    bytes_put = property(lambda self: sum(b.bytes_put for b in self.backends))
+    bytes_got = property(lambda self: sum(b.bytes_got for b in self.backends))
 
     def __init__(
         self,

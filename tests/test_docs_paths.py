@@ -100,7 +100,7 @@ DESIGN_CEILINGS = {
     "Design choices to ablate (benchmarks/ablations)": 10,
     "Consistency model (tested by property tests)": 10,
     "Observability (`repro.obs`)": 46,
-    "Span tracing & critical-path attribution (`repro.obs.spans`)": 60,
+    "Span tracing & critical-path attribution (`repro.obs.spans`)": 59,
     "Sharding (`repro.shard`)": 54,
     "Chunked extent map & the data-plane fast path"
     " (`repro.core.extent_map`, `repro.core.sgio`)": 138,

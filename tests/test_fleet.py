@@ -2,7 +2,9 @@
 registry CRUD + manifest persistence, per-tenant QoS wiring, and the
 post-crash recovery sweep with per-volume crash consistency."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -169,6 +171,42 @@ def test_fleet_metrics_gauges_track_registry():
     assert fleet.obs.value("fleet.attached") == 1
     handle.detach()
     assert fleet.obs.value("fleet.attached") == 0
+
+
+def test_each_volume_counts_only_its_own_writes():
+    _, fleet = make_fleet()
+    fleet.create("a", 4 * MiB, tenant="t")
+    fleet.create("b", 4 * MiB, tenant="t")
+    a, b = fleet.attach("a"), fleet.attach("b")
+    a.volume.write(0, b"A" * (96 * 1024))
+    b.volume.write(0, b"B" * 4096)
+    fleet.checkpoint()  # drains both: every written byte has entered a batch
+
+    def counts(handle):
+        vol = handle.volume
+        return vol.bs.stats.client_bytes, vol.obs.value("volume.bytes_written")
+
+    assert counts(a) == (96 * 1024, 96 * 1024)
+    assert counts(b) == (4096, 4096)
+    before = counts(a)
+    b.detach()
+    b = fleet.attach("b")  # restores b's checkpointed stats, and only b's
+    assert counts(a) == before
+    assert b.volume.bs.stats.client_bytes == 4096
+
+
+def test_a_detached_volume_is_collectable():
+    _, fleet = make_fleet()
+    fleet.create("a", 4 * MiB, tenant="t")
+    fleet.create("b", 4 * MiB, tenant="t")
+    keep, gone = fleet.attach("a"), fleet.attach("b")
+    gone.volume.write(0, b"B" * 4096)
+    gone.detach()
+    ref = weakref.ref(gone.volume)
+    del gone
+    gc.collect()
+    assert ref() is None
+    assert keep.volume.read(0, 4096) == bytes(4096)
 
 
 # -- recovery sweep ------------------------------------------------------------

@@ -437,10 +437,14 @@ class TestObservability:
 
     def test_metric_field_declaration_exempts_the_increment(self):
         src = """
-            from repro.obs import metric_field
+            from repro.obs import bind_metrics, metric_field
 
             class Cache:
                 hits = metric_field("rc.hits")
+
+                def __init__(self, obs):
+                    self.obs = obs
+                    bind_metrics(self)
 
                 def lookup(self):
                     self.hits += 1
@@ -449,15 +453,45 @@ class TestObservability:
 
     def test_gauge_field_declaration_exempts_subtraction(self):
         src = """
-            from repro.obs import gauge_field
+            from repro.obs import bind_metrics, gauge_field
 
             class Dev:
                 dirty_bytes = gauge_field("dev.dirty_bytes")
+
+                def __init__(self, obs):
+                    self.obs = obs
+                    bind_metrics(self)
 
                 def release(self, n):
                     self.dirty_bytes -= n
         """
         assert lint_src("runtime/dev.py", src) == []
+
+    UNBOUND = """
+        from repro.obs import bind_metrics, metric_field
+
+        class Cache:
+            hits = metric_field("rc.hits")
+
+            def __init__(self, obs):
+                self.obs = obs
+                {bind}
+    """
+
+    def test_flags_a_declaring_class_that_never_binds(self):
+        diags = lint_src("core/cache.py", self.UNBOUND.format(bind="self.size = 0"))
+        assert codes(diags) == ["LSVD007"]
+        assert "'Cache'" in diags[0].message and "bind_metrics(self)" in diags[0].fixit
+        no_init = """
+            from repro.obs import gauge_field
+
+            class Dev:
+                dirty_bytes = gauge_field("dev.dirty_bytes")
+        """
+        assert codes(lint_src("fleet/dev.py", no_init)) == ["LSVD007"]
+
+    def test_binding_self_in_init_passes(self):
+        assert lint_src("core/cache.py", self.UNBOUND.format(bind="bind_metrics(self)")) == []
 
     def test_private_attributes_are_mechanism_not_metrics(self):
         src = """

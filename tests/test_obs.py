@@ -169,8 +169,12 @@ class TestMetricFields:
         obs = Registry()
         a, b = self.Holder(obs), self.Holder(obs)
         a.hits += 1
-        b.hits += 1
-        assert a.hits == b.hits == 2
+        b.hits += 2
+        b.level = 5
+        assert (a.hits, b.hits) == (1, 2)
+        assert (obs.value("t.hits"), obs.value("t.level")) == (3, 5)
+        obs.reset()
+        assert (a.hits, b.hits, obs.value("t.hits")) == (0, 0, 0)
 
     def test_metric_is_resolved_once_per_instance(self, monkeypatch):
         obs = Registry()
@@ -189,19 +193,17 @@ class TestMetricFields:
         assert lookups == []  # bind_metrics resolved both; nothing since
         assert (obs.value("t.hits"), obs.value("t.level")) == (100, 100)
 
-    def test_rebinding_obs_resolves_in_the_new_registry(self):
-        first, second = Registry(), Registry()
-        holder = self.Holder(first)
-        holder.hits += 1
-        assert not second  # an empty Registry is falsy: identity decides
-        holder.obs = second
-        holder.hits += 5
-        holder.level = 7
-        assert (first.value("t.hits"), second.value("t.hits")) == (1, 5)
-        assert second.value("t.level") == 7
-        holder.obs = first  # and back: no stale metric from either side
-        holder.hits += 1
-        assert (first.value("t.hits"), second.value("t.hits")) == (2, 5)
+    def test_bind_adds_only_the_declared_attributes(self):
+        """No per-metric cache slots land on the instance."""
+        holder = self.Holder(Registry())
+        assert vars(holder).keys() == {"obs", "hits", "level"}
+
+    def test_unbound_field_raises_on_increment(self):
+        class Unbound:
+            hits = metric_field("t.hits")
+
+        with pytest.raises(TypeError):
+            Unbound().hits += 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Committed performance claims re-render from their pairs files.
 
 Every ``benchmarks/pairs/PR-<n>/<workload>.jsonl`` must hold: every run
-correct and every exact metric ``==`` per seed.  And CHANGES.md quotes
-each file's rendered ``host_ops_per_cpu_s`` line, so a claim is the
-renderer's output, not a hand-typed table.
+correct and every exact metric ``==`` per seed.  CHANGES.md quotes at
+least one rendered line of each ``PR-<n>/`` verbatim (the claim's), so a
+claim is the renderer's output, not a hand-typed table; the other files
+are cited by path.  And every CHANGES.md entry numbered ``BUDGET_FROM``
+or later fits a character budget.
 """
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,10 @@ pairs_report = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs_report)
 
 COMMITTED = sorted((ROOT / "benchmarks" / "pairs").glob("*/*.jsonl"))
+CLAIMS = sorted({path.parent for path in COMMITTED})
+CHANGES = (ROOT / "CHANGES.md").read_text(encoding="utf-8")
+#: characters per CHANGES.md entry, and the first entry number held to it
+ENTRY_BUDGET, BUDGET_FROM = 1200, 32
 
 
 def test_claims_are_committed():
@@ -29,11 +36,27 @@ def test_claims_are_committed():
 @pytest.mark.parametrize("path", COMMITTED, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_committed_pairs_render_and_hold(path, capsys):
     assert pairs_report.main([str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    headline = next(line.strip() for line in out.splitlines() if " host_ops_per_cpu_s: " in line)
-    changes = (ROOT / "CHANGES.md").read_text(encoding="utf-8")
-    assert headline in changes, f"CHANGES.md does not quote {headline!r}"
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("claim", CLAIMS, ids=lambda p: p.name)
+def test_changes_quotes_a_rendered_line_of_each_claim(claim, capsys):
+    rendered = []
+    for path in sorted(claim.glob("*.jsonl")):
+        pairs_report.main([str(path)])
+        rendered += [line.strip() for line in capsys.readouterr().out.splitlines() if " → " in line]
+    assert any(line in CHANGES for line in rendered), f"CHANGES.md quotes no line of {claim.name}"
+
+
+def test_changes_entries_fit_the_budget():
+    entries = [e.strip() for e in re.split(r"^(?=PR \d+:)", CHANGES, flags=re.M) if e.strip()]
+    numbers = [int(re.match(r"PR (\d+):", entry)[1]) for entry in entries]
+    over = {
+        number: len(entry)
+        for number, entry in zip(numbers, entries)
+        if number >= BUDGET_FROM and len(entry) > ENTRY_BUDGET
+    }
+    assert not over, f"CHANGES.md entries over {ENTRY_BUDGET} characters: {over}"
 
 
 def _run(seed, side, correct=True, amp=1.5, ops=100.0):

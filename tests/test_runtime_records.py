@@ -63,24 +63,23 @@ class _GeneratorRuntime(lsvd.LSVDRuntime):
             yield from self.machine.cpu_work(self.params.write_cpu)
             stage.end()
             footprint = align_up(op.length) + self.params.log_header_bytes
-            dirty = self._dirty
-            if dirty.value + footprint > self.write_cache_capacity:
+            if self.dirty_bytes + footprint > self.write_cache_capacity:
                 # cache log full: stall until destage frees room
                 self.destage_space_stalls += 1
                 stage = span.begin("space_wait", kind="queue")
-                while dirty.value + footprint > self.write_cache_capacity:
+                while self.dirty_bytes + footprint > self.write_cache_capacity:
                     waiter = self.sim.event()
                     self._space_waiters.append(waiter)
                     yield waiter
                 stage.end()
-            dirty.inc(footprint)
+            self.dirty_bytes += footprint
             stage = span.begin("wc_append", bytes=footprint)
             yield self.machine.ssd.write(self._log_head, footprint)
             stage.end()
             self._log_head += footprint
             self._last_write_at = self.sim.now
-            self._writes.inc()
-            self._bytes_written.inc(op.length)
+            self.client_writes += 1
+            self.client_bytes_written += op.length
             done.succeed()
             span.end()
             self._batch_log_bytes += footprint
@@ -112,8 +111,8 @@ class _GeneratorRuntime(lsvd.LSVDRuntime):
             stage = span.begin("rc_insert", bytes=fetch)
             yield self.machine.ssd.write(self._rc_slot(fetch), fetch)
             stage.end()
-        self._reads.inc()
-        self._bytes_read.inc(op.length)
+        self.client_reads += 1
+        self.client_bytes_read += op.length
         done.succeed()
         span.end()
 

@@ -9,10 +9,12 @@ stream stripes over more of them.
 from repro.cluster import StorageCluster
 from repro.core import LSVDConfig
 from repro.devices.hdd import HDD, HDDSpec
+from repro.obs import Registry
 from repro.runtime import (
     ClientMachine,
     LSVDRuntime,
     ShardedSimulatedBackend,
+    SimulatedObjectStore,
     make_sharded_backend,
 )
 from repro.runtime.blockdev import run_fio
@@ -123,3 +125,19 @@ def test_sharded_backend_routes_gets_and_deletes():
     # both facade aggregates and the shared backend.* family agree
     assert backend.puts == 2
     assert backend.obs.value("backend.puts") == 2
+
+
+def test_facade_aggregates_shards_on_separate_registries():
+    sim = Simulator()
+    machine = ClientMachine(sim)
+    shards = [
+        SimulatedObjectStore(sim, slow_cluster(sim), machine.network, obs=Registry())
+        for _ in range(3)
+    ]
+    backend = ShardedSimulatedBackend(shards)
+    for seq in range(1, 5):
+        backend.put(f"vd.{seq:08d}", 1 * MiB)
+    backend.get_range("vd.00000001", 0, 4096)
+    sim.run()
+    assert [shard.obs.value("backend.puts") for shard in shards] == [2, 1, 1]
+    assert (backend.puts, backend.bytes_put, backend.gets) == (4, 4 * MiB, 1)
