@@ -1,9 +1,11 @@
 """Write batching for the log-structured block store (§3.1-3.2).
 
-Client writes accumulate into a :class:`WriteBatch`; once the configured
+Client writes, once logged to the write cache, accumulate into a
+:class:`WriteBatch` as references into the cache log; once the configured
 batch size is reached the batch is *sealed* into one immutable backend
-object.  Within a batch, overlapping writes may be coalesced — the object
-is written atomically, so intra-batch reordering cannot violate prefix
+object whose bytes are read back from the cache (the destage read).
+Within a batch, overlapping writes may be coalesced — the object is
+written atomically, so intra-batch reordering cannot violate prefix
 consistency — but coalescing never crosses a batch boundary (footnote 8 of
 the paper: cross-batch coalescing would break the ordering guarantee).
 
@@ -24,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.extent_map import ExtentMap
 from repro.core.log import KIND_DATA, KIND_GC, ObjectExtent, ObjectHeader, encode_object
-from repro.core.sgio import Buffer, concat, copy_out, gather
+from repro.core.sgio import Buffer, concat, gather
+from repro.core.write_cache import WriteCache
 from repro.obs import NULL_SPAN
 
 
@@ -56,77 +58,71 @@ class SealedBatch:
 
 
 class WriteBatch:
-    """Accumulates writes, coalescing overlaps, until sealed."""
+    """Accumulates logged writes, by reference into the cache log, until
+    sealed."""
 
     def __init__(self, batch_size: int, temp: int = 0):
         self.batch_size = batch_size
         self.temp = temp  # the class stream this batch accumulates
-        self._map = ExtentMap()  # vLBA -> offset into self._buffer
-        self._buffer = bytearray()
+        #: (vLBA, length, cache-image offset, batch offset) per write
+        self._writes: List[Tuple[int, int, int, int]] = []
         self.bytes_in = 0
         self.last_record_seq = 0
         self.first_record_seq = 0  # lowest record seq added since last seal
 
-    def add(self, lba: int, data: Buffer, record_seq: int = 0) -> None:
-        """Append one client write (newer data shadows older overlaps)."""
-        if not data:
-            raise ValueError("empty write")
-        offset = len(self._buffer)
-        self._buffer.extend(data)
-        self._map.update(lba, len(data), "buf", offset)
-        self.bytes_in += len(data)  # lint: disable=LSVD007 -- batch payload accounting, sealed into the object header, not a stat
-        if record_seq:
-            if not self.first_record_seq:
-                self.first_record_seq = record_seq
-            self.last_record_seq = record_seq
-
-    def discard(self, lba: int, length: int) -> None:
-        """Drop any buffered version of a range shadowed by a newer write.
-
-        With one open batch per temperature class, a rewrite may land in
-        a *different* batch than the version it replaces; the stale copy
-        must be unmapped here so seal order across class batches cannot
-        resurrect old data.  The buffer bytes stay (they still count
-        toward the size threshold, like any coalesced overlap).
-        """
-        self._map.remove(lba, length)
-
-    @property
-    def live_bytes(self) -> int:
-        """Bytes that would survive coalescing right now."""
-        return self._map.mapped_bytes()
-
-    @property
-    def buffered_bytes(self) -> int:
-        """Raw bytes accumulated (pre-coalescing), drives the seal check."""
-        return len(self._buffer)
+    def add(self, lba: int, length: int, cache_offset: int, record_seq: int) -> None:
+        """Append one logged write whose bytes sit at ``cache_offset`` in
+        the cache image; the batch offset is the running byte count."""
+        self._writes.append((lba, length, cache_offset, self.bytes_in))
+        self.bytes_in += length  # lint: disable=LSVD007 -- batch payload accounting, sealed into the object header, not a stat
+        if not self.first_record_seq:
+            self.first_record_seq = record_seq
+        self.last_record_seq = record_seq
 
     @property
     def is_empty(self) -> bool:
-        return not self._buffer
+        return not self._writes
 
     def should_seal(self) -> bool:
-        return self.buffered_bytes >= self.batch_size
+        return self.bytes_in >= self.batch_size
 
     def seal(
-        self, seq: int, uuid: bytes, reason: str = "size", span=NULL_SPAN
+        self, seq: int, uuid: bytes, cache: WriteCache, reason: str = "size", span=NULL_SPAN
     ) -> SealedBatch:
         """Freeze into an object payload; the batch becomes reusable-empty.
 
-        The surviving extents are gathered out of the accumulation buffer
-        into one pre-sized assembly (see :mod:`repro.core.sgio`) — the
-        only copy the seal makes besides the final payload encode.
+        A write survives where ``cache``'s map still points at its bytes:
+        a newer write (in this batch or another class batch) or a trim
+        has unmapped the rest.  The survivors, in vLBA order, join into
+        one extent where they continue each other in vLBA and in batch
+        offset, and their bytes are read back from the cache image into
+        one pre-sized assembly (see :mod:`repro.core.sgio`) — the
+        destage read, with no second CRC check: those bytes were appended
+        since mount, or recovery's map rebuild verified them at mount.
         ``reason`` records what cut the batch (size threshold vs a forced
         drain/backpressure seal) for the accounting split in StoreStats,
         and is carried on the ``batch_seal`` span too.
         """
         stage = span.begin("batch_seal", reason=reason, seq=seq)
+        lookup = cache.map.lookup
+        live: List[Tuple[int, int, int, int]] = []
+        for lba, length, cache_offset, batch_offset in self._writes:
+            for ext in lookup(lba, length):
+                shift = ext.lba - lba
+                if ext.offset == cache_offset + shift:
+                    live.append((ext.lba, ext.length, ext.offset, batch_offset + shift))
+        live.sort()
         extents: List[ObjectExtent] = []
         ranges: List[Tuple[int, int]] = []
-        for ext in self._map:
-            extents.append(ObjectExtent(lba=ext.lba, length=ext.length, src_seq=0))
-            ranges.append((ext.offset, ext.length))
-        data = gather(self._buffer, ranges)
+        end = next_offset = -1
+        for lba, length, cache_offset, batch_offset in live:
+            if lba == end and batch_offset == next_offset:
+                extents[-1].length += length
+            else:
+                extents.append(ObjectExtent(lba=lba, length=length, src_seq=0))
+            ranges.append((cache_offset, length))
+            end, next_offset = lba + length, batch_offset + length
+        data = gather(cache.image.view(), ranges)
         header = ObjectHeader(
             kind=KIND_DATA,
             uuid=uuid,
@@ -147,24 +143,12 @@ class WriteBatch:
             reason=reason,
             temp=self.temp,
         )
-        self._map.clear()
-        self._buffer = bytearray()
+        self._writes = []
         self.bytes_in = 0
         self.last_record_seq = 0
         self.first_record_seq = 0
         stage.end(bytes=sealed.data_len)
         return sealed
-
-    def read(self, lba: int, length: int) -> List[Tuple[int, int, bytes]]:
-        """Serve reads of not-yet-sealed data: (lba, length, data) pieces.
-
-        Returns immutable copies (via the blessed ``copy_out``): the
-        accumulation buffer is recycled on seal, so views would dangle.
-        """
-        out = []
-        for ext in self._map.lookup(lba, length):
-            out.append((ext.lba, ext.length, copy_out(self._buffer, ext.offset, ext.length)))
-        return out
 
 
 def seal_gc_batch(

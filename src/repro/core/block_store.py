@@ -53,6 +53,7 @@ from repro.core.log import (
 from repro.core.naming import stream_prefix, stream_seqs, super_name
 from repro.core.object_map import ObjectMap
 from repro.core.placement import NUM_TEMPS, make_policy
+from repro.core.write_cache import RecordRef, WriteCache
 from repro.obs import (
     DEFAULT_SIZE_BUCKETS,
     NULL_SPAN,
@@ -174,6 +175,9 @@ class BlockStore:
         #: temperature class; one open batch per class (created lazily)
         self.placement = make_policy(self.config)
         self.batches: Dict[int, WriteBatch] = {}
+        #: the write cache whose records :meth:`add_write` batches; seals
+        #: read the bytes back from its log (the volume attaches it)
+        self.cache: Optional[WriteCache] = None
         #: sealed data objects whose commit() has not run yet: their
         #: sequence numbers are allocated, so a checkpoint taken now
         #: would postdate them and recovery would skip their writes —
@@ -224,36 +228,33 @@ class BlockStore:
             self.batches[temp] = batch
         return batch
 
-    def add_write(
-        self, lba: int, data: bytes, record_seq: int = 0, span=NULL_SPAN
-    ) -> List[SealedBatch]:
-        """Buffer one write; returns the sealed batches when size is reached.
+    def add_write(self, record: RecordRef, span=NULL_SPAN) -> List[SealedBatch]:
+        """Buffer one logged cache record; returns the sealed batches when
+        size is reached.
 
-        The placement policy assigns the write a temperature class, which
-        picks the open batch it accumulates into; any older version of
-        the range still buffered in *another* class batch is discarded so
+        The placement policy assigns each write of the record a
+        temperature class, which picks the open batch it accumulates
+        into.  An older version of a range that a newer write or a trim
+        has since unmapped from the cache is dropped at seal time, so
         seal order across classes cannot resurrect stale data.
 
         Sealing is *lockstep*: when any class batch reaches the size
         threshold, every non-empty class batch seals together as one
-        group.  Each group therefore covers a contiguous run of record
-        sequence numbers, which keeps the backend an exact record prefix
-        — the property the cache-lost crash guarantee (Table 4) rests
-        on.  Per-class objects stay class-pure; the group merely aligns
-        their cut points.  Callers must commit every returned batch, in
-        order.
+        group, and only between records.  Each group therefore covers a
+        contiguous run of whole records, which keeps the backend an exact
+        record prefix — the property the cache-lost crash guarantee
+        (Table 4) rests on.  Per-class objects stay class-pure; the group
+        merely aligns their cut points.  Callers must commit every
+        returned batch, in order.
         """
-        if lba < 0 or lba + len(data) > self.size:
-            raise ValueError("write beyond volume bounds")
-        temp = self.placement.on_write(lba, len(data))
-        for other_temp, other in self.batches.items():
-            if other_temp != temp and not other.is_empty:
-                other.discard(lba, len(data))
-        batch = self._batch_for(temp)
-        batch.add(lba, data, record_seq)
-        if batch.should_seal():
-            return self._seal_group(batch, span=span)
-        return []
+        full = False
+        for lba, length, offset in record.extents:
+            if lba < 0 or lba + length > self.size:
+                raise ValueError("write beyond volume bounds")
+            batch = self._batch_for(self.placement.on_write(lba, length))
+            batch.add(lba, length, offset, record.seq)
+            full = full or batch.should_seal()
+        return self._seal_group(span=span) if full else []
 
     def _record_seq_cap(self, batch: WriteBatch) -> Optional[int]:
         """Highest record seq provably destaged once ``batch`` seals.
@@ -267,7 +268,7 @@ class BlockStore:
         """
         cap = None
         for other in self.batches.values():
-            if other is batch or other.is_empty or not other.first_record_seq:
+            if other is batch or other.is_empty:
                 continue
             limit = other.first_record_seq - 1
             cap = limit if cap is None else min(cap, limit)
@@ -279,32 +280,31 @@ class BlockStore:
         cap = self._record_seq_cap(batch)
         if cap is not None and cap < batch.last_record_seq:
             batch.last_record_seq = cap
+        assert self.cache is not None  # the batch holds records of this cache
         self.sealed_uncommitted += 1
-        return batch.seal(self._take_seq(), self.uuid, reason=reason, span=span)
+        return batch.seal(self._take_seq(), self.uuid, self.cache, reason=reason, span=span)
 
-    def _seal_group(self, trigger: WriteBatch, span=NULL_SPAN) -> List[SealedBatch]:
+    def _seal_group(self, span=NULL_SPAN) -> List[SealedBatch]:
         """Seal every non-empty batch as one group, oldest records first.
 
-        The triggering batch records reason ``"size"``; the batches that
-        merely ride along in the group seal as ``"group"`` (they count
-        toward ``store.forced_seals`` — the object-count overhead class
-        separation pays for the crash-ordering guarantee).
+        A batch at the size threshold records reason ``"size"``; the
+        batches that merely ride along in the group seal as ``"group"``
+        (they count toward ``store.forced_seals`` — the object-count
+        overhead class separation pays for the crash-ordering guarantee).
         """
         out: List[SealedBatch] = []
         while (batch := self._oldest_open_batch()) is not None:
-            reason = "size" if batch is trigger else "group"
+            reason = "size" if batch.should_seal() else "group"
             out.append(self._seal_batch(batch, reason=reason, span=span))
         return out
 
     def _oldest_open_batch(self) -> Optional[WriteBatch]:
         """The non-empty class batch to seal next: oldest buffered record
-        first, record-free batches last (hottest first)."""
+        first, hottest first among batches that start with one record."""
         open_batches = [b for b in self.batches.values() if not b.is_empty]
         if not open_batches:
             return None
-        return min(
-            open_batches, key=lambda b: (b.first_record_seq or float("inf"), b.temp)
-        )
+        return min(open_batches, key=lambda b: (b.first_record_seq, b.temp))
 
     def seal_all(self, reason: str = "size", span=NULL_SPAN) -> Iterator[SealedBatch]:
         """Seal every non-empty class batch, oldest buffered records first.

@@ -19,7 +19,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 Buffer = Union[bytes, bytearray, memoryview]
 
-__all__ = ["Buffer", "concat", "copy_out", "gather"]
+__all__ = ["Buffer", "concat", "gather"]
 
 
 def gather(buffer: Buffer, ranges: Sequence[Tuple[int, int]]) -> bytearray:
@@ -57,12 +57,3 @@ def concat(chunks: Iterable[Buffer]) -> bytearray:
         pos += len(chunk)
     return out
 
-
-def copy_out(buffer: Buffer, offset: int, length: int) -> bytes:
-    """Materialise one ``bytes`` copy of ``buffer[offset:offset+length]``.
-
-    The blessed escape hatch for interfaces that must hand out immutable
-    data the caller may retain (e.g. serving reads of a batch buffer that
-    is about to be recycled).
-    """
-    return bytes(memoryview(buffer)[offset : offset + length])

@@ -4,8 +4,10 @@
 read cache, the log-structured block store, and the garbage collector, and
 implements the three block-device operations (§3.2):
 
-* **write** — logged to the cache (completing the I/O), then copied into
-  the current batch; a full batch is sealed and PUT as one object.
+* **write** — logged to the cache (completing the I/O), then batched by
+  reference to its cache record; a full batch is cut between records,
+  read back from the cache log (bytes appended since mount or verified
+  at mount: no second CRC pass) and PUT as one object.
 * **commit barrier** — a single cache-device flush.
 * **read** — write cache, then read cache, then a backend range-read with
   temporal prefetch; unmapped blocks read as zeros.
@@ -89,6 +91,7 @@ class LSVDVolume:
     ):
         self.bs = block_store
         self.wc = write_cache
+        block_store.cache = write_cache
         self.rc = read_cache
         self.config = config or block_store.config
         self.read_only = read_only
@@ -179,17 +182,15 @@ class LSVDVolume:
         # rewind & replay: push cache records the backend has not seen
         replayed = 0
         span = obs.spans.root("recover")
-        for record, _ref in wc.records_after(state.last_record_seq):
+        for record in wc.replay_after(state.last_record_seq):
             obs.trace.emit(
                 "recovery_replay",
                 record_seq=record.seq,
                 extents=len(record.extents),
             )
             replayed += 1
-            for index, (lba, length) in enumerate(record.extents):
-                data = wc.record_data(record, index)
-                for sealed in bs.add_write(lba, data, record.seq, span=span):
-                    vol._commit_data(sealed, span=span)
+            for sealed in bs.add_write(record, span=span):
+                vol._commit_data(sealed, span=span)
         span.end(replayed=replayed)
         # anything at or below the backend high-water mark is already safe
         wc.release_through(state.last_record_seq)
@@ -282,7 +283,7 @@ class LSVDVolume:
             self._make_room(len(data), span=span)
             record = self.wc.append([(offset, data)], span=span)
         self.rc.invalidate(offset, len(data))
-        for sealed in self.bs.add_write(offset, data, record.seq, span=span):
+        for sealed in self.bs.add_write(record, span=span):
             self._commit_data(sealed, span=span)
         span.end()
 
@@ -369,8 +370,8 @@ class LSVDVolume:
             record = self.wc.append(writes, span=span)
         for offset, data in writes:
             self.rc.invalidate(offset, len(data))
-            for sealed in self.bs.add_write(offset, data, record.seq, span=span):
-                self._commit_data(sealed, span=span)
+        for sealed in self.bs.add_write(record, span=span):
+            self._commit_data(sealed, span=span)
         span.end()
 
     def trim(self, offset: int, length: int) -> None:

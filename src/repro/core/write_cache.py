@@ -65,7 +65,8 @@ class RecordRef:
     seq: int
     virt: int  # virtual byte offset of the record header
     size: int  # total footprint (header + data)
-    #: (vLBA, length, payload offset from the record start): what release unmaps
+    #: (vLBA, length, image offset of the payload): what batches destage
+    #: and release unmaps
     extents: List[Tuple[int, int, int]] = field(default_factory=list)
 
 
@@ -147,7 +148,7 @@ class WriteCache:
         makes room) opens a fresh one.
         """
         stage = span.begin("wc_append")
-        encoded, extents = encode_writes(self.next_seq, writes, self.epoch)
+        encoded, placed = encode_writes(self.next_seq, writes, self.epoch)
         size = len(encoded)
         if size > self.log_size:
             raise CacheFullError("record larger than the entire cache log")
@@ -166,8 +167,10 @@ class WriteCache:
         # map each extent to its data location on SSD; the stat update is
         # one batched delta after the loop (hot-path hygiene, LSVD009)
         total = 0
-        for lba, length, data_off in extents:
+        extents = []
+        for lba, length, data_off in placed:
             self.map.update(lba, length, WC_TARGET, phys + data_off)
+            extents.append((lba, length, phys + data_off))
             total += length
         self.client_bytes += total
         ref = RecordRef(self.next_seq, virt, size, extents)
@@ -273,29 +276,27 @@ class WriteCache:
         phys = self._phys(ref.virt)
         if record_header_seq(self.image.read(phys, RECORD_HEADER_BYTES)) != ref.seq:
             return  # space already reused: nothing of ours is mapped
-        for lba, length, data_off in ref.extents:
-            self.map.remove_matching(lba, length, WC_TARGET, phys + data_off)
+        for lba, length, offset in ref.extents:
+            self.map.remove_matching(lba, length, WC_TARGET, offset)
 
-    def records_after(self, record_seq: int) -> Iterator[Tuple[CacheRecord, RecordRef]]:
-        """Decode live records with seq > record_seq (crash replay, §3.3).
+    def replay_after(self, record_seq: int) -> Iterator[RecordRef]:
+        """Yield the live records with seq > record_seq, oldest first, for
+        mount replay (§3.3), mapping each record back as it is yielded.
 
-        Iterates over a snapshot: consumers may trigger destage commits
-        that release records (mutating ``self.records``) mid-iteration.
+        The map :meth:`recover` rebuilt already holds every record; a
+        batch sealed from it mid-replay would drop a write that a later,
+        not yet replayed record overwrites, while its object claims the
+        earlier record.  So the map restarts empty and never runs ahead
+        of the replay cursor.  Walks the refs :meth:`_rebuild_map`
+        verified, over a snapshot: consumers commit batches that release
+        records (mutating ``self.records``) mid-iteration.
         """
+        self.map = ExtentMap()
         for ref in list(self.records):
-            if ref.seq <= record_seq:
-                continue
-            raw = self.image.read(self._phys(ref.virt), ref.size)
-            record = decode_record(raw)
-            if record is None or record.seq != ref.seq:
-                raise CorruptRecordError(f"live record seq={ref.seq} unreadable")
-            yield record, ref
-
-    def record_data(self, record: CacheRecord, index: int) -> bytes:
-        """Payload bytes of one extent of a decoded record."""
-        lba, length = record.extents[index]
-        off = record.data_offset_of(index)
-        return record.data[off : off + length]
+            for lba, length, offset in ref.extents:
+                self.map.update(lba, length, WC_TARGET, offset)
+            if ref.seq > record_seq:
+                yield ref
 
     # ------------------------------------------------------------------
     # checkpoint / recovery
@@ -411,13 +412,13 @@ class WriteCache:
             record = decode_record(raw)
             if record is None or record.seq != ref.seq:
                 continue  # zombie: destaged before the crash, space reused
-            phys = self._phys(ref.virt)
-            extents = [  # the layout append's encode_writes returned
-                (lba, n, record.header_size + record.data_offset_of(i))
+            base = self._phys(ref.virt) + record.header_size
+            extents = [  # the layout append placed
+                (lba, n, base + record.data_offset_of(i))
                 for i, (lba, n) in enumerate(record.extents)
             ]
-            for lba, length, data_off in extents:
-                self.map.update(lba, length, WC_TARGET, phys + data_off)
+            for lba, length, offset in extents:
+                self.map.update(lba, length, WC_TARGET, offset)
             verified.append(RecordRef(ref.seq, ref.virt, ref.size, extents))
         self.records = verified
         self.tail_virt = verified[0].virt if verified else self.head_virt

@@ -76,6 +76,11 @@ class DiskImage:
         self.bytes_read += length
         return bytes(self._data[offset : offset + length])
 
+    def view(self) -> memoryview:
+        """The newest content without a copy (what :meth:`read` copies
+        from); valid until the next :meth:`crash` or :meth:`lose`."""
+        return memoryview(self._data)
+
     def flush(self) -> None:
         """Commit barrier: all buffered writes become durable."""
         for offset, data in self._pending:

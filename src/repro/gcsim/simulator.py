@@ -121,8 +121,9 @@ class GCSimulator:
         #: one open batch per temperature class: page numbers in arrival order
         self._batches: Dict[int, List[int]] = {}
         #: which class batch holds the newest buffered version of a page;
-        #: the page-granular analogue of WriteBatch.discard — a rewrite
-        #: landing in a different class disowns the stale buffered copy
+        #: the page-granular analogue of a seal keeping only what the write
+        #: cache still maps — a rewrite landing in a different class
+        #: disowns the stale buffered copy
         self._pending_owner: Dict[int, int] = {}
 
         self.client_pages = 0
@@ -148,8 +149,8 @@ class GCSimulator:
         if len(batch) >= self.batch_pages:
             # lockstep group seal, mirroring BlockStore._seal_group: when
             # any class batch fills, *all* open class batches seal together
-            # (ascending temperature — the record-free ordering of the full
-            # stack), so the durable record set stays a contiguous prefix
+            # (ascending temperature; the full stack seals the same group
+            # oldest record first), so the durable record set stays a prefix
             # of the client stream and cross-class rewrites can never
             # strand a discarded predecessor behind its own seal
             self.flush_batch()
@@ -165,9 +166,9 @@ class GCSimulator:
         class batch fills (see :meth:`write`), the timed runtime's idle
         flusher (batch-timeout expiry) and its commit barriers (a flushed
         log should not strand a half-built object), and :meth:`finish`.
-        Classes flush hottest-first, matching the record-free ordering of
-        the full stack's ``seal_all`` / ``_seal_group``.  Returns True
-        when anything was written.
+        Classes flush hottest-first; the full stack's ``seal_all`` /
+        ``_seal_group`` cut the same groups but seal oldest record first.
+        Returns True when anything was written.
         """
         flushed = False
         for temp in sorted(self._batches):
@@ -199,8 +200,8 @@ class GCSimulator:
             # pop, not del: with merge disabled a page may appear twice
             # in one batch's survivor list
             self._pending_owner.pop(page, None)
-        # a sealed WriteBatch gathers its data in map order (ascending
-        # LBA), not arrival order; mirror that layout so page_off models
+        # a sealed WriteBatch gathers its data in ascending LBA order,
+        # not arrival order; mirror that layout so page_off models
         # the real object and GC live runs merge identically across the
         # engines (the differential test holds them to it)
         arr = np.asarray(sorted(survivors), dtype=np.int64)

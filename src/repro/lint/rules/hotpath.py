@@ -138,6 +138,6 @@ class HotPathRule(Rule):
                     node,
                     "bytes(<slice>) in a data-plane module: a per-extent "
                     "payload copy on the hot path",
-                    "assemble through repro.core.sgio (gather/copy_out) or "
+                    "assemble through repro.core.sgio (gather/concat) or "
                     "allowlist the cold-path function via hotpath-allow",
                 )

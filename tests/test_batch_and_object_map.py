@@ -2,36 +2,47 @@
 
 import pytest
 
-from repro.core.batch import WriteBatch, seal_gc_batch
+from repro.core.batch import seal_gc_batch
+from repro.core.block_store import BlockStore
+from repro.core.config import LSVDConfig
 from repro.core.log import KIND_DATA, KIND_GC, decode_object
 from repro.core.object_map import ObjectMap
+from repro.objstore import InMemoryObjectStore
+from tests.cache_log import log_write
 
 UUID = b"\x01" * 16
+
+
+def make_store(batch_size):
+    config = LSVDConfig(batch_size=batch_size, placement="legacy")
+    return BlockStore.create(InMemoryObjectStore(), "vol", 1 << 20, config)
+
+
+def seal(bs):
+    [sealed] = bs.seal_all()
+    return sealed
 
 
 # -- WriteBatch ---------------------------------------------------------------
 
 
 def test_batch_accumulates_and_seals():
-    b = WriteBatch(batch_size=8192)
-    b.add(0, b"a" * 4096, record_seq=1)
-    assert not b.should_seal()
-    b.add(4096, b"b" * 4096, record_seq=2)
-    assert b.should_seal()
-    sealed = b.seal(seq=1, uuid=UUID)
-    assert sealed.seq == 1
+    bs = make_store(batch_size=8192)
+    assert log_write(bs, 0, b"a" * 4096) == []
+    [sealed] = log_write(bs, 4096, b"b" * 4096)
+    assert sealed.seq == 2  # the creation checkpoint took 1
     assert sealed.bytes_in == 8192
     assert sealed.bytes_out == 8192
     assert sealed.last_record_seq == 2
-    assert b.is_empty
+    assert all(b.is_empty for b in bs.batches.values())
 
 
 def test_batch_coalesces_overwrites_within_batch():
     """§3.1: writes may be coalesced within a single batch."""
-    b = WriteBatch(batch_size=1 << 20)
-    b.add(0, b"old" + b"\x00" * 509, record_seq=1)
-    b.add(0, b"new" + b"\x00" * 509, record_seq=2)
-    sealed = b.seal(seq=1, uuid=UUID)
+    bs = make_store(batch_size=1 << 20)
+    log_write(bs, 0, b"old" + b"\x00" * 509)
+    log_write(bs, 0, b"new" + b"\x00" * 509)
+    sealed = seal(bs)
     assert sealed.bytes_in == 1024
     assert sealed.bytes_out == 512  # half eliminated
     assert sealed.merged_bytes == 512
@@ -40,10 +51,10 @@ def test_batch_coalesces_overwrites_within_batch():
 
 
 def test_batch_partial_overlap_keeps_fragments():
-    b = WriteBatch(batch_size=1 << 20)
-    b.add(0, b"A" * 1024)
-    b.add(512, b"B" * 1024)
-    sealed = b.seal(seq=1, uuid=UUID)
+    bs = make_store(batch_size=1 << 20)
+    log_write(bs, 0, b"A" * 1024)
+    log_write(bs, 512, b"B" * 1024)
+    sealed = seal(bs)
     header, data = decode_object(sealed.payload)
     assert sealed.bytes_out == 1536
     # reconstruct the logical content
@@ -55,27 +66,23 @@ def test_batch_partial_overlap_keeps_fragments():
     assert bytes(image) == b"A" * 512 + b"B" * 1024
 
 
-def test_batch_read_back_unsealed_data():
-    b = WriteBatch(batch_size=1 << 20)
-    b.add(1024, b"X" * 512)
-    [(lba, length, data)] = b.read(1024, 512)
-    assert (lba, length, data) == (1024, 512, b"X" * 512)
-    assert b.read(0, 512) == []
-
-
 def test_batch_empty_write_rejected():
-    b = WriteBatch(batch_size=4096)
+    bs = make_store(batch_size=4096)
     with pytest.raises(ValueError):
-        b.add(0, b"")
+        log_write(bs, 0, b"")
+    assert all(b.is_empty for b in bs.batches.values())
 
 
 def test_batch_payload_decodes_with_correct_extents():
-    b = WriteBatch(batch_size=1 << 20)
-    b.add(8192, b"y" * 512, record_seq=9)
-    sealed = b.seal(seq=4, uuid=UUID)
+    bs = make_store(batch_size=1 << 20)
+    for _ in range(8):  # records 1-8 go to an earlier object
+        log_write(bs, 0, b"x" * 512)
+    bs.commit(seal(bs))
+    log_write(bs, 8192, b"y" * 512)
+    sealed = seal(bs)
     header, data = decode_object(sealed.payload)
     assert header.kind == KIND_DATA
-    assert header.seq == 4
+    assert header.seq == 3
     assert header.last_record_seq == 9
     assert [(e.lba, e.length) for e in header.extents] == [(8192, 512)]
 

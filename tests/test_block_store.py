@@ -12,6 +12,7 @@ from repro.core.errors import (
 from repro.core.gc import GarbageCollector
 from repro.core.log import object_name
 from repro.objstore import InMemoryObjectStore, UnsettledObjectStore
+from tests.cache_log import log_write
 
 MiB = 1 << 20
 
@@ -31,7 +32,7 @@ def make_store(store=None, name="vol", size=64 * MiB, **kw):
 def fill(bs, n_writes=40, size=4096, stride=8192):
     """Write n sequential-ish extents, sealing/committing as needed."""
     for i in range(n_writes):
-        sealed = bs.add_write(i * stride, bytes([i % 255 + 1]) * size, record_seq=i + 1)
+        sealed = log_write(bs, i * stride, bytes([i % 255 + 1]) * size)
         for batch in sealed:
             bs.commit(batch)
     for sealed in bs.seal_all():
@@ -77,7 +78,7 @@ def test_batch_seal_at_size():
     store, bs = make_store()
     sealed = []
     for i in range(17):  # 17 * 4K > 64K batch
-        sealed = bs.add_write(i * 4096, b"s" * 4096, record_seq=i + 1)
+        sealed = log_write(bs, i * 4096, b"s" * 4096)
         if sealed:
             break
     assert len(sealed) == 1  # one class in play -> one object in the group
@@ -95,7 +96,7 @@ def test_object_names_encode_order():
 def test_write_beyond_bounds_rejected():
     store, bs = make_store(size=1 * MiB)
     with pytest.raises(ValueError):
-        bs.add_write(1 * MiB - 100, b"x" * 4096)
+        log_write(bs, 1 * MiB - 100, b"x" * 4096)
 
 
 def test_stats_write_amplification_counts_everything():
@@ -128,7 +129,7 @@ def test_fetch_with_prefetch_returns_the_requested_range_unchecked():
     [neighbour] = bs.lookup(6 * 8192, 4096)
     assert neighbour.target == ext.target
     for i, lba in enumerate((ext.lba, neighbour.lba)):  # overwritten after the lookup
-        bs.add_write(lba, b"\xee" * 4096, record_seq=21 + i)
+        log_write(bs, lba, b"\xee" * 4096)
     for sealed in bs.seal_all():
         bs.commit(sealed)
     assert bs.lookup(ext.lba, 4096)[0].target != ext.target
@@ -174,7 +175,7 @@ def test_recover_stops_at_hole_and_deletes_stranded():
     store.settle_all()  # creation checkpoint + super land
     handles = {}
     for i in range(48):  # 3 objects of 16 writes each
-        sealed = bs.add_write(i * 4096, bytes([i + 1]) * 4096, record_seq=i + 1)
+        sealed = log_write(bs, i * 4096, bytes([i + 1]) * 4096)
         for batch in sealed:
             handles[batch.seq] = bs.commit(batch)
     assert len(handles) == 3
@@ -260,7 +261,7 @@ def test_gc_reclaims_overwritten_space():
     store, bs = make_store()
     for round_ in range(4):  # write the same 1 MiB region repeatedly
         for i in range(256):
-            sealed = bs.add_write(i * 4096, bytes([round_ + 1]) * 4096)
+            sealed = log_write(bs, i * 4096, bytes([round_ + 1]) * 4096)
             for batch in sealed:
                 bs.commit(batch)
     for sealed in bs.seal_all():
@@ -281,7 +282,7 @@ def test_gc_then_recover_is_consistent():
     store, bs = make_store()
     for round_ in range(3):
         for i in range(64):
-            sealed = bs.add_write(i * 4096, bytes([round_ * 64 + i + 1]) * 4096)
+            sealed = log_write(bs, i * 4096, bytes([round_ * 64 + i + 1]) * 4096)
             for batch in sealed:
                 bs.commit(batch)
     for sealed in bs.seal_all():
@@ -298,7 +299,7 @@ def test_gc_cache_reader_short_circuits_backend_reads():
     for round_ in range(3):
         for i in range(64):
             if round_ == 0 or i % 4 == round_ - 1:
-                sealed = bs.add_write(i * 4096, bytes([i + 1]) * 4096)
+                sealed = log_write(bs, i * 4096, bytes([i + 1]) * 4096)
                 for batch in sealed:
                     bs.commit(batch)
     for sealed in bs.seal_all():
@@ -331,12 +332,12 @@ def test_gc_cache_reader_short_circuits_backend_reads():
 def test_snapshot_defers_gc_deletes():
     store, bs = make_store()
     for i in range(32):
-        sealed = bs.add_write(i * 4096, b"v1" * 2048)
+        sealed = log_write(bs, i * 4096, b"v1" * 2048)
         for batch in sealed:
             bs.commit(batch)
     snap_seq = bs.create_snapshot("snap1")
     for i in range(32):
-        sealed = bs.add_write(i * 4096, b"v2" * 2048)
+        sealed = log_write(bs, i * 4096, b"v2" * 2048)
         for batch in sealed:
             bs.commit(batch)
     for sealed in bs.seal_all():
@@ -368,7 +369,7 @@ def test_snapshot_mount_sees_old_data():
     fill(bs, n_writes=16, size=4096, stride=4096)
     snap_seq = bs.create_snapshot("before")
     for i in range(16):
-        sealed = bs.add_write(i * 4096, b"NEW!" * 1024)
+        sealed = log_write(bs, i * 4096, b"NEW!" * 1024)
         for batch in sealed:
             bs.commit(batch)
     for sealed in bs.seal_all():
@@ -390,7 +391,7 @@ def test_clone_shares_base_prefix():
     assert read_all(clone, 0, 4096) == bytes([1]) * 4096
     # clone writes go to its own stream
     for i in range(16):
-        sealed = clone.add_write(i * 4096, b"CLNE" * 1024)
+        sealed = log_write(clone, i * 4096, b"CLNE" * 1024)
         for batch in sealed:
             clone.commit(batch)
     for sealed in clone.seal_all():
@@ -407,7 +408,7 @@ def test_two_clones_diverge_independently():
     c1 = BlockStore.clone_from(store, "vol", "c1", small_config())
     c2 = BlockStore.clone_from(store, "vol", "c2", small_config())
     for clone, tag in ((c1, b"1111"), (c2, b"2222")):
-        for batch in clone.add_write(0, tag * 1024):
+        for batch in log_write(clone, 0, tag * 1024):
             clone.commit(batch)
         for batch in clone.seal_all():
             clone.commit(batch)
@@ -419,7 +420,7 @@ def test_clone_recovery_roundtrip():
     store, bs = make_store()
     fill(bs, n_writes=16, size=4096, stride=4096)
     clone = BlockStore.clone_from(store, "vol", "c1", small_config())
-    for batch in clone.add_write(4096, b"zzzz" * 1024):
+    for batch in log_write(clone, 4096, b"zzzz" * 1024):
         clone.commit(batch)
     for batch in clone.seal_all():
         clone.commit(batch)
@@ -434,7 +435,7 @@ def test_clone_gc_never_touches_base_objects():
     clone = BlockStore.clone_from(store, "vol", "c1", small_config())
     for round_ in range(3):
         for i in range(32):
-            sealed = clone.add_write(i * 4096, bytes([round_ + 10]) * 4096)
+            sealed = log_write(clone, i * 4096, bytes([round_ + 10]) * 4096)
             for batch in sealed:
                 clone.commit(batch)
     for sealed in clone.seal_all():
@@ -451,7 +452,7 @@ def test_clone_from_snapshot():
     fill(bs, n_writes=16, size=4096, stride=4096)
     bs.create_snapshot("s1")
     for i in range(16):
-        sealed = bs.add_write(i * 4096, b"LATE" * 1024)
+        sealed = log_write(bs, i * 4096, b"LATE" * 1024)
         for batch in sealed:
             bs.commit(batch)
     for sealed in bs.seal_all():

@@ -6,6 +6,7 @@ from repro.core.block_store import BlockStore
 from repro.core.config import LSVDConfig
 from repro.core.log import KIND_CHECKPOINT, KIND_DATA
 from repro.objstore import InMemoryObjectStore
+from tests.cache_log import log_write
 
 MiB = 1 << 20
 
@@ -24,7 +25,7 @@ def make_store(**kw):
 
 def fill_one_object(bs, tag=1):
     for i in range(16):
-        sealed = bs.add_write(i * 4096, bytes([tag]) * 4096, record_seq=i + 1)
+        sealed = log_write(bs, i * 4096, bytes([tag]) * 4096)
         if sealed:
             for batch in sealed:
                 bs.commit(batch)
@@ -106,8 +107,8 @@ def test_seal_empty_batch_returns_none():
 def test_commit_tracks_merged_bytes():
     _store, bs = make_store()
     # two overwrites of the same 32K within one batch
-    bs.add_write(0, b"a" * 32768, record_seq=1)
-    for sealed in bs.add_write(0, b"b" * 32768, record_seq=2):
+    log_write(bs, 0, b"a" * 32768)
+    for sealed in log_write(bs, 0, b"b" * 32768):
         bs.commit(sealed)
     for sealed in bs.seal_all():
         bs.commit(sealed)

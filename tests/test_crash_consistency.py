@@ -2,11 +2,13 @@
 crash tests of LSVD and bcache (the machinery behind Table 4)."""
 
 import random
+from unittest import mock
 
 import pytest
 
 from repro.baselines import make_bcache_rbd
 from repro.core import LSVDConfig, LSVDVolume
+from repro.core.write_cache import WriteCache
 from repro.crash import HistoryRecorder, PrefixChecker, decode_stamp, stamp_data
 from repro.devices.image import DiskImage
 from repro.objstore import InMemoryObjectStore
@@ -264,3 +266,47 @@ def test_lsvd_beats_bcache_on_crash_matrix():
         if PrefixChecker(rec).check(vol2.read).ok_prefix:
             lsvd_clean += 1
     assert lsvd_clean == 3
+
+
+def replay_then_lose_the_cache(placement):
+    """Five flushed 4 KiB writes, the fifth overwriting the first, none
+    destaged; crash with the cache kept and mount with 8 KiB batches, so
+    the replay seals two objects and leaves the fifth record open; then
+    crash again with the cache lost.  Returns the verdict on what is left."""
+    store, image = InMemoryObjectStore(), DiskImage(2 * MiB)
+    cfg = LSVDConfig(batch_size=1 * MiB, placement=placement)
+    vol = LSVDVolume.create(store, "vd", 1 * MiB, image, cfg)
+    rec = HistoryRecorder(vol.write, vol.flush)
+    for lba in (0, 4096, 8192, 12288, 0):
+        rec.write(lba, 4096)
+    rec.barrier()
+    image.crash()
+    cfg = LSVDConfig(batch_size=8192, placement=placement)
+    vol = LSVDVolume.open(store, "vd", image, cfg)
+    assert vol.batch_commits == 2
+    assert not all(b.is_empty for b in vol.bs.batches.values())
+    vol = LSVDVolume.open(store, "vd", image, cfg, cache_lost=True)
+    return PrefixChecker(rec).check(vol.read)
+
+
+@pytest.mark.parametrize("placement", ["legacy", "sepbit"])
+def test_replay_maps_records_as_it_batches_them(placement):
+    """Replay seals from a cache map that is never ahead of the replay
+    cursor, so the first object keeps the first write, which only the
+    still-open fifth record overwrites."""
+    verdict = replay_then_lose_the_cache(placement)
+    assert verdict.ok_prefix, verdict.problems[:3]
+    assert verdict.cut == 4
+
+
+def test_replay_against_the_rebuilt_map_breaks_the_prefix():
+    """Mutant: replay that keeps the map recovery rebuilt from every
+    record drops the first write from the first object, which still
+    claims its record, so losing the cache loses a write of the prefix."""
+
+    def replay_ahead(self, record_seq):
+        return [ref for ref in list(self.records) if ref.seq > record_seq]
+
+    with mock.patch.object(WriteCache, "replay_after", replay_ahead):
+        verdict = replay_then_lose_the_cache("legacy")
+    assert not verdict.ok_prefix

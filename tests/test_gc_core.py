@@ -5,6 +5,7 @@ from repro.core.block_store import BlockStore
 from repro.core.config import LSVDConfig
 from repro.core.gc import GarbageCollector
 from repro.objstore import InMemoryObjectStore
+from tests.cache_log import log_write
 
 MiB = 1 << 20
 
@@ -22,7 +23,7 @@ def make_store(**kw):
 
 
 def write_and_commit(bs, lba, data):
-    for sealed in bs.add_write(lba, data):
+    for sealed in log_write(bs, lba, data):
         bs.commit(sealed)
 
 

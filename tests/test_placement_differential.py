@@ -14,7 +14,8 @@ recording policies, and the two engines must agree *exactly* on
   (both engines feed :func:`repro.core.placement.relocation_runs`).
 
 The GC trigger discipline is mirrored (a cleaning check after every
-stored object, rounds until the stop watermark).  The one place the
+stored object, rounds until the stop watermark, the objects of one seal
+group stored hottest first).  The one place the
 engines are allowed to differ is object numbering (the simulator
 interleaves GC object ids into a seal group, the store pre-allocates the
 group's seqs), which cost-benefit's age term can see under a finite
@@ -34,6 +35,7 @@ from repro.gcsim import GCSimulator
 from repro.objstore import InMemoryObjectStore
 from repro.workloads import FioJob
 from repro.workloads.base import WRITE, take
+from tests.cache_log import log_write
 
 KiB = 1 << 10
 MiB = 1 << 20
@@ -107,7 +109,11 @@ def run_full_stack(
     fill = 0
     for offset, length in stream:
         fill = (fill % 251) + 1
-        for sealed in bs.add_write(offset, bytes([fill]) * length):
+        # the store seals a group oldest record first, the simulator
+        # hottest first: commit in the simulator's order so the cleaning
+        # checks after each object see the same occupancy
+        group = log_write(bs, offset, bytes([fill]) * length)
+        for sealed in sorted(group, key=lambda b: b.temp):
             bs.commit(sealed)
             mirror_gc(gc)
     for sealed in bs.seal_all():

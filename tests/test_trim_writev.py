@@ -34,6 +34,17 @@ def test_trim_after_destage_reads_zero():
     assert vol.read(4096, 4096) == b"\x00" * 4096
 
 
+def test_trim_of_a_buffered_range_is_not_destaged():
+    """A trimmed range still in an open batch is not destaged: the seal
+    keeps only what the write cache still maps."""
+    _store, vol = make_volume()
+    vol.write(0, b"A" * 8192)
+    vol.trim(0, 4096)
+    vol.drain()
+    assert vol.read(0, 4096) == b"\x00" * 4096
+    assert vol.read(4096, 4096) == b"A" * 4096
+
+
 def test_trim_creates_garbage_for_gc():
     _store, vol = make_volume()
     for i in range(64):
@@ -98,3 +109,23 @@ def test_writev_validates_every_extent():
     _store, vol = make_volume()
     with pytest.raises(ValueError):
         vol.writev([(0, b"ok" * 256), (100, b"bad" * 256)])
+
+
+@pytest.mark.parametrize("cache_lost", [False, True])
+@pytest.mark.parametrize("placement", ["legacy", "sepbit"])
+def test_writev_straddling_a_seal_survives_a_crash(placement, cache_lost):
+    """A seal cuts only between records.  A batch that fills halfway
+    through a writev's extents seals after the whole record, so the
+    object's record mark never claims an extent left in the open batch
+    (once that object settled, the record was released and the extent
+    lost, with the cache kept or not)."""
+    store, image = InMemoryObjectStore(), DiskImage(4 * MiB)
+    cfg = LSVDConfig(batch_size=8192, placement=placement)
+    vol = LSVDVolume.create(store, "vd", 1 * MiB, image, cfg)
+    extents = [(0, b"A" * 4096), (64 * 1024, b"B" * 4096), (128 * 1024, b"C" * 4096)]
+    vol.writev(extents)
+    vol.flush()
+    image.crash()
+    vol = LSVDVolume.open(store, "vd", image, cfg, cache_lost=cache_lost)
+    for offset, data in extents:
+        assert vol.read(offset, 4096) == data

@@ -118,7 +118,7 @@ def test_release_drops_entries_of_a_record_whose_payload_rotted():
     wc = make_cache()
     r1 = wc.append([(0, b"a" * 4096), (16384, b"c" * 512)])
     phys = wc._phys(r1.virt)
-    data_at = phys + r1.extents[0][2]
+    data_at = r1.extents[0][2]
     wc.image.write(data_at, bytes([wc.image.read(data_at, 1)[0] ^ 0xFF]))
     assert decode_record(wc.image.read(phys, r1.size)) is None  # CRC fails
     wc.release_through(r1.seq)
@@ -255,9 +255,9 @@ def test_recover_survives_many_random_crashes():
         assert recovered == set(range(1, len(recovered) + 1))
         # and their content is intact
         replay = {}
-        for record, _ref in fresh.records_after(0):
-            for idx, (lba, length) in enumerate(record.extents):
-                replay[lba] = fresh.record_data(record, idx)
+        for ref in fresh.replay_after(0):
+            for lba, length, offset in ref.extents:
+                replay[lba] = fresh.image.read(offset, length)
         for seq in sorted(recovered):
             lba, data = expected[seq]
             # newest-wins: only check lbas whose final writer is <= prefix
@@ -365,13 +365,17 @@ def test_crash_recover_destage_release_empties_the_map():
         assert vol.read(lba, 4096) == data
 
 
-def test_records_after_filters_by_seq():
+def test_replay_after_filters_by_seq():
     wc = make_cache()
     wc.append([(0, b"a" * 512)])
     wc.append([(4096, b"b" * 512)])
     wc.append([(8192, b"c" * 512)])
-    seqs = [rec.seq for rec, _ in wc.records_after(1)]
-    assert seqs == [2, 3]
+    replay = wc.replay_after(1)
+    assert next(replay).seq == 2
+    # the map holds the records up to the cursor, none past it
+    assert [ext.lba for ext in wc.map] == [0, 4096]
+    assert [ref.seq for ref in replay] == [3]
+    assert [ext.lba for ext in wc.map] == [0, 4096, 8192]
 
 
 def test_checkpoint_alternates_slots_and_newest_wins():

@@ -117,8 +117,9 @@ def test_recovery_invariants_under_random_ops(ops, crash_seed):
         for seq in range(max(lowest_live, 1), durable_seq + 1):
             assert seq in set(seqs), (seq, durable_seq, seqs)
     # content of every recovered record is exact
-    for record, _ref in fresh.records_after(0):
-        if record.seq in payloads:
-            lba, data = payloads[record.seq]
-            assert record.extents == [(lba, 4096)]
-            assert fresh.record_data(record, 0) == data
+    for ref in fresh.replay_after(0):
+        if ref.seq in payloads:
+            lba, data = payloads[ref.seq]
+            [(got_lba, length, offset)] = ref.extents
+            assert (got_lba, length) == (lba, 4096)
+            assert fresh.image.read(offset, length) == data
