@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: all lint ruff mypy invariants test examples obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger ledger-pairs pairs-report paper-smoke ablation-prefetch traffic
+.PHONY: all lint ruff mypy invariants test examples obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger ledger-pairs pairs-report paper-smoke ablation-prefetch traffic lint-history
 
 all: lint test
 
@@ -16,7 +16,7 @@ ruff:
 mypy:
 	mypy
 
-# the LSVD invariant checker (LSVD001-LSVD017); see DESIGN.md
+# the LSVD invariant checker (LSVD002-LSVD017, eleven rules); see DESIGN.md
 invariants:
 	$(PYTHON) -m repro.lint src/repro benchmarks examples
 
@@ -143,3 +143,9 @@ ablation-prefetch:
 # called are printed by package; ~25 min, so not a CI step
 traffic:
 	$(PYTHON) benchmarks/traffic.py
+
+# the lint census (DESIGN.md "Invariants & static checks"): today's rules
+# over every commit's src tree, printing per-rule counts and the findings
+# each commit removed; needs full git history, ~2.5 min, so not a CI step
+lint-history:
+	$(PYTHON) benchmarks/lint_history.py

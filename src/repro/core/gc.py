@@ -213,7 +213,11 @@ class GarbageCollector:
         for temp, chunk in plan_relocation(
             plan.pieces, self.store.placement, self.config.batch_size
         ):
-            results.append(self._commit_chunk(chunk, temp, span=stage))
+            sealed = seal_gc_batch(
+                self.store._take_seq(), self.store.uuid, chunk, last_record_seq=0, temp=temp
+            )
+            results.append((sealed, self.store.commit(sealed, span=stage)))
+            self.stats.add_class_relocated(temp, sealed.data_len)
         stage.end(bytes=plan.live_bytes)
         self.stats.rounds += 1
         self.stats.victims_cleaned += len(plan.victims)
@@ -230,20 +234,6 @@ class GarbageCollector:
             bytes_read_cache=plan.bytes_read_cache,
         )
         return results
-
-    def _commit_chunk(
-        self, pieces: List[Tuple[int, int, int, bytes]], temp: int = 0, span=NULL_SPAN
-    ):
-        sealed = seal_gc_batch(
-            self.store._take_seq(),
-            self.store.uuid,
-            pieces,
-            last_record_seq=0,
-            temp=temp,
-        )
-        result = self.store.commit(sealed, span=span)
-        self.stats.add_class_relocated(temp, sealed.data_len)
-        return sealed, result
 
     # ------------------------------------------------------------------
     def delete_victims(self, victims: List[int]) -> Tuple[List[int], List[int]]:

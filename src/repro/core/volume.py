@@ -469,12 +469,10 @@ class LSVDVolume:
                 self._gc_round.pending_puts -= 1
         elif kind == "ckpt":
             self.bs.retire_old_checkpoints()
-            if (
-                self._gc_round is not None
-                and self._gc_round.stage == "await_ckpt"
-                and self._gc_round.ckpt_seq == payload
-            ):
-                self._finish_gc_round()
+            rnd = self._gc_round
+            if rnd is not None and rnd.stage == "await_ckpt" and rnd.ckpt_seq == payload:
+                self._gc_round = None
+                self.gc.delete_victims(rnd.victims)
         self._maybe_checkpoint()
         self._advance_gc()
 
@@ -522,12 +520,10 @@ class LSVDVolume:
         seq, result = self.bs.write_checkpoint(span=span)
         if result is None:
             self.bs.retire_old_checkpoints()
-            if (
-                self._gc_round is not None
-                and self._gc_round.stage == "await_ckpt"
-            ):
-                self._gc_round.ckpt_seq = seq
-                self._finish_gc_round()
+            rnd = self._gc_round
+            if rnd is not None and rnd.stage == "await_ckpt":
+                self._gc_round = None
+                self.gc.delete_victims(rnd.victims)
         else:
             self._pending[result] = ("ckpt", seq)
         return seq
@@ -562,12 +558,6 @@ class LSVDVolume:
                 self._pending[result] = ("gc", sealed.seq)
         span.end(victims=len(plan.victims))
         self._advance_gc()
-
-    def _finish_gc_round(self) -> None:
-        rnd = self._gc_round
-        self._gc_round = None
-        if rnd is not None:
-            self.gc.delete_victims(rnd.victims)
 
     def _make_room(self, needed: int, span=NULL_SPAN) -> None:
         """Cache log full: force destage so records can be released."""

@@ -153,7 +153,7 @@ class FleetManager:
         }
         blob = json.dumps(doc, sort_keys=True).encode("utf-8")
         # mutable registry key, rewritten whole — same discipline as the
-        # per-volume superblock (reviewed immutability-allow entry)
+        # per-volume superblock (reviewed settlement-allow entry)
         self.store.put(MANIFEST_KEY, blob)
         self._g_vdisks.set(len(self._vdisks))
 

@@ -4,8 +4,6 @@ The correctness argument of a log-structured virtual disk rests on a
 handful of repo-wide properties (PAPER.md §3.1–3.3) that no unit test
 can pin down locally:
 
-* backend objects are immutable once PUT, and only the block-store
-  layer may mutate the object stream (LSVD001);
 * object / record sequence numbers are allocated in exactly one place
   and are strictly monotone (LSVD002);
 * everything under the ``DETERMINISM_DIRS`` (``core/``, ``sim/``,
@@ -15,8 +13,16 @@ can pin down locally:
   (LSVD004);
 * LBA-denominated and byte-denominated quantities never mix silently
   (LSVD005);
-* ``struct`` wire formats stay in lock-step with the header dataclasses
-  that describe them (LSVD006).
+* stat counters go through the ``repro.obs`` registry (LSVD007) and the
+  data-plane modules stay off O(n) shuffles and per-extent copies
+  (LSVD009);
+* the ordering invariants — a PUT handle is settled, an ack follows
+  durability, a barrier settles after its FLUSH, I/O passes admission,
+  a relocation is classified (LSVD010/011/014/016/017; see
+  :mod:`repro.lint.flow`).
+
+Every rule cites the catch or crash mutant that justifies it
+(``--explain``'s ``Evidence:`` section).
 
 This package parses the source tree with :mod:`ast` and checks those
 properties.  Run it as ``python -m repro.lint [paths]`` or via the

@@ -3,9 +3,9 @@
 Exit status: 0 clean, 1 findings, 2 usage error.  ``--format json``
 emits the machine-readable document described in
 :mod:`repro.lint.reporters`.  ``--explain`` (optionally with ``--rule
-LSVD0NN``) prints each rule's invariant, example violation, and paper
-section, parsed live from the rule class docstrings so the help text
-can never drift from the implementation.
+LSVD0NN``) prints each rule's invariant, example violation, paper
+section and evidence, parsed live from the rule class docstrings so the
+help text can never drift from the implementation.
 """
 
 from __future__ import annotations
@@ -23,14 +23,15 @@ from repro.lint.framework import Rule, run_lint
 from repro.lint.reporters import render_json, render_text
 from repro.lint.rules import ALL_RULES
 
-#: docstring section headers recognised by --explain (``::`` starts an
+#: docstring section headers --explain prints, in order (``::`` starts an
 #: RST literal block for the example snippet)
-_SECTION_RE = re.compile(r"^(Invariant|Example violation|Paper)::?$")
+SECTIONS = ("Invariant", "Example violation", "Paper", "Evidence")
+_SECTION_RE = re.compile(rf"^({'|'.join(SECTIONS)})::?$")
 
 
 def rule_sections(cls: Type[Rule]) -> Dict[str, str]:
-    """Parse the ``Invariant:`` / ``Example violation:`` / ``Paper:``
-    sections out of a rule class docstring."""
+    """Parse the ``Invariant:`` / ``Example violation:`` / ``Paper:`` /
+    ``Evidence:`` sections out of a rule class docstring."""
     doc = inspect.cleandoc(cls.__doc__ or "")
     sections: Dict[str, List[str]] = {}
     current: Optional[str] = None
@@ -54,7 +55,7 @@ def explain_rules(codes: Optional[List[str]] = None) -> str:
             continue
         sections = rule_sections(cls)
         lines = [f"{cls.code} · {cls.name}", f"  {cls.summary}"]
-        for header in ("Invariant", "Example violation", "Paper"):
+        for header in SECTIONS:
             body = sections.get(header)
             if not body:
                 continue
@@ -113,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explain",
         action="store_true",
-        help="print each rule's invariant, example violation, and paper "
-        "section (from the rule docstrings) and exit",
+        help="print each rule's invariant, example violation, paper "
+        "section and evidence (from the rule docstrings) and exit",
     )
     return parser
 

@@ -6,7 +6,6 @@ allowlists from ``pyproject.toml``::
 
     [tool.repro-lint]
     ignore = ["LSVD005"]
-    immutability-allow = ["core/new_destager.py"]
     sequence-allow = ["core/new_destager.py"]
 
 Module paths are matched as *suffixes* of the path after the ``repro``
@@ -16,17 +15,15 @@ package directory, so ``core/block_store.py`` matches
 Only what some project actually overrides is a field here: rule selection,
 the per-rule allowlists, and the two vocabularies a fixture extends.  The
 marker, receiver, call and scope lists with a single value anywhere are
-module constants beside the rule that reads them (the three shared by more
-than one rule — ``STORE_RECEIVERS``, ``RECOVERY_DIRS``, ``STATE_MUTATORS``
-— stay in this module).
+module constants beside the rule that reads them.
 """
 
 from __future__ import annotations
 
 import pathlib
 import re
-from dataclasses import dataclass, field, fields, replace
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 try:  # Python 3.11+
     import tomllib
@@ -36,33 +33,6 @@ except ModuleNotFoundError:  # pragma: no cover - 3.10 fallback
 #: package directory used to anchor relative module keys
 PACKAGE_MARKER = "repro"
 
-#: modules allowed to call ObjectStore.put/.delete directly: the block
-#: store itself, its checkpoint/replication helpers, the object-store
-#: implementations, and the timed runtime model of the destage daemon.
-DEFAULT_IMMUTABILITY_ALLOW: Tuple[str, ...] = (
-    "core/block_store.py",
-    "core/replication.py",
-    "core/checkpoint.py",
-    "cluster/layouts.py",
-    "objstore/s3.py",
-    "objstore/directory.py",
-    "runtime/backend.py",
-    "runtime/lsvd.py",
-    "runtime/sharded.py",
-    "shard/store.py",
-)
-
-#: receiver names that identify an object-store handle at a call site
-STORE_RECEIVERS: Tuple[str, ...] = (
-    "store",
-    "object_store",
-    "objstore",
-    "backend",
-    "target",
-    "source_store",
-    "inner",
-)
-
 #: modules that own sequence-number arithmetic: the wire format, the
 #: backend object allocator, and the cache-log allocator.
 DEFAULT_SEQUENCE_ALLOW: Tuple[str, ...] = (
@@ -70,11 +40,6 @@ DEFAULT_SEQUENCE_ALLOW: Tuple[str, ...] = (
     "core/block_store.py",
     "core/write_cache.py",
 )
-
-#: modules that may compute shard placement / spell out shard names —
-#: the LSVD008 ownership boundary.  A directory prefix covers the whole
-#: package.
-DEFAULT_SHARD_ALLOW: Tuple[str, ...] = ("shard/",)
 
 #: modules exempt from LSVD007: the user-facing reporting surfaces.  The
 #: CLI and the analysis/lint reporters print by design; they *consume*
@@ -116,41 +81,6 @@ DEFAULT_HOTPATH_BLESSED: Tuple[str, ...] = (
     "core/extent_map.py::_maybe_fold",
 )
 
-#: directories where exception handlers must not swallow errors
-RECOVERY_DIRS: Tuple[str, ...] = (
-    "core/",
-    "crash/",
-)
-
-#: struct constant -> header dataclass pairs that must stay in lock-step,
-#: keyed by module suffix
-DEFAULT_STRUCT_DATACLASS_MAP: Dict[str, Dict[str, str]] = {
-    "core/log.py": {"_OBJ_EXT": "ObjectExtent"},
-}
-
-#: method names that mutate a container attribute in place
-STATE_MUTATORS: Tuple[str, ...] = (
-    "update",
-    "add",
-    "add_object",
-    "remove",
-    "discard",
-    "pop",
-    "popleft",
-    "append",
-    "appendleft",
-    "extend",
-    "clear",
-    "insert",
-    "apply_object",
-    "apply_extent",
-    "apply_gc_extent",
-    "restore",
-    "trim",
-    "drop_object",
-    "setdefault",
-)
-
 #: modules allowed to construct QoS enforcement machinery and hold
 #: cross-tenant rate state: the fleet control plane itself
 DEFAULT_FLEET_ALLOW: Tuple[str, ...] = ("fleet/",)
@@ -165,29 +95,16 @@ class LintConfig:
 
     select: Optional[Tuple[str, ...]] = None
     ignore: Tuple[str, ...] = ()
-    immutability_allow: Tuple[str, ...] = DEFAULT_IMMUTABILITY_ALLOW
     sequence_allow: Tuple[str, ...] = DEFAULT_SEQUENCE_ALLOW
-    shard_allow: Tuple[str, ...] = DEFAULT_SHARD_ALLOW
     obs_allow: Tuple[str, ...] = DEFAULT_OBS_ALLOW
     stat_markers: Tuple[str, ...] = DEFAULT_STAT_MARKERS
     hotpath_blessed: Tuple[str, ...] = DEFAULT_HOTPATH_BLESSED
-    struct_dataclass_map: Mapping[str, Mapping[str, str]] = field(
-        default_factory=lambda: dict(DEFAULT_STRUCT_DATACLASS_MAP)
-    )
-    # flow rules (LSVD010-LSVD012)
+    # settlement leak (LSVD010)
     settlement_allow: Tuple[str, ...] = ()
-    durability_allow: Tuple[str, ...] = ()
-    recovery_order_allow: Tuple[str, ...] = ()
-    # span hygiene (LSVD015)
-    span_allow: Tuple[str, ...] = ()
-    # barrier coalescing (LSVD014)
-    barrier_allow: Tuple[str, ...] = ()
     # tenant isolation (LSVD016)
     fleet_allow: Tuple[str, ...] = DEFAULT_FLEET_ALLOW
-    fleet_admission_allow: Tuple[str, ...] = ()
     # placement confinement (LSVD017)
     placement_allow: Tuple[str, ...] = DEFAULT_PLACEMENT_ALLOW
-    placement_flow_allow: Tuple[str, ...] = ()
 
     # -- code filtering --------------------------------------------------
     def code_enabled(self, code: str) -> bool:
@@ -226,7 +143,7 @@ class LintConfig:
     ) -> Tuple[FrozenSet[str], bool]:
         """Per-function exemptions for one module.
 
-        Entries take the form ``core/volume.py::_finish_gc_round`` (one
+        Entries take the form ``core/block_store.py::write_super`` (one
         function) or a bare module suffix (the whole file).  Returns
         ``(exempt function names, whole-module exemption)``.
         """
@@ -264,7 +181,7 @@ class LintConfig:
         for spec in fields(cls):
             key = "hotpath-allow" if spec.name == "hotpath_blessed" else spec.name.replace("_", "-")
             extra = table.get(key)
-            if spec.name == "struct_dataclass_map" or not isinstance(extra, list):
+            if not isinstance(extra, list):
                 continue
             items = tuple(str(item) for item in extra)
             updates[spec.name] = items if spec.name == "select" else getattr(base, spec.name) + items
@@ -284,7 +201,7 @@ class LintConfig:
         paths = [str(path) for path in package_dir.rglob("*.py")]
         stale: List[str] = []
         for spec in fields(self):
-            if not spec.name.endswith(("_allow", "_blessed", "_map")):
+            if not spec.name.endswith(("_allow", "_blessed")):
                 continue
             for entry in getattr(self, spec.name):
                 module, _sep, func = entry.partition("::")

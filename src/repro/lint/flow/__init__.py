@@ -1,19 +1,20 @@
 """Flow-sensitive analysis engine for the LSVD invariant checker.
 
-The single-pass AST rules (LSVD001-LSVD009) can ban a call; they cannot
+The single-pass AST rules (LSVD002-LSVD009) can ban a call; they cannot
 see *paths*.  The paper's ordering invariants — ack only after the log
 record is durable (§3.2), free a victim only after the relocated copy
 and the covering checkpoint settle (§3.5) — are statements about what
 must happen *before* something else *on every path*, including the
 exception paths a refactor quietly adds.  This package supplies the
-machinery the flow rules (LSVD010-012, LSVD014-017) are built on:
+machinery the flow rules (LSVD010, 011, 014 and the flow halves of 016
+and 017) are built on:
 
 * :mod:`repro.lint.flow.cfg` — per-function control-flow graphs over
   the Python AST (branches, loops, try/except/finally, with,
   return/raise/break/continue edges);
 * :mod:`repro.lint.flow.typestate` — per-variable gen/kill lattices
   (acquire / consume / branch-refine) and their forward worklist solver
-  with edge-sensitive transfers, shared by the typestate rules,
+  with edge-sensitive transfers (LSVD010's handle check),
   the ``unguarded_sites`` reachability walk shared by the
   ordering rules (LSVD011/014/016/017), and the AST vocabulary.
 

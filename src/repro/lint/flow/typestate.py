@@ -2,14 +2,14 @@
 the flow rules.
 
 A *typestate* fact is a frozenset of :class:`Pending` records — "this
-key (a local variable holding a PUT handle, or a mutated attribute) was
-put into a must-be-resolved state at that node and has not been
-resolved yet".  :class:`TypestateAnalysis` is the forward gen/kill
-skeleton: subclasses say what *acquires* (gen), what *resolves* (kill),
-and which branch edges *refine* (a ``handle is None`` test proves there
-is nothing to settle on the true side); :func:`solve` iterates it to a
-fixpoint over a CFG.  :func:`unguarded_sites` is a forward reachability
-walk: which *sites* can control reach from function entry without first
+key (a local variable holding a PUT handle) was put into a
+must-be-resolved state at that node and has not been resolved yet".
+:class:`TypestateAnalysis` is the forward gen/kill skeleton: subclasses
+say what *acquires* (gen), what *resolves* (kill), and which branch
+edges *refine* (a ``handle is None`` test proves there is nothing to
+settle on the true side); :func:`solve` iterates it to a fixpoint over a
+CFG (LSVD010's handle check is its one subclass).
+:func:`unguarded_sites` is a forward reachability walk: which *sites* can control reach from function entry without first
 crossing *evidence* — the one dominance question the ordering rules
 (LSVD011/014/016/017) ask, each with its own vocabulary.
 
@@ -375,38 +375,3 @@ def attr_on_self(expr: ast.expr) -> Optional[str]:
 def matches_marker(name: str, markers: Sequence[str]) -> bool:
     lowered = name.lower()
     return any(marker in lowered for marker in markers)
-
-
-def mutated_self_attr(
-    stmt: Optional[ast.AST],
-    markers: Sequence[str],
-    mutators: Sequence[str],
-    bookkeeping: Sequence[str] = (),
-) -> Optional[str]:
-    """The marker-named ``self.<attr>`` this statement mutates, if any:
-    an (aug-)assignment to it, a subscript store into it, or an in-place
-    ``mutators`` call on it.  A subscript store into a container whose
-    name contains a ``bookkeeping`` word does not count — registering in
-    a pending/ledger table *is* the settlement bookkeeping."""
-
-    def state_attr(expr: ast.expr) -> Optional[str]:
-        attr = attr_on_self(expr)
-        if attr is not None and matches_marker(attr, markers):
-            return attr
-        return None
-
-    if isinstance(stmt, (ast.Assign, ast.AugAssign)):
-        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        for target in targets:
-            attr = state_attr(target)
-            if attr is not None:
-                return attr
-            if isinstance(target, ast.Subscript):
-                base = state_attr(target.value)
-                if base is not None and not any(w in base for w in bookkeeping):
-                    return base
-    if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
-        func = stmt.value.func
-        if isinstance(func, ast.Attribute) and func.attr in mutators:
-            return state_attr(func.value)
-    return None

@@ -124,6 +124,11 @@ class BarrierCoalescingRule(Rule):
         flush covering everything acknowledged before it; batching
         barriers (group commit) must preserve exactly that contract for
         every caller in the batch.
+
+    Evidence:
+        Commit eda6aef: a ``runtime/bcache.py`` ``_barrier`` path settled
+        ``done`` with no FLUSH; every path now ends in one.  Crash mutant #2
+        (``_settle_barriers`` called, not hung on the flush) draws one finding.
     """
 
     code = "LSVD014"
@@ -136,12 +141,9 @@ class BarrierCoalescingRule(Rule):
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
         if not config.module_allowed(ctx.path, BARRIER_MODULES):
             return
-        allowed, whole = config.scoped_allow(ctx.path, config.barrier_allow)
-        if whole:
-            return
         flushed = completion_callbacks(ctx.tree, BARRIER_EVIDENCE_CALLS)
         for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
-            if func.name in allowed or func.name in flushed:
+            if func.name in flushed:
                 continue
             if not any(marker in func.name for marker in BARRIER_FUNCTION_MARKERS):
                 continue

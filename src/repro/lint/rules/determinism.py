@@ -71,6 +71,10 @@ class DeterminismRule(Rule):
         §4 — the evaluation compares latency/throughput curves across
         runs; nondeterministic inputs would make Figures 13-15
         unreproducible.
+
+    Evidence:
+        Commit de875c3: ``devices/image.py`` ``DiskImage.crash`` drew an
+        unseeded ``random.Random()``; it now seeds from the image's history.
     """
 
     code = "LSVD003"

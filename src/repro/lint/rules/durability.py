@@ -124,6 +124,11 @@ class DurabilityOrderingRule(Rule):
         §3.2 — a write is acknowledged only once its cache-log record
         is durable; §3.5 — GC deletes victims only after a newer
         checkpoint settles (barrier-before-ack).
+
+    Evidence:
+        Crash mutants #3 (``_advance_release_frontier`` without its
+        ``.settled`` test) and #7 (``_advance_gc`` deleting victims at
+        ``await_ckpt``) each draw one finding.  No historical catch.
     """
 
     code = "LSVD011"
@@ -136,12 +141,9 @@ class DurabilityOrderingRule(Rule):
     def check(self, ctx: ModuleContext, config: LintConfig) -> Iterator[Diagnostic]:
         if not config.module_allowed(ctx.path, DURABILITY_MODULES):
             return
-        allowed, whole = config.scoped_allow(ctx.path, config.durability_allow)
-        if whole:
-            return
         settled = completion_callbacks(ctx.tree, DURABILITY_YIELD_EVIDENCE)
         for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
-            if func.name in allowed or func.name in settled or "settle" in func.name:
+            if func.name in settled or "settle" in func.name:
                 continue
             for node in unguarded_sites(
                 cfg, node_calls(DURABILITY_ACK_CALLS), _is_evidence_node, _edge_is_evidence
@@ -154,9 +156,8 @@ class DurabilityOrderingRule(Rule):
                     "evidence (settle/flush/barrier/recover or a branch "
                     "on settled state) on some path from function entry",
                     "establish durability before acknowledging: settle or "
-                    "flush first, or gate the ack on settled state; "
-                    "callback-driven acks can be allowlisted via "
-                    "durability-allow",
+                    "flush first, gate the ack on settled state, or run it "
+                    "from a callback hung only on the backend write",
                 )
 
 

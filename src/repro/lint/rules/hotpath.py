@@ -76,6 +76,11 @@ class HotPathRule(Rule):
     Paper:
         §3.7/§4.2 — the production rewrite moved the map to a B+-tree
         because per-op O(n) work dominated client CPU at scale.
+
+    Evidence:
+        Commit 9987950: ten ``list.insert``/``del`` shuffles in
+        ``core/extent_map.py`` became bounded-chunk helpers, and two per-extent
+        ``bytes(...)`` copies in ``core/batch.py`` went.
     """
 
     code = "LSVD009"

@@ -97,6 +97,11 @@ class ObservabilityRule(Rule):
     Paper:
         §4 — every figure is a metrics timeline; counters outside the
         registry can't be snapshotted, diffed, or plotted.
+
+    Evidence:
+        Commit 28a4745: 31 ad-hoc ``self.<stat> +=`` increments in the caches
+        and ``runtime/`` moved into the registry.  Commit cb638e6:
+        ``runtime/sharded.py`` declared metric fields it never bound.
     """
 
     code = "LSVD007"

@@ -25,9 +25,9 @@ Two checks, one syntactic and one flow-sensitive:
    a ``plan_relocation``/``split_relocation``/``on_write`` call.  A
    relocation write with no classifier upstream means survivors keep a
    stale class: exactly the slow drift toward mixed objects the
-   placement layer exists to prevent.  Helpers that receive an
-   already-classified chunk from their caller are allowlisted via
-   ``placement-flow-allow`` (``core/gc.py::_commit_chunk``).
+   placement layer exists to prevent.  Dominance is checked within one
+   function, so the write stays in the function that runs the classifier
+   (``GarbageCollector.execute``'s loop).
 """
 
 from __future__ import annotations
@@ -146,6 +146,11 @@ class PlacementConfinementRule(Rule):
         -time separation; the WA reduction gated by wa_smoke holds only
         while the simulator provably runs the same placement code as
         the full stack.
+
+    Evidence:
+        Commit 57ccf45: ``gcsim/simulator.py`` ``_clean`` wrote relocation
+        objects with no classifier; it now goes through ``plan_relocation``.
+        Crash mutant #8 (``[(0, plan.pieces)]`` for the planner) draws one.
     """
 
     code = "LSVD017"
@@ -160,7 +165,7 @@ class PlacementConfinementRule(Rule):
         if not config.module_allowed(ctx.path, config.placement_allow):
             yield from self._check_confinement(ctx)
         if config.module_allowed(ctx.path, PLACEMENT_MODULES):
-            yield from self._check_relocation_flow(ctx, config)
+            yield from self._check_relocation_flow(ctx)
 
     # -- confinement (syntactic) ----------------------------------------
     def _check_confinement(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
@@ -206,15 +211,8 @@ class PlacementConfinementRule(Rule):
                     )
 
     # -- relocation-reenters-classifier (flow) --------------------------
-    def _check_relocation_flow(
-        self, ctx: ModuleContext, config: LintConfig
-    ) -> Iterator[Diagnostic]:
-        allowed, whole = config.scoped_allow(ctx.path, config.placement_flow_allow)
-        if whole:
-            return
+    def _check_relocation_flow(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
         for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
-            if func.name in allowed:
-                continue
             for node in unguarded_sites(
                 cfg, lambda n: bool(_reloc_calls(n)), node_calls(PLACEMENT_CLASSIFIER_CALLS)
             ):
@@ -227,8 +225,7 @@ class PlacementConfinementRule(Rule):
                     "split_relocation/on_write) — relocated survivors keep "
                     "a stale temperature class",
                     "route the relocated pieces through plan_relocation "
-                    "(see GarbageCollector.execute), or allowlist the "
-                    "helper via placement-flow-allow with a review",
+                    "(see GarbageCollector.execute)",
                 )
 
 

@@ -14,11 +14,17 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Tuple
 
-from repro.lint.config import RECOVERY_DIRS, LintConfig
+from repro.lint.config import LintConfig
 from repro.lint.diagnostics import Diagnostic
 from repro.lint.flow.cfg import broad_catch
 from repro.lint.flow.typestate import call_name
 from repro.lint.framework import ModuleContext, Rule
+
+#: directories where exception handlers must not swallow errors
+RECOVERY_DIRS: Tuple[str, ...] = (
+    "core/",
+    "crash/",
+)
 
 #: call names that count as "recording" an error inside a handler
 ERROR_RECORDING: Tuple[str, ...] = (
@@ -49,6 +55,10 @@ class RecoveryHandlerRule(Rule):
     Paper:
         §3.3 — recovery distinguishes "end of log" from "corruption";
         a handler that eats the difference breaks prefix consistency.
+
+    Evidence:
+        Commit de875c3: ``core/block_store.py`` ``_kind_of`` caught
+        ``Exception``; it now catches ``NoSuchKeyError``/``CorruptRecordError``.
     """
 
     code = "LSVD004"

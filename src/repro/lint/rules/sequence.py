@@ -53,6 +53,11 @@ class SequenceHygieneRule(Rule):
         §3.1 — the object stream is a single dense sequence; §3.3 —
         recovery stops at the first gap, so a duplicated or skipped
         number silently truncates every later write.
+
+    Evidence:
+        Commit de875c3: ``core/volume.py`` computed ``last_record_seq + 1``
+        twice and ``core/gc.py`` ``next_seq - 1``; they became
+        ``WriteCache.resume_after`` and ``BlockStore.newest_seq``.
     """
 
     code = "LSVD002"

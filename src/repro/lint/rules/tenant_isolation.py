@@ -154,6 +154,11 @@ class TenantIsolationRule(Rule):
         §4.5 — fleet-scale sharing of one host and one backend account
         is the economic case; it holds only if no tenant can bypass
         admission control or starve another's paid-for rate.
+
+    Evidence:
+        Commit 8b65cec: ``core/volume.py`` ``write``/``writev``/``read`` and
+        ``runtime/lsvd.py`` ``_read``/``_write`` forwarded I/O with no
+        admission; each gained a ``qos`` admission guard.
     """
 
     code = "LSVD016"
@@ -169,7 +174,7 @@ class TenantIsolationRule(Rule):
         if not in_fleet:
             yield from self._check_confinement(ctx)
         if config.module_in_dirs(ctx.path, FLEET_MODULES):
-            yield from self._check_admission(ctx, config)
+            yield from self._check_admission(ctx)
 
     # -- confinement (syntactic) ----------------------------------------
     def _check_confinement(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
@@ -201,15 +206,10 @@ class TenantIsolationRule(Rule):
                 )
 
     # -- admission-before-forward (flow) --------------------------------
-    def _check_admission(
-        self, ctx: ModuleContext, config: LintConfig
-    ) -> Iterator[Diagnostic]:
-        allowed, whole = config.scoped_allow(ctx.path, config.fleet_admission_allow)
-        if whole:
-            return
+    def _check_admission(self, ctx: ModuleContext) -> Iterator[Diagnostic]:
         for _qualname, func, cfg in iter_function_cfgs(ctx.tree):
             name = func.name
-            if name in allowed or "admission" in name or "admit" in name:
+            if "admission" in name or "admit" in name:
                 continue
             if not any(marker in name for marker in FLEET_ENTRY_MARKERS):
                 continue
@@ -229,9 +229,7 @@ class TenantIsolationRule(Rule):
                     "no-tenant `qos is None` branch) — a tenant's I/O can "
                     "enter the shared data plane uncharged",
                     "call the volume's admission hook before forwarding "
-                    "(see LSVDVolume.write / LSVDRuntime._write), or "
-                    "allowlist the function via fleet-admission-allow "
-                    "with a review",
+                    "(see LSVDVolume.write / LSVDRuntime._write)",
                 )
 
 

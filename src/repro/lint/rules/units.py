@@ -45,6 +45,11 @@ class UnitConfusionRule(Rule):
         §3.1 — the virtual disk is addressed in sectors but the log
         and object layer in bytes; a silent 512x error corrupts the
         extent map.
+
+    Evidence:
+        Commit de875c3: ``core/volume.py`` ``read`` subtracted the byte
+        ``offset`` from loop variables named ``lba`` that held byte addresses;
+        they became ``piece_start``.
     """
 
     code = "LSVD005"

@@ -38,8 +38,8 @@ stage-attribution section of ``repro stats``.  Its newest
 :data:`FLIGHT_TREES` trees are the flight recorder: the JSON debug
 bundle dumped on crash-test failure or by ``repro flightrec dump``.
 
-The LSVD015 lint rule (span-hygiene) enforces the handle discipline:
-every span begun must be ended or adopted on all normal-exit paths.
+Every span begun must be ended or adopted on all normal-exit paths; a
+root left open is counted in ``open_roots``.
 """
 
 from __future__ import annotations

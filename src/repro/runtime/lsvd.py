@@ -441,7 +441,7 @@ class LSVDRuntime:
         ]
         # one destage queue per backend shard (a plain backend is the
         # single-queue special case); routing delegates to the backend's
-        # shard router so placement stays owned by repro.shard (LSVD008)
+        # shard router so placement stays owned by repro.shard
         n_queues = int(getattr(backend, "n_shards", 1))
         self._destage_qs: List[Store] = [Store(sim) for _ in range(n_queues)]
         self._queue_gauges = [
@@ -512,9 +512,8 @@ class LSVDRuntime:
     def _shard_index(self, key: str) -> int:
         """Destage queue for ``key`` — the shard its PUT will land on.
 
-        Placement itself stays owned by the backend's ShardRouter
-        (LSVD008); a plain single-endpoint backend maps everything to
-        queue 0.
+        Placement itself stays owned by the backend's ShardRouter; a
+        plain single-endpoint backend maps everything to queue 0.
         """
         shard_of = getattr(self.backend, "shard_of", None)
         if shard_of is None:

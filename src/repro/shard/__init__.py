@@ -1,8 +1,8 @@
 """repro.shard: stripe one volume's object stream across N backends.
 
 The stream stays a single global sequence; only *placement* is sharded.
-:class:`ShardRouter` owns the name -> shard mapping (lint rule LSVD008
-keeps it that way), :class:`ShardedObjectStore` fans the ObjectStore
+:class:`ShardRouter` owns the name -> shard mapping,
+:class:`ShardedObjectStore` fans the ObjectStore
 interface out across the shards so the rest of the stack is oblivious.
 """
 

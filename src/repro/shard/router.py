@@ -4,9 +4,7 @@ A sharded LSVD backend stripes the *objects* of one volume across N
 independent object-store backends while keeping the single global
 sequence numbering intact.  Correctness then rests on one property:
 **every reader and writer must agree, forever, on which shard owns a
-given name**.  This module is the only place that mapping is computed —
-the LSVD008 lint rule rejects ``% n_shards`` arithmetic and shard-name
-construction anywhere else in the tree.
+given name**.  This module is the only place that mapping is computed.
 
 Placement is pluggable (:data:`LAYOUTS`):
 

@@ -110,7 +110,7 @@ DESIGN_CEILINGS = {
     " overlapped recovery": 99,
     "Multi-tenant fleet & QoS (`repro.fleet`)": 43,
     "Temperature-aware placement (`repro.core.placement`)": 105,
-    "Invariants & static checks (`repro.lint`)": 109,
+    "Invariants & static checks (`repro.lint`)": 107,
 }
 
 

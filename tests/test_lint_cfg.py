@@ -23,7 +23,6 @@ from repro.lint.flow.cfg import (
 from repro.lint.flow.typestate import (
     Pending,
     TypestateAnalysis,
-    mutated_self_attr,
     node_calls,
     none_side,
     solve,
@@ -430,41 +429,10 @@ class TestSuspendedCalls:
         assert len(suspended_calls(node.parts, ("flush",))) == 1
 
 
-def mutated(stmt, bookkeeping=()):
-    (node,) = ast.parse(stmt).body
-    return mutated_self_attr(node, ("map", "pending"), ("update", "pop"), bookkeeping)
-
-
-class TestMutatedSelfAttr:
-    def test_assignment_and_augmented_assignment(self):
-        assert mutated("self._dirty_map = {}") == "_dirty_map"
-        assert mutated("self._dirty_map |= other") == "_dirty_map"
-        assert mutated("a = self.extent_MAP = None") == "extent_MAP"
-
-    def test_subscript_store_counts_unless_the_container_is_bookkeeping(self):
-        assert mutated("self._dirty_map[k] = v") == "_dirty_map"
-        assert mutated("self._pending[k] = v") == "_pending"
-        assert mutated("self._pending[k] = v", bookkeeping=("pending",)) is None
-        # rebinding the bookkeeping container itself is still a mutation
-        assert mutated("self._pending = {}", bookkeeping=("pending",)) == "_pending"
-
-    def test_in_place_mutator_call(self):
-        assert mutated("self._dirty_map.update(batch)") == "_dirty_map"
-        assert mutated("self._dirty_map.get(k)") is None
-        assert mutated("x = self._dirty_map.pop(k)") is None  # not a bare call
-
-    def test_unmarked_or_foreign_attributes_are_ignored(self):
-        assert mutated("self.head = 3") is None
-        assert mutated("other._dirty_map = {}") is None
-        assert mutated("self.a._dirty_map = {}") is None
-        assert mutated("dirty_map = {}") is None
-        assert mutated_self_attr(None, ("map",), ("update",)) is None
-
-
-def test_every_rule_class_is_registered_once_in_dense_code_order():
+def test_every_rule_class_is_registered_once_in_code_order():
     """A rule module that defines a coded ``Rule`` but is left out of
     ``ALL_RULES`` never runs; a shared base (no ``code`` of its own) is
-    not a rule."""
+    not a rule.  Codes are never reused, so a deleted rule leaves a gap."""
     for info in pkgutil.iter_modules(rules_package.__path__):
         importlib.import_module(f"{rules_package.__name__}.{info.name}")
 
@@ -481,6 +449,5 @@ def test_every_rule_class_is_registered_once_in_dense_code_order():
     }
     assert coded == set(ALL_RULES)
     assert len(ALL_RULES) == len(set(ALL_RULES))
-    assert [cls.code for cls in ALL_RULES] == [
-        f"LSVD{n:03d}" for n in range(1, len(ALL_RULES) + 1)
-    ]
+    listed = [cls.code for cls in ALL_RULES]
+    assert listed == sorted(set(listed))

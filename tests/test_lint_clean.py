@@ -1,11 +1,12 @@
 """Tier-1 gate: the real tree must satisfy every LSVD invariant.
 
-Any PR that reintroduces a violation (a stray ``store.put``, wall-clock
+Any PR that reintroduces a violation (an unsettled ``store.put``, wall-clock
 read in the simulator, swallowed recovery exception...) fails here with
 the exact ``file:line code message`` diagnostics.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import pathlib
@@ -81,13 +82,13 @@ def test_stale_allowlist_entry_is_an_error(tmp_path, capsys):
     config = replace(
         LintConfig.from_pyproject(REPO / "pyproject.toml"),
         sequence_allow=("core/log.py", "core/gone.py"),
-        durability_allow=("core/volume.py::_finish_gc_round", "core/volume.py::_gone"),
-        shard_allow=("shard/", "elsewhere/"),
+        settlement_allow=("core/block_store.py::write_super", "core/block_store.py::_gone"),
+        fleet_allow=("fleet/", "elsewhere/"),
     )
     assert config.stale_entries(SRC) == [
         "sequence_allow: core/gone.py",
-        "shard_allow: elsewhere/",
-        "durability_allow: core/volume.py::_gone",
+        "settlement_allow: core/block_store.py::_gone",
+        "fleet_allow: elsewhere/",
     ]
     # the CLI refuses to lint a package with a stale exemption
     package = tmp_path / "repro"
@@ -105,3 +106,20 @@ def test_every_rule_actually_ran_against_the_tree():
     config = LintConfig.from_pyproject(REPO / "pyproject.toml")
     for code in (rule.code for rule in ALL_RULES):
         assert config.code_enabled(code), f"{code} is disabled in pyproject.toml"
+
+
+def test_lint_history_counts_a_catch_only_when_the_finding_is_gone():
+    spec = importlib.util.spec_from_file_location(
+        "lint_history", REPO / "benchmarks" / "lint_history.py"
+    )
+    history = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(history)
+    fixed, hidden, kept, folded, stale = (
+        ("LSVD004", "src/repro/core/a.py", f"m{n}") for n in range(5)
+    )
+    parent = [(fixed, False), (hidden, False), (kept, False), (folded, False),
+              (folded, False), (stale, True)]
+    child = [(hidden, True), (kept, False), (folded, False)]
+    # two call sites folded into one, and a finding that was already
+    # suppressed, are neither a catch nor a new suppression
+    assert history.removed(parent, child) == ([fixed], [hidden])

@@ -2,8 +2,8 @@
 
 Each rule family gets: a known-bad snippet that must produce the
 expected diagnostic, a suppressed variant, and an allowlisted variant.
-Plus: JSON reporter schema, suppression scoping regression, config
-loading from pyproject, and the format-string parser.
+Plus: JSON reporter schema, suppression scoping regression, and config
+loading from pyproject.
 """
 
 import json
@@ -15,7 +15,6 @@ from repro.lint.cli import main as lint_main
 from repro.lint.config import discover_config
 from repro.lint.framework import parse_suppressions
 from repro.lint.reporters import json_document
-from repro.lint.rules.structs import format_field_count
 
 
 def lint_src(relkey, source, config=None):
@@ -26,65 +25,6 @@ def lint_src(relkey, source, config=None):
 
 def codes(diagnostics):
     return [d.code for d in diagnostics]
-
-
-# ---------------------------------------------------------------------------
-# LSVD001 immutability
-# ---------------------------------------------------------------------------
-
-
-class TestImmutability:
-    BAD = """
-        def sneaky(store, data):
-            store.put("vol.00000042", data)
-    """
-
-    def test_flags_direct_put_outside_allowlist(self):
-        diags = lint_src("analysis/report.py", self.BAD)
-        assert codes(diags) == ["LSVD001"]
-        assert "store.put()" in diags[0].message
-        assert diags[0].line == 3
-
-    def test_allowlisted_module_is_exempt(self):
-        # the discarded handle still (rightly) trips LSVD010; only the
-        # layering rule is exempt here
-        assert "LSVD001" not in codes(lint_src("core/block_store.py", self.BAD))
-
-    def test_suppression_comment_silences(self):
-        src = """
-            def sneaky(store, data):
-                store.put("k", data)  # lint: disable=LSVD001 -- reviewed
-        """
-        assert lint_src("analysis/report.py", src) == []
-
-    def test_delete_also_flagged(self):
-        src = """
-            def cleanup(backend, store):
-                backend.delete("k")
-                store.delete("j")
-        """
-        assert codes(lint_src("workloads/fio.py", src)) == ["LSVD001", "LSVD001"]
-
-    def test_queue_put_is_not_a_store(self):
-        src = """
-            def enqueue(q, item):
-                q.put(item)
-                self.results.put(item)
-        """
-        assert lint_src("analysis/report.py", src) == []
-
-    def test_reads_are_unrestricted(self):
-        src = """
-            def peek(store):
-                return store.get("k"), store.list("v."), store.get_range("k", 0, 10)
-        """
-        assert lint_src("analysis/report.py", src) == []
-
-    def test_pyproject_extension_adds_allowlist_entry(self):
-        config = replace(
-            LintConfig(), immutability_allow=LintConfig().immutability_allow + ("analysis/report.py",)
-        )
-        assert lint_src("analysis/report.py", self.BAD, config) == []
 
 
 # ---------------------------------------------------------------------------
@@ -331,83 +271,6 @@ class TestUnitConfusion:
 
 
 # ---------------------------------------------------------------------------
-# LSVD006 struct/header consistency
-# ---------------------------------------------------------------------------
-
-
-class TestStructConsistency:
-    def test_pack_arity_mismatch_flagged(self):
-        src = """
-            import struct
-            _HDR = struct.Struct("<4sHHQ")
-            blob = _HDR.pack(b"MAGC", 1, 2)
-        """
-        diags = lint_src("core/x.py", src)
-        assert codes(diags) == ["LSVD006"]
-        assert "packs 3 value(s)" in diags[0].message
-
-    def test_pack_correct_arity_ok(self):
-        src = """
-            import struct
-            _HDR = struct.Struct("<4sHHQ")
-            blob = _HDR.pack(b"MAGC", 1, 2, 3)
-        """
-        assert lint_src("core/x.py", src) == []
-
-    def test_unpack_target_arity_mismatch_flagged(self):
-        src = """
-            import struct
-            _EXT = struct.Struct("<QIQ")
-            lba, length = _EXT.unpack_from(buf, 0)
-        """
-        assert codes(lint_src("core/x.py", src)) == ["LSVD006"]
-
-    def test_literal_struct_pack_checked(self):
-        src = """
-            import struct
-            blob = struct.pack("<HH", 1)
-        """
-        assert codes(lint_src("core/x.py", src)) == ["LSVD006"]
-
-    def test_starred_args_skipped(self):
-        src = """
-            import struct
-            _ROW = struct.Struct("<QQ")
-            def pack_rows(rows):
-                return b"".join(_ROW.pack(*row) for row in rows)
-        """
-        assert lint_src("core/x.py", src) == []
-
-    def test_dataclass_cross_check(self):
-        src = """
-            import struct
-            from dataclasses import dataclass
-
-            _EXT = struct.Struct("<QIQ")
-
-            @dataclass
-            class Extent:
-                lba: int
-                length: int
-        """
-        config = replace(
-            LintConfig(), struct_dataclass_map={"core/x.py": {"_EXT": "Extent"}}
-        )
-        diags = lint_src("core/x.py", src, config)
-        assert codes(diags) == ["LSVD006"]
-        assert "2 field(s)" in diags[0].message and "3" in diags[0].message
-
-    def test_format_field_count(self):
-        assert format_field_count("<4sHHQQIII") == 8
-        assert format_field_count("<QI") == 2
-        assert format_field_count("<4sHHI I") == 5  # whitespace is legal
-        assert format_field_count("<8sQ") == 2
-        assert format_field_count("4x") == 0  # pad bytes consume no values
-        assert format_field_count("<3H") == 3
-        assert format_field_count("not a format") is None
-
-
-# ---------------------------------------------------------------------------
 # LSVD007 observability
 # ---------------------------------------------------------------------------
 
@@ -558,84 +421,6 @@ class TestObservability:
 
 
 # ---------------------------------------------------------------------------
-# suppression semantics
-# ---------------------------------------------------------------------------
-
-
-class TestShardOwnership:
-    BAD_MOD = """
-        def place(seq, n_shards):
-            return (seq + 7) % n_shards
-    """
-    BAD_NAME = """
-        def shard_dir(i):
-            return f"shard-{i:02d}"
-    """
-
-    def test_flags_modulo_on_shard_count(self):
-        diags = lint_src("core/destage.py", self.BAD_MOD)
-        assert "LSVD008" in codes(diags)
-        shard_diag = next(d for d in diags if d.code == "LSVD008")
-        assert "n_shards" in shard_diag.message
-        assert "ShardRouter" in shard_diag.fixit
-
-    def test_flags_attribute_shard_count_too(self):
-        src = """
-            class Router:
-                def pick(self, key):
-                    return hash(key) % self.num_shards
-        """
-        assert "LSVD008" in codes(lint_src("runtime/destage.py", src))
-
-    def test_flags_fstring_shard_name_construction(self):
-        diags = lint_src("tools/admin.py", self.BAD_NAME)
-        assert codes(diags) == ["LSVD008"]
-        assert "shard name" in diags[0].message
-
-    def test_flags_format_and_percent_templates(self):
-        src = """
-            def a(i):
-                return "shard-{}".format(i)
-
-            def b(i):
-                return "shard-%02d" % i
-        """
-        assert codes(lint_src("analysis/report.py", src)) == ["LSVD008", "LSVD008"]
-
-    def test_fixed_literals_are_fine(self):
-        src = """
-            def build(sub):
-                p = sub.add_parser("shard-status")
-                return p
-        """
-        assert lint_src("cli.py", src) == []
-
-    def test_shard_package_is_exempt(self):
-        # (seq arithmetic still answers to LSVD002 there — only the shard
-        # ownership rule stands down inside repro/shard/)
-        assert "LSVD008" not in codes(lint_src("shard/router.py", self.BAD_MOD))
-        assert lint_src("shard/store.py", self.BAD_NAME) == []
-
-    def test_suppression_comment_silences(self):
-        src = """
-            def place(seq, n_shards):
-                return seq % n_shards  # lint: disable=LSVD002,LSVD008 -- migration tool
-        """
-        assert lint_src("tools/reshard.py", src) == []
-
-    def test_shard_allow_extends_from_config(self):
-        config = replace(LintConfig(), shard_allow=("tools/reshard.py",))
-        assert lint_src("tools/reshard.py", self.BAD_NAME, config) == []
-
-    def test_other_modulo_arithmetic_passes(self):
-        src = """
-            def bucket(key, n_buckets):
-                return key % n_buckets
-        """
-        assert lint_src("core/cache.py", src) == []
-
-
-# ---------------------------------------------------------------------------
 # LSVD009 hot-path hygiene
 # ---------------------------------------------------------------------------
 
@@ -747,6 +532,11 @@ class TestHotPath:
         assert lint_src("core/log.py", src) == []
 
 
+# ---------------------------------------------------------------------------
+# suppression semantics
+# ---------------------------------------------------------------------------
+
+
 class TestSuppressions:
     def test_disable_only_silences_named_code_on_that_line(self):
         # one line violating LSVD002 *and* LSVD005: disabling LSVD002
@@ -774,11 +564,11 @@ class TestSuppressions:
 
     def test_parse_suppressions_table(self):
         table = parse_suppressions(
-            "a = 1  # lint: disable=LSVD001\n"
+            "a = 1  # lint: disable=LSVD010\n"
             "b = 2\n"
             "c = 3  # lint: disable=LSVD002, LSVD003 -- reason\n"
         )
-        assert table == {1: {"LSVD001"}, 3: {"LSVD002", "LSVD003"}}
+        assert table == {1: {"LSVD010"}, 3: {"LSVD002", "LSVD003"}}
 
 
 # ---------------------------------------------------------------------------
@@ -792,9 +582,9 @@ class TestReporting:
             path="repro/core/x.py",
             line=3,
             col=5,
-            code="LSVD001",
-            message="direct object-store mutation",
-            fixit="route through BlockStore",
+            code="LSVD010",
+            message="PUT handle discarded",
+            fixit="bind the handle and settle it",
         )
 
     def test_json_document_schema(self):
@@ -803,7 +593,7 @@ class TestReporting:
         assert doc["tool"] == "repro-lint"
         assert doc["summary"] == {
             "total": 1,
-            "by_code": {"LSVD001": 1},
+            "by_code": {"LSVD010": 1},
             "clean": False,
         }
         (entry,) = doc["diagnostics"]
@@ -815,7 +605,7 @@ class TestReporting:
 
     def test_text_render_format(self):
         line = self.make_diag().render()
-        assert line.startswith("repro/core/x.py:3:5: LSVD001 ")
+        assert line.startswith("repro/core/x.py:3:5: LSVD010 ")
         assert "(fix: " in line
 
     def test_cli_reports_violation_and_exits_one(self, tmp_path, capsys):
@@ -869,29 +659,28 @@ class TestConfig:
         pyproject.write_text(
             "[tool.repro-lint]\n"
             'ignore = ["LSVD005"]\n'
-            'immutability-allow = ["analysis/report.py"]\n'
+            'obs-allow = ["analysis/extra.py"]\n'
             'sequence-allow = ["tools/x.py"]\n'
         )
         config = LintConfig.from_pyproject(pyproject)
         assert not config.code_enabled("LSVD005")
-        assert config.code_enabled("LSVD001")
-        assert config.module_allowed(
-            "repro/analysis/report.py", config.immutability_allow
-        )
+        assert config.code_enabled("LSVD010")
+        assert config.module_allowed("repro/analysis/extra.py", config.obs_allow)
+        assert config.module_allowed("repro/cli.py", config.obs_allow)
         assert config.module_allowed("repro/tools/x.py", config.sequence_allow)
 
     def test_discover_config_walks_up(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(
-            '[tool.repro-lint]\nignore = ["LSVD006"]\n'
+            '[tool.repro-lint]\nignore = ["LSVD009"]\n'
         )
         nested = tmp_path / "repro" / "core"
         nested.mkdir(parents=True)
         config = discover_config(nested)
-        assert not config.code_enabled("LSVD006")
+        assert not config.code_enabled("LSVD009")
 
     def test_real_repo_pyproject_parses(self):
         import pathlib
 
         repo = pathlib.Path(__file__).resolve().parents[1]
         config = LintConfig.from_pyproject(repo / "pyproject.toml")
-        assert config.code_enabled("LSVD001")
+        assert config.code_enabled("LSVD010")
