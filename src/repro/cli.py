@@ -183,6 +183,11 @@ def _stats_headline(snapshot: dict) -> str:
         f"destage queue depth:  {int(scalar('destage.queue_depth'))}",
         f"barrier group size:   {group}",
     ]
+    if "span.requested" in snapshot:  # older dumps predate sampling
+        from repro.obs.spans import sampling_line
+
+        lines.append("span sampling:        " + sampling_line(
+            int(scalar("span.trees")), int(scalar("span.requested"))))
     if "rc.readahead_window_bytes" in snapshot:  # older dumps predate it
         used = scalar("rc.prefetch_used_bytes")
         wasted = scalar("rc.prefetch_wasted_bytes")
@@ -465,7 +470,7 @@ def cmd_stats(store, args) -> int:
 
 def cmd_spans(store, args) -> int:
     """Slowest-K span trees plus the per-stage attribution table."""
-    from repro.obs.spans import format_stage_table, format_tree
+    from repro.obs.spans import format_stage_table, format_tree, sampling_line
 
     vol, obs = _open_observed(store, args.volume)
     if args.exercise:
@@ -477,7 +482,7 @@ def cmd_spans(store, args) -> int:
               args.out)
         return 0
     lines = [
-        f"{spans.completed} trees completed, {spans.open_roots} open",
+        f"{sampling_line(spans.completed, spans.requested)}; {spans.open_roots} open",
         "",
         f"slowest {min(args.slowest, spans.completed)} trees "
         "(~ marks queue wait):",
@@ -503,7 +508,7 @@ def cmd_flightrec(store, args) -> int:
         print(f"wrote {args.out} ({min(len(obs.spans.analyzer), FLIGHT_TREES)} trees)")
     else:
         bundle = obs.spans.debug_bundle(reason="repro flightrec dump")
-        sys.stdout.write(json.dumps(bundle, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(json.dumps(bundle, sort_keys=True, indent=2, default=repr) + "\n")
     return 0
 
 

@@ -46,6 +46,7 @@ class SealedBatch:
     kind: int = KIND_DATA
     reason: str = "size"  # what sealed it: "size" or a forced cut
     temp: int = 0  # temperature class (hot/warm/cold stream separation)
+    group_open: bool = False  # a later object of its seal group closes it
 
     @property
     def merged_bytes(self) -> int:
@@ -87,7 +88,8 @@ class WriteBatch:
         return self.bytes_in >= self.batch_size
 
     def seal(
-        self, seq: int, uuid: bytes, cache: WriteCache, reason: str = "size", span=NULL_SPAN
+        self, seq: int, uuid: bytes, cache: WriteCache, reason: str = "size",
+        span=NULL_SPAN, group_open: bool = False,
     ) -> SealedBatch:
         """Freeze into an object payload; the batch becomes reusable-empty.
 
@@ -101,7 +103,8 @@ class WriteBatch:
         since mount, or recovery's map rebuild verified them at mount.
         ``reason`` records what cut the batch (size threshold vs a forced
         drain/backpressure seal) for the accounting split in StoreStats,
-        and is carried on the ``batch_seal`` span too.
+        and is carried on the ``batch_seal`` span too.  ``group_open``
+        marks an object a later one of its lockstep group completes.
         """
         stage = span.begin("batch_seal", reason=reason, seq=seq)
         lookup = cache.map.lookup
@@ -131,6 +134,7 @@ class WriteBatch:
             extents=extents,
             data_len=len(data),
             temp=self.temp,
+            group_open=group_open,
         )
         sealed = SealedBatch(
             seq=seq,
@@ -142,6 +146,7 @@ class WriteBatch:
             bytes_out=len(data),
             reason=reason,
             temp=self.temp,
+            group_open=group_open,
         )
         self._writes = []
         self.bytes_in = 0

@@ -17,9 +17,9 @@ an update to it is harmless because recovery can rediscover everything by
 listing and reading stream headers.
 
 Recovery (§3.3) finds the newest checkpoint at or below the mount point,
-restores the map, replays the consecutive run of objects after it, and
-deletes any stranded objects beyond the first hole — in-flight PUTs that
-completed out of order before the crash.
+restores the map, replays the consecutive run of objects after it (up to
+its last whole seal group), and deletes any stranded objects beyond —
+in-flight PUTs that completed out of order before the crash.
 """
 
 from __future__ import annotations
@@ -282,7 +282,10 @@ class BlockStore:
             batch.last_record_seq = cap
         assert self.cache is not None  # the batch holds records of this cache
         self.sealed_uncommitted += 1
-        return batch.seal(self._take_seq(), self.uuid, self.cache, reason=reason, span=span)
+        # another class batch still buffers records: the group's later
+        # objects complete this one, so it is marked open (see _recover)
+        return batch.seal(self._take_seq(), self.uuid, self.cache, reason=reason,
+                          span=span, group_open=cap is not None)
 
     def _seal_group(self, span=NULL_SPAN) -> List[SealedBatch]:
         """Seal every non-empty batch as one group, oldest records first.
@@ -732,16 +735,22 @@ class BlockStore:
             raise RecoveryError(f"volume {self.name!r} has no stream objects")
         ckpt_seq = self._find_checkpoint(seqs, super_ckpt_hint)
         self._load_checkpoint(ckpt_seq)
-        # replay the consecutive run after the checkpoint
+        # replay the consecutive run after the checkpoint, a lockstep seal
+        # group only whole: a group's objects carry interleaved records, so
+        # one that lost a sibling would hold writes without older ones
         present = set(seqs)
         last = ckpt_seq
         last_record_seq = self.last_record_seq_destaged
         seq = ckpt_seq + 1
+        group: List[ObjectHeader] = []
         while seq in present:
-            header = self.header_of(seq)
-            last_record_seq = max(last_record_seq, header.last_record_seq)
-            self._replay_object(header)
-            last = seq
+            group.append(self.header_of(seq))
+            if not group[-1].group_open:
+                for header in group:
+                    last_record_seq = max(last_record_seq, header.last_record_seq)
+                    self._replay_object(header)
+                group = []
+                last = seq
             seq += 1
         self.next_seq = last + 1
         self.last_record_seq_destaged = last_record_seq

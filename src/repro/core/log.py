@@ -45,6 +45,7 @@ _REC_EXT = struct.Struct("<QI")  # lba, length
 #: bytes of a record's fixed header (what :func:`record_header_seq` reads)
 RECORD_HEADER_BYTES = _REC_HDR.size
 _OBJ_HDR = struct.Struct("<4sHH16sQQIII")  # magic ver kind uuid seq last_rec n_ext data_len crc
+_GROUP_OPEN = 0x8000  # wire-kind flag: a later object completes this one's seal group
 _OBJ_EXT = struct.Struct("<QIQ")  # lba, length, src_seq (0 = fresh data)
 
 
@@ -218,7 +219,9 @@ class ObjectHeader:
     ``temp`` is the object's temperature class (hot/warm/cold data
     separation); it rides in the high byte of the wire ``kind`` field so
     old objects decode as class 0 and readers that only care about the
-    kind (recovery, fsck) stay oblivious-safe.
+    kind (recovery, fsck) stay oblivious-safe.  ``group_open`` (the top
+    bit of the same field) marks every object of a lockstep seal group
+    but the last: recovery accepts a group only whole.
     """
 
     kind: int
@@ -228,6 +231,7 @@ class ObjectHeader:
     extents: List[ObjectExtent] = field(default_factory=list)
     data_len: int = 0
     temp: int = 0
+    group_open: bool = False
 
     @property
     def header_size(self) -> int:
@@ -248,7 +252,7 @@ def encode_object(header: ObjectHeader, data: Buffer) -> bytes:
     ext_blob = b"".join(
         _OBJ_EXT.pack(e.lba, e.length, e.src_seq) for e in header.extents
     )
-    wire_kind = header.kind | (header.temp << 8)
+    wire_kind = header.kind | (header.temp << 8) | (_GROUP_OPEN if header.group_open else 0)
     base = _OBJ_HDR.pack(
         MAGIC,
         VERSION,
@@ -300,7 +304,8 @@ def decode_object_header(buf: Buffer) -> ObjectHeader:
         last_record_seq=last_rec,
         extents=extents,
         data_len=data_len,
-        temp=kind >> 8,
+        temp=(kind & ~_GROUP_OPEN) >> 8,
+        group_open=bool(kind & _GROUP_OPEN),
     )
 
 

@@ -56,6 +56,7 @@ class _BatchEntry:
 
     seq: int
     last_record_seq: int
+    group_open: bool = False
     settled: bool = False
 
 
@@ -112,6 +113,7 @@ class LSVDVolume:
         # settlement ledger
         self._pending: Dict[object, Tuple[str, object]] = {}
         self._batches: List[_BatchEntry] = []
+        self._releasable = 0  # cache release mark held for an open seal group
         self._gc_round: Optional[_GCRound] = None
         self._ckpt_requested = False
 
@@ -482,7 +484,7 @@ class LSVDVolume:
 
     # -- internals ------------------------------------------------------
     def _commit_data(self, sealed: SealedBatch, span=NULL_SPAN) -> None:
-        entry = _BatchEntry(sealed.seq, sealed.last_record_seq)
+        entry = _BatchEntry(sealed.seq, sealed.last_record_seq, sealed.group_open)
         self._batches.append(entry)
         self.batch_commits += 1
         self.obs.trace.emit(
@@ -501,10 +503,13 @@ class LSVDVolume:
             self._pending[result] = ("data", entry)
 
     def _advance_release_frontier(self) -> None:
+        # a seal group frees cache records only once the object closing it
+        # settled too: recovery drops a group that lost a sibling
         while self._batches and self._batches[0].settled:
             entry = self._batches.pop(0)
-            if entry.last_record_seq:
-                self.wc.release_through(entry.last_record_seq)
+            self._releasable = max(self._releasable, entry.last_record_seq)
+            if not entry.group_open and self._releasable:
+                self.wc.release_through(self._releasable)
 
     def _maybe_checkpoint(self, span=NULL_SPAN) -> None:
         if (

@@ -31,6 +31,8 @@ instant, or ``"unattributed"`` when no child covers it), so the
 per-stage components sum to the measured completion latency — the
 invariant ``benchmarks/obs_smoke.py`` gates.
 
+Roots are sampled at the head (:data:`SAMPLE_EVERY`, :data:`ALWAYS_TRACED`).
+
 Completed trees feed one bounded window, the
 :class:`CriticalPathAnalyzer`: per-tree (total, breakdown) records,
 p50/p99 tail decomposition, stage tables for ``repro spans`` and the
@@ -60,6 +62,14 @@ from typing import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import Registry
+
+#: per-op roots build a tree for one arrival in SAMPLE_EVERY of each name
+#: (the first, then every SAMPLE_EVERY-th); the rest get NULL_SPAN.  Odd:
+#: a power of two aliases with power-of-two queue depths and fsync periods
+#: (DESIGN.md "Span tracing" has the sweep)
+SAMPLE_EVERY = 11
+#: rare diagnostic roots: a tree at every arrival
+ALWAYS_TRACED = frozenset({"recover", "gc_round", "drain", "fleet_recover", "recovery_scan"})
 
 #: completed trees the analyzer window keeps (oldest evicted first)
 ANALYZER_TREES = 2048
@@ -451,6 +461,8 @@ class SpanRecorder:
         self.open_roots = 0
         self._step = 0.0
         self._arrival = 0
+        #: root name -> roots requested so far (the sampling counter)
+        self.arrivals: Dict[str, int] = {}
         # K slowest completed trees, min-heap on (total, -seq) so the
         # fastest of the kept set is evicted first; deterministic ties.
         self._slowest: List[Tuple[float, int, Span]] = []
@@ -459,7 +471,12 @@ class SpanRecorder:
 
     # -- tree lifecycle --------------------------------------------------
     def root(self, name: str, **attrs: AttrValue):
-        """Open a root span (one per I/O / GC round / recovery sweep)."""
+        """Open a root span (one per I/O / GC round / recovery sweep), or
+        :data:`NULL_SPAN` for a per-op arrival the sampling rule skips."""
+        seen = self.arrivals.get(name, 0)
+        self.arrivals[name] = seen + 1
+        if seen % SAMPLE_EVERY and name not in ALWAYS_TRACED:
+            return NULL_SPAN
         if self.clock is not None:
             start = float(self.clock())
         else:
@@ -500,6 +517,12 @@ class SpanRecorder:
         # recorder, so refcounting frees it without the cyclic collector.
         root._recorder = None
 
+    @property
+    def requested(self) -> int:
+        """Per-op roots requested so far, traced or not (not counting the
+        :data:`ALWAYS_TRACED` ones, which are never sampled)."""
+        return sum(n for name, n in self.arrivals.items() if name not in ALWAYS_TRACED)
+
     def slowest(self, k: int = 10) -> List[Span]:
         """The K slowest completed trees, slowest first."""
         ranked = sorted(self._slowest, key=lambda item: (-item[0], item[1]))
@@ -511,6 +534,7 @@ class SpanRecorder:
         self.open_roots = 0
         self._step = 0.0
         self._arrival = 0
+        self.arrivals = {}
         self._slowest = []
 
     # -- export ----------------------------------------------------------
@@ -519,6 +543,8 @@ class SpanRecorder:
         return {
             "bundle": "flightrec",
             "reason": reason,
+            "sample_every": SAMPLE_EVERY,
+            "requested": self.requested,
             "completed": self.completed,
             "open_roots": self.open_roots,
             "flight_dropped": max(0, self.completed - FLIGHT_TREES),
@@ -532,8 +558,9 @@ class SpanRecorder:
         }
 
     def dump_debug_bundle(self, path: str, reason: str = "manual") -> str:
-        """Write the bundle as JSON; returns the serialized text."""
-        text = json.dumps(self.debug_bundle(reason), sort_keys=True, indent=2)
+        """Write the bundle as JSON (an attr JSON cannot carry as its
+        ``repr``: failure hooks call this); returns the serialized text."""
+        text = json.dumps(self.debug_bundle(reason), sort_keys=True, indent=2, default=repr)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
         return text
@@ -542,6 +569,7 @@ class SpanRecorder:
         """Mirror span aggregates into the metrics registry (idempotent:
         absolute sets, so repeated publishes don't double-count)."""
         registry.counter("span.trees", "completed span trees").set(self.completed)
+        registry.counter("span.requested", "per-op roots, traced or not").set(self.requested)
         registry.gauge("span.open_roots", "roots begun, not ended").set(self.open_roots)
         # evictions from the flight view and from the analyzer window
         completed = self.completed
@@ -573,6 +601,12 @@ def dump_last_flight(path: str, reason: str) -> bool:
 # ---------------------------------------------------------------------------
 # text rendering (repro spans / repro stats)
 # ---------------------------------------------------------------------------
+def sampling_line(completed: int, requested: int) -> str:
+    """The sampling rate as ``repro spans`` and ``repro stats`` state it."""
+    return (f"{completed} trees: 1 in {SAMPLE_EVERY} of {requested} per-op "
+            "roots, every diagnostic root")
+
+
 def format_tree(root: Span, unit: str = "s") -> str:
     """One tree as an indented text outline with durations and attrs."""
     lines: List[str] = []

@@ -66,7 +66,7 @@ class ReferenceBatch:
     def should_seal(self) -> bool:
         return len(self._buffer) >= self.batch_size
 
-    def seal(self, seq: int, uuid: bytes, reason: str) -> SealedBatch:
+    def seal(self, seq: int, uuid: bytes, reason: str, group_open: bool) -> SealedBatch:
         extents: List[ObjectExtent] = []
         ranges: List[Tuple[int, int]] = []
         for ext in self._map:
@@ -81,6 +81,7 @@ class ReferenceBatch:
             extents=extents,
             data_len=len(data),
             temp=self.temp,
+            group_open=group_open,
         )
         sealed = SealedBatch(
             seq=seq,
@@ -104,7 +105,8 @@ class ReferenceBatch:
 class ReferenceStore:
     """The block store's batching over reference batches: one open batch
     per class, lockstep group seals cut between records, oldest record
-    first, each object's record mark capped below the other open batches."""
+    first, each object's record mark capped below the other open batches and
+    every object but a group's last marked group-open."""
 
     def __init__(self, config: LSVDConfig, uuid: bytes, next_seq: int):
         self.config = config
@@ -152,13 +154,15 @@ class ReferenceStore:
         return min(open_batches, key=lambda b: (b.first_record_seq, b.temp))
 
     def _seal(self, batch: ReferenceBatch, reason: str) -> SealedBatch:
+        group_open = False  # a later object of the group completes this one
         for other in self.batches.values():
             if other is not batch and not other.is_empty:
+                group_open = True
                 batch.last_record_seq = min(
                     batch.last_record_seq, other.first_record_seq - 1
                 )
         self.next_seq += 1
-        return batch.seal(self.next_seq - 1, self.uuid, reason)
+        return batch.seal(self.next_seq - 1, self.uuid, reason, group_open)
 
 
 def payload(index: int, length: int) -> bytes:

@@ -162,6 +162,15 @@ def test_object_gc_extents_carry_source():
     assert header.extents[0].src_seq == 3
 
 
+@pytest.mark.parametrize("temp", [0, 2])
+@pytest.mark.parametrize("group_open", [False, True])
+def test_object_class_and_group_flag_share_the_kind_field(temp, group_open):
+    header = ObjectHeader(kind=KIND_GC, uuid=UUID, seq=5, last_record_seq=42,
+                          temp=temp, group_open=group_open)
+    got, _ = decode_object(encode_object(header, b"x" * 10))
+    assert (got.kind, got.temp, got.group_open) == (KIND_GC, temp, group_open)
+
+
 def test_object_crc_detects_flip():
     buf = bytearray(make_object(data=b"hello000"))
     buf[-2] ^= 1

@@ -25,7 +25,7 @@ from repro.core import LSVDConfig
 from repro.core.log import align_up
 from repro.devices.ssd import SSD, SSDSpec
 from repro.fleet import FleetRuntime, QoSLimits
-from repro.obs import Registry
+from repro.obs import Registry, spans
 from repro.runtime import ClientMachine, SimulatedObjectStore
 from repro.runtime.params import LSVDParams
 from repro.runtime.sharded import make_sharded_backend
@@ -353,7 +353,9 @@ def _drive(shards, qos, hit, depth=4):
 @pytest.mark.parametrize("hit", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("qos", [False, True])
 @pytest.mark.parametrize("shards", [1, 4])
-def test_records_match_the_generator_reference(shards, qos, hit):
+def test_records_match_the_generator_reference(shards, qos, hit, monkeypatch):
+    # every op traced, so the stage-coverage checks below see every stage
+    monkeypatch.setattr(spans, "SAMPLE_EVERY", 1)
     with pytest.MonkeyPatch.context() as patch:
         _patch_generators(patch)
         reference, ref_fleet = _drive(shards, qos, hit)

@@ -15,6 +15,12 @@ from repro.obs import spans
 from repro.obs.spans import SELF_STAGE, attribute
 
 
+@pytest.fixture
+def every_op_traced(monkeypatch):
+    """Span mechanics below build one tree per root: no sampling."""
+    monkeypatch.setattr(spans, "SAMPLE_EVERY", 1)
+
+
 class ManualClock:
     """Virtual clock the test advances by hand."""
 
@@ -101,6 +107,7 @@ class TestNullPath:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("every_op_traced")
 class TestLazySentinels:
     def test_fresh_spans_share_the_empty_sentinels(self):
         rec = SpanRecorder()
@@ -135,6 +142,7 @@ class TestLazySentinels:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("every_op_traced")
 class TestCycleBreak:
     def test_completion_severs_only_the_root_backref(self):
         rec = SpanRecorder()
@@ -346,6 +354,7 @@ def random_tree(rng):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.usefixtures("every_op_traced")
 class TestBoundedConsumers:
     def finish_tree(self, rec, n_children=1):
         root = rec.root("write")
