@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: all lint ruff mypy invariants test examples obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger ledger-pairs pairs-report paper-smoke ablation-prefetch traffic lint-history
+.PHONY: all lint ruff mypy invariants test crash-enum examples obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger ledger-pairs pairs-report paper-smoke ablation-prefetch traffic lint-history
 
 all: lint test
 
@@ -22,6 +22,12 @@ invariants:
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# crash-point enumeration (tests/crash_points.py) over a wide seed list:
+# tier-1 runs one seed per cell, this every cell at each of SEEDS
+crash-enum: SEEDS = $(shell seq 1 40)
+crash-enum:
+	CRASH_ENUM_SEEDS="$(SEEDS)" $(PYTHON) -m pytest -q tests/test_crash_points.py -k every_crash_point
 
 # run every example end to end (CI otherwise only lints them, so one that
 # imports a deleted module would pass); benchmark_tour.py is left out

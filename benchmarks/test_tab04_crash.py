@@ -7,41 +7,30 @@ produced one unmountable image whose files were all lost.
 We verify the underlying guarantee directly with stamped writes: after
 cache loss, an image "mounts" if it is a consistent prefix of the
 acknowledged write history (a filesystem journal replay is exactly a
-prefix-consistency check).
+prefix-consistency check).  The LSVD column is the crash-point
+enumerator's (``tests/crash_points.py``) cache-lost verdicts: one seeded
+run per cell, reset at every device event and mounted from the backend
+alone.
 """
 
 import random
 
-import pytest
-
 from repro.analysis import Table
 from repro.baselines import make_bcache_rbd
-from repro.core import LSVDConfig, LSVDVolume
 from repro.crash import HistoryRecorder, PrefixChecker
-from repro.devices.image import DiskImage
-from repro.objstore import InMemoryObjectStore
+from tests.crash_points import CELLS, CrashPointFailure, run_cell
 
 MiB = 1 << 20
-TRIALS = 3
+TRIALS = 9
 WRITES = 400
 
 
-def lsvd_trial(seed):
-    store = InMemoryObjectStore()
-    image = DiskImage(2 * MiB)
-    cfg = LSVDConfig(batch_size=64 * 1024, checkpoint_interval=16)
-    vol = LSVDVolume.create(store, "vd", 16 * MiB, image, cfg)
-    rng = random.Random(seed)
-    rec = HistoryRecorder(vol.write, vol.flush)
-    for i in range(WRITES):
-        rec.write(rng.randrange(0, 2048) * 4096, 4096)
-        if rng.random() < 0.1:
-            rec.barrier()
-    # VM reset + cache deleted: mount from the backend alone
-    fresh = DiskImage(2 * MiB)
-    recovered = LSVDVolume.open(store, "vd", fresh, cfg, cache_lost=True)
-    verdict = PrefixChecker(rec).check(recovered.read)
-    return verdict.ok_prefix
+def lsvd_trial(cell):
+    """``(crash points, every one mounted?)`` for one enumerated run."""
+    try:
+        return run_cell(cell, seed=1, cache_kept=False), True
+    except CrashPointFailure as failure:
+        return str(failure).splitlines()[0], False
 
 
 def bcache_trial(seed):
@@ -58,31 +47,29 @@ def bcache_trial(seed):
 
 
 def run_matrix():
-    return (
-        [lsvd_trial(seed) for seed in range(TRIALS)],
-        [bcache_trial(seed) for seed in range(TRIALS * 3)],  # more seeds: the
-        # corruption is probabilistic, as in the paper's 1-in-3
-    )
+    # more bcache seeds: the corruption is probabilistic, as in the paper's 1-in-3
+    return [lsvd_trial(cell) for cell in CELLS], [bcache_trial(seed) for seed in range(TRIALS)]
 
 
 def test_tab04_crash_matrix(once):
-    lsvd_ok, bcache_ok = once(run_matrix)
+    lsvd, bcache_ok = once(run_matrix)
 
     table = Table(
         "Table 4: consistency after crash + cache loss "
         "('mounts' = recovered image is a consistent prefix)",
-        ["trial", "LSVD mounts?", "bcache mounts?"],
+        ["trial", "LSVD mounts? (cell: crash points)", "bcache mounts?"],
     )
-    for i in range(max(len(lsvd_ok), len(bcache_ok))):
-        table.add(
-            i + 1,
-            "Yes" if i < len(lsvd_ok) and lsvd_ok[i] else ("-" if i >= len(lsvd_ok) else "NO"),
-            "Yes" if i < len(bcache_ok) and bcache_ok[i] else "NO",
-        )
+    for i in range(max(len(lsvd), len(bcache_ok))):
+        if i < len(lsvd):
+            points, ok = lsvd[i]
+            lsvd_cell = f"{'Yes' if ok else 'NO'} ({list(CELLS)[i]}: {points})"
+        else:
+            lsvd_cell = "-"
+        table.add(i + 1, lsvd_cell, "Yes" if bcache_ok[i] else "NO")
     table.show()
 
-    # paper: LSVD mounted in all cases
-    assert all(lsvd_ok)
+    # paper: LSVD mounted in all cases — here at every crash point
+    assert all(ok for _points, ok in lsvd), [points for points, ok in lsvd if not ok]
     # paper: bcache lost an image in 1 of 3 runs; over more seeds we
     # must observe at least one corruption
     assert not all(bcache_ok)

@@ -186,6 +186,7 @@ class BlockStore:
         self.next_seq = 1
         self.last_ckpt_seq = 0
         self.last_record_seq_destaged = 0
+        self._newest_record = 0  # the last record add_write batched
         self.snapshots: Dict[str, int] = {}
         #: deferred GC deletes: victim seq -> newest seq at GC time (§3.6)
         self.deferred_deletes: Dict[int, int] = {}
@@ -248,6 +249,7 @@ class BlockStore:
         returned batch, in order.
         """
         full = False
+        self._newest_record = record.seq
         for lba, length, offset in record.extents:
             if lba < 0 or lba + length > self.size:
                 raise ValueError("write beyond volume bounds")
@@ -280,6 +282,8 @@ class BlockStore:
         cap = self._record_seq_cap(batch)
         if cap is not None and cap < batch.last_record_seq:
             batch.last_record_seq = cap
+        elif cap is None:  # the last open batch: every record batched is sealed
+            batch.last_record_seq = self._newest_record
         assert self.cache is not None  # the batch holds records of this cache
         self.sealed_uncommitted += 1
         # another class batch still buffers records: the group's later
@@ -745,7 +749,8 @@ class BlockStore:
         group: List[ObjectHeader] = []
         while seq in present:
             group.append(self.header_of(seq))
-            if not group[-1].group_open:
+            # a GC object cut inside a data group does not close it
+            if not (group[-1].group_open or group[-1].kind == KIND_GC and len(group) > 1):
                 for header in group:
                     last_record_seq = max(last_record_seq, header.last_record_seq)
                     self._replay_object(header)
@@ -774,9 +779,8 @@ class BlockStore:
         if not read_only and upto is None:
             for s in sorted(present):
                 if s > last:
-                    name = object_name(self.name, s)
-                    self.store.delete(name)
-                    stranded.append(name)
+                    self.delete_object(s)  # forgets its header: its seq is reissued
+                    stranded.append(object_name(self.name, s))
         return RecoveredState(
             last_seq=last,
             last_record_seq=last_record_seq,
@@ -788,12 +792,12 @@ class BlockStore:
         backwards from the newest object reading headers."""
         present = set(seqs)
         if hint in present and self._kind_of(hint) == KIND_CHECKPOINT:
-            # a newer checkpoint may exist if the super update was lost
+            # a newer checkpoint may exist if the super update was lost; it
+            # is sound if every object it holds live data in is listed (a
+            # hole below it may be a GC victim it no longer names)
             newer = [s for s in seqs if s > hint]
             for s in sorted(newer, reverse=True):
-                if self._kind_of(s) == KIND_CHECKPOINT and self._consecutive_from(
-                    present, hint, s
-                ):
+                if self._kind_of(s) == KIND_CHECKPOINT and self._live_objects_listed(s, present):
                     return s
             return hint
         for s in sorted(seqs, reverse=True):
@@ -801,9 +805,10 @@ class BlockStore:
                 return s
         raise RecoveryError(f"volume {self.name!r}: no checkpoint found")
 
-    @staticmethod
-    def _consecutive_from(present: set, start: int, end: int) -> bool:
-        return all(s in present for s in range(start, end + 1))
+    def _live_objects_listed(self, seq: int, present: set) -> bool:
+        _header, payload = decode_object(self.store.get(self.name_for_seq(seq)))
+        rows = ckpt.unpack_rows("<QQQQQ", ckpt.decode_sections(payload)["objects"])
+        return all(live == 0 or in_base or s in present for s, _k, _d, live, in_base in rows)
 
     def _kind_of(self, seq: int) -> int:
         """Kind of object ``seq``; -1 when absent or unreadable.

@@ -19,11 +19,11 @@ The volume tracks every outstanding PUT and enforces the orderings that
 make recovery sound:
 
 1. a cache record may be *released* (freed from the write log) only once
-   every batch up to and including the one covering it has settled —
+   every object up to and including the one covering it has settled —
    otherwise a crash could lose an acknowledged write that is in neither
    the cache nor the backend;
-2. a checkpoint is written only when no other PUT is outstanding, so a
-   visible checkpoint implies its entire prefix is visible;
+2. a checkpoint is written only when no other PUT is outstanding and no
+   seal group is open, so a visible checkpoint implies its prefix is;
 3. GC victims are deleted only after a checkpoint that no longer
    references them has settled (§3.3's "GC only deletes objects older
    than the most recent checkpoint").
@@ -67,7 +67,6 @@ class _GCRound:
     victims: List[int]
     pending_puts: int = 0
     stage: str = "relocating"  # relocating -> await_ckpt -> done
-    ckpt_seq: Optional[int] = None
 
 
 class LSVDVolume:
@@ -114,6 +113,7 @@ class LSVDVolume:
         self._pending: Dict[object, Tuple[str, object]] = {}
         self._batches: List[_BatchEntry] = []
         self._releasable = 0  # cache release mark held for an open seal group
+        self._group_open = False  # the newest data seal left its group open
         self._gc_round: Optional[_GCRound] = None
         self._ckpt_requested = False
 
@@ -465,16 +465,12 @@ class LSVDVolume:
         kind, payload = self._pending.pop(handle)
         if kind == "data":
             payload.settled = True
-            self._advance_release_frontier()
         elif kind == "gc":
             if self._gc_round is not None:
                 self._gc_round.pending_puts -= 1
         elif kind == "ckpt":
-            self.bs.retire_old_checkpoints()
-            rnd = self._gc_round
-            if rnd is not None and rnd.stage == "await_ckpt" and rnd.ckpt_seq == payload:
-                self._gc_round = None
-                self.gc.delete_victims(rnd.victims)
+            self._checkpoint_settled()
+        self._advance_release_frontier()
         self._maybe_checkpoint()
         self._advance_gc()
 
@@ -486,6 +482,7 @@ class LSVDVolume:
     def _commit_data(self, sealed: SealedBatch, span=NULL_SPAN) -> None:
         entry = _BatchEntry(sealed.seq, sealed.last_record_seq, sealed.group_open)
         self._batches.append(entry)
+        self._group_open = sealed.group_open
         self.batch_commits += 1
         self.obs.trace.emit(
             "write_commit",
@@ -504,19 +501,22 @@ class LSVDVolume:
 
     def _advance_release_frontier(self) -> None:
         # a seal group frees cache records only once the object closing it
-        # settled too: recovery drops a group that lost a sibling
-        while self._batches and self._batches[0].settled:
+        # settled too, and no object frees them past a checkpoint or GC PUT
+        # still in flight below it: recovery stops at either hole
+        floor = min((p for k, p in self._pending.values() if k != "data"), default=self.bs.next_seq)
+        while self._batches and self._batches[0].settled and self._batches[0].seq < floor:
             entry = self._batches.pop(0)
             self._releasable = max(self._releasable, entry.last_record_seq)
             if not entry.group_open and self._releasable:
                 self.wc.release_through(self._releasable)
 
+    def _may_checkpoint(self) -> bool:
+        # every PUT settled, no sealed object awaits its commit, and no seal
+        # group is open: a checkpoint closes the run recovery replays
+        return not self._pending and self.bs.sealed_uncommitted == 0 and not self._group_open
+
     def _maybe_checkpoint(self, span=NULL_SPAN) -> None:
-        if (
-            (self.bs.checkpoint_due or self._ckpt_requested)
-            and not self._pending
-            and self.bs.sealed_uncommitted == 0
-        ):
+        if (self.bs.checkpoint_due or self._ckpt_requested) and self._may_checkpoint():
             self._ckpt_requested = False
             self._write_checkpoint(span=span)
 
@@ -524,14 +524,19 @@ class LSVDVolume:
         self.checkpoints += 1
         seq, result = self.bs.write_checkpoint(span=span)
         if result is None:
-            self.bs.retire_old_checkpoints()
-            rnd = self._gc_round
-            if rnd is not None and rnd.stage == "await_ckpt":
-                self._gc_round = None
-                self.gc.delete_victims(rnd.victims)
+            self._checkpoint_settled()
         else:
             self._pending[result] = ("ckpt", seq)
         return seq
+
+    def _checkpoint_settled(self) -> None:
+        # no round starts with a PUT in flight, so any checkpoint settling
+        # while one awaits was written after its relocations settled
+        self.bs.retire_old_checkpoints()
+        rnd = self._gc_round
+        if rnd is not None and rnd.stage == "await_ckpt":
+            self._gc_round = None
+            self.gc.delete_victims(rnd.victims)
 
     def _advance_gc(self) -> None:
         if not self.gc_enabled or self.read_only:
@@ -543,13 +548,12 @@ class LSVDVolume:
         rnd = self._gc_round
         if rnd.stage == "relocating" and rnd.pending_puts == 0:
             rnd.stage = "await_ckpt"
-            if not self._pending and self.bs.sealed_uncommitted == 0:
-                rnd.ckpt_seq = self._write_checkpoint()
-                # immediate stores finish inside _write_checkpoint
-            else:
-                self._ckpt_requested = True
+            self._ckpt_requested = True
+            self._maybe_checkpoint()  # immediate stores finish the round inside it
 
     def _start_gc_round(self) -> None:
+        if self._pending:  # the collector GETs what it relocates: settled objects only
+            return
         span = self.obs.spans.root("gc_round")
         plan = self.gc.plan(span=span)
         if plan is None:

@@ -339,6 +339,7 @@ class WriteCache:
             raise CacheFullError("checkpoint larger than slot")
         slot = self._ckpt_seq % 2
         offset = self.region_offset + BLOCK + slot * self.slot_size
+        self.image.flush()  # every record the slot lists reaches media first
         self.image.write(offset, blob)
         self.image.flush()
         self._ckpt_head = self.head_virt

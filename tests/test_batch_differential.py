@@ -105,8 +105,9 @@ class ReferenceBatch:
 class ReferenceStore:
     """The block store's batching over reference batches: one open batch
     per class, lockstep group seals cut between records, oldest record
-    first, each object's record mark capped below the other open batches and
-    every object but a group's last marked group-open."""
+    first, each object's record mark capped below the other open batches,
+    a group's last object carrying every record batched, and every object
+    but a group's last marked group-open."""
 
     def __init__(self, config: LSVDConfig, uuid: bytes, next_seq: int):
         self.config = config
@@ -161,6 +162,8 @@ class ReferenceStore:
                 batch.last_record_seq = min(
                     batch.last_record_seq, other.first_record_seq - 1
                 )
+        if not group_open:
+            batch.last_record_seq = self.record_seq
         self.next_seq += 1
         return batch.seal(self.next_seq - 1, self.uuid, reason, group_open)
 

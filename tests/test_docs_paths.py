@@ -98,7 +98,7 @@ DESIGN_CEILINGS = {
     "Package inventory": 85,
     "Experiment index (every table & figure)": 28,
     "Design choices to ablate (benchmarks/ablations)": 10,
-    "Consistency model (tested by property tests)": 10,
+    "Consistency model (tested by crash-point enumeration)": 10,
     "Observability (`repro.obs`)": 46,
     "Span tracing & critical-path attribution (`repro.obs.spans`)": 59,
     "Sharding (`repro.shard`)": 54,

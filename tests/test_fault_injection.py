@@ -62,78 +62,6 @@ step_strategy = st.lists(
 )
 
 
-@settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(
-    steps=step_strategy,
-    crash_seed=st.integers(min_value=0, max_value=2**16),
-    survive=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_crash_anywhere_with_cache_is_prefix_consistent(steps, crash_seed, survive):
-    """Arbitrary interleavings + arbitrary partial-durability crash."""
-    _inner, store, image, cfg, vol = build(unsettled=False)
-    rec = HistoryRecorder(vol.write, vol.flush)
-    for op, page in steps:
-        if op == "write":
-            rec.write(page * 4096, 4096)
-        elif op == "barrier":
-            rec.barrier()
-    image.crash(
-        rng=random.Random(crash_seed),
-        survive_probability=survive,
-        allow_torn=True,
-    )
-    vol2 = LSVDVolume.open(store, "vd", image, cfg)
-    verdict = PrefixChecker(rec).check(vol2.read, require_committed=True)
-    assert verdict.ok_prefix, verdict.problems[:3]
-    assert verdict.ok_committed, (verdict.cut, verdict.committed_through)
-
-
-@settings(
-    max_examples=20,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(
-    steps=step_strategy,
-    order_seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_out_of_order_settlement_then_total_loss(steps, order_seed):
-    """PUTs settle in random order; then cache AND in-flight PUTs die.
-
-    The surviving backend prefix must still be prefix-consistent.
-    """
-    inner, store, image, cfg, vol = build(unsettled=True)
-    rec = HistoryRecorder(vol.write, vol.flush)
-    rng = random.Random(order_seed)
-    for op, page in steps:
-        if op == "write":
-            try:
-                rec.write(page * 4096, 4096)
-            except Exception:
-                # cache full while PUTs unsettled: settle one and retry
-                if store.in_flight:
-                    handle = rng.choice(store.pending_handles())
-                    store.settle(handle)
-                    vol.settle_put(handle)
-                rec.write(page * 4096, 4096)
-        elif op == "barrier":
-            rec.barrier()
-        elif op == "settle_one" and store.in_flight:
-            handle = rng.choice(store.pending_handles())
-            store.settle(handle)
-            vol.settle_put(handle)
-    store.crash()  # in-flight PUTs vanish
-    image.lose()  # and the cache dies entirely
-    fresh = DiskImage(4 * MiB)
-    vol2 = LSVDVolume.open(inner, "vd", fresh, cfg, cache_lost=True)
-    verdict = PrefixChecker(rec).check(vol2.read)
-    assert verdict.ok_prefix, verdict.problems[:3]
-
-
 def test_recovery_rejects_half_of_a_lockstep_seal_group():
     """One size seal cuts two class objects: the warm one (seq 2: pages
     1-15, writes 3-17) before the hot one (seq 3: page 0, write 2).
@@ -180,39 +108,6 @@ def test_cache_keeps_an_open_seal_group_until_its_closing_object_settles():
     verdict = PrefixChecker(rec).check(vol2.read, require_committed=True)
     assert verdict.ok_prefix, verdict.problems[:3]
     assert verdict.ok_committed, (verdict.cut, verdict.committed_through)
-
-
-@pytest.mark.xfail(strict=True, reason="checkpoints are not yet held back until a seal group ends")
-def test_no_checkpoint_lands_inside_a_lockstep_seal_group():
-    """A drain seals its class batches lazily, committing each before the
-    next seals; a checkpoint due after the first (seq 2: pages 1-5) must
-    wait for the group's rest (page 0's rewrite), or the client dying
-    before that PUT leaves a checkpoint holding half the group."""
-    store = InMemoryObjectStore()
-    image = DiskImage(4 * MiB)
-    cfg = LSVDConfig(batch_size=64 * 1024, checkpoint_interval=1)
-    vol = LSVDVolume.create(store, "vd", VOLUME, image, cfg)
-    rec = HistoryRecorder(vol.write, vol.flush)
-    for page in [0, 0, 1, 2, 3, 4, 5]:
-        rec.write(page * 4096, 4096)
-    put, landed = store.put, []
-
-    def dies_after_two_stream_puts(name, data):  # seq 2, then the checkpoint
-        if name != "vd.super":
-            if len(landed) == 2:
-                raise ConnectionError("client died")
-            landed.append(name)
-        return put(name, data)
-
-    store.put = dies_after_two_stream_puts
-    with pytest.raises(ConnectionError):
-        vol.drain()
-    assert landed == [object_name("vd", 2), object_name("vd", 3)]
-    store.put = put
-    image.lose()
-    vol2 = LSVDVolume.open(store, "vd", DiskImage(4 * MiB), cfg, cache_lost=True)
-    verdict = PrefixChecker(rec).check(vol2.read)
-    assert verdict.ok_prefix, verdict.problems[:3]
 
 
 @settings(
@@ -288,34 +183,3 @@ def test_sharded_crash_anywhere_with_cache_is_prefix_consistent(
     verdict = PrefixChecker(rec).check(vol2.read, require_committed=True)
     assert verdict.ok_prefix, verdict.problems[:3]
     assert verdict.ok_committed, (verdict.cut, verdict.committed_through)
-
-
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(data=st.data())
-def test_repeated_crash_recover_cycles(data):
-    """Crash, recover, write more, crash again — five times over."""
-    _inner, store, image, cfg, vol = build(unsettled=False)
-    rec = HistoryRecorder(vol.write, vol.flush)
-    rng_seed = data.draw(st.integers(min_value=0, max_value=2**16))
-    rng = random.Random(rng_seed)
-    for cycle in range(5):
-        n = data.draw(st.integers(min_value=3, max_value=25))
-        for _ in range(n):
-            rec.write(rng.randrange(PAGES) * 4096, 4096)
-        if rng.random() < 0.7:
-            rec.barrier()
-        image.crash(rng=rng, survive_probability=rng.random(), allow_torn=True)
-        vol = LSVDVolume.open(store, "vd", image, cfg)
-        rec._write_fn = vol.write
-        rec._flush_fn = vol.flush
-        verdict = PrefixChecker(rec).check(vol.read)
-        assert verdict.ok_prefix, (cycle, verdict.problems[:3])
-        # writes beyond the cut were legitimately rolled back by this
-        # recovery; drop them from the expected history so the next
-        # cycle's check composes correctly across crash epochs
-        rec.history = [r for r in rec.history if r.write_id <= verdict.cut]
-        rec.barrier_after = min(rec.barrier_after, verdict.cut)
