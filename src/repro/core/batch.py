@@ -65,16 +65,16 @@ class WriteBatch:
     def __init__(self, batch_size: int, temp: int = 0):
         self.batch_size = batch_size
         self.temp = temp  # the class stream this batch accumulates
-        #: (vLBA, length, cache-image offset, batch offset) per write
+        #: (vLBA, length, cache log position, batch offset) per write
         self._writes: List[Tuple[int, int, int, int]] = []
         self.bytes_in = 0
         self.last_record_seq = 0
         self.first_record_seq = 0  # lowest record seq added since last seal
 
-    def add(self, lba: int, length: int, cache_offset: int, record_seq: int) -> None:
-        """Append one logged write whose bytes sit at ``cache_offset`` in
-        the cache image; the batch offset is the running byte count."""
-        self._writes.append((lba, length, cache_offset, self.bytes_in))
+    def add(self, lba: int, length: int, position: int, record_seq: int) -> None:
+        """Append one logged write whose bytes sit at log ``position`` in
+        the cache; the batch offset is the running byte count."""
+        self._writes.append((lba, length, position, self.bytes_in))
         self.bytes_in += length  # lint: disable=LSVD007 -- batch payload accounting, sealed into the object header, not a stat
         if not self.first_record_seq:
             self.first_record_seq = record_seq
@@ -93,12 +93,12 @@ class WriteBatch:
     ) -> SealedBatch:
         """Freeze into an object payload; the batch becomes reusable-empty.
 
-        A write survives where ``cache``'s map still points at its bytes:
-        a newer write (in this batch or another class batch) or a trim
-        has unmapped the rest.  The survivors, in vLBA order, join into
-        one extent where they continue each other in vLBA and in batch
-        offset, and their bytes are read back from the cache image into
-        one pre-sized assembly (see :mod:`repro.core.sgio`) — the
+        A write survives where ``cache``'s live map still names its log
+        position: a newer write (in this batch or another class batch) or
+        a trim has unmapped the rest.  The survivors, in vLBA order, join
+        into one extent where they continue each other in vLBA and in
+        batch offset, and their bytes are read back from the cache image
+        into one pre-sized assembly (see :mod:`repro.core.sgio`) — the
         destage read, with no second CRC check: those bytes were appended
         since mount, or recovery's map rebuild verified them at mount.
         ``reason`` records what cut the batch (size threshold vs a forced
@@ -107,23 +107,24 @@ class WriteBatch:
         marks an object a later one of its lockstep group completes.
         """
         stage = span.begin("batch_seal", reason=reason, seq=seq)
-        lookup = cache.map.lookup
+        lookup = cache.lookup
         live: List[Tuple[int, int, int, int]] = []
-        for lba, length, cache_offset, batch_offset in self._writes:
+        for lba, length, position, batch_offset in self._writes:
             for ext in lookup(lba, length):
                 shift = ext.lba - lba
-                if ext.offset == cache_offset + shift:
+                if ext.offset == position + shift:
                     live.append((ext.lba, ext.length, ext.offset, batch_offset + shift))
         live.sort()
         extents: List[ObjectExtent] = []
         ranges: List[Tuple[int, int]] = []
         end = next_offset = -1
-        for lba, length, cache_offset, batch_offset in live:
+        phys = cache._phys
+        for lba, length, position, batch_offset in live:
             if lba == end and batch_offset == next_offset:
                 extents[-1].length += length
             else:
                 extents.append(ObjectExtent(lba=lba, length=length, src_seq=0))
-            ranges.append((cache_offset, length))
+            ranges.append((phys(position), length))
             end, next_offset = lba + length, batch_offset + length
         data = gather(cache.image.view(), ranges)
         header = ObjectHeader(

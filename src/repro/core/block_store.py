@@ -250,11 +250,11 @@ class BlockStore:
         """
         full = False
         self._newest_record = record.seq
-        for lba, length, offset in record.extents:
+        for lba, length, position in record.extents:
             if lba < 0 or lba + length > self.size:
                 raise ValueError("write beyond volume bounds")
             batch = self._batch_for(self.placement.on_write(lba, length))
-            batch.add(lba, length, offset, record.seq)
+            batch.add(lba, length, position, record.seq)
             full = full or batch.should_seal()
         return self._seal_group(span=span) if full else []
 

@@ -42,8 +42,6 @@ KIND_SUPERBLOCK = 4
 
 _REC_HDR = struct.Struct("<4sHHQQIII")  # magic ver kind seq epoch crc n_ext data_len
 _REC_EXT = struct.Struct("<QI")  # lba, length
-#: bytes of a record's fixed header (what :func:`record_header_seq` reads)
-RECORD_HEADER_BYTES = _REC_HDR.size
 _OBJ_HDR = struct.Struct("<4sHH16sQQIII")  # magic ver kind uuid seq last_rec n_ext data_len crc
 _GROUP_OPEN = 0x8000  # wire-kind flag: a later object completes this one's seal group
 _OBJ_EXT = struct.Struct("<QIQ")  # lba, length, src_seq (0 = fresh data)
@@ -153,17 +151,6 @@ def encode_record(record: CacheRecord) -> bytes:
         pos += align_up(length)
     encoded, _placed = encode_writes(record.seq, writes, record.epoch)
     return bytes(encoded)
-
-
-def record_header_seq(buf: Buffer) -> Optional[int]:
-    """Sequence number in the record header ``buf`` starts with (magic,
-    version and kind checked; no CRC, no payload), or None."""
-    if len(buf) < _REC_HDR.size:
-        return None
-    magic, ver, kind, seq = _REC_HDR.unpack_from(buf)[:4]
-    if magic != MAGIC or ver != VERSION or kind != KIND_DATA:
-        return None
-    return int(seq)
 
 
 def decode_record(buf: Buffer, offset: int = 0) -> Optional[CacheRecord]:
@@ -338,7 +325,6 @@ __all__ = [
     "KIND_SUPERBLOCK",
     "ObjectExtent",
     "ObjectHeader",
-    "RECORD_HEADER_BYTES",
     "align_up",
     "decode_object",
     "decode_object_header",
@@ -349,5 +335,4 @@ __all__ = [
     "object_name",
     "pack_record",
     "parse_object_name",
-    "record_header_seq",
 ]

@@ -84,14 +84,22 @@ def _check_write_cache_geometry(vol: LSVDVolume, report: InvariantReport) -> Non
                 f"record {ref.seq} at virt {ref.virt} outside "
                 f"[{wc.tail_virt}, {wc.head_virt})"
             )
-    log_start = wc.log_offset
-    log_end = wc.log_offset + wc.log_size
+    # a live entry (log position at or past the tail) lies inside one live
+    # record's payload, in [tail_virt, head_virt)
+    payloads = [
+        (min(pos for _lba, _n, pos in ref.extents), min(ref.virt + ref.size, wc.head_virt))
+        for ref in wc.records
+        if ref.extents
+    ]
+    starts = [start for start, _end in payloads]
     for ext in wc.map:
-        if not (log_start <= ext.offset and ext.offset + ext.length <= log_end):
-            report.add(
-                f"write-cache map entry at lba {ext.lba} points outside "
-                f"the log area"
-            )
+        if ext.offset >= wc.tail_virt:
+            index = bisect_right(starts, ext.offset) - 1
+            if index < 0 or ext.offset + ext.length > payloads[index][1]:
+                report.add(
+                    f"write-cache map entry at lba {ext.lba} lies outside "
+                    f"the payload of every live record"
+                )
         if ext.lba + ext.length > vol.size:
             report.add(f"write-cache map entry beyond volume end: {ext.lba}")
 

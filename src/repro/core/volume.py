@@ -591,7 +591,7 @@ class LSVDVolume:
         if clear and len(fetched) == 1 and (fetched[0][0], len(fetched[0][1])) == demand:
             self.rc.insert(fetched, span=span, demand=demand)
             return
-        wc_lookup = self.wc.map.lookup_with_gaps if len(self.wc.map) else None
+        wc_lookup = self.wc.lookup if self.wc.records else None
         rc_lookup = self.rc.map.lookup_with_gaps
         want = demand[0]
         pieces, behind = [], []
@@ -606,9 +606,11 @@ class LSVDVolume:
                 if wc_lookup is None:  # an empty write cache holds nothing newer
                     pieces.append((start, data[start - lba : start - lba + length]))
                     continue
-                for s, n, newer in wc_lookup(start, length):
-                    if newer is None:
-                        pieces.append((s, data[s - lba : s - lba + n]))
+                newer = _Coverage(start, length)
+                for ext in wc_lookup(start, length):
+                    newer.fill(ext.lba, ext.length)
+                for s, n in newer.gaps():
+                    pieces.append((s, data[s - lba : s - lba + n]))
             ahead = ahead or here
         self.rc.insert(pieces, span=span, demand=demand, refetched=behind)
 

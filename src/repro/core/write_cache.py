@@ -20,6 +20,11 @@ confirms that a record's data is safely inside a settled backend object
 (:meth:`release_through`), so everything between tail and head is exactly
 the data that crash recovery may need to replay to the backend (§3.3).
 
+The map and the record index name a payload by its *log position*
+(record ``virt`` + offset in the record), which is never reused: an entry
+is live exactly while its position is at or past the tail, so releasing a
+record moves the tail and touches no map.
+
 Checkpoints alternate between two slots and hold the record index, not
 the map; recovery picks the newest valid one (by CRC and sequence), replays
 records forward from the checkpointed head, stopping at the first invalid
@@ -42,11 +47,9 @@ from typing import Iterator, List, Optional, Tuple
 from repro.core import checkpoint as ckpt
 from repro.core.config import BLOCK
 from repro.core.errors import CacheFullError, CorruptRecordError
-from repro.core.extent_map import ExtentMap
+from repro.core.extent_map import Extent, ExtentMap
 from repro.core.ids import IDS
-from repro.core.log import (
-    RECORD_HEADER_BYTES, CacheRecord, align_up, decode_record, encode_writes, record_header_seq
-)
+from repro.core.log import CacheRecord, align_up, decode_record, encode_writes
 from repro.devices.image import DiskImage
 from repro.obs import NULL_SPAN, Registry, bind_metrics, gauge_field, metric_field
 
@@ -65,8 +68,7 @@ class RecordRef:
     seq: int
     virt: int  # virtual byte offset of the record header
     size: int  # total footprint (header + data)
-    #: (vLBA, length, image offset of the payload): what batches destage
-    #: and release unmaps
+    #: (vLBA, length, log position of the payload): what batches destage
     extents: List[Tuple[int, int, int]] = field(default_factory=list)
 
 
@@ -99,7 +101,10 @@ class WriteCache:
         self.log_offset = region_offset + meta
         self.log_size = (self.region_size - meta) // BLOCK * BLOCK
 
-        self.map = ExtentMap()  # vLBA -> (WC_TARGET, absolute image offset)
+        #: vLBA -> (WC_TARGET, log position); entries behind the tail are
+        #: dead and linger until :meth:`release_through` sweeps them
+        self.map = ExtentMap()
+        self._swept_tail = 0  # no entry lies behind it (see release_through)
         self.records: List[RecordRef] = []  # live records, oldest first
         self.head_virt = 0
         self.tail_virt = 0
@@ -164,13 +169,13 @@ class WriteCache:
         virt = self._reserve(size)
         phys = self._phys(virt)
         self.image.write(phys, encoded)
-        # map each extent to its data location on SSD; the stat update is
-        # one batched delta after the loop (hot-path hygiene, LSVD009)
+        # map each extent to its log position; the stat update is one
+        # batched delta after the loop (hot-path hygiene, LSVD009)
         total = 0
         extents = []
         for lba, length, data_off in placed:
-            self.map.update(lba, length, WC_TARGET, phys + data_off)
-            extents.append((lba, length, phys + data_off))
+            self.map.update(lba, length, WC_TARGET, virt + data_off)
+            extents.append((lba, length, virt + data_off))
             total += length
         self.client_bytes += total
         ref = RecordRef(self.next_seq, virt, size, extents)
@@ -228,12 +233,22 @@ class WriteCache:
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
+    def lookup(self, lba: int, length: int) -> List[Extent]:
+        """The live map pieces of [lba, lba+length), clipped, in order:
+        every map reader sees the cache through this one filter."""
+        tail = self.tail_virt
+        found = self.map.lookup(lba, length)
+        for ext in found:  # a loop, not a comprehension: no frame when all live
+            if ext.offset < tail:
+                return [e for e in found if e.offset >= tail]
+        return found
+
     def read(self, lba: int, length: int, span=NULL_SPAN) -> List[Tuple[int, int, bytes]]:
         """Serve cached pieces of [lba, lba+length): (lba, length, data)."""
         stage = span.begin("wc_read")
         out = []
-        for ext in self.map.lookup(lba, length):
-            out.append((ext.lba, ext.length, self.image.read(ext.offset, ext.length)))
+        for ext in self.lookup(lba, length):
+            out.append((ext.lba, ext.length, self.image.read(self._phys(ext.offset), ext.length)))
         stage.end(pieces=len(out))
         return out
 
@@ -243,41 +258,29 @@ class WriteCache:
     def release_through(self, record_seq: int) -> int:
         """Free records with seq <= record_seq (data settled in backend).
 
-        Returns the number of bytes freed.  Map entries pointing into the
-        freed records are dropped; later reads fall through to the read
-        cache or the block store, both of which now hold the data.
+        Returns the number of bytes freed.  The tail moves to the next
+        live record (swallowing wrap slack), leaving the freed records' map
+        entries dead behind it: reads fall through to the read cache or the
+        block store, both of which now hold the data.  The map is cleared
+        when the log empties and swept once the tail has moved a log size,
+        so its entries, disjoint in position, lie within two log sizes of
+        the head.  A sweep filters: a rebuild from the records would bring
+        trimmed ranges back.
         """
         freed = 0
         while self.records and self.records[0].seq <= record_seq:
-            ref = self.records.pop(0)
-            freed += ref.size
-            self._drop_map_entries(ref)
-            # advance tail to the next live record, swallowing wrap slack;
-            # with no live records the tail catches up with the head.
-            if self.records:
-                self.tail_virt = self.records[0].virt
-            else:
-                self.tail_virt = self.head_virt
-        if freed:
-            self.occupancy_bytes = self.used_bytes
+            freed += self.records.pop(0).size
+        if not freed:
+            return 0
+        self.tail_virt = tail = self.records[0].virt if self.records else self.head_virt
+        self.occupancy_bytes = self.used_bytes
+        if not self.records:
+            self.map.clear()
+            self._swept_tail = tail
+        elif tail - self._swept_tail >= self.log_size:
+            self.map = ExtentMap.from_entries(e for e in self.map if e.offset >= tail)
+            self._swept_tail = tail
         return freed
-
-    def _drop_map_entries(self, ref: RecordRef) -> None:
-        """Remove map entries that this record established and that still
-        point at *its* data.
-
-        The check must be exact (vLBA and offset both matching what the
-        record wrote): after a log wrap, a stale record's physical range
-        may have been reused by a newer record, and blindly dropping by
-        physical range would destroy the newer record's mappings.  Reuse
-        shows in the fixed-size header; the payload is not read, so a record
-        whose data rotted still drops entries that point into reusable space.
-        """
-        phys = self._phys(ref.virt)
-        if record_header_seq(self.image.read(phys, RECORD_HEADER_BYTES)) != ref.seq:
-            return  # space already reused: nothing of ours is mapped
-        for lba, length, offset in ref.extents:
-            self.map.remove_matching(lba, length, WC_TARGET, offset)
 
     def replay_after(self, record_seq: int) -> Iterator[RecordRef]:
         """Yield the live records with seq > record_seq, oldest first, for
@@ -293,8 +296,8 @@ class WriteCache:
         """
         self.map = ExtentMap()
         for ref in list(self.records):
-            for lba, length, offset in ref.extents:
-                self.map.update(lba, length, WC_TARGET, offset)
+            for lba, length, position in ref.extents:
+                self.map.update(lba, length, WC_TARGET, position)
             if ref.seq > record_seq:
                 yield ref
 
@@ -413,7 +416,7 @@ class WriteCache:
             record = decode_record(raw)
             if record is None or record.seq != ref.seq:
                 continue  # zombie: destaged before the crash, space reused
-            base = self._phys(ref.virt) + record.header_size
+            base = ref.virt + record.header_size
             extents = [  # the layout append placed
                 (lba, n, base + record.data_offset_of(i))
                 for i, (lba, n) in enumerate(record.extents)
@@ -422,7 +425,7 @@ class WriteCache:
                 self.map.update(lba, length, WC_TARGET, offset)
             verified.append(RecordRef(ref.seq, ref.virt, ref.size, extents))
         self.records = verified
-        self.tail_virt = verified[0].virt if verified else self.head_virt
+        self.tail_virt = self._swept_tail = verified[0].virt if verified else self.head_virt
 
     def _replay_from_head(self) -> None:
         """Roll forward from the checkpointed head position.

@@ -145,11 +145,8 @@ class _DeviceOp:
         elapsed = end - self.started
         if elapsed < self.service:
             end += self.service - elapsed
-        elif not remaining:
-            # no controller slot and the service time is over (or zero):
-            # nothing to wait for, no event
-            self._served(_previous)
-            return
+        # even a zero-service op ends through the heap, one hop after its
+        # grant, where the generator body's timeout would have ended it
         sim.call_at(end, self._served)
 
     def _pass_path(self, inline: bool) -> bool:

@@ -74,7 +74,7 @@ class DiskImage:
         self._check_range(offset, length)
         self.reads += 1
         self.bytes_read += length
-        return bytes(self._data[offset : offset + length])
+        return bytes(memoryview(self._data)[offset : offset + length])  # one copy
 
     def view(self) -> memoryview:
         """The newest content without a copy (what :meth:`read` copies

@@ -95,7 +95,7 @@ DESIGN_CEILINGS = {
     "(preamble)": 10,
     "What the paper builds": 28,
     "Substitutions (paper used → we build → why it preserves behaviour)": 21,
-    "Package inventory": 85,
+    "Package inventory": 82,
     "Experiment index (every table & figure)": 28,
     "Design choices to ablate (benchmarks/ablations)": 10,
     "Consistency model (tested by crash-point enumeration)": 10,
@@ -103,7 +103,7 @@ DESIGN_CEILINGS = {
     "Span tracing & critical-path attribution (`repro.obs.spans`)": 59,
     "Sharding (`repro.shard`)": 54,
     "Chunked extent map & the data-plane fast path"
-    " (`repro.core.extent_map`, `repro.core.sgio`)": 138,
+    " (`repro.core.extent_map`, `repro.core.sgio`)": 137,
     "Read cache: byte ring + FIFO insertion log (`repro.core.read_cache`)": 219,
     "Simulation engine & device ops (`repro.sim`, `repro.devices.base`)": 98,
     "Data plane pipeline (`repro.runtime.lsvd`): group commit, per-shard destage,"

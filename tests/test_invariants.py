@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core import LSVDConfig, LSVDVolume
 from repro.core.validate import check_volume_invariants
+from repro.core.write_cache import WC_TARGET
 from repro.devices.image import DiskImage
 from repro.objstore import InMemoryObjectStore
 
@@ -75,6 +76,20 @@ def test_checker_detects_planted_corruption():
     report = check_volume_invariants(vol)
     assert not report.ok
     assert any("accounting says" in v for v in report.violations)
+
+
+def test_checker_places_live_write_cache_entries_by_log_position():
+    """A live write-cache entry lies in a live record's payload; one behind
+    the tail is dead, not wrong."""
+    _store, _cfg, vol = make_volume()
+    wc = vol.wc
+    first = wc.append([(0, b"a" * 4096)])
+    wc.append([(8192, b"b" * 4096)])
+    wc.release_through(first.seq)
+    assert wc.map.lookup(0, 4096) and check_volume_invariants(vol).ok
+    wc.map.update(65536, 4096, WC_TARGET, wc.records[0].virt)  # its header
+    report = check_volume_invariants(vol)
+    assert any("payload of every live record" in v for v in report.violations)
 
 
 def test_read_cache_log_covers_the_map_and_a_desynchronised_log_is_loud():

@@ -10,6 +10,7 @@ import pytest
 
 from repro.core import LSVDConfig, LSVDVolume, read_cache
 from repro.core.validate import check_volume_invariants
+from repro.core.volume import _Coverage
 from repro.devices.image import DiskImage
 from repro.obs import NULL_SPAN
 from repro.objstore import InMemoryObjectStore
@@ -27,9 +28,11 @@ def reinsert_everything(vol):
     def insert(fetched, demand, span=NULL_SPAN, clear=False):
         pieces = []
         for lba, data in fetched:
-            for start, length, ext in vol.wc.map.lookup_with_gaps(lba, len(data)):
-                if ext is None:
-                    pieces.append((start, data[start - lba : start - lba + length]))
+            newer = _Coverage(lba, len(data))
+            for ext in vol.wc.lookup(lba, len(data)):
+                newer.fill(ext.lba, ext.length)
+            for start, length in newer.gaps():
+                pieces.append((start, data[start - lba : start - lba + length]))
         vol.rc.insert(pieces, span=span, demand=demand)
 
     vol._insert_read_cache = insert

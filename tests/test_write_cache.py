@@ -98,31 +98,36 @@ def test_release_keeps_newer_overwrite():
 
 
 def test_release_skips_a_record_whose_slot_was_reused():
+    """Release reads nothing from the log and touches no map entry: what
+    now occupies the slot is irrelevant, record 1's entry is dead by its
+    position and record 2's stays live."""
     wc = make_cache()
     r1 = wc.append([(0, b"a" * 4096)])
     wc.append([(8192, b"b" * 4096)])
     # a record with another sequence number now occupies record 1's slot
     wc.image.write(wc._phys(r1.virt), encode_record(pack_record(r1.seq + 7, [(0, b"x" * 4096)])))
     before = wc.map.entries()
+    reads = wc.image.reads
     assert wc.release_through(r1.seq) == r1.size
-    assert wc.map.entries() == before
+    assert wc.map.entries() == before and wc.image.reads == reads
+    assert wc.read(0, 4096) == []
+    [(_, _, data)] = wc.read(8192, 4096)
+    assert data == b"b" * 4096
 
 
 def test_release_drops_entries_of_a_record_whose_payload_rotted():
-    """Deliberate change: the reuse guard reads the fixed-size header only.
-
-    The full CRC decode it replaced took a record with flipped payload
-    bytes for reused space and kept its map entries, which then pointed
-    into log space about to be reused by newer records.
-    """
+    """A record whose payload rotted is released like any other: release
+    decodes nothing, and its entries die with it (the log is empty now,
+    so the map is cleared), never left naming reusable space."""
     wc = make_cache()
     r1 = wc.append([(0, b"a" * 4096), (16384, b"c" * 512)])
     phys = wc._phys(r1.virt)
-    data_at = r1.extents[0][2]
+    data_at = wc._phys(r1.extents[0][2])
     wc.image.write(data_at, bytes([wc.image.read(data_at, 1)[0] ^ 0xFF]))
     assert decode_record(wc.image.read(phys, r1.size)) is None  # CRC fails
     wc.release_through(r1.seq)
     assert len(wc.map) == 0
+    assert wc.read(0, 1 << 20) == []
 
 
 def test_cache_full_raises():
@@ -256,8 +261,8 @@ def test_recover_survives_many_random_crashes():
         # and their content is intact
         replay = {}
         for ref in fresh.replay_after(0):
-            for lba, length, offset in ref.extents:
-                replay[lba] = fresh.image.read(offset, length)
+            for lba, length, position in ref.extents:
+                replay[lba] = fresh.image.read(fresh._phys(position), length)
         for seq in sorted(recovered):
             lba, data = expected[seq]
             # newest-wins: only check lbas whose final writer is <= prefix

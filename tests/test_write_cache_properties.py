@@ -120,6 +120,6 @@ def test_recovery_invariants_under_random_ops(ops, crash_seed):
     for ref in fresh.replay_after(0):
         if ref.seq in payloads:
             lba, data = payloads[ref.seq]
-            [(got_lba, length, offset)] = ref.extents
+            [(got_lba, length, position)] = ref.extents
             assert (got_lba, length) == (lba, 4096)
-            assert fresh.image.read(offset, length) == data
+            assert fresh.image.read(fresh._phys(position), length) == data
