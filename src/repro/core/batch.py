@@ -68,7 +68,6 @@ class WriteBatch:
         #: (vLBA, length, cache log position, batch offset) per write
         self._writes: List[Tuple[int, int, int, int]] = []
         self.bytes_in = 0
-        self.last_record_seq = 0
         self.first_record_seq = 0  # lowest record seq added since last seal
 
     def add(self, lba: int, length: int, position: int, record_seq: int) -> None:
@@ -78,7 +77,6 @@ class WriteBatch:
         self.bytes_in += length  # lint: disable=LSVD007 -- batch payload accounting, sealed into the object header, not a stat
         if not self.first_record_seq:
             self.first_record_seq = record_seq
-        self.last_record_seq = record_seq
 
     @property
     def is_empty(self) -> bool:
@@ -89,7 +87,7 @@ class WriteBatch:
 
     def seal(
         self, seq: int, uuid: bytes, cache: WriteCache, reason: str = "size",
-        span=NULL_SPAN, group_open: bool = False,
+        span=NULL_SPAN, last_record_seq: int = 0, group_open: bool = False,
     ) -> SealedBatch:
         """Freeze into an object payload; the batch becomes reusable-empty.
 
@@ -103,8 +101,8 @@ class WriteBatch:
         since mount, or recovery's map rebuild verified them at mount.
         ``reason`` records what cut the batch (size threshold vs a forced
         drain/backpressure seal) for the accounting split in StoreStats,
-        and is carried on the ``batch_seal`` span too.  ``group_open``
-        marks an object a later one of its lockstep group completes.
+        and is carried on the ``batch_seal`` span too; the record mark and
+        ``group_open`` are :meth:`BlockStore.seal_group`'s to set.
         """
         stage = span.begin("batch_seal", reason=reason, seq=seq)
         lookup = cache.lookup
@@ -131,7 +129,7 @@ class WriteBatch:
             kind=KIND_DATA,
             uuid=uuid,
             seq=seq,
-            last_record_seq=self.last_record_seq,
+            last_record_seq=last_record_seq,
             extents=extents,
             data_len=len(data),
             temp=self.temp,
@@ -142,7 +140,7 @@ class WriteBatch:
             payload=encode_object(header, data),
             extents=extents,
             data_len=len(data),
-            last_record_seq=self.last_record_seq,
+            last_record_seq=last_record_seq,
             bytes_in=self.bytes_in,
             bytes_out=len(data),
             reason=reason,
@@ -151,7 +149,6 @@ class WriteBatch:
         )
         self._writes = []
         self.bytes_in = 0
-        self.last_record_seq = 0
         self.first_record_seq = 0
         stage.end(bytes=sealed.data_len)
         return sealed

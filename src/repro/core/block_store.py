@@ -27,7 +27,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core import checkpoint as ckpt
 from repro.core.batch import SealedBatch, WriteBatch
@@ -178,11 +178,6 @@ class BlockStore:
         #: the write cache whose records :meth:`add_write` batches; seals
         #: read the bytes back from its log (the volume attaches it)
         self.cache: Optional[WriteCache] = None
-        #: sealed data objects whose commit() has not run yet: their
-        #: sequence numbers are allocated, so a checkpoint taken now
-        #: would postdate them and recovery would skip their writes —
-        #: :attr:`checkpoint_due` stays False until this drops to zero
-        self.sealed_uncommitted = 0
         self.next_seq = 1
         self.last_ckpt_seq = 0
         self.last_record_seq_destaged = 0
@@ -256,79 +251,32 @@ class BlockStore:
             batch = self._batch_for(self.placement.on_write(lba, length))
             batch.add(lba, length, position, record.seq)
             full = full or batch.should_seal()
-        return self._seal_group(span=span) if full else []
+        return self.seal_group("size", span=span) if full else []
 
-    def _record_seq_cap(self, batch: WriteBatch) -> Optional[int]:
-        """Highest record seq provably destaged once ``batch`` seals.
+    def seal_group(self, reason: str, span=NULL_SPAN) -> List[SealedBatch]:
+        """Seal every non-empty class batch as one lockstep group.
 
-        With one open batch per class, records interleave across batches:
-        a sealing batch may carry record N while an *older* record still
-        sits in another open batch.  The object's ``last_record_seq``
-        high-water mark must therefore stop just short of the oldest
-        record still buffered elsewhere, or cache release / replay could
-        skip undestaged acked writes.
+        Oldest buffered record first, hottest first on ties; every object
+        is numbered here, before the caller commits the first, so no
+        checkpoint or GC object lands inside the group.  Records interleave
+        across class batches, so only the closing object carries the record
+        mark (the newest record batched); the others are ``group_open`` with
+        mark 0, and recovery and cache release take the group only whole.
+        In a ``"size"`` group, batches below the threshold ride along as
+        ``"group"`` (counted in ``store.forced_seals``).
         """
-        cap = None
-        for other in self.batches.values():
-            if other is batch or other.is_empty:
-                continue
-            limit = other.first_record_seq - 1
-            cap = limit if cap is None else min(cap, limit)
-        return cap
-
-    def _seal_batch(
-        self, batch: WriteBatch, reason: str = "size", span=NULL_SPAN
-    ) -> SealedBatch:
-        cap = self._record_seq_cap(batch)
-        if cap is not None and cap < batch.last_record_seq:
-            batch.last_record_seq = cap
-        elif cap is None:  # the last open batch: every record batched is sealed
-            batch.last_record_seq = self._newest_record
-        assert self.cache is not None  # the batch holds records of this cache
-        self.sealed_uncommitted += 1
-        # another class batch still buffers records: the group's later
-        # objects complete this one, so it is marked open (see _recover)
-        return batch.seal(self._take_seq(), self.uuid, self.cache, reason=reason,
-                          span=span, group_open=cap is not None)
-
-    def _seal_group(self, span=NULL_SPAN) -> List[SealedBatch]:
-        """Seal every non-empty batch as one group, oldest records first.
-
-        A batch at the size threshold records reason ``"size"``; the
-        batches that merely ride along in the group seal as ``"group"``
-        (they count toward ``store.forced_seals`` — the object-count
-        overhead class separation pays for the crash-ordering guarantee).
-        """
+        batches = sorted((b for b in self.batches.values() if not b.is_empty),
+                         key=lambda b: (b.first_record_seq, b.temp))
         out: List[SealedBatch] = []
-        while (batch := self._oldest_open_batch()) is not None:
-            reason = "size" if batch.should_seal() else "group"
-            out.append(self._seal_batch(batch, reason=reason, span=span))
+        for batch in batches:
+            assert self.cache is not None  # the batch holds records of this cache
+            closing = batch is batches[-1]
+            out.append(batch.seal(
+                self._take_seq(), self.uuid, self.cache, span=span,
+                reason="group" if reason == "size" and not batch.should_seal() else reason,
+                last_record_seq=self._newest_record if closing else 0, group_open=not closing,
+            ))
         return out
-
-    def _oldest_open_batch(self) -> Optional[WriteBatch]:
-        """The non-empty class batch to seal next: oldest buffered record
-        first, hottest first among batches that start with one record."""
-        open_batches = [b for b in self.batches.values() if not b.is_empty]
-        if not open_batches:
-            return None
-        return min(open_batches, key=lambda b: (b.first_record_seq, b.temp))
-
-    def seal_all(self, reason: str = "size", span=NULL_SPAN) -> Iterator[SealedBatch]:
-        """Seal every non-empty class batch, oldest buffered records first.
-
-        Sealing in first-record order lets each object carry the highest
-        safe ``last_record_seq`` (see :meth:`_record_seq_cap`): the last
-        batch sealed covers the full watermark.
-
-        A *lazy* generator on purpose: each batch is sealed (allocating
-        its sequence number) only when the caller asks for it, after
-        committing the previous one.  Sealing everything up front would
-        let a checkpoint triggered by an intermediate commit take a
-        *later* sequence number than still-uncommitted batches — recovery
-        would then start replay past them and lose their writes.
-        """
-        while (batch := self._oldest_open_batch()) is not None:
-            yield self._seal_batch(batch, reason=reason, span=span)
 
     def commit(self, sealed: SealedBatch, span=NULL_SPAN):
         """PUT the sealed object and update the map/accounting.
@@ -353,8 +301,6 @@ class BlockStore:
             sealed.seq, sealed.kind, sealed.data_len, sealed.extents, temp=sealed.temp
         )
         self.stats.objects_put += 1
-        if sealed.kind == KIND_DATA and self.sealed_uncommitted > 0:
-            self.sealed_uncommitted -= 1
         if sealed.kind == KIND_DATA:
             if sealed.forced:
                 self.stats.forced_seals += 1
@@ -392,14 +338,11 @@ class BlockStore:
         Checkpoints are *not* written from :meth:`commit`: the volume
         issues them only once all prior PUTs have settled, so a visible
         checkpoint always implies its whole prefix is visible — the
-        invariant recovery's checkpoint selection relies on.  Sealed
-        batches awaiting commit defer it too: a checkpoint must never
-        take a sequence number past an uncommitted object.
+        invariant recovery's checkpoint selection relies on — nor while a
+        seal group is open: :meth:`seal_group` numbers a whole group at
+        once, and recovery would skip members a checkpoint postdates.
         """
-        return (
-            self._objects_since_ckpt >= self.config.checkpoint_interval
-            and self.sealed_uncommitted == 0
-        )
+        return self._objects_since_ckpt >= self.config.checkpoint_interval
 
     def _take_seq(self) -> int:
         seq = self.next_seq
@@ -749,11 +692,10 @@ class BlockStore:
         group: List[ObjectHeader] = []
         while seq in present:
             group.append(self.header_of(seq))
-            # a GC object cut inside a data group does not close it
-            if not (group[-1].group_open or group[-1].kind == KIND_GC and len(group) > 1):
+            if not group[-1].group_open:
                 for header in group:
-                    last_record_seq = max(last_record_seq, header.last_record_seq)
                     self._replay_object(header)
+                last_record_seq = max(last_record_seq, group[-1].last_record_seq)
                 group = []
                 last = seq
             seq += 1

@@ -21,9 +21,11 @@ make recovery sound:
 1. a cache record may be *released* (freed from the write log) only once
    every object up to and including the one covering it has settled —
    otherwise a crash could lose an acknowledged write that is in neither
-   the cache nor the backend;
+   the cache nor the backend; only a seal group's closing object carries
+   a record mark, so a group frees its records only whole;
 2. a checkpoint is written only when no other PUT is outstanding and no
-   seal group is open, so a visible checkpoint implies its prefix is;
+   seal group is open (its members are all numbered, not all PUT), so a
+   visible checkpoint implies its prefix is;
 3. GC victims are deleted only after a checkpoint that no longer
    references them has settled (§3.3's "GC only deletes objects older
    than the most recent checkpoint").
@@ -55,8 +57,7 @@ class _BatchEntry:
     """One committed batch awaiting settlement."""
 
     seq: int
-    last_record_seq: int
-    group_open: bool = False
+    last_record_seq: int  # 0 on an open seal group's members: frees nothing
     settled: bool = False
 
 
@@ -112,7 +113,6 @@ class LSVDVolume:
         # settlement ledger
         self._pending: Dict[object, Tuple[str, object]] = {}
         self._batches: List[_BatchEntry] = []
-        self._releasable = 0  # cache release mark held for an open seal group
         self._group_open = False  # the newest data seal left its group open
         self._gc_round: Optional[_GCRound] = None
         self._ckpt_requested = False
@@ -415,7 +415,7 @@ class LSVDVolume:
         runtime drives the same steps through simulated time.
         """
         span = self.obs.spans.root("drain")
-        for sealed in self.bs.seal_all(reason="drain", span=span):
+        for sealed in self.bs.seal_group("drain", span=span):
             self._commit_data(sealed, span=span)
         span.end()
         self.poll()
@@ -480,7 +480,7 @@ class LSVDVolume:
 
     # -- internals ------------------------------------------------------
     def _commit_data(self, sealed: SealedBatch, span=NULL_SPAN) -> None:
-        entry = _BatchEntry(sealed.seq, sealed.last_record_seq, sealed.group_open)
+        entry = _BatchEntry(sealed.seq, sealed.last_record_seq)
         self._batches.append(entry)
         self._group_open = sealed.group_open
         self.batch_commits += 1
@@ -500,20 +500,17 @@ class LSVDVolume:
             self._pending[result] = ("data", entry)
 
     def _advance_release_frontier(self) -> None:
-        # a seal group frees cache records only once the object closing it
-        # settled too, and no object frees them past a checkpoint or GC PUT
-        # still in flight below it: recovery stops at either hole
+        # only a seal group's closing object carries a record mark, and no
+        # object frees records past a checkpoint or GC PUT still in flight
+        # below it: recovery stops at either hole
         floor = min((p for k, p in self._pending.values() if k != "data"), default=self.bs.next_seq)
         while self._batches and self._batches[0].settled and self._batches[0].seq < floor:
-            entry = self._batches.pop(0)
-            self._releasable = max(self._releasable, entry.last_record_seq)
-            if not entry.group_open and self._releasable:
-                self.wc.release_through(self._releasable)
+            self.wc.release_through(self._batches.pop(0).last_record_seq)
 
     def _may_checkpoint(self) -> bool:
-        # every PUT settled, no sealed object awaits its commit, and no seal
-        # group is open: a checkpoint closes the run recovery replays
-        return not self._pending and self.bs.sealed_uncommitted == 0 and not self._group_open
+        # every PUT settled and no seal group is open: a checkpoint closes
+        # the run recovery replays
+        return not self._pending and not self._group_open
 
     def _maybe_checkpoint(self, span=NULL_SPAN) -> None:
         if (self.bs.checkpoint_due or self._ckpt_requested) and self._may_checkpoint():
@@ -571,7 +568,7 @@ class LSVDVolume:
     def _make_room(self, needed: int, span=NULL_SPAN) -> None:
         """Cache log full: force destage so records can be released."""
         stage = span.begin("space_wait")
-        for sealed in self.bs.seal_all(reason="backpressure", span=span):
+        for sealed in self.bs.seal_group("backpressure", span=span):
             self._commit_data(sealed, span=span)
         stage.end()
         if self.wc.free_bytes < needed + 2 * 4096 and self._pending:

@@ -247,7 +247,8 @@ class WriteCache:
         """Serve cached pieces of [lba, lba+length): (lba, length, data)."""
         stage = span.begin("wc_read")
         out = []
-        for ext in self.lookup(lba, length):
+        # the map is cleared whenever the log empties: no record, no entry
+        for ext in self.lookup(lba, length) if self.records else ():
             out.append((ext.lba, ext.length, self.image.read(self._phys(ext.offset), ext.length)))
         stage.end(pieces=len(out))
         return out

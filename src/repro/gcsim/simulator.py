@@ -147,7 +147,7 @@ class GCSimulator:
             self._pending_owner[page] = temp
             self.client_pages += 1
         if len(batch) >= self.batch_pages:
-            # lockstep group seal, mirroring BlockStore._seal_group: when
+            # lockstep group seal, mirroring BlockStore.seal_group: when
             # any class batch fills, *all* open class batches seal together
             # (ascending temperature; the full stack seals the same group
             # oldest record first), so the durable record set stays a prefix
@@ -166,8 +166,8 @@ class GCSimulator:
         class batch fills (see :meth:`write`), the timed runtime's idle
         flusher (batch-timeout expiry) and its commit barriers (a flushed
         log should not strand a half-built object), and :meth:`finish`.
-        Classes flush hottest-first; the full stack's ``seal_all`` /
-        ``_seal_group`` cut the same groups but seal oldest record first.
+        Classes flush hottest-first; the full stack's ``seal_group`` cuts
+        the same groups but seals oldest record first.
         Returns True when anything was written.
         """
         flushed = False

@@ -6,7 +6,7 @@ write is copied into a private buffer and mapped vLBA -> buffer offset in
 an :class:`ExtentMap`, a rewrite landing in another class batch
 ``discard``\\ s the stale copy there, and the seal gathers the map's
 extents out of the buffer.  A reference store mirrors the block store's
-lockstep group seal and record-seq cap, cuts only between records, and
+lockstep group seal and record mark, cuts only between records, and
 applies a trim as ``discard`` on every open batch.  Hypothesis drives the same
 write/writev/trim/drain sequences — sub-block partial overlaps and
 rewrites across classes included — through a real volume and the
@@ -15,7 +15,7 @@ exactly: payload bytes, extents, record mark, bytes in/out and reason.
 """
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -44,7 +44,6 @@ class ReferenceBatch:
         self._map = ExtentMap()  # vLBA -> offset into self._buffer
         self._buffer = bytearray()
         self.bytes_in = 0
-        self.last_record_seq = 0
         self.first_record_seq = 0
 
     def add(self, lba: int, data: bytes, record_seq: int) -> None:
@@ -54,7 +53,6 @@ class ReferenceBatch:
         self.bytes_in += len(data)
         if not self.first_record_seq:
             self.first_record_seq = record_seq
-        self.last_record_seq = record_seq
 
     def discard(self, lba: int, length: int) -> None:
         self._map.remove(lba, length)
@@ -66,7 +64,7 @@ class ReferenceBatch:
     def should_seal(self) -> bool:
         return len(self._buffer) >= self.batch_size
 
-    def seal(self, seq: int, uuid: bytes, reason: str, group_open: bool) -> SealedBatch:
+    def seal(self, seq: int, uuid: bytes, reason: str, mark: int, group_open: bool) -> SealedBatch:
         extents: List[ObjectExtent] = []
         ranges: List[Tuple[int, int]] = []
         for ext in self._map:
@@ -77,7 +75,7 @@ class ReferenceBatch:
             kind=KIND_DATA,
             uuid=uuid,
             seq=seq,
-            last_record_seq=self.last_record_seq,
+            last_record_seq=mark,
             extents=extents,
             data_len=len(data),
             temp=self.temp,
@@ -88,7 +86,7 @@ class ReferenceBatch:
             payload=encode_object(header, data),
             extents=extents,
             data_len=len(data),
-            last_record_seq=self.last_record_seq,
+            last_record_seq=mark,
             bytes_in=self.bytes_in,
             bytes_out=len(data),
             reason=reason,
@@ -97,7 +95,6 @@ class ReferenceBatch:
         self._map.clear()
         self._buffer = bytearray()
         self.bytes_in = 0
-        self.last_record_seq = 0
         self.first_record_seq = 0
         return sealed
 
@@ -105,9 +102,8 @@ class ReferenceBatch:
 class ReferenceStore:
     """The block store's batching over reference batches: one open batch
     per class, lockstep group seals cut between records, oldest record
-    first, each object's record mark capped below the other open batches,
-    a group's last object carrying every record batched, and every object
-    but a group's last marked group-open."""
+    first, a group's last object carrying every record batched, and every
+    object but a group's last marked group-open with record mark 0."""
 
     def __init__(self, config: LSVDConfig, uuid: bytes, next_seq: int):
         self.config = config
@@ -130,42 +126,22 @@ class ReferenceStore:
             )
             batch.add(lba, data, self.record_seq)
             full = full or batch.should_seal()
-        if not full:
-            return []
-        out = []
-        while (batch := self._oldest_open_batch()) is not None:
-            reason = "size" if batch.should_seal() else "group"
-            out.append(self._seal(batch, reason))
-        return out
+        return self.seal_group("size") if full else []
 
     def trim(self, lba: int, length: int) -> None:
         for batch in self.batches.values():
             batch.discard(lba, length)
 
-    def seal_all(self, reason: str) -> List[SealedBatch]:
+    def seal_group(self, reason: str) -> List[SealedBatch]:
         out = []
-        while (batch := self._oldest_open_batch()) is not None:
-            out.append(self._seal(batch, reason))
+        while open_batches := [b for b in self.batches.values() if not b.is_empty]:
+            batch = min(open_batches, key=lambda b: (b.first_record_seq, b.temp))
+            rider = reason == "size" and not batch.should_seal()
+            closing = len(open_batches) == 1
+            self.next_seq += 1
+            out.append(batch.seal(self.next_seq - 1, self.uuid, "group" if rider else reason,
+                                  self.record_seq if closing else 0, not closing))
         return out
-
-    def _oldest_open_batch(self) -> Optional[ReferenceBatch]:
-        open_batches = [b for b in self.batches.values() if not b.is_empty]
-        if not open_batches:
-            return None
-        return min(open_batches, key=lambda b: (b.first_record_seq, b.temp))
-
-    def _seal(self, batch: ReferenceBatch, reason: str) -> SealedBatch:
-        group_open = False  # a later object of the group completes this one
-        for other in self.batches.values():
-            if other is not batch and not other.is_empty:
-                group_open = True
-                batch.last_record_seq = min(
-                    batch.last_record_seq, other.first_record_seq - 1
-                )
-        if not group_open:
-            batch.last_record_seq = self.record_seq
-        self.next_seq += 1
-        return batch.seal(self.next_seq - 1, self.uuid, reason, group_open)
 
 
 def payload(index: int, length: int) -> bytes:
@@ -218,7 +194,7 @@ def run_both(ops, placement: str):
             ref.trim(*placed[0])
         elif kind == "drain":
             vol.drain()
-            expected += ref.seal_all("drain")
+            expected += ref.seal_group("drain")
         else:
             writes = [(off, payload(index * 8 + i, n)) for i, (off, n) in enumerate(placed)]
             if kind == "write":
@@ -227,7 +203,7 @@ def run_both(ops, placement: str):
                 vol.writev(writes)
             expected += ref.add_record(writes)
     vol.drain()
-    expected += ref.seal_all("drain")
+    expected += ref.seal_group("drain")
     return real, expected
 
 

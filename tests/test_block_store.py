@@ -35,7 +35,7 @@ def fill(bs, n_writes=40, size=4096, stride=8192):
         sealed = log_write(bs, i * stride, bytes([i % 255 + 1]) * size)
         for batch in sealed:
             bs.commit(batch)
-    for sealed in bs.seal_all():
+    for sealed in bs.seal_group("drain"):
         bs.commit(sealed)
 
 
@@ -130,7 +130,7 @@ def test_fetch_with_prefetch_returns_the_requested_range_unchecked():
     assert neighbour.target == ext.target
     for i, lba in enumerate((ext.lba, neighbour.lba)):  # overwritten after the lookup
         log_write(bs, lba, b"\xee" * 4096)
-    for sealed in bs.seal_all():
+    for sealed in bs.seal_group("drain"):
         bs.commit(sealed)
     assert bs.lookup(ext.lba, 4096)[0].target != ext.target
     old = bytes([6]) * 4096
@@ -264,7 +264,7 @@ def test_gc_reclaims_overwritten_space():
             sealed = log_write(bs, i * 4096, bytes([round_ + 1]) * 4096)
             for batch in sealed:
                 bs.commit(batch)
-    for sealed in bs.seal_all():
+    for sealed in bs.seal_group("drain"):
         bs.commit(sealed)
     live_before, total_before = bs.occupancy()
     assert live_before / total_before < 0.5  # mostly garbage
@@ -285,7 +285,7 @@ def test_gc_then_recover_is_consistent():
             sealed = log_write(bs, i * 4096, bytes([round_ * 64 + i + 1]) * 4096)
             for batch in sealed:
                 bs.commit(batch)
-    for sealed in bs.seal_all():
+    for sealed in bs.seal_group("drain"):
         bs.commit(sealed)
     run_gc(bs)
     bs2, _ = BlockStore.open(store, "vol", small_config())
@@ -302,7 +302,7 @@ def test_gc_cache_reader_short_circuits_backend_reads():
                 sealed = log_write(bs, i * 4096, bytes([i + 1]) * 4096)
                 for batch in sealed:
                     bs.commit(batch)
-    for sealed in bs.seal_all():
+    for sealed in bs.seal_group("drain"):
         bs.commit(sealed)
     served = []
 
@@ -340,7 +340,7 @@ def test_snapshot_defers_gc_deletes():
         sealed = log_write(bs, i * 4096, b"v2" * 2048)
         for batch in sealed:
             bs.commit(batch)
-    for sealed in bs.seal_all():
+    for sealed in bs.seal_group("drain"):
         bs.commit(sealed)
     gc = run_gc(bs)
     assert gc.stats.deletes_deferred > 0
@@ -372,7 +372,7 @@ def test_snapshot_mount_sees_old_data():
         sealed = log_write(bs, i * 4096, b"NEW!" * 1024)
         for batch in sealed:
             bs.commit(batch)
-    for sealed in bs.seal_all():
+    for sealed in bs.seal_group("drain"):
         bs.commit(sealed)
     old, _ = BlockStore.open(store, "vol", small_config(), upto=snap_seq, read_only=True)
     assert read_all(old, 0, 4096) == bytes([1]) * 4096
@@ -394,7 +394,7 @@ def test_clone_shares_base_prefix():
         sealed = log_write(clone, i * 4096, b"CLNE" * 1024)
         for batch in sealed:
             clone.commit(batch)
-    for sealed in clone.seal_all():
+    for sealed in clone.seal_group("drain"):
         clone.commit(sealed)
     assert read_all(clone, 0, 4096) == b"CLNE" * 1024
     # base unchanged
@@ -410,7 +410,7 @@ def test_two_clones_diverge_independently():
     for clone, tag in ((c1, b"1111"), (c2, b"2222")):
         for batch in log_write(clone, 0, tag * 1024):
             clone.commit(batch)
-        for batch in clone.seal_all():
+        for batch in clone.seal_group("drain"):
             clone.commit(batch)
     assert read_all(c1, 0, 4096) == b"1111" * 1024
     assert read_all(c2, 0, 4096) == b"2222" * 1024
@@ -422,7 +422,7 @@ def test_clone_recovery_roundtrip():
     clone = BlockStore.clone_from(store, "vol", "c1", small_config())
     for batch in log_write(clone, 4096, b"zzzz" * 1024):
         clone.commit(batch)
-    for batch in clone.seal_all():
+    for batch in clone.seal_group("drain"):
         clone.commit(batch)
     c2, _ = BlockStore.open(store, "c1", small_config())
     assert read_all(c2, 0, 4096) == bytes([1]) * 4096  # from base
@@ -438,7 +438,7 @@ def test_clone_gc_never_touches_base_objects():
             sealed = log_write(clone, i * 4096, bytes([round_ + 10]) * 4096)
             for batch in sealed:
                 clone.commit(batch)
-    for sealed in clone.seal_all():
+    for sealed in clone.seal_group("drain"):
         clone.commit(sealed)
     base_objects_before = set(store.list("vol."))
     run_gc(clone)
@@ -455,7 +455,7 @@ def test_clone_from_snapshot():
         sealed = log_write(bs, i * 4096, b"LATE" * 1024)
         for batch in sealed:
             bs.commit(batch)
-    for sealed in bs.seal_all():
+    for sealed in bs.seal_group("drain"):
         bs.commit(sealed)
     clone = BlockStore.clone_from(store, "vol", "c1", small_config(), at_snapshot="s1")
     assert read_all(clone, 0, 4096) == bytes([1]) * 4096

@@ -30,7 +30,7 @@ def fill_one_object(bs, tag=1):
             for batch in sealed:
                 bs.commit(batch)
             return sealed[-1]
-    sealed = next(bs.seal_all(), None)
+    [sealed] = bs.seal_group("drain")
     bs.commit(sealed)
     return sealed
 
@@ -101,7 +101,7 @@ def test_occupancy_excludes_checkpoints_and_base():
 
 def test_seal_empty_batch_returns_none():
     _store, bs = make_store()
-    assert next(bs.seal_all(), None) is None
+    assert bs.seal_group("drain") == []
 
 
 def test_commit_tracks_merged_bytes():
@@ -110,7 +110,7 @@ def test_commit_tracks_merged_bytes():
     log_write(bs, 0, b"a" * 32768)
     for sealed in log_write(bs, 0, b"b" * 32768):
         bs.commit(sealed)
-    for sealed in bs.seal_all():
+    for sealed in bs.seal_group("drain"):
         bs.commit(sealed)
     assert bs.stats.merged_bytes == 32768
     assert bs.stats.merge_ratio == pytest.approx(0.5)

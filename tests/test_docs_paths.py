@@ -109,7 +109,7 @@ DESIGN_CEILINGS = {
     "Data plane pipeline (`repro.runtime.lsvd`): group commit, per-shard destage,"
     " overlapped recovery": 99,
     "Multi-tenant fleet & QoS (`repro.fleet`)": 43,
-    "Temperature-aware placement (`repro.core.placement`)": 105,
+    "Temperature-aware placement (`repro.core.placement`)": 104,
     "Invariants & static checks (`repro.lint`)": 107,
 }
 

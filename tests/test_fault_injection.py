@@ -8,13 +8,10 @@ checker must accept the result.
 
 import random
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import LSVDConfig, LSVDVolume
-from repro.core.errors import CacheFullError
-from repro.core.log import object_name
 from repro.crash import HistoryRecorder, PrefixChecker
 from repro.devices.image import DiskImage
 from repro.objstore import InMemoryObjectStore, UnsettledObjectStore
@@ -25,25 +22,21 @@ VOLUME = 8 * MiB
 PAGES = VOLUME // 4096
 
 
-def build(unsettled: bool, n_shards: int = 1):
-    """One volume on a store; optionally unsettled and/or sharded.
+def build(unsettled: bool, n_shards: int):
+    """One volume on a sharded store; optionally unsettled.
 
     Returns ``(settled_view, store, image, cfg, vol)``: ``store`` is what
     the volume writes through, ``settled_view`` sees only completed PUTs
     — the store a recovering client mounts after a crash.
     """
-    if n_shards > 1:
-        inners = [InMemoryObjectStore() for _ in range(n_shards)]
-        if unsettled:
-            store = ShardedObjectStore(
-                [UnsettledObjectStore(s) for s in inners], ShardRouter(n_shards)
-            )
-        else:
-            store = ShardedObjectStore(list(inners), ShardRouter(n_shards))
-        settled_view = ShardedObjectStore(list(inners), ShardRouter(n_shards))
+    inners = [InMemoryObjectStore() for _ in range(n_shards)]
+    if unsettled:
+        store = ShardedObjectStore(
+            [UnsettledObjectStore(s) for s in inners], ShardRouter(n_shards)
+        )
     else:
-        settled_view = InMemoryObjectStore()
-        store = UnsettledObjectStore(settled_view) if unsettled else settled_view
+        store = ShardedObjectStore(list(inners), ShardRouter(n_shards))
+    settled_view = ShardedObjectStore(list(inners), ShardRouter(n_shards))
     image = DiskImage(4 * MiB)
     cfg = LSVDConfig(batch_size=64 * 1024, checkpoint_interval=8)
     vol = LSVDVolume.create(store, "vd", VOLUME, image, cfg)
@@ -60,54 +53,6 @@ step_strategy = st.lists(
     min_size=5,
     max_size=80,
 )
-
-
-def test_recovery_rejects_half_of_a_lockstep_seal_group():
-    """One size seal cuts two class objects: the warm one (seq 2: pages
-    1-15, writes 3-17) before the hot one (seq 3: page 0, write 2).
-    Only seq 2 settles before the crash; accepting it alone would keep
-    writes 3-17 without write 2."""
-    inner, store, image, cfg, vol = build(unsettled=True)
-    rec = HistoryRecorder(vol.write, vol.flush)
-    for page in [0, 0, *range(1, 16)]:
-        rec.write(page * 4096, 4096)
-    (handle,) = [h for h in store.pending_handles()
-                 if store._pending[h].name == object_name("vd", 2)]
-    store.settle(handle)
-    vol.settle_put(handle)
-    store.crash()
-    image.lose()
-    vol2 = LSVDVolume.open(inner, "vd", DiskImage(4 * MiB), cfg, cache_lost=True)
-    verdict = PrefixChecker(rec).check(vol2.read)
-    assert verdict.ok_prefix, verdict.problems[:3]
-    assert inner.list("vd.0") == [object_name("vd", 1)]  # seq 2 deleted as stranded
-
-
-def test_cache_keeps_an_open_seal_group_until_its_closing_object_settles():
-    """Pages [1, 0, 0, 2..15] seal a warm object (seq 2: write 1 for page
-    1, writes 4-17) capped at record 2 and, after it, the hot one (seq 3:
-    write 3).  Only seq 2 settles; freeing records 1-2 then would let the
-    cache's wrap checkpoint forget page 1, which recovery, dropping seq 2
-    as stranded, can then find nowhere."""
-    inner, store, image, cfg, vol = build(unsettled=True)
-    rec = HistoryRecorder(vol.write, vol.flush)
-    for page in [1, 0, 0, *range(2, 16)]:
-        rec.write(page * 4096, 4096)
-    (handle,) = [h for h in store.pending_handles()
-                 if store._pending[h].name == object_name("vd", 2)]
-    store.settle(handle)
-    vol.settle_put(handle)
-    page = 16
-    with pytest.raises(CacheFullError):  # every later PUT stays in flight
-        while True:
-            rec.write(page * 4096, 4096)
-            page += 1
-    rec.barrier()
-    store.crash()
-    vol2 = LSVDVolume.open(inner, "vd", image, cfg)
-    verdict = PrefixChecker(rec).check(vol2.read, require_committed=True)
-    assert verdict.ok_prefix, verdict.problems[:3]
-    assert verdict.ok_committed, (verdict.cut, verdict.committed_through)
 
 
 @settings(

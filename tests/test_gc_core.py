@@ -28,7 +28,7 @@ def write_and_commit(bs, lba, data):
 
 
 def flush(bs):
-    for sealed in bs.seal_all():
+    for sealed in bs.seal_group("drain"):
         bs.commit(sealed)
 
 

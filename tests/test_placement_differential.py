@@ -116,7 +116,7 @@ def run_full_stack(
         for sealed in sorted(group, key=lambda b: b.temp):
             bs.commit(sealed)
             mirror_gc(gc)
-    for sealed in bs.seal_all():
+    for sealed in bs.seal_group("drain"):
         bs.commit(sealed)
         mirror_gc(gc)
     return bs, gc
