@@ -66,6 +66,22 @@ def _adjacent(a: Optional[Extent], b: Optional[Extent]) -> bool:
     )
 
 
+def with_gaps(lba: int, length: int, exts: List[Extent]) -> List[Tuple[int, int, Optional[Extent]]]:
+    """Cover [lba, lba+length) with the ordered, clipped pieces ``exts``
+    and the gaps between them: (start, len, extent-or-None)."""
+    pieces: List[Tuple[int, int, Optional[Extent]]] = []
+    cursor = lba
+    for ext in exts:
+        if ext.lba > cursor:
+            pieces.append((cursor, ext.lba - cursor, None))
+        pieces.append((ext.lba, ext.length, ext))
+        cursor = ext.end
+    end = lba + length
+    if cursor < end:
+        pieces.append((cursor, end - cursor, None))
+    return pieces
+
+
 class ExtentMap:
     """Ordered, non-overlapping map from address ranges to target ranges."""
 
@@ -134,21 +150,9 @@ class ExtentMap:
             ei = 0
         return out
 
-    def lookup_with_gaps(
-        self, lba: int, length: int
-    ) -> List[Tuple[int, int, Optional[Extent]]]:
+    def lookup_with_gaps(self, lba: int, length: int) -> List[Tuple[int, int, Optional[Extent]]]:
         """Cover [lba, lba+length) completely: (start, len, extent-or-None)."""
-        pieces: List[Tuple[int, int, Optional[Extent]]] = []
-        cursor = lba
-        for ext in self.lookup(lba, length):
-            if ext.lba > cursor:
-                pieces.append((cursor, ext.lba - cursor, None))
-            pieces.append((ext.lba, ext.length, ext))
-            cursor = ext.end
-        end = lba + length
-        if cursor < end:
-            pieces.append((cursor, end - cursor, None))
-        return pieces
+        return with_gaps(lba, length, self.lookup(lba, length))
 
     def mapped_bytes(self) -> int:
         """Total mapped address space (bytes, since addresses are bytes)."""
@@ -295,49 +299,21 @@ class ExtentMap:
         """Unmap [lba, lba+length); return the displaced pieces (trim)."""
         return self._carve(lba, length)
 
-    def remove_matching(self, lba: int, length: int, target: Hashable, offset: int) -> int:
-        """Unmap the pieces of [lba, lba+length) still mapped to
-        ``target[offset:]``, in one pass; pieces mapped elsewhere stay.
-        Returns the bytes unmapped.
-
-        The common case — one extent holds the whole range as mapped there
-        (a ring record or cache-log extent as it was inserted, or its
-        head) — is one routing step and one :meth:`_replace_run` with the
-        extent's surviving ends; anything else is the general carve from
-        the same position.
-        """
-        chunks = self._chunks
-        if length <= 0:
-            raise ValueError("length must be positive")
-        if not chunks:
-            return 0
-        pos = ci, ei = self._start_pos(lba)
-        if ci < len(chunks):
-            e_lba, e_len, e_target, e_off = chunks[ci][ei]
-            end, e_end = lba + length, e_lba + e_len
-            same = e_target == target and e_off + (lba - e_lba) == offset
-            if same and e_lba <= lba and end <= e_end:
-                frags: List[Extent] = []
-                if e_lba < lba:
-                    frags.append(_new(Extent, (e_lba, lba - e_lba, target, e_off)))
-                if end < e_end:
-                    frags.append(_new(Extent, (end, e_end - end, target, offset + length)))
-                self._mapped -= length
-                self._replace_run(ci, ei, ei + 1, frags)
-                ci = min(ci, len(chunks) - 1)
-                self._maybe_fold(ci)
-                self._maybe_fold(ci - 1)
-                return length
-        mapped = self._mapped
-        self._carve(lba, length, (target, offset), pos)
-        return mapped - self._mapped
-
     def clear(self) -> None:
         self._chunks.clear()
         self._lbas.clear()
         self._firsts.clear()
         self._count = 0
         self._mapped = 0
+
+    def drop_below(self, floor: int) -> None:
+        """Unmap every extent whose target bytes end at or before
+        ``floor``: a ring cache's sweep of the entries its pointer left
+        behind.  A filter of the leaves, no re-coalescing: nothing that
+        stays became adjacent."""
+        kept = [e for chunk in self._chunks for e in chunk if e[3] + e[1] > floor]
+        self.clear()
+        self._bulk_load(kept)
 
     # -- position finding ---------------------------------------------
     def _start_pos(self, lba: int) -> Tuple[int, int]:
@@ -366,17 +342,15 @@ class ExtentMap:
         return (ci + 1, 0)
 
     # -- internals -----------------------------------------------------
-    def _carve(self, lba: int, length: int, match=None, pos=None) -> List[Extent]:
-        """Remove every mapping overlapping [lba, lba+length) — or, given
-        ``match=(target, offset)``, those translating ``lba`` to it only.
-        ``pos`` is ``_start_pos(lba)`` when the caller already routed."""
+    def _carve(self, lba: int, length: int) -> List[Extent]:
+        """Remove every mapping overlapping [lba, lba+length)."""
         if length <= 0:
             raise ValueError("length must be positive")
         end = lba + length
         displaced: List[Extent] = []
         if not self._chunks:
             return displaced
-        ci, ei = pos or self._start_pos(lba)
+        ci, ei = self._start_pos(lba)
         while ci < len(self._chunks):
             chunk = self._chunks[ci]
             n = len(chunk)
@@ -386,7 +360,7 @@ class ExtentMap:
                 continue
             if chunk[ei].lba >= end:
                 break
-            j, carved, frags = self._cut(chunk, ei, lba, end, displaced, match)
+            j, carved, frags = self._cut(chunk, ei, lba, end, displaced)
             self._mapped -= carved
             self._replace_run(ci, ei, j, frags)
             if j < n or (frags and frags[-1].end > end):
@@ -407,7 +381,7 @@ class ExtentMap:
 
     @staticmethod
     def _cut(
-        chunk: List[Extent], i: int, lba: int, end: int, displaced: List[Extent], match=None
+        chunk: List[Extent], i: int, lba: int, end: int, displaced: List[Extent]
     ) -> Tuple[int, int, List[Extent]]:
         """Scan ``chunk``'s run from ``i`` overlapping [lba, end), mutating
         nothing: append the clipped pieces (Extent.slice() inlined) to
@@ -422,9 +396,6 @@ class ExtentMap:
             if e_lba >= end:
                 break
             i += 1
-            if match is not None and (e_target != match[0] or e_off + (lba - e_lba) != match[1]):
-                frags.append(ext)  # translated elsewhere: stays whole
-                continue
             e_end = e_lba + e_len
             start = e_lba if e_lba > lba else lba
             stop = e_end if e_end < end else end

@@ -7,12 +7,12 @@ pointer, and whatever the pointer overwrites is evicted.  Extents inserted
 come from backend range-reads, so a single fetch often carries a burst of
 prefetched data written *temporally* adjacent to the missed block (§3.2).
 
-Replacement costs what it reclaims, not what the cache holds: a FIFO
-*insertion log* — one ``(virt, length, lba)`` record per insert, oldest
-first — names what lives at the bytes the pointer is about to overwrite,
-so eviction pops records off its head instead of searching the map.
-:meth:`invalidate` never touches the log; records are allowed to go stale
-and eviction drops only map pieces that still point into the evicted bytes.
+Replacement costs what it reclaims, not what the cache holds: the map
+names each cached byte by its *ring position*, which is never reused, so
+an entry more than one ring period behind the pointer is dead and
+eviction is moving the pointer.  Reads clip dead entries away, and the map
+is swept once per lap.  A per-block count of live bytes keeps
+``rc.evicted_bytes`` exact without a map search.
 
 Correctness rules:
 
@@ -34,13 +34,13 @@ or doubles the next fetch's span on the used share of each
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Sequence, Tuple
+from array import array
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core import checkpoint as ckpt
 from repro.core.config import BLOCK
 from repro.core.errors import CorruptRecordError
-from repro.core.extent_map import Extent, ExtentMap
+from repro.core.extent_map import Extent, ExtentMap, with_gaps
 from repro.core.log import align_up
 from repro.devices.image import DiskImage
 from repro.obs import NULL_SPAN, Registry, bind_metrics, gauge_field, metric_field
@@ -90,13 +90,17 @@ class ReadCache:
             raise ValueError("read cache region too small")
         self.data_offset = region_offset + self.slot_size
         self.data_size = (total - self.slot_size) // BLOCK * BLOCK
+        #: ring positions advance one unused block per lap, so no extent
+        #: coalesces across the ring end; physical = ``pos % _period``
+        self._period = self.data_size + BLOCK
 
-        self.map = ExtentMap()  # vLBA -> (RC_TARGET, absolute image offset)
-        #: FIFO insertion log, oldest first: (ring virt, length, lba) of
-        #: every insert whose bytes the ring pointer has not yet overwritten
-        self._log: Deque[Tuple[int, int, int]] = deque()
-        self._ring_virt = 0
+        #: vLBA -> (RC_TARGET, ring position); an entry more than one period
+        #: behind the pointer is dead and lingers until the lap's sweep
+        self.map = ExtentMap()
+        self._ring_virt = 0  # the pointer, a ring position
         self._lap_evicted = 0  # bytes evicted since the ring last wrapped
+        #: per ring block: the bytes of live map entries it holds
+        self._live = array("H", bytes(2 * (self.data_size // BLOCK)))
         #: per ring block: holds read-ahead nobody has read yet
         self._prefetched = bytearray(self.data_size // BLOCK)
         self._window = 0  # read-ahead span in bytes; 0 = no miss sized yet
@@ -106,18 +110,37 @@ class ReadCache:
         bind_metrics(self)
 
     # ------------------------------------------------------------------
-    def _phys(self, virt: int) -> int:
-        return self.data_offset + (virt % self.data_size)
+    def lookup(self, lba: int, length: int) -> List[Extent]:
+        """The live map pieces of [lba, lba+length), clipped, in order:
+        every map reader but :meth:`read`, which inlines it, sees the cache
+        through this one filter."""
+        floor = self._ring_virt - self._period
+        found = self.map.lookup(lba, length)
+        for ext in found:  # a loop, not a comprehension: no frame when all live
+            if ext[3] < floor:
+                return _clip(found, floor)
+        return found
+
+    def lookup_with_gaps(self, lba: int, length: int) -> List[Tuple[int, int, Optional[Extent]]]:
+        """Cover [lba, lba+length) completely: (start, len, live-extent-or-None)."""
+        return with_gaps(lba, length, self.lookup(lba, length))
 
     def read(self, lba: int, length: int, span=NULL_SPAN) -> List[Tuple[int, int, bytes]]:
         """Cached pieces of [lba, lba+length): (lba, length, data)."""
         stage = span.begin("rc_lookup")
         out = []
         flags = self._prefetched
+        period, base = self._period, self.data_offset
+        floor = self._ring_virt - period
         used = 0
-        for ext in self.map.lookup(lba, length):
-            out.append((ext.lba, ext.length, self.image.read(ext.offset, ext.length)))
-            rel = ext.offset - self.data_offset
+        found = self.map.lookup(lba, length)
+        for ext in found:  # :meth:`lookup`'s floor check, inline: no frame on a hit
+            if ext[3] < floor:
+                found = _clip(found, floor)
+                break
+        for ext in found:
+            rel = ext.offset % period
+            out.append((ext.lba, ext.length, self.image.read(base + rel, ext.length)))
             first, last = rel // BLOCK, (rel + ext.length + BLOCK - 1) // BLOCK
             paid = flags.count(1, first, last)
             if paid:  # read-ahead that was read: one verdict per block, once
@@ -134,12 +157,14 @@ class ReadCache:
         return out
 
     def peek(self, lba: int, length: int) -> Optional[bytes]:
-        """The bytes of [lba, lba+length) if one cached extent holds them
-        all, else None: a probe (the cleaner's, §3.5), not a client read,
-        so it counts no hit or miss and clears no read-ahead flag."""
-        found = self.map.lookup(lba, length)
-        if len(found) == 1 and found[0].length == length:
-            return self.image.read(found[0].offset, length)
+        """The bytes of [lba, lba+length) if the cache holds them all in one
+        run of ring bytes, else None: a probe (the cleaner's, §3.5), not a
+        client read, so it counts no hit or miss and clears no read-ahead
+        flag.  Live pieces adjacent in both address and ring offset are one
+        run, whatever lap they were inserted in."""
+        runs = self._runs(self.lookup(lba, length))
+        if len(runs) == 1 and runs[0][:2] == (lba, length):
+            return self.image.read(runs[0][2], length)
         return None
 
     def readahead_window(self, request: int, limit: int) -> int:
@@ -186,9 +211,8 @@ class ReadCache:
 
         Each piece lands where it would land alone and evicts what it
         would evict alone (a later piece may overwrite an LBA an earlier
-        one cached, so the FIFO head advances piece by piece); the
-        counters, the occupancy gauge and the span stage are settled once
-        per burst.
+        one cached, so the pointer advances piece by piece); the counters,
+        the occupancy gauge and the span stage are settled once per burst.
 
         ``demand`` is the ``(lba, length)`` the reader asked for; every
         block outside it is read-ahead and is flagged until someone reads
@@ -200,47 +224,56 @@ class ReadCache:
         "Read-ahead controller").
         """
         stage = span.begin("rc_insert", ranges=len(pieces))
-        size = self.data_size
-        log = self._log
-        flags = self._prefetched
-        base = self.data_offset
+        size, period = self.data_size, self._period
+        flags, live = self._prefetched, self._live
         refetches = 0
         for ext in refetched:
-            rel = ext.offset - base
+            rel = ext.offset % period
             refetches += flags.count(1, rel // BLOCK, (rel + ext.length + BLOCK - 1) // BLOCK)
         if refetches:
             self._wasted += refetches
             self.prefetch_refetched_bytes += refetches * BLOCK
-        virt = self._ring_virt
+        ring = self._ring_virt
         want_lba, want_len = demand
         inserted = evicted = wasted = 0
+        lap_evicted = self._lap_evicted
         for lba, data in pieces:
             length = len(data)
             footprint = (length + BLOCK - 1) // BLOCK * BLOCK  # align_up(), inlined
             if length == 0 or footprint > size:
                 continue  # larger than the whole cache: do not cache
-            pos = virt % size
+            pos = ring % period
+            first = pos // BLOCK
             if pos + footprint > size:
-                # no room before the ring end: skip the wrap slack (the
-                # horizon below evicts what lived there)
-                slack = pos // BLOCK
-                wasted += flags.count(1, slack)
-                flags[slack:] = bytes(len(flags) - slack)
-                virt += size - pos
-                pos = 0
-            if pos == 0 and virt:
-                self._end_lap()
-            # everything older than one ring behind the new pointer goes
-            horizon = virt + footprint - size
-            while log and log[0][0] < horizon:
-                evicted += self._evict_head(horizon)
-            phys = self.data_offset + pos
-            self.image.write(phys, data)
-            self.map.update(lba, length, RC_TARGET, phys)
-            log.append((virt, length, lba))
+                # no room before the ring end: the pointer skips the wrap
+                # slack, overwriting what lived there one lap ago
+                wasted += flags.count(1, first)
+                flags[first:] = bytes(len(flags) - first)
+                ring += period - pos
+                self._end_lap(lap_evicted, ring - period)
+                lap_evicted = sum(live[first:])
+                evicted += lap_evicted
+                live[first:] = array("H", bytes(2 * (len(live) - first)))
+                pos = first = 0
+            # the pointer passes the piece's blocks: their live bytes, one
+            # lap old, are evicted, and the piece's own become live
+            last = first + footprint // BLOCK
+            if last - first == 1:
+                gone = live[first]
+                live[first] = length
+            else:
+                gone = sum(live[first:last])
+                live[first:last] = array("H", (BLOCK,)) * (last - first)
+                live[last - 1] = length - footprint + BLOCK
+            evicted += gone
+            lap_evicted += gone
+            self.image.write(self.data_offset + pos, data)
+            displaced = self.map.update(lba, length, RC_TARGET, ring)
+            ring += footprint
+            if displaced:  # an older copy of these LBAs is no longer live
+                self._tally(live, displaced, -1, ring - period)
             # the overwritten blocks' unread read-ahead was wasted; of the
             # new blocks, those the demanded range does not touch are flagged
-            first, last = pos // BLOCK, (pos + footprint) // BLOCK
             wasted += flags.count(1, first, last)
             lo = max(want_lba - lba, 0)
             hi = min(want_lba + want_len - lba, length)
@@ -250,8 +283,8 @@ class ReadCache:
                 lo = hi = first
             flags[first:last] = b"\1" * (lo - first) + bytes(hi - lo) + b"\1" * (last - hi)
             inserted += length
-            virt += footprint
-        self._ring_virt = virt
+        self._ring_virt = ring
+        self._lap_evicted = lap_evicted
         if inserted:
             self.inserted_bytes += inserted
         if evicted:
@@ -259,57 +292,72 @@ class ReadCache:
         if wasted:
             self._wasted += wasted
             self.prefetch_wasted_bytes += wasted * BLOCK
-        self.occupancy_bytes = min(virt, size)
+        self.occupancy_bytes = min(ring, size)
         stage.end(bytes=inserted)
 
     def invalidate(self, lba: int, length: int) -> None:
-        """Drop cached data for a written range (write-after-read hazard).
-
-        The insertion log is left alone (this runs on every write): the
-        record goes stale and :meth:`_evict_head` skips it.
-        """
-        self.map.remove(lba, length)
+        """Drop cached data for a written range (write-after-read hazard)."""
+        displaced = self.map.remove(lba, length)
+        if displaced:
+            self._tally(self._live, displaced, -1, self._ring_virt - self._period)
 
     # ------------------------------------------------------------------
-    def _evict_head(self, horizon: int) -> int:
-        """Evict the oldest log record's bytes below ring position
-        ``horizon``; returns the bytes dropped from the map.
+    def _tally(self, counts: "array[int]", pieces, sign: int, floor: int) -> None:
+        """Add (``sign`` 1) or take (-1) the bytes of ``pieces`` that lie at
+        or past ring position ``floor`` to or from ``counts``, per block."""
+        period = self._period
+        for _lba, length, _target, pos in pieces:
+            if pos < floor:  # the pointer passed its head: counted out then
+                length -= floor - pos
+                if length <= 0:
+                    continue
+                pos = floor
+            rel = pos % period
+            first, last = rel // BLOCK, (rel + length - 1) // BLOCK
+            if first == last:  # one block: a client write's invalidation
+                counts[first] += sign * length
+                continue
+            for block in range(first, last + 1):
+                counts[block] += sign * (
+                    min(rel + length, (block + 1) * BLOCK) - max(rel, block * BLOCK)
+                )
 
-        A record the pointer only partly overwrites is shrunk, not popped,
-        so its surviving tail stays readable.  The record may be stale —
-        its LBAs invalidated, or re-inserted elsewhere since — so only map
-        pieces that still point into these very bytes are unmapped, in one
-        pass; a piece that lives elsewhere is left whole.
-        """
-        virt, length, lba = self._log[0]
-        cut = horizon - virt
-        if cut >= length:
-            cut = length
-            self._log.popleft()
-        else:
-            self._log[0] = (horizon, length - cut, lba + cut)
-        dropped = self.map.remove_matching(lba, cut, RC_TARGET, self._phys(virt))
-        self._lap_evicted += dropped
-        return dropped
-
-    def _end_lap(self) -> None:
+    def _end_lap(self, evicted: int, floor: int) -> None:
         """The ring pointer wrapped: one ``cache_evict`` for the whole lap
-        (an event per insert would retain ~2 KB per read in the trace)."""
-        if self._lap_evicted:
-            self.obs.trace.emit("cache_evict", bytes=self._lap_evicted)
-        self._lap_evicted = 0
+        (an event per insert would retain ~2 KB per read in the trace), and
+        the map drops the entries the pointer overwrote before ``floor``."""
+        if evicted:
+            self.obs.trace.emit("cache_evict", bytes=evicted)
+        self.map.drop_below(floor)
+
+    def _runs(self, pieces: List[Extent]) -> List[Tuple[int, int, int]]:
+        """``(lba, length, image offset)`` of ``pieces``, those adjacent in
+        address and image offset joined: an offset-keyed map's extents."""
+        rows: List[Tuple[int, int, int]] = []
+        for e_lba, e_len, _target, pos in pieces:
+            phys = self.data_offset + pos % self._period
+            if rows:
+                r_lba, r_len, r_phys = rows[-1]
+                if r_lba + r_len == e_lba and r_phys + r_len == phys:
+                    rows[-1] = (r_lba, r_len + e_len, r_phys)
+                    continue
+            rows.append((e_lba, e_len, phys))
+        return rows
 
     # ------------------------------------------------------------------
     # persistence (clean shutdown only; see module docstring)
     # ------------------------------------------------------------------
     def save_map(self, stamp: Sequence[int] = (0, 0)) -> None:
         """Persist the map under ``stamp``, the ``(epoch, checkpoint seq)``
-        of the write cache's clean-shutdown checkpoint it belongs to."""
+        of the write cache's clean-shutdown checkpoint it belongs to.
+
+        The wire format keys bytes by image offset and the pointer by its
+        virtual offset (``lap * data_size + pos``), as the rows of an
+        offset-keyed map."""
+        lap, pos = divmod(self._ring_virt, self._period)
         sections = {
-            "meta": ckpt.pack_json({"ring": self._ring_virt, "stamp": list(stamp)}),
-            "map": ckpt.pack_rows(
-                "<QQQ", [(e.lba, e.length, e.offset) for e in self.map]
-            ),
+            "meta": ckpt.pack_json({"ring": lap * self.data_size + pos, "stamp": list(stamp)}),
+            "map": ckpt.pack_rows("<QQQ", self._runs(self.lookup(0, 1 << 63))),
         }
         blob = ckpt.encode_sections(sections)
         if len(blob) > self.slot_size:
@@ -322,7 +370,11 @@ class ReadCache:
 
     def load_map(self, stamp: Sequence[int] = (0, 0)) -> bool:
         """Try to warm the map from the clean-shutdown save made under
-        ``stamp``; False (and cold) if there is none."""
+        ``stamp``; False (and cold) if there is none.
+
+        The pointer dates every saved byte: offsets below it were written
+        this lap, offsets at or above it one lap ago, and a row the save
+        joined across the pointer is split there."""
         blob = self.image.read(self.region_offset, self.slot_size)
         try:
             sections = ckpt.decode_sections(blob)
@@ -332,47 +384,49 @@ class ReadCache:
             return False
         if meta.get("stamp") != list(stamp):
             return False  # another shutdown's map
-        self._ring_virt = meta["ring"]
-        self._lap_evicted = 0
-        self._prefetched = bytearray(len(self._prefetched))  # nothing pending
-        self.map = ExtentMap()
+        self.clear()
+        virt, size, period = meta["ring"], self.data_size, self._period
+        lap = (virt - 1) // size if virt else 0  # a full lap's pointer stays at its end
+        pointer = virt - lap * size
+        self._ring_virt = lap * period + pointer
         for lba, length, offset in entries:
-            self.map.update(lba, length, RC_TARGET, offset)
-        self._rebuild_log()
+            rel = offset - self.data_offset
+            young = min(max(pointer - rel, 0), length)  # bytes below the pointer
+            if young:
+                self.map.update(lba, young, RC_TARGET, lap * period + rel)
+            if young < length:
+                pos = (lap - 1) * period + rel + young
+                self.map.update(lba + young, length - young, RC_TARGET, pos)
+        self._live = self._live_counts()
         return True
 
-    def _rebuild_log(self) -> None:
-        """Re-derive the insertion log from the map, in ring age order.
-
-        The save holds no log (the wire format predates it); the ring
-        pointer dates every byte instead: offsets below it were written
-        this lap, offsets at or above it one lap ago.  An extent the map
-        coalesced across the pointer is split there.
-        """
-        size = self.data_size
-        pointer = self._ring_virt % size
-        lap_start = self._ring_virt - pointer
-        records = []
-        for ext in self.map:
-            rel = ext.offset - self.data_offset
-            young = min(max(pointer - rel, 0), ext.length)  # bytes below the pointer
-            if young:
-                records.append((lap_start + rel, young, ext.lba))
-            if young < ext.length:
-                records.append(
-                    (lap_start - size + rel + young, ext.length - young, ext.lba + young)
-                )
-        records.sort()
-        self._log = deque(records)
+    def _live_counts(self) -> "array[int]":
+        """Per ring block, the bytes of live map entries it holds: what
+        :attr:`_live` tracks, re-derived from the map."""
+        counts = array("H", bytes(2 * len(self._live)))
+        self._tally(counts, self.map, 1, self._ring_virt - self._period)
+        return counts
 
     def clear(self) -> None:
         self.map.clear()
-        self._log.clear()
         self._ring_virt = 0
         self._lap_evicted = 0
-        self._prefetched = bytearray(len(self._prefetched))
+        self._live = array("H", bytes(2 * len(self._live)))
+        self._prefetched = bytearray(len(self._prefetched))  # nothing pending
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+def _clip(found: List[Extent], floor: int) -> List[Extent]:
+    """``found`` without the parts that lie behind ring position ``floor``."""
+    out = []
+    for ext in found:
+        cut = floor - ext[3]
+        if cut <= 0:
+            out.append(ext)
+        elif cut < ext[1]:
+            out.append(Extent(ext[0] + cut, ext[1] - cut, ext[2], floor))
+    return out

@@ -36,7 +36,7 @@ def check_volume_invariants(vol: LSVDVolume) -> InvariantReport:
     _check_object_accounting(vol, report)
     _check_write_cache_geometry(vol, report)
     _check_map_bounds(vol, report)
-    _check_read_cache_log(vol, report)
+    _check_read_cache_ring(vol, report)
     return report
 
 
@@ -108,25 +108,17 @@ def _check_map_bounds(vol: LSVDVolume, report: InvariantReport) -> None:
     for ext in vol.rc.map:
         if ext.lba + ext.length > vol.size:
             report.add(f"read-cache map entry beyond volume end: {ext.lba}")
-        lo = vol.rc.data_offset
-        hi = vol.rc.data_offset + vol.rc.data_size
-        if not (lo <= ext.offset and ext.offset + ext.length <= hi):
-            report.add(
-                f"read-cache map entry at lba {ext.lba} points outside "
-                f"the cache ring"
-            )
     for ext in vol.bs.omap.map:
         if ext.lba + ext.length > vol.size:
             report.add(f"object map entry beyond volume end: {ext.lba}")
 
 
-def _check_read_cache_log(vol: LSVDVolume, report: InvariantReport) -> None:
-    """The FIFO insertion log must cover the read-cache map (log ⊇ map).
+def _check_read_cache_ring(vol: LSVDVolume, report: InvariantReport) -> None:
+    """Every live read-cache entry lies in the last ring period, within one
+    lap, and the per-block live counts are exactly the live entries' bytes.
 
-    Eviction finds what the ring pointer overwrites through the log alone,
-    so a mapped byte no record names would outlive its data and be served
-    stale.  Records may be stale, never missing.  A map extent may span
-    several records (the map coalesces neighbours the log keeps apart).
+    Eviction counts what the ring pointer overwrites through those counts
+    alone, so a count the map does not back would be evicted twice or never.
     """
     rc = vol.rc
     # read-ahead bookkeeping rides on the same ring: one flag per block,
@@ -138,35 +130,18 @@ def _check_read_cache_log(vol: LSVDVolume, report: InvariantReport) -> None:
         report.add("read-ahead flag set on a ring block never written")
     if rc._window and not min(BLOCK, limit) <= rc._window <= limit:
         report.add(f"read-ahead window {rc._window} outside [{BLOCK}, {limit}]")
-    prev_end = rc._ring_virt - rc.data_size
-    by_phys = []
-    for virt, length, lba in rc._log:
-        if virt < prev_end or length <= 0:
+    period, ring = rc._period, rc._ring_virt
+    for ext in rc.lookup(0, 1 << 63):
+        pos, end = ext.offset, ext.offset + ext.length
+        lap = pos // period
+        if end > ring or end > lap * period + rc.data_size:
             report.add(
-                f"read-cache log record at virt {virt} overlaps its "
-                f"predecessor or lies more than one ring behind the pointer"
+                f"read-cache map entry at lba {ext.lba} lies outside the "
+                f"last ring period or across a lap"
             )
-        prev_end = virt + length
-        by_phys.append((rc._phys(virt), length, lba))
-    if prev_end > rc._ring_virt:
-        report.add(f"read-cache log runs past the ring pointer {rc._ring_virt}")
-    by_phys.sort()
-    starts = [phys for phys, _length, _lba in by_phys]
-    for ext in rc.map:
-        cursor, end = ext.offset, ext.offset + ext.length
-        while cursor < end:
-            index = bisect_right(starts, cursor) - 1
-            if index < 0:
-                break
-            phys, length, lba = by_phys[index]
-            # the record must map these bytes to the same address the map does
-            if cursor >= phys + length or lba + (cursor - phys) != ext.lba + (
-                cursor - ext.offset
-            ):
-                break
-            cursor = phys + length
-        if cursor < end:
+    for block, (want, have) in enumerate(zip(rc._live_counts(), rc._live)):
+        if want != have:
             report.add(
-                f"read-cache map entry at lba {ext.lba} is not covered by "
-                f"the insertion log at cache offset {cursor}"
+                f"read-cache ring block {block} counts {have} live bytes, "
+                f"its live entries hold {want}"
             )

@@ -589,7 +589,7 @@ class LSVDVolume:
             self.rc.insert(fetched, span=span, demand=demand)
             return
         wc_lookup = self.wc.lookup if self.wc.records else None
-        rc_lookup = self.rc.map.lookup_with_gaps
+        rc_lookup = self.rc.lookup_with_gaps
         want = demand[0]
         pieces, behind = [], []
         ahead = False  # past the fetched piece that holds the demand

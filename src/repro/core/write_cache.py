@@ -279,7 +279,7 @@ class WriteCache:
             self.map.clear()
             self._swept_tail = tail
         elif tail - self._swept_tail >= self.log_size:
-            self.map = ExtentMap.from_entries(e for e in self.map if e.offset >= tail)
+            self.map.drop_below(tail)
             self._swept_tail = tail
         return freed
 

@@ -68,6 +68,11 @@ def _release_unsettled(self):
         self.wc.release_through(self._batches.pop(0).last_record_seq)
 
 
+def _ack_before_flush(self, span=NULL_SPAN):
+    """``WriteCache.barrier`` acknowledged without its device FLUSH."""
+    self.barriers += 1
+
+
 _SEAL_GROUP = BlockStore.seal_group
 
 
@@ -87,6 +92,7 @@ def _members_claim_the_mark(self, reason, span=NULL_SPAN):
 #: rows are ROADMAP item 10's, the rest disable one part of the seal-group rule
 MUTANTS = {
     "1-no-sequence-jump": (WriteCache, "resume_after", lambda self, seq: None, "sepbit-1sync", 4),
+    "2-barrier-acked-before-flush": (WriteCache, "barrier", _ack_before_flush, "legacy-1sync", 1),
     "3-release-before-put-settles": (
         LSVDVolume, "_advance_release_frontier", _release_unsettled, "legacy-4unsettled", 1),
     "4-stale-epoch-accepted": (

@@ -103,8 +103,8 @@ DESIGN_CEILINGS = {
     "Span tracing & critical-path attribution (`repro.obs.spans`)": 59,
     "Sharding (`repro.shard`)": 54,
     "Chunked extent map & the data-plane fast path"
-    " (`repro.core.extent_map`, `repro.core.sgio`)": 137,
-    "Read cache: byte ring + FIFO insertion log (`repro.core.read_cache`)": 219,
+    " (`repro.core.extent_map`, `repro.core.sgio`)": 126,
+    "Read cache: byte ring addressed by position (`repro.core.read_cache`)": 170,
     "Simulation engine & device ops (`repro.sim`, `repro.devices.base`)": 98,
     "Data plane pipeline (`repro.runtime.lsvd`): group commit, per-shard destage,"
     " overlapped recovery": 99,

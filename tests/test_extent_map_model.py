@@ -147,18 +147,8 @@ def _lockstep(m: ExtentMap, flat: FlatExtentMap, op) -> None:
     kind, lba, length, target, offset = op
     if kind == "update":
         got, want = m.update(lba, length, target, offset), flat.update(lba, length, target, offset)
-    elif kind == "remove":
+    else:
         got, want = m.remove(lba, length), flat.remove(lba, length)
-    else:  # "release": the conditional remove, against lookup + remove
-        got = m.remove_matching(lba, length, target, offset)
-        pieces = [
-            p
-            for p in flat.lookup(lba, length)
-            if p.target == target and p.offset == offset + (p.lba - lba)
-        ]
-        for piece in pieces:
-            flat.remove(piece.lba, piece.length)
-        want = sum(p.length for p in pieces)  # remove_matching returns bytes unmapped
     assert got == want
     assert m.entries() == flat.entries()
     assert len(m) == len(flat)
@@ -210,20 +200,6 @@ def test_an_update_that_shrinks_leaves_folds_them():
         assert len(m._chunks) == leaves and len(m._chunks[1]) < T // 4
 
 
-def test_conditional_remove_drops_only_pieces_still_mapped_there():
-    m, flat = _edge_maps()
-    T = m._CHUNK_TARGET
-    e1 = 10 * T
-    _lockstep(m, flat, ("update", e1 - 10, 20, "r", 0))  # one extent across the edge
-    _lockstep(m, flat, ("update", e1 - 4, 2, "new", 0))  # a newer write inside it
-    _lockstep(m, flat, ("release", e1 - 10, 20, "r", 0))  # drops both outer pieces
-    assert m.lookup(e1 - 10, 20) == [(e1 - 4, 2, "new", 0)]
-    _lockstep(m, flat, ("release", 0, 6, 0, 1))  # right target, shifted: stays
-    _lockstep(m, flat, ("release", 0, 6, 1, 0))  # right offset, other target: stays
-    _lockstep(m, flat, ("release", 2, 2, 0, 2))  # the middle of extent 0: cut out
-    assert m.lookup(0, 6) == [(0, 2, 0, 0), (4, 2, 0, 4)]
-
-
 def test_seeded_ops_around_leaf_edges_match_the_flat_reference():
     rng = random.Random(0xED6E)
     m, flat = _edge_maps(leaves=6)
@@ -233,44 +209,26 @@ def test_seeded_ops_around_leaf_edges_match_the_flat_reference():
         length = rng.randint(1, 40)
         pieces = m.lookup(lba - 10, 60)
         if pieces and rng.random() < 0.5:
-            # continue a neighbour's translation: an update may join it, a
-            # release may find pieces still mapped there
+            # continue a neighbour's translation: an update may join it
             near = rng.choice(pieces)
             target, offset = near.target, near.offset + (lba - near.lba)
         else:
             target, offset = rng.randrange(3), i * 1000
         roll = rng.random()
-        kind = "update" if roll < 0.7 else "remove" if roll < 0.8 else "release"
+        kind = "update" if roll < 0.7 else "remove"
         _lockstep(m, flat, (kind, lba, length, target, offset))
 
 
 # ---------------------------------------------------------------------------
-# the read-miss kernel: remove_matching's one-extent fast path beside the
-# general carve, and read-cache-style updates into gaps, each replayed on
-# the flat reference
+# read-cache-style updates into gaps beside removals of whole extents and
+# their pieces, each replayed on the flat reference
 # ---------------------------------------------------------------------------
-
-
-class _Carves:
-    """Counts the ``remove_matching`` calls ``m`` served with the general
-    ``_carve`` rather than its one-extent fast path."""
-
-    def __init__(self, m):
-        self.count = 0
-        carve = m._carve
-
-        def counted_carve(lba, length, match=None, pos=None):
-            self.count += match is not None  # remove() and update() carve too
-            return carve(lba, length, match, pos)
-
-        m._carve = counted_carve
 
 
 def test_bursts_and_releases_match_the_flat_reference():
     rng = random.Random(0xB0057)
     m, flat = _edge_maps(leaves=6)
-    carves = _Carves(m)
-    releases = 0
+    releases = peak = 0
     for i in range(1500):
         span_end = m.bounds()[1] + 40
         roll = rng.random()
@@ -298,34 +256,32 @@ def test_bursts_and_releases_match_the_flat_reference():
             assert m.entries() == flat.entries()
             assert len(m) == len(flat) and m.mapped_bytes() == flat.mapped_bytes()
             _structural_invariants(m)
+            peak = max(peak, len(m._chunks))
         elif roll < 0.65 and len(m):  # release one extent, its head or tail, a middle piece
             leaf = rng.choice(m._chunks)
             ext = rng.choice(leaf)
             lo = ext.lba + rng.choice((0, 0, rng.randrange(ext.length)))
-            hi = rng.choice((ext.end, ext.end, rng.randint(lo + 1, ext.end), ext.end + 12))
-            offset = ext.offset + (lo - ext.lba) + (rng.random() < 0.1)  # sometimes a miss
-            _lockstep(m, flat, ("release", lo, hi - lo, ext.target, offset))
+            hi = rng.choice((ext.end, ext.end, rng.randint(lo + 1, ext.end)))
+            _lockstep(m, flat, ("remove", lo, hi - lo, ext.target, ext.offset))
             releases += 1
         else:
             kind = "update" if rng.random() < 0.7 else "remove"
             lba = rng.randrange(span_end)
             _lockstep(m, flat, (kind, lba, rng.randint(1, 30), rng.randrange(3), i * 1000))
-    # both release paths ran often, and the bursts split leaves
-    assert min(carves.count, releases - carves.count) > releases / 5
-    assert len(m._chunks) > 6
+    # releases ran often, and the bursts split leaves
+    assert releases > 400 and peak > 6
 
 
 def test_releasing_every_extent_whole_empties_and_folds_leaves():
     m, flat = _edge_maps(leaves=4)
-    carves = _Carves(m)
     rng = random.Random(5)
     extents = m.entries()
     rng.shuffle(extents)
     for seen, ext in enumerate(extents, 1):
-        _lockstep(m, flat, ("release", *ext))
+        _lockstep(m, flat, ("remove", *ext))
         if seen == len(extents) * 7 // 8:
             assert len(m._chunks) < 4  # leaves shrunk below a quarter folded
-    assert carves.count == 0 and len(m) == 0 and m._chunks == []
+    assert len(m) == 0 and m._chunks == []
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def test_checker_places_live_write_cache_entries_by_log_position():
     assert any("payload of every live record" in v for v in report.violations)
 
 
-def test_read_cache_log_covers_the_map_and_a_desynchronised_log_is_loud():
+def test_read_cache_live_counts_match_the_map_and_a_desynchronised_count_is_loud():
     store, cfg, vol = make_volume(size=8 * MiB)
     for chunk in range(0, 8 * MiB, 64 * 1024):
         vol.write(chunk, bytes([chunk // 65536 % 255 + 1]) * 64 * 1024)
@@ -112,12 +112,25 @@ def test_read_cache_log_covers_the_map_and_a_desynchronised_log_is_loud():
     for _ in range(200):
         warm.read(rng.randrange(0, 2048) * 4096, 4096)
     assert check_volume_invariants(warm).ok
-    # lose a record whose bytes are still mapped: eviction would miss them
-    ext = next(iter(warm.rc.map))
-    [stale] = [r for r in warm.rc._log if warm.rc._phys(r[0]) <= ext.offset < warm.rc._phys(r[0]) + r[1]]
-    warm.rc._log.remove(stale)
+    rc = warm.rc
+    live = rc._live
+    # a stray count on a block no live entry holds: it would be evicted
+    # twice; a missing one under a live entry: its eviction would go uncounted
+    first, second = rc.lookup(0, 1 << 63)[:2]
+    rc.invalidate(first.lba, 4096)  # a write would: its block holds nothing live
+    assert check_volume_invariants(warm).ok
+    stray, held = ((e.offset % rc._period) // 4096 for e in (first, second))
+    live[stray] = 4096
     report = check_volume_invariants(warm)
-    assert any("not covered by the insertion log" in v for v in report.violations)
+    assert [v for v in report.violations if "live bytes" in v] == [
+        f"read-cache ring block {stray} counts 4096 live bytes, its live entries hold 0"
+    ]
+    live[stray], count = 0, live[held]
+    live[held] = 0
+    report = check_volume_invariants(warm)
+    assert [v for v in report.violations if "live bytes" in v] == [
+        f"read-cache ring block {held} counts 0 live bytes, its live entries hold {count}"
+    ]
 
 
 @settings(

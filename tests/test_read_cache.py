@@ -4,7 +4,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import read_cache
@@ -12,9 +12,10 @@ from repro.core.config import LSVDConfig
 from repro.core.extent_map import ExtentMap
 from repro.core.log import align_up
 from repro.core.read_cache import RC_TARGET, ReadCache
-from repro.core.validate import InvariantReport, _check_read_cache_log
+from repro.core.validate import InvariantReport, _check_read_cache_ring
 from repro.devices.image import DiskImage
 from repro.obs import Registry
+from tests.fifo_read_cache import FifoReadCache
 
 MiB = 1 << 20
 
@@ -136,7 +137,7 @@ def test_eviction_precise_clipping():
 
 
 # ---------------------------------------------------------------------------
-# FIFO insertion log: differential, scaling and burst tests
+# ring positions: differentials, scaling and burst tests
 # ---------------------------------------------------------------------------
 KiB = 1 << 10
 RING = 64 * KiB
@@ -144,9 +145,10 @@ SLOT = 64 * KiB
 
 
 class ScanModel:
-    """The cache as it was before the insertion log: eviction scans the
-    whole map for entries living in the bytes about to be overwritten.
-    Kept here only as the reference the log-based cache is compared with."""
+    """The cache as it was before eviction stopped searching: the map keyed
+    by image offset, and eviction scans all of it for entries living in the
+    bytes about to be overwritten.  Kept here only as a reference the
+    position-addressed cache is compared with."""
 
     def __init__(self, data_offset: int, data_size: int):
         self.data_offset, self.data_size = data_offset, data_size
@@ -198,6 +200,24 @@ class ScanModel:
             self.map.update(lba, length, RC_TARGET, offset)
 
 
+def ring_virt(rc):
+    """The pointer as a virtual byte offset, laps of ``data_size``: what the
+    save records and what an offset-keyed cache's pointer reads."""
+    lap, pos = divmod(rc._ring_virt, rc._period)
+    return lap * rc.data_size + pos
+
+
+def live_rows(rc):
+    """The live bytes as an offset-keyed map's extents: what ``save_map`` writes."""
+    return rc._runs(rc.lookup(0, 1 << 63))
+
+
+def check_ring(rc):
+    report = InvariantReport()
+    _check_read_cache_ring(SimpleNamespace(rc=rc, config=LSVDConfig()), report)
+    assert report.ok, report.violations[:5]
+
+
 def small_cache(obs=None):
     img = DiskImage(SLOT + RING, name="rc-ssd")
     return ReadCache(img, 0, img.size, map_slot_size=SLOT, obs=obs)
@@ -229,14 +249,12 @@ def run_differential(ops):
             assert warm.load_map()
             rc = warm
             model.reload()
-        assert list(rc.map) == list(model.map), (step, op[:1])
+        assert live_rows(rc) == [(e.lba, e.length, e.offset) for e in model.map], step
         # totals across warm restarts: the registry sums every instance
         assert rc.obs.value("rc.evicted_bytes") == model.evicted, (step, op[:1])
         assert rc.obs.value("rc.inserted_bytes") == model.inserted
-        assert rc._ring_virt == model.ring
-        report = InvariantReport()
-        _check_read_cache_log(SimpleNamespace(rc=rc, config=LSVDConfig()), report)
-        assert report.ok, (step, report.violations)
+        assert ring_virt(rc) == model.ring
+        check_ring(rc)
     return rc
 
 
@@ -270,7 +288,7 @@ def test_differential_random_steps_against_the_scan_model():
         else:
             ops.append(("reload",))
     rc = run_differential(ops)
-    assert rc._ring_virt > 50 * RING  # the ring wrapped many times
+    assert ring_virt(rc) > 50 * RING  # the ring wrapped many times
     assert rc.evicted_bytes > 0
 
 
@@ -291,9 +309,11 @@ def test_differential_partly_overwritten_head_record_is_shrunk():
     ops = [("insert", 0, big), ("insert", 1 << 20, b"n" * 4 * KiB), ("read", 0, RING),
            ("insert", 2 << 20, b"m" * 1000), ("read", 0, RING)]
     rc = run_differential(ops)
-    # 8K of the 64K record are gone, the other 56K still readable
+    # 8K of the 64K record are gone, the other 56K still readable; the map
+    # entry stays whole until the sweep and every reader clips it
     assert [(p[0], p[1]) for p in rc.read(0, RING)] == [(8 * KiB, 56 * KiB)]
-    assert rc._log[0] == (8 * KiB, 56 * KiB, 8 * KiB)
+    assert rc.map.lookup(0, RING) == [(0, RING, RC_TARGET, 0)]
+    assert rc.lookup(0, RING) == [(8 * KiB, 56 * KiB, RC_TARGET, 8 * KiB)]
 
 
 def test_differential_stale_record_never_drops_a_reinserted_lba():
@@ -330,7 +350,8 @@ def test_differential_unaligned_lengths_and_oversized_skip():
            ("reload",), ("insert", 4 << 20, bytes([3]) * (RING - 4 * KiB)), ("read", 0, 16 * KiB)]
     rc = run_differential(ops)
     # 24K placed, then 40K of room < 60K: the last insert starts the next lap
-    assert rc._ring_virt == RING + RING - 4 * KiB
+    assert ring_virt(rc) == RING + RING - 4 * KiB
+    assert rc._ring_virt == rc._period + RING - 4 * KiB
 
 
 def test_differential_reload_splits_an_extent_coalesced_across_the_pointer():
@@ -347,68 +368,130 @@ def test_differential_reload_splits_an_extent_coalesced_across_the_pointer():
     assert [(p[0], p[1]) for p in rc.read(0, 12 * KiB)] == [(0, 4 * KiB), (8 * KiB, 4 * KiB)]
 
 
-class CarveEvictCache(ReadCache):
-    """Eviction as it was before ``ExtentMap.remove_matching``: carve the
-    head record's LBAs out of the map, then map back every piece that lives
-    elsewhere.  Kept here only as the reference ``_evict_head`` is compared
-    with."""
-
-    def _evict_head(self, horizon):
-        virt, length, lba = self._log[0]
-        cut = horizon - virt
-        if cut >= length:
-            cut = length
-            self._log.popleft()
-        else:
-            self._log[0] = (horizon, length - cut, lba + cut)
-        phys = self._phys(virt)
-        dropped = 0
-        for ext in self.map.remove(lba, cut):
-            if ext.offset == phys + (ext.lba - lba):
-                dropped += ext.length
-            else:
-                self.map.update(ext.lba, ext.length, RC_TARGET, ext.offset)
-        self._lap_evicted += dropped
-        return dropped
-
-
 SECTORS = st.sampled_from([1, 8, 9, 24, 56, 120])  # 512 B .. 60 KiB pieces
+#: a burst's pieces: (first sector, sectors, bytes cut off the end: unaligned)
+burst_pieces = st.lists(
+    st.tuples(st.integers(0, 255), SECTORS, st.sampled_from([0, 0, 0, 100])),
+    min_size=1,
+    max_size=5,
+)
 ring_histories = st.lists(
     st.one_of(
-        st.tuples(
-            st.just("burst"),
-            st.lists(st.tuples(st.integers(0, 255), SECTORS), min_size=1, max_size=5),
-            st.integers(0, 255),
-        ),
+        # the last two: the demanded sector and where the refetched range starts
+        st.tuples(st.just("burst"), burst_pieces, st.integers(0, 255), st.integers(0, 255)),
         st.tuples(st.just("invalidate"), st.integers(0, 255), SECTORS),
+        st.tuples(st.just("read"), st.integers(0, 255), SECTORS),
+        st.tuples(st.just("peek"), st.integers(0, 255), SECTORS),
+        st.tuples(st.just("window"), st.sampled_from([1, 4, 40])),
+        st.tuples(st.just("reload")),
     ),
     min_size=1,
     max_size=60,
 )
 
+#: every rc.* figure, the gauges included
+RC_FIGURES = (
+    "rc.hits", "rc.misses", "rc.inserted_bytes", "rc.evicted_bytes",
+    "rc.prefetch_used_bytes", "rc.prefetch_wasted_bytes", "rc.prefetch_refetched_bytes",
+    "rc.readahead_window_bytes", "rc.occupancy_bytes",
+)
+
+
+def _view(pieces, lba, length):
+    """What a reader assembles from ``pieces``: the bytes, and which held data."""
+    out, held = bytearray(length), bytearray(length)
+    for start, n, data in pieces:
+        out[start - lba : start - lba + n] = data
+        held[start - lba : start - lba + n] = b"\1" * n
+    return out, held
+
+
+def _same_state(new, ref, step):
+    assert live_rows(new) == [(e.lba, e.length, e.offset) for e in ref.map], step
+    for name in RC_FIGURES:
+        assert new.obs.value(name) == ref.obs.value(name), (step, name)
+    assert new._prefetched == ref._prefetched, step
+    state = ("_window", "_used", "_wasted", "_narrow_fetches", "_lap_evicted")
+    assert [getattr(new, a) for a in state] == [getattr(ref, a) for a in state], step
+    assert ring_virt(new) == ref._ring_virt, step
+    assert new.obs.trace.to_jsonl() == ref.obs.trace.to_jsonl(), step  # cache_evict, resizes
+    check_ring(new)
+
+
+def _step(rc, op, step):
+    """Apply one history op to ``rc``; returns what a caller sees."""
+    if op[0] == "burst":
+        pieces = [
+            (s * 512, bytes([(step + s) % 255 + 1]) * (n * 512 - trim)) for s, n, trim in op[1]
+        ]
+        behind = [c for _s, _n, c in rc.lookup_with_gaps(op[3] * 512, 8 * KiB) if c]
+        rc.insert(pieces, demand=(op[2] * 512, 4 * KiB), refetched=behind)
+        return None
+    if op[0] == "invalidate":
+        return rc.invalidate(op[1] * 512, op[2] * 512)
+    if op[0] == "read":
+        return _view(rc.read(op[1] * 512, op[2] * 512), op[1] * 512, op[2] * 512)
+    if op[0] == "peek":
+        return rc.peek(op[1] * 512, op[2] * 512)
+    if op[0] == "window":
+        return rc.readahead_window(op[1] * 4 * KiB, 32 * KiB)
+    rc.save_map(stamp=(1, step))
+    warm = type(rc)(rc.image, 0, rc.image.size, map_slot_size=SLOT, obs=rc.obs)
+    warm._window, warm._used, warm._wasted = rc._window, rc._used, rc._wasted
+    warm._narrow_fetches = rc._narrow_fetches
+    assert warm.load_map(stamp=(1, step))
+    return warm
+
+
+def _fill(sector, total):
+    """Pieces of at most 60 KiB from ``sector`` on, ``total`` bytes in all."""
+    out = []
+    while total > 0:
+        n = min(total, 60 * KiB)
+        out.append((sector + len(out) * 120, n // 512, 0))
+        total -= n
+    return out
+
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(history=ring_histories)
-def test_differential_one_pass_eviction_against_carve_and_put_back(history):
-    """Over a 128 KiB LBA span (two rings) of 512 B .. 60 KiB pieces: heads
-    the pointer only partly overwrites, records gone stale by ``invalidate``
-    or by a re-insert elsewhere, and many ring wraps."""
-    img = DiskImage(SLOT + RING, name="rc-ssd")
-    new = ReadCache(img, 0, img.size, map_slot_size=SLOT)
-    ref = CarveEvictCache(DiskImage(SLOT + RING), 0, img.size, map_slot_size=SLOT)
+@example(  # exact fill to the ring end, then the next lap, then a reload at it
+    history=[("burst", _fill(0, RING), 0, 0), ("reload",), ("burst", [(200, 8, 0)], 200, 0),
+             ("read", 0, 128)]
+)
+@example(  # wrap slack: 24 KiB pieces leave 16 KiB at the ring end
+    history=[("burst", [(0, 48, 0), (60, 48, 0)], 0, 0), ("burst", [(120, 48, 0)], 120, 0),
+             ("burst", [(200, 40, 0)], 200, 0), ("read", 40, 60), ("peek", 60, 48)]
+)
+@example(  # sector-unaligned lengths, and an LBA re-inserted within one burst
+    history=[("burst", [(0, 9, 100), (0, 8, 0), (4, 1, 100)], 0, 0), ("read", 0, 9),
+             ("burst", _fill(100, RING), 100, 0), ("read", 0, 9)]
+)
+@example(  # invalidate of a partly dead extent: the pointer cut its head
+    history=[("burst", [(0, 120, 0), (130, 8, 0)], 0, 0), ("burst", [(200, 16, 0)], 200, 0),
+             ("invalidate", 0, 120), ("peek", 20, 8), ("read", 0, 128)]
+)
+@example(  # LBA-contiguous pieces physically adjacent across laps
+    history=[("burst", _fill(0, 16 * KiB) + [(200, 16, 0)], 0, 0),
+             ("burst", _fill(40, 40 * KiB), 40, 0), ("burst", [(150, 16, 0)], 150, 0),
+             ("burst", [(184, 16, 0)], 184, 0), ("peek", 184, 32), ("reload",),
+             ("peek", 184, 32), ("read", 180, 40), ("burst", [(250, 8, 0)], 250, 184)]
+)
+def test_differential_against_the_fifo_log_cache(history):
+    """The position-addressed cache against the deque-evicted, offset-keyed
+    one it replaced, over a 128 KiB LBA span (two rings): what a reader and
+    the cleaner see, every ``rc.*`` figure, the read-ahead state, the trace
+    and a save/load round trip agree after every step."""
+    new = ReadCache(DiskImage(SLOT + RING), 0, SLOT + RING, map_slot_size=SLOT, obs=Registry())
+    ref = FifoReadCache(DiskImage(SLOT + RING), 0, SLOT + RING, map_slot_size=SLOT, obs=Registry())
     for step, op in enumerate(history):
-        if op[0] == "burst":
-            pieces = [(s * 512, bytes([(step + s) % 255 + 1]) * n * 512) for s, n in op[1]]
-            for rc in (new, ref):
-                rc.insert(pieces, demand=(op[2] * 512, 4 * KiB))
+        got, want = _step(new, op, step), _step(ref, op, step)
+        if op[0] == "reload":
+            new, ref = got, want
         else:
-            for rc in (new, ref):
-                rc.invalidate(op[1] * 512, op[2] * 512)
-        assert new.map.entries() == ref.map.entries(), step
-        assert new._log == ref._log, step
-        assert new.evicted_bytes == ref.evicted_bytes, step
-        assert new._prefetched == ref._prefetched, step
-    assert new.image.read(0, img.size) == ref.image.read(0, img.size)
+            assert got == want, (step, op)
+        _same_state(new, ref, step)
+    assert new.image.read(SLOT, RING) == ref.image.read(SLOT, RING)
 
 
 class NullImage:
@@ -422,8 +505,9 @@ class NullImage:
 
 
 def test_insert_cost_does_not_grow_with_the_map(monkeypatch, count_routings):
-    """No clock: eviction may not iterate the map at all, and an insert
-    routes into the map as often at 1k as at 50k cached extents."""
+    """No clock: eviction touches no map entry (the lap's sweep filters the
+    leaves once), and an insert routes into the map as often at 1k as at
+    50k cached extents."""
 
     def routings_per_insert(extents):
         rc = ReadCache(NullImage(SLOT + extents * 4 * KiB), 0, map_slot_size=SLOT)
@@ -440,14 +524,15 @@ def test_insert_cost_does_not_grow_with_the_map(monkeypatch, count_routings):
             for i in range(200):  # second lap: every insert evicts one record
                 rc.insert([((extents + i) * 8 * KiB, b"\0" * 4 * KiB)])
             rc.insert([((extents + 200 + i) * 8 * KiB, b"\0" * 4 * KiB) for i in range(50)])
-        assert rc.evicted_bytes == 250 * 4 * KiB and len(rc.map) == extents
-        return len(routed)
+        routings = len(routed)
+        assert rc.evicted_bytes == 250 * 4 * KiB
+        assert len(rc.lookup(0, 1 << 63)) == extents  # the overwritten 250 are dead
+        return routings
 
     small, large = routings_per_insert(1_000), routings_per_insert(50_000)
     assert small == large
-    # every map operation routes once: per piece, the remove that evicts the
-    # ring head's record and the single-pass update that maps the piece
-    assert small == 2 * 250
+    # per piece, one routing: the single-pass update that maps it
+    assert small == 250
 
 
 def test_burst_equals_the_same_pieces_one_by_one():
@@ -468,7 +553,7 @@ def test_burst_equals_the_same_pieces_one_by_one():
             many.invalidate(lba, 8 * KiB)
         assert list(many.map) == list(one.map)
         assert many._ring_virt == one._ring_virt
-        assert many._log == one._log
+        assert many._live == one._live
         for name in ("rc.inserted_bytes", "rc.evicted_bytes", "rc.occupancy_bytes"):
             assert many.obs.value(name) == one.obs.value(name), name
     assert many.image.read(0, many.image.size) == one.image.read(0, one.image.size)
@@ -487,15 +572,15 @@ def test_cache_evict_is_traced_once_per_ring_lap():
     assert rc.evicted_bytes == 4 * RING + 3 * 4 * KiB
 
 
-def test_clear_empties_the_log_too():
+def test_clear_empties_the_live_counts_too():
     rc = small_cache()
     for i in range(20):
         rc.insert([(i * 4 * KiB, b"c" * 4 * KiB)])
     rc.clear()
-    assert len(rc._log) == 0 and rc._ring_virt == 0
-    rc.insert([(0, b"d" * 4 * KiB)])
-    assert rc.read(0, 4 * KiB) == [(0, 4 * KiB, b"d" * 4 * KiB)]
-    assert list(rc._log) == [(0, 4 * KiB, 0)]
+    assert not any(rc._live) and rc._ring_virt == 0 and len(rc.map) == 0
+    rc.insert([(0, b"d" * 1000)])
+    assert rc.read(0, 1000) == [(0, 1000, b"d" * 1000)]
+    assert list(rc._live[:2]) == [1000, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +663,12 @@ def test_wrap_slack_flags_are_wasted_verdicts():
     assert (rc._wasted, sum(rc._prefetched)) == (0, 14)
     # lap 1 overwrites blocks 0-5, five of them still flagged
     rc.insert([(2 << 20, b"c" * 24 * KiB)], demand=(2 << 20, 24 * KiB))
-    assert rc._ring_virt == RING + 24 * KiB
+    assert ring_virt(rc) == RING + 24 * KiB
     assert (rc._wasted, sum(rc._prefetched)) == (5, 9)
     # 40 KiB of room < 48 KiB: blocks 6-15 are skipped as wrap slack (nine
     # flagged), and the piece lands on blocks 0-11 of lap 2
     rc.insert([(3 << 20, b"d" * 48 * KiB)], demand=(3 << 20, 48 * KiB))
-    assert rc._ring_virt == 2 * RING + 48 * KiB
+    assert ring_virt(rc) == 2 * RING + 48 * KiB
     assert (rc._wasted, sum(rc._prefetched)) == (14, 0)
 
 

@@ -5,6 +5,7 @@ controller")."""
 
 import random
 from itertools import accumulate
+from unittest import mock
 
 import pytest
 
@@ -46,7 +47,7 @@ def one_copy_per_lba(vol):
     def insert(pieces, span=NULL_SPAN, demand=(0, 1 << 63), refetched=()):
         taken = set()
         for lba, data in pieces:
-            assert rc.map.lookup(lba, len(data)) == [], (lba, len(data))
+            assert rc.lookup(lba, len(data)) == [], (lba, len(data))
             blocks = set(range(lba // 512, (lba + len(data)) // 512))
             assert not blocks & taken
             taken |= blocks
@@ -191,19 +192,15 @@ def uniform_miss_volume(pages):
 
 
 def traced_miss(vol, rng, count_routings):
-    """Read one uncached block; return (routings, evictions, header extents
-    in the fetch window, pieces fetched, pieces inserted)."""
+    """Read one uncached block; return (routings, header extents in the
+    fetch window, pieces fetched, pieces inserted)."""
     page = rng.randrange(vol.size // 4096)
-    while vol.rc.map.lookup(page * 4096, 4096):
+    while vol.rc.lookup(page * 4096, 4096):
         page = rng.randrange(vol.size // 4096)
     [piece] = vol.bs.lookup(page * 4096, 4096)
     header = vol.bs.header_of(piece.target)
-    seen = {"evictions": 0}
-    evict, fetch, insert = vol.rc._evict_head, vol.bs.fetch_with_prefetch, vol.rc.insert
-
-    def counted_evict(horizon):
-        seen["evictions"] += 1
-        return evict(horizon)
+    seen = {}
+    fetch, insert = vol.bs.fetch_with_prefetch, vol.rc.insert
 
     def counted_fetch(*args, **kwargs):
         seen["fetched"] = fetched = fetch(*args, **kwargs)
@@ -214,11 +211,13 @@ def traced_miss(vol, rng, count_routings):
         seen["inserted"] = len(pieces)
         return insert(pieces, **kwargs)
 
-    vol.rc._evict_head, vol.bs.fetch_with_prefetch = counted_evict, counted_fetch
-    vol.rc.insert = counted_insert
+    vol.bs.fetch_with_prefetch, vol.rc.insert = counted_fetch, counted_insert
+    evicted = vol.rc.evicted_bytes
     routed = count_routings(vol.rc.map, vol.wc.map, vol.bs.omap.map)
     assert vol.read(page * 4096, 4096) == bytes([page % 251 + 1]) * 4096
-    del vol.rc._evict_head, vol.bs.fetch_with_prefetch, vol.rc.insert
+    routings = len(routed)
+    del vol.bs.fetch_with_prefetch, vol.rc.insert
+    assert vol.rc.evicted_bytes > evicted  # the ring is full: the insert evicted
     # the header extents the fetch window overlaps
     start = max(0, piece.offset - (seen["window"] - 4096) // 2)
     end = min(header.data_len, start + seen["window"])
@@ -226,27 +225,80 @@ def traced_miss(vol, rng, count_routings):
     window = sum(
         1 for e_end, e in zip(ends, header.extents) if e_end - e.length < end and e_end > start
     )
-    return len(routed), seen["evictions"], window, len(seen["fetched"]), seen["inserted"]
+    return routings, window, len(seen["fetched"]), seen["inserted"]
 
 
 def test_a_read_miss_routes_once_per_piece_at_any_map_size(count_routings):
-    """Narrowed, a miss routes three times plus once per eviction: the read
-    cache's lookup, the object map's, and mapping the fetched block — the
-    window is the block the object map just returned and neither cache
-    held it, so the fetch and the insert take no map pass of their own.  A
-    probe's burst routes once per header extent in its 128 KiB window (the
-    liveness pass), per fetched piece (the gap scan) and per inserted piece
-    (its map update).  Both hold at 4x the map size."""
+    """Narrowed, a miss routes three times: the read cache's lookup, the
+    object map's, and mapping the fetched block — the window is the block
+    the object map just returned and neither cache held it, so the fetch
+    and the insert take no map pass of their own, and eviction moves the
+    ring pointer without one.  A probe's burst routes once per header
+    extent in its 128 KiB window (the liveness pass), per fetched piece
+    (the gap scan) and per inserted piece (its map update).  Both hold at
+    4x the map size."""
     for pages in (1024, 4096):
         vol, rng = uniform_miss_volume(pages)
         assert len(vol.bs.omap.map) > pages // 2 and len(vol.rc.map) > pages // 16
         rc = vol.rc
         rc._window, rc._used, rc._wasted = 4096, 0, 0  # narrowed to one block
         for _ in range(3):
-            routings, evictions, window, fetched, inserted = traced_miss(vol, rng, count_routings)
+            routings, window, fetched, inserted = traced_miss(vol, rng, count_routings)
             assert (window, fetched, inserted) == (1, 1, 1)
-            assert routings == 3 + evictions
+            assert routings == 3
         rc._narrow_fetches = read_cache.READAHEAD_PROBE - 1  # the next fetch probes
-        routings, evictions, window, fetched, inserted = traced_miss(vol, rng, count_routings)
+        routings, window, fetched, inserted = traced_miss(vol, rng, count_routings)
         assert min(window, fetched, inserted) >= 8  # a burst, not one block
-        assert routings == 2 + evictions + window + fetched + inserted
+        assert routings == 2 + window + fetched + inserted
+
+
+# ---------------------------------------------------------------------------
+# GC safety: the cleaner's cache probes see live ring bytes only
+# ---------------------------------------------------------------------------
+def _peek_behind_the_floor(self, lba, length):
+    """``ReadCache.peek`` without the floor: it trusts every map entry,
+    dead ones whose ring bytes the pointer has overwritten included."""
+    found = self.map.lookup(lba, length)
+    if len(found) == 1 and found[0].length == length:
+        return self.image.read(self.data_offset + found[0].offset % self._period, length)
+    return None
+
+
+def gc_through_ring_laps(seed):
+    """A 1 MiB volume with a 48-block read cache: reads wrap its ring lap
+    after lap while overwrites make most objects GC victims, so the cleaner
+    probes the cache for live data whose ring bytes may be gone.  Every
+    read, and a final read-back, is checked against a dict-of-blocks oracle."""
+    store = InMemoryObjectStore()
+    cfg = LSVDConfig(batch_size=32 * 1024, checkpoint_interval=8, write_cache_fraction=0.5)
+    vol = LSVDVolume.create(store, "vd", PAGES * 4096, DiskImage(512 * 1024), cfg)
+    assert vol.rc.data_size == 48 * 4096
+    oracle = {p: bytes([p % 251 + 1]) for p in range(PAGES)}
+    for p in range(PAGES):
+        vol.write(p * 4096, oracle[p] * 4096)
+    vol.drain()
+    rng = random.Random(seed)
+    for step in range(3000):
+        page = rng.randrange(PAGES)
+        if rng.random() < 0.6:
+            assert vol.read(page * 4096, 4096) == oracle[page] * 4096, (seed, step, page)
+        else:
+            oracle[page] = bytes([step % 250 + 1])
+            vol.write(page * 4096, oracle[page] * 4096)
+    vol.drain()
+    for page in range(PAGES):
+        assert vol.read(page * 4096, 4096) == oracle[page] * 4096, (seed, page)
+    return vol
+
+
+def test_gc_relocates_live_cache_bytes_only_through_many_ring_laps():
+    vol = gc_through_ring_laps(seed=1)
+    assert vol.rc._ring_virt >= 3 * vol.rc._period  # three laps and more
+    assert vol.gc.stats.bytes_read_cache and vol.gc.stats.bytes_relocated
+    assert check_volume_invariants(vol).ok
+
+
+def test_gc_safety_fails_when_peek_skips_the_floor():
+    with mock.patch.object(read_cache.ReadCache, "peek", _peek_behind_the_floor):
+        with pytest.raises(AssertionError):
+            gc_through_ring_laps(seed=1)

@@ -281,9 +281,9 @@ class _FlagTally:
             )
         refetches = 0
         for ext in refetched:  # a cached extent, wholly outside the demand
-            assert rc.map.lookup(ext.lba, ext.length) == [ext]
+            assert rc.lookup(ext.lba, ext.length) == [ext]
             assert ext.lba + ext.length <= lo or ext.lba >= hi
-            rel = ext.offset - rc.data_offset
+            rel = ext.offset % rc._period  # a ring position
             refetches += sum(rc._prefetched[rel // 4096 : (rel + ext.length + 4095) // 4096])
         epoch, wasted, refetched_bytes = (
             rc._used + rc._wasted, rc.prefetch_wasted_bytes, rc.prefetch_refetched_bytes

@@ -71,8 +71,10 @@ class EagerRelease(WriteCache):
         )
         if (magic, ver, kind, seq) != (MAGIC, VERSION, KIND_DATA, ref.seq):
             return  # space already reused: nothing of ours is mapped
-        for lba, length, offset in ref.extents:
-            self.map.remove_matching(lba, length, WC_TARGET, offset)
+        for lba, length, offset in ref.extents:  # only pieces still mapped there
+            for piece in self.map.lookup(lba, length):
+                if piece.target == WC_TARGET and piece.offset == offset + piece.lba - lba:
+                    self.map.remove(piece.lba, piece.length)
 
 
 def _state(wc):
