@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: all lint ruff mypy invariants test crash-enum examples obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger ledger-pairs pairs-report paper-smoke ablation-prefetch traffic lint-history
+.PHONY: all lint ruff mypy invariants test crash-enum examples obs-smoke shard-smoke pipeline-smoke fleet-smoke wa-smoke bench-diff ledger ledger-pairs pairs-report paper-smoke ablation-prefetch traffic lint-history mutation-census
 
 all: lint test
 
@@ -155,3 +155,10 @@ traffic:
 # each commit removed; needs full git history, ~2.5 min, so not a CI step
 lint-history:
 	$(PYTHON) benchmarks/lint_history.py
+
+# the mutation census (DESIGN.md "Tests by evidence"): tier-1 twice under a
+# line trace hook, then AST mutants of every line a test with redundant
+# coverage runs; lists the tests no mutant needs and writes the kill table
+# to bench-out/mutation_census.json; ~1 h, so not a CI step
+mutation-census:
+	$(PYTHON) benchmarks/mutation_census.py bench-out/mutation_census.json

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro.cluster import StorageCluster
 from repro.devices.hdd import HDD, HDDSpec
@@ -182,7 +181,6 @@ def main(argv=None) -> int:
 
     gate_ok = gate_scaling and gate_isolation
     figures["fleet_gates_pass"] = bool(gate_ok)
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     path = write_bench_json("fleet", summary, figures=figures, out_dir=args.out_dir)
     print(f"\naggregate scaling + isolation gates: {gate_ok}")
     print(f"wrote {path}")

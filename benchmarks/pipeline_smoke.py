@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro.cluster import StorageCluster
 from repro.core import LSVDConfig
@@ -122,7 +121,6 @@ def main(argv=None) -> int:
             gate_ok = gate_ok and fewer
 
     figures["group_commit_wins"] = bool(gate_ok)
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     path = write_bench_json(
         "pipeline", summary, figures=figures, out_dir=args.out_dir
     )

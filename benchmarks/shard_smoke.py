@@ -23,7 +23,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-from pathlib import Path
 
 from repro.cluster import StorageCluster
 from repro.core import LSVDConfig
@@ -108,7 +107,6 @@ def main(argv=None) -> int:
     )
     figures["monotonic_1_to_4"] = bool(monotonic_1_to_4)
     figures["monotonic_1_to_8"] = bool(monotonic)
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     path = write_bench_json(
         "shard_smoke", summary, figures=figures, out_dir=args.out_dir
     )

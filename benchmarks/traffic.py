@@ -38,19 +38,27 @@ CLI = [
     "trace v --exercise 600 --type readahead_resize", "spans v --exercise 300 --slowest 1",
     "flightrec dump v --exercise 40 --out {tmp}/b.json", "flightrec dump v",
     "fleet create f --tenant a --iops 100", "fleet status", "fleet recover", "fleet delete f"]
+#: the CLI commands that exit 2 by design: an unknown volume, ``stats`` without one
+USAGE_ERRORS = {"info missing", "stats"}
 LINT = ["src/repro benchmarks examples", "--format json src/repro", "--list-rules", "--explain"]
 PYTEST = ["{py}", "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+#: (expected exit code, argv) of every production consumer
 PRODUCTION = (
-    [["{py}", "-m", "repro.cli", "{tmp}/bucket", *cmd.split()] for cmd in CLI]
-    + [["{py}", "-m", "repro.lint", *args.split()] for args in LINT]
-    + [["{py}", str(p)] for p in sorted((ROOT / "examples").glob("*.py"))]
-    + [["{py}", f"benchmarks/{name}_smoke.py", "--out-dir", "{tmp}/out"]
-       for name in ("obs", "shard", "pipeline", "fleet", "wa")]
-    + [["{py}", "benchmarks/ledger/run.py", "--quick", "--out-dir", "{tmp}/out"],
-       PYTEST + ["benchmarks/ledger"],
-       ["{py}", "benchmarks/bench_diff.py", "--bench-dir", "{tmp}/out"],
-       ["{py}", "benchmarks/pairs_report.py"],
-       PYTEST + ["--benchmark-disable", "benchmarks", "--ignore=benchmarks/ledger"]]
+    [(2 if cmd in USAGE_ERRORS else 0, ["{py}", "-m", "repro.cli", "{tmp}/bucket", *cmd.split()])
+     for cmd in CLI]
+    + [(0, argv) for argv in (
+        [["{py}", "-m", "repro.lint", *args.split()] for args in LINT]
+        + [["{py}", str(p)] for p in sorted((ROOT / "examples").glob("*.py"))]
+        + [["{py}", f"benchmarks/{name}_smoke.py", "--out-dir", "{tmp}/out"]
+           for name in ("obs", "shard", "pipeline", "fleet", "wa")]
+        + [["{py}", "benchmarks/ledger/run.py", "--quick", "--out-dir", "{tmp}/out"],
+           # the trace hook inflates per-layer host time past IDLE_SHARE on this one
+           # host-clock check; `make ledger` and CI still run it untraced
+           PYTEST + ["benchmarks/ledger", "--deselect",
+                     "benchmarks/ledger/test_ledger.py::test_idle_layer_predictions_hold[vol-write-churn]"],
+           ["{py}", "benchmarks/bench_diff.py", "--bench-dir", "{tmp}/out"],
+           ["{py}", "benchmarks/pairs_report.py"],
+           PYTEST + ["--benchmark-disable", "benchmarks", "--ignore=benchmarks/ledger"]])]
 )
 
 
@@ -73,17 +81,23 @@ def defs():
 
 
 def census(commands):
-    """Run ``commands`` under the hook; the defs none of them called."""
+    """Run ``commands`` = [(expected exit code, argv)] under the hook; the defs none of them
+    called.  Raises ``SystemExit`` naming every command that exited with another code."""
     with tempfile.TemporaryDirectory() as tmp:
         hook, out = Path(tmp, "hook"), Path(tmp, "hook", "calls")
         out.mkdir(parents=True)
         (hook / "sitecustomize.py").write_text(HOOK)
         env = dict(os.environ, PYTHONPATH=f"{hook}{os.pathsep}{ROOT / 'src'}",
                    TRAFFIC_OUT=str(out), TMPDIR=tmp)
-        for argv in commands:
+        wrong = []
+        for expected, argv in commands:
             argv = [arg.format(py=sys.executable, tmp=tmp) for arg in argv]
             done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True)
             print(f"[exit {done.returncode}] {' '.join(argv[1:])}", file=sys.stderr)
+            if done.returncode != expected:
+                wrong.append(f"exit {done.returncode}, not {expected}: {' '.join(argv[1:])}")
+        if wrong:
+            raise SystemExit("traffic census failed:\n" + "\n".join(wrong))
         rows = [row.rpartition("\t") for f in out.iterdir() for row in f.read_text().splitlines()]
     called = {(name, int(line)) for name, _, line in rows}
     return {key: info for key, info in defs().items() if key not in called}

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from repro.core.placement import TEMP_NAMES, make_policy
 from repro.gcsim import GCSimulator
@@ -135,7 +134,6 @@ def main(argv=None) -> int:
     figures["gate_wa_reduction"] = bool(all_reduced)
     figures["gate_equal_utilization"] = bool(all_equal_util)
     gate_ok = all_reduced and all_equal_util
-    Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     path = write_bench_json("wa", summary, figures=figures, out_dir=args.out_dir)
     print(f"\nWA reduction + equal-utilization gates: {gate_ok}")
     print(f"wrote {path}")

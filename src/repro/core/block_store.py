@@ -365,9 +365,6 @@ class BlockStore:
     def lookup(self, lba: int, length: int):
         return self.omap.lookup(lba, length)
 
-    def lookup_with_gaps(self, lba: int, length: int):
-        return self.omap.lookup_with_gaps(lba, length)
-
     def fetch(
         self, seq: int, offset: int, length: int, header: Optional[ObjectHeader] = None
     ) -> bytes:

@@ -25,9 +25,6 @@ class LSVDConfig:
     #: write batch size: a sealed batch becomes one backend object (§3.2,
     #: "e.g. 8 or 32 MB"; Table 5 simulations use 32 MiB).
     batch_size: int = 8 * MiB
-    #: flush a non-empty batch after this much idle time (seconds of
-    #: simulated time; the pure-logic volume flushes on drain() instead).
-    batch_timeout: float = 0.5
     #: start garbage collection when live/total utilisation drops below
     #: this ratio (§3.5, 70 % in the paper's experiments).
     gc_low_watermark: float = 0.70

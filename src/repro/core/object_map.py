@@ -137,9 +137,6 @@ class ObjectMap:
     def lookup(self, lba: int, length: int):
         return self.map.lookup(lba, length)
 
-    def lookup_with_gaps(self, lba: int, length: int):
-        return self.map.lookup_with_gaps(lba, length)
-
     # -- GC support -----------------------------------------------------
     def utilization(self, cleanable_only: bool = True) -> float:
         """Overall live/total ratio over (cleanable) data+GC objects."""

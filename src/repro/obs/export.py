@@ -92,6 +92,7 @@ def write_bench_json(
 ) -> pathlib.Path:
     """Emit ``BENCH_<name>.json`` — benchmark figures + the registry they
     were computed from, so the perf trajectory is machine-readable."""
+    pathlib.Path(out_dir).mkdir(parents=True, exist_ok=True)
     out = pathlib.Path(out_dir) / f"BENCH_{name}.json"
     return write_metrics_json(registry, out, extra={"bench": name, "figures": figures or {}})
 
@@ -122,6 +123,7 @@ def write_bench_sections_json(
         "metrics": metrics,
         "sections": sorted(sections),
     }
+    pathlib.Path(out_dir).mkdir(parents=True, exist_ok=True)
     out = pathlib.Path(out_dir) / f"BENCH_{name}.json"
     out.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return out

@@ -57,6 +57,9 @@ from repro.workloads.base import FLUSH, READ, WRITE, IOOp
 
 #: bucket edges for the barrier group-size histogram (barriers per FLUSH)
 _GROUP_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
+#: flush a non-empty batch after this much idle time (seconds of simulated
+#: time; the pure-logic volume flushes on drain() instead)
+BATCH_TIMEOUT = 0.5
 
 
 class _Stages(list):
@@ -529,15 +532,15 @@ class LSVDRuntime:
         self._queue_gauges[index].set(len(self._destage_qs[index]))
 
     def _idle_flusher(self):
-        """Flush partial batches after a quiet period (batch_timeout).
+        """Flush partial batches after a quiet period (``BATCH_TIMEOUT``).
 
         A daemon: its wake-ups are background events, so an unbounded
         ``sim.run()`` ends when the client work drains.
         """
         while True:
-            yield self.sim.timeout(self.config.batch_timeout, background=True)
+            yield self.sim.timeout(BATCH_TIMEOUT, background=True)
             quiet = self.sim.now - self._last_write_at
-            if quiet >= self.config.batch_timeout:
+            if quiet >= BATCH_TIMEOUT:
                 self.pagemap.flush_batch()
 
     # ------------------------------------------------------------------

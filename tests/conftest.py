@@ -30,7 +30,7 @@ def pytest_runtest_makereport(item, call):
     if report.when == "call" and report.failed:
         try:
             dump_last_flight(_bundle_path(item.nodeid), reason=f"pytest: {item.nodeid}")
-        except OSError:
+        except (OSError, ValueError):  # ValueError: a span the failure left open
             pass  # a failed dump must never mask the real test failure
 
 

@@ -92,7 +92,7 @@ def test_every_dotted_repro_name_in_the_docs_resolves(doc):
 #: file, or argues for the new ceiling here.  Every section needs an entry,
 #: so one added, renamed or lost fails until this table says so.
 DESIGN_CEILINGS = {
-    "(preamble)": 10,
+    "(preamble)": 6,
     "What the paper builds": 28,
     "Substitutions (paper used → we build → why it preserves behaviour)": 21,
     "Package inventory": 82,

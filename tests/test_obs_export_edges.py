@@ -179,3 +179,9 @@ class TestSectionedBench:
         }
         assert document["metrics"]["core"]["a"] == 3
         assert document["metrics"]["runtime"]["b"] == 7
+
+    def test_both_writers_make_the_nested_directory_they_write_into(self, tmp_path):
+        out = tmp_path / "not" / "yet"
+        write_bench_json("one", Registry(), out_dir=out)
+        write_bench_sections_json("two", {"core": (Registry(), {})}, out_dir=out)
+        assert sorted(p.name for p in out.iterdir()) == ["BENCH_one.json", "BENCH_two.json"]

@@ -1,15 +1,13 @@
-"""Regression: destaged-then-rolled-back records must not collide.
+"""Regression: records written after recovery must not collide with destaged ones.
 
-Scenario (found by randomized fault injection): records 14-16 are
-destaged to the backend (high-water mark 16) but then *physically lost*
-from the cache log by a crash before any barrier.  Recovery rolls the
-cache back to record 13.  If new writes were numbered 14.. again, a later
-batch settlement (or the next recovery) would release them against the
-stale high-water mark and lose acknowledged-and-committed data.
+If recovery rolls the cache back past records the backend already holds
+(high-water mark), new writes numbered from the rollback point would be
+released against the stale mark and lose acknowledged data, so recovery
+jumps the cache sequence past it.  The rolled-back-cache case is
+``tests/test_crash_points.py``'s mutant #1; this is the cache-lost case.
 """
 
 import random
-
 
 from repro.core import LSVDConfig, LSVDVolume
 from repro.crash import HistoryRecorder, PrefixChecker
@@ -17,44 +15,6 @@ from repro.devices.image import DiskImage
 from repro.objstore import InMemoryObjectStore
 
 MiB = 1 << 20
-
-
-def test_rolled_back_destaged_records_do_not_collide():
-    store = InMemoryObjectStore()
-    image = DiskImage(4 * MiB)
-    cfg = LSVDConfig(batch_size=64 * 1024, checkpoint_interval=8)
-    vol = LSVDVolume.create(store, "vd", 8 * MiB, image, cfg)
-    rec = HistoryRecorder(vol.write, vol.flush)
-
-    # phase 1: enough writes to seal a batch (records 1..16 destaged)
-    for i in range(16):
-        rec.write(i * 4096, 4096)
-    assert vol.bs.last_record_seq_destaged >= 16
-    # a few more, NOT barriered: these will die with the crash
-    for i in range(16, 20):
-        rec.write(i * 4096, 4096)
-
-    # crash losing everything unflushed: the checkpointed prefix survives
-    image.crash(rng=random.Random(1), survive_probability=0.0, allow_torn=False)
-    vol = LSVDVolume.open(store, "vd", image, cfg)
-    rec._write_fn, rec._flush_fn = vol.write, vol.flush
-    verdict = PrefixChecker(rec).check(vol.read)
-    assert verdict.ok_prefix
-    rec.history = [r for r in rec.history if r.write_id <= verdict.cut]
-
-    # the cache sequence must have jumped past the backend watermark
-    assert vol.wc.next_seq > vol.bs.last_record_seq_destaged
-
-    # phase 2: new committed writes; their record seqs must not be
-    # releasable against the stale watermark
-    for i in range(32, 40):
-        rec.write(i * 4096, 4096)
-    rec.barrier()
-    image.crash(rng=random.Random(2), survive_probability=1.0, allow_torn=False)
-    vol = LSVDVolume.open(store, "vd", image, cfg)
-    verdict = PrefixChecker(rec).check(vol.read, require_committed=True)
-    assert verdict.ok_prefix, verdict.problems[:3]
-    assert verdict.ok_committed, (verdict.cut, verdict.committed_through)
 
 
 def test_cache_lost_open_also_jumps_sequence():
