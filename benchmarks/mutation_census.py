@@ -134,11 +134,17 @@ def _alarm(signum, frame):
     raise Timeout()
 
 
+def differing(first, second):
+    """The ``[path, line]``s only the first and only the second of two runs covered."""
+    return {name: sorted([os.path.relpath(path, ROOT), line] for path, line in only)
+            for name, only in (("first_only", first - second), ("second_only", second - first))}
+
+
 class Census:
     """A pytest plugin that replaces the run loop: coverage twice, then the mutants."""
 
-    def __init__(self, base):
-        self.base, self.prefix, self.report, self.broken = base, str(SRC) + os.sep, {}, set()
+    def __init__(self, base, src=SRC):
+        self.base, self.prefix, self.report, self.broken = base, str(src) + os.sep, {}, set()
 
     def _trace(self, frame, event, arg):
         code = frame.f_code
@@ -151,6 +157,8 @@ class Census:
     def passes(self, test, limit=0, trace=None):
         """True when ``test`` passes (within ``limit`` seconds, if given; under ``trace``)."""
         self.lines, self.events = set(), 0
+        if trace:  # else a gc inside the test runs earlier tests' suspended generators' `finally`
+            gc.collect()
         signal.setitimer(signal.ITIMER_REAL, limit, 1.0 if limit else 0)
         sys.settrace(trace)
         try:
@@ -198,7 +206,8 @@ class Census:
                  for t in self.items} for _ in range(2)]
         ok = [t for t in self.items if runs[0][t][0] is not None and runs[1][t][0] is not None]
         cover, self.cost = {t: runs[0][t][0] & runs[1][t][0] for t in ok}, {t: runs[1][t][1] for t in ok}
-        unstable = sorted(t for t in ok if runs[0][t][0] != runs[1][t][0])
+        unstable = {t: differing(runs[0][t][0], runs[1][t][0]) for t in ok
+                    if runs[0][t][0] != runs[1][t][0]}
         chosen = candidates(cover, EXEMPT + tuple(unstable))
         self.by_line = defaultdict(list)  # src line -> the tests covering it, cheapest first
         for t in sorted(ok, key=lambda t: (self.cost[t], t)):

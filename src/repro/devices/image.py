@@ -36,9 +36,10 @@ class TornWrite:
 class DiskImage:
     """A fixed-size byte store with volatile-cache durability semantics.
 
-    Reads always observe the newest data (the device cache serves reads);
-    durability is tracked separately via a pending-write journal that
-    :meth:`flush` drains and :meth:`crash` samples.
+    Reads always observe the newest data (the device cache serves reads),
+    kept in one image; durability is an undo log of the bytes each
+    un-flushed write overwrote, which :meth:`flush` drops and
+    :meth:`crash` rolls back.
     """
 
     def __init__(self, size: int, name: str = "disk"):
@@ -47,8 +48,9 @@ class DiskImage:
         self.size = size
         self.name = name
         self._data = bytearray(size)  # newest content (cache view)
-        self._durable = bytearray(size)  # content guaranteed after crash
-        self._pending: Deque[Tuple[int, bytes]] = deque()  # not yet durable
+        #: (offset, bytes it overwrote) per un-flushed write, oldest first;
+        #: undoing them newest-first leaves the durable content
+        self._undo: Deque[Tuple[int, bytearray]] = deque()
         self.pending_bytes = 0
         self.writes = 0
         self.reads = 0
@@ -59,14 +61,13 @@ class DiskImage:
     # -- I/O ---------------------------------------------------------------
     def write(self, offset: int, data: bytes) -> None:
         """Buffer a write; durable only after :meth:`flush`."""
+        end = offset + len(data)
         self._check_range(offset, len(data))
-        self._data[offset : offset + len(data)] = data
-        self._pending.append((offset, bytes(data)))
+        self._undo.append((offset, self._data[offset:end]))  # one copy
+        self._data[offset:end] = data
         self.pending_bytes += len(data)
-        while self.pending_bytes > PENDING_BOUND:
-            old_offset, old = self._pending.popleft()
-            self._durable[old_offset : old_offset + len(old)] = old
-            self.pending_bytes -= len(old)
+        while self.pending_bytes > PENDING_BOUND:  # the oldest become durable
+            self.pending_bytes -= len(self._undo.popleft()[1])
         self.writes += 1
         self.bytes_written += len(data)
 
@@ -78,22 +79,21 @@ class DiskImage:
 
     def view(self) -> memoryview:
         """The newest content without a copy (what :meth:`read` copies
-        from); valid until the next :meth:`crash` or :meth:`lose`."""
+        from); a :meth:`crash` rewrites it in place, and it is stale after
+        :meth:`lose`."""
         return memoryview(self._data)
 
     def flush(self) -> None:
         """Commit barrier: all buffered writes become durable."""
-        for offset, data in self._pending:
-            self._durable[offset : offset + len(data)] = data
         self._drop_pending()
         self.flushes += 1
 
     @property
     def pending_writes(self) -> int:
-        return len(self._pending)
+        return len(self._undo)
 
     def _drop_pending(self) -> None:
-        self._pending.clear()
+        self._undo.clear()
         self.pending_bytes = 0
 
     # -- failure injection ---------------------------------------------
@@ -110,37 +110,38 @@ class DiskImage:
         write may itself be cut short, modelling a torn sector run.  After
         the call the image content equals the durable state.  Returns a
         :class:`TornWrite` describing the tear, if one happened.
+
+        The log is undone newest-first: just before write *i* is undone
+        the image holds the durable content plus writes 0..*i*, so a
+        survivor's bytes are read in place, then replayed oldest-first.
         """
         if rng is None:
             # no seed given: derive one from the image's own history so a
             # replay of the same operation sequence crashes identically
             rng = random.Random(
-                (self.writes << 24) ^ (self.flushes << 12) ^ len(self._pending)
+                (self.writes << 24) ^ (self.flushes << 12) ^ len(self._undo)
             )
         torn: Optional[TornWrite] = None
-        survivors = [
-            (off, data)
-            for off, data in self._pending
-            if rng.random() < survive_probability
-        ]
-        if survivors and allow_torn and rng.random() < 0.5:
-            off, data = survivors[-1]
-            keep = rng.randrange(0, len(data))
-            if keep == 0:
-                survivors.pop()
-            else:
-                survivors[-1] = (off, data[:keep])
-                torn = TornWrite(off, len(data), keep)
-        for off, data in survivors:
-            self._durable[off : off + len(data)] = data
+        kept = [len(old) if rng.random() < survive_probability else None for _, old in self._undo]
+        last = max((i for i, k in enumerate(kept) if k is not None), default=None)
+        if last is not None and allow_torn and rng.random() < 0.5:
+            off, old = self._undo[last]
+            kept[last] = rng.randrange(0, len(old))
+            if kept[last]:
+                torn = TornWrite(off, len(old), kept[last])
+        survivors = []
+        for (off, old), keep in zip(reversed(self._undo), reversed(kept)):
+            if keep:
+                survivors.append((off, self._data[off : off + keep]))
+            self._data[off : off + len(old)] = old
+        for off, data in reversed(survivors):
+            self._data[off : off + len(data)] = data
         self._drop_pending()
-        self._data = bytearray(self._durable)
         return torn
 
     def lose(self) -> None:
         """Catastrophic device loss: all content gone (cache death, §4.4)."""
         self._data = bytearray(self.size)
-        self._durable = bytearray(self.size)
         self._drop_pending()
 
     # -- helpers ---------------------------------------------------------

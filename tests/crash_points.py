@@ -123,8 +123,8 @@ class CountingImage(DiskImage):
 
     def crashed_copy(self, rng: random.Random) -> DiskImage:
         copy = DiskImage(self.size, name="cache")
-        copy._durable = bytearray(self._durable)
-        copy._pending = deque(self._pending)
+        copy._data = bytearray(self._data)
+        copy._undo = deque(self._undo)  # its entries are never written to
         copy.crash(rng=rng, survive_probability=rng.random(), allow_torn=True)
         return copy
 

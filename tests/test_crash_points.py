@@ -18,6 +18,7 @@ from repro.core.block_store import BlockStore
 from repro.core.log import decode_record
 from repro.core.volume import LSVDVolume
 from repro.core.write_cache import WriteCache
+from repro.devices.image import DiskImage
 from repro.obs import NULL_SPAN
 from tests.crash_points import CELLS, CrashPointFailure, run_cell
 
@@ -73,6 +74,12 @@ def _ack_before_flush(self, span=NULL_SPAN):
     self.barriers += 1
 
 
+def _flush_keeps_the_log(self):
+    """``DiskImage.flush`` that leaves its undo entries in the log, so a
+    crash still rolls back what the flush made durable."""
+    self.flushes += 1
+
+
 _SEAL_GROUP = BlockStore.seal_group
 
 
@@ -89,7 +96,8 @@ def _members_claim_the_mark(self, reason, span=NULL_SPAN):
 
 
 #: mutant -> (owner, attribute, its mutated value, cell, seed); the numbered
-#: rows are ROADMAP item 10's, the rest disable one part of the seal-group rule
+#: rows are ROADMAP item 10's, the group rows disable one part of the seal-group
+#: rule, and the last one the device's durability
 MUTANTS = {
     "1-no-sequence-jump": (WriteCache, "resume_after", lambda self, seq: None, "sepbit-1sync", 4),
     "2-barrier-acked-before-flush": (WriteCache, "barrier", _ack_before_flush, "legacy-1sync", 1),
@@ -102,6 +110,7 @@ MUTANTS = {
         LSVDVolume, "_may_checkpoint", lambda self: not self._pending, "sepbit-1sync", 1),
     "group-member-claims-the-mark": (
         BlockStore, "seal_group", _members_claim_the_mark, "sepbit-4unsettled", 1),
+    "flush-keeps-its-undo-log": (DiskImage, "flush", _flush_keeps_the_log, "legacy-1sync", 1),
 }
 
 

@@ -1,13 +1,18 @@
 """Unit tests for device timing models and the DiskImage content plane."""
 
+import copy
 import random
+from collections import deque
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.read_cache import ReadCache
 from repro.devices import HDD, SSD, DiskImage, HDDSpec, NetworkLink, SSDSpec
 from repro.devices.image import PENDING_BOUND
 from repro.sim import Simulator
+from tests.two_image_disk import TwoImageDisk
 
 
 def run_ops(sim, device, ops):
@@ -251,19 +256,31 @@ def test_pending_writes_are_bounded_without_a_flush():
     media, and a crash still lands on durable + a subset of pending."""
     piece = 16 * 1024
     img = DiskImage(8 << 20, name="rc-ssd")
+    written = deque(maxlen=PENDING_BOUND // piece + 1)  # the newest writes
+    write = img.write
+
+    def recording_write(offset, data):
+        written.append((offset, bytes(data)))
+        write(offset, data)
+
+    img.write = recording_write
     rc = ReadCache(img, 0, img.size, map_slot_size=128 * 1024)
     for i in range(10_000):
         rc.insert([(i * piece, bytes([i % 251 + 1]) * piece)])
         assert img.pending_bytes <= PENDING_BOUND
     assert img.flushes == 0
     assert img.pending_bytes > PENDING_BOUND - piece  # the bound, not a flush
-    assert img.pending_bytes == sum(len(d) for _o, d in img._pending)
+    pending = list(written)[len(written) - img.pending_writes :]
+    assert img.pending_bytes == sum(len(d) for _o, d in pending)
 
     # per piece-sized slot: what the crash may legitimately leave there
+    durable = copy.deepcopy(img)
+    durable.crash(rng=random.Random(0), survive_probability=0.0)
     allowed = {}
     for off in range(rc.data_offset, rc.data_offset + rc.data_size, piece):
-        allowed[off] = {bytes(img._durable[off : off + piece])}
-    for off, data in img._pending:
+        allowed[off] = {durable.read(off, piece)}
+    del durable
+    for off, data in pending:
         allowed[off].add(data)
     assert any(len(states) > 2 for states in allowed.values())
     img.crash(rng=random.Random(5), survive_probability=0.5, allow_torn=False)
@@ -288,3 +305,58 @@ def test_image_counters():
     assert (img.writes, img.reads, img.flushes) == (1, 1, 1)
     assert img.bytes_written == 3
     assert img.bytes_read == 3
+
+
+# --------------------------------------------------------------------------
+# DiskImage against the two-image device it replaced
+# --------------------------------------------------------------------------
+
+DIFF_SIZE = 64
+COUNTERS = ("pending_writes", "pending_bytes", "writes", "reads", "flushes",
+            "bytes_written", "bytes_read")
+disk_write = st.tuples(st.just("write"), st.integers(0, DIFF_SIZE), st.binary(max_size=24))
+disk_ops = st.lists(
+    st.one_of(
+        disk_write, disk_write, disk_write,  # mostly writes: enough pending to drain
+        st.tuples(st.just("read"), st.integers(0, DIFF_SIZE), st.integers(0, DIFF_SIZE)),
+        st.tuples(st.just("flush")),
+        st.tuples(st.just("crash"), st.integers(0, 1 << 16),
+                  st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.booleans()),
+        st.tuples(st.just("crash")),  # unseeded: the rng comes from the image's history
+        st.tuples(st.just("lose")),
+    ),
+    max_size=40,
+)
+
+
+def _disk_step(disk, op):
+    try:
+        if op[0] == "write":
+            return disk.write(op[1], op[2])
+        if op[0] == "read":
+            return disk.read(op[1], op[2])
+        if len(op) > 1:
+            return disk.crash(random.Random(op[1]), survive_probability=op[2], allow_torn=op[3])
+        return getattr(disk, op[0])()
+    except ValueError as exc:  # out of bounds, or a tear of an empty survivor
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(history=disk_ops)
+@example(  # overlapping, unaligned writes; the fourth drains the first; the last tears
+    history=[("write", 3, b"a" * 6), ("flush",), ("write", 0, b"c" * 6),
+             ("write", 4, b"d" * 5), ("write", 2, b"e" * 4), ("write", 6, b"f" * 3),
+             ("crash", 0, 1.0, True), ("read", 0, 16)]
+)
+def test_undo_log_matches_the_two_image_device(monkeypatch, history):
+    """The undo-log image against the two-image, redo-list device it
+    replaced, with a 16-byte drain bound: every read, tear, pending count
+    and counter, and the whole content, agree after every step."""
+    monkeypatch.setattr("repro.devices.image.PENDING_BOUND", 16)
+    new, ref = DiskImage(DIFF_SIZE), TwoImageDisk(DIFF_SIZE)
+    for step, op in enumerate(history):
+        assert _disk_step(new, op) == _disk_step(ref, op), (step, op)
+        assert bytes(new.view()) == bytes(ref._data), (step, op)
+        assert [getattr(new, c) for c in COUNTERS] == [getattr(ref, c) for c in COUNTERS]

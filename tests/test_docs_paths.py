@@ -105,7 +105,7 @@ DESIGN_CEILINGS = {
     "Chunked extent map & the data-plane fast path"
     " (`repro.core.extent_map`, `repro.core.sgio`)": 126,
     "Read cache: byte ring addressed by position (`repro.core.read_cache`)": 170,
-    "Simulation engine & device ops (`repro.sim`, `repro.devices.base`)": 98,
+    "Simulation engine & device ops (`repro.sim`, `repro.devices.base`)": 97,
     "Data plane pipeline (`repro.runtime.lsvd`): group commit, per-shard destage,"
     " overlapped recovery": 99,
     "Multi-tenant fleet & QoS (`repro.fleet`)": 43,

@@ -1,7 +1,10 @@
-"""The mutation census's pure parts: candidates, each operator's mutant, the ``__code__`` swap."""
+"""The mutation census's pure parts (candidates, each operator's mutant, the ``__code__`` swap)
+and its report of unstable tests on a toy run."""
 
 import ast
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,51 @@ def test_the_swapped_code_runs_inside_the_block_and_the_original_comes_back():
             assert h(0) == 3
             raise RuntimeError
     assert h(0) == 2
+
+
+TOY_SRC = """\
+CALLS = []
+
+
+def step():
+    CALLS.append(1)
+    if len(CALLS) == 1:
+        return "first"
+    return "again"
+
+
+def steady():
+    return 1
+"""
+
+TOY_TESTS = """\
+from census_toy import steady, step
+
+
+def test_step():
+    assert step()
+
+
+def test_steady():
+    assert steady() == 1
+"""
+
+
+def test_an_unstable_test_reports_the_lines_its_two_runs_differ_on(tmp_path, monkeypatch):
+    """A toy census: ``test_step`` runs other src lines the second time, so the
+    report names it with the line each run alone covered; ``test_steady`` is stable."""
+    src, tests = tmp_path / "src", tmp_path / "tests"
+    src.mkdir()
+    tests.mkdir()
+    (src / "census_toy.py").write_text(TOY_SRC)
+    (tests / "test_toy.py").write_text(TOY_TESTS)
+    (tmp_path / "pytest.ini").write_text("[pytest]\n")
+    monkeypatch.syspath_prepend(str(src))
+    monkeypatch.delitem(sys.modules, "census_toy", raising=False)  # a fresh CALLS
+    toy = census.Census(tmp_path / "basetemp", src)
+    pytest.main(["-q", "-p", "no:cacheprovider", f"--basetemp={toy.base}",
+                 f"--rootdir={tmp_path}", str(tests)], plugins=[toy])
+    path = os.path.relpath(src / "census_toy.py", census.ROOT)
+    assert toy.report["passing"] == 2
+    assert toy.report["unstable"] == {
+        "tests/test_toy.py::test_step": {"first_only": [[path, 7]], "second_only": [[path, 8]]}}

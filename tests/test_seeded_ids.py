@@ -34,7 +34,10 @@ def _run(seed):
     vol.drain()
     LSVDVolume.clone(store, "a", "b", clone_image, config, at_snapshot="s")
     objects = {name: store.get(name) for name in store.list("")}
-    images = [(bytes(i._data), bytes(i._durable)) for i in (image, clone_image)]
+    images = [i.read(0, i.size) for i in (image, clone_image)]
+    for i in (image, clone_image):  # and what a crash that keeps no pending write leaves
+        i.crash(random.Random(0), survive_probability=0.0)
+        images.append(i.read(0, i.size))
     uuids = [BlockStore.read_super(store, name)["uuid"] for name in ("a", "b")]
     return objects, images, uuids
 

@@ -227,11 +227,10 @@ def test_recover_prefix_when_middle_record_lost():
     wc.barrier()
     wc.append([(8192, b"b" * 4096)])  # lost
     wc.append([(16384, b"c" * 4096)])  # survives
-    # keep only the third record's write: crash keeping pending[1]
-    pending = wc.image._pending
-    assert len(pending) == 2
-    wc.image._pending = [pending[1]]
-    wc.image.crash(rng=random.Random(0), survive_probability=1.0, allow_torn=False)
+    assert wc.image.pending_writes == 2
+    draws = random.Random(15)  # the crash's draws: the first write lost, the second kept
+    assert draws.random() >= 0.5 > draws.random()
+    wc.image.crash(rng=random.Random(15), survive_probability=0.5, allow_torn=False)
     fresh = recover_copy(wc)
     assert [r.seq for r in fresh.records] == [1]
     assert fresh.read(16384, 4096) == []
